@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,20 @@ def write_container(path, kind: str, descriptor: dict, arrays: dict) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """Read n bytes, refusing sizes beyond the end of the file before reading."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise FormatError(f"truncated container while reading {what}")
     buf = fh.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated container while reading {what}")
     return buf
+
+
+def _decode(raw: bytes, encoding: str, what: str) -> str:
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as err:
+        raise FormatError(f"undecodable {what}: {err}") from err
 
 
 def read_container(path):
@@ -76,25 +87,39 @@ def read_container(path):
         version = _U32.unpack(_read_exact(fh, 4, "version"))[0]
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        kind = _read_exact(fh, 16, "kind").rstrip(b"\0").decode("ascii")
+        kind = _decode(_read_exact(fh, 16, "kind").rstrip(b"\0"), "ascii", "kind")
         if kind not in KINDS:
             raise FormatError(f"{path}: unknown payload kind '{kind}'")
         desc_len = _U32.unpack(_read_exact(fh, 4, "descriptor length"))[0]
         try:
             descriptor = json.loads(_read_exact(fh, desc_len, "descriptor"))
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise FormatError(f"{path}: bad descriptor JSON: {err}") from err
         count = _U32.unpack(_read_exact(fh, 4, "array count"))[0]
         arrays = {}
         for _ in range(count):
             nlen = _U32.unpack(_read_exact(fh, 4, "name length"))[0]
-            name = _read_exact(fh, nlen, "name").decode("utf-8")
+            name = _decode(_read_exact(fh, nlen, "name"), "utf-8", "array name")
             rows, cols = _DIMS.unpack(_read_exact(fh, 16, "dims"))
             payload = _read_exact(fh, rows * cols * 8, f"payload of '{name}'")
-            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+            try:
+                arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+            except ValueError as err:  # a zero-size array with a dimension past the limit
+                raise FormatError(f"{path}: bad dims {rows}x{cols} of '{name}'") from err
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after declared payload")
     return kind, descriptor, arrays
+
+
+@contextmanager
+def _typed_fields(path, kind: str):
+    """Report a missing or malformed array or descriptor key as a FormatError."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as err:
+        raise FormatError(f"{path}: malformed {kind}: {type(err).__name__}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +146,14 @@ def load_snapshot_set(path):
     if kind != "snapshot-set":
         raise FormatError(f"{path}: expected snapshot-set, found {kind}")
     out = {}
-    for name in SNAPSHOT_NAMES:
-        if name not in arrays:
-            raise FormatError(f"{path}: snapshot matrix '{name}' missing")
-        out[name] = SnapshotMatrix(name, arrays[name], desc["layouts"][name],
-                                   t0=desc["t0"], dt=desc["dt"],
-                                   uniform=desc.get("uniform", True))
-    return out, desc.get("config", {})
+    with _typed_fields(path, kind):
+        for name in SNAPSHOT_NAMES:
+            if name not in arrays:
+                raise FormatError(f"{path}: snapshot matrix '{name}' missing")
+            out[name] = SnapshotMatrix(name, arrays[name], desc["layouts"][name],
+                                       t0=desc["t0"], dt=desc["dt"],
+                                       uniform=desc.get("uniform", True))
+        return out, desc.get("config", {})
 
 
 def save_model(path, model) -> None:
@@ -170,26 +196,27 @@ def save_model(path, model) -> None:
 def load_model(path):
     from .lowrank import DmdModel, PodModel
     kind, desc, arrays = read_container(path)
-    if kind == "pod-model":
-        return PodModel(
-            name=desc["name"], mean=arrays["mean"][0],
-            modes=arrays["modes"], coefficients=arrays["coefficients"],
-            singular_values=arrays["singular_values"][0],
-            xi_rel=desc["xi_rel"], layout=desc["layout"],
-            t0=desc["t0"], dt=desc["dt"],
-        )
-    if kind == "dmd-model":
-        eq = arrays["equilibrium"][0] if desc.get("has_equilibrium") else None
-        return DmdModel(
-            name=desc["name"],
-            modes=arrays["modes:re"] + 1j * arrays["modes:im"],
-            eigenvalues=(arrays["eigenvalues:re"] + 1j * arrays["eigenvalues:im"])[0],
-            amplitudes=(arrays["amplitudes:re"] + 1j * arrays["amplitudes:im"])[0],
-            variant=desc["variant"], equilibrium=eq,
-            singular_values=arrays["singular_values"][0],
-            xi_rel=desc["xi_rel"], n_steps=desc["n_steps"],
-            layout=desc["layout"], t0=desc["t0"], dt=desc["dt"],
-        )
+    with _typed_fields(path, kind):
+        if kind == "pod-model":
+            return PodModel(
+                name=desc["name"], mean=arrays["mean"][0],
+                modes=arrays["modes"], coefficients=arrays["coefficients"],
+                singular_values=arrays["singular_values"][0],
+                xi_rel=desc["xi_rel"], layout=desc["layout"],
+                t0=desc["t0"], dt=desc["dt"],
+            )
+        if kind == "dmd-model":
+            eq = arrays["equilibrium"][0] if desc.get("has_equilibrium") else None
+            return DmdModel(
+                name=desc["name"],
+                modes=arrays["modes:re"] + 1j * arrays["modes:im"],
+                eigenvalues=(arrays["eigenvalues:re"] + 1j * arrays["eigenvalues:im"])[0],
+                amplitudes=(arrays["amplitudes:re"] + 1j * arrays["amplitudes:im"])[0],
+                variant=desc["variant"], equilibrium=eq,
+                singular_values=arrays["singular_values"][0],
+                xi_rel=desc["xi_rel"], n_steps=desc["n_steps"],
+                layout=desc["layout"], t0=desc["t0"], dt=desc["dt"],
+            )
     raise FormatError(f"{path}: expected a model container, found {kind}")
 
 
@@ -220,22 +247,23 @@ def load_run_record(path):
     kind, desc, arrays = read_container(path)
     if kind != "run-record":
         raise FormatError(f"{path}: expected run-record, found {kind}")
-    cfg = RunConfig.from_dict(desc["config"])
-    nt, ny, nx = desc["n_steps"], cfg.ny, cfg.nx
-    return RunRecord(
-        time=TimeGrid(desc["t0"], desc["dt"], nt), mode=desc["mode"],
-        config_meta=desc["config"],
-        temperature=arrays["temperature"].reshape(nt, ny, nx),
-        e_cell=arrays["e_cell"].reshape(nt, ny, nx),
-        e_vface=arrays["e_vface"].reshape(nt, ny, nx + 1),
-        e_hface=arrays["e_hface"].reshape(nt, ny + 1, nx),
-        f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
-        f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
-        iterations=arrays["iterations"][0].astype(int),
-        final_change=arrays["final_change"][0],
-        negative_corners=arrays["negative_corners"][0].astype(int),
-        closure_violations=arrays["closure_violations"][0].astype(int),
-    )
+    with _typed_fields(path, kind):
+        cfg = RunConfig.from_dict(desc["config"])
+        nt, ny, nx = desc["n_steps"], cfg.ny, cfg.nx
+        return RunRecord(
+            time=TimeGrid(desc["t0"], desc["dt"], nt), mode=desc["mode"],
+            config_meta=desc["config"],
+            temperature=arrays["temperature"].reshape(nt, ny, nx),
+            e_cell=arrays["e_cell"].reshape(nt, ny, nx),
+            e_vface=arrays["e_vface"].reshape(nt, ny, nx + 1),
+            e_hface=arrays["e_hface"].reshape(nt, ny + 1, nx),
+            f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
+            f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
+            iterations=arrays["iterations"][0].astype(int),
+            final_change=arrays["final_change"][0],
+            negative_corners=arrays["negative_corners"][0].astype(int),
+            closure_violations=arrays["closure_violations"][0].astype(int),
+        )
 
 
 def save_error_fields(path, field_maps: dict, config_meta: dict) -> None:

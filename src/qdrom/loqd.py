@@ -1,15 +1,26 @@
 """Low-order moment solvers: multigroup system, grey coefficients, grey Newton.
 
-The multigroup system couples cell-average energy densities, face-average
-energy densities and face-normal fluxes per group through the cell energy
-balance, half-cell momentum balances closed by the Eddington tensor, and
-boundary rows closed by the boundary factors.  The effective grey problem is
-the exact group sum of that scheme: spectrum-averaged absorption and
-emission opacities, diffusion-like flux coefficients obtained by recasting
-each half-cell momentum balance in terms of the face flux, and a lagged
-flux term carrying the previous-step group fluxes.  The grey system couples
-to the material energy balance and is solved by Newton iteration with the
-temperature eliminated cell-by-cell.
+Both levels solve the same E-only moment system over the unknowns
+x = [E_cell, E_vface, E_hface] per group (multigroup) or in total (grey).
+Each half-cell momentum balance, closed by the Eddington tensor, is solved
+locally for its face-normal flux, which gives the one-sided expression
+
+    F_j = p_j + (c / A_j) [ -s_j l_j d_face E_f + s_j l_j d_cell E_i
+                            - l'_j / 2 (d_plus E_+ - d_minus E_-) ]
+
+in the face, owning-cell and perpendicular-face energy densities.  Cell
+rows are the energy balances with these expressions substituted; face rows
+sum s_j F_j over the half cells of a face (flux continuity at interior
+faces) and, at boundary faces, close it with -c C E_f (the boundary
+condition).  The levels differ only in coefficients: the multigroup level
+uses d = f / (kappa + 1/(c dt)), with f the Eddington-tensor entry, and
+p = F_prev / (1 + c dt kappa) per group; the effective grey problem uses
+their spectrum averages, together with averaged absorption and emission
+opacities and boundary factors, so that it is the exact group sum of the
+multigroup scheme.  MomentSystem holds the layout and the sparsity pattern,
+built once per geometry; each level only fills values into it.
+The grey system couples to the material energy balance and is solved by
+Newton iteration with the temperature eliminated cell-by-cell.
 
 All face fluxes use the fixed +x / +y orientation; outward signs come from
 the adjacency tables.
@@ -17,6 +28,7 @@ the adjacency tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +82,11 @@ class ProblemGeometry:
         return np.where(self.bfaces.orient == 0, self.bfaces.face,
                         self.n_vfaces + self.bfaces.face)
 
+    @cached_property
+    def moment_system(self) -> "MomentSystem":
+        """The E-only moment-system layout of this mesh, built on first use."""
+        return MomentSystem(self)
+
 
 @dataclass
 class MultigroupMoments:
@@ -120,8 +137,171 @@ def incoming_tables(geom: ProblemGeometry, moments_by_side: dict) -> tuple[np.nd
     return e_in, f_in
 
 
+@dataclass
+class FluxCoeffs:
+    """Per-adjacency one-sided flux coefficients and lag term.
+
+    Arrays are (n_adj,) on the grey level and (n_g, n_adj) per group.
+    """
+
+    d_face: np.ndarray   # multiplies E on the face itself
+    d_cell: np.ndarray   # multiplies E on the owning cell
+    d_plus: np.ndarray   # multiplies E on the + perpendicular face
+    d_minus: np.ndarray  # multiplies E on the - perpendicular face
+    p: np.ndarray        # lagged previous-flux contribution
+
+
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum values (..., len(index)) into (..., size) bins, in input order."""
+    lead = values.shape[:-1]
+    n = int(np.prod(lead, dtype=int))
+    bins = (index + size * np.arange(n)[:, None]).ravel()
+    return np.bincount(bins, values.ravel(), minlength=n * size).reshape(lead + (size,))
+
+
+class MomentSystem:
+    """Layout of the E-only moment system over x = [E_cell, E_vface, E_hface].
+
+    The CSC sparsity pattern and the scatter of the assembled entries into
+    its data array depend on the mesh only and are built here, once; both
+    levels fill values with a leading group axis or none.  A leading axis
+    of n_g makes the block-diagonal system of independent groups.
+    """
+
+    def __init__(self, geom: ProblemGeometry):
+        va, ha = geom.vadj, geom.hadj
+        nc, nv = geom.n_cells, geom.n_vfaces
+        n = nc + nv + geom.n_hfaces
+        self.shape = (geom.mesh.ny, geom.mesh.nx)
+        self.n_cells, self.n_vfaces, self.n_unknowns = nc, nv, n
+        # columns of the face, cell, + and - perpendicular-face entries of
+        # each one-sided flux expression
+        self.vcols = np.stack([nc + va.face, va.cell,
+                               nc + nv + va.cross_plus, nc + nv + va.cross_minus])
+        self.hcols = np.stack([nc + nv + ha.face, ha.cell,
+                               nc + ha.cross_plus, nc + ha.cross_minus])
+        cells = np.arange(nc)
+        vrow, hrow = nc + va.face, nc + nv + ha.face
+        brow = nc + geom.boundary_face_global()
+        # entry order of fill(): cell diagonal; per orientation the flux
+        # expressions in the cell rows, then in the face rows; boundary terms
+        rows = np.concatenate([cells, np.tile(va.cell, 4), np.tile(vrow, 4),
+                               np.tile(ha.cell, 4), np.tile(hrow, 4), brow])
+        cols = np.concatenate([cells, self.vcols.ravel(), self.vcols.ravel(),
+                               self.hcols.ravel(), self.hcols.ravel(), brow])
+        keys, self.slot = np.unique(cols * n + rows, return_inverse=True)
+        self.nnz = keys.size
+        self.indices = keys % n
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+        self.diag_slot = self.slot[:nc]
+        self.rhs_rows = np.concatenate([cells, va.cell, vrow, ha.cell, hrow, brow])
+        self.vcount = np.bincount(va.face, minlength=nv)
+        self.hcount = np.bincount(ha.face, minlength=geom.n_hfaces)
+        self.vadj, self.hadj = va, ha
+        self._blocks = {}  # block-diagonal (indices, indptr) per block count
+
+    @staticmethod
+    def _weights(adj, fc: FluxCoeffs, light_speed: float) -> np.ndarray:
+        """(..., 4, n_adj) multipliers of x[cols] in the flux expressions."""
+        scale = light_speed / adj.half_area
+        return np.stack([
+            -scale * adj.sign * fc.d_face * adj.face_len,
+            scale * adj.sign * fc.d_cell * adj.face_len,
+            -scale * 0.5 * adj.cross_len * fc.d_plus,
+            scale * 0.5 * adj.cross_len * fc.d_minus,
+        ], axis=-2)
+
+    def fill(self, light_speed: float, cell_diag, cell_rhs, vflux: FluxCoeffs,
+             hflux: FluxCoeffs, boundary_diag, boundary_rhs):
+        """Matrix values (..., nnz), right-hand side (..., n) and flux weights.
+
+        cell_diag/cell_rhs are (..., n_cells); boundary_diag/boundary_rhs are
+        (..., n_bfaces), in the boundary-face order of the geometry.
+        """
+        lead = np.shape(cell_diag)[:-1]
+        vals, rhs = [cell_diag], [cell_rhs]
+        weights = []
+        for adj, fc in ((self.vadj, vflux), (self.hadj, hflux)):
+            w = self._weights(adj, fc, light_speed)
+            sl = adj.sign * adj.face_len
+            vals += [(sl * w).reshape(lead + (-1,)), (adj.sign * w).reshape(lead + (-1,))]
+            rhs += [-sl * fc.p, -adj.sign * fc.p]
+            weights.append(w)
+        vals.append(boundary_diag)
+        rhs.append(boundary_rhs)
+        data = _scatter(self.slot, np.concatenate(vals, axis=-1), self.nnz)
+        b = _scatter(self.rhs_rows, np.concatenate(rhs, axis=-1), self.n_unknowns)
+        return data, b, weights
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """CSC matrix of values (nnz,), block-diagonal for (n_blocks, nnz)."""
+        nb = data.size // self.nnz
+        if nb not in self._blocks:
+            blk = np.arange(nb)[:, None]
+            self._blocks[nb] = ((self.indices + self.n_unknowns * blk).ravel(),
+                                np.append((self.indptr[:-1] + self.nnz * blk).ravel(),
+                                          nb * self.nnz))
+        indices, indptr = self._blocks[nb]
+        return sp.csc_matrix((data.ravel(), indices, indptr),
+                             shape=(nb * self.n_unknowns, nb * self.n_unknowns))
+
+    def face_fluxes(self, x: np.ndarray, weights, vflux: FluxCoeffs, hflux: FluxCoeffs):
+        """(F_vface, F_hface) from the one-sided expressions, averaged per face."""
+        out = []
+        for adj, fc, w, cols, count in ((self.vadj, vflux, weights[0], self.vcols, self.vcount),
+                                        (self.hadj, hflux, weights[1], self.hcols, self.hcount)):
+            f = fc.p + (w * x[..., cols]).sum(axis=-2)
+            out.append(_scatter(adj.face, f, count.size) / count)
+        return out
+
+    def energies(self, x: np.ndarray):
+        """(E_cell, E_vface, E_hface) grids, keeping any leading axis."""
+        ny, nx = self.shape
+        nc, nv = self.n_cells, self.n_cells + self.n_vfaces
+        lead = x.shape[:-1]
+        return (x[..., :nc].reshape(lead + (ny, nx)),
+                x[..., nc:nv].reshape(lead + (ny, nx + 1)),
+                x[..., nv:].reshape(lead + (ny + 1, nx)))
+
+
+def _boundary_factors(closure: ClosureRecord) -> np.ndarray:
+    """(n_g, n_bfaces) boundary factors in the side order left, bottom, right, top."""
+    return np.concatenate([closure.cb_left, closure.cb_bottom,
+                           closure.cb_right, closure.cb_top], axis=1)
+
+
+def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: MultigroupMoments,
+                      dt: float, geom: ProblemGeometry, light_speed: float):
+    """Per-group (vertical, horizontal) flux coefficients, arrays (n_g, n_adj).
+
+    d = f / kappa_tilde with kappa_tilde = kappa + 1/(c dt) of the owning
+    cell, and p = F_prev / (1 + c dt kappa); kappa2 is (n_g, n_cells).
+    """
+    n_g = kappa2.shape[0]
+    cdt = light_speed * dt
+    kappa_tilde = kappa2 + 1.0 / cdt
+
+    def coeffs(adj, f_face, f_cell, f_perp, fprev):
+        kt = kappa_tilde[:, adj.cell]
+        return FluxCoeffs(
+            f_face.reshape(n_g, -1)[:, adj.face] / kt,
+            f_cell.reshape(n_g, -1)[:, adj.cell] / kt,
+            f_perp.reshape(n_g, -1)[:, adj.cross_plus] / kt,
+            f_perp.reshape(n_g, -1)[:, adj.cross_minus] / kt,
+            fprev.reshape(n_g, -1)[:, adj.face] / (1.0 + cdt * kappa2[:, adj.cell]),
+        )
+
+    return (coeffs(geom.vadj, closure.fxx_vface, closure.fxx_cell, closure.fxy_hface,
+                   prev.f_vface),
+            coeffs(geom.hadj, closure.fyy_hface, closure.fyy_cell, closure.fxy_vface,
+                   prev.f_hface))
+
+
 class MultigroupLoqdSolver:
-    """Sparse direct solver for the per-group moment systems."""
+    """Sparse direct solver for the per-group E-only moment systems.
+
+    Face fluxes follow from the one-sided expressions after the solve.
+    """
 
     def __init__(self, geom: ProblemGeometry, grid: FrequencyGrid,
                  material: MaterialModel, e_in: np.ndarray, f_in: np.ndarray):
@@ -130,107 +310,7 @@ class MultigroupLoqdSolver:
         self.material = material
         self.e_in = e_in  # (n_g, n_bfaces)
         self.f_in = f_in
-        self._build_pattern()
-
-    def _build_pattern(self):
-        g = self.geom
-        nc, nv, nh = g.n_cells, g.n_vfaces, g.n_hfaces
-        nf = nv + nh
-        self.n_unknowns = nc + 2 * nf
-        self.col_ev = nc
-        self.col_eh = nc + nv
-        self.col_fv = nc + nf
-        self.col_fh = nc + nf + nv
-        va, ha, bf = g.vadj, g.hadj, g.bfaces
-        row_vmom = nc + np.arange(va.face.shape[0])
-        row_hmom = nc + va.face.shape[0] + np.arange(ha.face.shape[0])
-        row_bc = nc + va.face.shape[0] + ha.face.shape[0] + np.arange(bf.count)
-        self.row_vmom, self.row_hmom, self.row_bc = row_vmom, row_hmom, row_bc
-        cells = np.arange(nc)
-        bf_fcol = np.where(bf.orient == 0, self.col_fv + bf.face, self.col_fh + bf.face)
-        bf_ecol = np.where(bf.orient == 0, self.col_ev + bf.face, self.col_eh + bf.face)
-        self.rows = np.concatenate([
-            cells, va.cell, ha.cell,                                # cell balances
-            row_vmom, row_vmom, row_vmom, row_vmom, row_vmom,      # v momentum
-            row_hmom, row_hmom, row_hmom, row_hmom, row_hmom,      # h momentum
-            row_bc, row_bc,                                        # boundary rows
-        ])
-        self.cols = np.concatenate([
-            cells, self.col_fv + va.face, self.col_fh + ha.face,
-            self.col_fv + va.face, self.col_ev + va.face, va.cell,
-            self.col_eh + va.cross_plus, self.col_eh + va.cross_minus,
-            self.col_fh + ha.face, self.col_eh + ha.face, ha.cell,
-            self.col_ev + ha.cross_plus, self.col_ev + ha.cross_minus,
-            bf_fcol, bf_ecol,
-        ]).astype(np.int64)
-        self.rows = self.rows.astype(np.int64)
-        # canonical CSC pattern: entry k of the assembly order lands in
-        # data[self._csc_perm][k]; no duplicate (row, col) pairs exist.
-        # Groups factor together as one block-diagonal matrix.
-        shape = (self.n_unknowns, self.n_unknowns)
-        proto = sp.csc_matrix(
-            (np.arange(self.rows.size, dtype=float), (self.rows, self.cols)), shape=shape)
-        if proto.nnz != self.rows.size:
-            raise AssertionError("unexpected duplicate entries in the moment system")
-        self._csc_perm = proto.data.astype(np.int64)
-        n_g = self.grid.n_groups
-        nnz, nun = proto.nnz, self.n_unknowns
-        self._blk_indices = np.concatenate(
-            [proto.indices + g * nun for g in range(n_g)])
-        self._blk_indptr = np.concatenate(
-            [proto.indptr[:-1] + g * nnz for g in range(n_g)] + [[n_g * nnz]]
-        ).astype(proto.indptr.dtype)
-
-    def _group_data(self, gdx: int, closure: ClosureRecord, kappa2: np.ndarray,
-                    dt: float) -> np.ndarray:
-        g = self.geom
-        va, ha = g.vadj, g.hadj
-        c = self.material.light_speed
-        area = g.mesh.cell_area.ravel()
-        kap = kappa2[gdx]
-        fxx_v = closure.fxx_vface[gdx].ravel()
-        fxx_c = closure.fxx_cell[gdx].ravel()
-        fyy_h = closure.fyy_hface[gdx].ravel()
-        fyy_c = closure.fyy_cell[gdx].ravel()
-        fxy_v = closure.fxy_vface[gdx].ravel()
-        fxy_h = closure.fxy_hface[gdx].ravel()
-        cb = np.concatenate([closure.cb_left[gdx], closure.cb_bottom[gdx],
-                             closure.cb_right[gdx], closure.cb_top[gdx]])
-        cdt = c * dt
-        return np.concatenate([
-            area / dt + c * kap * area,
-            va.sign * va.face_len,
-            ha.sign * ha.face_len,
-            va.half_area * (1.0 / cdt + kap[va.cell]),
-            va.sign * c * fxx_v[va.face] * va.face_len,
-            -va.sign * c * fxx_c[va.cell] * va.face_len,
-            0.5 * c * va.cross_len * fxy_h[va.cross_plus],
-            -0.5 * c * va.cross_len * fxy_h[va.cross_minus],
-            ha.half_area * (1.0 / cdt + kap[ha.cell]),
-            ha.sign * c * fyy_h[ha.face] * ha.face_len,
-            -ha.sign * c * fyy_c[ha.cell] * ha.face_len,
-            0.5 * c * ha.cross_len * fxy_v[ha.cross_plus],
-            -0.5 * c * ha.cross_len * fxy_v[ha.cross_minus],
-            g.bfaces.outward_sign.astype(float),
-            -c * cb,
-        ])
-
-    def _group_rhs(self, gdx: int, closure: ClosureRecord, kappa2, planck2,
-                   prev: MultigroupMoments, dt: float) -> np.ndarray:
-        g = self.geom
-        c = self.material.light_speed
-        area = g.mesh.cell_area.ravel()
-        rhs = np.zeros(self.n_unknowns)
-        rhs[:g.n_cells] = (area / dt) * prev.e_cell[gdx].ravel() \
-            + 4.0 * np.pi * kappa2[gdx] * planck2[gdx] * area
-        fprev_v = prev.f_vface[gdx].ravel()
-        fprev_h = prev.f_hface[gdx].ravel()
-        rhs[self.row_vmom] = g.vadj.half_area / (c * dt) * fprev_v[g.vadj.face]
-        rhs[self.row_hmom] = g.hadj.half_area / (c * dt) * fprev_h[g.hadj.face]
-        cb = np.concatenate([closure.cb_left[gdx], closure.cb_bottom[gdx],
-                             closure.cb_right[gdx], closure.cb_top[gdx]])
-        rhs[self.row_bc] = -c * cb * self.e_in[gdx] + self.f_in[gdx]
-        return rhs
+        self.n_unknowns = geom.moment_system.n_unknowns  # per group
 
     def solve(self, closure: ClosureRecord, kappa: np.ndarray, planck: np.ndarray,
               prev: MultigroupMoments, dt: float) -> MultigroupMoments:
@@ -242,37 +322,30 @@ class MultigroupLoqdSolver:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         g = self.geom
+        system = g.moment_system
         n_g = self.grid.n_groups
-        ny, nx = g.mesh.ny, g.mesh.nx
+        c = self.material.light_speed
+        area = g.mesh.cell_area.ravel()
         kappa2 = kappa.reshape(n_g, -1)
-        planck2 = planck.reshape(n_g, -1)
-        out = MultigroupMoments(
-            np.empty((n_g, ny, nx)), np.empty((n_g, ny, nx + 1)),
-            np.empty((n_g, ny + 1, nx)), np.empty((n_g, ny, nx + 1)),
-            np.empty((n_g, ny + 1, nx)),
-        )
-        nun = self.n_unknowns
-        nc, nv = g.n_cells, g.n_vfaces
-        data = np.concatenate([self._group_data(gdx, closure, kappa2, dt)[self._csc_perm]
-                               for gdx in range(n_g)])
-        rhs = np.concatenate([self._group_rhs(gdx, closure, kappa2, planck2, prev, dt)
-                              for gdx in range(n_g)])
-        mat = sp.csc_matrix((data, self._blk_indices, self._blk_indptr),
-                            shape=(n_g * nun, n_g * nun))
+        cb = _boundary_factors(closure)
+        vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, g, c)
+        data, b, weights = system.fill(
+            c, area / dt + c * kappa2 * area,
+            (area / dt) * prev.e_cell.reshape(n_g, -1)
+            + 4.0 * np.pi * kappa2 * planck.reshape(n_g, -1) * area,
+            vflux, hflux, -c * cb, -c * cb * self.e_in + self.f_in)
         try:
-            x_all = splu(mat).solve(rhs)
+            x = splu(system.matrix(data)).solve(b.ravel()).reshape(n_g, -1)
         except RuntimeError as err:
             raise SolverError(f"multigroup solve failed: {err}") from err
-        for gdx in range(n_g):
-            x = x_all[gdx * nun:(gdx + 1) * nun]
-            if not np.all(np.isfinite(x)):
-                raise SolverError(f"multigroup solve returned non-finite values in group {gdx}")
-            out.e_cell[gdx] = x[:nc].reshape(ny, nx)
-            out.e_vface[gdx] = x[self.col_ev:self.col_ev + nv].reshape(ny, nx + 1)
-            out.e_hface[gdx] = x[self.col_eh:self.col_fv].reshape(ny + 1, nx)
-            out.f_vface[gdx] = x[self.col_fv:self.col_fh].reshape(ny, nx + 1)
-            out.f_hface[gdx] = x[self.col_fh:].reshape(ny + 1, nx)
-        return out
+        finite = np.all(np.isfinite(x), axis=1)
+        if not np.all(finite):
+            raise SolverError("multigroup solve returned non-finite values in group "
+                              f"{int(np.argmin(finite))}")
+        ny, nx = system.shape
+        f_v, f_h = system.face_fluxes(x, weights, vflux, hflux)
+        return MultigroupMoments(*system.energies(x), f_v.reshape(n_g, ny, nx + 1),
+                                 f_h.reshape(n_g, ny + 1, nx))
 
     def cell_balance_residual(self, mg: MultigroupMoments, kappa, planck,
                               prev: MultigroupMoments, dt: float) -> float:
@@ -294,17 +367,6 @@ class MultigroupLoqdSolver:
 # ---------------------------------------------------------------------------
 # spectrum-averaged (grey) coefficients
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FluxCoeffs:
-    """Per-adjacency grey flux-expression coefficients and lag term."""
-
-    d_face: np.ndarray   # multiplies E on the face itself
-    d_cell: np.ndarray   # multiplies E on the owning cell
-    d_plus: np.ndarray   # multiplies E on the + perpendicular face
-    d_minus: np.ndarray  # multiplies E on the - perpendicular face
-    p: np.ndarray        # lagged previous-flux contribution
-
 
 @dataclass
 class SpectrumAveraged:
@@ -352,7 +414,6 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
     e_c = mg.e_cell.reshape(n_g, -1)
     e_v = mg.e_vface.reshape(n_g, -1)
     e_h = mg.e_hface.reshape(n_g, -1)
-    c = material.light_speed
 
     kbar_e = _weighted_mean(kap2, e_c, "absorption opacity")
     kbar_b = _weighted_mean(kap2, b2, "emission opacity")
@@ -367,8 +428,7 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
     bfg = geom.boundary_face_global()
     e_faces = np.concatenate([e_v, e_h], axis=1)
     e_bf = e_faces[:, bfg]
-    cb = np.concatenate([closure.cb_left, closure.cb_bottom,
-                         closure.cb_right, closure.cb_top], axis=1)
+    cb = _boundary_factors(closure)
     diff = e_bf - e_in
     den = diff.sum(axis=0)
     num = (cb * diff).sum(axis=0)
@@ -376,31 +436,20 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
     guarded = np.abs(den) < 1e-30 * scale
     cbar = np.where(guarded, cb.mean(axis=0), num / np.where(guarded, 1.0, den))
 
-    kappa_tilde = kap2 + 1.0 / (c * dt)
+    def average(adj, fc: FluxCoeffs, e_face, e_perp):
+        what = "flux coefficient"
+        return FluxCoeffs(
+            _weighted_mean(fc.d_face, e_face[:, adj.face], what),
+            _weighted_mean(fc.d_cell, e_c[:, adj.cell], what),
+            _weighted_mean(fc.d_plus, e_perp[:, adj.cross_plus], what),
+            _weighted_mean(fc.d_minus, e_perp[:, adj.cross_minus], what),
+            fc.p.sum(axis=0),
+        )
 
-    def flux_coeffs(adj, f_face, f_cell, f_plus, f_minus, e_face, e_perp, fprev):
-        kt = kappa_tilde[:, adj.cell]                       # (n_g, n_adj)
-        ef = e_face[:, adj.face]
-        d_face = _weighted_mean(f_face[:, adj.face] / kt, ef, "flux coefficient")
-        d_cell = _weighted_mean(f_cell[:, adj.cell] / kt, e_c[:, adj.cell],
-                                "flux coefficient")
-        d_plus = _weighted_mean(f_plus[:, adj.cross_plus] / kt,
-                                e_perp[:, adj.cross_plus], "flux coefficient")
-        d_minus = _weighted_mean(f_minus[:, adj.cross_minus] / kt,
-                                 e_perp[:, adj.cross_minus], "flux coefficient")
-        p = (fprev[:, adj.face] / (1.0 + c * dt * kap2[:, adj.cell])).sum(axis=0)
-        return FluxCoeffs(d_face, d_cell, d_plus, d_minus, p)
-
-    fxx_v = closure.fxx_vface.reshape(n_g, -1)
-    fxx_c2 = closure.fxx_cell.reshape(n_g, -1)
-    fyy_h = closure.fyy_hface.reshape(n_g, -1)
-    fyy_c2 = closure.fyy_cell.reshape(n_g, -1)
-    fxy_v = closure.fxy_vface.reshape(n_g, -1)
-    fxy_h = closure.fxy_hface.reshape(n_g, -1)
-    fprev_v = prev.f_vface.reshape(n_g, -1)
-    fprev_h = prev.f_hface.reshape(n_g, -1)
-    vflux = flux_coeffs(geom.vadj, fxx_v, fxx_c2, fxy_h, fxy_h, e_v, e_h, fprev_v)
-    hflux = flux_coeffs(geom.hadj, fyy_h, fyy_c2, fxy_v, fxy_v, e_h, e_v, fprev_h)
+    vgroup, hgroup = group_flux_coeffs(closure, kap2, prev, dt, geom, material.light_speed)
+    vflux = average(geom.vadj, vgroup, e_v, e_h)
+    hflux = average(geom.hadj, hgroup, e_h, e_v)
+    kappa_tilde = kap2 + 1.0 / (material.light_speed * dt)
 
     return SpectrumAveraged(
         kbar_e, kbar_b, fbar_xx_c, fbar_yy_c, fbar_xx_v, fbar_xy_v,
@@ -474,81 +523,18 @@ class GreyProblem:
         self.newton_tol = newton_tol
         self.max_newton = max_newton
         self._t_cache = None  # warm start across Newton residual evaluations
-        self._G_dense = None
-        self._assemble_linear()
-
-    # linear operator over x = [E_cell, E_vface, E_hface]
-    def _flux_entries(self, adj, fc: FluxCoeffs, col_face0: int, col_perp0: int):
-        c = self.material.light_speed
-        scale = c / adj.half_area
-        cols = np.stack([
-            col_face0 + adj.face, adj.cell,
-            col_perp0 + adj.cross_plus, col_perp0 + adj.cross_minus,
-        ])
-        vals = np.stack([
-            -scale * adj.sign * fc.d_face * adj.face_len,
-            scale * adj.sign * fc.d_cell * adj.face_len,
-            -scale * 0.5 * adj.cross_len * fc.d_plus,
-            scale * 0.5 * adj.cross_len * fc.d_minus,
-        ])
-        return cols, vals
-
-    def _assemble_linear(self):
-        g = self.geom
-        nc, nv, nh = g.n_cells, g.n_vfaces, g.n_hfaces
-        self.n_unknowns = nc + nv + nh
-        self.col_ev, self.col_eh = nc, nc + nv
-        co = self.coeffs
-        area = g.mesh.cell_area.ravel()
-        c = self.material.light_speed
-        rows, cols, vals = [], [], []
-        b = np.zeros(self.n_unknowns)
-
-        # cell rows: time + removal diagonal
-        cells = np.arange(nc)
-        rows.append(cells)
-        cols.append(cells)
-        vals.append(area / self.dt + c * co.kbar_e * area)
-        b[:nc] += (area / self.dt) * self.e_prev
-
-        v_ent = self._flux_entries(g.vadj, co.vflux, self.col_ev, self.col_eh)
-        h_ent = self._flux_entries(g.hadj, co.hflux, self.col_eh, self.col_ev)
-        for adj, (ecols, evals), fc, face0 in (
-            (g.vadj, v_ent, co.vflux, self.col_ev),
-            (g.hadj, h_ent, co.hflux, self.col_eh),
-        ):
-            # divergence contribution sign * ell_f * F_adj(E) in the cell row
-            w = adj.sign * adj.face_len
-            for k in range(4):
-                rows.append(adj.cell)
-                cols.append(ecols[k])
-                vals.append(w * evals[k])
-            np.add.at(b, adj.cell, -w * fc.p)
-            # face rows: sum of sign-weighted one-sided expressions
-            # (interior: flux continuity; boundary: the single-sided value)
-            frow = face0 + adj.face  # face row id offset equals column offset
-            for k in range(4):
-                rows.append(frow)
-                cols.append(ecols[k])
-                vals.append(adj.sign * evals[k])
-            np.add.at(b, frow, -adj.sign * fc.p)
-
-        # boundary rows: add -c*Cbar*E_f and constants
-        bfg = g.boundary_face_global()
-        brow = nc + bfg
-        rows.append(brow)
-        cols.append(nc + bfg)
-        vals.append(-c * co.cbar)
-        np.add.at(b, brow, -c * co.cbar * co.e_in_total + co.f_in_total)
-
-        self.G = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_unknowns, self.n_unknowns),
-        )
-        self.b = b
-        self._absG = abs(self.G)
-        self._emis_coeff = c * self.coeffs.kbar_b * self.material.radiation_constant * area
-        self._v_ent, self._h_ent = v_ent, h_ent
+        # linear operator over x = [E_cell, E_vface, E_hface]
+        self.system = geom.moment_system
+        self.n_unknowns = self.system.n_unknowns
+        area = geom.mesh.cell_area.ravel()
+        c = material.light_speed
+        self._data, self.b, self._weights = self.system.fill(
+            c, area / dt + c * coeffs.kbar_e * area, (area / dt) * self.e_prev,
+            coeffs.vflux, coeffs.hflux, -c * coeffs.cbar,
+            -c * coeffs.cbar * coeffs.e_in_total + coeffs.f_in_total)
+        self.G = self.system.matrix(self._data)
+        self._absG = self.system.matrix(np.abs(self._data))
+        self._emis_coeff = c * coeffs.kbar_b * material.radiation_constant * area
 
     # material energy balance elimination --------------------------------
     def meb_temperature(self, e_cell: np.ndarray):
@@ -605,20 +591,11 @@ class GreyProblem:
             history.append(rnorm)
             if rnorm <= self.newton_tol:
                 return self._package(x, T, it, rnorm)
-            demis = self._emis_coeff * 4.0 * T**3 * dTdE
+            jac = self._data.copy()
+            jac[self.system.diag_slot] -= self._emis_coeff * 4.0 * T**3 * dTdE
             try:
-                if self.n_unknowns <= 600:
-                    if self._G_dense is None:
-                        self._G_dense = self.G.toarray()
-                    J = self._G_dense.copy()
-                    J[np.arange(nc), np.arange(nc)] -= demis
-                    dx = np.linalg.solve(J, -r)
-                else:
-                    J = self.G - sp.diags(
-                        np.concatenate([demis, np.zeros(self.n_unknowns - nc)]),
-                        format="csc")
-                    dx = splu(J).solve(-r)
-            except (RuntimeError, np.linalg.LinAlgError) as err:
+                dx = splu(self.system.matrix(jac)).solve(-r)
+            except RuntimeError as err:
                 raise SolverError(f"grey Newton linear solve failed: {err}", history) from err
             alpha, best = 1.0, None
             for _ in range(40):
@@ -641,59 +618,17 @@ class GreyProblem:
 
     def flux_values(self, x: np.ndarray):
         """Face fluxes from the one-sided expressions, averaged per face."""
-        g = self.geom
-        out = []
-        for adj, fc, ent, nfaces in (
-            (g.vadj, self.coeffs.vflux, self._v_ent, g.n_vfaces),
-            (g.hadj, self.coeffs.hflux, self._h_ent, g.n_hfaces),
-        ):
-            cols, vals = ent
-            fvals = fc.p + sum(vals[k] * x[cols[k]] for k in range(4))
-            acc = np.zeros(nfaces)
-            cnt = np.zeros(nfaces)
-            np.add.at(acc, adj.face, fvals)
-            np.add.at(cnt, adj.face, 1.0)
-            out.append(acc / cnt)
-        return out
+        return self.system.face_fluxes(x, self._weights, self.coeffs.vflux, self.coeffs.hflux)
 
     def _package(self, x, T, iterations, rnorm) -> GreyState:
-        g = self.geom
-        ny, nx = g.mesh.ny, g.mesh.nx
+        ny, nx = self.system.shape
+        e_c, e_v, e_h = self.system.energies(x)
         fv, fh = self.flux_values(x)
         return GreyState(
-            temperature=T.reshape(ny, nx),
-            e_cell=x[:g.n_cells].reshape(ny, nx),
-            e_vface=x[self.col_ev:self.col_eh].reshape(ny, nx + 1),
-            e_hface=x[self.col_eh:].reshape(ny + 1, nx),
+            temperature=T.reshape(ny, nx), e_cell=e_c, e_vface=e_v, e_hface=e_h,
             f_vface=fv.reshape(ny, nx + 1),
             f_hface=fh.reshape(ny + 1, nx),
             newton_iterations=iterations,
             newton_residual=rnorm,
         )
 
-
-def solve_grey_problem(geom: ProblemGeometry, coeffs: SpectrumAveraged,
-                       material: MaterialModel, prev: GreyState, dt: float,
-                       newton_tol: float = 1e-13, max_newton: int = 100) -> GreyState:
-    """One backward-Euler grey step from the previous grey state."""
-    problem = GreyProblem(geom, coeffs, material, dt,
-                          prev.e_cell, prev.temperature,
-                          newton_tol=newton_tol, max_newton=max_newton)
-    x0 = np.concatenate([prev.e_cell.ravel(), prev.e_vface.ravel(), prev.e_hface.ravel()])
-    return problem.solve(x0)
-
-
-def solve_multigroup_loqd(closure: ClosureRecord, T_field: np.ndarray,
-                          prev: MultigroupMoments, dt: float,
-                          geom: ProblemGeometry, grid: FrequencyGrid,
-                          material: MaterialModel, e_in: np.ndarray,
-                          f_in: np.ndarray) -> MultigroupMoments:
-    """Functional wrapper evaluating opacity/emission from the temperature."""
-    from .materials import planck_spectrum
-    T = np.asarray(T_field, dtype=float)
-    kappa = np.moveaxis(material.group_opacity(T, grid), -1, 0)
-    planck = np.moveaxis(planck_spectrum(T, grid,
-                                         radiation_constant=material.radiation_constant,
-                                         light_speed=material.light_speed), -1, 0)
-    solver = MultigroupLoqdSolver(geom, grid, material, e_in, f_in)
-    return solver.solve(closure, kappa, planck, prev, dt)

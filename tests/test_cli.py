@@ -1,11 +1,12 @@
 """End-to-end command-line pipeline on a tiny configuration."""
 import csv
+import struct
 
 import numpy as np
 import pytest
 
 from qdrom.cli import main
-from qdrom.container import load_run_record, read_container
+from qdrom.container import load_run_record, read_container, write_container
 
 TINY_CONFIG = """\
 # tiny pipeline exercise
@@ -147,6 +148,28 @@ def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):
     rc = main(["svd-report", "--snapshots", str(bad), "--out-prefix",
                str(tmp_path / "s_")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("fault", ["dims", "missing array"])
+def test_compare_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fault):
+    good = workdir / "fom" / "fom_run.ddet"
+    raw = good.read_bytes()
+    if fault == "dims":
+        desc_len = struct.unpack_from("<I", raw, 24)[0]
+        name_len = struct.unpack_from("<I", raw, 32 + desc_len)[0]
+        at = 36 + desc_len + name_len
+        raw = raw[:at] + struct.pack("<QQ", 2**62, 2**62) + raw[at + 16:]
+    else:
+        kind, desc, arrays = read_container(good)
+        del arrays["temperature"]
+        write_container(tmp_path / "src.ddet", kind, desc, arrays)
+        raw = (tmp_path / "src.ddet").read_bytes()
+    bad = tmp_path / "bad_run.ddet"
+    bad.write_bytes(raw)
+    rc = main(["compare", "--run-a", str(bad), "--run-b", str(good),
+               "--out", str(tmp_path / "cmp.csv")])
+    assert rc == 3
+    assert "data error" in capsys.readouterr().err
 
 
 def test_layout_mismatch_is_data_error(workdir, tmp_path):

@@ -1,6 +1,10 @@
 """Container format: round-trips, corruption handling, typed helpers."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdrom.container import (
     FormatError,
@@ -125,5 +129,85 @@ def test_model_kind_mismatch(tmp_path, tiny_snapshots, tiny_config):
     save_snapshot_set(path, tiny_snapshots, tiny_config.to_dict())
     with pytest.raises(FormatError):
         load_model(path)
+    with pytest.raises(FormatError):
+        load_run_record(path)
+
+
+# ---------------------------------------------------------------------------
+# corrupted files: only FormatError may escape
+# ---------------------------------------------------------------------------
+
+def first_dims_offset(raw: bytes) -> int:
+    """Byte offset of the (rows, cols) field of the first array."""
+    desc_len = struct.unpack_from("<I", raw, 24)[0]
+    name_len = struct.unpack_from("<I", raw, 32 + desc_len)[0]
+    return 36 + desc_len + name_len
+
+
+@pytest.fixture(scope="module")
+def record_file(tmp_path_factory, tiny_fom):
+    path = tmp_path_factory.mktemp("fuzz") / "run.ddet"
+    save_run_record(path, tiny_fom)
+    return path, path.read_bytes()
+
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+def load_corrupted(path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        read_container(path)
+        load_run_record(path)
+    except FormatError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_truncation(record_file, data):
+    path, raw = record_file
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path.write_bytes(raw[:cut])
+    with pytest.raises(FormatError):
+        read_container(path)
+    with pytest.raises(FormatError):
+        load_run_record(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_byte_flips(record_file, data):
+    path, raw = record_file
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                               min_size=1, max_size=4))
+    bad = bytearray(raw)
+    for pos, mask in flips:
+        bad[pos] ^= mask
+    load_corrupted(path, bytes(bad))
+
+
+@FUZZ
+@given(rows=st.integers(0, 2**64 - 1), cols=st.integers(0, 2**64 - 1))
+def test_fuzz_oversize_dims(record_file, rows, cols):
+    path, raw = record_file
+    at = first_dims_offset(raw)
+    if struct.pack("<QQ", rows, cols) == raw[at:at + 16]:
+        return
+    path.write_bytes(raw[:at] + struct.pack("<QQ", rows, cols) + raw[at + 16:])
+    with pytest.raises(FormatError):
+        read_container(path)
+
+
+def test_run_record_missing_array_is_format_error(tmp_path, tiny_fom):
+    path = tmp_path / "run.ddet"
+    save_run_record(path, tiny_fom)
+    kind, desc, arrays = read_container(path)
+    del arrays["e_hface"]
+    write_container(path, kind, desc, arrays)
+    with pytest.raises(FormatError, match="e_hface"):
+        load_run_record(path)
+    del desc["n_steps"]
+    write_container(path, kind, desc, {})
     with pytest.raises(FormatError):
         load_run_record(path)

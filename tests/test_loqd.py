@@ -14,7 +14,6 @@ from qdrom.loqd import (
     compute_grey_coefficients,
     incoming_tables,
     rosseland_averages,
-    solve_grey_problem,
 )
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
 from qdrom.mesh import SpatialMesh
@@ -174,6 +173,91 @@ def test_single_cell_matches_dense_oracle():
         out.f_vface[0, 0, 1], out.f_hface[0, 0, 0], out.f_hface[0, 1, 0],
     ])
     assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in):
+    """Solve the full (E, F) system of every group densely, row by row.
+
+    Unknowns per group are [E_cell, E_vface, E_hface, F_vface, F_hface]; the
+    rows are the cell balances, one momentum balance per half cell (two per
+    interior face) and one boundary condition per boundary face.
+    """
+    c = MAT.light_speed
+    nc, nv, nh = geom.n_cells, geom.n_vfaces, geom.n_hfaces
+    n = nc + 2 * (nv + nh)
+    col = {"ev": nc, "eh": nc + nv, "fv": nc + nv + nh, "fh": nc + 2 * nv + nh}
+    area = geom.mesh.cell_area.ravel()
+    cb = np.concatenate([closure.cb_left, closure.cb_bottom,
+                         closure.cb_right, closure.cb_top], axis=1)
+    out = []
+    for g in range(kappa.shape[0]):
+        kap = kappa[g].ravel()
+        M = np.zeros((n, n))
+        b = np.zeros(n)
+        for i in range(nc):
+            M[i, i] = area[i] / dt + c * kap[i] * area[i]
+            b[i] = area[i] / dt * prev.e_cell[g].ravel()[i] \
+                + 4 * np.pi * kap[i] * planck[g].ravel()[i] * area[i]
+        row = nc
+        for adj, e_face, f_col, e_perp, f_face, f_cell, f_perp, fprev in (
+            (geom.vadj, "ev", "fv", "eh", closure.fxx_vface, closure.fxx_cell,
+             closure.fxy_hface, prev.f_vface),
+            (geom.hadj, "eh", "fh", "ev", closure.fyy_hface, closure.fyy_cell,
+             closure.fxy_vface, prev.f_hface),
+        ):
+            for j in range(adj.face.size):
+                f, i, s = adj.face[j], adj.cell[j], adj.sign[j]
+                lf, lp, af = adj.face_len[j], adj.cross_len[j], adj.half_area[j]
+                M[i, col[f_col] + f] += s * lf
+                M[row, col[f_col] + f] = af / (c * dt) + kap[i] * af
+                M[row, col[e_face] + f] = s * c * f_face[g].ravel()[f] * lf
+                M[row, i] = -s * c * f_cell[g].ravel()[i] * lf
+                M[row, col[e_perp] + adj.cross_plus[j]] += \
+                    0.5 * c * lp * f_perp[g].ravel()[adj.cross_plus[j]]
+                M[row, col[e_perp] + adj.cross_minus[j]] -= \
+                    0.5 * c * lp * f_perp[g].ravel()[adj.cross_minus[j]]
+                b[row] = af / (c * dt) * fprev[g].ravel()[f]
+                row += 1
+        bf = geom.bfaces
+        for k in range(bf.count):
+            e_col, f_col = ("ev", "fv") if bf.orient[k] == 0 else ("eh", "fh")
+            M[row, col[f_col] + bf.face[k]] = bf.outward_sign[k]
+            M[row, col[e_col] + bf.face[k]] = -c * cb[g, k]
+            b[row] = -c * cb[g, k] * e_in[g, k] + f_in[g, k]
+            row += 1
+        assert row == n
+        out.append(np.linalg.solve(M, b))
+    return np.array(out), nc + nv + nh
+
+
+@pytest.mark.parametrize("nx, ny, n_g", [(1, 1, 1), (3, 2, 2)])
+def test_multicell_matches_dense_oracle(nx, ny, n_g):
+    # interior faces carry two momentum rows each in the full system; the
+    # solver must reproduce it, fluxes included
+    rng = np.random.default_rng(37)
+    mesh = SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx), rng.uniform(0.3, 0.8, ny))
+    geom = ProblemGeometry.build(mesh)
+    grid = FrequencyGrid(np.linspace(0.0, 3.0, n_g + 1))
+    e_in = rng.uniform(0.0, 0.5, (n_g, geom.bfaces.count))
+    f_in = rng.uniform(-0.3, 0.0, (n_g, geom.bfaces.count))
+    solver = MultigroupLoqdSolver(geom, grid, MAT, e_in, f_in)
+    closure = random_closure(rng, n_g, ny, nx)
+    kappa = rng.uniform(0.5, 2.0, size=(n_g, ny, nx))
+    planck = rng.uniform(0.5, 2.0, size=(n_g, ny, nx))
+    prev = MultigroupMoments(
+        rng.uniform(0.5, 1.0, (n_g, ny, nx)), rng.uniform(0.5, 1.0, (n_g, ny, nx + 1)),
+        rng.uniform(0.5, 1.0, (n_g, ny + 1, nx)), rng.uniform(-0.2, 0.2, (n_g, ny, nx + 1)),
+        rng.uniform(-0.2, 0.2, (n_g, ny + 1, nx)),
+    )
+    dt = 0.05
+    out = solver.solve(closure, kappa, planck, prev, dt)
+    x, n_e = dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in)
+    got_e = np.concatenate([out.e_cell.reshape(n_g, -1), out.e_vface.reshape(n_g, -1),
+                            out.e_hface.reshape(n_g, -1)], axis=1)
+    got_f = np.concatenate([out.f_vface.reshape(n_g, -1), out.f_hface.reshape(n_g, -1)],
+                           axis=1)
+    assert np.max(np.abs(got_e - x[:, :n_e])) <= 1e-12 * np.max(np.abs(x[:, :n_e]))
+    assert np.max(np.abs(got_f - x[:, n_e:])) <= 1e-12 * np.max(np.abs(x[:, n_e:]))
 
 
 def test_source_linearity():
@@ -338,6 +422,13 @@ def test_zero_energy_average_raises():
 # grey problem
 # ---------------------------------------------------------------------------
 
+def solve_grey_step(geom, co, prev, dt):
+    """One backward-Euler grey step from the previous grey state."""
+    problem = GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature)
+    return problem.solve(np.concatenate([prev.e_cell.ravel(), prev.e_vface.ravel(),
+                                         prev.e_hface.ravel()]))
+
+
 def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
                         e_in=0.0, f_in=0.0):
     nbf = geom.bfaces.count
@@ -374,7 +465,7 @@ def test_grey_equilibrium_fixed_point():
         e_vface=np.full((3, 4), e_star), e_hface=np.full((4, 3), e_star),
         f_vface=np.zeros((3, 4)), f_hface=np.zeros((4, 3)),
     )
-    out = solve_grey_problem(geom, co, MAT, prev, dt=0.02)
+    out = solve_grey_step(geom, co, prev, dt=0.02)
     assert np.max(np.abs(out.temperature - T_star)) <= 1e-12 * T_star
     assert np.max(np.abs(out.e_cell - e_star)) <= 1e-12 * e_star
     assert np.max(np.abs(out.f_vface)) <= 1e-12 * MAT.light_speed * e_star
@@ -391,7 +482,7 @@ def test_grey_zero_coupling_keeps_temperature():
         e_vface=rng.uniform(0.5, 1.0, (3, 3)), e_hface=rng.uniform(0.5, 1.0, (4, 2)),
         f_vface=np.zeros((3, 3)), f_hface=np.zeros((4, 2)),
     )
-    out = solve_grey_problem(geom, co, MAT, prev, dt=0.05)
+    out = solve_grey_step(geom, co, prev, dt=0.05)
     assert np.array_equal(out.temperature, t_prev)
     assert np.all(np.isfinite(out.e_cell))
 
@@ -408,7 +499,7 @@ def test_grey_single_cell_matches_bisection_oracle():
         f_vface=np.zeros((1, 2)), f_hface=np.zeros((2, 1)),
     )
     dt = 0.03
-    out = solve_grey_problem(geom, co, MAT, prev, dt=dt)
+    out = solve_grey_step(geom, co, prev, dt=dt)
 
     problem = GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature)
 
@@ -466,28 +557,6 @@ def test_grey_matches_multigroup_sum():
     fv, fh = problem.flux_values(x)
     assert fv == pytest.approx(f_v.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_v).max())
     assert fh == pytest.approx(f_h.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_h).max())
-
-
-def test_functional_wrapper_from_temperature():
-    # the temperature-based entry point reproduces the explicit-kappa solve
-    rng = np.random.default_rng(41)
-    mesh = SpatialMesh.uniform(3, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
-    T_field = rng.uniform(0.2, 1.0, (2, 3))
-    closure = random_closure(rng, 3, 2, 3)
-    prev = MultigroupMoments.equilibrium(
-        np.moveaxis(planck_spectrum(T_field, GRID3), -1, 0), geom, MAT.light_speed)
-    e_in = np.zeros((3, geom.bfaces.count))
-    f_in = np.zeros((3, geom.bfaces.count))
-    from qdrom.loqd import solve_multigroup_loqd
-    out = solve_multigroup_loqd(closure, T_field, prev, 0.05, geom, GRID3, MAT,
-                                e_in, f_in)
-    kappa = np.moveaxis(MAT.group_opacity(T_field, GRID3), -1, 0)
-    planck = np.moveaxis(planck_spectrum(T_field, GRID3), -1, 0)
-    solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
-    ref = solver.solve(closure, kappa, planck, prev, 0.05)
-    assert np.array_equal(out.e_cell, ref.e_cell)
-    assert np.array_equal(out.f_vface, ref.f_vface)
 
 
 def test_grey_incoming_tables_helper():
