@@ -20,24 +20,23 @@ from .lowrank import (
     compress,
     dmd_compress,
     pod_compress,
-    reconstruct,
     select_rank,
     truncated_svd,
 )
 from .materials import FrequencyGrid, MaterialModel, planck_group_integral
 from .mesh import SpatialMesh
 from .quadrature import AngularQuadrature, build_quadrature
-from .transport import BoundarySpec, ClosureRecord, IntensityField, TransportSolver
+from .transport import BoundarySpec, ClosureRecord, TransportSolver
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AngularQuadrature", "BoundarySpec", "ClosureRecord", "DmdModel",
-    "FrequencyGrid", "IntensityField", "MaterialModel", "PodModel",
+    "FrequencyGrid", "MaterialModel", "PodModel",
     "RunConfig", "RunRecord", "SnapshotMatrix", "SnapshotPlayback",
     "SpatialMesh", "TimeGrid", "TransportSolver", "build_problem",
     "build_quadrature", "closure_unknowns", "compress", "dmd_compress",
     "load_config", "planck_group_integral", "playback_models", "pod_compress",
-    "preset", "reconstruct", "record_snapshots", "run_fom", "run_rom",
+    "preset", "record_snapshots", "run_fom", "run_rom",
     "select_rank", "truncated_svd",
 ]

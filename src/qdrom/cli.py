@@ -46,12 +46,6 @@ def _config_from_args(args) -> RunConfig:
     raise ConfigError("one of --config or --preset is required")
 
 
-def _check_threads(args) -> None:
-    if getattr(args, "threads", 1) != 1:
-        print("note: only single-threaded execution is supported; using 1 thread",
-              file=sys.stderr)
-
-
 def _progress(step: int, iterations: int, change: float) -> None:
     print(f"step {step}: {iterations} iterations (change ratio {change:.3e})",
           file=sys.stderr)
@@ -59,7 +53,6 @@ def _progress(step: int, iterations: int, change: float) -> None:
 
 def cmd_fom(args) -> int:
     cfg = _config_from_args(args)
-    _check_threads(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
@@ -119,7 +112,6 @@ def _load_models(path: Path, cfg: RunConfig):
 
 def cmd_rom(args) -> int:
     cfg = _config_from_args(args)
-    _check_threads(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     models = _load_models(Path(args.models), cfg)
@@ -192,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("--config", help="path to a key = value configuration file")
         p.add_argument("--preset", choices=PRESETS, help="named built-in configuration")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None,
-                       help="randomized-test seed (unused by the solvers)")
 
     p = sub.add_parser("fom", help="run the full-order model, record snapshots")
     add_config(p)

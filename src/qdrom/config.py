@@ -23,6 +23,10 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+#: options removed because no solver read them; stored configs may hold them
+_RETIRED_KEYS = ("threads", "seed", "xi_rel", "method")
+
+
 @dataclass
 class RunConfig:
     nx: int = 10
@@ -52,10 +56,6 @@ class RunConfig:
     max_inner: int = 500
     newton_tol: float = 1e-13
     max_newton: int = 100
-    threads: int = 1
-    seed: int | None = None
-    xi_rel: tuple = ()             # compression targets for pipeline scripts
-    method: str = "pod"
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -66,11 +66,10 @@ class RunConfig:
         if self.n_steps < 1:
             raise ConfigError("n_steps must be >= 1")
         b = np.asarray(self.group_bounds, dtype=float)
+        if b.ndim != 1 or b.size < 2:
+            raise ConfigError("group_bounds needs at least two edges")
         if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
             raise ConfigError("group_bounds must start at 0 and increase strictly")
-        for xi in self.xi_rel:
-            if not 0.0 < xi <= 1.0:
-                raise ConfigError("xi_rel values must lie in (0, 1]")
         for side in ("left", "bottom", "right", "top"):
             val = getattr(self, f"boundary_{side}")
             if val is not None and val <= 0.0:
@@ -83,14 +82,13 @@ class RunConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["group_bounds"] = list(self.group_bounds)
-        d["xi_rel"] = list(self.xi_rel)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
+        """Inverse of to_dict; skips the retired keys older stored configs carry."""
+        d = {k: v for k, v in d.items() if k not in _RETIRED_KEYS}
         d["group_bounds"] = tuple(d.get("group_bounds", DESK_GROUP_BOUNDS))
-        d["xi_rel"] = tuple(d.get("xi_rel", ()))
         return cls(**d)
 
 
@@ -116,12 +114,26 @@ _BOOL = {"true": True, "yes": True, "on": True, "1": True,
          "false": False, "no": False, "off": False, "0": False}
 
 _INT_KEYS = {"nx", "ny", "quadrature", "n_steps", "max_outer", "max_inner",
-             "max_newton", "threads", "seed"}
+             "max_newton"}
 _FLOAT_KEYS = {"dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
                "opacity_exponent", "light_speed", "radiation_constant",
                "outer_tol", "outer_floor", "inner_tol_rel", "inner_tol_abs",
                "newton_tol"}
 _SIDE_KEYS = {"boundary_left", "boundary_bottom", "boundary_right", "boundary_top"}
+
+
+def _side(val: str) -> float | None:
+    return None if val.lower() in ("vacuum", "none") else float(val)
+
+
+#: value parser per key; a parser raises ValueError or KeyError on bad input
+_PARSERS = {
+    **dict.fromkeys(_INT_KEYS, int),
+    **dict.fromkeys(_FLOAT_KEYS, float),
+    **dict.fromkeys(_SIDE_KEYS, _side),
+    "stimulated_correction": lambda val: _BOOL[val.lower()],
+    "group_bounds": lambda val: tuple(float(v) for v in val.replace(",", " ").split()),
+}
 
 
 def load_config(path) -> RunConfig:
@@ -142,22 +154,12 @@ def load_config(path) -> RunConfig:
             base = preset(val)
             values = {**base.to_dict(), **values}
             continue
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _SIDE_KEYS:
-            values[key] = None if val.lower() in ("vacuum", "none") else float(val)
-        elif key == "stimulated_correction":
-            values[key] = _BOOL[val.lower()]
-        elif key == "group_bounds":
-            values[key] = tuple(float(v) for v in val.replace(",", " ").split())
-        elif key == "xi_rel":
-            values[key] = tuple(float(v) for v in val.replace(",", " ").split())
-        elif key == "method":
-            values[key] = val
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        try:
+            values[key] = _PARSERS[key](val)
+        except (ValueError, KeyError) as err:
+            raise ConfigError(f"{path}:{lineno}: bad value for '{key}'") from err
     try:
         return RunConfig.from_dict(values)
     except TypeError as err:

@@ -241,6 +241,15 @@ def save_run_record(path, run) -> None:
     write_container(path, "run-record", descriptor, arrays)
 
 
+def _counts(path, arrays, name: str) -> np.ndarray:
+    """A float-stored counter row as ints; each value must be whole and >= 0."""
+    values = arrays[name][0]
+    # NaN fails both comparisons; the upper limit keeps the cast exact
+    if not np.all((values >= 0.0) & (values < 2.0**63) & (values == np.floor(values))):
+        raise FormatError(f"{path}: '{name}' holds a value that is not a count")
+    return values.astype(int)
+
+
 def load_run_record(path):
     from .config import RunConfig
     from .drivers import RunRecord, TimeGrid
@@ -259,10 +268,10 @@ def load_run_record(path):
             e_hface=arrays["e_hface"].reshape(nt, ny + 1, nx),
             f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
             f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
-            iterations=arrays["iterations"][0].astype(int),
+            iterations=_counts(path, arrays, "iterations"),
             final_change=arrays["final_change"][0],
-            negative_corners=arrays["negative_corners"][0].astype(int),
-            closure_violations=arrays["closure_violations"][0].astype(int),
+            negative_corners=_counts(path, arrays, "negative_corners"),
+            closure_violations=_counts(path, arrays, "closure_violations"),
         )
 
 

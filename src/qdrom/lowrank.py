@@ -254,11 +254,6 @@ class SnapshotPlayback:
         return self.source.data[:, step - 1].copy()
 
 
-def reconstruct(model, step: int) -> np.ndarray:
-    """Reconstruction map: closure vector at the 1-based time-step index."""
-    return model.reconstruct(step)
-
-
 def compress(snap: SnapshotMatrix, method: str, xi_rel: float):
     """Dispatch by method name: pod | dmd | dmd-e."""
     if method == "pod":

@@ -59,9 +59,6 @@ class FrequencyGrid:
     def n_groups(self) -> int:
         return self.bounds.shape[0] - 1
 
-    def spans_all(self) -> bool:
-        return self.bounds[-1] >= INFINITE_EDGE
-
 
 def planck_cumulative(x) -> np.ndarray:
     """Integral of s^3 / (e^s - 1) from x to infinity, by exponential series.
@@ -147,9 +144,6 @@ class MaterialModel:
         for name in ("heat_capacity", "opacity_coeff", "light_speed", "radiation_constant"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-
-    def material_energy(self, T) -> np.ndarray:
-        return self.heat_capacity * np.asarray(T, dtype=float)
 
     def spectral_opacity(self, nu, T) -> np.ndarray:
         """kappa_nu(T) in 1/cm."""

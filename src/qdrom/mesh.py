@@ -50,10 +50,6 @@ class SpatialMesh:
     def n_hfaces(self) -> int:
         return self.nx * (self.ny + 1)
 
-    @property
-    def n_faces(self) -> int:
-        return self.n_vfaces + self.n_hfaces
-
     # geometry -------------------------------------------------------------
     @property
     def cell_area(self) -> np.ndarray:
@@ -63,14 +59,6 @@ class SpatialMesh:
     @property
     def domain_area(self) -> float:
         return float(self.dx.sum() * self.dy.sum())
-
-    @property
-    def x_edges(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.dx)))
-
-    @property
-    def y_edges(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.dy)))
 
     # index maps -----------------------------------------------------------
     def cell_ids(self) -> np.ndarray:

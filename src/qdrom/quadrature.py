@@ -46,11 +46,6 @@ class AngularQuadrature:
     def n_dirs(self) -> int:
         return self.mu.shape[0]
 
-    def half_range_current(self) -> float:
-        """sum of w*mu over mu > 0; pi for half-range-exact sets."""
-        pos = self.mu > 0.0
-        return float(np.sum(self.weight[pos] * self.mu[pos]))
-
     def validate(self, tol: float = 1e-10) -> None:
         """Check unit norms, weight normalization and moment identities."""
         norm = self.mu**2 + self.eta**2 + self.xi**2

@@ -16,21 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import FrequencyGrid, MaterialModel, planck_spectrum, _check_temperature
+from .materials import FrequencyGrid, MaterialModel, planck_spectrum
 from .mesh import SpatialMesh
 from .quadrature import AngularQuadrature
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is expected in the test env
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap
+# the sweep has one numpy path; benchmarks/run.py reports this flag
+_HAVE_NUMBA = False
 
 
 class DegenerateIntensityError(ValueError):
@@ -54,22 +45,6 @@ class BoundarySpec:
     def vacuum(cls, n_groups: int) -> "BoundarySpec":
         z = np.zeros(n_groups)
         return cls(z, z.copy(), z.copy(), z.copy())
-
-    @classmethod
-    def blackbody_left(cls, T_in: float, grid: FrequencyGrid,
-                       material: MaterialModel) -> "BoundarySpec":
-        b = planck_spectrum(T_in, grid, radiation_constant=material.radiation_constant,
-                            light_speed=material.light_speed)
-        z = np.zeros(grid.n_groups)
-        return cls(np.asarray(b), z, z.copy(), z.copy())
-
-    @classmethod
-    def blackbody_all(cls, T_in: float, grid: FrequencyGrid,
-                      material: MaterialModel) -> "BoundarySpec":
-        b = np.asarray(planck_spectrum(T_in, grid,
-                                       radiation_constant=material.radiation_constant,
-                                       light_speed=material.light_speed))
-        return cls(b, b.copy(), b.copy(), b.copy())
 
     def side(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -106,76 +81,12 @@ class ClosureRecord:
         return {"tensor": diag, "boundary_factor": cb}
 
 
-@dataclass(frozen=True)
-class IntensityField:
-    """Corner intensities, shape (n_groups, n_dirs, ny, nx, 4)."""
-
-    data: np.ndarray
-
-    @property
-    def unknowns(self) -> int:
-        return self.data.size
-
-    def negative_count(self) -> int:
-        return int(np.sum(self.data < 0.0))
-
-
 def intensity_unknowns(nx: int, ny: int, n_groups: int, n_dirs: int) -> int:
     """Corner unknown count 4 * Nx * Ny * Ng * N_omega."""
     return 4 * nx * ny * n_groups * n_dirs
 
 
 _QUADRANTS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-
-
-@njit(cache=True)
-def _scb_quadrant_kernel(out, src_tot, ktil, dxs, dys, amu, aeta, ms,
-                         sx, sy, c00, c10, c01, c11, bx, by):
-    """Raster SCB solve of one quadrant; same arithmetic as the numpy path."""
-    n_g = out.shape[0]
-    ny = out.shape[2]
-    nx = out.shape[3]
-    for gi in range(n_g):
-        for mi in range(ms.shape[0]):
-            m = ms[mi]
-            hx = 0.5 * amu[mi]
-            hy = 0.5 * aeta[mi]
-            for bb in range(ny):
-                iy = bb if sy > 0 else ny - 1 - bb
-                jy = iy - sy
-                for aa in range(nx):
-                    ix = aa if sx > 0 else nx - 1 - aa
-                    jx = ix - sx
-                    dx = dxs[ix]
-                    dy = dys[iy]
-                    quarter = 0.25 * dx * dy
-                    wx = hx * dy
-                    wy = hy * dx
-                    denom = wx + wy + ktil[gi, iy, ix] * quarter
-                    if 0 <= jx < nx:
-                        in_x0 = out[gi, m, iy, jx, c10]
-                        in_x1 = out[gi, m, iy, jx, c11]
-                    else:
-                        in_x0 = bx[gi]
-                        in_x1 = bx[gi]
-                    if 0 <= jy < ny:
-                        in_y0 = out[gi, m, jy, ix, c01]
-                        in_y1 = out[gi, m, jy, ix, c11]
-                    else:
-                        in_y0 = by[gi]
-                        in_y1 = by[gi]
-                    i00 = (src_tot[gi, m, iy, ix, c00] * quarter
-                           + wx * in_x0 + wy * in_y0) / denom
-                    i10 = (src_tot[gi, m, iy, ix, c10] * quarter
-                           + wx * i00 + wy * in_y1) / denom
-                    i01 = (src_tot[gi, m, iy, ix, c01] * quarter
-                           + wx * in_x1 + wy * i00) / denom
-                    i11 = (src_tot[gi, m, iy, ix, c11] * quarter
-                           + wx * i01 + wy * i10) / denom
-                    out[gi, m, iy, ix, c00] = i00
-                    out[gi, m, iy, ix, c10] = i10
-                    out[gi, m, iy, ix, c01] = i01
-                    out[gi, m, iy, ix, c11] = i11
 
 
 def eddington_ratios(quad: AngularQuadrature, samples: np.ndarray):
@@ -262,13 +173,12 @@ class TransportSolver:
         return out
 
     def sweep(self, kappa: np.ndarray, emission: np.ndarray, I_prev: np.ndarray,
-              dt: float, cell_order=None) -> np.ndarray:
+              dt: float) -> np.ndarray:
         """One backward-Euler SCB solve given per-cell opacity and emission.
 
-        kappa, emission: (n_g, ny, nx); I_prev: corner field.  `cell_order`
-        optionally lists (iy, ix) cells in an order respecting the upwind
-        partial order of each quadrant's flow frame (used to verify sweep
-        order independence); the default is the flow raster.
+        kappa, emission: (n_g, ny, nx); I_prev: corner field.  Each quadrant
+        is solved diagonal by diagonal: cells on a flow diagonal only depend
+        on the previous diagonal, so they solve in one batch.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -276,116 +186,46 @@ class TransportSolver:
             raise ShapeError(f"I_prev shape {I_prev.shape} != {self.shape}")
         if kappa.shape != self.shape[:1] + self.shape[2:4]:
             raise ShapeError(f"kappa shape {kappa.shape} incompatible with mesh/groups")
-        mesh, quad = self.mesh, self.quad
-        nx, ny = mesh.nx, mesh.ny
+        quad = self.quad
         cdt = self.material.light_speed * dt
         ktil = kappa + 1.0 / cdt                      # (n_g, ny, nx)
         src = kappa * emission                        # (n_g, ny, nx)
         out = np.empty(self.shape)
-        src_tot = src[:, None, :, :, None] + I_prev / cdt if _HAVE_NUMBA else None
 
         for (sx, sy), ms in zip(_QUADRANTS, self._quadrant_dirs):
-            amu = np.abs(quad.mu[ms])[None, :]        # (1, n_mq)
-            aeta = np.abs(quad.eta[ms])[None, :]
             # flow->actual corner index: c = 2*cy + cx
             def corner(fx, fy):
                 cx = fx if sx > 0 else 1 - fx
                 cy = fy if sy > 0 else 1 - fy
                 return 2 * cy + cx
             c00, c10, c01, c11 = corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)
-            bx = self.bc.side("left" if sx > 0 else "right")[:, None]
-            by = self.bc.side("bottom" if sy > 0 else "top")[:, None]
-            if cell_order is None:
-                if _HAVE_NUMBA:
-                    _scb_quadrant_kernel(out, src_tot, ktil, mesh.dx, mesh.dy,
-                                         np.abs(quad.mu[ms]), np.abs(quad.eta[ms]),
-                                         ms, sx, sy, c00, c10, c01, c11,
-                                         np.ascontiguousarray(bx[:, 0]),
-                                         np.ascontiguousarray(by[:, 0]))
-                else:
-                    self._sweep_quadrant_batched(out, ms, sx, sy, ktil, src, I_prev,
-                                                 cdt, bx, by, (c00, c10, c01, c11))
-                continue
-            order = cell_order(sx, sy) if callable(cell_order) else cell_order
-
-            for iy, ix in order:
-                dx, dy = mesh.dx[ix], mesh.dy[iy]
-                quarter = 0.25 * dx * dy
-                wx, wy = 0.5 * amu * dy, 0.5 * aeta * dx
-                denom = wx + wy + ktil[:, iy, ix, None] * quarter
-                s_base = src[:, iy, ix, None]
-                prev = I_prev[:, ms, iy, ix, :]
-                jx = ix - sx
-                if 0 <= jx < nx:
-                    in_x0 = out[:, ms, iy, jx, c10]
-                    in_x1 = out[:, ms, iy, jx, c11]
-                else:
-                    in_x0 = in_x1 = bx
-                jy = iy - sy
-                if 0 <= jy < ny:
-                    in_y0 = out[:, ms, jy, ix, c01]
-                    in_y1 = out[:, ms, jy, ix, c11]
-                else:
-                    in_y0 = in_y1 = by
-                s00 = (s_base + prev[:, :, c00] / cdt) * quarter
-                s10 = (s_base + prev[:, :, c10] / cdt) * quarter
-                s01 = (s_base + prev[:, :, c01] / cdt) * quarter
-                s11 = (s_base + prev[:, :, c11] / cdt) * quarter
-                i00 = (s00 + wx * in_x0 + wy * in_y0) / denom
-                i10 = (s10 + wx * i00 + wy * in_y1) / denom
-                i01 = (s01 + wx * in_x1 + wy * i00) / denom
-                i11 = (s11 + wx * i01 + wy * i10) / denom
-                out[:, ms, iy, ix, c00] = i00
-                out[:, ms, iy, ix, c10] = i10
-                out[:, ms, iy, ix, c01] = i01
-                out[:, ms, iy, ix, c11] = i11
+            bxc = self.bc.side("left" if sx > 0 else "right")[:, None, None]
+            byc = self.bc.side("bottom" if sy > 0 else "top")[:, None, None]
+            amu = np.abs(quad.mu[ms])[None, :, None]
+            aeta = np.abs(quad.eta[ms])[None, :, None]
+            msc = ms[:, None]
+            # total source including the previous-step corner term, all corners
+            src_tot = src[:, None, :, :, None] + I_prev[:, ms] / cdt
+            for dg in self._diagonals[(sx, sy)]:
+                iy, ix = dg["iy"][None, :], dg["ix"][None, :]
+                quarter = dg["quarter"]
+                wx, wy = 0.5 * amu * dg["dy"], 0.5 * aeta * dg["dx"]
+                denom = wx + wy + ktil[:, dg["iy"], dg["ix"]][:, None, :] * quarter
+                s = src_tot[:, :, dg["iy"], dg["ix"], :] * quarter[..., None]
+                jxc, jyc = dg["jxc"][None, :], dg["jyc"][None, :]
+                in_x0 = np.where(dg["ok_x"], out[:, msc, iy, jxc, c10], bxc)
+                in_x1 = np.where(dg["ok_x"], out[:, msc, iy, jxc, c11], bxc)
+                in_y0 = np.where(dg["ok_y"], out[:, msc, jyc, ix, c01], byc)
+                in_y1 = np.where(dg["ok_y"], out[:, msc, jyc, ix, c11], byc)
+                i00 = (s[..., c00] + wx * in_x0 + wy * in_y0) / denom
+                i10 = (s[..., c10] + wx * i00 + wy * in_y1) / denom
+                i01 = (s[..., c01] + wx * in_x1 + wy * i00) / denom
+                i11 = (s[..., c11] + wx * i01 + wy * i10) / denom
+                out[:, msc, iy, ix, c00] = i00
+                out[:, msc, iy, ix, c10] = i10
+                out[:, msc, iy, ix, c01] = i01
+                out[:, msc, iy, ix, c11] = i11
         return out
-
-    def _sweep_quadrant_batched(self, out, ms, sx, sy, ktil, src, I_prev, cdt,
-                                bx, by, corners):
-        """Solve one quadrant diagonal-by-diagonal with batched cells.
-
-        Identical arithmetic to the per-cell path; cells on a flow diagonal
-        only depend on the previous diagonal, so they solve in one batch.
-        """
-        quad = self.quad
-        c00, c10, c01, c11 = corners
-        amu = np.abs(quad.mu[ms])[None, :, None]
-        aeta = np.abs(quad.eta[ms])[None, :, None]
-        msc = ms[:, None]
-        bxc = bx[:, :, None]
-        byc = by[:, :, None]
-        # total source including the previous-step corner term, all corners
-        src_tot = src[:, None, :, :, None] + I_prev[:, ms] / cdt
-        for dg in self._diagonals[(sx, sy)]:
-            iy, ix = dg["iy"][None, :], dg["ix"][None, :]
-            quarter = dg["quarter"]
-            wx, wy = 0.5 * amu * dg["dy"], 0.5 * aeta * dg["dx"]
-            denom = wx + wy + ktil[:, dg["iy"], dg["ix"]][:, None, :] * quarter
-            s = src_tot[:, :, dg["iy"], dg["ix"], :] * quarter[..., None]
-            jxc, jyc = dg["jxc"][None, :], dg["jyc"][None, :]
-            in_x0 = np.where(dg["ok_x"], out[:, msc, iy, jxc, c10], bxc)
-            in_x1 = np.where(dg["ok_x"], out[:, msc, iy, jxc, c11], bxc)
-            in_y0 = np.where(dg["ok_y"], out[:, msc, jyc, ix, c01], byc)
-            in_y1 = np.where(dg["ok_y"], out[:, msc, jyc, ix, c11], byc)
-            i00 = (s[..., c00] + wx * in_x0 + wy * in_y0) / denom
-            i10 = (s[..., c10] + wx * i00 + wy * in_y1) / denom
-            i01 = (s[..., c01] + wx * in_x1 + wy * i00) / denom
-            i11 = (s[..., c11] + wx * i01 + wy * i10) / denom
-            out[:, msc, iy, ix, c00] = i00
-            out[:, msc, iy, ix, c10] = i10
-            out[:, msc, iy, ix, c01] = i01
-            out[:, msc, iy, ix, c11] = i11
-
-    def sweep_from_temperature(self, T_field: np.ndarray, I_prev: np.ndarray,
-                               dt: float) -> np.ndarray:
-        """Sweep with opacity/emission evaluated from the temperature field."""
-        T = _check_temperature(T_field)
-        kappa = np.moveaxis(self.material.group_opacity(T, self.grid), -1, 0)
-        emis = np.moveaxis(planck_spectrum(T, self.grid,
-                                           radiation_constant=self.material.radiation_constant,
-                                           light_speed=self.material.light_speed), -1, 0)
-        return self.sweep(kappa, emis, I_prev, dt)
 
     # ------------------------------------------------------------- closures
     def face_traces(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -411,21 +251,13 @@ class TransportSolver:
         tv, th = self.face_traces(I)
         fxx_v, _, fxy_v = eddington_ratios(self.quad, tv)
         _, fyy_h, fxy_h = eddington_ratios(self.quad, th)
-        cb = self._boundary_factors(tv, th)
-        return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h, *cb)
-
-    def compute_boundary_factors(self, I: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Boundary factors (left, bottom, right, top), each (n_g, edge cells)."""
-        tv, th = self.face_traces(I)
-        return self._boundary_factors(tv, th)
-
-    def _boundary_factors(self, tv, th):
         nx, ny = self.mesh.nx, self.mesh.ny
         cb_l = half_range_factor(self.quad, tv[:, :, :, 0], "x", -1.0)
         cb_r = half_range_factor(self.quad, tv[:, :, :, nx], "x", 1.0)
         cb_b = half_range_factor(self.quad, th[:, :, 0, :], "y", -1.0)
         cb_t = half_range_factor(self.quad, th[:, :, ny, :], "y", 1.0)
-        return cb_l, cb_b, cb_r, cb_t
+        return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h,
+                             cb_l, cb_b, cb_r, cb_t)
 
     # ------------------------------------------------------------- moments
     def cell_moments(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -436,17 +268,6 @@ class TransportSolver:
         fx = np.einsum("m,gmyx->gyx", w * mu, ibar)
         fy = np.einsum("m,gmyx->gyx", w * eta, ibar)
         return e, fx, fy
-
-    def face_moments(self, I: np.ndarray):
-        """(E, F) on vertical and horizontal faces from upwind traces."""
-        w, mu, eta = self.quad.weight, self.quad.mu, self.quad.eta
-        tv, th = self.face_traces(I)
-        c = self.material.light_speed
-        e_v = np.einsum("m,gmyx->gyx", w, tv) / c
-        f_v = np.einsum("m,gmyx->gyx", w * mu, tv)
-        e_h = np.einsum("m,gmyx->gyx", w, th) / c
-        f_h = np.einsum("m,gmyx->gyx", w * eta, th)
-        return e_v, f_v, e_h, f_h
 
     # ------------------------------------------------- boundary moment data
     def incoming_moments(self) -> dict:
@@ -469,11 +290,3 @@ class TransportSolver:
             out[name] = (ivals * s0 / c, ivals * s1)
         return out
 
-
-def transport_sweep(T_field: np.ndarray, I_prev: IntensityField | np.ndarray, dt: float,
-                    bc: BoundarySpec, mesh: SpatialMesh, quad: AngularQuadrature,
-                    grid: FrequencyGrid, material: MaterialModel) -> IntensityField:
-    """Functional wrapper: sweep from a temperature field."""
-    solver = TransportSolver(mesh, quad, grid, material, bc)
-    data = I_prev.data if isinstance(I_prev, IntensityField) else I_prev
-    return IntensityField(solver.sweep_from_temperature(np.asarray(T_field, dtype=float), data, dt))

@@ -135,11 +135,16 @@ def test_dmd_rank_not_above_pod_via_cli(workdir):
         assert dmd.rank >= 1 and pod.rank >= 1
 
 
-def test_missing_config_is_usage_error(workdir, capsys):
+def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
     rc = main(["fom", "--config", str(workdir / "missing.cfg"),
                "--out", str(workdir / "x")])
     assert rc == 2
     assert "missing.cfg" in capsys.readouterr().err
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("nx = 4", "nx = abc"))
+    rc = main(["fom", "--config", str(bad), "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert "bad value for 'nx'" in capsys.readouterr().err
 
 
 def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):
@@ -150,7 +155,7 @@ def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("fault", ["dims", "missing array"])
+@pytest.mark.parametrize("fault", ["dims", "missing array", "fractional count"])
 def test_compare_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fault):
     good = workdir / "fom" / "fom_run.ddet"
     raw = good.read_bytes()
@@ -161,7 +166,10 @@ def test_compare_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fau
         raw = raw[:at] + struct.pack("<QQ", 2**62, 2**62) + raw[at + 16:]
     else:
         kind, desc, arrays = read_container(good)
-        del arrays["temperature"]
+        if fault == "missing array":
+            del arrays["temperature"]
+        else:
+            arrays["iterations"][0, 0] = 2.5
         write_container(tmp_path / "src.ddet", kind, desc, arrays)
         raw = (tmp_path / "src.ddet").read_bytes()
     bad = tmp_path / "bad_run.ddet"
@@ -199,10 +207,12 @@ def test_equilibrium_preset_cli(tmp_path):
     assert np.ptp(run.temperature) <= 1e-11
 
 
-def test_threads_flag_accepted(workdir, tmp_path, capsys):
+def test_removed_flags_are_usage_errors(workdir, tmp_path):
     cfg = workdir / "tiny.cfg"
-    rc = main(["rom", "--config", str(cfg), "--threads", "4",
-               "--models", str(workdir / "fom" / "snapshots.ddet"),
-               "--out", str(tmp_path / "t")])
-    assert rc == 0
-    assert "single-threaded" in capsys.readouterr().err
+    models = ["--models", str(workdir / "fom" / "snapshots.ddet")]
+    for command, extra in (("fom", []), ("rom", models)):
+        for flag in ("--threads", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg), flag, "4", *extra,
+                      "--out", str(tmp_path / "t")])
+            assert exc.value.code == 2

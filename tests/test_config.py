@@ -40,7 +40,6 @@ def test_parse_file(tmp_path):
         "boundary_left = 0.9\n"
         "boundary_top = vacuum\n"
         "stimulated_correction = false\n"
-        "xi_rel = 1e-2 1e-4\n"
     )
     cfg = load_config(path)
     assert (cfg.nx, cfg.ny) == (3, 2)
@@ -48,7 +47,6 @@ def test_parse_file(tmp_path):
     assert cfg.boundary_left == 0.9
     assert cfg.boundary_top is None
     assert cfg.stimulated_correction is False
-    assert cfg.xi_rel == (1e-2, 1e-4)
 
 
 def test_parse_preset_line_with_overrides(tmp_path):
@@ -70,6 +68,20 @@ def test_parse_errors(tmp_path):
     bad.write_text("mystery_key = 1\n")
     with pytest.raises(ConfigError):
         load_config(bad)
+    # retired options are unknown keys now
+    for line in ("threads = 1", "xi_rel = 1e-2"):
+        bad.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(bad)
+    # values that do not parse name their line and key
+    for key, val in (("nx", "abc"), ("group_bounds", "0 x"), ("boundary_left", "hot"),
+                     ("stimulated_correction", "maybe")):
+        bad.write_text(f"dx = 0.5\n{key} = {val}\n")
+        with pytest.raises(ConfigError, match=f":2: bad value for '{key}'"):
+            load_config(bad)
+    bad.write_text("group_bounds = 0\n")
+    with pytest.raises(ConfigError, match="two edges"):
+        load_config(bad)
 
 
 def test_validation():
@@ -79,8 +91,9 @@ def test_validation():
         RunConfig(dt=-1.0)
     with pytest.raises(ConfigError):
         RunConfig(group_bounds=(0.5, 1.0))
-    with pytest.raises(ConfigError):
-        RunConfig(xi_rel=(2.0,))
+    for bounds in ((), (0.0,)):
+        with pytest.raises(ConfigError, match="two edges"):
+            RunConfig(group_bounds=bounds)
     with pytest.raises(ConfigError):
         RunConfig(boundary_left=-1.0)
 
@@ -89,3 +102,8 @@ def test_roundtrip_dict():
     cfg = preset("fleck-cummings-desk")
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
+    # stored configs may still carry the retired no-op options; only those are skipped
+    stored = {**cfg.to_dict(), "threads": 1, "seed": None, "xi_rel": [1e-2], "method": "pod"}
+    assert RunConfig.from_dict(stored) == cfg
+    with pytest.raises(TypeError):
+        RunConfig.from_dict({**cfg.to_dict(), "mystery_key": 1})

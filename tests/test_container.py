@@ -1,4 +1,5 @@
 """Container format: round-trips, corruption handling, typed helpers."""
+import dataclasses
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdrom.config import RunConfig
 from qdrom.container import (
     FormatError,
     load_model,
@@ -17,6 +19,7 @@ from qdrom.container import (
     save_snapshot_set,
     write_container,
 )
+from qdrom.drivers import record_snapshots
 from qdrom.lowrank import dmd_compress, pod_compress
 
 
@@ -122,6 +125,40 @@ def test_run_record_roundtrip(tmp_path, tiny_fom):
     assert np.array_equal(back.iterations, tiny_fom.iterations)
     assert back.mode == "fom"
     assert back.time.n_steps == tiny_fom.time.n_steps
+
+
+def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshots,
+                                               tiny_config):
+    # containers written before threads/seed/xi_rel/method were removed
+    meta = {**tiny_config.to_dict(), "threads": 1, "seed": None,
+            "xi_rel": [1e-2, 1e-4], "method": "pod"}
+    run = dataclasses.replace(tiny_fom, config_meta=meta)
+    path = tmp_path / "run.ddet"
+    save_run_record(path, run)
+    back = load_run_record(path)
+    assert back.config_meta == meta
+    assert np.array_equal(back.temperature, tiny_fom.temperature)
+    matrices = record_snapshots(run)
+    for name, mat in tiny_snapshots.items():
+        assert np.array_equal(matrices[name].data, mat.data)
+    path = tmp_path / "snaps.ddet"
+    save_snapshot_set(path, matrices, meta)
+    back_matrices, back_meta = load_snapshot_set(path)
+    assert back_meta == meta
+    assert RunConfig.from_dict(back_meta) == tiny_config
+    assert np.array_equal(back_matrices["cb"].data, tiny_snapshots["cb"].data)
+
+
+@pytest.mark.parametrize("value", [np.nan, 2.5, -3.0])
+@pytest.mark.parametrize("name", ["iterations", "negative_corners", "closure_violations"])
+def test_run_record_counter_must_be_a_count(tmp_path, tiny_fom, name, value):
+    path = tmp_path / "run.ddet"
+    save_run_record(path, tiny_fom)
+    kind, desc, arrays = read_container(path)
+    arrays[name][0, 1] = value
+    write_container(path, kind, desc, arrays)
+    with pytest.raises(FormatError, match=name):
+        load_run_record(path)
 
 
 def test_model_kind_mismatch(tmp_path, tiny_snapshots, tiny_config):

@@ -11,7 +11,6 @@ from qdrom.lowrank import (
     compress,
     dmd_compress,
     pod_compress,
-    reconstruct,
     select_rank,
     truncated_svd,
 )
@@ -149,7 +148,7 @@ def test_pod_out_of_window():
     with pytest.raises(OutOfWindowError):
         model.reconstruct(4)
     with pytest.raises(OutOfWindowError):
-        reconstruct(model, 0)
+        model.reconstruct(0)
 
 
 def test_pod_optimality_against_random_projections():
