@@ -24,7 +24,8 @@ class ConfigError(ValueError):
 
 
 #: options removed because no solver read them; stored configs may hold them
-_RETIRED_KEYS = ("threads", "seed", "xi_rel", "method")
+_RETIRED_KEYS = ("threads", "seed", "xi_rel", "method",
+                 "inner_tol_rel", "inner_tol_abs", "max_inner")
 
 
 @dataclass
@@ -51,29 +52,31 @@ class RunConfig:
     outer_tol: float = 1e-14
     outer_floor: float = 1e-15
     max_outer: int = 500
-    inner_tol_rel: float = 1e-14
-    inner_tol_abs: float = 1e-15
-    max_inner: int = 500
     newton_tol: float = 1e-13
     max_newton: int = 100
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigError("nx and ny must be positive")
-        for name in ("dx", "dy", "dt", "t_initial", "heat_capacity"):
-            if getattr(self, name) <= 0.0:
+        for name in sorted(_FLOAT_KEYS):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        for name in ("nx", "ny", "quadrature", "n_steps", "max_outer", "max_newton"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
+                     "light_speed", "radiation_constant", "outer_tol", "newton_tol"):
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be >= 1")
+        if self.outer_floor < 0.0:
+            raise ConfigError("outer_floor must be non-negative")
         b = np.asarray(self.group_bounds, dtype=float)
         if b.ndim != 1 or b.size < 2:
             raise ConfigError("group_bounds needs at least two edges")
-        if b[0] != 0.0 or np.any(np.diff(b) <= 0.0):
+        if b[0] != 0.0 or not np.all(np.diff(b) > 0.0):
             raise ConfigError("group_bounds must start at 0 and increase strictly")
         for side in ("left", "bottom", "right", "top"):
             val = getattr(self, f"boundary_{side}")
-            if val is not None and val <= 0.0:
-                raise ConfigError(f"boundary_{side} temperature must be positive")
+            if val is not None and not 0.0 < val < np.inf:
+                raise ConfigError(f"boundary_{side} temperature must be positive and finite")
 
     @property
     def n_groups(self) -> int:
@@ -113,12 +116,10 @@ PRESETS = ("fleck-cummings-2d", "fleck-cummings-desk", "equilibrium-2d")
 _BOOL = {"true": True, "yes": True, "on": True, "1": True,
          "false": False, "no": False, "off": False, "0": False}
 
-_INT_KEYS = {"nx", "ny", "quadrature", "n_steps", "max_outer", "max_inner",
-             "max_newton"}
+_INT_KEYS = {"nx", "ny", "quadrature", "n_steps", "max_outer", "max_newton"}
 _FLOAT_KEYS = {"dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
                "opacity_exponent", "light_speed", "radiation_constant",
-               "outer_tol", "outer_floor", "inner_tol_rel", "inner_tol_abs",
-               "newton_tol"}
+               "outer_tol", "outer_floor", "newton_tol"}
 _SIDE_KEYS = {"boundary_left", "boundary_bottom", "boundary_right", "boundary_top"}
 
 

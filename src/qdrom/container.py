@@ -133,7 +133,6 @@ def save_snapshot_set(path, matrices: dict, config_meta: dict) -> None:
         "config": config_meta,
         "layouts": {k: matrices[k].layout for k in SNAPSHOT_NAMES},
         "t0": first.t0, "dt": first.dt, "n_steps": first.n_steps,
-        "uniform": first.uniform,
     }
     write_container(path, "snapshot-set", descriptor,
                     {k: matrices[k].data for k in SNAPSHOT_NAMES})
@@ -151,8 +150,7 @@ def load_snapshot_set(path):
             if name not in arrays:
                 raise FormatError(f"{path}: snapshot matrix '{name}' missing")
             out[name] = SnapshotMatrix(name, arrays[name], desc["layouts"][name],
-                                       t0=desc["t0"], dt=desc["dt"],
-                                       uniform=desc.get("uniform", True))
+                                       t0=desc["t0"], dt=desc["dt"])
         return out, desc.get("config", {})
 
 
@@ -224,6 +222,7 @@ def save_run_record(path, run) -> None:
     descriptor = {
         "mode": run.mode, "config": run.config_meta,
         "t0": run.time.t0, "dt": run.time.dt, "n_steps": run.time.n_steps,
+        "positivity_violations": int(run.positivity_violations),
     }
     nt = run.time.n_steps
     arrays = {
@@ -241,9 +240,9 @@ def save_run_record(path, run) -> None:
     write_container(path, "run-record", descriptor, arrays)
 
 
-def _counts(path, arrays, name: str) -> np.ndarray:
-    """A float-stored counter row as ints; each value must be whole and >= 0."""
-    values = arrays[name][0]
+def _counts(path, name: str, values) -> np.ndarray:
+    """Stored counters as ints; each value must be whole and >= 0."""
+    values = np.asarray(values, dtype=float)
     # NaN fails both comparisons; the upper limit keeps the cast exact
     if not np.all((values >= 0.0) & (values < 2.0**63) & (values == np.floor(values))):
         raise FormatError(f"{path}: '{name}' holds a value that is not a count")
@@ -268,10 +267,14 @@ def load_run_record(path):
             e_hface=arrays["e_hface"].reshape(nt, ny + 1, nx),
             f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
             f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
-            iterations=_counts(path, arrays, "iterations"),
+            iterations=_counts(path, "iterations", arrays["iterations"][0]),
             final_change=arrays["final_change"][0],
-            negative_corners=_counts(path, arrays, "negative_corners"),
-            closure_violations=_counts(path, arrays, "closure_violations"),
+            negative_corners=_counts(path, "negative_corners", arrays["negative_corners"][0]),
+            closure_violations=_counts(path, "closure_violations",
+                                       arrays["closure_violations"][0]),
+            # records written before this counter was stored load as 0
+            positivity_violations=int(_counts(
+                path, "positivity_violations", desc.get("positivity_violations", 0))),
         )
 
 

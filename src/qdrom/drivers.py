@@ -32,7 +32,7 @@ from .transport import BoundarySpec, ClosureRecord, TransportSolver
 
 
 class DriverError(RuntimeError):
-    """Outer/inner iteration failure; carries the change history."""
+    """Outer iteration failure; carries the change history."""
 
     def __init__(self, message: str, history=None):
         super().__init__(message)
@@ -129,19 +129,11 @@ class Problem:
     """Configuration bound to its solver components."""
 
     config: RunConfig
-    mesh: SpatialMesh
     geom: ProblemGeometry
     grid: FrequencyGrid
     material: MaterialModel
-    bc: BoundarySpec
     transport: TransportSolver
     mg_solver: MultigroupLoqdSolver
-    e_in: np.ndarray
-    f_in: np.ndarray
-
-    @property
-    def time(self) -> TimeGrid:
-        return TimeGrid(0.0, self.config.dt, self.config.n_steps)
 
 
 def build_problem(config: RunConfig) -> Problem:
@@ -166,12 +158,10 @@ def build_problem(config: RunConfig) -> Problem:
             sides.append(np.asarray(planck_spectrum(
                 T_in, grid, radiation_constant=material.radiation_constant,
                 light_speed=material.light_speed)))
-    bc = BoundarySpec(*sides)
-    transport = TransportSolver(mesh, quad, grid, material, bc)
+    transport = TransportSolver(mesh, quad, grid, material, BoundarySpec(*sides))
     e_in, f_in = incoming_tables(geom, transport.incoming_moments())
     mg_solver = MultigroupLoqdSolver(geom, grid, material, e_in, f_in)
-    return Problem(config, mesh, geom, grid, material, bc, transport,
-                   mg_solver, e_in, f_in)
+    return Problem(config, geom, grid, material, transport, mg_solver)
 
 
 @dataclass
@@ -208,20 +198,32 @@ def _spectral_fields(p: Problem, T: np.ndarray):
 
 
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
-                  closure_source, converged, max_iter: int, warm_x):
-    """Iterate the multilevel loop for one time step until fixed point."""
+                  closures, norm_ord, warm_x):
+    """Iterate the multilevel loop for one time step until fixed point.
+
+    The step is accepted once the change of T and of E between outer
+    iterates, in the vector norm of order `norm_ord`, is within
+    outer_tol * |new| + outer_floor.
+    """
     cfg = p.config
+    tol, floor = cfg.outer_tol, cfg.outer_floor
+
+    def ratio(new, old):
+        return np.linalg.norm((new - old).ravel(), norm_ord) \
+            / (tol * np.linalg.norm(new.ravel(), norm_ord) + floor)
+
     e_prev_tot = mg_prev.e_cell.sum(axis=0)
     T_it = t_prev
     E_it = e_prev_tot
     grey_x = warm_x
     history = []
-    for it in range(max_iter):
+    for it in range(cfg.max_outer):
         kappa, planck = _spectral_fields(p, T_it)
-        closure, extra = closure_source(T_it, kappa, planck)
+        closure, extra = closures(T_it, kappa, planck)
         mg = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
-        coeffs = compute_grey_coefficients(mg, kappa, planck, closure, mg_prev,
-                                           cfg.dt, p.geom, p.material, p.e_in, p.f_in)
+        coeffs = compute_grey_coefficients(mg, kappa, planck, closure, mg_prev, cfg.dt,
+                                           p.geom, p.material, p.mg_solver.e_in,
+                                           p.mg_solver.f_in)
         grey_problem = GreyProblem(p.geom, coeffs, p.material, cfg.dt,
                                    e_prev_tot, t_prev,
                                    newton_tol=cfg.newton_tol,
@@ -235,13 +237,13 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         grey = grey_problem.solve(grey_x)
         grey_x = np.concatenate([grey.e_cell.ravel(), grey.e_vface.ravel(),
                                  grey.e_hface.ravel()])
-        change = converged(grey.temperature, T_it, grey.e_cell, E_it)
+        change = max(ratio(grey.temperature, T_it), ratio(grey.e_cell, E_it))
         history.append(change)
         T_it, E_it = grey.temperature, grey.e_cell
         if change <= 1.0:
             return grey, mg, closure, extra, it + 1, history, grey_x
     raise DriverError(
-        f"no convergence in {max_iter} iterations (last change ratio "
+        f"no convergence in {cfg.max_outer} iterations (last change ratio "
         f"{history[-1]:.3e})", history)
 
 
@@ -257,7 +259,7 @@ def _empty_record(p: Problem, mode: str) -> RunRecord:
     cfg = p.config
     nt, ny, nx = cfg.n_steps, cfg.ny, cfg.nx
     return RunRecord(
-        time=p.time, mode=mode, config_meta=cfg.to_dict(),
+        time=TimeGrid(0.0, cfg.dt, nt), mode=mode, config_meta=cfg.to_dict(),
         temperature=np.empty((nt, ny, nx)), e_cell=np.empty((nt, ny, nx)),
         e_vface=np.empty((nt, ny, nx + 1)), e_hface=np.empty((nt, ny + 1, nx)),
         f_vface=np.empty((nt, ny, nx + 1)), f_hface=np.empty((nt, ny + 1, nx)),
@@ -285,36 +287,25 @@ def _store_step(rec: RunRecord, n: int, grey, closure, extra, iters, history):
         warnings.warn(f"nonpositive temperature or energy density at step {n + 1}")
 
 
-def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
-    """Full-order run: transport-refreshed closures inside every iteration."""
-    p = config if isinstance(config, Problem) else build_problem(config)
+def _run(p: Problem, mode: str, closures_for_step, norm_ord, log) -> RunRecord:
+    """The time-step loop of both drivers.
+
+    `closures_for_step(n)` returns the closure source of 0-based step n, a
+    function (T, kappa, planck) -> (closure, negative-corner count) that the
+    outer iteration calls once per iterate; `norm_ord` is the vector norm of
+    the change test.
+    """
     cfg = p.config
     T_prev, mg_prev = _initial_state(p)
-    I_prev = np.maximum(p.transport.equilibrium_intensity(cfg.t_initial), INTENSITY_SEED)
-    rec = _empty_record(p, "fom")
-    tol, floor = cfg.outer_tol, cfg.outer_floor
-
-    def converged(T_new, T_old, E_new, E_old):
-        rT = np.max(np.abs(T_new - T_old)) / (tol * np.max(np.abs(T_new)) + floor)
-        rE = np.max(np.abs(E_new - E_old)) / (tol * np.max(np.abs(E_new)) + floor)
-        return max(rT, rE)
-
+    rec = _empty_record(p, mode)
     warm_x = None
     for n in range(cfg.n_steps):
-        latest = {}
-
-        def fom_closures(T_it, kappa, planck):
-            I_new = p.transport.sweep(kappa, np.maximum(planck, INTENSITY_SEED),
-                                      I_prev, cfg.dt)
-            latest["I"] = I_new
-            return p.transport.compute_eddington(I_new), int(np.sum(I_new < 0.0))
-
+        closures = closures_for_step(n)
         try:
             grey, mg, closure, extra, iters, history, warm_x = _advance_step(
-                p, mg_prev, T_prev, fom_closures, converged, cfg.max_outer, warm_x)
+                p, mg_prev, T_prev, closures, norm_ord, warm_x)
         except DriverError as err:
-            raise DriverError(f"FOM step {n + 1}: {err}", err.history) from err
-        I_prev = latest["I"]
+            raise DriverError(f"{mode.upper()} step {n + 1}: {err}", err.history) from err
         mg_prev = mg
         T_prev = grey.temperature
         _store_step(rec, n, grey, closure, extra, iters, history)
@@ -323,24 +314,36 @@ def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
     return rec
 
 
+def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
+    """Full-order run: a transport sweep in every iteration; max-norm change test."""
+    p = config if isinstance(config, Problem) else build_problem(config)
+    dt = p.config.dt
+    latest = {"I": np.maximum(p.transport.equilibrium_intensity(p.config.t_initial),
+                              INTENSITY_SEED)}
+
+    def sweep_closures(n):
+        # the last sweep of the previous step, which was accepted
+        I_prev = latest["I"]
+
+        def closures(T_it, kappa, planck):
+            I_new = p.transport.sweep(kappa, np.maximum(planck, INTENSITY_SEED),
+                                      I_prev, dt)
+            latest["I"] = I_new
+            return p.transport.compute_eddington(I_new), int(np.sum(I_new < 0.0))
+        return closures
+
+    return _run(p, "fom", sweep_closures, np.inf, log)
+
+
 def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
-    """Reduced-order run: closures reconstructed from compressed data."""
+    """Reduced-order run: closures reconstructed once per step; 2-norm change test."""
     p = config if isinstance(config, Problem) else build_problem(config)
     cfg = p.config
     missing = [k for k in SNAPSHOT_NAMES if k not in models]
     if missing:
         raise ValueError(f"missing closure models: {missing}")
-    T_prev, mg_prev = _initial_state(p)
-    rec = _empty_record(p, "rom")
-    eps1, eps2 = cfg.inner_tol_rel, cfg.inner_tol_abs
 
-    def converged(T_new, T_old, E_new, E_old):
-        rT = np.linalg.norm(T_new - T_old) / (eps1 * np.linalg.norm(T_new) + eps2)
-        rE = np.linalg.norm(E_new - E_old) / (eps1 * np.linalg.norm(E_new) + eps2)
-        return max(rT, rE)
-
-    warm_x = None
-    for n in range(cfg.n_steps):
+    def reconstructed_closures(n):
         vectors = {}
         for name in SNAPSHOT_NAMES:
             vec = models[name].reconstruct(n + 1)
@@ -348,21 +351,9 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
                 raise DriverError(f"model '{name}' produced non-finite values at step {n + 1}")
             vectors[name] = vec
         closure = unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups)
+        return lambda T_it, kappa, planck: (closure, 0)
 
-        def rom_closures(T_it, kappa, planck):
-            return closure, 0
-
-        try:
-            grey, mg, closure_out, extra, iters, history, warm_x = _advance_step(
-                p, mg_prev, T_prev, rom_closures, converged, cfg.max_inner, warm_x)
-        except DriverError as err:
-            raise DriverError(f"ROM step {n + 1}: {err}", err.history) from err
-        mg_prev = mg
-        T_prev = grey.temperature
-        _store_step(rec, n, grey, closure_out, extra, iters, history)
-        if log is not None:
-            log(n + 1, iters, history[-1])
-    return rec
+    return _run(p, "rom", reconstructed_closures, 2, log)
 
 
 def record_snapshots(run: RunRecord) -> dict:
@@ -379,7 +370,7 @@ def record_snapshots(run: RunRecord) -> dict:
     for name in SNAPSHOT_NAMES:
         data = np.stack(columns[name], axis=1)
         out[name] = SnapshotMatrix(name, data, snapshot_layout(name, cfg),
-                                   t0=run.time.t0, dt=run.time.dt, uniform=True)
+                                   t0=run.time.t0, dt=run.time.dt)
     return out
 
 

@@ -374,16 +374,9 @@ class SpectrumAveraged:
 
     kbar_e: np.ndarray        # (n_cells,)
     kbar_b: np.ndarray        # (n_cells,)
-    fbar_xx_cell: np.ndarray  # diagnostics: grey Eddington entries
-    fbar_yy_cell: np.ndarray
-    fbar_xx_vface: np.ndarray
-    fbar_xy_vface: np.ndarray
-    fbar_yy_hface: np.ndarray
-    fbar_xy_hface: np.ndarray
     cbar: np.ndarray          # (n_bfaces,)
     e_in_total: np.ndarray    # (n_bfaces,)
     f_in_total: np.ndarray    # (n_bfaces,)
-    kappa_tilde: np.ndarray   # (n_g, n_cells)
     vflux: FluxCoeffs
     hflux: FluxCoeffs
 
@@ -417,12 +410,6 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
 
     kbar_e = _weighted_mean(kap2, e_c, "absorption opacity")
     kbar_b = _weighted_mean(kap2, b2, "emission opacity")
-    fbar_xx_c = _weighted_mean(closure.fxx_cell.reshape(n_g, -1), e_c, "cell Eddington xx")
-    fbar_yy_c = _weighted_mean(closure.fyy_cell.reshape(n_g, -1), e_c, "cell Eddington yy")
-    fbar_xx_v = _weighted_mean(closure.fxx_vface.reshape(n_g, -1), e_v, "face Eddington xx")
-    fbar_xy_v = _weighted_mean(closure.fxy_vface.reshape(n_g, -1), e_v, "face Eddington xy")
-    fbar_yy_h = _weighted_mean(closure.fyy_hface.reshape(n_g, -1), e_h, "face Eddington yy")
-    fbar_xy_h = _weighted_mean(closure.fxy_hface.reshape(n_g, -1), e_h, "face Eddington xy")
 
     # boundary factor average with the 0/0 guard at near-equilibrium walls
     bfg = geom.boundary_face_global()
@@ -449,13 +436,8 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
     vgroup, hgroup = group_flux_coeffs(closure, kap2, prev, dt, geom, material.light_speed)
     vflux = average(geom.vadj, vgroup, e_v, e_h)
     hflux = average(geom.hadj, hgroup, e_h, e_v)
-    kappa_tilde = kap2 + 1.0 / (material.light_speed * dt)
-
-    return SpectrumAveraged(
-        kbar_e, kbar_b, fbar_xx_c, fbar_yy_c, fbar_xx_v, fbar_xy_v,
-        fbar_yy_h, fbar_xy_h, cbar, e_in.sum(axis=0), f_in.sum(axis=0),
-        kappa_tilde, vflux, hflux,
-    )
+    return SpectrumAveraged(kbar_e, kbar_b, cbar, e_in.sum(axis=0), f_in.sum(axis=0),
+                            vflux, hflux)
 
 
 def rosseland_averages(mg: MultigroupMoments, kappa: np.ndarray):
@@ -558,6 +540,8 @@ class GreyProblem:
             step = gval / (4.0 * quart * T**3 + lin)
             T_new = T - step
             T = np.where(T_new > 0.0, T_new, 0.5 * T)
+        else:
+            raise SolverError("material energy balance did not converge in 100 iterations")
         self._t_cache = T
         dTdE = mat.light_speed * co.kbar_e / (4.0 * quart * T**3 + lin)
         return T, dTdE

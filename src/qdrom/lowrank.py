@@ -41,7 +41,6 @@ class SnapshotMatrix:
     layout: dict              # grid kind, mesh dims, group count, stacking
     t0: float = 0.0
     dt: float = 1.0
-    uniform: bool = True
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -193,8 +192,6 @@ def dmd_compress(snap: SnapshotMatrix, xi_rel: float,
     """
     if variant not in ("plain", "equilibrium_subtracted"):
         raise ValueError(f"unknown DMD variant '{variant}'")
-    if not snap.uniform:
-        raise ValueError("DMD requires a uniform time grid")
     a = snap.data
     equilibrium = None
     if variant == "equilibrium_subtracted":

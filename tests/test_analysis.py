@@ -188,6 +188,17 @@ def test_rank_tables_monotone_and_dmd_leq_pod(tiny_snapshots):
         assert rep.significant >= 1
 
 
+def test_rank_tables_match_compression(tiny_snapshots):
+    # the training matrices the report builds are the ones compress() uses
+    from qdrom.lowrank import compress
+    reports = singular_value_report(tiny_snapshots)
+    for rep in reports:
+        for method in ("pod", "dmd", "dmd-e"):
+            for xi in XI_GRID:
+                model = compress(tiny_snapshots[rep.name], method, xi)
+                assert rep.ranks[method][xi] == model.rank, (rep.name, method, xi)
+
+
 def test_rank_one_synthetic_matrix():
     from qdrom.lowrank import SnapshotMatrix
     rng = np.random.default_rng(13)

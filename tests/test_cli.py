@@ -145,6 +145,10 @@ def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
     rc = main(["fom", "--config", str(bad), "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "bad value for 'nx'" in capsys.readouterr().err
+    bad.write_text(TINY_CONFIG + "outer_tol = -1\n")
+    rc = main(["fom", "--config", str(bad), "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert "outer_tol must be positive" in capsys.readouterr().err
 
 
 def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):

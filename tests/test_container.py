@@ -116,28 +116,38 @@ def test_dmd_model_roundtrip(tmp_path, tiny_snapshots, variant):
 
 
 def test_run_record_roundtrip(tmp_path, tiny_fom):
+    # every field but the closures, which a run record does not store
+    run = dataclasses.replace(tiny_fom, positivity_violations=2)
     path = tmp_path / "run.ddet"
-    save_run_record(path, tiny_fom)
+    save_run_record(path, run)
     back = load_run_record(path)
-    assert np.array_equal(back.temperature, tiny_fom.temperature)
-    assert np.array_equal(back.e_cell, tiny_fom.e_cell)
-    assert np.array_equal(back.f_hface, tiny_fom.f_hface)
-    assert np.array_equal(back.iterations, tiny_fom.iterations)
-    assert back.mode == "fom"
-    assert back.time.n_steps == tiny_fom.time.n_steps
+    for f in dataclasses.fields(run):
+        if f.name == "closures":
+            continue
+        want, got = getattr(run, f.name), getattr(back, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshots,
                                                tiny_config):
-    # containers written before threads/seed/xi_rel/method were removed
+    # containers written before the retired keys were removed
     meta = {**tiny_config.to_dict(), "threads": 1, "seed": None,
-            "xi_rel": [1e-2, 1e-4], "method": "pod"}
+            "xi_rel": [1e-2, 1e-4], "method": "pod",
+            "inner_tol_rel": 1e-14, "inner_tol_abs": 1e-15, "max_inner": 500}
     run = dataclasses.replace(tiny_fom, config_meta=meta)
     path = tmp_path / "run.ddet"
     save_run_record(path, run)
     back = load_run_record(path)
     assert back.config_meta == meta
     assert np.array_equal(back.temperature, tiny_fom.temperature)
+    # records written before positivity_violations was stored load it as 0
+    kind, desc, arrays = read_container(path)
+    del desc["positivity_violations"]
+    write_container(path, kind, desc, arrays)
+    assert load_run_record(path).positivity_violations == 0
     matrices = record_snapshots(run)
     for name, mat in tiny_snapshots.items():
         assert np.array_equal(matrices[name].data, mat.data)
@@ -150,12 +160,16 @@ def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshot
 
 
 @pytest.mark.parametrize("value", [np.nan, 2.5, -3.0])
-@pytest.mark.parametrize("name", ["iterations", "negative_corners", "closure_violations"])
+@pytest.mark.parametrize("name", ["iterations", "negative_corners", "closure_violations",
+                                  "positivity_violations"])
 def test_run_record_counter_must_be_a_count(tmp_path, tiny_fom, name, value):
     path = tmp_path / "run.ddet"
     save_run_record(path, tiny_fom)
     kind, desc, arrays = read_container(path)
-    arrays[name][0, 1] = value
+    if name in desc:  # a per-run count in the descriptor
+        desc[name] = value
+    else:
+        arrays[name][0, 1] = value
     write_container(path, kind, desc, arrays)
     with pytest.raises(FormatError, match=name):
         load_run_record(path)

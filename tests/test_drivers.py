@@ -139,10 +139,15 @@ def test_rom_requires_all_models(tiny_config, tiny_snapshots):
         run_rom(tiny_config, models)
 
 
-def test_driver_error_on_iteration_cap(tiny_config):
+@pytest.mark.parametrize("mode", ["fom", "rom"])
+def test_driver_error_on_iteration_cap(tiny_config, tiny_snapshots, mode):
+    # max_outer caps the outer iteration of both drivers
     cfg = RunConfig(**{**tiny_config.to_dict(), "max_outer": 1})
-    with pytest.raises(DriverError):
-        run_fom(cfg)
+    with pytest.raises(DriverError, match=f"{mode.upper()} step 1: no convergence in 1 "):
+        if mode == "fom":
+            run_fom(cfg)
+        else:
+            run_rom(cfg, playback_models(tiny_snapshots))
 
 
 def test_monotone_heating_under_constant_drive(tiny_config, tiny_fom):

@@ -10,6 +10,7 @@ from qdrom.loqd import (
     MultigroupLoqdSolver,
     MultigroupMoments,
     ProblemGeometry,
+    SolverError,
     SpectrumAveraged,
     compute_grey_coefficients,
     incoming_tables,
@@ -345,7 +346,6 @@ def test_single_group_averages_are_identity():
                                    geom, MAT, e_in, f_in)
     assert co.kbar_e == pytest.approx(kappa.reshape(-1), rel=1e-14)
     assert co.kbar_b == pytest.approx(kappa.reshape(-1), rel=1e-14)
-    assert co.fbar_xx_cell == pytest.approx(closure.fxx_cell.reshape(-1), rel=1e-14)
     cb_all = np.concatenate([closure.cb_left, closure.cb_bottom,
                              closure.cb_right, closure.cb_top], axis=1)[0]
     assert co.cbar == pytest.approx(cb_all, rel=1e-14)
@@ -441,14 +441,8 @@ def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
     nc = geom.n_cells
     return SpectrumAveraged(
         kbar_e=np.full(nc, kbar), kbar_b=np.full(nc, kbar),
-        fbar_xx_cell=np.full(nc, 1 / 3), fbar_yy_cell=np.full(nc, 1 / 3),
-        fbar_xx_vface=np.full(geom.n_vfaces, 1 / 3),
-        fbar_xy_vface=np.zeros(geom.n_vfaces),
-        fbar_yy_hface=np.full(geom.n_hfaces, 1 / 3),
-        fbar_xy_hface=np.zeros(geom.n_hfaces),
         cbar=np.full(nbf, cbar), e_in_total=np.full(nbf, e_in),
-        f_in_total=np.full(nbf, f_in), kappa_tilde=np.ones((1, nc)),
-        vflux=fc(n_vadj), hflux=fc(n_hadj),
+        f_in_total=np.full(nbf, f_in), vflux=fc(n_vadj), hflux=fc(n_hadj),
     )
 
 
@@ -469,6 +463,14 @@ def test_grey_equilibrium_fixed_point():
     assert np.max(np.abs(out.temperature - T_star)) <= 1e-12 * T_star
     assert np.max(np.abs(out.e_cell - e_star)) <= 1e-12 * e_star
     assert np.max(np.abs(out.f_vface)) <= 1e-12 * MAT.light_speed * e_star
+
+
+def test_meb_temperature_raises_when_unconverged():
+    geom = ProblemGeometry.build(SpatialMesh.uniform(2, 1, 0.5, 0.5))
+    co = grey_coeffs_uniform(geom, kbar=2.0)
+    problem = GreyProblem(geom, co, MAT, 0.02, np.full((1, 2), 1e-3), np.full((1, 2), 0.5))
+    with pytest.raises(SolverError, match="material energy balance"):
+        problem.meb_temperature(np.array([1e-3, np.nan]))
 
 
 def test_grey_zero_coupling_keeps_temperature():

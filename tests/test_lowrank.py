@@ -278,10 +278,6 @@ def test_dmd_input_validation():
         dmd_compress(snap(np.ones((3, 3))), 1e-2, variant="equilibrium_subtracted")
     with pytest.raises(ValueError):
         dmd_compress(snap(np.ones((3, 4))), 1e-2, variant="bogus")
-    bad = snap(np.ones((3, 5)))
-    bad.uniform = False
-    with pytest.raises(ValueError):
-        dmd_compress(bad, 1e-2)
 
 
 # ---------------------------------------------------------------------------
