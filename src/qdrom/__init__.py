@@ -23,7 +23,7 @@ from .lowrank import (
     select_rank,
     truncated_svd,
 )
-from .materials import FrequencyGrid, MaterialModel, planck_group_integral
+from .materials import FrequencyGrid, MaterialModel
 from .mesh import SpatialMesh
 from .quadrature import AngularQuadrature, build_quadrature
 from .transport import BoundarySpec, ClosureRecord, TransportSolver
@@ -36,7 +36,7 @@ __all__ = [
     "RunConfig", "RunRecord", "SnapshotMatrix", "SnapshotPlayback",
     "SpatialMesh", "TimeGrid", "TransportSolver", "build_problem",
     "build_quadrature", "closure_unknowns", "compress", "dmd_compress",
-    "load_config", "planck_group_integral", "playback_models", "pod_compress",
+    "load_config", "playback_models", "pod_compress",
     "preset", "record_snapshots", "run_fom", "run_rom",
     "select_rank", "truncated_svd",
 ]

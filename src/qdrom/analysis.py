@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import RunRecord, SNAPSHOT_NAMES
-from .lowrank import select_rank, truncated_svd
+from .lowrank import compress, select_rank, truncated_svd
 
 
 class ShapeMismatchError(ValueError):
@@ -21,6 +21,10 @@ class ShapeMismatchError(ValueError):
 
 class DegenerateReferenceError(ValueError):
     """Reference field has zero norm at some step."""
+
+
+class FieldStepError(ValueError):
+    """Error-map step outside the run's steps 1..n_steps."""
 
 
 #: truncation grid used for the rank tables
@@ -64,6 +68,9 @@ def relative_error_series(run: RunRecord, reference: RunRecord,
     if not np.allclose(run.time.times, reference.time.times):
         raise ShapeMismatchError("time grids differ")
     nt = run.n_steps
+    bad = [s for s in field_steps if not 1 <= s <= nt]
+    if bad:
+        raise FieldStepError(f"field steps {bad} outside the run's steps 1..{nt}")
     err_t = np.empty(nt)
     err_e = np.empty(nt)
     for n in range(nt):
@@ -129,28 +136,20 @@ class SingularValueReport:
 def singular_value_report(matrices: dict, xi_grid=XI_GRID) -> list:
     """Spectra and per-method rank tables for every snapshot matrix.
 
-    Rank tables use each method's own training matrix: the centered data
-    for POD, the history block for DMD, and the equilibrium-subtracted
-    history for DMD-E.
+    Rank tables use the spectrum of each method's own training matrix, as
+    its compressed model reports it: the centered data for POD, the history
+    block for DMD, and the equilibrium-subtracted history for DMD-E.
     """
     out = []
     for name in SNAPSHOT_NAMES:
         snap = matrices[name]
-        a = snap.data
-        _, s_raw, _ = truncated_svd(a)
-        centered = a - a.mean(axis=1)[:, None]
-        _, s_pod, _ = truncated_svd(centered)
-        _, s_dmd, _ = truncated_svd(a[:, :-1])
-        sub = a[:, :-1] - a[:, -1][:, None]
-        _, s_dmde, _ = truncated_svd(sub[:, :-1])
-        ranks = {"pod": {}, "dmd": {}, "dmd-e": {}}
-        for xi in xi_grid:
-            ranks["pod"][xi] = select_rank(s_pod, xi)
-            ranks["dmd"][xi] = select_rank(s_dmd, xi)
-            ranks["dmd-e"][xi] = select_rank(s_dmde, xi)
+        _, s_raw, _ = truncated_svd(snap.data)
+        spectra = {m: compress(snap, m, xi_grid[0]).singular_values
+                   for m in ("pod", "dmd", "dmd-e")}
+        ranks = {m: {xi: select_rank(s, xi) for xi in xi_grid} for m, s in spectra.items()}
         out.append(SingularValueReport(
             name, s_raw, int(np.sum(s_raw > 1e-14 * s_raw[0])), ranks,
-            float(s_pod[0])))
+            float(spectra["pod"][0])))
     return out
 
 

@@ -31,7 +31,7 @@ from .lowrank import (
 )
 from .transport import intensity_unknowns
 
-USAGE_ERRORS = (ConfigError, FileNotFoundError, NotADirectoryError)
+USAGE_ERRORS = (ConfigError, FileNotFoundError, NotADirectoryError, analysis.FieldStepError)
 DATA_ERRORS = (container.FormatError, analysis.ShapeMismatchError,
                analysis.DegenerateReferenceError, ModelError, DegenerateDataError,
                OutOfWindowError, ValueError)
@@ -124,12 +124,11 @@ def cmd_rom(args) -> int:
 def cmd_compare(args) -> int:
     run_a = container.load_run_record(args.run_a)
     run_b = container.load_run_record(args.run_b)
-    steps = tuple(int(s) for s in args.field_steps.split(",")) if args.field_steps else ()
-    series = analysis.relative_error_series(run_a, run_b, field_steps=steps)
+    series = analysis.relative_error_series(run_a, run_b, field_steps=args.field_steps)
     analysis.write_error_csv(args.out, series)
     print(f"max rel err: T {series.err_temperature.max():.3e} "
           f"E {series.err_energy.max():.3e}")
-    if steps and args.fields_out:
+    if args.field_steps and args.fields_out:
         container.save_error_fields(args.fields_out, series.fields, run_a.config_meta)
         print(f"wrote {args.fields_out}")
     return 0
@@ -174,6 +173,14 @@ def cmd_svd_report(args) -> int:
     return 0
 
 
+def _steps(text: str) -> tuple:
+    """Comma-separated integer steps of --field-steps."""
+    try:
+        return tuple(int(s) for s in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdrom",
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-a", required=True, help="run to evaluate")
     p.add_argument("--run-b", required=True, help="reference run")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--field-steps", default="",
+    p.add_argument("--field-steps", default="", type=_steps,
                    help="comma-separated steps for cell-wise error maps")
     p.add_argument("--fields-out", default=None,
                    help="results container for the cell-wise maps")

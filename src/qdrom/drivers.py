@@ -26,7 +26,7 @@ from .loqd import (
 )
 from .lowrank import SnapshotMatrix
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum
-from .mesh import SpatialMesh
+from .mesh import SIDES, SpatialMesh
 from .quadrature import build_quadrature
 from .transport import BoundarySpec, ClosureRecord, TransportSolver
 
@@ -79,7 +79,8 @@ def stack_closure(c: ClosureRecord) -> dict:
     """Flatten a closure record into the seven snapshot vectors.
 
     Rows are group-major; grids flatten row-major (y outer); boundary
-    factors stack sides left, bottom, right, top within each group.
+    factors keep the boundary-face order (sides left, bottom, right, top)
+    within each group.
     """
     return {
         "fxx_c": c.fxx_cell.ravel(),
@@ -88,15 +89,13 @@ def stack_closure(c: ClosureRecord) -> dict:
         "fyy_h": c.fyy_hface.ravel(),
         "fxy_v": c.fxy_vface.ravel(),
         "fxy_h": c.fxy_hface.ravel(),
-        "cb": np.concatenate([c.cb_left, c.cb_bottom, c.cb_right, c.cb_top],
-                             axis=1).ravel(),
+        "cb": c.cb.ravel(),
     }
 
 
 def unstack_closure(vectors: dict, nx: int, ny: int, n_groups: int) -> ClosureRecord:
     """Inverse of stack_closure for one time step."""
     v = {k: np.asarray(vectors[k], dtype=float) for k in SNAPSHOT_NAMES}
-    cb = v["cb"].reshape(n_groups, 2 * (nx + ny))
     return ClosureRecord(
         fxx_cell=v["fxx_c"].reshape(n_groups, ny, nx),
         fyy_cell=v["fyy_c"].reshape(n_groups, ny, nx),
@@ -104,10 +103,7 @@ def unstack_closure(vectors: dict, nx: int, ny: int, n_groups: int) -> ClosureRe
         fxy_vface=v["fxy_v"].reshape(n_groups, ny, nx + 1),
         fyy_hface=v["fyy_h"].reshape(n_groups, ny + 1, nx),
         fxy_hface=v["fxy_h"].reshape(n_groups, ny + 1, nx),
-        cb_left=cb[:, :ny],
-        cb_bottom=cb[:, ny:ny + nx],
-        cb_right=cb[:, ny + nx:2 * ny + nx],
-        cb_top=cb[:, 2 * ny + nx:],
+        cb=v["cb"].reshape(n_groups, 2 * (nx + ny)),
     )
 
 
@@ -150,7 +146,7 @@ def build_problem(config: RunConfig) -> Problem:
     )
     quad = build_quadrature(config.quadrature)
     sides = []
-    for name in ("left", "bottom", "right", "top"):
+    for name in SIDES:
         T_in = getattr(config, f"boundary_{name}")
         if T_in is None:
             sides.append(np.zeros(grid.n_groups))
@@ -220,10 +216,9 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     for it in range(cfg.max_outer):
         kappa, planck = _spectral_fields(p, T_it)
         closure, extra = closures(T_it, kappa, planck)
-        mg = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
-        coeffs = compute_grey_coefficients(mg, kappa, planck, closure, mg_prev, cfg.dt,
-                                           p.geom, p.material, p.mg_solver.e_in,
-                                           p.mg_solver.f_in)
+        mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
+        coeffs = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, p.geom,
+                                           p.mg_solver.e_in, p.mg_solver.f_in)
         grey_problem = GreyProblem(p.geom, coeffs, p.material, cfg.dt,
                                    e_prev_tot, t_prev,
                                    newton_tol=cfg.newton_tol,

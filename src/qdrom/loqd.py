@@ -264,12 +264,6 @@ class MomentSystem:
                 x[..., nv:].reshape(lead + (ny + 1, nx)))
 
 
-def _boundary_factors(closure: ClosureRecord) -> np.ndarray:
-    """(n_g, n_bfaces) boundary factors in the side order left, bottom, right, top."""
-    return np.concatenate([closure.cb_left, closure.cb_bottom,
-                           closure.cb_right, closure.cb_top], axis=1)
-
-
 def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: MultigroupMoments,
                       dt: float, geom: ProblemGeometry, light_speed: float):
     """Per-group (vertical, horizontal) flux coefficients, arrays (n_g, n_adj).
@@ -313,11 +307,13 @@ class MultigroupLoqdSolver:
         self.n_unknowns = geom.moment_system.n_unknowns  # per group
 
     def solve(self, closure: ClosureRecord, kappa: np.ndarray, planck: np.ndarray,
-              prev: MultigroupMoments, dt: float) -> MultigroupMoments:
+              prev: MultigroupMoments, dt: float):
         """Direct solve of every group system; kappa/planck are (n_g, ny, nx).
 
         Groups are independent; they are factored together as one
-        block-diagonal matrix to amortize the solver overhead.
+        block-diagonal matrix to amortize the solver overhead.  Returns the
+        moments and the per-group (vertical, horizontal) flux coefficients,
+        which the grey coefficients average.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -327,13 +323,12 @@ class MultigroupLoqdSolver:
         c = self.material.light_speed
         area = g.mesh.cell_area.ravel()
         kappa2 = kappa.reshape(n_g, -1)
-        cb = _boundary_factors(closure)
         vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, g, c)
         data, b, weights = system.fill(
             c, area / dt + c * kappa2 * area,
             (area / dt) * prev.e_cell.reshape(n_g, -1)
             + 4.0 * np.pi * kappa2 * planck.reshape(n_g, -1) * area,
-            vflux, hflux, -c * cb, -c * cb * self.e_in + self.f_in)
+            vflux, hflux, -c * closure.cb, -c * closure.cb * self.e_in + self.f_in)
         try:
             x = splu(system.matrix(data)).solve(b.ravel()).reshape(n_g, -1)
         except RuntimeError as err:
@@ -344,8 +339,9 @@ class MultigroupLoqdSolver:
                               f"{int(np.argmin(finite))}")
         ny, nx = system.shape
         f_v, f_h = system.face_fluxes(x, weights, vflux, hflux)
-        return MultigroupMoments(*system.energies(x), f_v.reshape(n_g, ny, nx + 1),
-                                 f_h.reshape(n_g, ny + 1, nx))
+        moments = MultigroupMoments(*system.energies(x), f_v.reshape(n_g, ny, nx + 1),
+                                    f_h.reshape(n_g, ny + 1, nx))
+        return moments, (vflux, hflux)
 
     def cell_balance_residual(self, mg: MultigroupMoments, kappa, planck,
                               prev: MultigroupMoments, dt: float) -> float:
@@ -391,15 +387,17 @@ def _weighted_mean(values, weights, what: str) -> np.ndarray:
 
 def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
                               planck: np.ndarray, closure: ClosureRecord,
-                              prev: MultigroupMoments, dt: float,
-                              geom: ProblemGeometry, material: MaterialModel,
+                              group_flux: tuple[FluxCoeffs, FluxCoeffs],
+                              geom: ProblemGeometry,
                               e_in: np.ndarray, f_in: np.ndarray) -> SpectrumAveraged:
     """Spectrum averages over the multigroup solution (Algorithm inputs).
 
-    kappa/planck are (n_g, ny, nx); e_in/f_in are the per-group boundary
-    tables.  Averaging identities hold by construction; the boundary-factor
-    average falls back to the unweighted mean where its denominator is
-    smaller than 1e-30 of the local energy density.
+    kappa/planck are (n_g, ny, nx); group_flux is the per-group (vertical,
+    horizontal) flux-coefficient pair that MultigroupLoqdSolver.solve returns
+    with mg; e_in/f_in are the per-group boundary tables.  Averaging
+    identities hold by construction; the boundary-factor average falls back
+    to the unweighted mean where its denominator is smaller than 1e-30 of the
+    local energy density.
     """
     n_g = kappa.shape[0]
     kap2 = kappa.reshape(n_g, -1)
@@ -415,7 +413,7 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
     bfg = geom.boundary_face_global()
     e_faces = np.concatenate([e_v, e_h], axis=1)
     e_bf = e_faces[:, bfg]
-    cb = _boundary_factors(closure)
+    cb = closure.cb
     diff = e_bf - e_in
     den = diff.sum(axis=0)
     num = (cb * diff).sum(axis=0)
@@ -433,42 +431,10 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
             fc.p.sum(axis=0),
         )
 
-    vgroup, hgroup = group_flux_coeffs(closure, kap2, prev, dt, geom, material.light_speed)
-    vflux = average(geom.vadj, vgroup, e_v, e_h)
-    hflux = average(geom.hadj, hgroup, e_h, e_v)
+    vflux = average(geom.vadj, group_flux[0], e_v, e_h)
+    hflux = average(geom.hadj, group_flux[1], e_h, e_v)
     return SpectrumAveraged(kbar_e, kbar_b, cbar, e_in.sum(axis=0), f_in.sum(axis=0),
                             vflux, hflux)
-
-
-def rosseland_averages(mg: MultigroupMoments, kappa: np.ndarray):
-    """Flux-weighted opacities and the residual drift vector, per face.
-
-    Face opacities are the mean of the adjacent cell values.  Raises
-    DegenerateStateError where the flux magnitude sum vanishes (e.g. exact
-    equilibrium), which is why these are computed on demand only.
-    """
-    n_g = kappa.shape[0]
-    kx = np.empty((n_g,) + mg.f_vface.shape[1:])
-    kx[:, :, 1:-1] = 0.5 * (kappa[:, :, 1:] + kappa[:, :, :-1])
-    kx[:, :, 0] = kappa[:, :, 0]
-    kx[:, :, -1] = kappa[:, :, -1]
-    ky = np.empty((n_g,) + mg.f_hface.shape[1:])
-    ky[:, 1:-1, :] = 0.5 * (kappa[:, 1:, :] + kappa[:, :-1, :])
-    ky[:, 0, :] = kappa[:, 0, :]
-    ky[:, -1, :] = kappa[:, -1, :]
-    ax = np.abs(mg.f_vface)
-    ay = np.abs(mg.f_hface)
-    if np.any(ax.sum(axis=0) <= 0.0) or np.any(ay.sum(axis=0) <= 0.0):
-        raise DegenerateStateError("zero flux magnitude in a Rosseland-type average")
-    kr_x = (kx * ax).sum(axis=0) / ax.sum(axis=0)
-    kr_y = (ky * ay).sum(axis=0) / ay.sum(axis=0)
-    ex = mg.e_vface.sum(axis=0)
-    ey = mg.e_hface.sum(axis=0)
-    if np.any(ex <= 0.0) or np.any(ey <= 0.0):
-        raise DegenerateStateError("zero energy density in the drift average")
-    eta_x = ((kx - kr_x[None]) * mg.f_vface).sum(axis=0) / ex
-    eta_y = ((ky - kr_y[None]) * mg.f_hface).sum(axis=0) / ey
-    return kr_x, kr_y, eta_x, eta_y
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +452,6 @@ class GreyState:
     f_vface: np.ndarray      # (ny, nx+1)
     f_hface: np.ndarray      # (ny+1, nx)
     newton_iterations: int = 0
-    newton_residual: float = 0.0
 
 
 class GreyProblem:
@@ -574,7 +539,7 @@ class GreyProblem:
             rnorm = float(np.max(np.abs(r) / scale))
             history.append(rnorm)
             if rnorm <= self.newton_tol:
-                return self._package(x, T, it, rnorm)
+                return self._package(x, T, it)
             jac = self._data.copy()
             jac[self.system.diag_slot] -= self._emis_coeff * 4.0 * T**3 * dTdE
             try:
@@ -595,7 +560,7 @@ class GreyProblem:
         r, scale = self.residual(x, T)
         rnorm = float(np.max(np.abs(r) / scale))
         if rnorm <= self.newton_tol:
-            return self._package(x, T, self.max_newton, rnorm)
+            return self._package(x, T, self.max_newton)
         raise SolverError(
             f"grey Newton did not converge in {self.max_newton} iterations "
             f"(residual {rnorm:.3e})", history)
@@ -604,7 +569,7 @@ class GreyProblem:
         """Face fluxes from the one-sided expressions, averaged per face."""
         return self.system.face_fluxes(x, self._weights, self.coeffs.vflux, self.coeffs.hflux)
 
-    def _package(self, x, T, iterations, rnorm) -> GreyState:
+    def _package(self, x, T, iterations) -> GreyState:
         ny, nx = self.system.shape
         e_c, e_v, e_h = self.system.energies(x)
         fv, fh = self.flux_values(x)
@@ -613,6 +578,5 @@ class GreyProblem:
             f_vface=fv.reshape(ny, nx + 1),
             f_hface=fh.reshape(ny + 1, nx),
             newton_iterations=iterations,
-            newton_residual=rnorm,
         )
 

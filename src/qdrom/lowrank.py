@@ -153,12 +153,6 @@ class DmdModel:
     def rank(self) -> int:
         return self.modes.shape[1]
 
-    @property
-    def omega(self) -> np.ndarray:
-        """Continuous-time rates ln(lambda)/dt on the principal branch."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(self.eigenvalues.astype(complex)) / self.dt
-
     def in_window(self, step: int) -> bool:
         return 1 <= step <= self.n_steps
 

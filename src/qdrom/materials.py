@@ -86,15 +86,6 @@ def planck_cumulative(x) -> np.ndarray:
     return out
 
 
-def planck_band_fraction(x_lo, x_hi) -> np.ndarray:
-    """Fraction of the total Planck integral carried by x in [x_lo, x_hi)."""
-    x_lo = np.asarray(x_lo, dtype=float)
-    x_hi = np.asarray(x_hi, dtype=float)
-    lo = planck_cumulative(x_lo)
-    hi = np.where(np.isinf(x_hi), 0.0, planck_cumulative(np.where(np.isinf(x_hi), 0.0, x_hi)))
-    return (lo - hi) / _PI4_15
-
-
 def planck_spectrum(T, grid: FrequencyGrid, *, radiation_constant: float = A_RAD,
                     light_speed: float = C_LIGHT) -> np.ndarray:
     """Group Planck emission B_g(T) per steradian, all groups at once.
@@ -112,16 +103,6 @@ def planck_spectrum(T, grid: FrequencyGrid, *, radiation_constant: float = A_RAD
     frac = (cum[:, :-1] - cum[:, 1:]) / _PI4_15
     scale = radiation_constant * light_speed * Tcol**4 / FOUR_PI
     return (scale * frac).reshape(np.shape(T) + (grid.n_groups,))
-
-
-def planck_group_integral(T: float, g: int, grid: FrequencyGrid, *,
-                          radiation_constant: float = A_RAD,
-                          light_speed: float = C_LIGHT) -> float:
-    """Planck emission B_g(T) for a single group g (0-based)."""
-    if not 0 <= g < grid.n_groups:
-        raise IndexError(f"group index {g} out of range for {grid.n_groups} groups")
-    return float(planck_spectrum(T, grid, radiation_constant=radiation_constant,
-                                 light_speed=light_speed)[..., g])
 
 
 @dataclass(frozen=True)

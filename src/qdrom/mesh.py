@@ -56,10 +56,6 @@ class SpatialMesh:
         """(ny, nx) cell areas dx*dy, cm^2."""
         return self.dy[:, None] * self.dx[None, :]
 
-    @property
-    def domain_area(self) -> float:
-        return float(self.dx.sum() * self.dy.sum())
-
     # index maps -----------------------------------------------------------
     def cell_ids(self) -> np.ndarray:
         return np.arange(self.n_cells).reshape(self.ny, self.nx)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum
-from .mesh import SpatialMesh
+from .mesh import SIDES, SpatialMesh
 from .quadrature import AngularQuadrature
 
 # the sweep has one numpy path; benchmarks/run.py reports this flag
@@ -41,11 +41,6 @@ class BoundarySpec:
     right: np.ndarray
     top: np.ndarray
 
-    @classmethod
-    def vacuum(cls, n_groups: int) -> "BoundarySpec":
-        z = np.zeros(n_groups)
-        return cls(z, z.copy(), z.copy(), z.copy())
-
     def side(self, name: str) -> np.ndarray:
         return getattr(self, name)
 
@@ -55,8 +50,8 @@ class ClosureRecord:
     """Eddington tensor components and boundary factors for one time level.
 
     Tensor entries live on cell centers and on the face grids that consume
-    them in the moment equations; boundary factors are per boundary face and
-    group, sides ordered left, bottom, right, top.
+    them in the moment equations; boundary factors are per group and
+    boundary face, in the geometry's boundary-face order (mesh.SIDES).
     """
 
     fxx_cell: np.ndarray   # (n_g, ny, nx)
@@ -65,20 +60,15 @@ class ClosureRecord:
     fxy_vface: np.ndarray  # (n_g, ny, nx+1)
     fyy_hface: np.ndarray  # (n_g, ny+1, nx)
     fxy_hface: np.ndarray  # (n_g, ny+1, nx)
-    cb_left: np.ndarray    # (n_g, ny)
-    cb_bottom: np.ndarray  # (n_g, nx)
-    cb_right: np.ndarray   # (n_g, ny)
-    cb_top: np.ndarray     # (n_g, nx)
+    cb: np.ndarray         # (n_g, 2 (nx + ny))
 
     def bound_violations(self) -> dict:
         """Count entries outside the physical closure bounds (not clamped)."""
         diag = 0
         for a in (self.fxx_cell, self.fyy_cell, self.fxx_vface, self.fyy_hface):
             diag += int(np.sum((a < 0.0) | (a > 1.0)))
-        cb = 0
-        for a in (self.cb_left, self.cb_bottom, self.cb_right, self.cb_top):
-            cb += int(np.sum((a <= 0.0) | (a >= 1.0)))
-        return {"tensor": diag, "boundary_factor": cb}
+        return {"tensor": diag,
+                "boundary_factor": int(np.sum((self.cb <= 0.0) | (self.cb >= 1.0)))}
 
 
 def intensity_unknowns(nx: int, ny: int, n_groups: int, n_dirs: int) -> int:
@@ -251,13 +241,11 @@ class TransportSolver:
         tv, th = self.face_traces(I)
         fxx_v, _, fxy_v = eddington_ratios(self.quad, tv)
         _, fyy_h, fxy_h = eddington_ratios(self.quad, th)
-        nx, ny = self.mesh.nx, self.mesh.ny
-        cb_l = half_range_factor(self.quad, tv[:, :, :, 0], "x", -1.0)
-        cb_r = half_range_factor(self.quad, tv[:, :, :, nx], "x", 1.0)
-        cb_b = half_range_factor(self.quad, th[:, :, 0, :], "y", -1.0)
-        cb_t = half_range_factor(self.quad, th[:, :, ny, :], "y", 1.0)
-        return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h,
-                             cb_l, cb_b, cb_r, cb_t)
+        # outgoing traces, axis and outward normal sign of each boundary side
+        sides = {"left": (tv[:, :, :, 0], "x", -1.0), "bottom": (th[:, :, 0, :], "y", -1.0),
+                 "right": (tv[:, :, :, -1], "x", 1.0), "top": (th[:, :, -1, :], "y", 1.0)}
+        cb = np.concatenate([half_range_factor(self.quad, *sides[s]) for s in SIDES], axis=1)
+        return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h, cb)
 
     # ------------------------------------------------------------- moments
     def cell_moments(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -87,8 +87,7 @@ def test_criterion_2_closure_identities(per_quadrant):
         assert np.max(np.abs(arr - 1.0 / 3.0)) <= 1e-10
     for arr in (rec.fxy_vface, rec.fxy_hface):
         assert np.max(np.abs(arr)) <= 1e-10
-    for cb in (rec.cb_left, rec.cb_bottom, rec.cb_right, rec.cb_top):
-        assert np.max(np.abs(cb - 0.5)) <= 1e-10
+    assert np.max(np.abs(rec.cb - 0.5)) <= 1e-10
     report(f"2 closure identities (isotropic f = 1/3, C = 1/2; {4 * per_quadrant} directions)")
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdrom.analysis import (
     DegenerateReferenceError,
+    FieldStepError,
     ShapeMismatchError,
     XI_GRID,
     boundary_averages,
@@ -85,6 +86,11 @@ def test_error_series_errors():
     zero = synthetic_run(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
     with pytest.raises(DegenerateReferenceError):
         relative_error_series(run, zero)
+    # field-map steps are 1-based and within the run: 0 is not the last step
+    for steps in ((0,), (3,), (1, -1)):
+        with pytest.raises(FieldStepError):
+            relative_error_series(run, run, field_steps=steps)
+    assert issubclass(FieldStepError, ValueError)
 
 
 @settings(max_examples=30, deadline=None)

@@ -93,6 +93,18 @@ def test_compare_field_maps(workdir):
     assert "temperature:2" in arrays and "energy:4" in arrays
 
 
+@pytest.mark.parametrize("steps", ["0", "6", "x", "2,"])
+def test_compare_bad_field_steps_are_usage_errors(workdir, steps):
+    run = str(workdir / "fom" / "fom_run.ddet")
+    argv = ["compare", "--run-a", run, "--run-b", run, "--out", str(workdir / "bad.csv"),
+            "--field-steps", steps]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects values it cannot parse
+        rc = exc.code
+    assert rc == 2
+
+
 def test_breakout_unreachable_threshold(workdir):
     out = workdir / "bk.csv"
     rc = main(["breakout", "--run", str(workdir / "fom" / "fom_run.ddet"),

@@ -79,8 +79,7 @@ def test_snapshot_roundtrip(tiny_config, tiny_fom, tiny_snapshots):
     rebuilt = unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups)
     orig = tiny_fom.closures[n - 1]
     for attr in ("fxx_cell", "fyy_cell", "fxx_vface", "fxy_vface",
-                 "fyy_hface", "fxy_hface", "cb_left", "cb_bottom",
-                 "cb_right", "cb_top"):
+                 "fyy_hface", "fxy_hface", "cb"):
         assert np.array_equal(getattr(rebuilt, attr), getattr(orig, attr))
     # and stacking the rebuilt record reproduces the columns bit-exactly
     restacked = stack_closure(rebuilt)
@@ -104,7 +103,7 @@ def test_determinism_bit_identical(tiny_config, tiny_fom):
     assert np.array_equal(again.f_vface, tiny_fom.f_vface)
     for c1, c2 in zip(again.closures, tiny_fom.closures):
         assert np.array_equal(c1.fxx_cell, c2.fxx_cell)
-        assert np.array_equal(c1.cb_left, c2.cb_left)
+        assert np.array_equal(c1.cb, c2.cb)
 
 
 def test_identity_playback_matches_fom(tiny_config, tiny_fom, tiny_snapshots):

@@ -13,8 +13,8 @@ from qdrom.loqd import (
     SolverError,
     SpectrumAveraged,
     compute_grey_coefficients,
+    group_flux_coeffs,
     incoming_tables,
-    rosseland_averages,
 )
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
 from qdrom.mesh import SpatialMesh
@@ -34,10 +34,7 @@ def isotropic_closure(n_g, ny, nx, cb=0.5):
         fxy_vface=np.zeros((n_g, ny, nx + 1)),
         fyy_hface=np.full((n_g, ny + 1, nx), third),
         fxy_hface=np.zeros((n_g, ny + 1, nx)),
-        cb_left=np.full((n_g, ny), cb),
-        cb_bottom=np.full((n_g, nx), cb),
-        cb_right=np.full((n_g, ny), cb),
-        cb_top=np.full((n_g, nx), cb),
+        cb=np.full((n_g, 2 * (nx + ny)), cb),
     )
 
 
@@ -51,10 +48,9 @@ def random_closure(rng, n_g, ny, nx):
         fxy_vface=rng.uniform(-0.05, 0.05, size=(n_g, ny, nx + 1)),
         fyy_hface=diag((n_g, ny + 1, nx)),
         fxy_hface=rng.uniform(-0.05, 0.05, size=(n_g, ny + 1, nx)),
-        cb_left=rng.uniform(0.4, 0.7, size=(n_g, ny)),
-        cb_bottom=rng.uniform(0.4, 0.7, size=(n_g, nx)),
-        cb_right=rng.uniform(0.4, 0.7, size=(n_g, ny)),
-        cb_top=rng.uniform(0.4, 0.7, size=(n_g, nx)),
+        # one draw per side, sides in the boundary-face order
+        cb=np.concatenate([rng.uniform(0.4, 0.7, size=(n_g, n)) for n in (ny, nx, ny, nx)],
+                          axis=1),
     )
 
 
@@ -84,7 +80,7 @@ def test_multigroup_equilibrium_fixed_point(T_star):
     kappa = np.moveaxis(MAT.group_opacity(np.full((3, 4), T_star), GRID3), -1, 0)
     planck = np.repeat(b_g[:, None], 12, axis=1).reshape(3, 3, 4)
     prev = MultigroupMoments.equilibrium(planck, geom, c)
-    out = solver.solve(closure, kappa, planck, prev, dt=0.02)
+    out, _ = solver.solve(closure, kappa, planck, prev, dt=0.02)
     e_star = 4.0 * np.pi * b_g / c
     assert np.max(np.abs(out.e_cell - e_star[:, None, None])) <= 1e-11 * e_star.max()
     assert np.max(np.abs(out.e_vface - e_star[:, None, None])) <= 1e-11 * e_star.max()
@@ -109,7 +105,7 @@ def test_single_cell_matches_dense_oracle():
         rng.uniform(-0.2, 0.2, (1, 2, 1)),
     )
     dt = 0.05
-    out = solver.solve(closure, kappa, planck, prev, dt)
+    out, _ = solver.solve(closure, kappa, planck, prev, dt)
 
     # independent dense assembly: unknowns [Ec, EvL, EvR, EhB, EhT, FvL, FvR, FhB, FhT]
     c = MAT.light_speed
@@ -157,12 +153,13 @@ def test_single_cell_matches_dense_oracle():
         M[row, EVR] = 0.5 * c * dy * fxyv[1]
         M[row, EVL] = -0.5 * c * dy * fxyv[0]
         b[row] = af / (c * dt) * fprev
-    # boundary rows, vacuum: sign*F - c*C*E_f = 0
+    # boundary rows, vacuum: sign*F - c*C*E_f = 0; one face per side
+    cb_l, cb_b, cb_r, cb_t = closure.cb[0]
     bc_rows = [
-        (5, FVL, EVL, -1.0, closure.cb_left[0, 0]),
-        (6, FHB, EHB, -1.0, closure.cb_bottom[0, 0]),
-        (7, FVR, EVR, 1.0, closure.cb_right[0, 0]),
-        (8, FHT, EHT, 1.0, closure.cb_top[0, 0]),
+        (5, FVL, EVL, -1.0, cb_l),
+        (6, FHB, EHB, -1.0, cb_b),
+        (7, FVR, EVR, 1.0, cb_r),
+        (8, FHT, EHT, 1.0, cb_t),
     ]
     for row, fcol, ecol, sgn, cb in bc_rows:
         M[row, fcol] = sgn
@@ -188,8 +185,7 @@ def dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in):
     n = nc + 2 * (nv + nh)
     col = {"ev": nc, "eh": nc + nv, "fv": nc + nv + nh, "fh": nc + 2 * nv + nh}
     area = geom.mesh.cell_area.ravel()
-    cb = np.concatenate([closure.cb_left, closure.cb_bottom,
-                         closure.cb_right, closure.cb_top], axis=1)
+    cb = closure.cb
     out = []
     for g in range(kappa.shape[0]):
         kap = kappa[g].ravel()
@@ -251,7 +247,7 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
         rng.uniform(-0.2, 0.2, (n_g, ny + 1, nx)),
     )
     dt = 0.05
-    out = solver.solve(closure, kappa, planck, prev, dt)
+    out, _ = solver.solve(closure, kappa, planck, prev, dt)
     x, n_e = dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in)
     got_e = np.concatenate([out.e_cell.reshape(n_g, -1), out.e_vface.reshape(n_g, -1),
                             out.e_hface.reshape(n_g, -1)], axis=1)
@@ -277,9 +273,9 @@ def test_source_linearity():
     zero = MultigroupMoments(*(np.zeros_like(a) for a in
                                (prev.e_cell, prev.e_vface, prev.e_hface,
                                 prev.f_vface, prev.f_hface)))
-    hom = solver.solve(closure, kappa, np.zeros_like(planck), prev, 0.1)
-    one = solver.solve(closure, kappa, planck, prev, 0.1)
-    two = solver.solve(closure, kappa, 2.0 * planck, prev, 0.1)
+    hom, _ = solver.solve(closure, kappa, np.zeros_like(planck), prev, 0.1)
+    one, _ = solver.solve(closure, kappa, planck, prev, 0.1)
+    two, _ = solver.solve(closure, kappa, 2.0 * planck, prev, 0.1)
     ref = np.abs(one.e_cell).max()
     assert np.max(np.abs((two.e_cell - hom.e_cell) - 2.0 * (one.e_cell - hom.e_cell))) \
         <= 1e-12 * ref
@@ -300,7 +296,7 @@ def test_cell_balance_residual_after_solve():
         rng.uniform(0.5, 1.0, (3, 5, 4)), rng.uniform(-0.1, 0.1, (3, 4, 5)),
         rng.uniform(-0.1, 0.1, (3, 5, 4)),
     )
-    out = solver.solve(closure, kappa, planck, prev, dt=0.02)
+    out, _ = solver.solve(closure, kappa, planck, prev, dt=0.02)
     assert solver.cell_balance_residual(out, kappa, planck, prev, 0.02) <= 1e-12
 
 
@@ -337,18 +333,23 @@ def coeff_inputs(rng, n_g, ny, nx, geom):
     return mg, prev, kappa, planck, closure, e_in, f_in
 
 
+def grey_coefficients(mg, kappa, planck, closure, prev, dt, geom, e_in, f_in):
+    """Grey coefficients from the per-group flux coefficients of these inputs."""
+    group_flux = group_flux_coeffs(closure, kappa.reshape(kappa.shape[0], -1), prev, dt,
+                                   geom, MAT.light_speed)
+    return compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom,
+                                     e_in, f_in)
+
+
 def test_single_group_averages_are_identity():
     rng = np.random.default_rng(8)
     mesh = SpatialMesh.uniform(3, 2, 0.5, 0.5)
     geom = ProblemGeometry.build(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 1, 2, 3, geom)
-    co = compute_grey_coefficients(mg, kappa, planck, closure, prev, 0.1,
-                                   geom, MAT, e_in, f_in)
+    co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, geom, e_in, f_in)
     assert co.kbar_e == pytest.approx(kappa.reshape(-1), rel=1e-14)
     assert co.kbar_b == pytest.approx(kappa.reshape(-1), rel=1e-14)
-    cb_all = np.concatenate([closure.cb_left, closure.cb_bottom,
-                             closure.cb_right, closure.cb_top], axis=1)[0]
-    assert co.cbar == pytest.approx(cb_all, rel=1e-14)
+    assert co.cbar == pytest.approx(closure.cb[0], rel=1e-14)
 
 
 def test_constant_opacity_averages():
@@ -357,14 +358,9 @@ def test_constant_opacity_averages():
     geom = ProblemGeometry.build(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 2, 2, geom)
     kappa[:] = 1.7
-    co = compute_grey_coefficients(mg, kappa, planck, closure, prev, 0.1,
-                                   geom, MAT, e_in, f_in)
+    co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, geom, e_in, f_in)
     assert np.allclose(co.kbar_e, 1.7, rtol=1e-14)
     assert np.allclose(co.kbar_b, 1.7, rtol=1e-14)
-    kr_x, kr_y, eta_x, eta_y = rosseland_averages(mg, kappa)
-    assert np.allclose(kr_x, 1.7, rtol=1e-14)
-    assert np.max(np.abs(eta_x)) <= 1e-14
-    assert np.max(np.abs(eta_y)) <= 1e-14
 
 
 def test_averages_match_summation_oracle():
@@ -373,8 +369,7 @@ def test_averages_match_summation_oracle():
     geom = ProblemGeometry.build(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 3, 3, geom)
     dt = 0.07
-    co = compute_grey_coefficients(mg, kappa, planck, closure, prev, dt,
-                                   geom, MAT, e_in, f_in)
+    co = grey_coefficients(mg, kappa, planck, closure, prev, dt, geom, e_in, f_in)
     # absorption average, explicit loops
     for cell in range(9):
         iy, ix = divmod(cell, 3)
@@ -397,16 +392,6 @@ def test_averages_match_summation_oracle():
     assert co.vflux.p[j] == pytest.approx(expected_p, rel=1e-13)
 
 
-def test_rosseland_degenerate_raises():
-    rng = np.random.default_rng(12)
-    mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
-    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 2, 2, 2, geom)
-    mg.f_vface[:] = 0.0
-    with pytest.raises(DegenerateStateError):
-        rosseland_averages(mg, kappa)
-
-
 def test_zero_energy_average_raises():
     rng = np.random.default_rng(13)
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
@@ -414,8 +399,7 @@ def test_zero_energy_average_raises():
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 2, 2, 2, geom)
     mg.e_cell[:, 0, 0] = 0.0
     with pytest.raises(DegenerateStateError):
-        compute_grey_coefficients(mg, kappa, planck, closure, prev, 0.1,
-                                  geom, MAT, e_in, f_in)
+        grey_coefficients(mg, kappa, planck, closure, prev, 0.1, geom, e_in, f_in)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +530,8 @@ def test_grey_matches_multigroup_sum():
     f_in = np.zeros((3, geom.bfaces.count))
     solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
     dt = 0.02
-    mg = solver.solve(closure, kappa, planck, prev, dt)
-    co = compute_grey_coefficients(mg, kappa, planck, closure, prev, dt,
-                                   geom, MAT, e_in, f_in)
+    mg, group_flux = solver.solve(closure, kappa, planck, prev, dt)
+    co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
     e_c, e_v, e_h, f_v, f_h = mg.totals()
     problem = GreyProblem(geom, co, MAT, dt,
                           prev.e_cell.sum(axis=0), T_field)

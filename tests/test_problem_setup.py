@@ -9,8 +9,6 @@ from qdrom.materials import (
     FrequencyGrid,
     MaterialModel,
     TemperatureDomainError,
-    planck_band_fraction,
-    planck_group_integral,
     planck_spectrum,
 )
 from qdrom.mesh import SpatialMesh, build_adjacency, build_boundary
@@ -42,7 +40,7 @@ def series_band_integral(x_lo, x_hi, n_terms=400):
 def test_single_group_recovers_stefan_boltzmann():
     grid = FrequencyGrid(np.array([0.0, 1.0e7]))
     for T in (0.37, 1.0, 2.5):
-        b1 = planck_group_integral(T, 0, grid)
+        b1 = planck_spectrum(T, grid)[0]
         assert b1 >= 0.0
         assert FOUR_PI * b1 == pytest.approx(A_RAD * C_LIGHT * T**4, rel=1e-12)
 
@@ -59,7 +57,7 @@ def test_first_group_fraction_matches_series_oracle():
     expected = series_band_integral(0.0, 0.7075) / (np.pi**4 / 15.0)
     assert expected == pytest.approx(1.381e-2, rel=2e-3)  # sanity on the oracle itself
     grid = FrequencyGrid(FC_BOUNDS)
-    b1 = planck_group_integral(1.0, 0, grid)
+    b1 = planck_spectrum(1.0, grid)[0]
     total = A_RAD * C_LIGHT
     assert FOUR_PI * b1 / total == pytest.approx(expected, rel=1e-12)
 
@@ -98,15 +96,20 @@ def test_planck_additivity_property(frac, T):
 def test_planck_rejects_nonpositive_temperature():
     grid = FrequencyGrid(np.array([0.0, 1.0]))
     with pytest.raises(TemperatureDomainError):
-        planck_group_integral(0.0, 0, grid)
+        planck_spectrum(0.0, grid)
     with pytest.raises(TemperatureDomainError):
         planck_spectrum(-1.0, grid)
 
 
 def test_band_fraction_against_oracle():
-    for lo, hi in [(0.5, 3.0), (0.0, 1.0), (2.0, np.inf)]:
+    # at T = 1 keV the last group (lo, hi) of a grid with edges (0, lo, hi)
+    # carries 4 pi B / (a_R c) = the band fraction of the Planck integral
+    for edges, lo, hi in [((0.0, 0.5, 3.0), 0.5, 3.0), ((0.0, 1.0), 0.0, 1.0),
+                          ((0.0, 2.0, 1.0e7), 2.0, np.inf)]:
         expected = series_band_integral(lo, hi) / (np.pi**4 / 15.0)
-        assert planck_band_fraction(lo, hi) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        b_last = planck_spectrum(1.0, FrequencyGrid(np.array(edges)))[-1]
+        assert FOUR_PI * b_last / (A_RAD * C_LIGHT) \
+            == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,7 @@ def test_mesh_counts_and_areas():
     assert mesh.n_vfaces == 21 * 20
     assert mesh.n_hfaces == 20 * 21
     assert np.all(mesh.cell_area > 0.0)
-    assert mesh.cell_area.sum() == pytest.approx(mesh.domain_area, rel=1e-14)
+    assert mesh.cell_area.sum() == pytest.approx(mesh.dx.sum() * mesh.dy.sum(), rel=1e-14)
 
 
 def test_adjacency_half_areas_and_counts():

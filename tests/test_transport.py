@@ -1,15 +1,19 @@
 """Sweep and closure-extraction checks against independent oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qdrom.drivers import stack_closure, unstack_closure
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
-from qdrom.mesh import SpatialMesh
+from qdrom.mesh import SpatialMesh, build_boundary
 from qdrom.quadrature import build_quadrature
 from qdrom.transport import (
     BoundarySpec,
     DegenerateIntensityError,
     ShapeError,
     TransportSolver,
+    half_range_factor,
     intensity_unknowns,
 )
 
@@ -21,7 +25,7 @@ def make_solver(nx=3, ny=3, per_quadrant=1, grid=GRID2, bc=None, dx=0.5, dy=0.5)
     mesh = SpatialMesh.uniform(nx, ny, dx, dy)
     quad = build_quadrature(per_quadrant)
     if bc is None:
-        bc = BoundarySpec.vacuum(grid.n_groups)
+        bc = BoundarySpec(*(np.zeros(grid.n_groups) for _ in range(4)))
     return TransportSolver(mesh, quad, grid, MAT, bc)
 
 
@@ -298,8 +302,7 @@ def test_isotropic_boundary_factor_is_half():
                       bc=BoundarySpec(*(np.full(2, 0.9) for _ in range(4))))
     I = np.full(sol.shape, 0.9)
     rec = sol.compute_eddington(I)
-    for cb in (rec.cb_left, rec.cb_bottom, rec.cb_right, rec.cb_top):
-        assert np.max(np.abs(cb - 0.5)) <= 1e-10
+    assert np.max(np.abs(rec.cb - 0.5)) <= 1e-10
 
 
 def test_classic_four_point_boundary_factor():
@@ -308,8 +311,7 @@ def test_classic_four_point_boundary_factor():
                       bc=BoundarySpec(*(np.full(2, 1.0) for _ in range(4))))
     I = np.full(sol.shape, 1.0)
     rec = sol.compute_eddington(I)
-    for cb in (rec.cb_left, rec.cb_bottom, rec.cb_right, rec.cb_top):
-        assert np.max(np.abs(cb - 1.0 / np.sqrt(3.0))) <= 1e-12
+    assert np.max(np.abs(rec.cb - 1.0 / np.sqrt(3.0))) <= 1e-12
 
 
 def test_beam_eddington_is_direction_product():
@@ -326,13 +328,38 @@ def test_beam_eddington_is_direction_product():
 
 
 def test_grazing_single_direction_boundary_factor():
-    from qdrom.transport import half_range_factor
     quad = build_quadrature(3)
     m_sel = int(np.nonzero(quad.mu > 0)[0][0])
     samples = np.zeros((1, quad.n_dirs, 3))
     samples[:, m_sel] = 2.0
     cb = half_range_factor(quad, samples, "x", 1.0)
     assert cb == pytest.approx(quad.mu[m_sel], rel=1e-14)
+
+
+def test_boundary_factors_in_boundary_face_order():
+    # nx != ny and a different inflow per side, so a side placed in another
+    # side's block of cb cannot match
+    nx, ny = 3, 2
+    sol = make_solver(nx, ny, per_quadrant=3,
+                      bc=BoundarySpec(*(np.full(2, v) for v in (0.9, 0.3, 0.6, 0.1))))
+    I = sol.sweep(np.full((2, ny, nx), 0.8), np.full((2, ny, nx), 0.2),
+                  np.full(sol.shape, 0.05), 0.1)
+    rec = sol.compute_eddington(I)
+    # outgoing traces from the boundary cells' corners (SW, SE, NW, NE)
+    sides = {
+        "left": (0.5 * (I[:, :, :, 0, 0] + I[:, :, :, 0, 2]), "x", -1.0),
+        "bottom": (0.5 * (I[:, :, 0, :, 0] + I[:, :, 0, :, 1]), "y", -1.0),
+        "right": (0.5 * (I[:, :, :, -1, 1] + I[:, :, :, -1, 3]), "x", 1.0),
+        "top": (0.5 * (I[:, :, -1, :, 2] + I[:, :, -1, :, 3]), "y", 1.0),
+    }
+    bfaces = build_boundary(sol.mesh)
+    assert rec.cb.shape == (2, bfaces.count) == (2, 2 * (nx + ny))
+    for side, (trace, axis, outward) in sides.items():
+        expected = half_range_factor(sol.quad, trace, axis, outward)
+        assert np.array_equal(rec.cb[:, bfaces.side_slice(side)], expected), side
+    rebuilt = unstack_closure(stack_closure(rec), nx, ny, 2)
+    for f in dataclasses.fields(rec):
+        assert np.array_equal(getattr(rebuilt, f.name), getattr(rec, f.name)), f.name
 
 
 def test_random_closure_matches_summation_oracle():
@@ -351,6 +378,7 @@ def test_random_closure_matches_summation_oracle():
                 den = sum(w[m] * ibar[m] for m in range(sol.quad.n_dirs))
                 assert rec.fxx_cell[g, iy, ix] == pytest.approx(num / den, rel=1e-13)
     # boundary-factor oracle on the left side
+    left = rec.cb[:, build_boundary(sol.mesh).side_slice("left")]
     for iy in range(2):
         for g in range(2):
             num = den = 0.0
@@ -359,7 +387,7 @@ def test_random_closure_matches_summation_oracle():
                     tr = 0.5 * (I[g, m, iy, 0, 0] + I[g, m, iy, 0, 2])
                     num += w[m] * (-mu[m]) * tr
                     den += w[m] * tr
-            assert rec.cb_left[g, iy] == pytest.approx(num / den, rel=1e-13)
+            assert left[g, iy] == pytest.approx(num / den, rel=1e-13)
 
 
 def test_eddington_trace_identity():
@@ -453,6 +481,5 @@ def test_closure_bounds_for_positive_intensity():
     tv, _ = sol.face_traces(I)
     fxx_v, fyy_v, fxy_v = eddington_ratios(sol.quad, tv)
     assert np.all(fxy_v**2 <= fxx_v * fyy_v * (1.0 + 1e-12))
-    for cb in (rec.cb_left, rec.cb_bottom, rec.cb_right, rec.cb_top):
-        assert np.all((cb > 0.0) & (cb < 1.0))
+    assert np.all((rec.cb > 0.0) & (rec.cb < 1.0))
 
