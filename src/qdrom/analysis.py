@@ -20,7 +20,7 @@ class ShapeMismatchError(ValueError):
 
 
 class DegenerateReferenceError(ValueError):
-    """Reference field has zero norm at some step."""
+    """Reference field has zero norm at some step, or a zero cell at a field step."""
 
 
 class FieldStepError(ValueError):
@@ -85,6 +85,9 @@ def relative_error_series(run: RunRecord, reference: RunRecord,
         fields = {}
         for step in field_steps:
             n = step - 1
+            if np.any(reference.temperature[n] == 0.0) or np.any(reference.e_cell[n] == 0.0):
+                raise DegenerateReferenceError(
+                    f"zero reference cell at field step {step}: no relative error map")
             fields[step] = {
                 "temperature": np.abs(run.temperature[n] - reference.temperature[n])
                 / np.abs(reference.temperature[n]),

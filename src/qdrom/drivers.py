@@ -7,10 +7,18 @@ coupled grey/material-energy problem for the next temperature iterate.  The
 full-order model refreshes closures from a transport sweep every iteration;
 the reduced-order model reconstructs them once per step from compressed
 data and never touches the transport grid.
+
+The outer iteration is a fixed point of the map T_it -> grey temperature.
+Both drivers accelerate it by Anderson mixing of the temperature iterate
+(depth `ANDERSON_DEPTH`, history reset every step): the first iterate of a
+step is the plain update, and a mixed iterate with a non-positive cell
+temperature falls back to the plain update.  The change test and the
+accepted state are those of the unmixed grey solve.
 """
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +54,12 @@ class DriverError(RuntimeError):
 #: undefined.  The floor is ~1e-110 below any physical signal in the
 #: supported configurations and keeps intensities representable.
 INTENSITY_SEED = 1e-125
+
+#: past residual differences combined by the Anderson mixing of the outer
+#: iterate.  The wave-front opacity makes the plain (Picard) update contract
+#: at ~0.88 per iteration; depth 10 cuts the desk FOM steps 1-2 from 230/199
+#: to 62/50 iterations, and depth 20 was no better.  0 is the plain update.
+ANDERSON_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -193,13 +207,36 @@ def _spectral_fields(p: Problem, T: np.ndarray):
     return np.ascontiguousarray(kappa), np.ascontiguousarray(planck)
 
 
+def _anderson_update(pairs, depth: int) -> np.ndarray:
+    """Type-II Anderson update of a fixed-point iteration x -> g(x).
+
+    `pairs` holds the latest (x, g(x)) pairs, oldest first.  With residuals
+    f = g - x, the update is g_k - dG gamma, where gamma minimises
+    |f_k - dF gamma|_2 over the differences of the last `depth` + 1 pairs
+    (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  Returns g_k itself when
+    only one pair is usable, or when the update has a component <= 0.
+    """
+    g_k = pairs[-1][1]
+    m = min(depth, len(pairs) - 1)
+    if m == 0:
+        return g_k
+    recent = list(pairs)[-m - 1:]
+    xs = np.array([x.ravel() for x, _ in recent])
+    gs = np.array([g.ravel() for _, g in recent])
+    f = gs - xs
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    mixed = (gs[-1] - np.diff(gs, axis=0).T @ gamma).reshape(g_k.shape)
+    return mixed if np.all(mixed > 0.0) else g_k
+
+
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
                   closures, norm_ord, warm_x):
     """Iterate the multilevel loop for one time step until fixed point.
 
     The step is accepted once the change of T and of E between outer
     iterates, in the vector norm of order `norm_ord`, is within
-    outer_tol * |new| + outer_floor.
+    outer_tol * |new| + outer_floor.  The change test sees the unmixed grey
+    solution; only the next temperature iterate is Anderson-mixed.
     """
     cfg = p.config
     tol, floor = cfg.outer_tol, cfg.outer_floor
@@ -213,6 +250,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     E_it = e_prev_tot
     grey_x = warm_x
     history = []
+    pairs = deque(maxlen=ANDERSON_DEPTH + 1)
     for it in range(cfg.max_outer):
         kappa, planck = _spectral_fields(p, T_it)
         closure, extra = closures(T_it, kappa, planck)
@@ -234,9 +272,11 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
                                  grey.e_hface.ravel()])
         change = max(ratio(grey.temperature, T_it), ratio(grey.e_cell, E_it))
         history.append(change)
-        T_it, E_it = grey.temperature, grey.e_cell
         if change <= 1.0:
             return grey, mg, closure, extra, it + 1, history, grey_x
+        pairs.append((T_it, grey.temperature))
+        T_it = _anderson_update(pairs, ANDERSON_DEPTH)
+        E_it = grey.e_cell
     raise DriverError(
         f"no convergence in {cfg.max_outer} iterations (last change ratio "
         f"{history[-1]:.3e})", history)

@@ -491,7 +491,8 @@ class GreyProblem:
         quart = mat.light_speed * co.kbar_b * mat.radiation_constant
         rhs = mat.light_speed * co.kbar_e * e_cell + lin * self.t_prev
         # no positive root exists for rhs <= 0 (transient Newton overshoot);
-        # pin those cells near zero and let the outer damping recover
+        # pin those cells near zero and let the next outer iterate recover
+        # (a mixed iterate with a cell T <= 0 falls back to the plain update)
         rhs = np.maximum(rhs, lin * 1e-12)
         if self._t_cache is not None:
             T = self._t_cache.copy()

@@ -91,6 +91,13 @@ def test_error_series_errors():
         with pytest.raises(FieldStepError):
             relative_error_series(run, run, field_steps=steps)
     assert issubclass(FieldStepError, ValueError)
+    # a zero reference cell has no relative error map at that step
+    e = np.ones((2, 2, 2))
+    e[1, 0, 0] = 0.0
+    holed = synthetic_run(np.ones((2, 2, 2)), e)
+    assert relative_error_series(run, holed, field_steps=(1,)).fields[1]["energy"].max() == 0.0
+    with pytest.raises(DegenerateReferenceError, match="field step 2"):
+        relative_error_series(run, holed, field_steps=(2,))
 
 
 @settings(max_examples=30, deadline=None)

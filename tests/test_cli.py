@@ -105,6 +105,21 @@ def test_compare_bad_field_steps_are_usage_errors(workdir, steps):
     assert rc == 2
 
 
+def test_compare_zero_reference_cell_is_data_error(workdir, tmp_path):
+    # a relative error map is undefined where the reference cell is zero
+    run = workdir / "fom" / "fom_run.ddet"
+    kind, desc, arrays = read_container(run)
+    arrays["e_cell"][1, 0] = 0.0
+    ref = tmp_path / "holed_run.ddet"
+    write_container(ref, kind, desc, arrays)
+    fields = tmp_path / "fields.ddet"
+    rc = main(["compare", "--run-a", str(run), "--run-b", str(ref),
+               "--out", str(tmp_path / "cmp.csv"), "--field-steps", "2",
+               "--fields-out", str(fields)])
+    assert rc == 3
+    assert not fields.exists()
+
+
 def test_breakout_unreachable_threshold(workdir):
     out = workdir / "bk.csv"
     rc = main(["breakout", "--run", str(workdir / "fom" / "fom_run.ddet"),

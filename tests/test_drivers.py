@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from qdrom import drivers
 from qdrom.config import RunConfig, preset
 from qdrom.drivers import (
     DriverError,
     SNAPSHOT_NAMES,
+    _anderson_update,
     closure_unknowns,
     playback_models,
     record_snapshots,
@@ -147,6 +149,73 @@ def test_driver_error_on_iteration_cap(tiny_config, tiny_snapshots, mode):
             run_fom(cfg)
         else:
             run_rom(cfg, playback_models(tiny_snapshots))
+
+
+def affine_contraction(n, seed=0):
+    # x -> A x + b with positive A, b: positive iterates, spectral radius 0.9
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 1.0, (n, n))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    b = rng.uniform(0.5, 1.0, n)
+    return (lambda x: A @ x + b), np.linalg.solve(np.eye(n) - A, b)
+
+
+def test_anderson_depth_zero_is_plain_update():
+    g, _ = affine_contraction(4)
+    pairs = []
+    x = np.ones(4)
+    for _ in range(3):
+        pairs.append((x, g(x)))
+        x = _anderson_update(pairs, 0)
+        assert x is pairs[-1][1]
+
+
+@pytest.mark.parametrize("depth", [6, 10])
+def test_anderson_linear_map_converges_in_n_plus_one_updates(depth):
+    # Anderson mixing of a linear map is GMRES-equivalent: with the full
+    # history it reaches the fixed point within n + 1 updates
+    n = 6
+    g, fixed = affine_contraction(n)
+    pairs = []
+    x = np.ones(n)
+    for _ in range(n + 1):
+        pairs.append((x, g(x)))
+        x = _anderson_update(pairs, depth)
+    assert np.max(np.abs(x - fixed) / fixed) <= 1e-12
+    picard = np.ones(n)
+    for _ in range(n + 1):
+        picard = g(picard)
+    assert np.max(np.abs(picard - fixed) / fixed) > 0.1
+
+
+def test_anderson_nonpositive_mix_falls_back_to_plain_update():
+    # the secant step of x -> x / 2 - 1 from x = 10, 4 lands on its fixed
+    # point -2; the update keeps the plain image 1 instead
+    g = lambda x: 0.5 * x - 1.0
+    x0, x1 = np.array([10.0]), np.array([4.0])
+    pairs = [(x0, g(x0)), (x1, g(x1))]
+    assert np.array_equal(_anderson_update(pairs, 10), g(x1))
+    # a positive extrapolation is taken: x -> x / 2 + 1 has fixed point 2
+    g = lambda x: 0.5 * x + 1.0
+    pairs = [(x0, g(x0)), (x1, g(x1))]
+    assert _anderson_update(pairs, 10) == pytest.approx([2.0], rel=1e-14)
+
+
+@pytest.mark.parametrize("mode", ["fom", "rom"])
+def test_anderson_reaches_the_picard_fixed_point(tiny_config, tiny_fom, tiny_snapshots,
+                                                 mode, monkeypatch):
+    def run():
+        if mode == "fom":
+            return run_fom(tiny_config)
+        return run_rom(tiny_config, playback_models(tiny_snapshots))
+
+    mixed = tiny_fom if mode == "fom" else run()
+    monkeypatch.setattr(drivers, "ANDERSON_DEPTH", 0)
+    picard = run()
+    for name in ("temperature", "e_cell"):
+        ref = getattr(picard, name)
+        assert np.max(np.abs(getattr(mixed, name) - ref) / np.abs(ref)) <= 1e-10
+    assert mixed.iterations.sum() < picard.iterations.sum()
 
 
 def test_monotone_heating_under_constant_drive(tiny_config, tiny_fom):
