@@ -13,10 +13,8 @@ from .drivers import (
     run_rom,
 )
 from .lowrank import (
-    DmdModel,
-    PodModel,
+    ClosureModel,
     SnapshotMatrix,
-    SnapshotPlayback,
     compress,
     dmd_compress,
     pod_compress,
@@ -31,9 +29,8 @@ from .transport import BoundarySpec, ClosureRecord, TransportSolver
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularQuadrature", "BoundarySpec", "ClosureRecord", "DmdModel",
-    "FrequencyGrid", "MaterialModel", "PodModel",
-    "RunConfig", "RunRecord", "SnapshotMatrix", "SnapshotPlayback",
+    "AngularQuadrature", "BoundarySpec", "ClosureModel", "ClosureRecord",
+    "FrequencyGrid", "MaterialModel", "RunConfig", "RunRecord", "SnapshotMatrix",
     "SpatialMesh", "TimeGrid", "TransportSolver", "build_problem",
     "build_quadrature", "closure_unknowns", "compress", "dmd_compress",
     "load_config", "playback_models", "pod_compress",

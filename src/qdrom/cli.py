@@ -25,7 +25,6 @@ from .loqd import DegenerateStateError, SolverError
 from .lowrank import (
     DecompositionError,
     DegenerateDataError,
-    ModelError,
     OutOfWindowError,
     compress as compress_matrix,
 )
@@ -33,7 +32,7 @@ from .transport import intensity_unknowns
 
 USAGE_ERRORS = (ConfigError, FileNotFoundError, NotADirectoryError, analysis.FieldStepError)
 DATA_ERRORS = (container.FormatError, analysis.ShapeMismatchError,
-               analysis.DegenerateReferenceError, ModelError, DegenerateDataError,
+               analysis.DegenerateReferenceError, DegenerateDataError,
                OutOfWindowError, ValueError)
 SOLVER_ERRORS = (SolverError, DriverError, DecompositionError, DegenerateStateError)
 
@@ -98,8 +97,10 @@ def _load_models(path: Path, cfg: RunConfig):
     models = {}
     for name in SNAPSHOT_NAMES:
         hits = sorted(path.glob(f"{name}.*.ddet"))
-        if not hits:
-            raise container.FormatError(f"no model container for '{name}' in {path}")
+        if len(hits) != 1:
+            found = ", ".join(h.name for h in hits) or "none"
+            raise container.FormatError(
+                f"need one model container for '{name}' in {path}, found {found}")
         models[name] = container.load_model(hits[0])
     expected = {"nx": cfg.nx, "ny": cfg.ny, "n_groups": cfg.n_groups}
     for name, model in models.items():

@@ -8,8 +8,7 @@ Layout (all integers little-endian):
     | per array: name length u32, name utf-8, rows u64, cols u64,
       rows*cols float64 payload (C order, little-endian)
 
-Writers go through a temporary file and an atomic rename.  Complex arrays
-are stored as two float64 arrays with ":re" / ":im" name suffixes.
+Writers go through a temporary file and an atomic rename.
 """
 from __future__ import annotations
 
@@ -23,7 +22,9 @@ import numpy as np
 
 MAGIC = b"DDET"
 VERSION = 1
-KINDS = ("snapshot-set", "pod-model", "dmd-model", "run-record", "results")
+KINDS = ("snapshot-set", "closure-model", "run-record", "results")
+#: model kinds of earlier versions, which stored POD and DMD models apart
+RETIRED_KINDS = ("pod-model", "dmd-model")
 
 _U32 = struct.Struct("<I")
 _DIMS = struct.Struct("<QQ")
@@ -88,6 +89,9 @@ def read_container(path):
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         kind = _decode(_read_exact(fh, 16, "kind").rstrip(b"\0"), "ascii", "kind")
+        if kind in RETIRED_KINDS:
+            raise FormatError(f"{path}: retired payload kind '{kind}'; "
+                              "re-make the model with `qdrom compress`")
         if kind not in KINDS:
             raise FormatError(f"{path}: unknown payload kind '{kind}'")
         desc_len = _U32.unpack(_read_exact(fh, 4, "descriptor length"))[0]
@@ -155,67 +159,43 @@ def load_snapshot_set(path):
 
 
 def save_model(path, model) -> None:
-    from .lowrank import DmdModel, PodModel
-    if isinstance(model, PodModel):
-        descriptor = {
-            "model": "pod", "name": model.name, "layout": model.layout,
-            "xi_rel": model.xi_rel, "rank": model.rank,
-            "t0": model.t0, "dt": model.dt,
-        }
-        arrays = {
-            "mean": model.mean, "modes": model.modes,
-            "coefficients": model.coefficients,
-            "singular_values": model.singular_values,
-        }
-        write_container(path, "pod-model", descriptor, arrays)
-        return
-    if isinstance(model, DmdModel):
-        descriptor = {
-            "model": "dmd", "name": model.name, "layout": model.layout,
-            "xi_rel": model.xi_rel, "rank": model.rank, "variant": model.variant,
-            "n_steps": model.n_steps, "t0": model.t0, "dt": model.dt,
-            "has_equilibrium": model.equilibrium is not None,
-        }
-        arrays = {
-            "modes:re": model.modes.real, "modes:im": model.modes.imag,
-            "eigenvalues:re": model.eigenvalues.real,
-            "eigenvalues:im": model.eigenvalues.imag,
-            "amplitudes:re": model.amplitudes.real,
-            "amplitudes:im": model.amplitudes.imag,
-            "singular_values": model.singular_values,
-        }
-        if model.equilibrium is not None:
-            arrays["equilibrium"] = model.equilibrium
-        write_container(path, "dmd-model", descriptor, arrays)
-        return
-    raise TypeError(f"unsupported model type {type(model)!r}")
+    descriptor = {"name": model.name, "layout": model.layout,
+                  "xi_rel": model.xi_rel, "t0": model.t0, "dt": model.dt}
+    arrays = {"offset": model.offset, "basis": model.basis,
+              "coefficients": model.coefficients,
+              "singular_values": model.singular_values}
+    if model.operator is not None:
+        arrays["operator"] = model.operator
+    write_container(path, "closure-model", descriptor, arrays)
 
 
 def load_model(path):
-    from .lowrank import DmdModel, PodModel
+    from .lowrank import ClosureModel
     kind, desc, arrays = read_container(path)
+    if kind != "closure-model":
+        raise FormatError(f"{path}: expected closure-model, found {kind}")
     with _typed_fields(path, kind):
-        if kind == "pod-model":
-            return PodModel(
-                name=desc["name"], mean=arrays["mean"][0],
-                modes=arrays["modes"], coefficients=arrays["coefficients"],
-                singular_values=arrays["singular_values"][0],
-                xi_rel=desc["xi_rel"], layout=desc["layout"],
-                t0=desc["t0"], dt=desc["dt"],
-            )
-        if kind == "dmd-model":
-            eq = arrays["equilibrium"][0] if desc.get("has_equilibrium") else None
-            return DmdModel(
-                name=desc["name"],
-                modes=arrays["modes:re"] + 1j * arrays["modes:im"],
-                eigenvalues=(arrays["eigenvalues:re"] + 1j * arrays["eigenvalues:im"])[0],
-                amplitudes=(arrays["amplitudes:re"] + 1j * arrays["amplitudes:im"])[0],
-                variant=desc["variant"], equilibrium=eq,
-                singular_values=arrays["singular_values"][0],
-                xi_rel=desc["xi_rel"], n_steps=desc["n_steps"],
-                layout=desc["layout"], t0=desc["t0"], dt=desc["dt"],
-            )
-    raise FormatError(f"{path}: expected a model container, found {kind}")
+        for name, arr in arrays.items():
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"{path}: model array '{name}' has non-finite values")
+        (offset,), basis = arrays["offset"], arrays["basis"]
+        coefficients, operator = arrays["coefficients"], arrays.get("operator")
+        k = basis.shape[1]
+        if (offset.size != basis.shape[0] or coefficients.shape[0] != k
+                or (operator is not None and operator.shape != (k, k))):
+            raise FormatError(
+                f"{path}: model shapes disagree: offset {offset.shape}, basis "
+                f"{basis.shape}, coefficients {coefficients.shape}, operator "
+                f"{None if operator is None else operator.shape}")
+        (singular_values,) = arrays["singular_values"]
+        if not isinstance(desc["layout"], dict):
+            raise FormatError(f"{path}: model layout is not an object")
+        return ClosureModel(
+            name=desc["name"], offset=offset, basis=basis,
+            coefficients=coefficients, singular_values=singular_values,
+            xi_rel=desc["xi_rel"], layout=desc["layout"],
+            t0=desc["t0"], dt=desc["dt"], operator=operator,
+        )
 
 
 def save_run_record(path, run) -> None:

@@ -32,7 +32,7 @@ from .loqd import (
     compute_grey_coefficients,
     incoming_tables,
 )
-from .lowrank import SnapshotMatrix
+from .lowrank import ClosureModel, SnapshotMatrix
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum
 from .mesh import SIDES, SpatialMesh
 from .quadrature import build_quadrature
@@ -410,6 +410,15 @@ def record_snapshots(run: RunRecord) -> dict:
 
 
 def playback_models(matrices: dict) -> dict:
-    """Identity-playback models for every snapshot matrix (testing aid)."""
-    from .lowrank import SnapshotPlayback
-    return {name: SnapshotPlayback(matrices[name]) for name in SNAPSHOT_NAMES}
+    """Identity-playback models for every snapshot matrix (testing aid).
+
+    Each is the snapshot data as basis with identity coefficients, so step n
+    reconstructs stored column n exactly.
+    """
+    models = {}
+    for name in SNAPSHOT_NAMES:
+        m = matrices[name]
+        models[name] = ClosureModel(name, np.zeros(m.data.shape[0]), m.data,
+                                    np.eye(m.n_steps), np.empty(0), 0.0,
+                                    m.layout, m.t0, m.dt)
+    return models

@@ -1,10 +1,13 @@
 """Snapshot compression: truncated SVD, POD, DMD and DMD-E.
 
 Snapshot matrices hold one closure quantity per matrix, group-stacked rows,
-one column per time step.  POD centers the data about the column mean and
-keeps the leading left singular vectors; DMD fits the best linear one-step
-operator to the uncentered history and keeps projected modes; DMD-E first
-subtracts the final (near steady state) snapshot and drops it from the fit.
+one column per time step.  Every model reconstructs step n as
+offset + basis @ coefficients[:, n - 1] in real arithmetic.  POD centers
+the data about the column mean (the offset) and keeps the leading left
+singular vectors; DMD fits the best linear one-step operator to the
+uncentered history, projects it onto the leading left singular vectors and
+propagates the projected first snapshot with it; DMD-E first subtracts the
+final (near steady state) snapshot and drops it from the fit.
 
 The retained rank k is the smallest one whose discarded singular-value
 energy satisfies sum_{i>k} s_i^2 <= xi_rel^2 * sum_i s_i^2.
@@ -25,11 +28,7 @@ class DegenerateDataError(ValueError):
 
 
 class OutOfWindowError(IndexError):
-    """POD reconstruction requested outside the trained steps."""
-
-
-class ModelError(ValueError):
-    """Reconstruction produced unusable (non-finite) values."""
+    """Reconstruction requested outside the steps a model covers."""
 
 
 @dataclass
@@ -83,39 +82,50 @@ def select_rank(singular_values: np.ndarray, xi_rel: float) -> int:
 
 
 @dataclass
-class PodModel:
-    """Mean + orthonormal modes + per-step coefficients."""
+class ClosureModel:
+    """Real-valued closure model: offset + basis @ coefficients[:, step - 1].
+
+    The coefficient table has one column per trained step.  A DMD model also
+    keeps its k x k one-step operator, which extends the table past the
+    trained window; POD and playback models stop at the window's end.
+    """
 
     name: str
-    mean: np.ndarray          # (d,)
-    modes: np.ndarray         # (d, k)
+    offset: np.ndarray        # (d,)
+    basis: np.ndarray         # (d, k)
     coefficients: np.ndarray  # (k, n_steps)
     singular_values: np.ndarray
     xi_rel: float
     layout: dict = field(default_factory=dict)
     t0: float = 0.0
     dt: float = 1.0
+    operator: np.ndarray | None = None  # (k, k), DMD only
 
     @property
     def rank(self) -> int:
-        return self.modes.shape[1]
+        return self.basis.shape[1]
 
     @property
     def n_steps(self) -> int:
         return self.coefficients.shape[1]
 
-    def in_window(self, step: int) -> bool:
-        return 1 <= step <= self.n_steps
-
     def reconstruct(self, step: int) -> np.ndarray:
-        """Closure vector at time-step `step` (1-based, trained window only)."""
-        if not self.in_window(step):
+        """Closure vector at time-step `step` (1-based)."""
+        if step < 1 or (step > self.n_steps and self.operator is None):
             raise OutOfWindowError(
                 f"step {step} outside trained window 1..{self.n_steps}")
-        return self.mean + self.modes @ self.coefficients[:, step - 1]
+        z = self.coefficients[:, min(step, self.n_steps) - 1]
+        for _ in range(step - self.n_steps):
+            z = self.operator @ z
+        return self.offset + self.basis @ z
 
 
-def pod_compress(snap: SnapshotMatrix, xi_rel: float) -> PodModel:
+# kept as an alias: benchmarks/run.py times reconstruction by patching
+# `lowrank.PodModel.reconstruct`
+PodModel = ClosureModel
+
+
+def pod_compress(snap: SnapshotMatrix, xi_rel: float) -> ClosureModel:
     """POD of the column-centered snapshot matrix at truncation xi_rel."""
     a = snap.data
     if a.shape[1] < 2:
@@ -128,124 +138,50 @@ def pod_compress(snap: SnapshotMatrix, xi_rel: float) -> PodModel:
     else:
         k = select_rank(s, xi_rel)
     coeffs = s[:k, None] * vt[:k, :]
-    return PodModel(snap.name, mean, u[:, :k], coeffs, s, xi_rel,
-                    dict(snap.layout), snap.t0, snap.dt)
-
-
-@dataclass
-class DmdModel:
-    """Projected DMD modes, eigenvalues and first-snapshot amplitudes."""
-
-    name: str
-    modes: np.ndarray         # (d, k) complex
-    eigenvalues: np.ndarray   # (k,) complex
-    amplitudes: np.ndarray    # (k,) complex
-    variant: str              # "plain" or "equilibrium_subtracted"
-    equilibrium: np.ndarray | None
-    singular_values: np.ndarray
-    xi_rel: float
-    n_steps: int              # steps covered by the source snapshot matrix
-    layout: dict = field(default_factory=dict)
-    t0: float = 0.0
-    dt: float = 1.0
-
-    @property
-    def rank(self) -> int:
-        return self.modes.shape[1]
-
-    def in_window(self, step: int) -> bool:
-        return 1 <= step <= self.n_steps
-
-    def reconstruct(self, step: int) -> np.ndarray:
-        """Closure vector at step (1-based); extrapolation allowed beyond."""
-        if step < 1:
-            raise OutOfWindowError(f"step {step} is before the trained window")
-        p = step - 1
-        vec = self.modes @ (self.amplitudes * self.eigenvalues**p)
-        norm = np.linalg.norm(vec)
-        imag = np.max(np.abs(vec.imag)) if vec.size else 0.0
-        if imag > 1e-9 * max(norm, 1e-300):
-            raise ModelError(
-                f"imaginary residue {imag:.3e} exceeds tolerance for '{self.name}'")
-        out = vec.real
-        if self.equilibrium is not None:
-            out = out + self.equilibrium
-        if not np.all(np.isfinite(out)):
-            raise ModelError(f"non-finite reconstruction for '{self.name}'")
-        return out
+    return ClosureModel(snap.name, mean, u[:, :k], coeffs, s, xi_rel,
+                        dict(snap.layout), snap.t0, snap.dt)
 
 
 def dmd_compress(snap: SnapshotMatrix, xi_rel: float,
-                 variant: str = "plain") -> DmdModel:
-    """Projected-mode DMD (optionally equilibrium-subtracted) of a snapshot set.
+                 variant: str = "plain") -> ClosureModel:
+    """Projected DMD (optionally equilibrium-subtracted) of a snapshot set.
 
-    The best-fit one-step operator is approximated on the leading left
-    singular subspace of the history matrix; modes are the projections of
-    its eigenvectors, and amplitudes fit the first training snapshot in the
-    least-squares sense.
+    The best-fit one-step operator is projected onto the leading left
+    singular subspace U_k of the history matrix, A = U_k^T X' V_k S_k^-1.
+    Step p is reconstructed as U_k A^(p-1) U_k^T a_1, the projected-mode
+    DMD expansion with least-squares amplitudes evaluated in real
+    arithmetic (Schmid, J. Fluid Mech. 656, 2010).  The
+    "equilibrium_subtracted" variant first subtracts the final snapshot,
+    which becomes the offset, and drops it from the fit.
     """
     if variant not in ("plain", "equilibrium_subtracted"):
         raise ValueError(f"unknown DMD variant '{variant}'")
     a = snap.data
-    equilibrium = None
+    offset = np.zeros(a.shape[0])
     if variant == "equilibrium_subtracted":
         if a.shape[1] < 4:
             raise ValueError("equilibrium-subtracted DMD needs at least 4 columns")
-        equilibrium = a[:, -1].copy()
-        a = a[:, :-1] - equilibrium[:, None]
+        offset = a[:, -1].copy()
+        a = a[:, :-1] - offset[:, None]
     elif a.shape[1] < 3:
         raise ValueError("DMD needs at least 3 columns")
     x = a[:, :-1]
-    x_next = a[:, 1:]
     u, s, vt = truncated_svd(x)
     if np.all(s == 0.0):
-        # numerically constant training data: amplitude-free model
-        modes = u[:, :1].astype(complex)
-        return DmdModel(snap.name, modes, np.ones(1, dtype=complex),
-                        np.zeros(1, dtype=complex), variant, equilibrium,
-                        s, xi_rel, snap.n_steps, dict(snap.layout), snap.t0, snap.dt)
-    k = select_rank(s, xi_rel)
-    u_k = u[:, :k]
-    proj = (u_k.T @ x_next) @ (vt[:k, :].T / s[:k])
-    try:
-        eigvals, eigvecs = np.linalg.eig(proj)
-    except np.linalg.LinAlgError as err:
-        raise DecompositionError(f"DMD eigenproblem failed: {err}") from err
-    modes = u_k @ eigvecs
-    amplitudes, *_ = np.linalg.lstsq(modes, a[:, 0].astype(complex), rcond=None)
-    return DmdModel(snap.name, modes, eigvals, amplitudes, variant, equilibrium,
-                    s, xi_rel, snap.n_steps, dict(snap.layout), snap.t0, snap.dt)
+        # numerically constant training data: the offset carries everything
+        k, operator = 1, np.eye(1)
+    else:
+        k = select_rank(s, xi_rel)
+        operator = (u[:, :k].T @ a[:, 1:]) @ (vt[:k, :].T / s[:k])
+    coeffs = np.empty((k, snap.n_steps))
+    coeffs[:, 0] = u[:, :k].T @ a[:, 0]
+    for p in range(1, snap.n_steps):
+        coeffs[:, p] = operator @ coeffs[:, p - 1]
+    return ClosureModel(snap.name, offset, u[:, :k], coeffs, s, xi_rel,
+                        dict(snap.layout), snap.t0, snap.dt, operator)
 
 
-@dataclass
-class SnapshotPlayback:
-    """Lossless identity model: reconstruction returns the stored column."""
-
-    source: SnapshotMatrix
-
-    @property
-    def name(self) -> str:
-        return self.source.name
-
-    @property
-    def rank(self) -> int:
-        return self.source.data.shape[1]
-
-    @property
-    def layout(self) -> dict:
-        return self.source.layout
-
-    def in_window(self, step: int) -> bool:
-        return 1 <= step <= self.source.n_steps
-
-    def reconstruct(self, step: int) -> np.ndarray:
-        if not self.in_window(step):
-            raise OutOfWindowError(
-                f"step {step} outside recorded window 1..{self.source.n_steps}")
-        return self.source.data[:, step - 1].copy()
-
-
-def compress(snap: SnapshotMatrix, method: str, xi_rel: float):
+def compress(snap: SnapshotMatrix, method: str, xi_rel: float) -> ClosureModel:
     """Dispatch by method name: pod | dmd | dmd-e."""
     if method == "pod":
         return pod_compress(snap, xi_rel)

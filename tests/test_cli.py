@@ -211,6 +211,33 @@ def test_compare_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fau
     assert "data error" in capsys.readouterr().err
 
 
+def test_nonfinite_model_is_data_error(workdir, tmp_path, capsys):
+    models = tmp_path / "models"
+    rc = main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
+               "--method", "pod", "--xi", "1e-6", "--out", str(models)])
+    assert rc == 0
+    kind, desc, arrays = read_container(models / "cb.pod.ddet")
+    arrays["coefficients"][0, 1] = np.nan
+    write_container(models / "cb.pod.ddet", kind, desc, arrays)
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"), "--models", str(models),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "cb.pod.ddet" in capsys.readouterr().err
+
+
+def test_two_methods_in_one_model_directory_is_data_error(workdir, tmp_path, capsys):
+    snapshots = str(workdir / "fom" / "snapshots.ddet")
+    for method in ("pod", "dmd"):
+        rc = main(["compress", "--snapshots", snapshots, "--method", method,
+                   "--xi", "1e-6", "--out", str(tmp_path / "models")])
+        assert rc == 0
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"),
+               "--models", str(tmp_path / "models"), "--out", str(tmp_path / "r")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "fxx_c.dmd.ddet" in err and "fxx_c.pod.ddet" in err
+
+
 def test_layout_mismatch_is_data_error(workdir, tmp_path):
     other_cfg = tmp_path / "other.cfg"
     other_cfg.write_text(TINY_CONFIG.replace("nx = 4", "nx = 3"))

@@ -109,10 +109,10 @@ def test_dmd_model_roundtrip(tmp_path, tiny_snapshots, variant):
     path = tmp_path / "m.ddet"
     save_model(path, model)
     back = load_model(path)
-    assert back.variant == model.variant
-    assert np.array_equal(back.eigenvalues, model.eigenvalues)
-    for n in (1, 2, 5):
-        assert np.allclose(back.reconstruct(n), model.reconstruct(n), rtol=0, atol=0)
+    assert np.array_equal(back.operator, model.operator)
+    assert np.array_equal(back.offset, model.offset)
+    for n in (1, 2, 5, 9):
+        assert np.array_equal(back.reconstruct(n), model.reconstruct(n))
 
 
 def test_run_record_roundtrip(tmp_path, tiny_fom):
@@ -184,6 +184,42 @@ def test_model_kind_mismatch(tmp_path, tiny_snapshots, tiny_config):
         load_run_record(path)
 
 
+@pytest.mark.parametrize("kind", ["pod-model", "dmd-model"])
+def test_retired_model_kinds_are_format_errors(tmp_path, tiny_snapshots, kind):
+    # containers of the former split POD/DMD layout must be re-made
+    path = tmp_path / "m.ddet"
+    save_model(path, pod_compress(tiny_snapshots["cb"], 1e-6))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + kind.encode("ascii").ljust(16, b"\0") + raw[24:])
+    with pytest.raises(FormatError, match="qdrom compress"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "offset rows", "basis columns",
+                                   "operator shape", "two offset rows", "layout"])
+def test_model_contents_are_checked(tmp_path, tiny_snapshots, fault):
+    path = tmp_path / "m.ddet"
+    save_model(path, dmd_compress(tiny_snapshots["cb"], 1e-8))
+    kind, desc, arrays = read_container(path)
+    if fault == "nan":
+        arrays["coefficients"][0, 2] = np.nan
+    elif fault == "inf":
+        arrays["basis"][3, 0] = -np.inf
+    elif fault == "offset rows":
+        arrays["offset"] = arrays["offset"][:, :-1]
+    elif fault == "basis columns":
+        arrays["basis"] = arrays["basis"][:, :-1]
+    elif fault == "operator shape":
+        arrays["operator"] = arrays["operator"][:-1]
+    elif fault == "two offset rows":
+        arrays["offset"] = np.vstack([arrays["offset"]] * 2)
+    else:
+        desc["layout"] = 5
+    write_container(path, kind, desc, arrays)
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # corrupted files: only FormatError may escape
 # ---------------------------------------------------------------------------
@@ -202,40 +238,48 @@ def record_file(tmp_path_factory, tiny_fom):
     return path, path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def fuzz_inputs(record_file, tmp_path_factory, tiny_snapshots):
+    """(path, bytes, typed loader) of a run record and of a DMD model."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ddet"
+    save_model(path, dmd_compress(tiny_snapshots["cb"], 1e-8))
+    return [(*record_file, load_run_record), (path, path.read_bytes(), load_model)]
+
+
 FUZZ = settings(max_examples=60, deadline=None)
 
 
-def load_corrupted(path, raw: bytes) -> None:
+def load_corrupted(path, raw: bytes, load) -> None:
     path.write_bytes(raw)
     try:
         read_container(path)
-        load_run_record(path)
+        load(path)
     except FormatError:
         pass
 
 
 @FUZZ
 @given(data=st.data())
-def test_fuzz_truncation(record_file, data):
-    path, raw = record_file
+def test_fuzz_truncation(fuzz_inputs, data):
+    path, raw, load = data.draw(st.sampled_from(fuzz_inputs))
     cut = data.draw(st.integers(0, len(raw) - 1))
     path.write_bytes(raw[:cut])
     with pytest.raises(FormatError):
         read_container(path)
     with pytest.raises(FormatError):
-        load_run_record(path)
+        load(path)
 
 
 @FUZZ
 @given(data=st.data())
-def test_fuzz_byte_flips(record_file, data):
-    path, raw = record_file
+def test_fuzz_byte_flips(fuzz_inputs, data):
+    path, raw, load = data.draw(st.sampled_from(fuzz_inputs))
     flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
                                min_size=1, max_size=4))
     bad = bytearray(raw)
     for pos, mask in flips:
         bad[pos] ^= mask
-    load_corrupted(path, bytes(bad))
+    load_corrupted(path, bytes(bad), load)
 
 
 @FUZZ

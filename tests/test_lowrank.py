@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdrom.drivers import SNAPSHOT_NAMES, playback_models
 from qdrom.lowrank import (
     DegenerateDataError,
     OutOfWindowError,
     SnapshotMatrix,
-    SnapshotPlayback,
     compress,
     dmd_compress,
     pod_compress,
@@ -106,10 +106,10 @@ def test_select_rank_minimality(values, xi):
 def test_pod_constant_columns_is_exact_mean():
     col = np.array([2.0, -1.0, 0.5])
     model = pod_compress(snap(np.tile(col[:, None], (1, 5))), 1e-6)
-    assert np.allclose(model.mean, col)
+    assert np.allclose(model.offset, col)
     for n in range(1, 6):
         assert np.allclose(model.reconstruct(n), col)
-    assert np.max(np.abs(model.modes.T @ model.modes - np.eye(model.rank))) <= 1e-12
+    assert np.max(np.abs(model.basis.T @ model.basis - np.eye(model.rank))) <= 1e-12
 
 
 def test_pod_alternating_columns_rank_one():
@@ -158,7 +158,7 @@ def test_pod_optimality_against_random_projections():
     k = model.rank
     centered = a - a.mean(axis=1)[:, None]
     best = np.linalg.norm(
-        centered - model.modes @ (model.modes.T @ centered), "fro")
+        centered - model.basis @ (model.basis.T @ centered), "fro")
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(15, k)))
         other = np.linalg.norm(centered - q @ (q.T @ centered), "fro")
@@ -173,7 +173,7 @@ def test_dmd_scalar_geometric_sequence():
     a = np.array([[1.0, 2.0, 4.0, 8.0]])
     model = dmd_compress(snap(a, dt=0.5), 1e-12)
     assert model.rank == 1
-    assert model.eigenvalues[0] == pytest.approx(2.0, rel=1e-12)
+    assert np.linalg.eigvals(model.operator)[0] == pytest.approx(2.0, rel=1e-12)
     for n in range(1, 5):
         assert model.reconstruct(n)[0] == pytest.approx(a[0, n - 1], rel=1e-10)
 
@@ -186,9 +186,10 @@ def test_dmd_diagonal_linear_system_oracle():
         cols.append(b @ cols[-1])
     a = np.stack(cols, axis=1)
     model = dmd_compress(snap(a, dt=1.0), 1e-12)
-    eigs = np.sort(model.eigenvalues.real)
-    assert np.allclose(np.sort(np.abs(model.eigenvalues)), [0.5, 0.9], atol=1e-10)
-    assert np.max(np.abs(model.eigenvalues.imag)) <= 1e-10
+    eigenvalues = np.linalg.eigvals(model.operator)
+    eigs = np.sort(eigenvalues.real)
+    assert np.allclose(np.sort(np.abs(eigenvalues)), [0.5, 0.9], atol=1e-10)
+    assert np.max(np.abs(eigenvalues.imag)) <= 1e-10
     assert eigs == pytest.approx([0.5, 0.9], abs=1e-10)
     for n in range(1, 9):
         assert np.allclose(model.reconstruct(n), a[:, n - 1], atol=1e-10)
@@ -205,24 +206,28 @@ def test_dmd_conjugate_pair_symmetry():
     for _ in range(9):
         cols.append(rot @ cols[-1])
     model = dmd_compress(snap(np.stack(cols, axis=1)), 1e-12)
-    eigs = np.sort_complex(model.eigenvalues)
+    eigs = np.sort_complex(np.linalg.eigvals(model.operator))
     assert np.allclose(eigs[0], np.conj(eigs[1]), atol=1e-12)
-    amps = model.amplitudes[np.argsort(model.eigenvalues.imag)]
-    assert np.allclose(amps[0], np.conj(amps[1]), atol=1e-10)
+    assert np.allclose(np.abs(eigs), 0.95, atol=1e-12)
     for n in range(1, 11):
         assert np.allclose(model.reconstruct(n), cols[n - 1], atol=1e-9)
 
 
 def test_dmd_amplitude_fit_is_locally_optimal():
+    # basis @ z_1 is the orthogonal projection of a_1 onto the orthonormal basis
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 5)) + 5.0
     model = dmd_compress(snap(a), 1e-1)
-    base = np.linalg.norm(model.modes @ model.amplitudes - a[:, 0])
+    z1 = model.coefficients[:, 0]
+    assert np.max(np.abs(model.basis.T @ model.basis - np.eye(model.rank))) <= 1e-12
+    residual = a[:, 0] - model.basis @ z1
+    assert np.max(np.abs(model.basis.T @ residual)) <= 1e-12 * np.linalg.norm(a[:, 0])
+    base = np.linalg.norm(residual)
     for i in range(model.rank):
-        for delta in (1e-6, -1e-6, 1e-6j, -1e-6j):
-            beta = model.amplitudes.copy()
-            beta[i] += delta
-            assert np.linalg.norm(model.modes @ beta - a[:, 0]) >= base - 1e-12
+        for delta in (1e-6, -1e-6):
+            z = z1.copy()
+            z[i] += delta
+            assert np.linalg.norm(model.basis @ z - a[:, 0]) >= base - 1e-12
 
 
 def test_dmd_exact_for_low_order_recurrence():
@@ -242,7 +247,7 @@ def test_dmd_exact_for_low_order_recurrence():
 def test_dmd_negative_eigenvalue_branch():
     a = np.array([[1.0, -0.5, 0.25, -0.125]])
     model = dmd_compress(snap(a, dt=2.0), 1e-12)
-    assert model.eigenvalues[0] == pytest.approx(-0.5, rel=1e-12)
+    assert np.linalg.eigvals(model.operator)[0] == pytest.approx(-0.5, rel=1e-12)
     for n in range(1, 5):
         assert model.reconstruct(n)[0] == pytest.approx(a[0, n - 1], rel=1e-10)
 
@@ -251,8 +256,8 @@ def test_dmde_constant_data_returns_equilibrium():
     col = np.array([4.0, -2.0])
     a = np.tile(col[:, None], (1, 6))
     model = dmd_compress(snap(a), 1e-2, variant="equilibrium_subtracted")
-    assert model.equilibrium == pytest.approx(col)
-    assert np.max(np.abs(model.amplitudes)) == 0.0
+    assert model.offset == pytest.approx(col)
+    assert np.max(np.abs(model.coefficients)) == 0.0
     for n in (1, 3, 17):
         assert np.array_equal(model.reconstruct(n), col)
 
@@ -265,7 +270,7 @@ def test_dmde_recovers_shifted_dynamics():
     cols = [a_b + np.array([1.0, -1.0]) * lam**n for n in range(9)] + [a_b]
     a = np.stack(cols, axis=1)
     model = dmd_compress(snap(a), 1e-10, variant="equilibrium_subtracted")
-    assert model.eigenvalues[0] == pytest.approx(lam, rel=1e-10)
+    assert np.linalg.eigvals(model.operator)[0] == pytest.approx(lam, rel=1e-10)
     for n in range(1, 10):
         assert np.allclose(model.reconstruct(n), a[:, n - 1], atol=1e-9)
 
@@ -286,7 +291,7 @@ def test_dmd_input_validation():
 def test_snapshot_playback_identity():
     rng = np.random.default_rng(13)
     s = snap(rng.normal(size=(5, 4)))
-    model = SnapshotPlayback(s)
+    model = playback_models({name: s for name in SNAPSHOT_NAMES})["cb"]
     for n in range(1, 5):
         assert np.array_equal(model.reconstruct(n), s.data[:, n - 1])
     with pytest.raises(OutOfWindowError):
@@ -296,8 +301,31 @@ def test_snapshot_playback_identity():
 def test_compress_dispatch():
     rng = np.random.default_rng(14)
     s = snap(rng.normal(size=(6, 6)) + 4.0)
-    assert compress(s, "pod", 1e-2).rank >= 1
-    assert compress(s, "dmd", 1e-2).variant == "plain"
-    assert compress(s, "dmd-e", 1e-2).variant == "equilibrium_subtracted"
+    pod = compress(s, "pod", 1e-2)
+    assert pod.rank >= 1 and pod.operator is None
+    dmd = compress(s, "dmd", 1e-2)
+    assert dmd.operator is not None and not np.any(dmd.offset)
+    dmde = compress(s, "dmd-e", 1e-2)
+    assert np.array_equal(dmde.offset, s.data[:, -1])
     with pytest.raises(ValueError):
         compress(s, "nope", 1e-2)
+
+
+def test_desk_models_reconstruct_real_over_xi_grid():
+    # every method at every truncation of the rank tables yields finite real
+    # closures on the desk snapshot set; accuracy is not asserted here
+    from pathlib import Path
+
+    from qdrom.analysis import XI_GRID
+    from qdrom.container import load_snapshot_set
+    data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+    matrices, _ = load_snapshot_set(data / "desk_snapshots.ddet")
+    for method in ("pod", "dmd", "dmd-e"):
+        for xi in XI_GRID:
+            for name in SNAPSHOT_NAMES:
+                mat = matrices[name]
+                model = compress(mat, method, xi)
+                for n in range(1, mat.n_steps + 1):
+                    vec = model.reconstruct(n)
+                    assert vec.dtype == np.float64 and vec.shape == (mat.data.shape[0],)
+                    assert np.all(np.isfinite(vec)), (method, xi, name, n)
