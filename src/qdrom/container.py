@@ -142,6 +142,11 @@ def save_snapshot_set(path, matrices: dict, config_meta: dict) -> None:
                     {k: matrices[k].data for k in SNAPSHOT_NAMES})
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
 def load_snapshot_set(path):
     from .drivers import SNAPSHOT_NAMES
     from .lowrank import SnapshotMatrix
@@ -150,9 +155,14 @@ def load_snapshot_set(path):
         raise FormatError(f"{path}: expected snapshot-set, found {kind}")
     out = {}
     with _typed_fields(path, kind):
+        for key in ("t0", "dt"):
+            if not _finite_number(desc[key]):
+                raise FormatError(f"{path}: snapshot-set '{key}' is not a finite number")
         for name in SNAPSHOT_NAMES:
             if name not in arrays:
                 raise FormatError(f"{path}: snapshot matrix '{name}' missing")
+            if not isinstance(desc["layouts"][name], dict):
+                raise FormatError(f"{path}: layout of '{name}' is not an object")
             out[name] = SnapshotMatrix(name, arrays[name], desc["layouts"][name],
                                        t0=desc["t0"], dt=desc["dt"])
         return out, desc.get("config", {})
@@ -213,6 +223,7 @@ def save_run_record(path, run) -> None:
         "f_vface": run.f_vface.reshape(nt, -1),
         "f_hface": run.f_hface.reshape(nt, -1),
         "iterations": run.iterations.astype(float),
+        "newton_iterations": run.newton_iterations.astype(float),
         "final_change": run.final_change,
         "negative_corners": run.negative_corners.astype(float),
         "closure_violations": run.closure_violations.astype(float),
@@ -248,6 +259,9 @@ def load_run_record(path):
             f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
             f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
             iterations=_counts(path, "iterations", arrays["iterations"][0]),
+            # records written before this counter was stored load as zeros
+            newton_iterations=_counts(path, "newton_iterations",
+                                      arrays.get("newton_iterations", np.zeros((1, nt)))[0]),
             final_change=arrays["final_change"][0],
             negative_corners=_counts(path, "negative_corners", arrays["negative_corners"][0]),
             closure_violations=_counts(path, "closure_violations",

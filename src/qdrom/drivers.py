@@ -189,6 +189,7 @@ class RunRecord:
     f_hface: np.ndarray
     closures: list = field(default_factory=list)
     iterations: np.ndarray = None
+    newton_iterations: np.ndarray = None  # grey Newton, summed over a step's outer iterations
     final_change: np.ndarray = None
     negative_corners: np.ndarray = None
     closure_violations: np.ndarray = None
@@ -250,6 +251,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     E_it = e_prev_tot
     grey_x = warm_x
     history = []
+    newton = 0
     pairs = deque(maxlen=ANDERSON_DEPTH + 1)
     for it in range(cfg.max_outer):
         kappa, planck = _spectral_fields(p, T_it)
@@ -268,12 +270,13 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
                 mg_prev.e_hface.sum(axis=0).ravel(),
             ])
         grey = grey_problem.solve(grey_x)
+        newton += grey.newton_iterations
         grey_x = np.concatenate([grey.e_cell.ravel(), grey.e_vface.ravel(),
                                  grey.e_hface.ravel()])
         change = max(ratio(grey.temperature, T_it), ratio(grey.e_cell, E_it))
         history.append(change)
         if change <= 1.0:
-            return grey, mg, closure, extra, it + 1, history, grey_x
+            return grey, mg, closure, extra, it + 1, newton, history, grey_x
         pairs.append((T_it, grey.temperature))
         T_it = _anderson_update(pairs, ANDERSON_DEPTH)
         E_it = grey.e_cell
@@ -298,13 +301,14 @@ def _empty_record(p: Problem, mode: str) -> RunRecord:
         temperature=np.empty((nt, ny, nx)), e_cell=np.empty((nt, ny, nx)),
         e_vface=np.empty((nt, ny, nx + 1)), e_hface=np.empty((nt, ny + 1, nx)),
         f_vface=np.empty((nt, ny, nx + 1)), f_hface=np.empty((nt, ny + 1, nx)),
-        iterations=np.zeros(nt, dtype=int), final_change=np.zeros(nt),
+        iterations=np.zeros(nt, dtype=int), newton_iterations=np.zeros(nt, dtype=int),
+        final_change=np.zeros(nt),
         negative_corners=np.zeros(nt, dtype=int),
         closure_violations=np.zeros(nt, dtype=int),
     )
 
 
-def _store_step(rec: RunRecord, n: int, grey, closure, extra, iters, history):
+def _store_step(rec: RunRecord, n: int, grey, closure, extra, iters, newton, history):
     rec.temperature[n] = grey.temperature
     rec.e_cell[n] = grey.e_cell
     rec.e_vface[n] = grey.e_vface
@@ -313,6 +317,7 @@ def _store_step(rec: RunRecord, n: int, grey, closure, extra, iters, history):
     rec.f_hface[n] = grey.f_hface
     rec.closures.append(closure)
     rec.iterations[n] = iters
+    rec.newton_iterations[n] = newton
     rec.final_change[n] = history[-1]
     rec.negative_corners[n] = extra
     viol = closure.bound_violations()
@@ -337,13 +342,13 @@ def _run(p: Problem, mode: str, closures_for_step, norm_ord, log) -> RunRecord:
     for n in range(cfg.n_steps):
         closures = closures_for_step(n)
         try:
-            grey, mg, closure, extra, iters, history, warm_x = _advance_step(
+            grey, mg, closure, extra, iters, newton, history, warm_x = _advance_step(
                 p, mg_prev, T_prev, closures, norm_ord, warm_x)
         except DriverError as err:
             raise DriverError(f"{mode.upper()} step {n + 1}: {err}", err.history) from err
         mg_prev = mg
         T_prev = grey.temperature
-        _store_step(rec, n, grey, closure, extra, iters, history)
+        _store_step(rec, n, grey, closure, extra, iters, newton, history)
         if log is not None:
             log(n + 1, iters, history[-1])
     return rec

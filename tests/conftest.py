@@ -1,4 +1,12 @@
 """Shared fixtures: a tiny fast problem reused across the machinery tests."""
+import os
+
+# One BLAS thread, set before anything imports numpy: on a 2-core host with
+# one other busy process, the suite's many small SVDs ran ~100x slower with
+# two OpenBLAS threads.  A value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from qdrom.config import RunConfig

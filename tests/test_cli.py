@@ -225,6 +225,24 @@ def test_nonfinite_model_is_data_error(workdir, tmp_path, capsys):
     assert "cb.pod.ddet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("layouts", 5), ("t0", "soon"), ("dt", float("nan"))])
+def test_compress_malformed_snapshot_descriptor_is_data_error(workdir, tmp_path, capsys,
+                                                              key, value):
+    kind, desc, arrays = read_container(workdir / "fom" / "snapshots.ddet")
+    if key == "layouts":
+        desc["layouts"]["cb"] = value
+    else:
+        desc[key] = value
+    bad = tmp_path / "snapshots.ddet"
+    write_container(bad, kind, desc, arrays)
+    models = tmp_path / "models"
+    rc = main(["compress", "--snapshots", str(bad), "--method", "pod", "--xi", "1e-6",
+               "--out", str(models)])
+    assert rc == 3
+    assert "data error" in capsys.readouterr().err
+    assert not list(models.glob("*.ddet"))
+
+
 def test_two_methods_in_one_model_directory_is_data_error(workdir, tmp_path, capsys):
     snapshots = str(workdir / "fom" / "snapshots.ddet")
     for method in ("pod", "dmd"):

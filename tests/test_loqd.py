@@ -449,6 +449,55 @@ def test_grey_equilibrium_fixed_point():
     assert np.max(np.abs(out.f_vface)) <= 1e-12 * MAT.light_speed * e_star
 
 
+def test_factor_keeps_natural_column_order():
+    # both levels factor in the unknowns' own order; the dense solve is the oracle
+    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    co = grey_coeffs_uniform(geom, kbar=2.0)
+    problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3), np.full((2, 3), 0.5))
+    system = geom.moment_system
+    grey = problem._data
+    multigroup = np.stack([grey, 2.0 * grey, 0.5 * grey])  # block-diagonal, 3 groups
+    rng = np.random.default_rng(41)
+    for data in (grey, multigroup):
+        lu = system.factor(data)
+        n = data.size // system.nnz * system.n_unknowns
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        b = rng.uniform(-1.0, 1.0, n)
+        x = np.linalg.solve(system.matrix(data).toarray(), b)
+        assert np.max(np.abs(lu.solve(b) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_grey_newton_evaluates_each_point_once():
+    # the MEB elimination and the residual run once per Newton point: the
+    # start and every line-search trial; an accepted trial is not re-evaluated
+    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    co = grey_coeffs_uniform(geom, kbar=3.0, p=0.002)
+    rng = np.random.default_rng(43)
+    t_prev = rng.uniform(0.3, 0.6, (2, 3))
+    e_prev = rng.uniform(1e-3, 5e-3, (2, 3))
+    problem = GreyProblem(geom, co, MAT, 0.03, e_prev, t_prev)
+    meb_args, residual_args = [], []
+    meb, residual = problem.meb_temperature, problem.residual
+
+    def counted_meb(e_cell):
+        meb_args.append(e_cell.copy())
+        return meb(e_cell)
+
+    def counted_residual(x, T):
+        residual_args.append(x.copy())
+        return residual(x, T)
+
+    problem.meb_temperature, problem.residual = counted_meb, counted_residual
+    x0 = np.concatenate([e_prev.ravel(), np.full(geom.n_vfaces + geom.n_hfaces, 1e-2)])
+    out = problem.solve(x0)
+    assert out.newton_iterations >= 2
+    assert len(meb_args) == len(residual_args) >= out.newton_iterations + 1
+    for e_cell, x in zip(meb_args, residual_args):
+        assert np.array_equal(e_cell, x[:geom.n_cells])
+    for i, x in enumerate(residual_args):
+        assert not any(np.array_equal(x, y) for y in residual_args[:i]), i
+
+
 def test_meb_temperature_raises_when_unconverged():
     geom = ProblemGeometry.build(SpatialMesh.uniform(2, 1, 0.5, 0.5))
     co = grey_coeffs_uniform(geom, kbar=2.0)
