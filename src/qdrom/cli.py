@@ -87,27 +87,31 @@ def _load_models(path: Path, cfg: RunConfig):
     """Model set from a directory of model containers or a snapshot-set file."""
     if path.is_file():
         kind, _, _ = container.read_container(path)
-        if kind == "snapshot-set":
-            matrices, _ = container.load_snapshot_set(path)
-            return playback_models(matrices)
-        raise container.FormatError(
-            f"{path}: expected a snapshot-set or a model directory, found {kind}")
-    if not path.is_dir():
-        raise FileNotFoundError(f"model path not found: {path}")
-    models = {}
-    for name in SNAPSHOT_NAMES:
-        hits = sorted(path.glob(f"{name}.*.ddet"))
-        if len(hits) != 1:
-            found = ", ".join(h.name for h in hits) or "none"
+        if kind != "snapshot-set":
             raise container.FormatError(
-                f"need one model container for '{name}' in {path}, found {found}")
-        models[name] = container.load_model(hits[0])
+                f"{path}: expected a snapshot-set or a model directory, found {kind}")
+        models = playback_models(container.load_snapshot_set(path)[0])
+    elif not path.is_dir():
+        raise FileNotFoundError(f"model path not found: {path}")
+    else:
+        models = {}
+        for name in SNAPSHOT_NAMES:
+            hits = sorted(path.glob(f"{name}.*.ddet"))
+            if len(hits) != 1:
+                found = ", ".join(h.name for h in hits) or "none"
+                raise container.FormatError(
+                    f"need one model container for '{name}' in {path}, found {found}")
+            models[name] = container.load_model(hits[0])
     expected = {"nx": cfg.nx, "ny": cfg.ny, "n_groups": cfg.n_groups}
     for name, model in models.items():
         got = {k: model.layout.get(k) for k in expected}
         if got != expected:
             raise container.FormatError(
                 f"layout mismatch for '{name}': model {got}, config {expected}")
+        if abs(model.dt - cfg.dt) > 1e-12 * cfg.dt:
+            raise container.FormatError(
+                f"time step mismatch for '{name}': model dt {model.dt:g}, "
+                f"config dt {cfg.dt:g}")
     return models
 
 

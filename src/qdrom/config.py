@@ -23,9 +23,9 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-#: options removed because no solver read them; stored configs may hold them
+#: options removed because no solver reads them; stored configs may hold them
 _RETIRED_KEYS = ("threads", "seed", "xi_rel", "method",
-                 "inner_tol_rel", "inner_tol_abs", "max_inner")
+                 "inner_tol_rel", "inner_tol_abs", "max_inner", "newton_tol", "max_newton")
 
 
 @dataclass
@@ -52,18 +52,16 @@ class RunConfig:
     outer_tol: float = 1e-14
     outer_floor: float = 1e-15
     max_outer: int = 500
-    newton_tol: float = 1e-13
-    max_newton: int = 100
 
     def __post_init__(self):
         for name in sorted(_FLOAT_KEYS):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        for name in ("nx", "ny", "quadrature", "n_steps", "max_outer", "max_newton"):
+        for name in ("nx", "ny", "quadrature", "n_steps", "max_outer"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
-                     "light_speed", "radiation_constant", "outer_tol", "newton_tol"):
+                     "light_speed", "radiation_constant", "outer_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
         if self.outer_floor < 0.0:
@@ -116,10 +114,10 @@ PRESETS = ("fleck-cummings-2d", "fleck-cummings-desk", "equilibrium-2d")
 _BOOL = {"true": True, "yes": True, "on": True, "1": True,
          "false": False, "no": False, "off": False, "0": False}
 
-_INT_KEYS = {"nx", "ny", "quadrature", "n_steps", "max_outer", "max_newton"}
+_INT_KEYS = {"nx", "ny", "quadrature", "n_steps", "max_outer"}
 _FLOAT_KEYS = {"dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
                "opacity_exponent", "light_speed", "radiation_constant",
-               "outer_tol", "outer_floor", "newton_tol"}
+               "outer_tol", "outer_floor"}
 _SIDE_KEYS = {"boundary_left", "boundary_bottom", "boundary_right", "boundary_top"}
 
 

@@ -200,6 +200,11 @@ def load_model(path):
         (singular_values,) = arrays["singular_values"]
         if not isinstance(desc["layout"], dict):
             raise FormatError(f"{path}: model layout is not an object")
+        for key in ("t0", "dt"):
+            if not _finite_number(desc[key]):
+                raise FormatError(f"{path}: model '{key}' is not a finite number")
+        if not (_finite_number(desc["xi_rel"]) and 0.0 < desc["xi_rel"] <= 1.0):
+            raise FormatError(f"{path}: model 'xi_rel' is not a number in (0, 1]")
         return ClosureModel(
             name=desc["name"], offset=offset, basis=basis,
             coefficients=coefficients, singular_values=singular_values,
@@ -223,7 +228,6 @@ def save_run_record(path, run) -> None:
         "f_vface": run.f_vface.reshape(nt, -1),
         "f_hface": run.f_hface.reshape(nt, -1),
         "iterations": run.iterations.astype(float),
-        "newton_iterations": run.newton_iterations.astype(float),
         "final_change": run.final_change,
         "negative_corners": run.negative_corners.astype(float),
         "closure_violations": run.closure_violations.astype(float),
@@ -259,9 +263,6 @@ def load_run_record(path):
             f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
             f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
             iterations=_counts(path, "iterations", arrays["iterations"][0]),
-            # records written before this counter was stored load as zeros
-            newton_iterations=_counts(path, "newton_iterations",
-                                      arrays.get("newton_iterations", np.zeros((1, nt)))[0]),
             final_change=arrays["final_change"][0],
             negative_corners=_counts(path, "negative_corners", arrays["negative_corners"][0]),
             closure_violations=_counts(path, "closure_violations",

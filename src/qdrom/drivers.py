@@ -4,6 +4,8 @@ Both drivers advance the same multilevel loop per step: update opacities and
 emission from the current temperature iterate, obtain closures, solve the
 multigroup moment system, average it to grey coefficients, then solve the
 coupled grey/material-energy problem for the next temperature iterate.  The
+grey level is one linear solve, with the emission linearized about the
+current iterate; the linearization is exact at the fixed point.  The
 full-order model refreshes closures from a transport sweep every iteration;
 the reduced-order model reconstructs them once per step from compressed
 data and never touches the transport grid.
@@ -189,7 +191,6 @@ class RunRecord:
     f_hface: np.ndarray
     closures: list = field(default_factory=list)
     iterations: np.ndarray = None
-    newton_iterations: np.ndarray = None  # grey Newton, summed over a step's outer iterations
     final_change: np.ndarray = None
     negative_corners: np.ndarray = None
     closure_violations: np.ndarray = None
@@ -231,7 +232,7 @@ def _anderson_update(pairs, depth: int) -> np.ndarray:
 
 
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
-                  closures, norm_ord, warm_x):
+                  closures, norm_ord):
     """Iterate the multilevel loop for one time step until fixed point.
 
     The step is accepted once the change of T and of E between outer
@@ -249,9 +250,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     e_prev_tot = mg_prev.e_cell.sum(axis=0)
     T_it = t_prev
     E_it = e_prev_tot
-    grey_x = warm_x
     history = []
-    newton = 0
     pairs = deque(maxlen=ANDERSON_DEPTH + 1)
     for it in range(cfg.max_outer):
         kappa, planck = _spectral_fields(p, T_it)
@@ -259,24 +258,12 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
         coeffs = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, p.geom,
                                            p.mg_solver.e_in, p.mg_solver.f_in)
-        grey_problem = GreyProblem(p.geom, coeffs, p.material, cfg.dt,
-                                   e_prev_tot, t_prev,
-                                   newton_tol=cfg.newton_tol,
-                                   max_newton=cfg.max_newton)
-        if grey_x is None:
-            grey_x = np.concatenate([
-                e_prev_tot.ravel(),
-                mg_prev.e_vface.sum(axis=0).ravel(),
-                mg_prev.e_hface.sum(axis=0).ravel(),
-            ])
-        grey = grey_problem.solve(grey_x)
-        newton += grey.newton_iterations
-        grey_x = np.concatenate([grey.e_cell.ravel(), grey.e_vface.ravel(),
-                                 grey.e_hface.ravel()])
+        grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev_tot, t_prev,
+                           t_star=T_it).solve()
         change = max(ratio(grey.temperature, T_it), ratio(grey.e_cell, E_it))
         history.append(change)
         if change <= 1.0:
-            return grey, mg, closure, extra, it + 1, newton, history, grey_x
+            return grey, mg, closure, extra, it + 1, history
         pairs.append((T_it, grey.temperature))
         T_it = _anderson_update(pairs, ANDERSON_DEPTH)
         E_it = grey.e_cell
@@ -301,14 +288,14 @@ def _empty_record(p: Problem, mode: str) -> RunRecord:
         temperature=np.empty((nt, ny, nx)), e_cell=np.empty((nt, ny, nx)),
         e_vface=np.empty((nt, ny, nx + 1)), e_hface=np.empty((nt, ny + 1, nx)),
         f_vface=np.empty((nt, ny, nx + 1)), f_hface=np.empty((nt, ny + 1, nx)),
-        iterations=np.zeros(nt, dtype=int), newton_iterations=np.zeros(nt, dtype=int),
+        iterations=np.zeros(nt, dtype=int),
         final_change=np.zeros(nt),
         negative_corners=np.zeros(nt, dtype=int),
         closure_violations=np.zeros(nt, dtype=int),
     )
 
 
-def _store_step(rec: RunRecord, n: int, grey, closure, extra, iters, newton, history):
+def _store_step(rec: RunRecord, n: int, grey, closure, extra, iters, history):
     rec.temperature[n] = grey.temperature
     rec.e_cell[n] = grey.e_cell
     rec.e_vface[n] = grey.e_vface
@@ -317,7 +304,6 @@ def _store_step(rec: RunRecord, n: int, grey, closure, extra, iters, newton, his
     rec.f_hface[n] = grey.f_hface
     rec.closures.append(closure)
     rec.iterations[n] = iters
-    rec.newton_iterations[n] = newton
     rec.final_change[n] = history[-1]
     rec.negative_corners[n] = extra
     viol = closure.bound_violations()
@@ -338,17 +324,16 @@ def _run(p: Problem, mode: str, closures_for_step, norm_ord, log) -> RunRecord:
     cfg = p.config
     T_prev, mg_prev = _initial_state(p)
     rec = _empty_record(p, mode)
-    warm_x = None
     for n in range(cfg.n_steps):
         closures = closures_for_step(n)
         try:
-            grey, mg, closure, extra, iters, newton, history, warm_x = _advance_step(
-                p, mg_prev, T_prev, closures, norm_ord, warm_x)
+            grey, mg, closure, extra, iters, history = _advance_step(
+                p, mg_prev, T_prev, closures, norm_ord)
         except DriverError as err:
             raise DriverError(f"{mode.upper()} step {n + 1}: {err}", err.history) from err
         mg_prev = mg
         T_prev = grey.temperature
-        _store_step(rec, n, grey, closure, extra, iters, newton, history)
+        _store_step(rec, n, grey, closure, extra, iters, history)
         if log is not None:
             log(n + 1, iters, history[-1])
     return rec

@@ -1,4 +1,4 @@
-"""Low-order moment solvers: multigroup system, grey coefficients, grey Newton.
+"""Low-order moment solvers: multigroup system, grey coefficients, grey problem.
 
 Both levels solve the same E-only moment system over the unknowns
 x = [E_cell, E_vface, E_hface] per group (multigroup) or in total (grey).
@@ -20,8 +20,10 @@ opacities and boundary factors, so that it is the exact group sum of the
 multigroup scheme.  MomentSystem holds the layout and the sparsity pattern,
 built once per geometry; each level only fills values into it, and both
 levels factor their matrices in the pattern's own unknown order.
-The grey system couples to the material energy balance and is solved by
-Newton iteration with the temperature eliminated cell-by-cell.
+The grey system couples to the material energy balance through the emission
+term, linearized about the outer temperature iterate; the temperature is
+eliminated cell-by-cell and the grey level is one linear solve per outer
+iteration.
 
 All face fluxes use the fixed +x / +y orientation; outward signs come from
 the adjacency tables.
@@ -41,11 +43,7 @@ from .transport import ClosureRecord
 
 
 class SolverError(RuntimeError):
-    """Linear or Newton solve failure; carries context for diagnosis."""
-
-    def __init__(self, message: str, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
+    """Failure of a moment-system solve."""
 
 
 class DegenerateStateError(ValueError):
@@ -254,7 +252,7 @@ class MomentSystem:
         that never changes.  On desk systems (2-core host, one BLAS thread)
         it factored faster than SuperLU's COLAMD and MMD orderings: the
         multigroup system (1280 unknowns) in 1.1 ms instead of 2.0 ms with
-        COLAMD, fill 30.0k -> 28.9k; the grey Jacobian (320) in 0.19 ms
+        COLAMD, fill 30.0k -> 28.9k; the grey system (320) in 0.19 ms
         instead of 0.59 ms, fill 7.5k -> 7.2k.  Raises RuntimeError for a
         singular matrix.
         """
@@ -466,137 +464,75 @@ class GreyState:
     e_hface: np.ndarray      # (ny+1, nx)
     f_vface: np.ndarray      # (ny, nx+1)
     f_hface: np.ndarray      # (ny+1, nx)
-    newton_iterations: int = 0
+    newton_iterations: int = 0  # linear solves that produced the state: 1
 
 
 class GreyProblem:
-    """Grey LOQD + material energy balance with frozen coefficients."""
+    """Grey LOQD + material energy balance with frozen coefficients.
+
+    The emission c kbar_b a_R T^4 is linearized about the outer temperature
+    iterate t_star (> 0 per cell), so the material energy balance gives
+    T = slope E + offset per cell and the grey problem is one linear system.
+    At T = t_star the linearization is exact: a fixed point of the outer
+    iteration is a root of the nonlinear grey problem, and repeating the
+    solve from its own temperature is Newton's method on it.
+    """
 
     def __init__(self, geom: ProblemGeometry, coeffs: SpectrumAveraged,
                  material: MaterialModel, dt: float,
-                 e_prev_cell: np.ndarray, t_prev: np.ndarray,
-                 newton_tol: float = 1e-13, max_newton: int = 100):
+                 e_prev_cell: np.ndarray, t_prev: np.ndarray, t_star: np.ndarray):
         self.geom = geom
         self.coeffs = coeffs
         self.material = material
         self.dt = dt
-        self.e_prev = e_prev_cell.ravel()
         self.t_prev = t_prev.ravel()
-        self.newton_tol = newton_tol
-        self.max_newton = max_newton
-        self._t_cache = None  # warm start across Newton residual evaluations
-        # linear operator over x = [E_cell, E_vface, E_hface]
+        self.t_star = t_star.ravel()
+        # radiation operator over x = [E_cell, E_vface, E_hface], emission aside
         self.system = geom.moment_system
         self.n_unknowns = self.system.n_unknowns
         area = geom.mesh.cell_area.ravel()
         c = material.light_speed
         self._data, self.b, self._weights = self.system.fill(
-            c, area / dt + c * coeffs.kbar_e * area, (area / dt) * self.e_prev,
+            c, area / dt + c * coeffs.kbar_e * area, (area / dt) * e_prev_cell.ravel(),
             coeffs.vflux, coeffs.hflux, -c * coeffs.cbar,
             -c * coeffs.cbar * coeffs.e_in_total + coeffs.f_in_total)
-        self.G = self.system.matrix(self._data)
-        self._absG = self.system.matrix(np.abs(self._data))
         self._emis_coeff = c * coeffs.kbar_b * material.radiation_constant * area
 
-    # material energy balance elimination --------------------------------
-    def meb_temperature(self, e_cell: np.ndarray):
-        """Solve cv (T - T_prev)/dt + c kbar_b a_R T^4 = c kbar_e E per cell."""
-        co, mat = self.coeffs, self.material
+    @property
+    def G(self) -> sp.csc_matrix:
+        """Grey matrix without emission: G x = b + _emis_coeff T^4 in the cell rows."""
+        return self.system.matrix(self._data)
+
+    def solve(self) -> GreyState:
+        """One linear solve with T^4 ~ t_star^4 + 4 t_star^3 (T - t_star)."""
+        mat, nc = self.material, self.geom.n_cells
         lin = mat.heat_capacity / self.dt
-        quart = mat.light_speed * co.kbar_b * mat.radiation_constant
-        rhs = mat.light_speed * co.kbar_e * e_cell + lin * self.t_prev
-        # no positive root exists for rhs <= 0 (transient Newton overshoot);
-        # pin those cells near zero and let the next outer iterate recover
-        # (a mixed iterate with a cell T <= 0 falls back to the plain update)
-        rhs = np.maximum(rhs, lin * 1e-12)
-        if self._t_cache is not None:
-            T = self._t_cache.copy()
-        else:
-            T = np.maximum(self.t_prev, 1e-12)
-        for _ in range(100):
-            gval = quart * T**4 + lin * T - rhs
-            scale = np.abs(quart * T**4) + np.abs(lin * T) + np.abs(rhs) + 1e-300
-            if np.max(np.abs(gval) / scale) < 1e-15:
-                break
-            step = gval / (4.0 * quart * T**3 + lin)
-            T_new = T - step
-            T = np.where(T_new > 0.0, T_new, 0.5 * T)
-        else:
-            raise SolverError("material energy balance did not converge in 100 iterations")
-        self._t_cache = T
-        dTdE = mat.light_speed * co.kbar_e / (4.0 * quart * T**3 + lin)
-        return T, dTdE
-
-    def residual(self, x: np.ndarray, T: np.ndarray):
-        """Residual and per-row scale at x, with T the cell temperatures."""
-        emis = np.zeros(self.n_unknowns)
-        emis[:self.geom.n_cells] = self._emis_coeff * T**4
-        r = self.G @ x - self.b - emis
-        scale = self._absG @ np.abs(x) + np.abs(self.b) + np.abs(emis)
-        return r, np.maximum(scale, 1e-300)
-
-    def _evaluate(self, x: np.ndarray):
-        """One Newton point: (x, T, dT/dE, residual, scaled residual norm)."""
-        T, dTdE = self.meb_temperature(x[:self.geom.n_cells])
-        r, scale = self.residual(x, T)
-        return x, T, dTdE, r, float(np.max(np.abs(r) / scale))
-
-    def solve(self, x0: np.ndarray | None = None) -> GreyState:
-        """Newton iteration with a halving line search; each point is evaluated once.
-
-        The line search takes the first halving of the step that lowers the
-        residual, or else the full step, and its evaluation of the accepted
-        point serves the next convergence test and Jacobian.
-        """
-        g = self.geom
-        if x0 is None:
-            x0 = np.concatenate([
-                self.e_prev,
-                np.full(g.n_vfaces, np.mean(self.e_prev)),
-                np.full(g.n_hfaces, np.mean(self.e_prev)),
-            ])
-        x, T, dTdE, r, rnorm = self._evaluate(x0.copy())
-        history = []
-        for it in range(self.max_newton):
-            history.append(rnorm)
-            if rnorm <= self.newton_tol:
-                return self._package(x, T, it)
-            jac = self._data.copy()
-            jac[self.system.diag_slot] -= self._emis_coeff * 4.0 * T**3 * dTdE
-            try:
-                dx = self.system.factor(jac).solve(-r)
-            except RuntimeError as err:
-                raise SolverError(f"grey Newton linear solve failed: {err}", history) from err
-            alpha, full_step = 1.0, None
-            for _ in range(40):
-                trial = self._evaluate(x + alpha * dx)
-                if trial[-1] < rnorm:  # the trial's residual norm
-                    break
-                if full_step is None:
-                    full_step = trial
-                alpha *= 0.5
-            else:
-                trial = full_step
-            x, T, dTdE, r, rnorm = trial
-            self._t_cache = T  # warm start from the accepted point, not the last trial
-        if rnorm <= self.newton_tol:
-            return self._package(x, T, self.max_newton)
-        raise SolverError(
-            f"grey Newton did not converge in {self.max_newton} iterations "
-            f"(residual {rnorm:.3e})", history)
-
-    def flux_values(self, x: np.ndarray):
-        """Face fluxes from the one-sided expressions, averaged per face."""
-        return self.system.face_fluxes(x, self._weights, self.coeffs.vflux, self.coeffs.hflux)
-
-    def _package(self, x, T, iterations) -> GreyState:
+        quart = mat.light_speed * self.coeffs.kbar_b * mat.radiation_constant
+        t3 = self.t_star**3
+        # cv (T - T_prev)/dt + quart t3 (4 T - 3 t_star) = c kbar_e E, solved
+        # for T - T_prev so that no coupling leaves T_prev exactly
+        den = lin + 4.0 * quart * t3
+        slope = mat.light_speed * self.coeffs.kbar_e / den
+        offset = self.t_prev - quart * t3 * (4.0 * self.t_prev - 3.0 * self.t_star) / den
+        data = self._data.copy()
+        data[self.system.diag_slot] -= self._emis_coeff * 4.0 * t3 * slope
+        b = self.b.copy()
+        b[:nc] += self._emis_coeff * t3 * (4.0 * offset - 3.0 * self.t_star)
+        try:
+            x = self.system.factor(data).solve(b)
+        except RuntimeError as err:
+            raise SolverError(f"grey linear solve failed: {err}") from err
         ny, nx = self.system.shape
         e_c, e_v, e_h = self.system.energies(x)
         fv, fh = self.flux_values(x)
         return GreyState(
-            temperature=T.reshape(ny, nx), e_cell=e_c, e_vface=e_v, e_hface=e_h,
-            f_vface=fv.reshape(ny, nx + 1),
-            f_hface=fh.reshape(ny + 1, nx),
-            newton_iterations=iterations,
+            temperature=(slope * x[:nc] + offset).reshape(ny, nx),
+            e_cell=e_c, e_vface=e_v, e_hface=e_h,
+            f_vface=fv.reshape(ny, nx + 1), f_hface=fh.reshape(ny + 1, nx),
+            newton_iterations=1,
         )
+
+    def flux_values(self, x: np.ndarray):
+        """Face fluxes from the one-sided expressions, averaged per face."""
+        return self.system.face_fluxes(x, self._weights, self.coeffs.vflux, self.coeffs.hflux)
 

@@ -256,6 +256,42 @@ def test_two_methods_in_one_model_directory_is_data_error(workdir, tmp_path, cap
     assert "fxx_c.dmd.ddet" in err and "fxx_c.pod.ddet" in err
 
 
+@pytest.mark.parametrize("key, value", [("t0", "soon"), ("dt", None), ("xi_rel", "x"),
+                                        ("xi_rel", 0.0), ("xi_rel", 2.0)])
+def test_malformed_model_descriptor_is_data_error(workdir, tmp_path, capsys, key, value):
+    models = tmp_path / "models"
+    rc = main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
+               "--method", "pod", "--xi", "1e-6", "--out", str(models)])
+    assert rc == 0
+    kind, desc, arrays = read_container(models / "cb.pod.ddet")
+    desc[key] = value
+    write_container(models / "cb.pod.ddet", kind, desc, arrays)
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"), "--models", str(models),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "cb.pod.ddet" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+
+
+@pytest.mark.parametrize("source", ["models", "snapshots"])
+def test_time_step_mismatch_is_data_error(workdir, tmp_path, capsys, source):
+    # closures recorded at dt = 0.02 do not describe a run at dt = 0.005
+    snapshots = workdir / "fom" / "snapshots.ddet"
+    models = snapshots
+    if source == "models":
+        models = tmp_path / "models"
+        rc = main(["compress", "--snapshots", str(snapshots), "--method", "pod",
+                   "--xi", "1e-6", "--out", str(models)])
+        assert rc == 0
+    other_cfg = tmp_path / "other.cfg"
+    other_cfg.write_text(TINY_CONFIG.replace("dt = 0.02", "dt = 0.005"))
+    rc = main(["rom", "--config", str(other_cfg), "--models", str(models),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "time step mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+
+
 def test_layout_mismatch_is_data_error(workdir, tmp_path):
     other_cfg = tmp_path / "other.cfg"
     other_cfg.write_text(TINY_CONFIG.replace("nx = 4", "nx = 3"))

@@ -69,7 +69,7 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(bad)
     # retired options are unknown keys now
-    for line in ("threads = 1", "xi_rel = 1e-2", "max_inner = 10"):
+    for line in ("threads = 1", "xi_rel = 1e-2", "max_inner = 10", "max_newton = 10"):
         bad.write_text(line + "\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(bad)
@@ -98,9 +98,8 @@ def test_validation():
         RunConfig(boundary_left=-1.0)
     # solver controls and non-finite values
     for kw in (dict(outer_tol=-1.0), dict(outer_tol=0.0, outer_floor=0.0),
-               dict(outer_floor=-1e-15), dict(max_outer=0), dict(newton_tol=-1.0),
-               dict(max_newton=0), dict(quadrature=0), dict(dx=np.nan),
-               dict(dt=np.inf), dict(opacity_exponent=np.nan),
+               dict(outer_floor=-1e-15), dict(max_outer=0), dict(quadrature=0),
+               dict(dx=np.nan), dict(dt=np.inf), dict(opacity_exponent=np.nan),
                dict(boundary_left=np.inf), dict(opacity_coeff=0.0),
                dict(light_speed=-1.0), dict(radiation_constant=0.0),
                dict(group_bounds=(0.0, np.nan, 1.0e7))):
@@ -114,7 +113,8 @@ def test_roundtrip_dict():
     assert again == cfg
     # stored configs may still carry the retired no-op options; only those are skipped
     stored = {**cfg.to_dict(), "threads": 1, "seed": None, "xi_rel": [1e-2], "method": "pod",
-              "inner_tol_rel": 1e-14, "inner_tol_abs": 1e-15, "max_inner": 500}
+              "inner_tol_rel": 1e-14, "inner_tol_abs": 1e-15, "max_inner": 500,
+              "newton_tol": 1e-13, "max_newton": 100}
     assert RunConfig.from_dict(stored) == cfg
     with pytest.raises(TypeError):
         RunConfig.from_dict({**cfg.to_dict(), "mystery_key": 1})

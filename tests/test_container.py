@@ -118,7 +118,6 @@ def test_dmd_model_roundtrip(tmp_path, tiny_snapshots, variant):
 def test_run_record_roundtrip(tmp_path, tiny_fom):
     # every field but the closures, which a run record does not store
     run = dataclasses.replace(tiny_fom, positivity_violations=2)
-    assert np.all(run.newton_iterations > 0)
     path = tmp_path / "run.ddet"
     save_run_record(path, run)
     back = load_run_record(path)
@@ -130,13 +129,14 @@ def test_run_record_roundtrip(tmp_path, tiny_fom):
             assert got.shape == want.shape and np.array_equal(got, want), f.name
         else:
             assert got == want, f.name
-    # records written before the Newton counts were stored load them as zeros
+    # records that still carry the retired grey Newton counts load; the array is ignored
     kind, desc, arrays = read_container(path)
-    del arrays["newton_iterations"]
+    arrays["newton_iterations"] = 2.0 * arrays["iterations"]
     write_container(path, kind, desc, arrays)
     back = load_run_record(path)
-    assert np.array_equal(back.newton_iterations, np.zeros(run.n_steps, dtype=int))
+    assert not hasattr(back, "newton_iterations")
     assert np.array_equal(back.iterations, run.iterations)
+    assert np.array_equal(back.temperature, run.temperature)
 
 
 def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshots,
@@ -144,7 +144,8 @@ def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshot
     # containers written before the retired keys were removed
     meta = {**tiny_config.to_dict(), "threads": 1, "seed": None,
             "xi_rel": [1e-2, 1e-4], "method": "pod",
-            "inner_tol_rel": 1e-14, "inner_tol_abs": 1e-15, "max_inner": 500}
+            "inner_tol_rel": 1e-14, "inner_tol_abs": 1e-15, "max_inner": 500,
+            "newton_tol": 1e-13, "max_newton": 100}
     run = dataclasses.replace(tiny_fom, config_meta=meta)
     path = tmp_path / "run.ddet"
     save_run_record(path, run)
@@ -168,8 +169,8 @@ def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshot
 
 
 @pytest.mark.parametrize("value", [np.nan, 2.5, -3.0])
-@pytest.mark.parametrize("name", ["iterations", "newton_iterations", "negative_corners",
-                                  "closure_violations", "positivity_violations"])
+@pytest.mark.parametrize("name", ["iterations", "negative_corners", "closure_violations",
+                                  "positivity_violations"])
 def test_run_record_counter_must_be_a_count(tmp_path, tiny_fom, name, value):
     path = tmp_path / "run.ddet"
     save_run_record(path, tiny_fom)

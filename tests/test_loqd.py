@@ -10,7 +10,6 @@ from qdrom.loqd import (
     MultigroupLoqdSolver,
     MultigroupMoments,
     ProblemGeometry,
-    SolverError,
     SpectrumAveraged,
     compute_grey_coefficients,
     group_flux_coeffs,
@@ -407,10 +406,9 @@ def test_zero_energy_average_raises():
 # ---------------------------------------------------------------------------
 
 def solve_grey_step(geom, co, prev, dt):
-    """One backward-Euler grey step from the previous grey state."""
-    problem = GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature)
-    return problem.solve(np.concatenate([prev.e_cell.ravel(), prev.e_vface.ravel(),
-                                         prev.e_hface.ravel()]))
+    """One backward-Euler grey step, linearized about the previous temperature."""
+    return GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature,
+                       t_star=prev.temperature).solve()
 
 
 def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
@@ -453,7 +451,8 @@ def test_factor_keeps_natural_column_order():
     # both levels factor in the unknowns' own order; the dense solve is the oracle
     geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     co = grey_coeffs_uniform(geom, kbar=2.0)
-    problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3), np.full((2, 3), 0.5))
+    problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3), np.full((2, 3), 0.5),
+                          t_star=np.full((2, 3), 0.6))
     system = geom.moment_system
     grey = problem._data
     multigroup = np.stack([grey, 2.0 * grey, 0.5 * grey])  # block-diagonal, 3 groups
@@ -465,45 +464,6 @@ def test_factor_keeps_natural_column_order():
         b = rng.uniform(-1.0, 1.0, n)
         x = np.linalg.solve(system.matrix(data).toarray(), b)
         assert np.max(np.abs(lu.solve(b) - x)) <= 1e-12 * np.max(np.abs(x))
-
-
-def test_grey_newton_evaluates_each_point_once():
-    # the MEB elimination and the residual run once per Newton point: the
-    # start and every line-search trial; an accepted trial is not re-evaluated
-    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
-    co = grey_coeffs_uniform(geom, kbar=3.0, p=0.002)
-    rng = np.random.default_rng(43)
-    t_prev = rng.uniform(0.3, 0.6, (2, 3))
-    e_prev = rng.uniform(1e-3, 5e-3, (2, 3))
-    problem = GreyProblem(geom, co, MAT, 0.03, e_prev, t_prev)
-    meb_args, residual_args = [], []
-    meb, residual = problem.meb_temperature, problem.residual
-
-    def counted_meb(e_cell):
-        meb_args.append(e_cell.copy())
-        return meb(e_cell)
-
-    def counted_residual(x, T):
-        residual_args.append(x.copy())
-        return residual(x, T)
-
-    problem.meb_temperature, problem.residual = counted_meb, counted_residual
-    x0 = np.concatenate([e_prev.ravel(), np.full(geom.n_vfaces + geom.n_hfaces, 1e-2)])
-    out = problem.solve(x0)
-    assert out.newton_iterations >= 2
-    assert len(meb_args) == len(residual_args) >= out.newton_iterations + 1
-    for e_cell, x in zip(meb_args, residual_args):
-        assert np.array_equal(e_cell, x[:geom.n_cells])
-    for i, x in enumerate(residual_args):
-        assert not any(np.array_equal(x, y) for y in residual_args[:i]), i
-
-
-def test_meb_temperature_raises_when_unconverged():
-    geom = ProblemGeometry.build(SpatialMesh.uniform(2, 1, 0.5, 0.5))
-    co = grey_coeffs_uniform(geom, kbar=2.0)
-    problem = GreyProblem(geom, co, MAT, 0.02, np.full((1, 2), 1e-3), np.full((1, 2), 0.5))
-    with pytest.raises(SolverError, match="material energy balance"):
-        problem.meb_temperature(np.array([1e-3, np.nan]))
 
 
 def test_grey_zero_coupling_keeps_temperature():
@@ -522,21 +482,9 @@ def test_grey_zero_coupling_keeps_temperature():
     assert np.all(np.isfinite(out.e_cell))
 
 
-def test_grey_single_cell_matches_bisection_oracle():
-    mesh = SpatialMesh.uniform(1, 1, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
-    rng = np.random.default_rng(23)
-    co = grey_coeffs_uniform(geom, kbar=3.0, cbar=0.55, p=0.002)
-    co.kbar_e[:] = 2.5
-    prev = GreyState(
-        temperature=np.array([[0.4]]), e_cell=np.array([[0.003]]),
-        e_vface=np.full((1, 2), 0.003), e_hface=np.full((2, 1), 0.003),
-        f_vface=np.zeros((1, 2)), f_hface=np.zeros((2, 1)),
-    )
-    dt = 0.03
-    out = solve_grey_step(geom, co, prev, dt=dt)
-
-    problem = GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature)
+def bisection_grey_root(problem, co, dt):
+    """Root of the one-cell grey + MEB system, by bisection on T."""
+    t_prev = problem.t_prev[0]
 
     def e_of_T(T):
         emis = np.zeros(problem.n_unknowns)
@@ -546,7 +494,7 @@ def test_grey_single_cell_matches_bisection_oracle():
 
     def h(T):
         cv = MAT.heat_capacity
-        return cv * (T - 0.4) / dt + MAT.light_speed * co.kbar_b[0] \
+        return cv * (T - t_prev) / dt + MAT.light_speed * co.kbar_b[0] \
             * MAT.radiation_constant * T**4 - MAT.light_speed * co.kbar_e[0] * e_of_T(T)
 
     lo, hi = 1e-6, 5.0
@@ -556,9 +504,35 @@ def test_grey_single_cell_matches_bisection_oracle():
             hi = mid
         else:
             lo = mid
-    T_oracle = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def one_cell_grey_case():
+    geom = ProblemGeometry.build(SpatialMesh.uniform(1, 1, 0.5, 0.5))
+    co = grey_coeffs_uniform(geom, kbar=3.0, cbar=0.55, p=0.002)
+    co.kbar_e[:] = 2.5
+    e_prev, t_prev, dt = np.array([[0.003]]), np.array([[0.4]]), 0.03
+    T_oracle = bisection_grey_root(
+        GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=t_prev), co, dt)
+    return geom, co, e_prev, t_prev, dt, T_oracle
+
+
+def test_grey_single_cell_matches_bisection_oracle():
+    # repeating the linearized solve from its own temperature is Newton's
+    # method on the grey + MEB system
+    geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
+    T = t_prev
+    for _ in range(8):
+        T = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=T).solve().temperature
+    assert T[0, 0] == pytest.approx(T_oracle, rel=1e-12)
+
+
+def test_grey_linearized_at_root_returns_root():
+    # a fixed point of the linearized solve is a root of the nonlinear system
+    geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
+    out = GreyProblem(geom, co, MAT, dt, e_prev, t_prev,
+                      t_star=np.array([[T_oracle]])).solve()
     assert out.temperature[0, 0] == pytest.approx(T_oracle, rel=1e-12)
-    del rng
 
 
 def test_grey_matches_multigroup_sum():
@@ -582,10 +556,14 @@ def test_grey_matches_multigroup_sum():
     mg, group_flux = solver.solve(closure, kappa, planck, prev, dt)
     co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
     e_c, e_v, e_h, f_v, f_h = mg.totals()
-    problem = GreyProblem(geom, co, MAT, dt,
-                          prev.e_cell.sum(axis=0), T_field)
+    problem = GreyProblem(geom, co, MAT, dt, prev.e_cell.sum(axis=0), T_field,
+                          t_star=T_field)
     x = np.concatenate([e_c.ravel(), e_v.ravel(), e_h.ravel()])
-    r, scale = problem.residual(x, T=T_field.ravel())
+    emis = np.zeros(problem.n_unknowns)
+    emis[:geom.n_cells] = problem._emis_coeff * T_field.ravel()**4
+    G = problem.G
+    r = G @ x - problem.b - emis
+    scale = abs(G) @ np.abs(x) + np.abs(problem.b) + np.abs(emis)
     assert float(np.max(np.abs(r) / scale)) <= 1e-10
     # the one-sided flux expressions reproduce the summed multigroup fluxes
     fv, fh = problem.flux_values(x)
