@@ -71,8 +71,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.n_steps < 1:
-            raise ValueError("need dt > 0 and n_steps >= 1")
+        if not (np.isfinite(self.t0) and np.isfinite(self.dt) and self.dt > 0.0
+                and self.n_steps >= 1):
+            raise ValueError("need a finite t0, a finite dt > 0 and n_steps >= 1")
 
     @property
     def times(self) -> np.ndarray:

@@ -18,12 +18,13 @@ p = F_prev / (1 + c dt kappa) per group; the effective grey problem uses
 their spectrum averages, together with averaged absorption and emission
 opacities and boundary factors, so that it is the exact group sum of the
 multigroup scheme.  MomentSystem holds the layout and the sparsity pattern,
-built once per geometry; each level only fills values into it, and both
-levels factor their matrices in the pattern's own unknown order.
+built once per geometry, and its one solve serves both levels: each level
+passes its coefficients, and the solve fills, factors in the pattern's own
+unknown order, checks and unpacks the energies and face fluxes.
 The grey system couples to the material energy balance through the emission
 term, linearized about the outer temperature iterate; the temperature is
-eliminated cell-by-cell and the grey level is one linear solve per outer
-iteration.
+eliminated cell-by-cell, so the emission only adds to the cell diagonal and
+right-hand side, and the grey level is one linear solve per outer iteration.
 
 All face fluxes use the fixed +x / +y orientation; outward signs come from
 the adjacency tables.
@@ -163,7 +164,7 @@ class MomentSystem:
 
     The CSC sparsity pattern and the scatter of the assembled entries into
     its data array depend on the mesh only and are built here, once; both
-    levels fill values with a leading group axis or none.  A leading axis
+    levels call solve() with a leading group axis or none.  A leading axis
     of n_g makes the block-diagonal system of independent groups.
     """
 
@@ -192,7 +193,6 @@ class MomentSystem:
         self.nnz = keys.size
         self.indices = keys % n
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
-        self.diag_slot = self.slot[:nc]
         self.rhs_rows = np.concatenate([cells, va.cell, vrow, ha.cell, hrow, brow])
         self.vcount = np.bincount(va.face, minlength=nv)
         self.hcount = np.bincount(ha.face, minlength=geom.n_hfaces)
@@ -276,6 +276,31 @@ class MomentSystem:
                 x[..., nc:nv].reshape(lead + (ny, nx + 1)),
                 x[..., nv:].reshape(lead + (ny + 1, nx)))
 
+    def solve(self, light_speed: float, cell_diag, cell_rhs, vflux: FluxCoeffs,
+              hflux: FluxCoeffs, boundary_diag, boundary_rhs):
+        """(E_cell, E_vface, E_hface, F_vface, F_hface) grids of fill()'s system.
+
+        Takes fill()'s arguments and keeps their leading group axis, if any;
+        the groups are factored together as one block-diagonal matrix.
+        Raises SolverError for a singular matrix or a non-finite solution,
+        naming the first bad group.
+        """
+        data, b, weights = self.fill(light_speed, cell_diag, cell_rhs, vflux, hflux,
+                                     boundary_diag, boundary_rhs)
+        lead = b.shape[:-1]
+        try:
+            x = self.factor(data).solve(b.ravel()).reshape(b.shape)
+        except RuntimeError as err:
+            raise SolverError(f"moment-system solve failed: {err}") from err
+        f_v, f_h = self.face_fluxes(x, weights, vflux, hflux)
+        finite = np.isfinite(x).all(-1) & np.isfinite(f_v).all(-1) & np.isfinite(f_h).all(-1)
+        if not np.all(finite):
+            where = f" in group {int(np.argmin(finite))}" if lead else ""
+            raise SolverError(f"moment-system solve returned non-finite values{where}")
+        ny, nx = self.shape
+        return (*self.energies(x), f_v.reshape(lead + (ny, nx + 1)),
+                f_h.reshape(lead + (ny + 1, nx)))
+
 
 def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: MultigroupMoments,
                       dt: float, geom: ProblemGeometry, light_speed: float):
@@ -323,54 +348,25 @@ class MultigroupLoqdSolver:
               prev: MultigroupMoments, dt: float):
         """Direct solve of every group system; kappa/planck are (n_g, ny, nx).
 
-        Groups are independent; they are factored together as one
-        block-diagonal matrix to amortize the solver overhead.  Returns the
-        moments and the per-group (vertical, horizontal) flux coefficients,
-        which the grey coefficients average.
+        Groups are independent; MomentSystem.solve factors them together
+        as one block-diagonal matrix to amortize the solver overhead.
+        Returns the moments and the per-group (vertical, horizontal) flux
+        coefficients, which the grey coefficients average.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         g = self.geom
-        system = g.moment_system
         n_g = self.grid.n_groups
         c = self.material.light_speed
         area = g.mesh.cell_area.ravel()
         kappa2 = kappa.reshape(n_g, -1)
         vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, g, c)
-        data, b, weights = system.fill(
+        moments = MultigroupMoments(*g.moment_system.solve(
             c, area / dt + c * kappa2 * area,
             (area / dt) * prev.e_cell.reshape(n_g, -1)
             + 4.0 * np.pi * kappa2 * planck.reshape(n_g, -1) * area,
-            vflux, hflux, -c * closure.cb, -c * closure.cb * self.e_in + self.f_in)
-        try:
-            x = system.factor(data).solve(b.ravel()).reshape(n_g, -1)
-        except RuntimeError as err:
-            raise SolverError(f"multigroup solve failed: {err}") from err
-        finite = np.all(np.isfinite(x), axis=1)
-        if not np.all(finite):
-            raise SolverError("multigroup solve returned non-finite values in group "
-                              f"{int(np.argmin(finite))}")
-        ny, nx = system.shape
-        f_v, f_h = system.face_fluxes(x, weights, vflux, hflux)
-        moments = MultigroupMoments(*system.energies(x), f_v.reshape(n_g, ny, nx + 1),
-                                    f_h.reshape(n_g, ny + 1, nx))
+            vflux, hflux, -c * closure.cb, -c * closure.cb * self.e_in + self.f_in))
         return moments, (vflux, hflux)
-
-    def cell_balance_residual(self, mg: MultigroupMoments, kappa, planck,
-                              prev: MultigroupMoments, dt: float) -> float:
-        """Scaled residual of the cell energy balance for the given solution."""
-        g = self.geom
-        c = self.material.light_speed
-        area = g.mesh.cell_area
-        dxr = g.mesh.dx[None, None, :]
-        dyr = g.mesh.dy[None, :, None]
-        res = area * (mg.e_cell - prev.e_cell) / dt \
-            + (mg.f_vface[:, :, 1:] - mg.f_vface[:, :, :-1]) * dyr \
-            + (mg.f_hface[:, 1:, :] - mg.f_hface[:, :-1, :]) * dxr \
-            + c * kappa * mg.e_cell * area - 4.0 * np.pi * kappa * planck * area
-        scale = np.abs(4.0 * np.pi * kappa * planck * area) \
-            + np.abs(c * kappa * mg.e_cell * area) + np.abs(area * mg.e_cell / dt)
-        return float(np.max(np.abs(res) / np.maximum(scale, 1e-300)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,54 +481,31 @@ class GreyProblem:
         self.coeffs = coeffs
         self.material = material
         self.dt = dt
-        self.t_prev = t_prev.ravel()
-        self.t_star = t_star.ravel()
-        # radiation operator over x = [E_cell, E_vface, E_hface], emission aside
-        self.system = geom.moment_system
-        self.n_unknowns = self.system.n_unknowns
-        area = geom.mesh.cell_area.ravel()
-        c = material.light_speed
-        self._data, self.b, self._weights = self.system.fill(
-            c, area / dt + c * coeffs.kbar_e * area, (area / dt) * e_prev_cell.ravel(),
-            coeffs.vflux, coeffs.hflux, -c * coeffs.cbar,
-            -c * coeffs.cbar * coeffs.e_in_total + coeffs.f_in_total)
-        self._emis_coeff = c * coeffs.kbar_b * material.radiation_constant * area
-
-    @property
-    def G(self) -> sp.csc_matrix:
-        """Grey matrix without emission: G x = b + _emis_coeff T^4 in the cell rows."""
-        return self.system.matrix(self._data)
+        self.e_prev_cell = e_prev_cell
+        self.t_prev = t_prev
+        self.t_star = t_star
 
     def solve(self) -> GreyState:
         """One linear solve with T^4 ~ t_star^4 + 4 t_star^3 (T - t_star)."""
-        mat, nc = self.material, self.geom.n_cells
-        lin = mat.heat_capacity / self.dt
-        quart = mat.light_speed * self.coeffs.kbar_b * mat.radiation_constant
-        t3 = self.t_star**3
+        mat, co, dt = self.material, self.coeffs, self.dt
+        c = mat.light_speed
+        area = self.geom.mesh.cell_area.ravel()
+        t_prev, t_star = self.t_prev.ravel(), self.t_star.ravel()
+        quart = c * co.kbar_b * mat.radiation_constant
+        t3 = t_star**3
         # cv (T - T_prev)/dt + quart t3 (4 T - 3 t_star) = c kbar_e E, solved
         # for T - T_prev so that no coupling leaves T_prev exactly
-        den = lin + 4.0 * quart * t3
-        slope = mat.light_speed * self.coeffs.kbar_e / den
-        offset = self.t_prev - quart * t3 * (4.0 * self.t_prev - 3.0 * self.t_star) / den
-        data = self._data.copy()
-        data[self.system.diag_slot] -= self._emis_coeff * 4.0 * t3 * slope
-        b = self.b.copy()
-        b[:nc] += self._emis_coeff * t3 * (4.0 * offset - 3.0 * self.t_star)
-        try:
-            x = self.system.factor(data).solve(b)
-        except RuntimeError as err:
-            raise SolverError(f"grey linear solve failed: {err}") from err
-        ny, nx = self.system.shape
-        e_c, e_v, e_h = self.system.energies(x)
-        fv, fh = self.flux_values(x)
+        den = mat.heat_capacity / dt + 4.0 * quart * t3
+        slope = c * co.kbar_e / den
+        offset = t_prev - quart * t3 * (4.0 * t_prev - 3.0 * t_star) / den
+        # the linearized emission quart t3 (4 (slope E + offset) - 3 t_star) area
+        emis = quart * t3 * area
+        e_c, e_v, e_h, f_v, f_h = self.geom.moment_system.solve(
+            c, area / dt + c * co.kbar_e * area - 4.0 * emis * slope,
+            (area / dt) * self.e_prev_cell.ravel() + emis * (4.0 * offset - 3.0 * t_star),
+            co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)
         return GreyState(
-            temperature=(slope * x[:nc] + offset).reshape(ny, nx),
-            e_cell=e_c, e_vface=e_v, e_hface=e_h,
-            f_vface=fv.reshape(ny, nx + 1), f_hface=fh.reshape(ny + 1, nx),
+            temperature=(slope * e_c.ravel() + offset).reshape(e_c.shape),
+            e_cell=e_c, e_vface=e_v, e_hface=e_h, f_vface=f_v, f_hface=f_h,
             newton_iterations=1,
         )
-
-    def flux_values(self, x: np.ndarray):
-        """Face fluxes from the one-sided expressions, averaged per face."""
-        return self.system.face_fluxes(x, self._weights, self.coeffs.vflux, self.coeffs.hflux)
-

@@ -27,14 +27,15 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 
 class TemperatureDomainError(ValueError):
-    """Temperature at or below the physical floor."""
+    """Temperature below the physical floor, or not finite."""
 
 
 def _check_temperature(T) -> np.ndarray:
     T = np.asarray(T, dtype=float)
-    if np.any(T < TEMPERATURE_FLOOR):
+    if not np.all(np.isfinite(T) & (T >= TEMPERATURE_FLOOR)):
         raise TemperatureDomainError(
-            f"temperature below floor {TEMPERATURE_FLOOR:g} keV (min {T.min():g})"
+            f"temperature not finite or below floor {TEMPERATURE_FLOOR:g} keV "
+            f"(min {T.min():g}, max {T.max():g})"
         )
     return T
 

@@ -186,9 +186,11 @@ def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("fault", ["dims", "missing array", "fractional count"])
-def test_compare_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fault):
-    good = workdir / "fom" / "fom_run.ddet"
+RUN_RECORD_FAULTS = ["dims", "missing array", "fractional count", "nan dt", "infinite t0"]
+
+
+def corrupt_run_record(good, tmp_path, fault):
+    """Copy of the run record `good` with one fault, written to tmp_path."""
     raw = good.read_bytes()
     if fault == "dims":
         desc_len = struct.unpack_from("<I", raw, 24)[0]
@@ -199,16 +201,38 @@ def test_compare_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fau
         kind, desc, arrays = read_container(good)
         if fault == "missing array":
             del arrays["temperature"]
-        else:
+        elif fault == "fractional count":
             arrays["iterations"][0, 0] = 2.5
+        elif fault == "nan dt":
+            desc["dt"] = float("nan")
+        else:
+            desc["t0"] = float("inf")
         write_container(tmp_path / "src.ddet", kind, desc, arrays)
         raw = (tmp_path / "src.ddet").read_bytes()
     bad = tmp_path / "bad_run.ddet"
     bad.write_bytes(raw)
+    return bad
+
+
+@pytest.mark.parametrize("fault", RUN_RECORD_FAULTS)
+def test_compare_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fault):
+    good = workdir / "fom" / "fom_run.ddet"
+    bad = corrupt_run_record(good, tmp_path, fault)
     rc = main(["compare", "--run-a", str(bad), "--run-b", str(good),
                "--out", str(tmp_path / "cmp.csv")])
     assert rc == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", RUN_RECORD_FAULTS)
+def test_breakout_corrupt_run_record_is_data_error(workdir, tmp_path, capsys, fault):
+    bad = corrupt_run_record(workdir / "fom" / "fom_run.ddet", tmp_path, fault)
+    rc = main(["breakout", "--run", str(bad), "--quantity", "temperature",
+               "--threshold", "0.0005", "--out", str(tmp_path / "bk.csv")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "data error" in captured.err
+    assert "breakout at" not in captured.out
 
 
 def test_nonfinite_model_is_data_error(workdir, tmp_path, capsys):

@@ -10,6 +10,7 @@ from qdrom.loqd import (
     MultigroupLoqdSolver,
     MultigroupMoments,
     ProblemGeometry,
+    SolverError,
     SpectrumAveraged,
     compute_grey_coefficients,
     group_flux_coeffs,
@@ -281,24 +282,6 @@ def test_source_linearity():
     del zero
 
 
-def test_cell_balance_residual_after_solve():
-    rng = np.random.default_rng(31)
-    mesh = SpatialMesh.uniform(4, 4, 0.3, 0.3)
-    geom = ProblemGeometry.build(mesh)
-    solver = MultigroupLoqdSolver(geom, GRID3, MAT,
-                                  np.zeros((3, 16)), np.zeros((3, 16)))
-    closure = random_closure(rng, 3, 4, 4)
-    kappa = rng.uniform(0.2, 5.0, size=(3, 4, 4))
-    planck = rng.uniform(0.1, 2.0, size=(3, 4, 4))
-    prev = MultigroupMoments(
-        rng.uniform(0.5, 1.0, (3, 4, 4)), rng.uniform(0.5, 1.0, (3, 4, 5)),
-        rng.uniform(0.5, 1.0, (3, 5, 4)), rng.uniform(-0.1, 0.1, (3, 4, 5)),
-        rng.uniform(-0.1, 0.1, (3, 5, 4)),
-    )
-    out, _ = solver.solve(closure, kappa, planck, prev, dt=0.02)
-    assert solver.cell_balance_residual(out, kappa, planck, prev, 0.02) <= 1e-12
-
-
 def test_negative_dt_rejected():
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
     geom = ProblemGeometry.build(mesh)
@@ -428,6 +411,24 @@ def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
     )
 
 
+def grey_radiation_system(geom, co, dt, e_prev_cell):
+    """Grey matrix values, right-hand side and flux weights, emission aside.
+
+    The cell rows of the grey problem read G x = b + grey_emission(T).
+    """
+    c = MAT.light_speed
+    area = geom.mesh.cell_area.ravel()
+    return geom.moment_system.fill(
+        c, area / dt + c * co.kbar_e * area, (area / dt) * e_prev_cell.ravel(),
+        co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)
+
+
+def grey_emission(geom, co, T):
+    """Emission c kbar_B a_R area T^4 per cell."""
+    return MAT.light_speed * co.kbar_b * MAT.radiation_constant \
+        * geom.mesh.cell_area.ravel() * np.ravel(T)**4
+
+
 def test_grey_equilibrium_fixed_point():
     mesh = SpatialMesh.uniform(3, 3, 0.5, 0.5)
     geom = ProblemGeometry.build(mesh)
@@ -451,10 +452,8 @@ def test_factor_keeps_natural_column_order():
     # both levels factor in the unknowns' own order; the dense solve is the oracle
     geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     co = grey_coeffs_uniform(geom, kbar=2.0)
-    problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3), np.full((2, 3), 0.5),
-                          t_star=np.full((2, 3), 0.6))
     system = geom.moment_system
-    grey = problem._data
+    grey, _, _ = grey_radiation_system(geom, co, 0.02, np.full((2, 3), 1e-3))
     multigroup = np.stack([grey, 2.0 * grey, 0.5 * grey])  # block-diagonal, 3 groups
     rng = np.random.default_rng(41)
     for data in (grey, multigroup):
@@ -482,14 +481,16 @@ def test_grey_zero_coupling_keeps_temperature():
     assert np.all(np.isfinite(out.e_cell))
 
 
-def bisection_grey_root(problem, co, dt):
+def bisection_grey_root(geom, co, e_prev, t_prev, dt):
     """Root of the one-cell grey + MEB system, by bisection on T."""
-    t_prev = problem.t_prev[0]
+    t_prev = t_prev[0, 0]
+    data, b, _ = grey_radiation_system(geom, co, dt, e_prev)
+    G = geom.moment_system.matrix(data).toarray()
 
     def e_of_T(T):
-        emis = np.zeros(problem.n_unknowns)
-        emis[0] = problem._emis_coeff[0] * T**4
-        x = np.linalg.solve(problem.G.toarray(), problem.b + emis)
+        emis = np.zeros(b.size)
+        emis[0] = grey_emission(geom, co, T)[0]
+        x = np.linalg.solve(G, b + emis)
         return x[0]
 
     def h(T):
@@ -512,8 +513,7 @@ def one_cell_grey_case():
     co = grey_coeffs_uniform(geom, kbar=3.0, cbar=0.55, p=0.002)
     co.kbar_e[:] = 2.5
     e_prev, t_prev, dt = np.array([[0.003]]), np.array([[0.4]]), 0.03
-    T_oracle = bisection_grey_root(
-        GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=t_prev), co, dt)
+    T_oracle = bisection_grey_root(geom, co, e_prev, t_prev, dt)
     return geom, co, e_prev, t_prev, dt, T_oracle
 
 
@@ -556,19 +556,53 @@ def test_grey_matches_multigroup_sum():
     mg, group_flux = solver.solve(closure, kappa, planck, prev, dt)
     co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
     e_c, e_v, e_h, f_v, f_h = mg.totals()
-    problem = GreyProblem(geom, co, MAT, dt, prev.e_cell.sum(axis=0), T_field,
-                          t_star=T_field)
+    data, b, weights = grey_radiation_system(geom, co, dt, prev.e_cell.sum(axis=0))
     x = np.concatenate([e_c.ravel(), e_v.ravel(), e_h.ravel()])
-    emis = np.zeros(problem.n_unknowns)
-    emis[:geom.n_cells] = problem._emis_coeff * T_field.ravel()**4
-    G = problem.G
-    r = G @ x - problem.b - emis
-    scale = abs(G) @ np.abs(x) + np.abs(problem.b) + np.abs(emis)
+    emis = np.zeros(b.size)
+    emis[:geom.n_cells] = grey_emission(geom, co, T_field)
+    G = geom.moment_system.matrix(data)
+    r = G @ x - b - emis
+    scale = abs(G) @ np.abs(x) + np.abs(b) + np.abs(emis)
     assert float(np.max(np.abs(r) / scale)) <= 1e-10
     # the one-sided flux expressions reproduce the summed multigroup fluxes
-    fv, fh = problem.flux_values(x)
+    fv, fh = geom.moment_system.face_fluxes(x, weights, co.vflux, co.hflux)
     assert fv == pytest.approx(f_v.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_v).max())
     assert fh == pytest.approx(f_h.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_h).max())
+
+
+@pytest.mark.parametrize("fault", ["nan lag term", "infinite incoming energy"])
+@pytest.mark.parametrize("level", ["grey", "multigroup"])
+def test_nonfinite_solution_raises(level, fault):
+    # both levels share the solve's finiteness check; a poisoned coefficient
+    # must raise, not return a NaN state
+    rng = np.random.default_rng(43)
+    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    if level == "grey":
+        co = grey_coeffs_uniform(geom, kbar=2.0, p=0.01)
+        if fault == "nan lag term":
+            co.vflux.p[4] = np.nan
+        else:
+            co.e_in_total[1] = np.inf
+        problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
+                              np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
+        with pytest.raises(SolverError, match="non-finite"):
+            problem.solve()
+        return
+    e_in = np.zeros((3, geom.bfaces.count))
+    f_in = np.zeros((3, geom.bfaces.count))
+    prev = MultigroupMoments(
+        rng.uniform(0.5, 1.0, (3, 2, 3)), rng.uniform(0.5, 1.0, (3, 2, 4)),
+        rng.uniform(0.5, 1.0, (3, 3, 3)), rng.uniform(-0.2, 0.2, (3, 2, 4)),
+        rng.uniform(-0.2, 0.2, (3, 3, 3)),
+    )
+    if fault == "nan lag term":
+        prev.f_vface[1, 0, 2] = np.nan
+    else:
+        e_in[1, 1] = np.inf
+    solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
+    with pytest.raises(SolverError, match="non-finite values in group 1"):
+        solver.solve(random_closure(rng, 3, 2, 3), rng.uniform(0.5, 2.0, (3, 2, 3)),
+                     rng.uniform(0.5, 2.0, (3, 2, 3)), prev, 0.05)
 
 
 def test_grey_incoming_tables_helper():

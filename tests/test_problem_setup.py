@@ -101,6 +101,19 @@ def test_planck_rejects_nonpositive_temperature():
         planck_spectrum(-1.0, grid)
 
 
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+def test_nonfinite_temperature_rejected(T):
+    grid = FrequencyGrid(np.array([0.0, 1.0, 1.0e7]))
+    with pytest.raises(TemperatureDomainError):
+        planck_spectrum(T, grid)
+    with pytest.raises(TemperatureDomainError):
+        planck_spectrum(np.array([0.5, T]), grid)
+    with pytest.raises(TemperatureDomainError):
+        material().group_opacity(np.array([[0.5, T]]), grid)
+    with pytest.raises(TemperatureDomainError):
+        material().spectral_opacity(1.0, T)
+
+
 def test_band_fraction_against_oracle():
     # at T = 1 keV the last group (lo, hi) of a grid with edges (0, lo, hi)
     # carries 4 pi B / (a_R c) = the band fraction of the Planck integral
