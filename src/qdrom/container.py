@@ -228,6 +228,7 @@ def save_run_record(path, run) -> None:
         "f_vface": run.f_vface.reshape(nt, -1),
         "f_hface": run.f_hface.reshape(nt, -1),
         "iterations": run.iterations.astype(float),
+        "sweeps": run.sweeps.astype(float),
         "final_change": run.final_change,
         "negative_corners": run.negative_corners.astype(float),
         "closure_violations": run.closure_violations.astype(float),
@@ -263,6 +264,8 @@ def load_run_record(path):
             f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
             f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
             iterations=_counts(path, "iterations", arrays["iterations"][0]),
+            # records written before sweeps were stored load them as 0
+            sweeps=_counts(path, "sweeps", arrays.get("sweeps", np.zeros((1, nt)))[0]),
             final_change=arrays["final_change"][0],
             negative_corners=_counts(path, "negative_corners", arrays["negative_corners"][0]),
             closure_violations=_counts(path, "closure_violations",

@@ -7,7 +7,7 @@ the data about the column mean (the offset) and keeps the leading left
 singular vectors; DMD fits the best linear one-step operator to the
 uncentered history, projects it onto the leading left singular vectors and
 propagates the projected first snapshot with it; DMD-E first subtracts the
-final (near steady state) snapshot and drops it from the fit.
+final (near steady state) snapshot, whose column in the fit is then zero.
 
 The retained rank k is the smallest one whose discarded singular-value
 energy satisfies sum_{i>k} s_i^2 <= xi_rel^2 * sum_i s_i^2.
@@ -152,19 +152,18 @@ def dmd_compress(snap: SnapshotMatrix, xi_rel: float,
     DMD expansion with least-squares amplitudes evaluated in real
     arithmetic (Schmid, J. Fluid Mech. 656, 2010).  The
     "equilibrium_subtracted" variant first subtracts the final snapshot,
-    which becomes the offset, and drops it from the fit.
+    which becomes the offset, and fits every column of the difference: the
+    final one is zero, so the fit also sees the approach to the offset.
     """
     if variant not in ("plain", "equilibrium_subtracted"):
         raise ValueError(f"unknown DMD variant '{variant}'")
     a = snap.data
+    if a.shape[1] < 3:
+        raise ValueError("DMD needs at least 3 columns")
     offset = np.zeros(a.shape[0])
     if variant == "equilibrium_subtracted":
-        if a.shape[1] < 4:
-            raise ValueError("equilibrium-subtracted DMD needs at least 4 columns")
         offset = a[:, -1].copy()
-        a = a[:, :-1] - offset[:, None]
-    elif a.shape[1] < 3:
-        raise ValueError("DMD needs at least 3 columns")
+        a = a - offset[:, None]
     x = a[:, :-1]
     u, s, vt = truncated_svd(x)
     if np.all(s == 0.0):

@@ -247,16 +247,6 @@ class TransportSolver:
         cb = np.concatenate([half_range_factor(self.quad, *sides[s]) for s in SIDES], axis=1)
         return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h, cb)
 
-    # ------------------------------------------------------------- moments
-    def cell_moments(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(E_g, Fx_g, Fy_g) on cells from corner-averaged intensities."""
-        w, mu, eta = self.quad.weight, self.quad.mu, self.quad.eta
-        ibar = I.mean(axis=4)
-        e = np.einsum("m,gmyx->gyx", w, ibar) / self.material.light_speed
-        fx = np.einsum("m,gmyx->gyx", w * mu, ibar)
-        fy = np.einsum("m,gmyx->gyx", w * eta, ibar)
-        return e, fx, fy
-
     # ------------------------------------------------- boundary moment data
     def incoming_moments(self) -> dict:
         """Discrete E^in and n.F^in per side and group from the incoming spec.

@@ -1,6 +1,7 @@
 """Container format: round-trips, corruption handling, typed helpers."""
 import dataclasses
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +130,7 @@ def test_run_record_roundtrip(tmp_path, tiny_fom):
             assert got.shape == want.shape and np.array_equal(got, want), f.name
         else:
             assert got == want, f.name
+    assert np.all(back.sweeps >= 1)
     # records that still carry the retired grey Newton counts load; the array is ignored
     kind, desc, arrays = read_container(path)
     arrays["newton_iterations"] = 2.0 * arrays["iterations"]
@@ -137,6 +139,15 @@ def test_run_record_roundtrip(tmp_path, tiny_fom):
     assert not hasattr(back, "newton_iterations")
     assert np.array_equal(back.iterations, run.iterations)
     assert np.array_equal(back.temperature, run.temperature)
+    # records written before the sweep counts were stored load them as 0
+    del arrays["sweeps"]
+    write_container(path, kind, desc, arrays)
+    back = load_run_record(path)
+    assert back.sweeps.dtype.kind == "i" and np.array_equal(back.sweeps, np.zeros(run.n_steps))
+    assert np.array_equal(back.iterations, run.iterations)
+    stored = load_run_record(Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+                             / "desk_fom.ddet")
+    assert np.array_equal(stored.sweeps, np.zeros(stored.n_steps))
 
 
 def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshots,
@@ -169,8 +180,8 @@ def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshot
 
 
 @pytest.mark.parametrize("value", [np.nan, 2.5, -3.0])
-@pytest.mark.parametrize("name", ["iterations", "negative_corners", "closure_violations",
-                                  "positivity_violations"])
+@pytest.mark.parametrize("name", ["iterations", "sweeps", "negative_corners",
+                                  "closure_violations", "positivity_violations"])
 def test_run_record_counter_must_be_a_count(tmp_path, tiny_fom, name, value):
     path = tmp_path / "run.ddet"
     save_run_record(path, tiny_fom)
