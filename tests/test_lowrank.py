@@ -315,15 +315,19 @@ def test_compress_dispatch():
         compress(s, "nope", 1e-2)
 
 
-def test_dmde_keeps_final_column_on_desk_snapshots():
-    # with the zero final column left out of the fit, the worst offline
-    # column error of DMD-E on the desk snapshots was 0.98 at xi 1e-12 and
-    # 5.9e6 at xi 1e-16; with it kept, 1.4e-3 and 3.8e-4
+def desk_snapshots() -> dict:
     from pathlib import Path
 
     from qdrom.container import load_snapshot_set
     data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
-    matrices, _ = load_snapshot_set(data / "desk_snapshots.ddet")
+    return load_snapshot_set(data / "desk_snapshots.ddet")[0]
+
+
+def test_dmde_keeps_final_column_on_desk_snapshots():
+    # with the zero final column left out of the fit, the worst offline
+    # column error of DMD-E on the desk snapshots was 0.98 at xi 1e-12 and
+    # 5.9e6 at xi 1e-16; with it kept, 1.4e-3 and 3.8e-4
+    matrices = desk_snapshots()
     for xi in (1e-12, 1e-16):
         for name in SNAPSHOT_NAMES:
             mat = matrices[name]
@@ -337,12 +341,8 @@ def test_dmde_keeps_final_column_on_desk_snapshots():
 def test_desk_models_reconstruct_real_over_xi_grid():
     # every method at every truncation of the rank tables yields finite real
     # closures on the desk snapshot set; accuracy is not asserted here
-    from pathlib import Path
-
     from qdrom.analysis import XI_GRID
-    from qdrom.container import load_snapshot_set
-    data = Path(__file__).resolve().parents[1] / "benchmarks" / "data"
-    matrices, _ = load_snapshot_set(data / "desk_snapshots.ddet")
+    matrices = desk_snapshots()
     for method in ("pod", "dmd", "dmd-e"):
         for xi in XI_GRID:
             for name in SNAPSHOT_NAMES:
