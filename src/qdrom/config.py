@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .materials import A_RAD, C_LIGHT
+from .quadrature import QuadratureSpecError, azimuthal_counts
 
 FC_GROUP_BOUNDS = (0.0, 0.7075, 1.415, 2.123, 2.830, 3.538, 4.245, 5.129,
                    6.014, 6.898, 7.783, 8.667, 9.551, 10.44, 11.32, 12.20,
@@ -60,6 +61,10 @@ class RunConfig:
         for name in ("nx", "ny", "quadrature", "n_steps", "max_outer"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        try:
+            azimuthal_counts(self.quadrature)
+        except QuadratureSpecError as err:
+            raise ConfigError(f"quadrature: {err}") from err
         for name in ("dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
                      "light_speed", "radiation_constant", "outer_tol"):
             if not getattr(self, name) > 0.0:

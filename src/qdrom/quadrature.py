@@ -138,20 +138,28 @@ def _assemble(levels: np.ndarray, level_w: np.ndarray, azi_counts: np.ndarray) -
     )
 
 
-def build_quadrature(per_quadrant: int) -> AngularQuadrature:
-    """Build the level-symmetric set with `per_quadrant` directions per x-y quadrant."""
+def azimuthal_counts(per_quadrant: int) -> np.ndarray:
+    """Azimuthal points per polar level for `per_quadrant` directions per quadrant.
+
+    Triangular q = n(n+1)/2 gives n, n-1, ..., 1 (most points on the lowest
+    level); otherwise a perfect square q = s*s gives s levels of s points.
+    """
     q = int(per_quadrant)
     if q < 1:
         raise QuadratureSpecError(f"per-quadrant count must be >= 1, got {per_quadrant}")
     n = int((np.sqrt(8.0 * q + 1.0) - 1.0) / 2.0 + 0.5)
     if n * (n + 1) // 2 == q:
-        levels, lw = _polar_levels(n)
-        azi = np.arange(n, 0, -1)  # most azimuthal points on the lowest level
-        return _assemble(levels, lw, azi)
+        return np.arange(n, 0, -1)
     s = int(np.sqrt(q) + 0.5)
     if s * s == q:
-        levels, lw = _polar_levels(s)
-        return _assemble(levels, lw, np.full(s, s))
+        return np.full(s, s)
     raise QuadratureSpecError(
         f"unsupported per-quadrant count {q}: need a triangular number n(n+1)/2 or a perfect square"
     )
+
+
+def build_quadrature(per_quadrant: int) -> AngularQuadrature:
+    """Build the level-symmetric set with `per_quadrant` directions per x-y quadrant."""
+    azi = azimuthal_counts(per_quadrant)
+    levels, lw = _polar_levels(azi.size)
+    return _assemble(levels, lw, azi)

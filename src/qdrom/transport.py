@@ -6,6 +6,17 @@ derivative into an effective removal kappa + 1/(c dt) and a source
 kappa*B + I_prev/(c dt); one sweep per direction solves the system exactly
 because there is no scattering.
 
+Without scattering the four quadrants are independent, so they share one
+wavefront pass (the simultaneous-quadrant form of KBA diagonal sweeps; Baker
+& Koch, Nucl. Sci. Eng. 128, 1998).  Each quadrant is mapped into its flow
+frame, where x is reflected when mu < 0 and y when eta < 0, so every
+direction flows from flow corner 0 (upwind) towards flow corner 3.  In the
+flow frame the cells of diagonal d = a + b depend only on diagonal d - 1.
+The sweep works in a lane layout (group, flow cell in diagonal order, flow
+corner, lane), with one lane per (quadrant, direction) pair on the
+contiguous last axis; the index tables between the two layouts are built
+once per solver.
+
 Face-located quantities use the upwind trace: the mean of the two corner
 intensities on the upwind side of the face, per direction.  Boundary faces
 take the prescribed incoming intensity for entering directions.
@@ -18,7 +29,7 @@ import numpy as np
 
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum
 from .mesh import SIDES, SpatialMesh
-from .quadrature import AngularQuadrature
+from .quadrature import AngularQuadrature, QuadratureSpecError
 
 # the sweep has one numpy path; benchmarks/run.py reports this flag
 _HAVE_NUMBA = False
@@ -123,31 +134,50 @@ class TransportSolver:
         self.bc = bc
         self._mu_pos = quad.mu > 0.0
         self._eta_pos = quad.eta > 0.0
-        self._quadrant_dirs = [
-            np.nonzero((np.sign(quad.mu) == sx) & (np.sign(quad.eta) == sy))[0]
-            for sx, sy in _QUADRANTS
-        ]
-        # wavefront diagonals per quadrant: cells sharing a flow diagonal are
-        # independent and solve as one batch; all index/geometry data is static
-        self._diagonals = {}
+        if np.any((quad.mu == 0.0) | (quad.eta == 0.0)):
+            raise QuadratureSpecError("a direction with mu = 0 or eta = 0 lies in no quadrant")
+        dirs = [np.nonzero((np.sign(quad.mu) == sx) & (np.sign(quad.eta) == sy))[0]
+                for sx, sy in _QUADRANTS]
+        if len({len(ms) for ms in dirs}) != 1:
+            raise QuadratureSpecError("the quadrants hold unequal direction counts")
+        dirs = np.array(dirs)                                  # (4, K)
         nx, ny = mesh.nx, mesh.ny
-        for sx, sy in _QUADRANTS:
-            diags = []
-            for d in range(nx + ny - 1):
-                a = np.arange(max(0, d - ny + 1), min(nx, d + 1))
-                b = d - a
-                ix = a if sx > 0 else nx - 1 - a
-                iy = b if sy > 0 else ny - 1 - b
-                dx = mesh.dx[ix][None, None, :]
-                dy = mesh.dy[iy][None, None, :]
-                jx, jy = ix - sx, iy - sy
-                diags.append({
-                    "iy": iy, "ix": ix, "dx": dx, "dy": dy,
-                    "quarter": 0.25 * dx * dy,
-                    "jxc": np.clip(jx, 0, nx - 1), "ok_x": (0 <= jx) & (jx < nx),
-                    "jyc": np.clip(jy, 0, ny - 1), "ok_y": (0 <= jy) & (jy < ny),
-                })
-            self._diagonals[(sx, sy)] = diags
+        sx, sy = np.array(_QUADRANTS).T                        # (4,) each
+        # flow-frame cells (a, b) in diagonal order d = a + b, then by a
+        a, b = np.divmod(np.arange(nx * ny), ny)
+        order = np.lexsort((a, a + b))
+        a, b = a[order], b[order]
+        counts = np.bincount(a + b)
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        # (first cell, end cell, first column) of each diagonal
+        self._diagonals = [(int(p0), int(p1), int(a[p0]))
+                           for p0, p1 in zip(starts[:-1], starts[1:])]
+        # physical cell of each flow cell per quadrant: reflect x if sx < 0, y if sy < 0
+        ix = np.where(sx > 0, a[:, None], nx - 1 - a[:, None])  # (cells, 4)
+        iy = np.where(sy > 0, b[:, None], ny - 1 - b[:, None])
+        cells = iy * nx + ix
+        k = dirs.shape[1]
+        self._lane_cells = np.repeat(cells, k, axis=1)          # (cells, 4K)
+        # physical corner 2*cy + cx of flow corner 2*fy + fx per quadrant
+        fx, fy = np.array([0, 1, 0, 1])[:, None], np.array([0, 0, 1, 1])[:, None]
+        corner = 2 * np.where(sy > 0, fy, 1 - fy) + np.where(sx > 0, fx, 1 - fx)  # (4, 4)
+        # per group, the lane layout (cell, flow corner, quadrant, K) and the
+        # physical layout (direction, y, x, corner) as flat indices of each other
+        to_lanes = (4 * cells[:, None, :] + corner)[..., None] + dirs * (4 * nx * ny)
+        self._to_lanes = to_lanes.ravel()
+        self._to_field = np.empty_like(self._to_lanes)
+        self._to_field[self._to_lanes] = np.arange(self._to_lanes.size)
+        # streaming weights and corner areas per flow cell and lane
+        dxl, dyl = mesh.dx[ix], mesh.dy[iy]
+        self._quarter = np.repeat(0.25 * dxl * dyl, k, axis=1)  # (cells, 4K)
+        self._wx = (0.5 * np.abs(quad.mu[dirs]) * dyl[:, :, None]).reshape(nx * ny, -1)
+        self._wy = (0.5 * np.abs(quad.eta[dirs]) * dxl[:, :, None]).reshape(nx * ny, -1)
+        self._wxy = self._wx + self._wy
+        # inflow of each lane across the upwind x and y faces of the flow frame
+        x_in = np.stack([bc.side("left" if s > 0 else "right") for s in sx], axis=1)
+        y_in = np.stack([bc.side("bottom" if s > 0 else "top") for s in sy], axis=1)
+        self._x_in = np.repeat(x_in, k, axis=1)                 # (n_g, 4K)
+        self._y_in = np.repeat(y_in, k, axis=1)
 
     # ------------------------------------------------------------------ API
     @property
@@ -166,9 +196,10 @@ class TransportSolver:
               dt: float) -> np.ndarray:
         """One backward-Euler SCB solve given per-cell opacity and emission.
 
-        kappa, emission: (n_g, ny, nx); I_prev: corner field.  Each quadrant
-        is solved diagonal by diagonal: cells on a flow diagonal only depend
-        on the previous diagonal, so they solve in one batch.
+        kappa, emission: (n_g, ny, nx); I_prev: corner field.  All quadrants
+        sweep in one wavefront pass over the flow-frame diagonals: the cells
+        of a diagonal depend only on the previous diagonal, and every
+        (group, quadrant, direction) lane is independent.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -176,46 +207,41 @@ class TransportSolver:
             raise ShapeError(f"I_prev shape {I_prev.shape} != {self.shape}")
         if kappa.shape != self.shape[:1] + self.shape[2:4]:
             raise ShapeError(f"kappa shape {kappa.shape} incompatible with mesh/groups")
-        quad = self.quad
+        if emission.shape != kappa.shape:
+            raise ShapeError(f"emission shape {emission.shape} != kappa shape {kappa.shape}")
+        n_g, n_cells = kappa.shape[0], self._lane_cells.shape[0]
         cdt = self.material.light_speed * dt
-        ktil = kappa + 1.0 / cdt                      # (n_g, ny, nx)
-        src = kappa * emission                        # (n_g, ny, nx)
-        out = np.empty(self.shape)
+        quarter = self._quarter
 
-        for (sx, sy), ms in zip(_QUADRANTS, self._quadrant_dirs):
-            # flow->actual corner index: c = 2*cy + cx
-            def corner(fx, fy):
-                cx = fx if sx > 0 else 1 - fx
-                cy = fy if sy > 0 else 1 - fy
-                return 2 * cy + cx
-            c00, c10, c01, c11 = corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)
-            bxc = self.bc.side("left" if sx > 0 else "right")[:, None, None]
-            byc = self.bc.side("bottom" if sy > 0 else "top")[:, None, None]
-            amu = np.abs(quad.mu[ms])[None, :, None]
-            aeta = np.abs(quad.eta[ms])[None, :, None]
-            msc = ms[:, None]
-            # total source including the previous-step corner term, all corners
-            src_tot = src[:, None, :, :, None] + I_prev[:, ms] / cdt
-            for dg in self._diagonals[(sx, sy)]:
-                iy, ix = dg["iy"][None, :], dg["ix"][None, :]
-                quarter = dg["quarter"]
-                wx, wy = 0.5 * amu * dg["dy"], 0.5 * aeta * dg["dx"]
-                denom = wx + wy + ktil[:, dg["iy"], dg["ix"]][:, None, :] * quarter
-                s = src_tot[:, :, dg["iy"], dg["ix"], :] * quarter[..., None]
-                jxc, jyc = dg["jxc"][None, :], dg["jyc"][None, :]
-                in_x0 = np.where(dg["ok_x"], out[:, msc, iy, jxc, c10], bxc)
-                in_x1 = np.where(dg["ok_x"], out[:, msc, iy, jxc, c11], bxc)
-                in_y0 = np.where(dg["ok_y"], out[:, msc, jyc, ix, c01], byc)
-                in_y1 = np.where(dg["ok_y"], out[:, msc, jyc, ix, c11], byc)
-                i00 = (s[..., c00] + wx * in_x0 + wy * in_y0) / denom
-                i10 = (s[..., c10] + wx * i00 + wy * in_y1) / denom
-                i01 = (s[..., c01] + wx * in_x1 + wy * i00) / denom
-                i11 = (s[..., c11] + wx * i01 + wy * i10) / denom
-                out[:, msc, iy, ix, c00] = i00
-                out[:, msc, iy, ix, c10] = i10
-                out[:, msc, iy, ix, c01] = i01
-                out[:, msc, iy, ix, c11] = i11
-        return out
+        def lanes(field):  # (n_g, ny, nx) -> (n_g, cells, 4K)
+            return field.reshape(n_g, -1)[:, self._lane_cells]
+
+        denom = self._wxy + lanes(kappa + 1.0 / cdt) * quarter
+        # the tables are permutations: "clip" never clips, it skips the bounds check
+        s = np.take(I_prev.reshape(n_g, -1), self._to_lanes, axis=1, mode="clip")
+        s = s.reshape(n_g, n_cells, 4, -1)      # (n_g, cells, flow corner, 4K)
+        s /= cdt
+        s += lanes(kappa * emission)[:, :, None]
+        s *= quarter[:, None]
+        # upwind corners of the previous diagonal by flow-frame column a at
+        # slot a + 1; slot 0 and the slots not yet swept hold the inflow
+        prev = np.empty((n_g, self.mesh.nx + 1) + s.shape[2:])
+        prev[:, 0, 1::2] = self._x_in[:, None]
+        prev[:, 1:, 2:] = self._y_in[:, None, None]
+        wx, wy = self._wx, self._wy
+        for p0, p1, lo in self._diagonals:
+            hi = lo + p1 - p0
+            xin, yin = prev[:, lo:hi], prev[:, lo + 1:hi + 1]
+            sd, den, ax, ay = s[:, p0:p1], denom[:, p0:p1], wx[p0:p1], wy[p0:p1]
+            # each corner overwrites its own source once solved
+            i00, i10, i01, i11 = np.moveaxis(sd, 2, 0)
+            np.divide(i00 + ax * xin[:, :, 1] + ay * yin[:, :, 2], den, out=i00)
+            np.divide(i10 + ax * i00 + ay * yin[:, :, 3], den, out=i10)
+            np.divide(i01 + ax * xin[:, :, 3] + ay * i00, den, out=i01)
+            np.divide(i11 + ax * i01 + ay * i10, den, out=i11)
+            prev[:, lo + 1:hi + 1] = sd
+        out = np.take(s.reshape(n_g, -1), self._to_field, axis=1, mode="clip")
+        return out.reshape(self.shape)
 
     # ------------------------------------------------------------- closures
     def face_traces(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +263,8 @@ class TransportSolver:
 
     def compute_eddington(self, I: np.ndarray) -> ClosureRecord:
         """Eddington tensor entries on cells and faces (boundary factors too)."""
+        if I.shape != self.shape:
+            raise ShapeError(f"I shape {I.shape} != {self.shape}")
         fxx_c, fyy_c, _ = eddington_ratios(self.quad, I.mean(axis=4))
         tv, th = self.face_traces(I)
         fxx_v, _, fxy_v = eddington_ratios(self.quad, tv)

@@ -187,6 +187,10 @@ def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
     rc = main(["fom", "--config", str(bad), "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "outer_tol must be positive" in capsys.readouterr().err
+    bad.write_text(TINY_CONFIG.replace("quadrature = 1", "quadrature = 2"))
+    rc = main(["fom", "--config", str(bad), "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert "unsupported per-quadrant count 2" in capsys.readouterr().err
 
 
 def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):

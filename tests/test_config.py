@@ -98,7 +98,7 @@ def test_validation():
         RunConfig(boundary_left=-1.0)
     # solver controls and non-finite values
     for kw in (dict(outer_tol=-1.0), dict(outer_tol=0.0, outer_floor=0.0),
-               dict(outer_floor=-1e-15), dict(max_outer=0), dict(quadrature=0),
+               dict(outer_floor=-1e-15), dict(max_outer=0), dict(quadrature=0), dict(quadrature=2),
                dict(dx=np.nan), dict(dt=np.inf), dict(opacity_exponent=np.nan),
                dict(boundary_left=np.inf), dict(opacity_coeff=0.0),
                dict(light_speed=-1.0), dict(radiation_constant=0.0),

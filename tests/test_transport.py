@@ -7,7 +7,7 @@ import pytest
 from qdrom.drivers import stack_closure, unstack_closure
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
 from qdrom.mesh import SpatialMesh, build_boundary
-from qdrom.quadrature import build_quadrature
+from qdrom.quadrature import QuadratureSpecError, build_quadrature
 from qdrom.transport import (
     BoundarySpec,
     DegenerateIntensityError,
@@ -255,20 +255,29 @@ def wavefront_order(sx, sy, nx, ny):
 
 
 def test_sweep_order_permutation_invariance():
-    # the production sweep batches flow diagonals; a per-cell sweep in any
-    # upwind-respecting order must give the same field.  The diagonal index
-    # ranges differ from the square case only when nx != ny.
+    # the production sweep solves all quadrants diagonal by diagonal; a
+    # per-cell sweep in any upwind-respecting order performs the same
+    # operations per unknown, so the fields agree bit for bit.  The diagonal
+    # index ranges differ from the square case only when nx != ny.
     rng = np.random.default_rng(11)
-    for nx, ny, inflow in ((4, 4, ()), (5, 3, ("left",))):
-        sol = make_solver(nx, ny, per_quadrant=3, bc=blackbody_bc(0.8, GRID2, inflow))
+    for nx, ny, per_quadrant, inflow, uniform in (
+            (4, 4, 3, (), True),
+            (5, 3, 3, ("left",), True),
+            (3, 6, 1, ("left", "bottom"), False),
+            (1, 5, 6, ("right", "top"), False),
+            (6, 1, 3, ("bottom", "right"), False)):
+        sol = make_solver(nx, ny, per_quadrant=per_quadrant,
+                          bc=blackbody_bc(0.8, GRID2, inflow))
+        if not uniform:
+            mesh = SpatialMesh(nx, ny, rng.uniform(0.2, 1.0, nx), rng.uniform(0.2, 1.0, ny))
+            sol = TransportSolver(mesh, sol.quad, sol.grid, sol.material, sol.bc)
         kappa = rng.uniform(0.2, 2.0, size=(2, ny, nx))
         emis = rng.uniform(0.2, 2.0, size=(2, ny, nx))
         I_prev = rng.uniform(0.1, 1.0, size=sol.shape)
         base = sol.sweep(kappa, emis, I_prev, 0.1)
         for order in (raster_order, wavefront_order):
             alt = per_cell_sweep(sol, kappa, emis, I_prev, 0.1, order)
-            assert np.max(np.abs(alt - base)) <= 1e-14 * np.max(np.abs(base)), \
-                (nx, ny, order.__name__)
+            assert np.array_equal(alt, base), (nx, ny, order.__name__)
 
 
 def test_sweep_input_validation():
@@ -279,6 +288,32 @@ def test_sweep_input_validation():
         sol.sweep(np.zeros((2, 3, 2)), np.zeros((2, 2, 2)), np.zeros(sol.shape), 0.1)
     with pytest.raises(ValueError):
         sol.sweep(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), np.zeros(sol.shape), -0.1)
+    # an emission that would broadcast against kappa is still the wrong shape
+    sol = make_solver(3, 3)
+    for emis_shape in ((2, 1, 1), (3,)):
+        with pytest.raises(ShapeError):
+            sol.sweep(np.ones((2, 3, 3)), np.ones(emis_shape), np.ones(sol.shape), 0.1)
+    with pytest.raises(ShapeError):
+        sol.compute_eddington(np.ones((2, 4, 3, 3, 1)))
+
+
+def test_solver_rejects_directions_outside_the_quadrants():
+    quad = build_quadrature(3)
+    # mu = 0 lies on a quadrant boundary: the sweep has no upwind side for it
+    mu = quad.mu.copy()
+    mu[0] = 0.0
+    eta = quad.eta.copy()
+    eta[5] = 0.0
+    for bad in (dataclasses.replace(quad, mu=mu), dataclasses.replace(quad, eta=eta)):
+        with pytest.raises(QuadratureSpecError, match="no quadrant"):
+            TransportSolver(SpatialMesh.uniform(2, 2, 0.5, 0.5), bad, GRID2, MAT,
+                            BoundarySpec(*(np.zeros(2) for _ in range(4))))
+    # one direction moved into the next quadrant leaves the lanes unequal
+    mu = quad.mu.copy()
+    mu[0] = -mu[0]
+    with pytest.raises(QuadratureSpecError, match="unequal"):
+        TransportSolver(SpatialMesh.uniform(2, 2, 0.5, 0.5), dataclasses.replace(quad, mu=mu),
+                        GRID2, MAT, BoundarySpec(*(np.zeros(2) for _ in range(4))))
 
 
 # ---------------------------------------------------------------------------
