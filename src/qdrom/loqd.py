@@ -17,10 +17,13 @@ uses d = f / (kappa + 1/(c dt)), with f the Eddington-tensor entry, and
 p = F_prev / (1 + c dt kappa) per group; the effective grey problem uses
 their spectrum averages, together with averaged absorption and emission
 opacities and boundary factors, so that it is the exact group sum of the
-multigroup scheme.  MomentSystem holds the layout and the sparsity pattern,
-built once per geometry, and its one solve serves both levels: each level
-passes its coefficients, and the solve fills, factors in the pattern's own
-unknown order, checks and unpacks the energies and face fluxes.
+multigroup scheme.  MomentSystem holds the layout, built once per geometry,
+and its one solve serves both levels: each level passes its coefficients,
+and the solve fills, factors, checks and unpacks the energies and face
+fluxes.  It factors each group as a banded matrix (LAPACK dgbsv, partial
+pivoting) in a row-interleaved order of the unknowns: per mesh row the
+hfaces below it, then vface and cell pairs, then the last vface, and the top
+hfaces last.  Every entry then lies within 2 nx + 1 of the diagonal.
 The grey system couples to the material energy balance through the emission
 term, linearized about the outer temperature iterate; the temperature is
 eliminated cell-by-cell, so the emission only adds to the cell diagonal and
@@ -35,8 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv
 
 from .materials import FrequencyGrid, MaterialModel
 from .mesh import BoundaryFaces, FaceAdjacency, SpatialMesh, build_adjacency, build_boundary
@@ -162,17 +164,21 @@ def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 class MomentSystem:
     """Layout of the E-only moment system over x = [E_cell, E_vface, E_hface].
 
-    The CSC sparsity pattern and the scatter of the assembled entries into
-    its data array depend on the mesh only and are built here, once; both
-    levels call solve() with a leading group axis or none.  A leading axis
-    of n_g makes the block-diagonal system of independent groups.
+    The solve orders the unknowns row by row of the mesh: for mesh row j
+    the hfaces below it, then the pairs (vface i, cell i), then the last
+    vface; the top hfaces come last.  In that order every entry lies within
+    kl = ku = 2 nx + 1 of the diagonal, so each group is one banded LU with
+    partial pivoting (LAPACK dgbsv).  The entries' (row, col) in the natural
+    order, their band-storage slots and the position table depend on the
+    mesh only and are built here, once; both levels call solve() with a
+    leading group axis or none.
     """
 
     def __init__(self, geom: ProblemGeometry):
         va, ha = geom.vadj, geom.hadj
         nc, nv = geom.n_cells, geom.n_vfaces
         n = nc + nv + geom.n_hfaces
-        self.shape = (geom.mesh.ny, geom.mesh.nx)
+        ny, nx = self.shape = (geom.mesh.ny, geom.mesh.nx)
         self.n_cells, self.n_vfaces, self.n_unknowns = nc, nv, n
         # columns of the face, cell, + and - perpendicular-face entries of
         # each one-sided flux expression
@@ -185,19 +191,27 @@ class MomentSystem:
         brow = nc + geom.boundary_face_global()
         # entry order of fill(): cell diagonal; per orientation the flux
         # expressions in the cell rows, then in the face rows; boundary terms
-        rows = np.concatenate([cells, np.tile(va.cell, 4), np.tile(vrow, 4),
-                               np.tile(ha.cell, 4), np.tile(hrow, 4), brow])
-        cols = np.concatenate([cells, self.vcols.ravel(), self.vcols.ravel(),
-                               self.hcols.ravel(), self.hcols.ravel(), brow])
-        keys, self.slot = np.unique(cols * n + rows, return_inverse=True)
-        self.nnz = keys.size
-        self.indices = keys % n
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+        self.rows = np.concatenate([cells, np.tile(va.cell, 4), np.tile(vrow, 4),
+                                    np.tile(ha.cell, 4), np.tile(hrow, 4), brow])
+        self.cols = np.concatenate([cells, self.vcols.ravel(), self.vcols.ravel(),
+                                    self.hcols.ravel(), self.hcols.ravel(), brow])
+        # band position of each unknown: cells, vfaces, hfaces of mesh row j
+        # at j * stride + (nx + 2i + 1, nx + 2i, i)
+        stride = 3 * nx + 1
+        jc, ic = np.divmod(cells, nx)
+        jv, iv = np.divmod(np.arange(nv), nx + 1)
+        jh, ih = np.divmod(np.arange(geom.n_hfaces), nx)
+        self.pos = np.concatenate([jc * stride + nx + 2 * ic + 1,
+                                   jv * stride + nx + 2 * iv, jh * stride + ih])
+        r, c = self.pos[self.rows], self.pos[self.cols]
+        self.kl, self.ku = int(np.max(r - c)), int(np.max(c - r))
+        # LAPACK band storage AB(kl + ku + r - c, c), column-major, ldab rows
+        self.ldab = 2 * self.kl + self.ku + 1
+        self.slot = self.kl + self.ku + r - c + self.ldab * c
         self.rhs_rows = np.concatenate([cells, va.cell, vrow, ha.cell, hrow, brow])
         self.vcount = np.bincount(va.face, minlength=nv)
         self.hcount = np.bincount(ha.face, minlength=geom.n_hfaces)
         self.vadj, self.hadj = va, ha
-        self._blocks = {}  # block-diagonal (indices, indptr) per block count
 
     @staticmethod
     def _weights(adj, fc: FluxCoeffs, light_speed: float) -> np.ndarray:
@@ -212,7 +226,9 @@ class MomentSystem:
 
     def fill(self, light_speed: float, cell_diag, cell_rhs, vflux: FluxCoeffs,
              hflux: FluxCoeffs, boundary_diag, boundary_rhs):
-        """Matrix values (..., nnz), right-hand side (..., n) and flux weights.
+        """Entry values (..., len(rows)), right-hand side (..., n) and flux weights.
+
+        Entry k adds its value at (rows[k], cols[k]) of the natural order.
 
         cell_diag/cell_rhs are (..., n_cells); boundary_diag/boundary_rhs are
         (..., n_bfaces), in the boundary-face order of the geometry.
@@ -228,35 +244,8 @@ class MomentSystem:
             weights.append(w)
         vals.append(boundary_diag)
         rhs.append(boundary_rhs)
-        data = _scatter(self.slot, np.concatenate(vals, axis=-1), self.nnz)
         b = _scatter(self.rhs_rows, np.concatenate(rhs, axis=-1), self.n_unknowns)
-        return data, b, weights
-
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """CSC matrix of values (nnz,), block-diagonal for (n_blocks, nnz)."""
-        nb = data.size // self.nnz
-        if nb not in self._blocks:
-            blk = np.arange(nb)[:, None]
-            self._blocks[nb] = ((self.indices + self.n_unknowns * blk).ravel(),
-                                np.append((self.indptr[:-1] + self.nnz * blk).ravel(),
-                                          nb * self.nnz))
-        indices, indptr = self._blocks[nb]
-        return sp.csc_matrix((data.ravel(), indices, indptr),
-                             shape=(nb * self.n_unknowns, nb * self.n_unknowns))
-
-    def factor(self, data: np.ndarray):
-        """Sparse LU of the matrix of values `data`, in the unknowns' own order.
-
-        The order [E_cell, E_vface, E_hface], group by group, already keeps
-        the fill low, and it spares recomputing an ordering of a pattern
-        that never changes.  On desk systems (2-core host, one BLAS thread)
-        it factored faster than SuperLU's COLAMD and MMD orderings: the
-        multigroup system (1280 unknowns) in 1.1 ms instead of 2.0 ms with
-        COLAMD, fill 30.0k -> 28.9k; the grey system (320) in 0.19 ms
-        instead of 0.59 ms, fill 7.5k -> 7.2k.  Raises RuntimeError for a
-        singular matrix.
-        """
-        return splu(self.matrix(data), permc_spec="NATURAL")
+        return np.concatenate(vals, axis=-1), b, weights
 
     def face_fluxes(self, x: np.ndarray, weights, vflux: FluxCoeffs, hflux: FluxCoeffs):
         """(F_vface, F_hface) from the one-sided expressions, averaged per face."""
@@ -281,17 +270,27 @@ class MomentSystem:
         """(E_cell, E_vface, E_hface, F_vface, F_hface) grids of fill()'s system.
 
         Takes fill()'s arguments and keeps their leading group axis, if any;
-        the groups are factored together as one block-diagonal matrix.
-        Raises SolverError for a singular matrix or a non-finite solution,
-        naming the first bad group.
+        each group is one banded LU in the band order.  Raises SolverError
+        for a singular matrix or a non-finite solution, naming the group.
         """
-        data, b, weights = self.fill(light_speed, cell_diag, cell_rhs, vflux, hflux,
+        vals, b, weights = self.fill(light_speed, cell_diag, cell_rhs, vflux, hflux,
                                      boundary_diag, boundary_rhs)
-        lead = b.shape[:-1]
-        try:
-            x = self.factor(data).solve(b.ravel()).reshape(b.shape)
-        except RuntimeError as err:
-            raise SolverError(f"moment-system solve failed: {err}") from err
+        lead, n = b.shape[:-1], self.n_unknowns
+        # unit row 1-norms: where cold, opaque cells make the row scales
+        # span many decades, unscaled pivoting lost all accuracy
+        scale = 1.0 / np.maximum(_scatter(self.rows, np.abs(vals), n), np.finfo(float).tiny)
+        band = _scatter(self.slot, vals * scale[..., self.rows], n * self.ldab)
+        band = band.reshape(-1, n, self.ldab)
+        xb = np.empty((band.shape[0], n))
+        xb[:, self.pos] = (b * scale).reshape(-1, n)
+        for g, ab in enumerate(band):
+            # ab.T is the Fortran-ordered band storage itself: no copy
+            _, _, xb[g], info = dgbsv(self.kl, self.ku, ab.T, xb[g],
+                                      overwrite_ab=1, overwrite_b=1)
+            if info:
+                where = f" in group {g}" if lead else ""
+                raise SolverError(f"moment-system matrix is singular{where} (dgbsv info {info})")
+        x = xb[:, self.pos].reshape(b.shape)
         f_v, f_h = self.face_fluxes(x, weights, vflux, hflux)
         finite = np.isfinite(x).all(-1) & np.isfinite(f_v).all(-1) & np.isfinite(f_h).all(-1)
         if not np.all(finite):
@@ -330,7 +329,7 @@ def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: Multigro
 
 
 class MultigroupLoqdSolver:
-    """Sparse direct solver for the per-group E-only moment systems.
+    """Direct solver for the per-group E-only moment systems.
 
     Face fluxes follow from the one-sided expressions after the solve.
     """
@@ -348,8 +347,7 @@ class MultigroupLoqdSolver:
               prev: MultigroupMoments, dt: float):
         """Direct solve of every group system; kappa/planck are (n_g, ny, nx).
 
-        Groups are independent; MomentSystem.solve factors them together
-        as one block-diagonal matrix to amortize the solver overhead.
+        Groups are independent; MomentSystem.solve factors each in turn.
         Returns the moments and the per-group (vertical, horizontal) flux
         coefficients, which the grey coefficients average.
         """

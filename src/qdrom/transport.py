@@ -251,13 +251,14 @@ class TransportSolver:
         tv = np.empty((n_g, n_m, ny, nx + 1))
         th = np.empty((n_g, n_m, ny + 1, nx))
         mp, ep = self._mu_pos, self._eta_pos
-        tv[:, mp, :, 1:] = 0.5 * (I[:, mp][..., 1] + I[:, mp][..., 3])
+        # take the corner before the directions: only it is copied
+        tv[:, mp, :, 1:] = 0.5 * (I[..., 1][:, mp] + I[..., 3][:, mp])
         tv[:, mp, :, 0:1] = self.bc.left[:, None, None, None]
-        tv[:, ~mp, :, :nx] = 0.5 * (I[:, ~mp][..., 0] + I[:, ~mp][..., 2])
+        tv[:, ~mp, :, :nx] = 0.5 * (I[..., 0][:, ~mp] + I[..., 2][:, ~mp])
         tv[:, ~mp, :, nx:] = self.bc.right[:, None, None, None]
-        th[:, ep, 1:, :] = 0.5 * (I[:, ep][..., 2] + I[:, ep][..., 3])
+        th[:, ep, 1:, :] = 0.5 * (I[..., 2][:, ep] + I[..., 3][:, ep])
         th[:, ep, 0:1, :] = self.bc.bottom[:, None, None, None]
-        th[:, ~ep, :ny, :] = 0.5 * (I[:, ~ep][..., 0] + I[:, ~ep][..., 1])
+        th[:, ~ep, :ny, :] = 0.5 * (I[..., 0][:, ~ep] + I[..., 1][:, ~ep])
         th[:, ~ep, ny:, :] = self.bc.top[:, None, None, None]
         return tv, th
 

@@ -1,7 +1,9 @@
 """Multigroup and grey moment-solver checks against dense oracles."""
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
+from qdrom.config import FC_GROUP_BOUNDS
 from qdrom.loqd import (
     DegenerateStateError,
     FluxCoeffs,
@@ -411,8 +413,14 @@ def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
     )
 
 
+def moment_matrix(system, vals):
+    """Sparse matrix of fill()'s entry values (n_entries,), duplicates summed."""
+    n = system.n_unknowns
+    return coo_matrix((vals, (system.rows, system.cols)), shape=(n, n)).tocsr()
+
+
 def grey_radiation_system(geom, co, dt, e_prev_cell):
-    """Grey matrix values, right-hand side and flux weights, emission aside.
+    """Grey entry values, right-hand side and flux weights, emission aside.
 
     The cell rows of the grey problem read G x = b + grey_emission(T).
     """
@@ -448,21 +456,130 @@ def test_grey_equilibrium_fixed_point():
     assert np.max(np.abs(out.f_vface)) <= 1e-12 * MAT.light_speed * e_star
 
 
-def test_factor_keeps_natural_column_order():
-    # both levels factor in the unknowns' own order; the dense solve is the oracle
-    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
-    co = grey_coeffs_uniform(geom, kbar=2.0)
+def random_system_args(rng, geom, lead=()):
+    """solve()/fill() arguments with random coefficients and leading axis lead."""
+    c = MAT.light_speed
+    area = geom.mesh.cell_area.ravel()
+
+    def flux(adj):
+        shape = lead + adj.face.shape
+        return FluxCoeffs(*(rng.uniform(0.1, 0.5, shape) for _ in range(4)),
+                          rng.uniform(-0.01, 0.01, shape))
+    nbf = geom.bfaces.count
+    return [c, area / 0.02 + c * rng.uniform(0.5, 2.0, lead + area.shape) * area,
+            rng.uniform(0.5, 1.0, lead + area.shape), flux(geom.vadj), flux(geom.hadj),
+            -c * rng.uniform(0.4, 0.7, lead + (nbf,)), rng.uniform(-1.0, 1.0, lead + (nbf,))]
+
+
+@pytest.mark.parametrize("n_g", [None, 3])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (4, 1), (3, 2), (5, 3)])
+def test_banded_solve_matches_dense_oracle(nx, ny, n_g):
+    # one banded LU per group through MomentSystem.solve; the dense solve of
+    # the natural-order matrix is the oracle
+    rng = np.random.default_rng(41 + 7 * nx + ny)
+    geom = ProblemGeometry.build(SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx),
+                                             rng.uniform(0.3, 0.8, ny)))
     system = geom.moment_system
-    grey, _, _ = grey_radiation_system(geom, co, 0.02, np.full((2, 3), 1e-3))
-    multigroup = np.stack([grey, 2.0 * grey, 0.5 * grey])  # block-diagonal, 3 groups
-    rng = np.random.default_rng(41)
-    for data in (grey, multigroup):
-        lu = system.factor(data)
-        n = data.size // system.nnz * system.n_unknowns
-        assert np.array_equal(lu.perm_c, np.arange(n))
-        b = rng.uniform(-1.0, 1.0, n)
-        x = np.linalg.solve(system.matrix(data).toarray(), b)
-        assert np.max(np.abs(lu.solve(b) - x)) <= 1e-12 * np.max(np.abs(x))
+    assert system.kl == system.ku == 2 * nx + 1
+    lead = () if n_g is None else (n_g,)
+    args = random_system_args(rng, geom, lead)
+    cases = [args]
+    if (nx, ny) == (3, 2):
+        # hface 0 comes first in the band order; a zero diagonal there makes
+        # the factorisation interchange rows
+        h0 = system.n_cells + system.n_vfaces
+        k = int(np.flatnonzero(geom.boundary_face_global() == geom.n_vfaces)[0])
+        pivot = list(args)
+        pivot[5] = args[5].copy()
+        pivot[5][..., k] = 0.0
+        vals = system.fill(*pivot)[0].reshape(-1, system.rows.size)
+        pivot[5][..., k] = -np.array([moment_matrix(system, v)[h0, h0] for v in vals]).reshape(lead)
+        for v in system.fill(*pivot)[0].reshape(-1, system.rows.size):
+            assert moment_matrix(system, v)[h0, h0] == 0.0
+        cases.append(pivot)
+    for case in cases:
+        vals, b, _ = system.fill(*case)
+        got = np.concatenate([e.reshape(lead + (-1,)) for e in system.solve(*case)[:3]], axis=-1)
+        for v, bg, xg in zip(vals.reshape(-1, vals.shape[-1]), b.reshape(-1, b.shape[-1]),
+                             got.reshape(-1, got.shape[-1])):
+            x = np.linalg.solve(moment_matrix(system, v).toarray(), bg)
+            assert np.max(np.abs(xg - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def recorded_solves(monkeypatch, system):
+    """List that collects the (arguments, result) of every system.solve call."""
+    calls = []
+    solve = system.solve
+
+    def spy(*args):
+        out = solve(*args)
+        calls.append((args, out))
+        return out
+    monkeypatch.setattr(system, "solve", spy)
+    return calls
+
+
+def test_graded_system_backward_error(monkeypatch):
+    # a 1 keV wall drives a graded 1 -> 0.001 keV slab of coarse cells: E
+    # falls by over 40 decades in a cold group and the row scales span
+    # ~17.  Unscaled pivoting in the band order reached a backward error of
+    # 1.0 here; each componentwise error must stay at rounding level
+    nx, ny = 12, 2
+    grid = FrequencyGrid(np.array(FC_GROUP_BOUNDS[:5] + (1.0e7,)))
+    n_g = grid.n_groups
+    geom = ProblemGeometry.build(SpatialMesh.uniform(nx, ny, 2.5, 2.5))
+    system = geom.moment_system
+    calls = recorded_solves(monkeypatch, system)
+    c = MAT.light_speed
+    T = np.tile(np.geomspace(1.0, 1e-3, nx), (ny, 1))
+    kappa = np.moveaxis(MAT.group_opacity(T, grid), -1, 0)
+    planck = np.moveaxis(planck_spectrum(T, grid), -1, 0)
+    e_in, f_in = equilibrium_bc_tables(geom, np.asarray(planck_spectrum(1.0, grid)), c)
+    cold = np.ones(geom.bfaces.count, dtype=bool)
+    cold[geom.bfaces.side_slice("left")] = False
+    e_in[:, cold] = 0.0
+    f_in[:, cold] = 0.0
+    closure = isotropic_closure(n_g, ny, nx)
+    prev = MultigroupMoments.equilibrium(planck, geom, c)
+    mg, group_flux = MultigroupLoqdSolver(geom, grid, MAT, e_in, f_in).solve(
+        closure, kappa, planck, prev, 0.02)
+    co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
+    GreyProblem(geom, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
+    assert [np.ndim(args[1]) for args, _ in calls] == [2, 1]  # multigroup, then grey
+    n = system.n_unknowns
+    for args, out in calls:
+        vals, b, _ = system.fill(*args)
+        x = np.concatenate([e.reshape(b.shape[:-1] + (-1,)) for e in out[:3]], axis=-1)
+        if b.ndim == 2:
+            assert np.log10(x.max(-1) / x.min(-1)).max() >= 40.0
+        for v, bg, xg in zip(vals.reshape(-1, vals.shape[-1]), b.reshape(-1, n),
+                             x.reshape(-1, n)):
+            A = moment_matrix(system, v)
+            berr = np.abs(A @ xg - bg) / (abs(A) @ np.abs(xg) + np.abs(bg))
+            assert np.max(berr) <= 1e-14
+
+
+def test_singular_system_raises_at_both_levels():
+    # a zero boundary factor and zero Eddington factors leave the boundary
+    # rows empty; the factorisation must report it, naming the group
+    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    co = grey_coeffs_uniform(geom, kbar=2.0, dvals=0.0, cbar=0.0)
+    problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
+                          np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
+    with pytest.raises(SolverError, match="singular"):
+        problem.solve()
+    rng = np.random.default_rng(47)
+    closure = isotropic_closure(3, 2, 3)
+    for f in (closure.fxx_cell, closure.fyy_cell, closure.fxx_vface, closure.fyy_hface,
+              closure.cb):
+        f[1] = 0.0
+    e_in = np.zeros((3, geom.bfaces.count))
+    solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, e_in)
+    prev = MultigroupMoments.equilibrium(rng.uniform(0.5, 1.0, (3, 2, 3)), geom,
+                                         MAT.light_speed)
+    with pytest.raises(SolverError, match="singular in group 1"):
+        solver.solve(closure, rng.uniform(0.5, 2.0, (3, 2, 3)),
+                     rng.uniform(0.5, 2.0, (3, 2, 3)), prev, 0.05)
 
 
 def test_grey_zero_coupling_keeps_temperature():
@@ -485,7 +602,7 @@ def bisection_grey_root(geom, co, e_prev, t_prev, dt):
     """Root of the one-cell grey + MEB system, by bisection on T."""
     t_prev = t_prev[0, 0]
     data, b, _ = grey_radiation_system(geom, co, dt, e_prev)
-    G = geom.moment_system.matrix(data).toarray()
+    G = moment_matrix(geom.moment_system, data).toarray()
 
     def e_of_T(T):
         emis = np.zeros(b.size)
@@ -560,7 +677,7 @@ def test_grey_matches_multigroup_sum():
     x = np.concatenate([e_c.ravel(), e_v.ravel(), e_h.ravel()])
     emis = np.zeros(b.size)
     emis[:geom.n_cells] = grey_emission(geom, co, T_field)
-    G = geom.moment_system.matrix(data)
+    G = moment_matrix(geom.moment_system, data)
     r = G @ x - b - emis
     scale = abs(G) @ np.abs(x) + np.abs(b) + np.abs(emis)
     assert float(np.max(np.abs(r) / scale)) <= 1e-10
