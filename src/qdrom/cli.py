@@ -134,7 +134,7 @@ def cmd_compare(args) -> int:
     analysis.write_error_csv(args.out, series)
     print(f"max rel err: T {series.err_temperature.max():.3e} "
           f"E {series.err_energy.max():.3e}")
-    if args.field_steps and args.fields_out:
+    if args.field_steps:
         container.save_error_fields(args.fields_out, series.fields, run_a.config_meta)
         print(f"wrote {args.fields_out}")
     return 0
@@ -246,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "compare" and bool(args.field_steps) != bool(args.fields_out):
+        parser.error("--field-steps and --fields-out must be given together")
     try:
         return args.func(args)
     except USAGE_ERRORS as err:

@@ -37,7 +37,6 @@ from .loqd import (
     MultigroupMoments,
     ProblemGeometry,
     compute_grey_coefficients,
-    incoming_tables,
 )
 from .lowrank import ClosureModel, SnapshotMatrix
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum
@@ -182,7 +181,7 @@ def build_problem(config: RunConfig) -> Problem:
                 T_in, grid, radiation_constant=material.radiation_constant,
                 light_speed=material.light_speed)))
     transport = TransportSolver(mesh, quad, grid, material, BoundarySpec(*sides))
-    e_in, f_in = incoming_tables(geom, transport.incoming_moments())
+    e_in, f_in = transport.boundary_inflow(geom.bfaces.side)
     mg_solver = MultigroupLoqdSolver(geom, grid, material, e_in, f_in)
     return Problem(config, geom, grid, material, transport, mg_solver)
 

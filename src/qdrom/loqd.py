@@ -117,27 +117,6 @@ class MultigroupMoments:
         e_h[:, -1, :] = e_c[:, -1, :]
         return cls(e_c, e_v, e_h, np.zeros_like(e_v), np.zeros_like(e_h))
 
-    def totals(self):
-        return (self.e_cell.sum(axis=0), self.e_vface.sum(axis=0),
-                self.e_hface.sum(axis=0), self.f_vface.sum(axis=0),
-                self.f_hface.sum(axis=0))
-
-
-def incoming_tables(geom: ProblemGeometry, moments_by_side: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Broadcast per-side incoming (E_in, n.F_in) onto boundary faces.
-
-    moments_by_side maps side name to a pair of (n_g,) arrays, as produced
-    by TransportSolver.incoming_moments.
-    """
-    n_g = next(iter(moments_by_side.values()))[0].shape[0]
-    e_in = np.zeros((n_g, geom.bfaces.count))
-    f_in = np.zeros((n_g, geom.bfaces.count))
-    for side, (e, f) in moments_by_side.items():
-        sl = geom.bfaces.side_slice(side)
-        e_in[:, sl] = np.asarray(e)[:, None]
-        f_in[:, sl] = np.asarray(f)[:, None]
-    return e_in, f_in
-
 
 @dataclass
 class FluxCoeffs:

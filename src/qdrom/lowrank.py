@@ -65,11 +65,15 @@ def truncated_svd(a: np.ndarray):
     return u, s, vt
 
 
+def _check_xi(xi_rel: float) -> None:
+    if not 0.0 < xi_rel <= 1.0:
+        raise ValueError("xi_rel must lie in (0, 1]")
+
+
 def select_rank(singular_values: np.ndarray, xi_rel: float) -> int:
     """Smallest k with discarded energy fraction at most xi_rel^2 (k >= 1)."""
     s = np.asarray(singular_values, dtype=float)
-    if not 0.0 < xi_rel <= 1.0:
-        raise ValueError("xi_rel must lie in (0, 1]")
+    _check_xi(xi_rel)
     if s.size == 0 or np.all(s == 0.0):
         raise DegenerateDataError("all singular values are zero")
     energy = s**2
@@ -130,6 +134,7 @@ def pod_compress(snap: SnapshotMatrix, xi_rel: float) -> ClosureModel:
     a = snap.data
     if a.shape[1] < 2:
         raise ValueError("need at least two snapshot columns")
+    _check_xi(xi_rel)  # constant data skips select_rank
     mean = a.mean(axis=1)
     centered = a - mean[:, None]
     u, s, vt = truncated_svd(centered)
@@ -160,6 +165,7 @@ def dmd_compress(snap: SnapshotMatrix, xi_rel: float,
     a = snap.data
     if a.shape[1] < 3:
         raise ValueError("DMD needs at least 3 columns")
+    _check_xi(xi_rel)  # constant data skips select_rank
     offset = np.zeros(a.shape[0])
     if variant == "equilibrium_subtracted":
         offset = a[:, -1].copy()

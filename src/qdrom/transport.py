@@ -17,9 +17,16 @@ corner, lane), with one lane per (quadrant, direction) pair on the
 contiguous last axis; the index tables between the two layouts are built
 once per solver.
 
-Face-located quantities use the upwind trace: the mean of the two corner
-intensities on the upwind side of the face, per direction.  Boundary faces
-take the prescribed incoming intensity for entering directions.
+Closures come from one contraction of the corner field with a (16, M)
+table of half-range weights.  For each half range of directions (mu < 0,
+eta < 0, mu > 0, eta > 0: the ones that leave the domain through the left,
+bottom, right and top sides) its rows are w, w c^2, w mu eta and w |c|, with
+c the component normal to those sides.  Cell ratios use the corner means of
+these moments.  A face takes each half range from the upwind trace, the mean
+of the two corners by which that half range leaves the upwind cell; at a
+boundary face the entering half range takes the prescribed isotropic inflow
+times its weight sums instead.  The boundary factor is the outgoing half
+range's w |c| moment over its w moment on the boundary cells' outer corners.
 """
 from __future__ import annotations
 
@@ -89,37 +96,12 @@ def intensity_unknowns(nx: int, ny: int, n_groups: int, n_dirs: int) -> int:
 
 _QUADRANTS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
-
-def eddington_ratios(quad: AngularQuadrature, samples: np.ndarray):
-    """Second-to-zeroth angular moment ratios of intensity samples.
-
-    samples has the direction index on axis 1: (n_g, M, ...).  Returns
-    (fxx, fyy, fxy) over the trailing axes.
-    """
-    w, mu, eta = quad.weight, quad.mu, quad.eta
-    phi = np.einsum("m,gm...->g...", w, samples)
-    if np.any(phi <= 0.0):
-        raise DegenerateIntensityError("nonpositive angular integral")
-    fxx = np.einsum("m,gm...->g...", w * mu * mu, samples) / phi
-    fyy = np.einsum("m,gm...->g...", w * eta * eta, samples) / phi
-    fxy = np.einsum("m,gm...->g...", w * mu * eta, samples) / phi
-    return fxx, fyy, fxy
-
-
-def half_range_factor(quad: AngularQuadrature, samples: np.ndarray, axis: str,
-                      outward: float) -> np.ndarray:
-    """Boundary factor: outgoing current over outgoing density on one side.
-
-    axis is "x" or "y"; outward is the sign of the outward normal component.
-    """
-    comp = quad.mu if axis == "x" else quad.eta
-    outgoing = comp * outward > 0.0
-    w = quad.weight
-    num = np.einsum("m,gm...->g...", (w * np.abs(comp))[outgoing], samples[:, outgoing])
-    den = np.einsum("m,gm...->g...", w[outgoing], samples[:, outgoing])
-    if np.any(den <= 0.0):
-        raise DegenerateIntensityError("zero outgoing current on a boundary face")
-    return num / den
+#: per side of mesh.SIDES, the half range of directions that leaves the
+#: domain through it, as (axis 0 = x or 1 = y, sign of mu or eta), and the
+#: two corners of a cell that lie on that side.  A half range leaves every
+#: cell through those corners, and it enters the domain through the side
+#: that the opposite half range leaves by.
+_EXITS = ((0, -1, (0, 2)), (1, -1, (0, 1)), (0, 1, (1, 3)), (1, 1, (2, 3)))
 
 
 class TransportSolver:
@@ -132,8 +114,6 @@ class TransportSolver:
         self.grid = grid
         self.material = material
         self.bc = bc
-        self._mu_pos = quad.mu > 0.0
-        self._eta_pos = quad.eta > 0.0
         if np.any((quad.mu == 0.0) | (quad.eta == 0.0)):
             raise QuadratureSpecError("a direction with mu = 0 or eta = 0 lies in no quadrant")
         dirs = [np.nonzero((np.sign(quad.mu) == sx) & (np.sign(quad.eta) == sy))[0]
@@ -173,11 +153,28 @@ class TransportSolver:
         self._wx = (0.5 * np.abs(quad.mu[dirs]) * dyl[:, :, None]).reshape(nx * ny, -1)
         self._wy = (0.5 * np.abs(quad.eta[dirs]) * dxl[:, :, None]).reshape(nx * ny, -1)
         self._wxy = self._wx + self._wy
-        # inflow of each lane across the upwind x and y faces of the flow frame
-        x_in = np.stack([bc.side("left" if s > 0 else "right") for s in sx], axis=1)
-        y_in = np.stack([bc.side("bottom" if s > 0 else "top") for s in sy], axis=1)
-        self._x_in = np.repeat(x_in, k, axis=1)                 # (n_g, 4K)
-        self._y_in = np.repeat(y_in, k, axis=1)
+        # half range h leaves through side SIDES[h]; its rows of the weight
+        # table are (w, w c^2, w mu eta, w |c|), c its normal component, and
+        # zero off the half range
+        exit_side = {(axis, sign): h for h, (axis, sign, _) in enumerate(_EXITS)}
+        # the opposite side, through which half range h enters
+        self._opposite = [exit_side[axis, -sign] for axis, sign, _ in _EXITS]
+        w, rows, sums = quad.weight, [], []
+        for axis, sign, _ in _EXITS:
+            c = (quad.mu, quad.eta)[axis]
+            half = sign * c > 0.0
+            r = np.stack([w, w * c * c, w * quad.mu * quad.eta, w * np.abs(c)])
+            rows.append(np.where(half, r, 0.0))
+            # 1-D sums over the half range alone, the quadrature's own sums
+            sums.append([np.sum(x[half]) for x in r])
+        self._weights = np.concatenate(rows)                    # (16, M)
+        inflow = np.stack([bc.side(s) for s in SIDES], axis=1)  # (n_g, side)
+        # moments of the inflow through each side: (n_g, side, row)
+        self._inflow = inflow[:, :, None] * np.array(sums)[self._opposite]
+        # inflow of each lane across the upwind x and y faces of the flow frame:
+        # lanes of sign s on an axis enter where half range (axis, -s) leaves
+        self._x_in = np.repeat(inflow[:, [exit_side[0, -s] for s in sx]], k, axis=1)
+        self._y_in = np.repeat(inflow[:, [exit_side[1, -s] for s in sy]], k, axis=1)
 
     # ------------------------------------------------------------------ API
     @property
@@ -244,56 +241,51 @@ class TransportSolver:
         return out.reshape(self.shape)
 
     # ------------------------------------------------------------- closures
-    def face_traces(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-direction upwind face traces on vertical and horizontal faces."""
-        nx, ny = self.mesh.nx, self.mesh.ny
-        n_g, n_m = self.grid.n_groups, self.quad.n_dirs
-        tv = np.empty((n_g, n_m, ny, nx + 1))
-        th = np.empty((n_g, n_m, ny + 1, nx))
-        mp, ep = self._mu_pos, self._eta_pos
-        # take the corner before the directions: only it is copied
-        tv[:, mp, :, 1:] = 0.5 * (I[..., 1][:, mp] + I[..., 3][:, mp])
-        tv[:, mp, :, 0:1] = self.bc.left[:, None, None, None]
-        tv[:, ~mp, :, :nx] = 0.5 * (I[..., 0][:, ~mp] + I[..., 2][:, ~mp])
-        tv[:, ~mp, :, nx:] = self.bc.right[:, None, None, None]
-        th[:, ep, 1:, :] = 0.5 * (I[..., 2][:, ep] + I[..., 3][:, ep])
-        th[:, ep, 0:1, :] = self.bc.bottom[:, None, None, None]
-        th[:, ~ep, :ny, :] = 0.5 * (I[..., 0][:, ~ep] + I[..., 1][:, ~ep])
-        th[:, ~ep, ny:, :] = self.bc.top[:, None, None, None]
-        return tv, th
-
     def compute_eddington(self, I: np.ndarray) -> ClosureRecord:
         """Eddington tensor entries on cells and faces (boundary factors too)."""
         if I.shape != self.shape:
             raise ShapeError(f"I shape {I.shape} != {self.shape}")
-        fxx_c, fyy_c, _ = eddington_ratios(self.quad, I.mean(axis=4))
-        tv, th = self.face_traces(I)
-        fxx_v, _, fxy_v = eddington_ratios(self.quad, tv)
-        _, fyy_h, fxy_h = eddington_ratios(self.quad, th)
-        # outgoing traces, axis and outward normal sign of each boundary side
-        sides = {"left": (tv[:, :, :, 0], "x", -1.0), "bottom": (th[:, :, 0, :], "y", -1.0),
-                 "right": (tv[:, :, :, -1], "x", 1.0), "top": (th[:, :, -1, :], "y", 1.0)}
-        cb = np.concatenate([half_range_factor(self.quad, *sides[s]) for s in SIDES], axis=1)
-        return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h, cb)
+        n_g, n_m, ny, nx, _ = I.shape
+        # (n_g, half range, row, y, x, corner)
+        mom = (self._weights @ I.reshape(n_g, n_m, -1)).reshape(n_g, 4, 4, ny, nx, 4)
+        cell = (mom.reshape(-1, 4) @ np.full(4, 0.25)).reshape(mom.shape[:-1])
+        # the two x half ranges (0 and 2) hold every direction once
+        phi = _positive(cell[:, 0, 0] + cell[:, 2, 0], "nonpositive angular integral in a cell")
+        fxx_c = (cell[:, 0, 1] + cell[:, 2, 1]) / phi
+        fyy_c = (cell[:, 1, 1] + cell[:, 3, 1]) / phi
+        faces, cb = [0.0, 0.0], []
+        for h, (axis, sign, (c0, c1)) in enumerate(_EXITS):
+            # upwind trace: the mean over the two corners the half range leaves by
+            trace = 0.5 * (mom[:, h, ..., c0] + mom[:, h, ..., c1])  # (n_g, row, y, x)
+            along = -1 - axis
+            out = np.take(trace, 0 if sign < 0 else -1, axis=along)
+            den = _positive(out[:, 0], "zero outgoing current on a boundary face")
+            cb.append(out[:, 3] / den)
+            # downwind faces of the cells, and the inflow on the first face
+            shape = list(trace.shape)
+            shape[along] = 1
+            inflow = np.broadcast_to(self._inflow[:, self._opposite[h], :, None, None], shape)
+            parts = (trace, inflow) if sign < 0 else (inflow, trace)
+            faces[axis] = faces[axis] + np.concatenate(parts, axis=along)
+        fv, fh = faces
+        phi_v = _positive(fv[:, 0], "nonpositive angular integral on a face")
+        phi_h = _positive(fh[:, 0], "nonpositive angular integral on a face")
+        return ClosureRecord(fxx_c, fyy_c, fv[:, 1] / phi_v, fv[:, 2] / phi_v,
+                             fh[:, 1] / phi_h, fh[:, 2] / phi_h, np.concatenate(cb, axis=1))
 
-    # ------------------------------------------------- boundary moment data
-    def incoming_moments(self) -> dict:
-        """Discrete E^in and n.F^in per side and group from the incoming spec.
+    def boundary_inflow(self, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E_in and n.F_in per group and boundary face from the incoming spec.
 
-        Uses quadrature half-range sums so the moment-system boundary rows
-        are exactly consistent with the transport boundary condition.
+        side holds each face's index into mesh.SIDES.  The half-range sums
+        are the quadrature's own, so the moment-system boundary rows are
+        exactly consistent with the transport boundary condition.
         """
-        w, mu, eta = self.quad.weight, self.quad.mu, self.quad.eta
-        c = self.material.light_speed
-        out = {}
-        for name, comp, incoming in (
-            ("left", mu, mu > 0.0), ("bottom", eta, eta > 0.0),
-            ("right", mu, mu < 0.0), ("top", eta, eta < 0.0),
-        ):
-            ivals = self.bc.side(name)  # (n_g,)
-            s0 = np.sum(w[incoming])
-            # n.Omega on the incoming range is negative on every side
-            s1 = -np.sum(w[incoming] * np.abs(comp[incoming]))
-            out[name] = (ivals * s0 / c, ivals * s1)
-        return out
+        moments = self._inflow[:, side]
+        # n.Omega on the incoming range is negative on every side
+        return moments[..., 0] / self.material.light_speed, -moments[..., 3]
 
+
+def _positive(den: np.ndarray, what: str) -> np.ndarray:
+    if den.min() <= 0.0:
+        raise DegenerateIntensityError(what)
+    return den

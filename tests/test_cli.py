@@ -108,12 +108,26 @@ def test_compare_field_maps(workdir):
 def test_compare_bad_field_steps_are_usage_errors(workdir, steps):
     run = str(workdir / "fom" / "fom_run.ddet")
     argv = ["compare", "--run-a", run, "--run-b", run, "--out", str(workdir / "bad.csv"),
-            "--field-steps", steps]
+            "--field-steps", steps, "--fields-out", str(workdir / "bad.ddet")]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects values it cannot parse
         rc = exc.code
     assert rc == 2
+    assert not (workdir / "bad.ddet").exists()
+
+
+@pytest.mark.parametrize("given", ["--field-steps", "--fields-out"])
+def test_compare_half_given_field_flags_are_usage_errors(workdir, given):
+    # the maps need both the steps and the file; one alone must not exit 0
+    run = str(workdir / "fom" / "fom_run.ddet")
+    value = {"--field-steps": "2", "--fields-out": str(workdir / "half.ddet")}[given]
+    argv = ["compare", "--run-a", run, "--run-b", run, "--out", str(workdir / "half.csv"),
+            given, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (workdir / "half.csv").exists()
 
 
 def test_compare_zero_reference_cell_is_data_error(workdir, tmp_path):

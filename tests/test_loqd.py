@@ -16,12 +16,10 @@ from qdrom.loqd import (
     SpectrumAveraged,
     compute_grey_coefficients,
     group_flux_coeffs,
-    incoming_tables,
 )
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
 from qdrom.mesh import SpatialMesh
-from qdrom.quadrature import build_quadrature
-from qdrom.transport import BoundarySpec, ClosureRecord, TransportSolver
+from qdrom.transport import ClosureRecord
 
 MAT = MaterialModel(heat_capacity=0.008118)
 GRID3 = FrequencyGrid(np.array([0.0, 0.7075, 2.83, 1.0e7]))
@@ -672,7 +670,8 @@ def test_grey_matches_multigroup_sum():
     dt = 0.02
     mg, group_flux = solver.solve(closure, kappa, planck, prev, dt)
     co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
-    e_c, e_v, e_h, f_v, f_h = mg.totals()
+    e_c, e_v, e_h, f_v, f_h = (a.sum(axis=0) for a in (
+        mg.e_cell, mg.e_vface, mg.e_hface, mg.f_vface, mg.f_hface))
     data, b, weights = grey_radiation_system(geom, co, dt, prev.e_cell.sum(axis=0))
     x = np.concatenate([e_c.ravel(), e_v.ravel(), e_h.ravel()])
     emis = np.zeros(b.size)
@@ -720,21 +719,3 @@ def test_nonfinite_solution_raises(level, fault):
     with pytest.raises(SolverError, match="non-finite values in group 1"):
         solver.solve(random_closure(rng, 3, 2, 3), rng.uniform(0.5, 2.0, (3, 2, 3)),
                      rng.uniform(0.5, 2.0, (3, 2, 3)), prev, 0.05)
-
-
-def test_grey_incoming_tables_helper():
-    mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
-    quad = build_quadrature(4)
-    grid1 = FrequencyGrid(np.array([0.0, 1.0e7]))
-    b1 = planck_spectrum(1.0, grid1, radiation_constant=MAT.radiation_constant,
-                         light_speed=MAT.light_speed)
-    vac = np.zeros(1)
-    bc = BoundarySpec(b1, vac, vac, vac)
-    tsolver = TransportSolver(mesh, quad, grid1, MAT, bc)
-    e_in, f_in = incoming_tables(geom, tsolver.incoming_moments())
-    sl = geom.bfaces.side_slice("left")
-    b1 = b1[0]
-    assert np.allclose(e_in[0, sl], 2.0 * np.pi * b1 / MAT.light_speed, rtol=1e-12)
-    assert np.allclose(f_in[0, sl], -np.pi * b1, rtol=1e-12)
-    assert np.all(e_in[0, geom.bfaces.side_slice("right")] == 0.0)

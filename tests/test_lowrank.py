@@ -315,6 +315,18 @@ def test_compress_dispatch():
         compress(s, "nope", 1e-2)
 
 
+@pytest.mark.parametrize("xi", [0.0, 2.0])
+@pytest.mark.parametrize("method", ["pod", "dmd", "dmd-e"])
+@pytest.mark.parametrize("data", ["constant", "varying"])
+def test_compress_rejects_xi_outside_unit_interval(method, xi, data):
+    # constant data never reaches select_rank in POD and DMD-E
+    a = np.tile([[2.0], [-1.0], [0.5]], (1, 5))
+    if data == "varying":
+        a = a + np.random.default_rng(3).normal(size=a.shape)
+    with pytest.raises(ValueError, match="xi_rel"):
+        compress(snap(a), method, xi)
+
+
 def desk_snapshots() -> dict:
     from pathlib import Path
 

@@ -10,10 +10,10 @@ from qdrom.mesh import SpatialMesh, build_boundary
 from qdrom.quadrature import QuadratureSpecError, build_quadrature
 from qdrom.transport import (
     BoundarySpec,
+    ClosureRecord,
     DegenerateIntensityError,
     ShapeError,
     TransportSolver,
-    half_range_factor,
     intensity_unknowns,
 )
 
@@ -35,6 +35,16 @@ def blackbody_bc(T_in, grid, sides=("left", "bottom", "right", "top")):
                         light_speed=MAT.light_speed)
     return BoundarySpec(*(b if side in sides else np.zeros(grid.n_groups)
                           for side in ("left", "bottom", "right", "top")))
+
+
+#: a different inflow per side (left, bottom, right, top), so that a side
+#: placed in another side's slot cannot match
+SIDE_INFLOW = (0.9, 0.3, 0.6, 0.1)
+
+
+def side_inflow_bc():
+    scale = np.array([1.0, 0.5])  # per group of GRID2
+    return BoundarySpec(*(v * scale for v in SIDE_INFLOW))
 
 
 def dense_corner_oracle(mu, eta, dx, dy, ktil, q_corners, in_w, in_e, in_s, in_n):
@@ -320,6 +330,55 @@ def test_solver_rejects_directions_outside_the_quadrants():
 # closures
 # ---------------------------------------------------------------------------
 
+def eddington_ratios(quad, samples):
+    """(fxx, fyy, fxy) of samples with the direction index on axis 1."""
+    w, mu, eta = quad.weight, quad.mu, quad.eta
+    phi = np.einsum("m,gm...->g...", w, samples)
+    fxx = np.einsum("m,gm...->g...", w * mu * mu, samples) / phi
+    fyy = np.einsum("m,gm...->g...", w * eta * eta, samples) / phi
+    fxy = np.einsum("m,gm...->g...", w * mu * eta, samples) / phi
+    return fxx, fyy, fxy
+
+
+def half_range_factor(quad, samples, axis, outward):
+    """Outgoing current over outgoing density; axis "x" or "y", outward +-1."""
+    comp = quad.mu if axis == "x" else quad.eta
+    out = comp * outward > 0.0
+    num = np.einsum("m,gm...->g...", (quad.weight * np.abs(comp))[out], samples[:, out])
+    return num / np.einsum("m,gm...->g...", quad.weight[out], samples[:, out])
+
+
+def face_traces(sol, I):
+    """Per-direction upwind traces on vertical and horizontal faces."""
+    n_g, n_m, ny, nx, _ = I.shape
+    mp, ep = sol.quad.mu > 0.0, sol.quad.eta > 0.0
+    bc = sol.bc
+    tv = np.empty((n_g, n_m, ny, nx + 1))
+    th = np.empty((n_g, n_m, ny + 1, nx))
+    tv[:, mp, :, 1:] = 0.5 * (I[..., 1][:, mp] + I[..., 3][:, mp])
+    tv[:, mp, :, 0:1] = bc.left[:, None, None, None]
+    tv[:, ~mp, :, :nx] = 0.5 * (I[..., 0][:, ~mp] + I[..., 2][:, ~mp])
+    tv[:, ~mp, :, nx:] = bc.right[:, None, None, None]
+    th[:, ep, 1:, :] = 0.5 * (I[..., 2][:, ep] + I[..., 3][:, ep])
+    th[:, ep, 0:1, :] = bc.bottom[:, None, None, None]
+    th[:, ~ep, :ny, :] = 0.5 * (I[..., 0][:, ~ep] + I[..., 1][:, ~ep])
+    th[:, ~ep, ny:, :] = bc.top[:, None, None, None]
+    return tv, th
+
+
+def eddington_oracle(sol, I):
+    """Closures direction by direction: upwind traces, then angular sums."""
+    fxx_c, fyy_c, _ = eddington_ratios(sol.quad, I.mean(axis=4))
+    tv, th = face_traces(sol, I)
+    fxx_v, _, fxy_v = eddington_ratios(sol.quad, tv)
+    _, fyy_h, fxy_h = eddington_ratios(sol.quad, th)
+    cb = np.concatenate([half_range_factor(sol.quad, tv[..., 0], "x", -1.0),
+                         half_range_factor(sol.quad, th[:, :, 0], "y", -1.0),
+                         half_range_factor(sol.quad, tv[..., -1], "x", 1.0),
+                         half_range_factor(sol.quad, th[:, :, -1], "y", 1.0)], axis=1)
+    return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h, cb)
+
+
 def test_isotropic_eddington_is_third():
     sol = make_solver(3, 3, per_quadrant=6,
                       bc=BoundarySpec(*(np.full(2, 1.7) for _ in range(4))))
@@ -350,7 +409,6 @@ def test_classic_four_point_boundary_factor():
 
 
 def test_beam_eddington_is_direction_product():
-    from qdrom.transport import eddington_ratios
     quad = build_quadrature(3)
     m_sel = 4
     samples = np.zeros((2, quad.n_dirs, 5))
@@ -376,7 +434,7 @@ def test_boundary_factors_in_boundary_face_order():
     # side's block of cb cannot match
     nx, ny = 3, 2
     sol = make_solver(nx, ny, per_quadrant=3,
-                      bc=BoundarySpec(*(np.full(2, v) for v in (0.9, 0.3, 0.6, 0.1))))
+                      bc=BoundarySpec(*(np.full(2, v) for v in SIDE_INFLOW)))
     I = sol.sweep(np.full((2, ny, nx), 0.8), np.full((2, ny, nx), 0.2),
                   np.full(sol.shape, 0.05), 0.1)
     rec = sol.compute_eddington(I)
@@ -391,7 +449,8 @@ def test_boundary_factors_in_boundary_face_order():
     assert rec.cb.shape == (2, bfaces.count) == (2, 2 * (nx + ny))
     for side, (trace, axis, outward) in sides.items():
         expected = half_range_factor(sol.quad, trace, axis, outward)
-        assert np.array_equal(rec.cb[:, bfaces.side_slice(side)], expected), side
+        np.testing.assert_allclose(rec.cb[:, bfaces.side_slice(side)], expected,
+                                   rtol=1e-13, atol=0.0, err_msg=side)
     rebuilt = unstack_closure(stack_closure(rec), nx, ny, 2)
     for f in dataclasses.fields(rec):
         assert np.array_equal(getattr(rebuilt, f.name), getattr(rec, f.name)), f.name
@@ -443,6 +502,73 @@ def test_degenerate_intensity_raises():
         sol.compute_eddington(np.zeros(sol.shape))
 
 
+@pytest.mark.parametrize("nx, ny, dx, dy, per_quadrant", [
+    (3, 2, [0.5] * 3, [0.5] * 2, 3),
+    (4, 3, [0.2, 0.5, 1.0, 0.3], [0.7, 0.1, 0.4], 6),
+    (1, 3, [0.8], [0.3, 0.6, 0.2], 1),
+], ids=["nx != ny", "nonuniform", "nx = 1"])
+def test_closures_match_per_direction_oracle(nx, ny, dx, dy, per_quadrant):
+    rng = np.random.default_rng(23)
+    mesh = SpatialMesh(nx, ny, np.array(dx), np.array(dy))
+    sol = TransportSolver(mesh, build_quadrature(per_quadrant), GRID2, MAT, side_inflow_bc())
+    I = sol.sweep(rng.uniform(0.5, 3.0, (2, ny, nx)), rng.uniform(0.1, 1.0, (2, ny, nx)),
+                  rng.uniform(0.05, 1.0, sol.shape), 0.1)
+    rec, expected = sol.compute_eddington(I), eddington_oracle(sol, I)
+    for f in dataclasses.fields(rec):
+        # fxy is a cancelling sum that can sit near 0; |fxy| <= 1 sets its scale
+        atol = 1e-15 if f.name.startswith("fxy") else 0.0
+        np.testing.assert_allclose(getattr(rec, f.name), getattr(expected, f.name),
+                                   rtol=1e-13, atol=atol, err_msg=f.name)
+
+
+@pytest.mark.parametrize("where, message", [
+    ("cell", "in a cell"), ("vface", "on a face"), ("hface", "on a face"),
+    ("outgoing boundary", "outgoing current"),
+])
+def test_each_degenerate_check_raises(where, message):
+    # each case zeroes only what its own check sees: the other angular
+    # integrals stay positive, so the case fails if its check is removed
+    sol = make_solver(3, 3, per_quadrant=3, bc=side_inflow_bc())
+    I = np.ones(sol.shape)
+    mp, ep = sol.quad.mu > 0.0, sol.quad.eta > 0.0
+    if where == "cell":
+        I[:, :, 1, 1] = 0.0
+    elif where == "vface":
+        # between the first two cells of the middle row: the left cell's
+        # east corners for mu > 0, the right cell's west corners for mu < 0
+        I[:, mp, 1, 0, 1::2] = 0.0
+        I[:, ~mp, 1, 1, 0::2] = 0.0
+    elif where == "hface":
+        # between the first two cells of the middle column: the lower
+        # cell's north corners for eta > 0, the upper cell's south ones for eta < 0
+        I[:, ep, 0, 1, 2:] = 0.0
+        I[:, ~ep, 1, 1, :2] = 0.0
+    else:
+        # the left side's outgoing half range on its outer corners; the
+        # left inflow keeps the face's angular integral positive
+        I[:, ~mp, 1, 0, 0::2] = 0.0
+    with pytest.raises(DegenerateIntensityError, match=message):
+        sol.compute_eddington(I)
+
+
+def test_boundary_inflow_is_the_quadrature_half_range_sum():
+    sol = make_solver(3, 2, per_quadrant=4, bc=side_inflow_bc())
+    bfaces = build_boundary(sol.mesh)
+    e_in, f_in = sol.boundary_inflow(bfaces.side)
+    assert e_in.shape == f_in.shape == (2, bfaces.count)
+    w, mu, eta, c = sol.quad.weight, sol.quad.mu, sol.quad.eta, MAT.light_speed
+    for name, comp, incoming in (("left", mu, mu > 0.0), ("bottom", eta, eta > 0.0),
+                                 ("right", mu, mu < 0.0), ("top", eta, eta < 0.0)):
+        e, f = e_in[:, bfaces.side_slice(name)], f_in[:, bfaces.side_slice(name)]
+        ivals = sol.bc.side(name)[:, None]
+        # bit for bit the quadrature's half-range sums, in the same order
+        assert np.all(e == ivals * np.sum(w[incoming]) / c), name
+        assert np.all(f == ivals * -np.sum(w[incoming] * np.abs(comp[incoming]))), name
+        # isotropic half-range moments E = 2 pi I / c and n.F = -pi I
+        assert np.allclose(e, 2.0 * np.pi * ivals / c, rtol=1e-12, atol=0.0), name
+        assert np.allclose(f, -np.pi * ivals, rtol=1e-12, atol=0.0), name
+
+
 def cell_moments(sol, I):
     """(E_g, Fx_g, Fy_g) on cells from corner-averaged intensities."""
     w, mu, eta = sol.quad.weight, sol.quad.mu, sol.quad.eta
@@ -469,7 +595,7 @@ def test_moment_balance_consistency():
     e_new, _, _ = cell_moments(sol, out)
     e_prev, _, _ = cell_moments(sol, I_prev)
     w, mu, eta = sol.quad.weight, sol.quad.mu, sol.quad.eta
-    tv, th = sol.face_traces(out)
+    tv, th = face_traces(sol, out)
     f_v = np.einsum("m,gmyx->gyx", w * mu, tv)
     f_h = np.einsum("m,gmyx->gyx", w * eta, th)
     area = sol.mesh.cell_area
@@ -499,7 +625,7 @@ def test_first_moment_balance_consistency():
     c = MAT.light_speed
     _, fx_new, _ = cell_moments(sol, out)
     _, fx_prev, _ = cell_moments(sol, I_prev)
-    tv, th = sol.face_traces(out)
+    tv, th = face_traces(sol, out)
     pxx_v = np.einsum("m,gmyx->gyx", w * mu * mu, tv)
     pxy_h = np.einsum("m,gmyx->gyx", w * mu * eta, th)
     area = sol.mesh.cell_area
@@ -516,14 +642,13 @@ def test_first_moment_balance_consistency():
 def test_closure_bounds_for_positive_intensity():
     # diagonal entries in [0, 1], Cauchy-Schwarz on the cross entry,
     # boundary factors strictly inside (0, 1)
-    from qdrom.transport import eddington_ratios
     rng = np.random.default_rng(19)
     sol = make_solver(3, 3, per_quadrant=6,
                       bc=BoundarySpec(*(rng.uniform(0.2, 1.0, 2) for _ in range(4))))
     I = rng.uniform(1e-3, 5.0, size=sol.shape)
     rec = sol.compute_eddington(I)
     assert rec.bound_violations() == {"tensor": 0, "boundary_factor": 0}
-    tv, _ = sol.face_traces(I)
+    tv, _ = face_traces(sol, I)
     fxx_v, fyy_v, fxy_v = eddington_ratios(sol.quad, tv)
     assert np.all(fxy_v**2 <= fxx_v * fyy_v * (1.0 + 1e-12))
     assert np.all((rec.cb > 0.0) & (rec.cb < 1.0))
