@@ -248,6 +248,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compare" and bool(args.field_steps) != bool(args.fields_out):
         parser.error("--field-steps and --fields-out must be given together")
+    if args.command == "compress" and not 0.0 < args.xi <= 1.0:
+        parser.error(f"--xi must lie in (0, 1], got {args.xi:g}")
     try:
         return args.func(args)
     except USAGE_ERRORS as err:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .materials import A_RAD, C_LIGHT
+from .materials import A_RAD, C_LIGHT, INFINITE_EDGE
 from .quadrature import QuadratureSpecError, azimuthal_counts
 
 FC_GROUP_BOUNDS = (0.0, 0.7075, 1.415, 2.123, 2.830, 3.538, 4.245, 5.129,
@@ -76,6 +76,9 @@ class RunConfig:
             raise ConfigError("group_bounds needs at least two edges")
         if b[0] != 0.0 or not np.all(np.diff(b) > 0.0):
             raise ConfigError("group_bounds must start at 0 and increase strictly")
+        if np.any(b[:-1] >= INFINITE_EDGE):
+            raise ConfigError(f"group_bounds: only the last edge may be >= {INFINITE_EDGE:g} "
+                              "(infinite)")
         for side in ("left", "bottom", "right", "top"):
             val = getattr(self, f"boundary_{side}")
             if val is not None and not 0.0 < val < np.inf:

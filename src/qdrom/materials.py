@@ -6,7 +6,9 @@ jerks.  The Planck group emission B_g is normalized so that summing
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 
@@ -21,9 +23,36 @@ INFINITE_EDGE = 1.0e7
 TEMPERATURE_FLOOR = 1.0e-8
 
 _PI4_15 = np.pi**4 / 15.0
-_SERIES_MIN_TERMS = 25
-_SERIES_CUTOFF = 1e-16
 _GL16 = np.polynomial.legendre.leggauss(16)
+
+#: regimes of planck_cumulative: below _X_SERIES the complementary integral's
+#: Bernoulli series (radius 2 pi), up to _X_TAIL the exponential series, above
+#: it its first term.  Each term count is the least that keeps the truncation
+#: under 1e-17 relative at the regime's worst end (checked against mpmath), so
+#: moving a limit needs a new count.
+_X_SERIES = 2.0
+_X_TAIL = 40.0
+_BERNOULLI_TERMS = 15
+_EXP_TERMS = 18
+
+
+def _series_coefficients(n_terms: int) -> np.ndarray:
+    """a_k of int_0^x s^3/(e^s - 1) ds = x^3 (sum_k a_k x^(2k) - x/8), k <= n_terms.
+
+    a_0 = 1/3 and a_k = B_2k / ((2k + 3) (2k)!), from the generating function
+    s/(e^s - 1) = sum_n B_n s^n / n!; the Bernoulli numbers are exact
+    fractions from the recurrence sum_{j<=m} C(m+1, j) B_j = 0.
+    """
+    b = [Fraction(1)]
+    for m in range(1, 2 * n_terms + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return np.array([1 / 3] + [float(b[2 * k] / ((2 * k + 3) * factorial(2 * k)))
+                               for k in range(1, n_terms + 1)])
+
+
+_SERIES_COEFFS = _series_coefficients(_BERNOULLI_TERMS)
+#: row n - 1 holds (1/n, 1/n^2, 1/n^3, 1/n^4): the q^n coefficients of Li_1..Li_4
+_POLYLOG_COEFFS = 1.0 / np.arange(1.0, _EXP_TERMS + 1.0)[:, None] ** np.arange(1, 5)
 
 
 class TemperatureDomainError(ValueError):
@@ -42,9 +71,24 @@ def _check_temperature(T) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Photon-energy group boundaries nu_0 = 0 < nu_1 < ... < nu_Ng (keV)."""
+    """Photon-energy group boundaries nu_0 = 0 < nu_1 < ... < nu_Ng (keV).
+
+    Only the last boundary may be at or above INFINITE_EDGE; `edges` holds
+    the boundaries with that one as +inf.  The 16-point Gauss-Legendre rule
+    of each group is built once: `nodes` (n_groups, 16), `node_weights` (the
+    weights times the Jacobian) and `nodes_cubed`.  A bounded group maps
+    linearly; an unbounded last group (lo, inf) maps through nu = lo/u,
+    u in (0, 1].  The one group (0, inf) maps through nu = T u/(1 - u), so
+    its nodes and weights are those of T = 1 and scale with T
+    (`scales_with_temperature`).
+    """
 
     bounds: np.ndarray
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    node_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    nodes_cubed: np.ndarray = field(init=False, repr=False, compare=False)
+    scales_with_temperature: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.bounds, dtype=float)
@@ -54,7 +98,29 @@ class FrequencyGrid:
             raise ValueError("first boundary must be 0")
         if np.any(np.diff(b) <= 0.0):
             raise ValueError("boundaries must be strictly increasing")
+        if np.any(b[:-1] >= INFINITE_EDGE):
+            raise ValueError(f"only the last boundary may be >= {INFINITE_EDGE:g} (infinite)")
+        unbounded = b[-1] >= INFINITE_EDGE
+        single = bool(unbounded and b.shape[0] == 2)
+        gl_x, gl_w = _GL16
+        lo, hi = b[:-1, None], b[1:, None]
+        nodes = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
+        jac = np.repeat(0.5 * (hi - lo), gl_x.size, axis=1)
+        if single:
+            u = 0.5 * (gl_x + 1.0) * (1.0 - 1e-8)
+            nodes[-1], jac[-1] = u / (1.0 - u), 1.0 / (1.0 - u) ** 2
+        elif unbounded:
+            u = 0.5 * (gl_x + 1.0)
+            nodes[-1], jac[-1] = lo[-1] / u, lo[-1] / u**2
+        edges = b.copy()
+        if unbounded:
+            edges[-1] = np.inf
         object.__setattr__(self, "bounds", b)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "node_weights", gl_w * jac)
+        object.__setattr__(self, "nodes_cubed", nodes**3)
+        object.__setattr__(self, "scales_with_temperature", single)
 
     @property
     def n_groups(self) -> int:
@@ -62,28 +128,41 @@ class FrequencyGrid:
 
 
 def planck_cumulative(x) -> np.ndarray:
-    """Integral of s^3 / (e^s - 1) from x to infinity, by exponential series.
+    """Integral P(x) of s^3 / (e^s - 1) from x to infinity, elementwise.
 
-    Terms e^{-n x} (x^3/n + 3x^2/n^2 + 6x/n^3 + 6/n^4) are accumulated until
-    they drop below 1e-16 in absolute value (at least 25 terms).
+    Three regimes, each a fixed number of array passes: below _X_SERIES,
+    pi^4/15 minus the Bernoulli series of the integral from 0 to x; up to
+    _X_TAIL, the exponential series sum_n e^{-n x} (x^3/n + 3x^2/n^2 +
+    6x/n^3 + 6/n^4) = x^3 Li_1(q) + 3x^2 Li_2(q) + 6x Li_3(q) + 6 Li_4(q),
+    q = e^{-x}, to _EXP_TERMS terms; beyond, its first term
+    e^{-x} (x^3 + 3x^2 + 6x + 6), exact to rounding there.  P(0) = pi^4/15
+    and P(inf) = 0 exactly; a negative or NaN argument raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("Planck integral argument must be >= 0")
-    out = np.full_like(x, _PI4_15)  # exact complete integral at x = 0
-    pos = x > 0.0
-    xp = x[pos]
-    acc = np.zeros_like(xp)
-    x3, x2 = xp**3, xp**2
-    n = 1
-    while xp.size:
-        with np.errstate(under="ignore"):
-            term = np.exp(-n * xp) * (x3 / n + 3.0 * x2 / n**2 + 6.0 * xp / n**3 + 6.0 / n**4)
-        acc += term
-        if n >= _SERIES_MIN_TERMS and term.max() < _SERIES_CUTOFF:
-            break
-        n += 1
-    out[pos] = acc
+    if not np.all(x >= 0.0):
+        raise ValueError("Planck integral argument must be >= 0 (and not NaN)")
+    out = np.zeros_like(x)  # P(inf) = 0
+    small = x < _X_SERIES
+    mid = (x >= _X_SERIES) & (x < _X_TAIL)
+    tail = (x >= _X_TAIL) & (x < np.inf)
+
+    xs = x[small]
+    y = xs * xs
+    acc = _SERIES_COEFFS[-1]
+    for a in _SERIES_COEFFS[-2::-1]:
+        acc = acc * y + a
+    out[small] = _PI4_15 - xs**3 * (acc - xs / 8.0)
+
+    xm = x[mid]
+    q = np.exp(-xm)[:, None]
+    li = _POLYLOG_COEFFS[-1] * q
+    for c in _POLYLOG_COEFFS[-2::-1]:
+        li = (li + c) * q
+    out[mid] = ((li[:, 0] * xm + 3.0 * li[:, 1]) * xm + 6.0 * li[:, 2]) * xm + 6.0 * li[:, 3]
+
+    xt = x[tail]
+    with np.errstate(under="ignore"):
+        out[tail] = np.exp(-xt) * (((xt + 3.0) * xt + 6.0) * xt + 6.0)
     return out
 
 
@@ -94,13 +173,8 @@ def planck_spectrum(T, grid: FrequencyGrid, *, radiation_constant: float = A_RAD
     T may be a scalar or an array; the group axis is appended last.
     """
     T = _check_temperature(T)
-    bounds = grid.bounds
-    infinite = bounds >= INFINITE_EDGE
     Tcol = T.reshape(-1, 1)
-    x = np.where(infinite[None, :], np.inf, bounds[None, :] / Tcol)
-    cum = np.zeros_like(x)
-    finite = ~np.isinf(x)
-    cum[finite] = planck_cumulative(x[finite])
+    cum = planck_cumulative(grid.edges / Tcol)
     frac = (cum[:, :-1] - cum[:, 1:]) / _PI4_15
     scale = radiation_constant * light_speed * Tcol**4 / FOUR_PI
     return (scale * frac).reshape(np.shape(T) + (grid.n_groups,))
@@ -142,40 +216,34 @@ class MaterialModel:
     def group_opacity(self, T, grid: FrequencyGrid) -> np.ndarray:
         """Planck-averaged group opacities, shape T.shape + (n_groups,).
 
-        Each group integrates kappa_nu weighted by nu^3/(e^{nu/T}-1) with
-        16-point Gauss-Legendre; the last group, when unbounded, is mapped
-        through nu = nu_lo / u onto u in (0, 1].
+        Each group integrates kappa_nu weighted by nu^3/(e^{nu/T}-1) with the
+        grid's 16-point Gauss-Legendre rule, all cells and groups at once.
         """
         T = _check_temperature(T)
-        Tcol = T.reshape(-1, 1)
-        gl_x, gl_w = _GL16
-        n_groups = grid.n_groups
-        kbar = np.empty((Tcol.shape[0], n_groups))
-        for g in range(n_groups):
-            lo, hi = grid.bounds[g], grid.bounds[g + 1]
-            if hi >= INFINITE_EDGE and lo > 0.0:
-                u = 0.5 * (gl_x + 1.0)
-                nu = lo / u
-                jac = lo / u**2
-            elif hi >= INFINITE_EDGE:
-                # single group spanning (0, inf): nu = T u/(1-u), per-row grid
-                u = 0.5 * (gl_x + 1.0) * (1.0 - 1e-8)
-                nu = Tcol * (u / (1.0 - u))[None, :]
-                jac = Tcol * (1.0 / (1.0 - u) ** 2)[None, :]
-            else:
-                nu = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
-                jac = np.full_like(nu, 0.5 * (hi - lo))
-            if np.ndim(nu) == 1:
-                nu = nu[None, :]
-                jac = jac[None, :]
-            x = nu / Tcol
-            # Planck weight with the row max factored out: the common factor
-            # e^{-xmin} cancels in the num/den ratio, dodging underflow at low T
-            xmin = x.min(axis=1, keepdims=True)
-            with np.errstate(under="ignore"):
-                wgt = nu**3 * np.exp(-(x - xmin)) / (-np.expm1(-x))
-            kap = self.spectral_opacity(nu, Tcol)
-            num = np.sum(gl_w * jac * wgt * kap, axis=1)
-            den = np.sum(gl_w * jac * wgt, axis=1)
-            kbar[:, g] = num / den
-        return kbar.reshape(np.shape(T) + (n_groups,))
+        Tn = T.reshape(-1, 1, 1)
+        nu, wj, nu3 = grid.nodes, grid.node_weights, grid.nodes_cubed
+        if grid.scales_with_temperature:
+            nu = Tn * nu
+            wj = wj * Tn
+            nu3 = nu**3
+        x = nu / Tn
+        # Planck weight with the row max factored out: the common factor
+        # e^{-xmin} cancels in the num/den ratio, dodging underflow at low T.
+        # Division by T > 0 is monotone, so xmin is the smallest node over T.
+        xmin = nu.min(axis=-1, keepdims=True) / Tn
+        # the (cells, groups, 16) passes run in place; 1 - e^{-x} serves both
+        # the weight and the stimulated-emission factor
+        stim = np.negative(x)
+        np.expm1(stim, out=stim)
+        np.negative(stim, out=stim)
+        wgt = np.subtract(xmin, x, out=x)
+        with np.errstate(under="ignore"):
+            np.exp(wgt, out=wgt)
+        wgt *= nu3
+        wgt /= stim
+        wgt *= wj
+        kap = self.opacity_coeff / nu**self.opacity_exponent
+        if self.stimulated_correction:
+            kap = np.multiply(stim, kap, out=stim)
+        kbar = np.sum(wgt * kap, axis=-1) / np.sum(wgt, axis=-1)
+        return kbar.reshape(np.shape(T) + (grid.n_groups,))

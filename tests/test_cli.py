@@ -7,6 +7,7 @@ import pytest
 
 from qdrom.cli import main
 from qdrom.container import load_run_record, read_container, write_container
+from qdrom.drivers import SNAPSHOT_NAMES
 
 TINY_CONFIG = """\
 # tiny pipeline exercise
@@ -54,17 +55,24 @@ def test_fom_progress_prints_both_counts(tmp_path, capsys):
     assert line in capsys.readouterr().err.splitlines()
 
 
-def test_compress_and_rom_roundtrip(workdir):
-    cfg = workdir / "tiny.cfg"
+@pytest.fixture(scope="module")
+def pod_rom(workdir):
+    """(model directory, ROM run record) for POD models of the snapshots at xi 1e-12."""
+    models, rom_out = workdir / "pod", workdir / "rom_pod"
     rc = main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
-               "--method", "pod", "--xi", "1e-12", "--out", str(workdir / "pod")])
+               "--method", "pod", "--xi", "1e-12", "--out", str(models)])
     assert rc == 0
-    assert len(list((workdir / "pod").glob("*.pod.ddet"))) == 7
-    rc = main(["rom", "--config", str(cfg), "--models", str(workdir / "pod"),
-               "--out", str(workdir / "rom_pod")])
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"), "--models", str(models),
+               "--out", str(rom_out)])
     assert rc == 0
+    return models, rom_out / "rom_run.ddet"
+
+
+def test_compress_and_rom_roundtrip(workdir, pod_rom):
+    models, rom_run = pod_rom
+    assert len(list(models.glob("*.pod.ddet"))) == 7
     fom = load_run_record(workdir / "fom" / "fom_run.ddet")
-    rom = load_run_record(workdir / "rom_pod" / "rom_run.ddet")
+    rom = load_run_record(rom_run)
     err = np.abs(rom.temperature - fom.temperature).max()
     assert err <= 1e-9 * fom.temperature.max()
 
@@ -91,10 +99,10 @@ def test_compare_same_run_is_zero(workdir):
     assert all(float(r["rel_err_temperature"]) == 0.0 for r in rows)
 
 
-def test_compare_field_maps(workdir):
+def test_compare_field_maps(workdir, pod_rom):
     out = workdir / "cmp.csv"
     fields = workdir / "fields.ddet"
-    rc = main(["compare", "--run-a", str(workdir / "rom_pod" / "rom_run.ddet"),
+    rc = main(["compare", "--run-a", str(pod_rom[1]),
                "--run-b", str(workdir / "fom" / "fom_run.ddet"),
                "--out", str(out), "--field-steps", "2,4",
                "--fields-out", str(fields)])
@@ -174,17 +182,30 @@ def test_svd_report(workdir):
     assert {r["method"] for r in ranks} == {"pod", "dmd", "dmd-e"}
 
 
-def test_dmd_rank_not_above_pod_via_cli(workdir):
+def test_dmd_rank_not_above_pod_via_cli(workdir, pod_rom):
     rc = main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
                "--method", "dmd", "--xi", "1e-4", "--out", str(workdir / "dmd")])
     assert rc == 0
     from qdrom.container import load_model
-    for pod_file in (workdir / "pod").glob("*.pod.ddet"):
+    compared = set()
+    for pod_file in pod_rom[0].glob("*.pod.ddet"):
         name = pod_file.name.split(".")[0]
         pod = load_model(pod_file)
         dmd = load_model(workdir / "dmd" / f"{name}.dmd.ddet")
         # ranks from different xi targets are not comparable; just sanity
         assert dmd.rank >= 1 and pod.rank >= 1
+        compared.add(name)
+    assert compared == set(SNAPSHOT_NAMES)
+
+
+@pytest.mark.parametrize("xi", ["0", "5", "nan"])
+def test_compress_bad_xi_is_usage_error(workdir, tmp_path, xi):
+    out = tmp_path / "models"
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
+              "--method", "pod", "--xi", xi, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
@@ -345,10 +366,10 @@ def test_time_step_mismatch_is_data_error(workdir, tmp_path, capsys, source):
     assert not (tmp_path / "r" / "rom_run.ddet").exists()
 
 
-def test_layout_mismatch_is_data_error(workdir, tmp_path):
+def test_layout_mismatch_is_data_error(workdir, pod_rom, tmp_path):
     other_cfg = tmp_path / "other.cfg"
     other_cfg.write_text(TINY_CONFIG.replace("nx = 4", "nx = 3"))
-    rc = main(["rom", "--config", str(other_cfg), "--models", str(workdir / "pod"),
+    rc = main(["rom", "--config", str(other_cfg), "--models", str(pod_rom[0]),
                "--out", str(tmp_path / "r")])
     assert rc == 3
 

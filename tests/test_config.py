@@ -94,6 +94,8 @@ def test_validation():
     for bounds in ((), (0.0,)):
         with pytest.raises(ConfigError, match="two edges"):
             RunConfig(group_bounds=bounds)
+    with pytest.raises(ConfigError, match="only the last edge"):
+        RunConfig(group_bounds=(0.0, 1.0e7, 2.0e7))
     with pytest.raises(ConfigError):
         RunConfig(boundary_left=-1.0)
     # solver controls and non-finite values

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from qdrom import materials
+from qdrom.config import PRESETS, preset
 from qdrom.materials import (
     A_RAD,
     C_LIGHT,
@@ -9,6 +11,7 @@ from qdrom.materials import (
     FrequencyGrid,
     MaterialModel,
     TemperatureDomainError,
+    planck_cumulative,
     planck_spectrum,
 )
 from qdrom.mesh import SpatialMesh, build_adjacency, build_boundary
@@ -125,6 +128,47 @@ def test_band_fraction_against_oracle():
             == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+def polylog_planck_tail(x, mp):
+    """Independent oracle: P(x) = x^3 Li_1(q) + 3x^2 Li_2(q) + 6x Li_3(q) + 6 Li_4(q).
+
+    q = e^{-x}, in 40-digit arithmetic.  Li_1(q) is written as -log1p(-q):
+    mpmath's polylog(1, q) returns 0 once q is below ~1e-300.
+    """
+    x = mp.mpf(x)
+    q = mp.exp(-x)
+    return (-x**3 * mp.log1p(-q) + 3 * x**2 * mp.polylog(2, q)
+            + 6 * x * mp.polylog(3, q) + 6 * mp.polylog(4, q))
+
+
+def test_planck_cumulative_matches_polylog_oracle():
+    mp = pytest.importorskip("mpmath")
+    # both sides of each regime limit: the last float below, the limit, the
+    # first float above, and 1% either way
+    limits = [materials._X_SERIES, materials._X_TAIL]
+    edges = [v for lim in limits for v in (lim * 0.99, np.nextafter(lim, 0.0), lim,
+                                             np.nextafter(lim, np.inf), lim * 1.01)]
+    x = np.concatenate([np.geomspace(1e-6, 700.0, 121), edges])
+    got = planck_cumulative(x)
+    with mp.workdps(40):
+        for xi, gi in zip(x, got):
+            exact = polylog_planck_tail(xi, mp)
+            assert abs(float((mp.mpf(gi) - exact) / exact)) <= 2e-15, xi
+
+
+def test_planck_cumulative_exact_ends_and_rejects_nan():
+    assert planck_cumulative(0.0) == np.pi**4 / 15.0
+    assert planck_cumulative(np.inf) == 0.0
+    assert np.array_equal(planck_cumulative([np.inf, 0.0]), [0.0, np.pi**4 / 15.0])
+    for bad in ([np.nan, 1.0], [-1e-300], -np.inf):
+        with pytest.raises(ValueError):
+            planck_cumulative(bad)
+
+
+def test_grid_rejects_an_interior_infinite_edge():
+    with pytest.raises(ValueError, match="only the last boundary"):
+        FrequencyGrid(np.array([0.0, 1.0e7, 2.0e7]))
+
+
 # ---------------------------------------------------------------------------
 # Opacity
 # ---------------------------------------------------------------------------
@@ -188,6 +232,58 @@ def test_opacity_rejects_nonpositive_temperature():
         m.spectral_opacity(1.0, 0.0)
     with pytest.raises(TemperatureDomainError):
         m.group_opacity(1e-12, FrequencyGrid(np.array([0.0, 1.0])))
+
+
+def per_group_opacity(m, T, bounds):
+    """Oracle: the Planck-weighted 16-point Gauss-Legendre average, one group
+    at a time, in the same arithmetic order as the batched evaluation."""
+    Tcol = np.asarray(T, dtype=float).reshape(-1, 1)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    kbar = np.empty((Tcol.shape[0], len(bounds) - 1))
+    for g in range(len(bounds) - 1):
+        lo, hi = bounds[g], bounds[g + 1]
+        if hi >= materials.INFINITE_EDGE and lo > 0.0:
+            u = 0.5 * (gl_x + 1.0)
+            nu, jac = (lo / u)[None, :], (lo / u**2)[None, :]
+        elif hi >= materials.INFINITE_EDGE:
+            # single group spanning (0, inf): nu = T u/(1-u), per-row grid
+            u = 0.5 * (gl_x + 1.0) * (1.0 - 1e-8)
+            nu = Tcol * (u / (1.0 - u))[None, :]
+            jac = Tcol * (1.0 / (1.0 - u) ** 2)[None, :]
+        else:
+            nu = (0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo))[None, :]
+            jac = np.full_like(nu, 0.5 * (hi - lo))
+        x = nu / Tcol
+        xmin = x.min(axis=1, keepdims=True)
+        with np.errstate(under="ignore"):
+            wgt = nu**3 * np.exp(-(x - xmin)) / (-np.expm1(-x))
+        kap = m.spectral_opacity(nu, Tcol)
+        kbar[:, g] = (np.sum(gl_w * jac * wgt * kap, axis=1)
+                      / np.sum(gl_w * jac * wgt, axis=1))
+    return kbar
+
+
+OPACITY_T = np.geomspace(materials.TEMPERATURE_FLOOR, 10.0, 240).reshape(12, 20)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("law", [dict(), dict(stimulated_correction=False),
+                                 dict(opacity_exponent=2.0)])
+def test_group_opacity_equals_per_group_oracle(name, law):
+    m = material(**law)
+    bounds = preset(name).group_bounds
+    got = m.group_opacity(OPACITY_T, FrequencyGrid(np.array(bounds)))
+    assert got.shape == OPACITY_T.shape + (len(bounds) - 1,)
+    assert np.array_equal(got.reshape(-1, len(bounds) - 1),
+                          per_group_opacity(m, OPACITY_T, bounds))
+
+
+@pytest.mark.parametrize("law", [dict(), dict(stimulated_correction=False)])
+def test_single_unbounded_group_opacity_matches_oracle(law):
+    m = material(**law)
+    got = m.group_opacity(OPACITY_T, FrequencyGrid(np.array([0.0, 1.0e7])))
+    want = per_group_opacity(m, OPACITY_T, (0.0, 1.0e7))
+    np.testing.assert_allclose(got.reshape(-1, 1), want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
