@@ -4,10 +4,15 @@ Both drivers solve each step with the same low-order loop for a given
 closure: update opacities and emission from the current temperature
 iterate, solve the multigroup moment system, average it to grey
 coefficients, then solve the coupled grey/material-energy problem for the
-next temperature iterate.  The grey level is one linear solve, with the
-emission linearized about the current iterate; the linearization is exact
-at the fixed point.  The reduced-order model reconstructs the closure once
-per step from compressed data, runs the loop once and never touches the
+next temperature iterate.  The grey level is one linear solve, linearized
+about the current iterate: the emission through T^4, and the grey opacities
+through their temperature response, which includes the change of spectral
+shape that a temperature change would induce in each cell's multigroup row
+(`temperature_response`, linear multifrequency-grey acceleration).  Without
+that response the grey solve lags the multigroup spectrum, the loop's slow
+mode.  Every Newton term vanishes at the fixed point, so the linearization
+is exact there.  The reduced-order model reconstructs the closure once per
+step from compressed data, runs the loop once and never touches the
 transport grid.  The full-order model nests the loop in a sweep loop: each
 transport sweep, at the latest low-order temperature, supplies a closure;
 the low-order loop is solved with it to a forcing tolerance tied to the
@@ -37,9 +42,10 @@ from .loqd import (
     MultigroupMoments,
     ProblemGeometry,
     compute_grey_coefficients,
+    temperature_response,
 )
 from .lowrank import ClosureModel, SnapshotMatrix
-from .materials import FrequencyGrid, MaterialModel, planck_spectrum
+from .materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
 from .mesh import SIDES, SpatialMesh
 from .quadrature import build_quadrature
 from .transport import BoundarySpec, ClosureRecord, TransportSolver
@@ -58,18 +64,19 @@ class DriverError(RuntimeError):
 INTENSITY_SEED = 1e-125
 
 #: past residual differences combined by the Anderson mixing of the outer
-#: iterate.  The wave-front opacity makes the plain (Picard) update contract
-#: at ~0.88 per iteration; depth 10 cuts the desk FOM steps 1-2 from 230/199
-#: to 62/50 iterations, and depth 20 was no better.  0 is the plain update.
+#: iterate.  On the desk POD ROM (xi 1e-6) steps 1-2 depth 10 takes 9/10
+#: low-order solves against 12/16 for the plain (Picard) update; the FOM's
+#: inner loops take 1-3 iterates, too few for the depth to matter.  0 is the
+#: plain update.
 ANDERSON_DEPTH = 10
 
 #: forcing factor of the full-order model's inner low-order loop.  After each
 #: sweep the loop stops once its change ratio is at most max(1, FORCING x the
 #: previous sweep-to-sweep change ratio), the forcing-term idea of inexact
 #: Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).
-#: Sweeps / low-order solves on the desk FOM steps 1-2: 0.01 takes 20+15 /
-#: 68+52; 0.1 took 35+21 / 76+53, 0.003 23+14 / 82+53, 0.001 25+12 / 120+54,
-#: and 0 (a full inner solve per sweep) 26+7 / 446+132.
+#: Sweeps / low-order solves on the desk FOM steps 1-2: 0.01 takes 28+9 /
+#: 77+16; 0.1 took 28+12 / 53+17, 0.003 28+8 / 77+15, 0.001 28+8 / 78+15,
+#: and 0 (a full inner solve per sweep) 28+8 / 130+42.
 FORCING = 0.01
 
 
@@ -220,6 +227,15 @@ def _spectral_fields(p: Problem, T: np.ndarray):
     return np.ascontiguousarray(kappa), np.ascontiguousarray(planck)
 
 
+def _spectral_slopes(p: Problem, T: np.ndarray, planck: np.ndarray):
+    """T-derivatives of the group opacities and of `planck`, each (n_g, ny, nx)."""
+    dkappa = p.material.group_opacity_slope(T, p.grid)
+    dplanck = planck_spectrum_slope(T, np.moveaxis(planck, 0, -1), p.grid,
+                                    radiation_constant=p.material.radiation_constant,
+                                    light_speed=p.material.light_speed)
+    return np.moveaxis(dkappa, -1, 0), np.moveaxis(dplanck, -1, 0)
+
+
 def _anderson_update(pairs, depth: int) -> np.ndarray:
     """Type-II Anderson update of a fixed-point iteration x -> g(x).
 
@@ -288,8 +304,10 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
         coeffs = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, p.geom,
                                            p.mg_solver.e_in, p.mg_solver.f_in)
+        response = temperature_response(mg, kappa, planck, *_spectral_slopes(p, T_it, planck),
+                                        cfg.dt, p.material.light_speed)
         grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev_tot, t_prev,
-                           t_star=T_it).solve()
+                           t_star=T_it, response=response).solve()
         change = _change_ratio(cfg, grey, T_it, E_it, norm_ord)
         if change <= target:
             return grey, mg, it + 1, change

@@ -24,10 +24,14 @@ fluxes.  It factors each group as a banded matrix (LAPACK dgbsv, partial
 pivoting) in a row-interleaved order of the unknowns: per mesh row the
 hfaces below it, then vface and cell pairs, then the last vface, and the top
 hfaces last.  Every entry then lies within 2 nx + 1 of the diagonal.
-The grey system couples to the material energy balance through the emission
-term, linearized about the outer temperature iterate; the temperature is
-eliminated cell-by-cell, so the emission only adds to the cell diagonal and
-right-hand side, and the grey level is one linear solve per outer iteration.
+The grey system couples to the material energy balance through the
+absorption and emission terms, linearized about the outer temperature
+iterate: the emission through T^4, and the grey opacities through their
+temperature derivatives (`temperature_response`), which carry the spectral
+shape that a temperature change would induce in each cell's multigroup row.
+The temperature is eliminated cell-by-cell, so the coupling only adds to the
+cell diagonal and right-hand side, and the grey level is one linear solve per
+outer iteration.
 
 All face fluxes use the fixed +x / +y orientation; outward signs come from
 the adjacency tables.
@@ -423,6 +427,50 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
                             vflux, hflux)
 
 
+@dataclass
+class TemperatureResponse:
+    """Temperature derivatives of the grey opacities at the outer iterate.
+
+    Flattened grids: dkbar_e and dkbar_b are d kbar_e/dT and d kbar_b/dT,
+    e_cell the multigroup cell energy sum that the absorption-opacity
+    derivative multiplies.
+    """
+
+    dkbar_e: np.ndarray   # (n_cells,)
+    dkbar_b: np.ndarray   # (n_cells,)
+    e_cell: np.ndarray    # (n_cells,)
+
+
+def temperature_response(mg: MultigroupMoments, kappa: np.ndarray, planck: np.ndarray,
+                         dkappa: np.ndarray, dplanck: np.ndarray, dt: float,
+                         light_speed: float) -> TemperatureResponse:
+    """How the grey opacities move with T, spectrum shape included.
+
+    kappa/planck and their T-derivatives dkappa/dplanck are (n_g, ny, nx)
+    at the outer iterate; mg is the multigroup solution with them.  The
+    group energies respond through their own cell rows, transport held
+    fixed: dE_g/dT = [4 pi (kappa' B + kappa B') - c kappa' E_g] /
+    (1/dt + c kappa).  Then d kbar_e/dT = [sum kappa' E_g + sum (kappa -
+    kbar_e) dE_g/dT] / sum E_g, and likewise d kbar_b/dT over the B_g.
+    This is the spectral shape of linear multifrequency-grey acceleration
+    (Morel, Larsen & Matzen, JQSRT 34, 1985).
+    """
+    n_g = kappa.shape[0]
+    kap, b = kappa.reshape(n_g, -1), planck.reshape(n_g, -1)
+    dkap, db = dkappa.reshape(n_g, -1), dplanck.reshape(n_g, -1)
+    e = mg.e_cell.reshape(n_g, -1)
+    de = (4.0 * np.pi * (dkap * b + kap * db) - light_speed * dkap * e) \
+        / (1.0 / dt + light_speed * kap)
+    e_sum, b_sum = e.sum(axis=0), b.sum(axis=0)
+    kbar_e = (kap * e).sum(axis=0) / e_sum
+    kbar_b = (kap * b).sum(axis=0) / b_sum
+    return TemperatureResponse(
+        ((dkap * e).sum(axis=0) + ((kap - kbar_e) * de).sum(axis=0)) / e_sum,
+        ((dkap * b).sum(axis=0) + ((kap - kbar_b) * db).sum(axis=0)) / b_sum,
+        e_sum,
+    )
+
+
 # ---------------------------------------------------------------------------
 # effective grey problem
 # ---------------------------------------------------------------------------
@@ -441,19 +489,25 @@ class GreyState:
 
 
 class GreyProblem:
-    """Grey LOQD + material energy balance with frozen coefficients.
+    """Grey LOQD + material energy balance about an outer temperature iterate.
 
-    The emission c kbar_b a_R T^4 is linearized about the outer temperature
-    iterate t_star (> 0 per cell), so the material energy balance gives
-    T = slope E + offset per cell and the grey problem is one linear system.
-    At T = t_star the linearization is exact: a fixed point of the outer
-    iteration is a root of the nonlinear grey problem, and repeating the
-    solve from its own temperature is Newton's method on it.
+    The material energy balance cv (T - T_prev)/dt = c kbar_e(T) E -
+    c kbar_b(T) a_R T^4 is linearized about the outer temperature iterate
+    t_star (> 0 per cell): the emission through 4 t_star^3 (T - t_star),
+    and both opacities through the T-derivatives of `response`, with its
+    multigroup energy sum standing in for E in the absorption term.  Each
+    cell then gives T = slope E + offset, and the grey problem is one
+    linear system.  At T = t_star every Newton term vanishes: a fixed point
+    of the outer iteration is a root of the nonlinear grey problem, and
+    repeating the solve from its own temperature is Newton's method on it
+    when the response is exact (zero for opacities that do not depend on
+    T).
     """
 
     def __init__(self, geom: ProblemGeometry, coeffs: SpectrumAveraged,
                  material: MaterialModel, dt: float,
-                 e_prev_cell: np.ndarray, t_prev: np.ndarray, t_star: np.ndarray):
+                 e_prev_cell: np.ndarray, t_prev: np.ndarray, t_star: np.ndarray,
+                 response: TemperatureResponse):
         self.geom = geom
         self.coeffs = coeffs
         self.material = material
@@ -461,28 +515,37 @@ class GreyProblem:
         self.e_prev_cell = e_prev_cell
         self.t_prev = t_prev
         self.t_star = t_star
+        self.response = response
 
     def solve(self) -> GreyState:
-        """One linear solve with T^4 ~ t_star^4 + 4 t_star^3 (T - t_star)."""
-        mat, co, dt = self.material, self.coeffs, self.dt
-        c = mat.light_speed
+        """One linear solve of the grey system linearized about t_star."""
+        mat, co, r, dt = self.material, self.coeffs, self.response, self.dt
+        c, a_r = mat.light_speed, mat.radiation_constant
         area = self.geom.mesh.cell_area.ravel()
         t_prev, t_star = self.t_prev.ravel(), self.t_star.ravel()
-        quart = c * co.kbar_b * mat.radiation_constant
+        quart = c * co.kbar_b * a_r
         t3 = t_star**3
-        # cv (T - T_prev)/dt + quart t3 (4 T - 3 t_star) = c kbar_e E, solved
-        # for T - T_prev so that no coupling leaves T_prev exactly
-        den = mat.heat_capacity / dt + 4.0 * quart * t3
+        # d/dT of the net emission c kbar_b a_R T^4 - c kbar_e E beyond
+        # 4 quart t3, clipped so that the net emission never falls as T
+        # rises: the denominator stays at least cv/dt
+        extra = np.maximum(c * a_r * t_star**4 * r.dkbar_b - c * r.dkbar_e * r.e_cell,
+                           -4.0 * quart * t3)
+        # cv (T - T_prev)/dt + quart t3 (4 T - 3 t_star) + extra (T - t_star)
+        # = c kbar_e E, solved for T - T_prev = slope E + shift so that no
+        # coupling leaves T_prev exactly
+        cv_dt = mat.heat_capacity / dt
+        den = cv_dt + 4.0 * quart * t3 + extra
         slope = c * co.kbar_e / den
-        offset = t_prev - quart * t3 * (4.0 * t_prev - 3.0 * t_star) / den
-        # the linearized emission quart t3 (4 (slope E + offset) - 3 t_star) area
-        emis = quart * t3 * area
+        shift = -(quart * t3 * (4.0 * t_prev - 3.0 * t_star) + extra * (t_prev - t_star)) / den
+        # the cell row adds the material energy change cv (T - T_prev)/dt,
+        # which is the linearized absorption minus emission: the grey and
+        # material balances exchange exactly the same energy
         e_c, e_v, e_h, f_v, f_h = self.geom.moment_system.solve(
-            c, area / dt + c * co.kbar_e * area - 4.0 * emis * slope,
-            (area / dt) * self.e_prev_cell.ravel() + emis * (4.0 * offset - 3.0 * t_star),
+            c, area / dt + cv_dt * area * slope,
+            (area / dt) * self.e_prev_cell.ravel() - cv_dt * area * shift,
             co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)
         return GreyState(
-            temperature=(slope * e_c.ravel() + offset).reshape(e_c.shape),
+            temperature=(t_prev + (slope * e_c.ravel() + shift)).reshape(e_c.shape),
             e_cell=e_c, e_vface=e_v, e_hface=e_h, f_vface=f_v, f_hface=f_h,
             newton_iterations=1,
         )

@@ -35,6 +35,10 @@ _X_TAIL = 40.0
 _BERNOULLI_TERMS = 15
 _EXP_TERMS = 18
 
+#: lower clip of the Planck-weight exponent in group_opacity: e^-708 is still
+#: a normal double, and below it np.exp takes a slow subnormal path
+_WEIGHT_EXP_FLOOR = -708.0
+
 
 def _series_coefficients(n_terms: int) -> np.ndarray:
     """a_k of int_0^x s^3/(e^s - 1) ds = x^3 (sum_k a_k x^(2k) - x/8), k <= n_terms.
@@ -127,6 +131,15 @@ class FrequencyGrid:
         return self.bounds.shape[0] - 1
 
 
+def _planck_head(x: np.ndarray) -> np.ndarray:
+    """Integral of s^3 / (e^s - 1) from 0 to x, for 0 <= x < _X_SERIES."""
+    y = x * x
+    acc = _SERIES_COEFFS[-1]
+    for a in _SERIES_COEFFS[-2::-1]:
+        acc = acc * y + a
+    return x**3 * (acc - x / 8.0)
+
+
 def planck_cumulative(x) -> np.ndarray:
     """Integral P(x) of s^3 / (e^s - 1) from x to infinity, elementwise.
 
@@ -146,12 +159,7 @@ def planck_cumulative(x) -> np.ndarray:
     mid = (x >= _X_SERIES) & (x < _X_TAIL)
     tail = (x >= _X_TAIL) & (x < np.inf)
 
-    xs = x[small]
-    y = xs * xs
-    acc = _SERIES_COEFFS[-1]
-    for a in _SERIES_COEFFS[-2::-1]:
-        acc = acc * y + a
-    out[small] = _PI4_15 - xs**3 * (acc - xs / 8.0)
+    out[small] = _PI4_15 - _planck_head(x[small])
 
     xm = x[mid]
     q = np.exp(-xm)[:, None]
@@ -166,6 +174,23 @@ def planck_cumulative(x) -> np.ndarray:
     return out
 
 
+def _group_integrals(x: np.ndarray) -> np.ndarray:
+    """Integrals of s^3 / (e^s - 1) between consecutive edges x (..., n_g + 1).
+
+    P(x_lo) - P(x_hi), except where both edges lie below _X_SERIES: there
+    the difference of the series from 0, which does not cancel against
+    pi^4/15.
+    """
+    cum = planck_cumulative(x)
+    band = cum[..., :-1] - cum[..., 1:]
+    small = x < _X_SERIES
+    head = np.zeros_like(x)
+    head[small] = _planck_head(x[small])
+    low = small[..., 1:]
+    band[low] = (head[..., 1:] - head[..., :-1])[low]
+    return band
+
+
 def planck_spectrum(T, grid: FrequencyGrid, *, radiation_constant: float = A_RAD,
                     light_speed: float = C_LIGHT) -> np.ndarray:
     """Group Planck emission B_g(T) per steradian, all groups at once.
@@ -174,10 +199,31 @@ def planck_spectrum(T, grid: FrequencyGrid, *, radiation_constant: float = A_RAD
     """
     T = _check_temperature(T)
     Tcol = T.reshape(-1, 1)
-    cum = planck_cumulative(grid.edges / Tcol)
-    frac = (cum[:, :-1] - cum[:, 1:]) / _PI4_15
+    frac = _group_integrals(grid.edges / Tcol) / _PI4_15
     scale = radiation_constant * light_speed * Tcol**4 / FOUR_PI
     return (scale * frac).reshape(np.shape(T) + (grid.n_groups,))
+
+
+def planck_spectrum_slope(T, planck, grid: FrequencyGrid, *,
+                          radiation_constant: float = A_RAD,
+                          light_speed: float = C_LIGHT) -> np.ndarray:
+    """dB_g/dT, given planck = planck_spectrum(T, grid) with the same constants.
+
+    With x = nu/T, d/dT of T^4 int_{x_hi}^{x_lo} s^3/(e^s - 1) ds is
+    4/T of itself plus T^3 [h(x_lo) - h(x_hi)], h(x) = x^4/(e^x - 1),
+    h(0) = h(inf) = 0.
+    """
+    T = _check_temperature(T)
+    Tcol = T.reshape(-1, 1)
+    x = grid.edges / Tcol
+    h = np.zeros_like(x)
+    inner = (x > 0.0) & (x < np.inf)
+    xi = x[inner]
+    with np.errstate(under="ignore"):
+        h[inner] = xi**4 * np.exp(-xi) / -np.expm1(-xi)
+    edge = radiation_constant * light_speed * Tcol**3 / (FOUR_PI * _PI4_15) \
+        * (h[:, :-1] - h[:, 1:])
+    return 4.0 * planck / T[..., None] + edge.reshape(np.shape(T) + (grid.n_groups,))
 
 
 @dataclass(frozen=True)
@@ -213,13 +259,16 @@ class MaterialModel:
                 kappa = kappa * (-np.expm1(-nu / T))
         return kappa
 
-    def group_opacity(self, T, grid: FrequencyGrid) -> np.ndarray:
-        """Planck-averaged group opacities, shape T.shape + (n_groups,).
+    def _node_terms(self, T: np.ndarray, grid: FrequencyGrid):
+        """(x, 1 - e^{-x}, Planck weights, opacities) at the grid's nodes.
 
-        Each group integrates kappa_nu weighted by nu^3/(e^{nu/T}-1) with the
-        grid's 16-point Gauss-Legendre rule, all cells and groups at once.
+        Arrays are (cells, groups, 16), x = nu/T.  The weights are
+        nu^3/(e^x - 1) times the rule's weights, with the row factor
+        e^{-xmin} taken out: it cancels in every weighted average and keeps
+        cold rows from underflowing.  The exponent is clipped at
+        _WEIGHT_EXP_FLOOR, where e^{xmin - x} is already below 1e-307 of
+        the row's largest weight.
         """
-        T = _check_temperature(T)
         Tn = T.reshape(-1, 1, 1)
         nu, wj, nu3 = grid.nodes, grid.node_weights, grid.nodes_cubed
         if grid.scales_with_temperature:
@@ -227,23 +276,53 @@ class MaterialModel:
             wj = wj * Tn
             nu3 = nu**3
         x = nu / Tn
-        # Planck weight with the row max factored out: the common factor
-        # e^{-xmin} cancels in the num/den ratio, dodging underflow at low T.
-        # Division by T > 0 is monotone, so xmin is the smallest node over T.
+        # division by T > 0 is monotone, so xmin is the smallest node over T
         xmin = nu.min(axis=-1, keepdims=True) / Tn
         # the (cells, groups, 16) passes run in place; 1 - e^{-x} serves both
         # the weight and the stimulated-emission factor
         stim = np.negative(x)
         np.expm1(stim, out=stim)
         np.negative(stim, out=stim)
-        wgt = np.subtract(xmin, x, out=x)
-        with np.errstate(under="ignore"):
-            np.exp(wgt, out=wgt)
+        wgt = np.subtract(xmin, x)
+        np.maximum(wgt, _WEIGHT_EXP_FLOOR, out=wgt)
+        np.exp(wgt, out=wgt)
         wgt *= nu3
         wgt /= stim
         wgt *= wj
         kap = self.opacity_coeff / nu**self.opacity_exponent
         if self.stimulated_correction:
-            kap = np.multiply(stim, kap, out=stim)
+            kap = stim * kap
+        return x, stim, wgt, kap
+
+    def group_opacity(self, T, grid: FrequencyGrid) -> np.ndarray:
+        """Planck-averaged group opacities, shape T.shape + (n_groups,).
+
+        Each group integrates kappa_nu weighted by nu^3/(e^{nu/T}-1) with the
+        grid's 16-point Gauss-Legendre rule, all cells and groups at once.
+        """
+        T = _check_temperature(T)
+        _, _, wgt, kap = self._node_terms(T, grid)
         kbar = np.sum(wgt * kap, axis=-1) / np.sum(wgt, axis=-1)
         return kbar.reshape(np.shape(T) + (grid.n_groups,))
+
+    def group_opacity_slope(self, T, grid: FrequencyGrid) -> np.ndarray:
+        """dkappa_g/dT of group_opacity, same shape.
+
+        The quotient rule on the rule's nodes, with T dW/dT = W x/(1 - e^{-x})
+        for the Planck weights W and T dk/dT = -k x/(e^x - 1) for the
+        stimulated-emission factor of the node opacities k.  On the one
+        group (0, inf), whose nodes scale with T, the average is C' T^-n.
+        """
+        T = _check_temperature(T)
+        x, stim, wgt, kap = self._node_terms(T, grid)
+        den = np.sum(wgt, axis=-1)
+        kbar = np.sum(wgt * kap, axis=-1) / den
+        Tcol = T.reshape(-1, 1)
+        if grid.scales_with_temperature:
+            slope = -self.opacity_exponent * kbar / Tcol
+        else:
+            rate = x / stim
+            dkap = -kap * rate * (1.0 - stim) if self.stimulated_correction else 0.0
+            slope = np.sum(wgt * (rate * (kap - kbar[..., None]) + dkap), axis=-1) \
+                / (den * Tcol)
+        return slope.reshape(np.shape(T) + (grid.n_groups,))

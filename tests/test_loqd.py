@@ -14,10 +14,12 @@ from qdrom.loqd import (
     ProblemGeometry,
     SolverError,
     SpectrumAveraged,
+    TemperatureResponse,
     compute_grey_coefficients,
     group_flux_coeffs,
+    temperature_response,
 )
-from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
+from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
 from qdrom.mesh import SpatialMesh
 from qdrom.transport import ClosureRecord
 
@@ -388,10 +390,16 @@ def test_zero_energy_average_raises():
 # grey problem
 # ---------------------------------------------------------------------------
 
+def fixed_opacities(geom):
+    """The temperature response of grey opacities that do not depend on T."""
+    zero = np.zeros(geom.n_cells)
+    return TemperatureResponse(zero, zero, zero)
+
+
 def solve_grey_step(geom, co, prev, dt):
     """One backward-Euler grey step, linearized about the previous temperature."""
     return GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature,
-                       t_star=prev.temperature).solve()
+                       t_star=prev.temperature, response=fixed_opacities(geom)).solve()
 
 
 def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
@@ -542,7 +550,8 @@ def test_graded_system_backward_error(monkeypatch):
     mg, group_flux = MultigroupLoqdSolver(geom, grid, MAT, e_in, f_in).solve(
         closure, kappa, planck, prev, 0.02)
     co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
-    GreyProblem(geom, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
+    GreyProblem(geom, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T,
+                response=fixed_opacities(geom)).solve()
     assert [np.ndim(args[1]) for args, _ in calls] == [2, 1]  # multigroup, then grey
     n = system.n_unknowns
     for args, out in calls:
@@ -563,7 +572,8 @@ def test_singular_system_raises_at_both_levels():
     geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     co = grey_coeffs_uniform(geom, kbar=2.0, dvals=0.0, cbar=0.0)
     problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
-                          np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
+                          np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6),
+                          response=fixed_opacities(geom))
     with pytest.raises(SolverError, match="singular"):
         problem.solve()
     rng = np.random.default_rng(47)
@@ -638,16 +648,82 @@ def test_grey_single_cell_matches_bisection_oracle():
     geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
     T = t_prev
     for _ in range(8):
-        T = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=T).solve().temperature
+        T = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=T,
+                        response=fixed_opacities(geom)).solve().temperature
     assert T[0, 0] == pytest.approx(T_oracle, rel=1e-12)
 
 
 def test_grey_linearized_at_root_returns_root():
     # a fixed point of the linearized solve is a root of the nonlinear system
     geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
-    out = GreyProblem(geom, co, MAT, dt, e_prev, t_prev,
-                      t_star=np.array([[T_oracle]])).solve()
+    out = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=np.array([[T_oracle]]),
+                      response=fixed_opacities(geom)).solve()
     assert out.temperature[0, 0] == pytest.approx(T_oracle, rel=1e-12)
+
+
+def test_grey_response_guard_freezes_the_net_emission():
+    # a response whose net-emission slope falls below -4 c kbar_b a_R t*^3
+    # is clipped there: the denominator is cv/dt, and the material takes
+    # up the absorption minus the emission at t_star
+    geom, co, e_prev, t_prev, dt, _ = one_cell_grey_case()
+    t_star = np.array([[0.3]])
+    bound = -4.0 * co.kbar_b / t_star.ravel()
+    zero = np.zeros(1)
+
+    def solve(dkbar_e, dkbar_b, e_cell):
+        response = TemperatureResponse(dkbar_e, dkbar_b, e_cell)
+        return GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=t_star,
+                           response=response).solve()
+
+    clipped = solve(zero, 10.0 * bound, zero)
+    for dkbar_e, dkbar_b, e_cell in ((zero, 100.0 * bound, zero),
+                                     (np.array([1e6]), zero, np.array([0.01]))):
+        again = solve(dkbar_e, dkbar_b, e_cell)
+        assert np.array_equal(again.temperature, clipped.temperature)
+        assert np.array_equal(again.e_cell, clipped.e_cell)
+    c, a_r = MAT.light_speed, MAT.radiation_constant
+    uptake = MAT.heat_capacity * (clipped.temperature - t_prev) / dt
+    net = c * co.kbar_e * clipped.e_cell - c * co.kbar_b * a_r * t_star**4
+    assert uptake[0, 0] == pytest.approx(net[0, 0], rel=1e-12)
+    # inside the bound the response acts
+    inside = solve(zero, 0.5 * bound, zero)
+    assert inside.temperature[0, 0] != clipped.temperature[0, 0]
+
+
+def test_temperature_response_matches_local_difference():
+    # for group energies that solve their own cell rows (no transport),
+    # E_g = (E_prev/dt + 4 pi kappa_g B_g) / (1/dt + c kappa_g), the response
+    # is the T-derivative of the two spectrum averages
+    rng = np.random.default_rng(53)
+    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    c, dt = MAT.light_speed, 0.02
+    T = rng.uniform(0.2, 1.5, (2, 3))
+    e_prev = rng.uniform(1e-3, 2e-2, (3, 2, 3))
+
+    def fields(T):
+        kappa = np.moveaxis(MAT.group_opacity(T, GRID3), -1, 0)
+        planck = np.moveaxis(planck_spectrum(T, GRID3), -1, 0)
+        e = (e_prev / dt + 4.0 * np.pi * kappa * planck) / (1.0 / dt + c * kappa)
+        return kappa, planck, e
+
+    def averages(T):
+        kappa, planck, e = fields(T)
+        return ((kappa * e).sum(0) / e.sum(0)).ravel(), \
+            ((kappa * planck).sum(0) / planck.sum(0)).ravel()
+
+    kappa, planck, e = fields(T)
+    mg = MultigroupMoments.equilibrium(planck, geom, c)
+    mg.e_cell = e
+    dkappa = np.moveaxis(MAT.group_opacity_slope(T, GRID3), -1, 0)
+    dplanck = np.moveaxis(planck_spectrum_slope(T, np.moveaxis(planck, 0, -1), GRID3),
+                          -1, 0)
+    r = temperature_response(mg, kappa, planck, dkappa, dplanck, dt, c)
+    h = 1e-6 * T
+    (ke_hi, kb_hi), (ke_lo, kb_lo) = averages(T + h), averages(T - h)
+    step = 2.0 * h.ravel()
+    assert r.dkbar_e == pytest.approx((ke_hi - ke_lo) / step, rel=1e-6)
+    assert r.dkbar_b == pytest.approx((kb_hi - kb_lo) / step, rel=1e-6)
+    assert np.array_equal(r.e_cell, e.sum(0).ravel())
 
 
 def test_grey_matches_multigroup_sum():
@@ -700,7 +776,8 @@ def test_nonfinite_solution_raises(level, fault):
         else:
             co.e_in_total[1] = np.inf
         problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
-                              np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
+                              np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6),
+                              response=fixed_opacities(geom))
         with pytest.raises(SolverError, match="non-finite"):
             problem.solve()
         return

@@ -13,6 +13,7 @@ from qdrom.materials import (
     TemperatureDomainError,
     planck_cumulative,
     planck_spectrum,
+    planck_spectrum_slope,
 )
 from qdrom.mesh import SpatialMesh, build_adjacency, build_boundary
 from qdrom.quadrature import QuadratureSpecError, build_quadrature
@@ -155,6 +156,26 @@ def test_planck_cumulative_matches_polylog_oracle():
             assert abs(float((mp.mpf(gi) - exact) / exact)) <= 2e-15, xi
 
 
+def test_group_fractions_match_polylog_oracle():
+    # 4 pi B_g / (a_R c T^4) = [P(x_lo) - P(x_hi)] / (pi^4/15); a low group
+    # at high T has both edges in the series regime, where the difference
+    # P(x_lo) - P(x_hi) of two values near pi^4/15 lost ~1e-12
+    mp = pytest.importorskip("mpmath")
+    T = np.concatenate([np.geomspace(1e-3, 10.0, 31), [7.0, 8.58]])
+    with mp.workdps(40):
+        for bounds in (preset("fleck-cummings-desk").group_bounds, FC_BOUNDS):
+            grid = FrequencyGrid(np.array(bounds))
+            frac = FOUR_PI * planck_spectrum(T, grid) / (A_RAD * C_LIGHT * T[:, None]**4)
+            for t, row in zip(T, frac):
+                tails = [mp.pi**4 / 15 if e == 0.0 else mp.mpf(0) if e == np.inf
+                         else polylog_planck_tail(e / t, mp) for e in grid.edges]
+                for g, got in enumerate(row):
+                    exact = (tails[g] - tails[g + 1]) / (mp.pi**4 / 15)
+                    if exact < mp.mpf("1e-290"):  # below the double range
+                        continue
+                    assert abs(float((mp.mpf(got) - exact) / exact)) <= 3e-14, (t, g)
+
+
 def test_planck_cumulative_exact_ends_and_rejects_nan():
     assert planck_cumulative(0.0) == np.pi**4 / 15.0
     assert planck_cumulative(np.inf) == 0.0
@@ -284,6 +305,29 @@ def test_single_unbounded_group_opacity_matches_oracle(law):
     got = m.group_opacity(OPACITY_T, FrequencyGrid(np.array([0.0, 1.0e7])))
     want = per_group_opacity(m, OPACITY_T, (0.0, 1.0e7))
     np.testing.assert_allclose(got.reshape(-1, 1), want, rtol=1e-14, atol=0.0)
+
+
+SLOPE_T = np.geomspace(1e-3, 10.0, 60)
+
+
+@pytest.mark.parametrize("bounds", [preset("fleck-cummings-desk").group_bounds,
+                                    tuple(FC_BOUNDS), (0.0, 1.0e7)],
+                         ids=["desk", "fc2d", "single"])
+@pytest.mark.parametrize("law", [dict(), dict(stimulated_correction=False),
+                                 dict(opacity_exponent=2.0)])
+def test_spectral_slopes_match_central_difference(bounds, law):
+    m = material(**law)
+    grid = FrequencyGrid(np.array(bounds))
+    T, h = SLOPE_T, 1e-6 * SLOPE_T
+    hc = h[:, None]
+    kap = m.group_opacity(T, grid)
+    fd = (m.group_opacity(T + h, grid) - m.group_opacity(T - h, grid)) / (2.0 * hc)
+    # on the log scale: cold groups' opacities barely move with T
+    assert np.max(np.abs(m.group_opacity_slope(T, grid) - fd) * T[:, None] / kap) <= 1e-8
+    slope = planck_spectrum_slope(T, planck_spectrum(T, grid), grid)
+    fd = (planck_spectrum(T + h, grid) - planck_spectrum(T - h, grid)) / (2.0 * hc)
+    floor = 1e-30 * np.abs(slope).max(axis=1, keepdims=True)  # underflowing groups
+    assert np.all(np.abs(slope - fd) <= 1e-7 * np.abs(slope) + floor)
 
 
 # ---------------------------------------------------------------------------
