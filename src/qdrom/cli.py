@@ -45,10 +45,8 @@ def _config_from_args(args) -> RunConfig:
     raise ConfigError("one of --config or --preset is required")
 
 
-def _progress(step: int, iterations: int, change: float, sweeps: int | None = None) -> None:
-    counts = f"{iterations} iterations" if sweeps is None else \
-        f"{sweeps} sweeps, {iterations} low-order iterations"
-    print(f"step {step}: {counts} (change ratio {change:.3e})", file=sys.stderr)
+def _progress(step: int, iterations: int, change: float) -> None:
+    print(f"step {step}: {iterations} iterations (change ratio {change:.3e})", file=sys.stderr)
 
 
 def cmd_fom(args) -> int:
@@ -61,7 +59,7 @@ def cmd_fom(args) -> int:
                              problem.transport.quad.n_dirs)
     print(f"closure unknowns per step: {d_f}; intensity unknowns: {d_i}",
           file=sys.stderr)
-    run = run_fom(problem, log=_progress, log_sweeps=True)
+    run = run_fom(problem, log=_progress)
     container.save_run_record(out / "fom_run.ddet", run)
     matrices = record_snapshots(run)
     container.save_snapshot_set(out / "snapshots.ddet", matrices, cfg.to_dict())

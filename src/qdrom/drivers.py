@@ -11,17 +11,17 @@ shape that a temperature change would induce in each cell's multigroup row
 (`temperature_response`, linear multifrequency-grey acceleration).  Without
 that response the grey solve lags the multigroup spectrum, the loop's slow
 mode.  Every Newton term vanishes at the fixed point, so the linearization
-is exact there.  The reduced-order model reconstructs the closure once per
-step from compressed data, runs the loop once and never touches the
-transport grid.  The full-order model nests the loop in a sweep loop: each
-transport sweep, at the latest low-order temperature, supplies a closure;
-the low-order loop is solved with it to a forcing tolerance tied to the
-sweep-to-sweep progress (`FORCING`), and the step is accepted once two
-consecutive sweeps' low-order solutions agree.
+is exact there.  Each iterate takes its closure from a source evaluated
+at the iterate's spectral fields.  The reduced-order model's source is the
+closure it reconstructs once per step from compressed data, so it never
+touches the transport grid.  The full-order model's source is a transport
+sweep at the iterate's temperature, from the intensity of the previous
+step: one sweep per low-order solve, and the step's closure is that of its
+last sweep.
 
 The low-order loop is a fixed point of the map T_it -> grey temperature,
 accelerated by Anderson mixing of the temperature iterate (depth
-`ANDERSON_DEPTH`, history reset for every loop): the first iterate is the
+`ANDERSON_DEPTH`, history reset for every step): the first iterate is the
 plain update, and a mixed iterate with a non-positive cell temperature
 falls back to the plain update.  The change test and the accepted state
 are those of the unmixed grey solve.
@@ -64,20 +64,10 @@ class DriverError(RuntimeError):
 INTENSITY_SEED = 1e-125
 
 #: past residual differences combined by the Anderson mixing of the outer
-#: iterate.  On the desk POD ROM (xi 1e-6) steps 1-2 depth 10 takes 9/10
-#: low-order solves against 12/16 for the plain (Picard) update; the FOM's
-#: inner loops take 1-3 iterates, too few for the depth to matter.  0 is the
-#: plain update.
+#: iterate.  On desk steps 1-2 depth 10 takes 9/10 low-order solves against
+#: 12/16 for the plain (Picard) update on the POD ROM (xi 1e-6), and 11/10
+#: against 22/16 on the FOM.  0 is the plain update.
 ANDERSON_DEPTH = 10
-
-#: forcing factor of the full-order model's inner low-order loop.  After each
-#: sweep the loop stops once its change ratio is at most max(1, FORCING x the
-#: previous sweep-to-sweep change ratio), the forcing-term idea of inexact
-#: Newton methods (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).
-#: Sweeps / low-order solves on the desk FOM steps 1-2: 0.01 takes 28+9 /
-#: 77+16; 0.1 took 28+12 / 53+17, 0.003 28+8 / 77+15, 0.001 28+8 / 78+15,
-#: and 0 (a full inner solve per sweep) 28+8 / 130+42.
-FORCING = 0.01
 
 
 @dataclass(frozen=True)
@@ -278,77 +268,46 @@ class _Step:
     grey: GreyState
     mg: MultigroupMoments
     closure: ClosureRecord
-    negative_corners: int
     iterations: int
-    sweeps: int
     change: float
+    sweeps: int = 0
+    negative_corners: int = 0
 
 
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
-                  closure: ClosureRecord, T_it: np.ndarray, E_it: np.ndarray,
-                  target: float, norm_ord, fields=None):
-    """Iterate the low-order loop of one time step with a fixed closure.
+                  closure_at, norm_ord) -> _Step:
+    """Iterate the low-order loop of one time step from the previous time level.
 
-    Starts from the iterate (T_it, E_it) and stops once the change between
-    the grey solution and its iterate (`_change_ratio`) is at most `target`.
-    `fields` are the spectral fields at T_it when the caller has them.  The
-    change test sees the unmixed grey solution; only the next temperature
-    iterate is Anderson-mixed.  Returns (grey, mg, iterations, change).
+    Each iterate evaluates the spectral fields (kappa, planck) at its
+    temperature T_it, takes its closure from `closure_at(kappa, planck)` and
+    solves the multigroup and grey levels.  The loop stops once the change
+    between the grey solution and its iterate (`_change_ratio`) is at most
+    1; the change test sees the unmixed grey solution, and only the next
+    temperature iterate is Anderson-mixed.  Returns the step with the
+    closure of its last iterate.
     """
     cfg = p.config
-    e_prev_tot = mg_prev.e_cell.sum(axis=0)
+    e_prev = mg_prev.e_cell.sum(axis=0)
+    T_it, E_it = t_prev, e_prev
     pairs = deque(maxlen=ANDERSON_DEPTH + 1)
     for it in range(cfg.max_outer):
-        kappa, planck = fields if fields is not None else _spectral_fields(p, T_it)
-        fields = None
+        kappa, planck = _spectral_fields(p, T_it)
+        closure = closure_at(kappa, planck)
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
         coeffs = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, p.geom,
                                            p.mg_solver.e_in, p.mg_solver.f_in)
         response = temperature_response(mg, kappa, planck, *_spectral_slopes(p, T_it, planck),
                                         cfg.dt, p.material.light_speed)
-        grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev_tot, t_prev,
+        grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev, t_prev,
                            t_star=T_it, response=response).solve()
         change = _change_ratio(cfg, grey, T_it, E_it, norm_ord)
-        if change <= target:
-            return grey, mg, it + 1, change
+        if change <= 1.0:
+            return _Step(grey, mg, closure, it + 1, change)
         pairs.append((T_it, grey.temperature))
         T_it = _anderson_update(pairs, ANDERSON_DEPTH)
         E_it = grey.e_cell
     raise DriverError(f"no convergence in {cfg.max_outer} iterations (last change ratio "
                       f"{change:.3e})")
-
-
-def _sweep_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
-                I_prev: np.ndarray):
-    """One full-order time step: transport sweeps around the low-order loop.
-
-    Each sweep runs at the latest low-order temperature, whose spectral
-    fields also serve the first low-order iterate.  The low-order loop then
-    runs with the sweep's closure to the forcing target max(1, FORCING x
-    the previous sweep-to-sweep change), one iterate after a step's first
-    sweep.  The step is accepted once the max-norm change between two
-    consecutive sweeps' low-order solutions, the first compared with the
-    previous time level, is within the stopping test.  Returns the step and
-    the last sweep's intensity.
-    """
-    cfg = p.config
-    T, E = t_prev, mg_prev.e_cell.sum(axis=0)
-    last, iterations = np.inf, 0
-    for sweep in range(1, cfg.max_outer + 1):
-        kappa, planck = _spectral_fields(p, T)
-        I = p.transport.sweep(kappa, np.maximum(planck, INTENSITY_SEED), I_prev, cfg.dt)
-        closure = p.transport.compute_eddington(I)
-        grey, mg, iters, _ = _advance_step(p, mg_prev, t_prev, closure, T, E,
-                                           max(1.0, FORCING * last), np.inf,
-                                           (kappa, planck))
-        iterations += iters
-        last = _change_ratio(cfg, grey, T, E, np.inf)
-        if last <= 1.0:
-            return _Step(grey, mg, closure, int(np.sum(I < 0.0)), iterations, sweep,
-                         last), I
-        T, E = grey.temperature, grey.e_cell
-    raise DriverError(f"no convergence in {cfg.max_outer} sweeps (last change ratio "
-                      f"{last:.3e})")
 
 
 def _initial_state(p: Problem):
@@ -395,13 +354,12 @@ def _store_step(rec: RunRecord, n: int, step: _Step):
         warnings.warn(f"nonpositive temperature or energy density at step {n + 1}")
 
 
-def _run(p: Problem, mode: str, advance, log, log_sweeps: bool = False) -> RunRecord:
+def _run(p: Problem, mode: str, advance, log) -> RunRecord:
     """The time-step loop of both drivers.
 
     `advance(n, mg_prev, t_prev)` solves 0-based step n from the previous
     time level and returns its `_Step`.  `log(step, iterations, change)` is
-    called after each step, with the step's sweep count as a fourth argument
-    when `log_sweeps` is set.
+    called after each step.
     """
     cfg = p.config
     T_prev, mg_prev = _initial_state(p)
@@ -415,27 +373,37 @@ def _run(p: Problem, mode: str, advance, log, log_sweeps: bool = False) -> RunRe
         T_prev = step.grey.temperature
         _store_step(rec, n, step)
         if log is not None:
-            log(n + 1, step.iterations, step.change, *((step.sweeps,) if log_sweeps else ()))
+            log(n + 1, step.iterations, step.change)
     return rec
 
 
-def run_fom(config: RunConfig | Problem, log=None, log_sweeps: bool = False) -> RunRecord:
-    """Full-order run: transport sweeps around the low-order loop; max-norm change test.
+def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
+    """Full-order run: one transport sweep per low-order iterate; max-norm change test.
 
     `log(step, iterations, change)` is called after each step, where
-    `iterations` counts the step's low-order solves; with `log_sweeps`, the
-    step's sweep count follows as a fourth argument.
+    `iterations` counts the step's low-order solves, each with its sweep.
     """
     p = config if isinstance(config, Problem) else build_problem(config)
-    # the last sweep of the previous step, which was accepted
-    latest = {"I": np.maximum(p.transport.equilibrium_intensity(p.config.t_initial),
+    cfg = p.config
+    # the intensity of the latest sweep; at the start of a step, that of the
+    # previous step's accepted sweep
+    latest = {"I": np.maximum(p.transport.equilibrium_intensity(cfg.t_initial),
                               INTENSITY_SEED)}
 
     def advance(n, mg_prev, t_prev):
-        step, latest["I"] = _sweep_step(p, mg_prev, t_prev, latest["I"])
+        I_prev = latest["I"]
+
+        def sweep(kappa, planck):
+            latest["I"] = p.transport.sweep(kappa, np.maximum(planck, INTENSITY_SEED),
+                                            I_prev, cfg.dt)
+            return p.transport.compute_eddington(latest["I"])
+
+        step = _advance_step(p, mg_prev, t_prev, sweep, np.inf)
+        step.sweeps = step.iterations
+        step.negative_corners = int(np.sum(latest["I"] < 0.0))
         return step
 
-    return _run(p, "fom", advance, log, log_sweeps)
+    return _run(p, "fom", advance, log)
 
 
 def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
@@ -457,9 +425,7 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
                 raise DriverError(f"model '{name}' produced non-finite values")
             vectors[name] = vec
         closure = unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups)
-        grey, mg, iters, change = _advance_step(
-            p, mg_prev, t_prev, closure, t_prev, mg_prev.e_cell.sum(axis=0), 1.0, 2)
-        return _Step(grey, mg, closure, 0, iters, 0, change)
+        return _advance_step(p, mg_prev, t_prev, lambda kappa, planck: closure, 2)
 
     return _run(p, "rom", advance, log)
 

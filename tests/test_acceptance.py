@@ -3,6 +3,8 @@
 Each test prints one PASS line; the heavy runs (full-order reference and the
 reduced-order re-solves) are session-cached fixtures shared by the criteria.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qdrom.analysis import (
     singular_value_report,
 )
 from qdrom.config import preset
+from qdrom.container import load_run_record
 from qdrom.drivers import (
     SNAPSHOT_NAMES,
     build_problem,
@@ -211,6 +214,17 @@ def test_criterion_9_eckart_young_suite():
         if k_sel > 1:
             assert np.sum(s[k_sel - 1:] ** 2) > xi**2 * total
     report("9 Eckart-Young and rank-selection suite (100 random matrices)")
+
+
+def test_desk_fom_keeps_the_stored_fixed_point(desk_fom):
+    # the stored reference was computed by an earlier iteration scheme; any
+    # scheme converged to the stopping test reaches the same fixed point
+    ref = load_run_record(Path(__file__).resolve().parents[1] / "benchmarks" / "data"
+                          / "desk_fom.ddet")
+    assert ref.n_steps == desk_fom.n_steps
+    for name in ("temperature", "e_cell"):
+        want = getattr(ref, name)
+        assert np.max(np.abs(getattr(desk_fom, name) - want) / np.abs(want)) <= 1e-9, name
 
 
 def test_desk_wavefront_monotone(desk_fom):
