@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .materials import A_RAD, C_LIGHT, INFINITE_EDGE
+from .materials import A_RAD, C_LIGHT, INFINITE_EDGE, TEMPERATURE_FLOOR
 from .quadrature import QuadratureSpecError, azimuthal_counts
 
 FC_GROUP_BOUNDS = (0.0, 0.7075, 1.415, 2.123, 2.830, 3.538, 4.245, 5.129,
@@ -65,7 +65,7 @@ class RunConfig:
             azimuthal_counts(self.quadrature)
         except QuadratureSpecError as err:
             raise ConfigError(f"quadrature: {err}") from err
-        for name in ("dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
+        for name in ("dx", "dy", "dt", "heat_capacity", "opacity_coeff",
                      "light_speed", "radiation_constant", "outer_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -79,10 +79,11 @@ class RunConfig:
         if np.any(b[:-1] >= INFINITE_EDGE):
             raise ConfigError(f"group_bounds: only the last edge may be >= {INFINITE_EDGE:g} "
                               "(infinite)")
-        for side in ("left", "bottom", "right", "top"):
-            val = getattr(self, f"boundary_{side}")
-            if val is not None and not 0.0 < val < np.inf:
-                raise ConfigError(f"boundary_{side} temperature must be positive and finite")
+        for name in ("t_initial", *sorted(_SIDE_KEYS)):
+            val = getattr(self, name)
+            if val is not None and not TEMPERATURE_FLOOR <= val < np.inf:
+                raise ConfigError(f"{name} temperature must be finite and at least "
+                                  f"{TEMPERATURE_FLOOR:g} keV")
 
     @property
     def n_groups(self) -> int:

@@ -1,23 +1,23 @@
 """Time-stepping drivers: full-order model, reduced-order model, snapshots.
 
 Both drivers solve each step with the same low-order loop for a given
-closure: update opacities and emission from the current temperature
-iterate, solve the multigroup moment system, average it to grey
-coefficients, then solve the coupled grey/material-energy problem for the
-next temperature iterate.  The grey level is one linear solve, linearized
-about the current iterate: the emission through T^4, and the grey opacities
-through their temperature response, which includes the change of spectral
-shape that a temperature change would induce in each cell's multigroup row
-(`temperature_response`, linear multifrequency-grey acceleration).  Without
-that response the grey solve lags the multigroup spectrum, the loop's slow
-mode.  Every Newton term vanishes at the fixed point, so the linearization
-is exact there.  Each iterate takes its closure from a source evaluated
-at the iterate's spectral fields.  The reduced-order model's source is the
-closure it reconstructs once per step from compressed data, so it never
-touches the transport grid.  The full-order model's source is a transport
-sweep at the iterate's temperature, from the intensity of the previous
-step: one sweep per low-order solve, and the step's closure is that of its
-last sweep.
+closure: evaluate the opacities, the emission and their temperature
+derivatives at the current temperature iterate in one pass, solve the
+multigroup moment system, average it to grey coefficients, then solve the
+coupled grey/material-energy problem for the next temperature iterate.
+The grey level is one linear solve, linearized about the current iterate:
+the emission through T^4, and the grey opacities through their
+temperature derivatives, which include the spectral shape that a
+temperature change would induce in each cell's multigroup row (linear
+multifrequency-grey acceleration).  Without them the grey solve lags the
+multigroup spectrum, the loop's slow mode.  Every Newton term vanishes at
+the fixed point, so the linearization is exact there.  Each iterate takes
+its closure from a source evaluated at the iterate's spectral fields.  The
+reduced-order model's source is the closure it reconstructs once per step
+from compressed data, so it never touches the transport grid.  The
+full-order model's source is a transport sweep at the iterate's
+temperature, from the intensity of the previous step: one sweep per
+low-order solve, and the step's closure is that of its last sweep.
 
 The low-order loop is a fixed point of the map T_it -> grey temperature,
 accelerated by Anderson mixing of the temperature iterate (depth
@@ -42,7 +42,6 @@ from .loqd import (
     MultigroupMoments,
     ProblemGeometry,
     compute_grey_coefficients,
-    temperature_response,
 )
 from .lowrank import ClosureModel, SnapshotMatrix
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
@@ -209,21 +208,21 @@ class RunRecord:
         return self.temperature.shape[0]
 
 
+def _group_first(a: np.ndarray) -> np.ndarray:
+    """A (ny, nx, n_g) field as a contiguous (n_g, ny, nx) array."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
 def _spectral_fields(p: Problem, T: np.ndarray):
-    kappa = np.moveaxis(p.material.group_opacity(T, p.grid), -1, 0)
-    planck = np.moveaxis(planck_spectrum(
-        T, p.grid, radiation_constant=p.material.radiation_constant,
-        light_speed=p.material.light_speed), -1, 0)
-    return np.ascontiguousarray(kappa), np.ascontiguousarray(planck)
-
-
-def _spectral_slopes(p: Problem, T: np.ndarray, planck: np.ndarray):
-    """T-derivatives of the group opacities and of `planck`, each (n_g, ny, nx)."""
-    dkappa = p.material.group_opacity_slope(T, p.grid)
-    dplanck = planck_spectrum_slope(T, np.moveaxis(planck, 0, -1), p.grid,
-                                    radiation_constant=p.material.radiation_constant,
-                                    light_speed=p.material.light_speed)
-    return np.moveaxis(dkappa, -1, 0), np.moveaxis(dplanck, -1, 0)
+    """kappa, planck and their T-derivatives at T, each (n_g, ny, nx)."""
+    consts = dict(radiation_constant=p.material.radiation_constant,
+                  light_speed=p.material.light_speed)
+    kappa, dkappa = p.material.group_opacity(T, p.grid)
+    planck = planck_spectrum(T, p.grid, **consts)
+    dplanck = planck_spectrum_slope(T, planck, p.grid, **consts)
+    # the derivatives are read once, by the grey averages: views, not copies
+    return (_group_first(kappa), _group_first(planck), np.moveaxis(dkappa, -1, 0),
+            np.moveaxis(dplanck, -1, 0))
 
 
 def _anderson_update(pairs, depth: int) -> np.ndarray:
@@ -291,15 +290,14 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     T_it, E_it = t_prev, e_prev
     pairs = deque(maxlen=ANDERSON_DEPTH + 1)
     for it in range(cfg.max_outer):
-        kappa, planck = _spectral_fields(p, T_it)
+        kappa, planck, dkappa, dplanck = _spectral_fields(p, T_it)
         closure = closure_at(kappa, planck)
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
-        coeffs = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, p.geom,
-                                           p.mg_solver.e_in, p.mg_solver.f_in)
-        response = temperature_response(mg, kappa, planck, *_spectral_slopes(p, T_it, planck),
-                                        cfg.dt, p.material.light_speed)
+        coeffs = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure,
+                                           group_flux, p.geom, p.mg_solver.e_in,
+                                           p.mg_solver.f_in, cfg.dt, p.material.light_speed)
         grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev, t_prev,
-                           t_star=T_it, response=response).solve()
+                           t_star=T_it).solve()
         change = _change_ratio(cfg, grey, T_it, E_it, norm_ord)
         if change <= 1.0:
             return _Step(grey, mg, closure, it + 1, change)
@@ -313,7 +311,9 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
 def _initial_state(p: Problem):
     cfg = p.config
     T0 = np.full((cfg.ny, cfg.nx), cfg.t_initial)
-    _, planck0 = _spectral_fields(p, T0)
+    planck0 = _group_first(planck_spectrum(
+        T0, p.grid, radiation_constant=p.material.radiation_constant,
+        light_speed=p.material.light_speed))
     mg0 = MultigroupMoments.equilibrium(planck0, p.geom, p.material.light_speed)
     return T0, mg0
 

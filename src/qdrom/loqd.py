@@ -27,8 +27,8 @@ hfaces last.  Every entry then lies within 2 nx + 1 of the diagonal.
 The grey system couples to the material energy balance through the
 absorption and emission terms, linearized about the outer temperature
 iterate: the emission through T^4, and the grey opacities through their
-temperature derivatives (`temperature_response`), which carry the spectral
-shape that a temperature change would induce in each cell's multigroup row.
+temperature derivatives (formed with the grey coefficients), which carry the
+spectral shape that a temperature change would induce in each cell's row.
 The temperature is eliminated cell-by-cell, so the coupling only adds to the
 cell diagonal and right-hand side, and the grey level is one linear solve per
 outer iteration.
@@ -360,6 +360,9 @@ class SpectrumAveraged:
 
     kbar_e: np.ndarray        # (n_cells,)
     kbar_b: np.ndarray        # (n_cells,)
+    dkbar_e: np.ndarray       # (n_cells,) d kbar_e/dT, spectrum shape included
+    dkbar_b: np.ndarray       # (n_cells,) d kbar_b/dT, likewise
+    e_cell_total: np.ndarray  # (n_cells,) sum of E_g, which dkbar_e multiplies
     cbar: np.ndarray          # (n_bfaces,)
     e_in_total: np.ndarray    # (n_bfaces,)
     f_in_total: np.ndarray    # (n_bfaces,)
@@ -375,19 +378,24 @@ def _weighted_mean(values, weights, what: str) -> np.ndarray:
     return (values * weights).sum(axis=0) / den
 
 
-def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
-                              planck: np.ndarray, closure: ClosureRecord,
+def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: np.ndarray,
+                              dkappa: np.ndarray, dplanck: np.ndarray,
+                              closure: ClosureRecord,
                               group_flux: tuple[FluxCoeffs, FluxCoeffs],
-                              geom: ProblemGeometry,
-                              e_in: np.ndarray, f_in: np.ndarray) -> SpectrumAveraged:
-    """Spectrum averages over the multigroup solution (Algorithm inputs).
+                              geom: ProblemGeometry, e_in: np.ndarray, f_in: np.ndarray,
+                              dt: float, light_speed: float) -> SpectrumAveraged:
+    """Spectrum averages over the multigroup solution, and their T-derivatives.
 
-    kappa/planck are (n_g, ny, nx); group_flux is the per-group (vertical,
-    horizontal) flux-coefficient pair that MultigroupLoqdSolver.solve returns
-    with mg; e_in/f_in are the per-group boundary tables.  Averaging
-    identities hold by construction; the boundary-factor average falls back
-    to the unweighted mean where its denominator is smaller than 1e-30 of the
-    local energy density.
+    kappa/planck and their T-derivatives dkappa/dplanck are (n_g, ny, nx) at
+    the outer iterate; group_flux is the per-group (vertical, horizontal)
+    flux-coefficient pair of MultigroupLoqdSolver.solve; e_in/f_in are the
+    per-group boundary tables.  The boundary-factor average falls back to the
+    unweighted mean where its denominator is below 1e-30 of the local energy
+    density.  The group energies respond to T through their own cell rows,
+    transport held fixed: dE_g/dT = [4 pi (kappa' B + kappa B') - c kappa' E_g]
+    / (1/dt + c kappa); then d kbar_e/dT = [sum kappa' E_g + sum (kappa -
+    kbar_e) dE_g/dT] / sum E_g, and likewise d kbar_b/dT over the B_g (linear
+    multifrequency-grey acceleration, Morel, Larsen & Matzen, JQSRT 34, 1985).
     """
     n_g = kappa.shape[0]
     kap2 = kappa.reshape(n_g, -1)
@@ -398,6 +406,13 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
 
     kbar_e = _weighted_mean(kap2, e_c, "absorption opacity")
     kbar_b = _weighted_mean(kap2, b2, "emission opacity")
+
+    dkap, db = dkappa.reshape(n_g, -1), dplanck.reshape(n_g, -1)
+    de = (4.0 * np.pi * (dkap * b2 + kap2 * db) - light_speed * dkap * e_c) \
+        / (1.0 / dt + light_speed * kap2)
+    e_sum = e_c.sum(axis=0)
+    dkbar_e = ((dkap * e_c).sum(axis=0) + ((kap2 - kbar_e) * de).sum(axis=0)) / e_sum
+    dkbar_b = ((dkap * b2).sum(axis=0) + ((kap2 - kbar_b) * db).sum(axis=0)) / b2.sum(axis=0)
 
     # boundary factor average with the 0/0 guard at near-equilibrium walls
     bfg = geom.boundary_face_global()
@@ -423,52 +438,8 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray,
 
     vflux = average(geom.vadj, group_flux[0], e_v, e_h)
     hflux = average(geom.hadj, group_flux[1], e_h, e_v)
-    return SpectrumAveraged(kbar_e, kbar_b, cbar, e_in.sum(axis=0), f_in.sum(axis=0),
-                            vflux, hflux)
-
-
-@dataclass
-class TemperatureResponse:
-    """Temperature derivatives of the grey opacities at the outer iterate.
-
-    Flattened grids: dkbar_e and dkbar_b are d kbar_e/dT and d kbar_b/dT,
-    e_cell the multigroup cell energy sum that the absorption-opacity
-    derivative multiplies.
-    """
-
-    dkbar_e: np.ndarray   # (n_cells,)
-    dkbar_b: np.ndarray   # (n_cells,)
-    e_cell: np.ndarray    # (n_cells,)
-
-
-def temperature_response(mg: MultigroupMoments, kappa: np.ndarray, planck: np.ndarray,
-                         dkappa: np.ndarray, dplanck: np.ndarray, dt: float,
-                         light_speed: float) -> TemperatureResponse:
-    """How the grey opacities move with T, spectrum shape included.
-
-    kappa/planck and their T-derivatives dkappa/dplanck are (n_g, ny, nx)
-    at the outer iterate; mg is the multigroup solution with them.  The
-    group energies respond through their own cell rows, transport held
-    fixed: dE_g/dT = [4 pi (kappa' B + kappa B') - c kappa' E_g] /
-    (1/dt + c kappa).  Then d kbar_e/dT = [sum kappa' E_g + sum (kappa -
-    kbar_e) dE_g/dT] / sum E_g, and likewise d kbar_b/dT over the B_g.
-    This is the spectral shape of linear multifrequency-grey acceleration
-    (Morel, Larsen & Matzen, JQSRT 34, 1985).
-    """
-    n_g = kappa.shape[0]
-    kap, b = kappa.reshape(n_g, -1), planck.reshape(n_g, -1)
-    dkap, db = dkappa.reshape(n_g, -1), dplanck.reshape(n_g, -1)
-    e = mg.e_cell.reshape(n_g, -1)
-    de = (4.0 * np.pi * (dkap * b + kap * db) - light_speed * dkap * e) \
-        / (1.0 / dt + light_speed * kap)
-    e_sum, b_sum = e.sum(axis=0), b.sum(axis=0)
-    kbar_e = (kap * e).sum(axis=0) / e_sum
-    kbar_b = (kap * b).sum(axis=0) / b_sum
-    return TemperatureResponse(
-        ((dkap * e).sum(axis=0) + ((kap - kbar_e) * de).sum(axis=0)) / e_sum,
-        ((dkap * b).sum(axis=0) + ((kap - kbar_b) * db).sum(axis=0)) / b_sum,
-        e_sum,
-    )
+    return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, cbar,
+                            e_in.sum(axis=0), f_in.sum(axis=0), vflux, hflux)
 
 
 # ---------------------------------------------------------------------------
@@ -488,38 +459,34 @@ class GreyState:
     newton_iterations: int = 0  # linear solves that produced the state: 1
 
 
+@dataclass
 class GreyProblem:
     """Grey LOQD + material energy balance about an outer temperature iterate.
 
     The material energy balance cv (T - T_prev)/dt = c kbar_e(T) E -
     c kbar_b(T) a_R T^4 is linearized about the outer temperature iterate
     t_star (> 0 per cell): the emission through 4 t_star^3 (T - t_star),
-    and both opacities through the T-derivatives of `response`, with its
+    and both opacities through the T-derivatives in `coeffs`, with its
     multigroup energy sum standing in for E in the absorption term.  Each
     cell then gives T = slope E + offset, and the grey problem is one
     linear system.  At T = t_star every Newton term vanishes: a fixed point
     of the outer iteration is a root of the nonlinear grey problem, and
     repeating the solve from its own temperature is Newton's method on it
-    when the response is exact (zero for opacities that do not depend on
-    T).
+    when the derivatives are exact (zero for opacities that do not depend
+    on T).
     """
 
-    def __init__(self, geom: ProblemGeometry, coeffs: SpectrumAveraged,
-                 material: MaterialModel, dt: float,
-                 e_prev_cell: np.ndarray, t_prev: np.ndarray, t_star: np.ndarray,
-                 response: TemperatureResponse):
-        self.geom = geom
-        self.coeffs = coeffs
-        self.material = material
-        self.dt = dt
-        self.e_prev_cell = e_prev_cell
-        self.t_prev = t_prev
-        self.t_star = t_star
-        self.response = response
+    geom: ProblemGeometry
+    coeffs: SpectrumAveraged
+    material: MaterialModel
+    dt: float
+    e_prev_cell: np.ndarray
+    t_prev: np.ndarray
+    t_star: np.ndarray
 
     def solve(self) -> GreyState:
         """One linear solve of the grey system linearized about t_star."""
-        mat, co, r, dt = self.material, self.coeffs, self.response, self.dt
+        mat, co, dt = self.material, self.coeffs, self.dt
         c, a_r = mat.light_speed, mat.radiation_constant
         area = self.geom.mesh.cell_area.ravel()
         t_prev, t_star = self.t_prev.ravel(), self.t_star.ravel()
@@ -528,7 +495,7 @@ class GreyProblem:
         # d/dT of the net emission c kbar_b a_R T^4 - c kbar_e E beyond
         # 4 quart t3, clipped so that the net emission never falls as T
         # rises: the denominator stays at least cv/dt
-        extra = np.maximum(c * a_r * t_star**4 * r.dkbar_b - c * r.dkbar_e * r.e_cell,
+        extra = np.maximum(c * a_r * t_star**4 * co.dkbar_b - c * co.dkbar_e * co.e_cell_total,
                            -4.0 * quart * t3)
         # cv (T - T_prev)/dt + quart t3 (4 T - 3 t_star) + extra (T - t_star)
         # = c kbar_e E, solved for T - T_prev = slope E + shift so that no

@@ -294,23 +294,14 @@ class MaterialModel:
             kap = stim * kap
         return x, stim, wgt, kap
 
-    def group_opacity(self, T, grid: FrequencyGrid) -> np.ndarray:
-        """Planck-averaged group opacities, shape T.shape + (n_groups,).
+    def group_opacity(self, T, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Planck-averaged group opacities and their T-derivatives, each T.shape + (n_groups,).
 
         Each group integrates kappa_nu weighted by nu^3/(e^{nu/T}-1) with the
         grid's 16-point Gauss-Legendre rule, all cells and groups at once.
-        """
-        T = _check_temperature(T)
-        _, _, wgt, kap = self._node_terms(T, grid)
-        kbar = np.sum(wgt * kap, axis=-1) / np.sum(wgt, axis=-1)
-        return kbar.reshape(np.shape(T) + (grid.n_groups,))
-
-    def group_opacity_slope(self, T, grid: FrequencyGrid) -> np.ndarray:
-        """dkappa_g/dT of group_opacity, same shape.
-
-        The quotient rule on the rule's nodes, with T dW/dT = W x/(1 - e^{-x})
-        for the Planck weights W and T dk/dT = -k x/(e^x - 1) for the
-        stimulated-emission factor of the node opacities k.  On the one
+        The derivative is the quotient rule on the same nodes, with T dW/dT =
+        W x/(1 - e^{-x}) for the Planck weights W and T dk/dT = -k x/(e^x - 1)
+        for the stimulated-emission factor of the node opacities k; on the one
         group (0, inf), whose nodes scale with T, the average is C' T^-n.
         """
         T = _check_temperature(T)
@@ -325,4 +316,5 @@ class MaterialModel:
             dkap = -kap * rate * (1.0 - stim) if self.stimulated_correction else 0.0
             slope = np.sum(wgt * (rate * (kap - kbar[..., None]) + dkap), axis=-1) \
                 / (den * Tcol)
-        return slope.reshape(np.shape(T) + (grid.n_groups,))
+        shape = np.shape(T) + (grid.n_groups,)
+        return kbar.reshape(shape), slope.reshape(shape)

@@ -225,6 +225,16 @@ def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
     rc = main(["fom", "--config", str(bad), "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "unsupported per-quadrant count 2" in capsys.readouterr().err
+    # temperatures below the 1e-8 keV floor are usage errors, caught before
+    # the output directory is made
+    for key, line in (("t_initial", "t_initial = 1e-9\n"),
+                      ("boundary_left", "boundary_left = 1e-9\n")):
+        bad.write_text(TINY_CONFIG + line)
+        out = tmp_path / f"floor_{key}"
+        rc = main(["fom", "--config", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):

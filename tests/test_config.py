@@ -104,7 +104,9 @@ def test_validation():
                dict(dx=np.nan), dict(dt=np.inf), dict(opacity_exponent=np.nan),
                dict(boundary_left=np.inf), dict(opacity_coeff=0.0),
                dict(light_speed=-1.0), dict(radiation_constant=0.0),
-               dict(group_bounds=(0.0, np.nan, 1.0e7))):
+               dict(group_bounds=(0.0, np.nan, 1.0e7)),
+               # below materials.TEMPERATURE_FLOOR (1e-8 keV)
+               dict(t_initial=1e-9), dict(boundary_left=1e-9)):
         with pytest.raises(ConfigError):
             RunConfig(**kw)
 

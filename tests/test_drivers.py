@@ -1,4 +1,6 @@
 """Driver-level checks: dimensions, determinism, playback, snapshots."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qdrom.drivers import (
     stack_closure,
     unstack_closure,
 )
-from qdrom.loqd import TemperatureResponse
+from qdrom.materials import MaterialModel
 from qdrom.transport import intensity_unknowns
 
 
@@ -228,16 +230,40 @@ def test_temperature_response_reaches_the_same_fixed_point(tiny_config, tiny_fom
     # the spectrum: the same fixed point, reached in more low-order solves
     on = tiny_fom if mode == "fom" else run_mode(mode, tiny_config, tiny_snapshots)
 
-    def fixed(mg, *args):
-        zero = np.zeros(mg.e_cell[0].size)
-        return TemperatureResponse(zero, zero, zero)
+    averages = drivers.compute_grey_coefficients
 
-    monkeypatch.setattr(drivers, "temperature_response", fixed)
+    def fixed(*args):
+        co = averages(*args)
+        zero = np.zeros_like(co.dkbar_e)
+        return dataclasses.replace(co, dkbar_e=zero, dkbar_b=zero)
+
+    monkeypatch.setattr(drivers, "compute_grey_coefficients", fixed)
     off = run_mode(mode, tiny_config, tiny_snapshots)
     for name in ("temperature", "e_cell"):
         ref = getattr(off, name)
         assert np.max(np.abs(getattr(on, name) - ref) / np.abs(ref)) <= 1e-10
     assert on.iterations.sum() < off.iterations.sum()
+
+
+def test_one_node_term_evaluation_per_iterate(tiny_config, monkeypatch):
+    # the opacities and their T-derivatives come from one pass over the
+    # Planck-node terms, and the spectral fields are evaluated once per
+    # low-order iterate (the initial state needs only the Planck emission)
+    counts = {"node_terms": 0, "fields": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MaterialModel, "_node_terms",
+                        counted(MaterialModel._node_terms, "node_terms"))
+    monkeypatch.setattr(drivers, "_spectral_fields",
+                        counted(drivers._spectral_fields, "fields"))
+    rec = run_fom(dataclasses.replace(tiny_config, n_steps=2))
+    assert counts["fields"] == rec.iterations.sum() > 0
+    assert counts["node_terms"] == counts["fields"]
 
 
 def test_fom_sweeps_once_per_low_order_solve(tiny_config, tiny_fom, tiny_snapshots):

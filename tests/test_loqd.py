@@ -1,4 +1,6 @@
 """Multigroup and grey moment-solver checks against dense oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -14,10 +16,8 @@ from qdrom.loqd import (
     ProblemGeometry,
     SolverError,
     SpectrumAveraged,
-    TemperatureResponse,
     compute_grey_coefficients,
     group_flux_coeffs,
-    temperature_response,
 )
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
 from qdrom.mesh import SpatialMesh
@@ -25,6 +25,14 @@ from qdrom.transport import ClosureRecord
 
 MAT = MaterialModel(heat_capacity=0.008118)
 GRID3 = FrequencyGrid(np.array([0.0, 0.7075, 2.83, 1.0e7]))
+
+
+def spectral_fields(T, grid):
+    """kappa, planck and their T-derivatives at T, each (n_g, ny, nx)."""
+    kappa, dkappa = MAT.group_opacity(T, grid)
+    planck = planck_spectrum(T, grid)
+    dplanck = planck_spectrum_slope(T, planck, grid)
+    return tuple(np.moveaxis(a, -1, 0) for a in (kappa, planck, dkappa, dplanck))
 
 
 def isotropic_closure(n_g, ny, nx, cb=0.5):
@@ -79,7 +87,7 @@ def test_multigroup_equilibrium_fixed_point(T_star):
     e_in, f_in = equilibrium_bc_tables(geom, b_g, c)
     solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
     closure = isotropic_closure(3, 3, 4)
-    kappa = np.moveaxis(MAT.group_opacity(np.full((3, 4), T_star), GRID3), -1, 0)
+    kappa = spectral_fields(np.full((3, 4), T_star), GRID3)[0]
     planck = np.repeat(b_g[:, None], 12, axis=1).reshape(3, 3, 4)
     prev = MultigroupMoments.equilibrium(planck, geom, c)
     out, _ = solver.solve(closure, kappa, planck, prev, dt=0.02)
@@ -318,11 +326,15 @@ def coeff_inputs(rng, n_g, ny, nx, geom):
 
 
 def grey_coefficients(mg, kappa, planck, closure, prev, dt, geom, e_in, f_in):
-    """Grey coefficients from the per-group flux coefficients of these inputs."""
+    """Grey coefficients from the per-group flux coefficients of these inputs.
+
+    The opacity and emission derivatives are those of T-independent fields: 0.
+    """
     group_flux = group_flux_coeffs(closure, kappa.reshape(kappa.shape[0], -1), prev, dt,
                                    geom, MAT.light_speed)
-    return compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom,
-                                     e_in, f_in)
+    zero = np.zeros_like(kappa)
+    return compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
+                                     geom, e_in, f_in, dt, MAT.light_speed)
 
 
 def test_single_group_averages_are_identity():
@@ -390,16 +402,10 @@ def test_zero_energy_average_raises():
 # grey problem
 # ---------------------------------------------------------------------------
 
-def fixed_opacities(geom):
-    """The temperature response of grey opacities that do not depend on T."""
-    zero = np.zeros(geom.n_cells)
-    return TemperatureResponse(zero, zero, zero)
-
-
 def solve_grey_step(geom, co, prev, dt):
     """One backward-Euler grey step, linearized about the previous temperature."""
     return GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature,
-                       t_star=prev.temperature, response=fixed_opacities(geom)).solve()
+                       t_star=prev.temperature).solve()
 
 
 def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
@@ -412,8 +418,10 @@ def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
         d = np.full(n, dvals)
         return FluxCoeffs(d.copy(), d.copy(), d.copy(), d.copy(), np.full(n, p))
     nc = geom.n_cells
+    # T-independent grey opacities: no temperature derivatives
     return SpectrumAveraged(
-        kbar_e=np.full(nc, kbar), kbar_b=np.full(nc, kbar),
+        kbar_e=np.full(nc, kbar), kbar_b=np.full(nc, kbar), dkbar_e=np.zeros(nc),
+        dkbar_b=np.zeros(nc), e_cell_total=np.zeros(nc),
         cbar=np.full(nbf, cbar), e_in_total=np.full(nbf, e_in),
         f_in_total=np.full(nbf, f_in), vflux=fc(n_vadj), hflux=fc(n_hadj),
     )
@@ -538,8 +546,7 @@ def test_graded_system_backward_error(monkeypatch):
     calls = recorded_solves(monkeypatch, system)
     c = MAT.light_speed
     T = np.tile(np.geomspace(1.0, 1e-3, nx), (ny, 1))
-    kappa = np.moveaxis(MAT.group_opacity(T, grid), -1, 0)
-    planck = np.moveaxis(planck_spectrum(T, grid), -1, 0)
+    kappa, planck, _, _ = spectral_fields(T, grid)
     e_in, f_in = equilibrium_bc_tables(geom, np.asarray(planck_spectrum(1.0, grid)), c)
     cold = np.ones(geom.bfaces.count, dtype=bool)
     cold[geom.bfaces.side_slice("left")] = False
@@ -549,9 +556,10 @@ def test_graded_system_backward_error(monkeypatch):
     prev = MultigroupMoments.equilibrium(planck, geom, c)
     mg, group_flux = MultigroupLoqdSolver(geom, grid, MAT, e_in, f_in).solve(
         closure, kappa, planck, prev, 0.02)
-    co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
-    GreyProblem(geom, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T,
-                response=fixed_opacities(geom)).solve()
+    zero = np.zeros_like(kappa)  # no temperature response: the plain grey system
+    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, geom,
+                                   e_in, f_in, 0.02, c)
+    GreyProblem(geom, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
     assert [np.ndim(args[1]) for args, _ in calls] == [2, 1]  # multigroup, then grey
     n = system.n_unknowns
     for args, out in calls:
@@ -572,8 +580,7 @@ def test_singular_system_raises_at_both_levels():
     geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     co = grey_coeffs_uniform(geom, kbar=2.0, dvals=0.0, cbar=0.0)
     problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
-                          np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6),
-                          response=fixed_opacities(geom))
+                          np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
     with pytest.raises(SolverError, match="singular"):
         problem.solve()
     rng = np.random.default_rng(47)
@@ -648,16 +655,14 @@ def test_grey_single_cell_matches_bisection_oracle():
     geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
     T = t_prev
     for _ in range(8):
-        T = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=T,
-                        response=fixed_opacities(geom)).solve().temperature
+        T = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=T).solve().temperature
     assert T[0, 0] == pytest.approx(T_oracle, rel=1e-12)
 
 
 def test_grey_linearized_at_root_returns_root():
     # a fixed point of the linearized solve is a root of the nonlinear system
     geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
-    out = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=np.array([[T_oracle]]),
-                      response=fixed_opacities(geom)).solve()
+    out = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, np.array([[T_oracle]])).solve()
     assert out.temperature[0, 0] == pytest.approx(T_oracle, rel=1e-12)
 
 
@@ -671,9 +676,8 @@ def test_grey_response_guard_freezes_the_net_emission():
     zero = np.zeros(1)
 
     def solve(dkbar_e, dkbar_b, e_cell):
-        response = TemperatureResponse(dkbar_e, dkbar_b, e_cell)
-        return GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=t_star,
-                           response=response).solve()
+        coeffs = dataclasses.replace(co, dkbar_e=dkbar_e, dkbar_b=dkbar_b, e_cell_total=e_cell)
+        return GreyProblem(geom, coeffs, MAT, dt, e_prev, t_prev, t_star=t_star).solve()
 
     clipped = solve(zero, 10.0 * bound, zero)
     for dkbar_e, dkbar_b, e_cell in ((zero, 100.0 * bound, zero),
@@ -692,38 +696,44 @@ def test_grey_response_guard_freezes_the_net_emission():
 
 def test_temperature_response_matches_local_difference():
     # for group energies that solve their own cell rows (no transport),
-    # E_g = (E_prev/dt + 4 pi kappa_g B_g) / (1/dt + c kappa_g), the response
-    # is the T-derivative of the two spectrum averages
+    # E_g = (E_prev/dt + 4 pi kappa_g B_g) / (1/dt + c kappa_g), the grey
+    # coefficients' derivatives are the T-derivatives of the two spectrum
+    # averages
     rng = np.random.default_rng(53)
     geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     c, dt = MAT.light_speed, 0.02
     T = rng.uniform(0.2, 1.5, (2, 3))
     e_prev = rng.uniform(1e-3, 2e-2, (3, 2, 3))
 
-    def fields(T):
-        kappa = np.moveaxis(MAT.group_opacity(T, GRID3), -1, 0)
-        planck = np.moveaxis(planck_spectrum(T, GRID3), -1, 0)
-        e = (e_prev / dt + 4.0 * np.pi * kappa * planck) / (1.0 / dt + c * kappa)
-        return kappa, planck, e
+    def local_energies(kappa, planck):
+        return (e_prev / dt + 4.0 * np.pi * kappa * planck) / (1.0 / dt + c * kappa)
 
     def averages(T):
-        kappa, planck, e = fields(T)
+        kappa, planck, _, _ = spectral_fields(T, GRID3)
+        e = local_energies(kappa, planck)
         return ((kappa * e).sum(0) / e.sum(0)).ravel(), \
             ((kappa * planck).sum(0) / planck.sum(0)).ravel()
 
-    kappa, planck, e = fields(T)
+    kappa, planck, dkappa, dplanck = spectral_fields(T, GRID3)
+    e = local_energies(kappa, planck)
     mg = MultigroupMoments.equilibrium(planck, geom, c)
     mg.e_cell = e
-    dkappa = np.moveaxis(MAT.group_opacity_slope(T, GRID3), -1, 0)
-    dplanck = np.moveaxis(planck_spectrum_slope(T, np.moveaxis(planck, 0, -1), GRID3),
-                          -1, 0)
-    r = temperature_response(mg, kappa, planck, dkappa, dplanck, dt, c)
+    closure = isotropic_closure(3, 2, 3)
+    group_flux = group_flux_coeffs(closure, kappa.reshape(3, -1), mg, dt, geom, c)
+    e_in = np.zeros((3, geom.bfaces.count))
+    co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
+                                   geom, e_in, e_in, dt, c)
     h = 1e-6 * T
     (ke_hi, kb_hi), (ke_lo, kb_lo) = averages(T + h), averages(T - h)
     step = 2.0 * h.ravel()
-    assert r.dkbar_e == pytest.approx((ke_hi - ke_lo) / step, rel=1e-6)
-    assert r.dkbar_b == pytest.approx((kb_hi - kb_lo) / step, rel=1e-6)
-    assert np.array_equal(r.e_cell, e.sum(0).ravel())
+    assert co.dkbar_e == pytest.approx((ke_hi - ke_lo) / step, rel=1e-6)
+    assert co.dkbar_b == pytest.approx((kb_hi - kb_lo) / step, rel=1e-6)
+    assert np.array_equal(co.e_cell_total, e.sum(0).ravel())
+    # derivatives of T-independent fields give none
+    zero = np.zeros_like(kappa)
+    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
+                                   geom, e_in, e_in, dt, c)
+    assert not np.any(co.dkbar_e) and not np.any(co.dkbar_b)
 
 
 def test_grey_matches_multigroup_sum():
@@ -732,8 +742,7 @@ def test_grey_matches_multigroup_sum():
     mesh = SpatialMesh.uniform(3, 3, 0.4, 0.4)
     geom = ProblemGeometry.build(mesh)
     T_field = rng.uniform(0.3, 1.0, (3, 3))
-    kappa = np.moveaxis(MAT.group_opacity(T_field, GRID3), -1, 0)
-    planck = np.moveaxis(planck_spectrum(T_field, GRID3), -1, 0)
+    kappa, planck, dkappa, dplanck = spectral_fields(T_field, GRID3)
     closure = random_closure(rng, 3, 3, 3)
     prev = MultigroupMoments(
         rng.uniform(0.001, 0.005, (3, 3, 3)), rng.uniform(0.001, 0.005, (3, 3, 4)),
@@ -745,7 +754,8 @@ def test_grey_matches_multigroup_sum():
     solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
     dt = 0.02
     mg, group_flux = solver.solve(closure, kappa, planck, prev, dt)
-    co = compute_grey_coefficients(mg, kappa, planck, closure, group_flux, geom, e_in, f_in)
+    co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
+                                   geom, e_in, f_in, dt, MAT.light_speed)
     e_c, e_v, e_h, f_v, f_h = (a.sum(axis=0) for a in (
         mg.e_cell, mg.e_vface, mg.e_hface, mg.f_vface, mg.f_hface))
     data, b, weights = grey_radiation_system(geom, co, dt, prev.e_cell.sum(axis=0))
@@ -776,8 +786,7 @@ def test_nonfinite_solution_raises(level, fault):
         else:
             co.e_in_total[1] = np.inf
         problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
-                              np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6),
-                              response=fixed_opacities(geom))
+                              np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
         with pytest.raises(SolverError, match="non-finite"):
             problem.solve()
         return

@@ -104,7 +104,7 @@ def test_infinite_medium_equilibrium(T_star):
     sol = make_solver(4, 3, per_quadrant=3, grid=grid, bc=bc)
     I0 = sol.equilibrium_intensity(T_star)
     T_field = np.full((3, 4), T_star)
-    kappa = np.moveaxis(MAT.group_opacity(T_field, grid), -1, 0)
+    kappa = np.moveaxis(MAT.group_opacity(T_field, grid)[0], -1, 0)
     emis = np.moveaxis(planck_spectrum(T_field, grid, radiation_constant=MAT.radiation_constant,
                                        light_speed=MAT.light_speed), -1, 0)
     out = sol.sweep(kappa, emis, I0, dt=0.02)
