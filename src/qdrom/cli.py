@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 usage error, 3 data/format error, 4 solver error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-
 
 from . import analysis, container
 from .config import PRESETS, ConfigError, RunConfig, load_config, preset
@@ -248,6 +248,8 @@ def main(argv=None) -> int:
         parser.error("--field-steps and --fields-out must be given together")
     if args.command == "compress" and not 0.0 < args.xi <= 1.0:
         parser.error(f"--xi must lie in (0, 1], got {args.xi:g}")
+    if args.command == "breakout" and not math.isfinite(args.threshold):
+        parser.error(f"--threshold must be finite, got {args.threshold:g}")
     try:
         return args.func(args)
     except USAGE_ERRORS as err:

@@ -79,6 +79,11 @@ class RunConfig:
         if np.any(b[:-1] >= INFINITE_EDGE):
             raise ConfigError(f"group_bounds: only the last edge may be >= {INFINITE_EDGE:g} "
                               "(infinite)")
+        # the grey emission c kbar_B a_R T^4 counts the whole Planck spectrum,
+        # so the groups must cover it for the grey problem to be their sum
+        if b[-1] < INFINITE_EDGE:
+            raise ConfigError(f"group_bounds: the last edge must be >= {INFINITE_EDGE:g} "
+                              f"(infinite), got {b[-1]:g}")
         for name in ("t_initial", *sorted(_SIDE_KEYS)):
             val = getattr(self, name)
             if val is not None and not TEMPERATURE_FLOOR <= val < np.inf:

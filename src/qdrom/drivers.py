@@ -38,9 +38,9 @@ from .config import RunConfig
 from .loqd import (
     GreyProblem,
     GreyState,
+    MomentSystem,
     MultigroupLoqdSolver,
     MultigroupMoments,
-    ProblemGeometry,
     compute_grey_coefficients,
 )
 from .lowrank import ClosureModel, SnapshotMatrix
@@ -147,7 +147,7 @@ class Problem:
     """Configuration bound to its solver components."""
 
     config: RunConfig
-    geom: ProblemGeometry
+    geom: MomentSystem  # the mesh and its moment-system layout
     grid: FrequencyGrid
     material: MaterialModel
     transport: TransportSolver
@@ -156,7 +156,7 @@ class Problem:
 
 def build_problem(config: RunConfig) -> Problem:
     mesh = SpatialMesh.uniform(config.nx, config.ny, config.dx, config.dy)
-    geom = ProblemGeometry.build(mesh)
+    geom = MomentSystem(mesh)
     grid = FrequencyGrid(np.asarray(config.group_bounds, dtype=float))
     material = MaterialModel(
         heat_capacity=config.heat_capacity,
@@ -177,7 +177,7 @@ def build_problem(config: RunConfig) -> Problem:
                 T_in, grid, radiation_constant=material.radiation_constant,
                 light_speed=material.light_speed)))
     transport = TransportSolver(mesh, quad, grid, material, BoundarySpec(*sides))
-    e_in, f_in = transport.boundary_inflow(geom.bfaces.side)
+    e_in, f_in = transport.boundary_inflow(geom.boundary_side)
     mg_solver = MultigroupLoqdSolver(geom, grid, material, e_in, f_in)
     return Problem(config, geom, grid, material, transport, mg_solver)
 

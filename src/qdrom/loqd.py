@@ -17,13 +17,14 @@ uses d = f / (kappa + 1/(c dt)), with f the Eddington-tensor entry, and
 p = F_prev / (1 + c dt kappa) per group; the effective grey problem uses
 their spectrum averages, together with averaged absorption and emission
 opacities and boundary factors, so that it is the exact group sum of the
-multigroup scheme.  MomentSystem holds the layout, built once per geometry,
-and its one solve serves both levels: each level passes its coefficients,
-and the solve fills, factors, checks and unpacks the energies and face
-fluxes.  It factors each group as a banded matrix (LAPACK dgbsv, partial
-pivoting) in a row-interleaved order of the unknowns: per mesh row the
-hfaces below it, then vface and cell pairs, then the last vface, and the top
-hfaces last.  Every entry then lies within 2 nx + 1 of the diagonal.
+multigroup scheme.  MomentSystem is the one object per mesh: it holds the
+half-cell adjacency, the boundary-face table and the band layout, and its
+one solve serves both levels: each level passes its coefficients, and the
+solve fills, factors, checks and unpacks the energies and face fluxes.  It
+factors each group as a banded matrix (LAPACK dgbsv, partial pivoting) in a
+row-interleaved order of the unknowns: per mesh row the hfaces below it,
+then vface and cell pairs, then the last vface, and the top hfaces last.
+Every entry then lies within 2 nx + 1 of the diagonal.
 The grey system couples to the material energy balance through the
 absorption and emission terms, linearized about the outer temperature
 iterate: the emission through T^4, and the grey opacities through their
@@ -39,13 +40,12 @@ the adjacency tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
 from .materials import FrequencyGrid, MaterialModel
-from .mesh import BoundaryFaces, FaceAdjacency, SpatialMesh, build_adjacency, build_boundary
+from .mesh import SIDES, SpatialMesh, build_adjacency
 from .transport import ClosureRecord
 
 
@@ -55,43 +55,6 @@ class SolverError(RuntimeError):
 
 class DegenerateStateError(ValueError):
     """Zero denominator in a spectrum average."""
-
-
-@dataclass(frozen=True)
-class ProblemGeometry:
-    """Mesh plus the assembly tables shared by the moment solvers."""
-
-    mesh: SpatialMesh
-    vadj: FaceAdjacency
-    hadj: FaceAdjacency
-    bfaces: BoundaryFaces
-
-    @classmethod
-    def build(cls, mesh: SpatialMesh) -> "ProblemGeometry":
-        vadj, hadj = build_adjacency(mesh)
-        return cls(mesh, vadj, hadj, build_boundary(mesh))
-
-    @property
-    def n_cells(self) -> int:
-        return self.mesh.n_cells
-
-    @property
-    def n_vfaces(self) -> int:
-        return self.mesh.n_vfaces
-
-    @property
-    def n_hfaces(self) -> int:
-        return self.mesh.n_hfaces
-
-    def boundary_face_global(self) -> np.ndarray:
-        """Global face index (vfaces first) per boundary face."""
-        return np.where(self.bfaces.orient == 0, self.bfaces.face,
-                        self.n_vfaces + self.bfaces.face)
-
-    @cached_property
-    def moment_system(self) -> "MomentSystem":
-        """The E-only moment-system layout of this mesh, built on first use."""
-        return MomentSystem(self)
 
 
 @dataclass
@@ -105,11 +68,11 @@ class MultigroupMoments:
     f_hface: np.ndarray  # (n_g, ny+1, nx), +y component
 
     @classmethod
-    def equilibrium(cls, planck: np.ndarray, geom: ProblemGeometry,
+    def equilibrium(cls, planck: np.ndarray, system: MomentSystem,
                     light_speed: float) -> "MultigroupMoments":
         """Isotropic moments 4*pi*B/c with zero flux, B given per (g, cell)."""
         n_g = planck.shape[0]
-        ny, nx = geom.mesh.ny, geom.mesh.nx
+        ny, nx = system.mesh.ny, system.mesh.nx
         e_c = 4.0 * np.pi * planck / light_speed
         e_v = np.empty((n_g, ny, nx + 1))
         e_v[:, :, 1:-1] = 0.5 * (e_c[:, :, 1:] + e_c[:, :, :-1])
@@ -151,18 +114,26 @@ class MomentSystem:
     the hfaces below it, then the pairs (vface i, cell i), then the last
     vface; the top hfaces come last.  In that order every entry lies within
     kl = ku = 2 nx + 1 of the diagonal, so each group is one banded LU with
-    partial pivoting (LAPACK dgbsv).  The entries' (row, col) in the natural
-    order, their band-storage slots and the position table depend on the
-    mesh only and are built here, once; both levels call solve() with a
-    leading group axis or none.
+    partial pivoting (LAPACK dgbsv).  The half-cell adjacency, the
+    boundary-face table, the entries' (row, col) in the natural order,
+    their band-storage slots and the position table depend on the mesh only
+    and are built here, once; both levels call solve() with a leading group
+    axis or none.
     """
 
-    def __init__(self, geom: ProblemGeometry):
-        va, ha = geom.vadj, geom.hadj
-        nc, nv = geom.n_cells, geom.n_vfaces
-        n = nc + nv + geom.n_hfaces
-        ny, nx = self.shape = (geom.mesh.ny, geom.mesh.nx)
+    def __init__(self, mesh: SpatialMesh):
+        self.mesh = mesh
+        self.vadj, self.hadj = va, ha = build_adjacency(mesh)
+        nc, nv, nh = mesh.n_cells, mesh.n_vfaces, mesh.n_hfaces
+        n = nc + nv + nh
+        ny, nx = self.shape = (mesh.ny, mesh.nx)
         self.n_cells, self.n_vfaces, self.n_unknowns = nc, nv, n
+        # boundary faces in the side order of mesh.SIDES (left, bottom,
+        # right, top): each face's index into SIDES and its global face id,
+        # vfaces first
+        self.boundary_side = np.repeat(np.arange(len(SIDES)), (ny, nx, ny, nx))
+        left, bottom = (nx + 1) * np.arange(ny), nv + np.arange(nx)
+        self.boundary_face = np.concatenate([left, bottom, left + nx, bottom + ny * nx])
         # columns of the face, cell, + and - perpendicular-face entries of
         # each one-sided flux expression
         self.vcols = np.stack([nc + va.face, va.cell,
@@ -171,7 +142,7 @@ class MomentSystem:
                                nc + ha.cross_plus, nc + ha.cross_minus])
         cells = np.arange(nc)
         vrow, hrow = nc + va.face, nc + nv + ha.face
-        brow = nc + geom.boundary_face_global()
+        brow = nc + self.boundary_face
         # entry order of fill(): cell diagonal; per orientation the flux
         # expressions in the cell rows, then in the face rows; boundary terms
         self.rows = np.concatenate([cells, np.tile(va.cell, 4), np.tile(vrow, 4),
@@ -183,7 +154,7 @@ class MomentSystem:
         stride = 3 * nx + 1
         jc, ic = np.divmod(cells, nx)
         jv, iv = np.divmod(np.arange(nv), nx + 1)
-        jh, ih = np.divmod(np.arange(geom.n_hfaces), nx)
+        jh, ih = np.divmod(np.arange(nh), nx)
         self.pos = np.concatenate([jc * stride + nx + 2 * ic + 1,
                                    jv * stride + nx + 2 * iv, jh * stride + ih])
         r, c = self.pos[self.rows], self.pos[self.cols]
@@ -193,8 +164,7 @@ class MomentSystem:
         self.slot = self.kl + self.ku + r - c + self.ldab * c
         self.rhs_rows = np.concatenate([cells, va.cell, vrow, ha.cell, hrow, brow])
         self.vcount = np.bincount(va.face, minlength=nv)
-        self.hcount = np.bincount(ha.face, minlength=geom.n_hfaces)
-        self.vadj, self.hadj = va, ha
+        self.hcount = np.bincount(ha.face, minlength=nh)
 
     @staticmethod
     def _weights(adj, fc: FluxCoeffs, light_speed: float) -> np.ndarray:
@@ -214,7 +184,7 @@ class MomentSystem:
         Entry k adds its value at (rows[k], cols[k]) of the natural order.
 
         cell_diag/cell_rhs are (..., n_cells); boundary_diag/boundary_rhs are
-        (..., n_bfaces), in the boundary-face order of the geometry.
+        (..., n_bfaces), in the order of boundary_face.
         """
         lead = np.shape(cell_diag)[:-1]
         vals, rhs = [cell_diag], [cell_rhs]
@@ -285,7 +255,7 @@ class MomentSystem:
 
 
 def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: MultigroupMoments,
-                      dt: float, geom: ProblemGeometry, light_speed: float):
+                      dt: float, system: MomentSystem, light_speed: float):
     """Per-group (vertical, horizontal) flux coefficients, arrays (n_g, n_adj).
 
     d = f / kappa_tilde with kappa_tilde = kappa + 1/(c dt) of the owning
@@ -305,9 +275,9 @@ def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: Multigro
             fprev.reshape(n_g, -1)[:, adj.face] / (1.0 + cdt * kappa2[:, adj.cell]),
         )
 
-    return (coeffs(geom.vadj, closure.fxx_vface, closure.fxx_cell, closure.fxy_hface,
+    return (coeffs(system.vadj, closure.fxx_vface, closure.fxx_cell, closure.fxy_hface,
                    prev.f_vface),
-            coeffs(geom.hadj, closure.fyy_hface, closure.fyy_cell, closure.fxy_vface,
+            coeffs(system.hadj, closure.fyy_hface, closure.fyy_cell, closure.fxy_vface,
                    prev.f_hface))
 
 
@@ -317,14 +287,14 @@ class MultigroupLoqdSolver:
     Face fluxes follow from the one-sided expressions after the solve.
     """
 
-    def __init__(self, geom: ProblemGeometry, grid: FrequencyGrid,
+    def __init__(self, system: MomentSystem, grid: FrequencyGrid,
                  material: MaterialModel, e_in: np.ndarray, f_in: np.ndarray):
-        self.geom = geom
+        self.system = system
         self.grid = grid
         self.material = material
         self.e_in = e_in  # (n_g, n_bfaces)
         self.f_in = f_in
-        self.n_unknowns = geom.moment_system.n_unknowns  # per group
+        self.n_unknowns = system.n_unknowns  # per group
 
     def solve(self, closure: ClosureRecord, kappa: np.ndarray, planck: np.ndarray,
               prev: MultigroupMoments, dt: float):
@@ -336,13 +306,13 @@ class MultigroupLoqdSolver:
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        g = self.geom
+        system = self.system
         n_g = self.grid.n_groups
         c = self.material.light_speed
-        area = g.mesh.cell_area.ravel()
+        area = system.mesh.cell_area.ravel()
         kappa2 = kappa.reshape(n_g, -1)
-        vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, g, c)
-        moments = MultigroupMoments(*g.moment_system.solve(
+        vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, system, c)
+        moments = MultigroupMoments(*system.solve(
             c, area / dt + c * kappa2 * area,
             (area / dt) * prev.e_cell.reshape(n_g, -1)
             + 4.0 * np.pi * kappa2 * planck.reshape(n_g, -1) * area,
@@ -382,7 +352,7 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
                               dkappa: np.ndarray, dplanck: np.ndarray,
                               closure: ClosureRecord,
                               group_flux: tuple[FluxCoeffs, FluxCoeffs],
-                              geom: ProblemGeometry, e_in: np.ndarray, f_in: np.ndarray,
+                              system: MomentSystem, e_in: np.ndarray, f_in: np.ndarray,
                               dt: float, light_speed: float) -> SpectrumAveraged:
     """Spectrum averages over the multigroup solution, and their T-derivatives.
 
@@ -415,9 +385,8 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     dkbar_b = ((dkap * b2).sum(axis=0) + ((kap2 - kbar_b) * db).sum(axis=0)) / b2.sum(axis=0)
 
     # boundary factor average with the 0/0 guard at near-equilibrium walls
-    bfg = geom.boundary_face_global()
     e_faces = np.concatenate([e_v, e_h], axis=1)
-    e_bf = e_faces[:, bfg]
+    e_bf = e_faces[:, system.boundary_face]
     cb = closure.cb
     diff = e_bf - e_in
     den = diff.sum(axis=0)
@@ -436,8 +405,8 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
             fc.p.sum(axis=0),
         )
 
-    vflux = average(geom.vadj, group_flux[0], e_v, e_h)
-    hflux = average(geom.hadj, group_flux[1], e_h, e_v)
+    vflux = average(system.vadj, group_flux[0], e_v, e_h)
+    hflux = average(system.hadj, group_flux[1], e_h, e_v)
     return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, cbar,
                             e_in.sum(axis=0), f_in.sum(axis=0), vflux, hflux)
 
@@ -476,7 +445,7 @@ class GreyProblem:
     on T).
     """
 
-    geom: ProblemGeometry
+    system: MomentSystem
     coeffs: SpectrumAveraged
     material: MaterialModel
     dt: float
@@ -488,7 +457,7 @@ class GreyProblem:
         """One linear solve of the grey system linearized about t_star."""
         mat, co, dt = self.material, self.coeffs, self.dt
         c, a_r = mat.light_speed, mat.radiation_constant
-        area = self.geom.mesh.cell_area.ravel()
+        area = self.system.mesh.cell_area.ravel()
         t_prev, t_star = self.t_prev.ravel(), self.t_star.ravel()
         quart = c * co.kbar_b * a_r
         t3 = t_star**3
@@ -507,7 +476,7 @@ class GreyProblem:
         # the cell row adds the material energy change cv (T - T_prev)/dt,
         # which is the linearized absorption minus emission: the grey and
         # material balances exchange exactly the same energy
-        e_c, e_v, e_h, f_v, f_h = self.geom.moment_system.solve(
+        e_c, e_v, e_h, f_v, f_h = self.system.solve(
             c, area / dt + cv_dt * area * slope,
             (area / dt) * self.e_prev_cell.ravel() - cv_dt * area * shift,
             co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)

@@ -247,18 +247,6 @@ class MaterialModel:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
-    def spectral_opacity(self, nu, T) -> np.ndarray:
-        """kappa_nu(T) in 1/cm."""
-        T = _check_temperature(T)
-        nu = np.asarray(nu, dtype=float)
-        if np.any(nu <= 0.0):
-            raise ValueError("frequency must be positive")
-        kappa = self.opacity_coeff / nu**self.opacity_exponent
-        if self.stimulated_correction:
-            with np.errstate(under="ignore"):
-                kappa = kappa * (-np.expm1(-nu / T))
-        return kappa
-
     def _node_terms(self, T: np.ndarray, grid: FrequencyGrid):
         """(x, 1 - e^{-x}, Planck weights, opacities) at the grid's nodes.
 

@@ -56,16 +56,6 @@ class SpatialMesh:
         """(ny, nx) cell areas dx*dy, cm^2."""
         return self.dy[:, None] * self.dx[None, :]
 
-    # index maps -----------------------------------------------------------
-    def cell_ids(self) -> np.ndarray:
-        return np.arange(self.n_cells).reshape(self.ny, self.nx)
-
-    def vface_ids(self) -> np.ndarray:
-        return np.arange(self.n_vfaces).reshape(self.ny, self.nx + 1)
-
-    def hface_ids(self) -> np.ndarray:
-        return np.arange(self.n_hfaces).reshape(self.ny + 1, self.nx)
-
 
 @dataclass(frozen=True)
 class FaceAdjacency:
@@ -88,80 +78,36 @@ class FaceAdjacency:
     half_area: np.ndarray   # A_f = A_i / 2, cm^2
 
 
+def _half_cells(lo, hi, cross_plus, cross_minus, face_len, cross_len,
+                half_area) -> FaceAdjacency:
+    """One orientation's table: every cell's - face (sign -1), then its + face.
+
+    Every argument holds one entry per cell, in flat cell order.
+    """
+    def twice(a):
+        return np.concatenate([a, a])
+    return FaceAdjacency(np.concatenate([lo, hi]), twice(np.arange(lo.size)),
+                         np.repeat([-1.0, 1.0], lo.size), twice(cross_plus),
+                         twice(cross_minus), twice(face_len), twice(cross_len),
+                         twice(half_area))
+
+
 def build_adjacency(mesh: SpatialMesh) -> tuple[FaceAdjacency, FaceAdjacency]:
-    """Assemble (vertical, horizontal) half-cell adjacency tables."""
-    nx, ny = mesh.nx, mesh.ny
-    cells = mesh.cell_ids()
-    vids = mesh.vface_ids()
-    hids = mesh.hface_ids()
-    area = mesh.cell_area
+    """Assemble (vertical, horizontal) half-cell adjacency tables.
 
-    # vertical faces: each cell (iy, ix) owns its west face (sign -1) and
-    # east face (sign +1); cross faces are the cell's bottom/top.
-    iy, ix = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    iy, ix = iy.ravel(), ix.ravel()
-    v_face = np.concatenate([vids[iy, ix], vids[iy, ix + 1]])
-    v_cell = np.concatenate([cells[iy, ix]] * 2)
-    v_sign = np.concatenate([-np.ones(nx * ny), np.ones(nx * ny)])
-    v_top = np.concatenate([hids[iy + 1, ix]] * 2)
-    v_bot = np.concatenate([hids[iy, ix]] * 2)
-    v_lf = np.concatenate([mesh.dy[iy]] * 2)
-    v_lp = np.concatenate([mesh.dx[ix]] * 2)
-    v_af = np.concatenate([0.5 * area[iy, ix]] * 2)
-    vadj = FaceAdjacency(v_face, v_cell, v_sign, v_top, v_bot, v_lf, v_lp, v_af)
-
-    # horizontal faces: south face sign -1, north face sign +1; cross faces
-    # are the cell's west/east vertical faces.
-    h_face = np.concatenate([hids[iy, ix], hids[iy + 1, ix]])
-    h_cell = np.concatenate([cells[iy, ix]] * 2)
-    h_sign = np.concatenate([-np.ones(nx * ny), np.ones(nx * ny)])
-    h_right = np.concatenate([vids[iy, ix + 1]] * 2)
-    h_left = np.concatenate([vids[iy, ix]] * 2)
-    h_lf = np.concatenate([mesh.dx[ix]] * 2)
-    h_lp = np.concatenate([mesh.dy[iy]] * 2)
-    h_af = np.concatenate([0.5 * area[iy, ix]] * 2)
-    hadj = FaceAdjacency(h_face, h_cell, h_sign, h_right, h_left, h_lf, h_lp, h_af)
-    return vadj, hadj
+    Cell (iy, ix) owns its west and east vertical faces, whose cross faces
+    are the cell's bottom and top, and its south and north horizontal
+    faces, whose cross faces are the cell's west and east.
+    """
+    nx = mesh.nx
+    south = np.arange(mesh.n_cells)  # hface id: the cell's own flat id
+    iy, ix = np.divmod(south, nx)
+    west = south + iy                # vface id: each mesh row has one more
+    lx, ly = mesh.dx[ix], mesh.dy[iy]
+    half = 0.5 * mesh.cell_area.ravel()
+    return (_half_cells(west, west + 1, south + nx, south, ly, lx, half),
+            _half_cells(south, south + nx, west + 1, west, lx, ly, half))
 
 
 #: boundary side order used everywhere a flattened side vector appears
 SIDES = ("left", "bottom", "right", "top")
-
-
-@dataclass(frozen=True)
-class BoundaryFaces:
-    """Boundary-face table in the fixed side order left, bottom, right, top."""
-
-    side: np.ndarray          # 0..3 index into SIDES
-    orient: np.ndarray        # 0 = vertical face, 1 = horizontal face
-    face: np.ndarray          # face id within its orientation grid
-    cell: np.ndarray          # owning (interior) flat cell id
-    outward_sign: np.ndarray  # n . e_axis for the outward domain normal
-    face_len: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.face.shape[0]
-
-    def side_slice(self, side: str) -> slice:
-        idx = SIDES.index(side)
-        start = int(np.searchsorted(self.side, idx, side="left"))
-        stop = int(np.searchsorted(self.side, idx, side="right"))
-        return slice(start, stop)
-
-
-def build_boundary(mesh: SpatialMesh) -> BoundaryFaces:
-    nx, ny = mesh.nx, mesh.ny
-    cells = mesh.cell_ids()
-    vids = mesh.vface_ids()
-    hids = mesh.hface_ids()
-    ys = np.arange(ny)
-    xs = np.arange(nx)
-
-    side = np.concatenate([np.zeros(ny), np.ones(nx), 2 * np.ones(ny), 3 * np.ones(nx)]).astype(int)
-    orient = np.concatenate([np.zeros(ny), np.ones(nx), np.zeros(ny), np.ones(nx)]).astype(int)
-    face = np.concatenate([vids[ys, 0], hids[0, xs], vids[ys, nx], hids[ny, xs]])
-    cell = np.concatenate([cells[ys, 0], cells[0, xs], cells[ys, nx - 1], cells[ny - 1, xs]])
-    outward = np.concatenate([-np.ones(ny), -np.ones(nx), np.ones(ny), np.ones(nx)])
-    flen = np.concatenate([mesh.dy, mesh.dx, mesh.dy, mesh.dx])
-    return BoundaryFaces(side, orient, face, cell, outward, flen)

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FOUR_PI = 4.0 * np.pi
-
 
 class QuadratureSpecError(ValueError):
     """Unsupported quadrature family or order."""
@@ -45,27 +43,6 @@ class AngularQuadrature:
     @property
     def n_dirs(self) -> int:
         return self.mu.shape[0]
-
-    def validate(self, tol: float = 1e-10) -> None:
-        """Check unit norms, weight normalization and moment identities."""
-        norm = self.mu**2 + self.eta**2 + self.xi**2
-        if np.max(np.abs(norm - 1.0)) > 1e-12:
-            raise AssertionError("directions are not unit vectors")
-        if np.any(self.weight <= 0.0):
-            raise AssertionError("weights must be positive")
-        w = self.weight
-        if abs(w.sum() - FOUR_PI) > tol:
-            raise AssertionError("weights do not sum to 4*pi")
-        for comp in (self.mu, self.eta):
-            if abs(np.sum(w * comp)) > tol:
-                raise AssertionError("first moment in x/y must vanish")
-            if abs(np.sum(w * comp**2) - FOUR_PI / 3.0) > tol:
-                raise AssertionError("second moment must be 4*pi/3")
-        if abs(np.sum(w * self.xi**2) - FOUR_PI / 3.0) > tol:
-            raise AssertionError("zz second moment must be 4*pi/3")
-        for a, b in ((self.mu, self.eta), (self.mu, self.xi), (self.eta, self.xi)):
-            if abs(np.sum(w * a * b)) > tol:
-                raise AssertionError("cross second moments must vanish")
 
 
 def _polar_levels(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,19 @@
-"""The benchmark's trace hooks still land on the calls the solvers make.
+"""The benchmark's trace hooks and step checks still fit the solvers.
 
 benchmarks/run.py times each layer by patching names on qdrom's modules and
 classes.  A refactor that moves a call off a patched name leaves its layer
-silently at zero; this runs the hooks on a tiny FOM and POD ROM.
+silently at zero; this runs the hooks on a tiny FOM and POD ROM.  It also
+runs the benchmark's own set-up and step checks, which read fields of the
+problem and of the run records.
 """
 import dataclasses
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdrom
@@ -73,3 +77,32 @@ def test_trace_hooks_cover_every_layer(bench, tiny_config, tiny_snapshots):
         after = vars(owner)
         assert after.keys() == attrs.keys(), owner
         assert all(after[k] is v for k, v in attrs.items()), owner
+
+
+def test_benchmark_checks_read_the_tiny_runs(bench, tiny_config, tiny_fom, tiny_snapshots):
+    # the benchmark's own set-up and step checks on a FOM and a POD ROM: a
+    # field of Problem or RunRecord they read that moves fails here, not in
+    # a benchmark run
+    api = bench.Api(qdrom)
+    steps = 3
+    problem = api.build_problem(dataclasses.replace(tiny_config, n_steps=steps))
+    e0 = bench.initial_energy(qdrom, problem)
+    assert e0.shape == (tiny_config.ny, tiny_config.nx) and np.all(e0 > 0.0)
+    reference = bench.cut_record(tiny_fom, steps)
+    assert reference.n_steps == steps
+    assert np.array_equal(reference.temperature, tiny_fom.temperature[:steps])
+    models = {name: api.pod_compress(tiny_snapshots[name], bench.XI_REL)
+              for name in SNAPSHOT_NAMES}
+    manifest = json.loads(bench.MANIFEST.read_text())
+    for workload, models in (("fom-desk", None), ("rom-desk", models)):
+        prep = bench.Prepared(problem, reference, models, e0, 0)
+        rec = api.run_fom(problem) if models is None else api.run_rom(problem, models)
+        failed, rom_err = bench.check_steps(api, prep, rec)
+        assert failed == 0, workload
+        if models is None:
+            assert rom_err is None
+        else:
+            assert 0.0 <= rom_err <= bench.REFERENCE_TOL
+        env = bench.environment(qdrom, bench.WORKLOADS[workload], 0, manifest)
+        assert isinstance(env["have_numba"], bool)
+        assert len(env["inputs_sha256"]) == 64

@@ -163,6 +163,17 @@ def test_breakout_unreachable_threshold(workdir):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_breakout_nonfinite_threshold_is_usage_error(workdir, threshold):
+    # a NaN threshold is never reached, and would read as "not reached"
+    out = workdir / "bk_nonfinite.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["breakout", "--run", str(workdir / "fom" / "fom_run.ddet"),
+              "--quantity", "flux", "--threshold", threshold, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_breakout_reached(workdir):
     out = workdir / "bk2.csv"
     rc = main(["breakout", "--run", str(workdir / "fom" / "fom_run.ddet"),
@@ -235,6 +246,13 @@ def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+    # a finite last group edge is a usage error too
+    bad.write_text(TINY_CONFIG.replace("2.83, 1e7", "2.83, 6.0"))
+    out = tmp_path / "finite_edge"
+    rc = main(["fom", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert "last edge must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):

@@ -96,6 +96,11 @@ def test_validation():
             RunConfig(group_bounds=bounds)
     with pytest.raises(ConfigError, match="only the last edge"):
         RunConfig(group_bounds=(0.0, 1.0e7, 2.0e7))
+    # a finite last edge leaves the spectrum above it out of the groups but
+    # not out of the grey emission
+    for bounds in ((0.0, 3.0), (0.0, 0.7075, 2.83, 9.9e6)):
+        with pytest.raises(ConfigError, match="last edge must be"):
+            RunConfig(group_bounds=bounds)
     with pytest.raises(ConfigError):
         RunConfig(boundary_left=-1.0)
     # solver controls and non-finite values

@@ -11,16 +11,16 @@ from qdrom.loqd import (
     FluxCoeffs,
     GreyProblem,
     GreyState,
+    MomentSystem,
     MultigroupLoqdSolver,
     MultigroupMoments,
-    ProblemGeometry,
     SolverError,
     SpectrumAveraged,
     compute_grey_coefficients,
     group_flux_coeffs,
 )
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
-from qdrom.mesh import SpatialMesh
+from qdrom.mesh import SIDES, SpatialMesh
 from qdrom.transport import ClosureRecord
 
 MAT = MaterialModel(heat_capacity=0.008118)
@@ -64,11 +64,11 @@ def random_closure(rng, n_g, ny, nx):
     )
 
 
-def equilibrium_bc_tables(geom, planck_groups, c):
+def equilibrium_bc_tables(system, planck_groups, c):
     """Half-range isotropic E_in = 2 pi B / c and n.F_in = -pi B per side."""
     n_g = planck_groups.shape[0]
-    e_in = np.empty((n_g, geom.bfaces.count))
-    f_in = np.empty((n_g, geom.bfaces.count))
+    e_in = np.empty((n_g, system.boundary_face.size))
+    f_in = np.empty((n_g, system.boundary_face.size))
     e_in[:] = (2.0 * np.pi * planck_groups / c)[:, None]
     f_in[:] = (-np.pi * planck_groups)[:, None]
     return e_in, f_in
@@ -81,15 +81,15 @@ def equilibrium_bc_tables(geom, planck_groups, c):
 @pytest.mark.parametrize("T_star", [0.01, 1.0])
 def test_multigroup_equilibrium_fixed_point(T_star):
     mesh = SpatialMesh.uniform(4, 3, 0.5, 0.4)
-    geom = ProblemGeometry.build(mesh)
+    system = MomentSystem(mesh)
     b_g = np.asarray(planck_spectrum(T_star, GRID3))
     c = MAT.light_speed
-    e_in, f_in = equilibrium_bc_tables(geom, b_g, c)
-    solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
+    e_in, f_in = equilibrium_bc_tables(system, b_g, c)
+    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
     closure = isotropic_closure(3, 3, 4)
     kappa = spectral_fields(np.full((3, 4), T_star), GRID3)[0]
     planck = np.repeat(b_g[:, None], 12, axis=1).reshape(3, 3, 4)
-    prev = MultigroupMoments.equilibrium(planck, geom, c)
+    prev = MultigroupMoments.equilibrium(planck, system, c)
     out, _ = solver.solve(closure, kappa, planck, prev, dt=0.02)
     e_star = 4.0 * np.pi * b_g / c
     assert np.max(np.abs(out.e_cell - e_star[:, None, None])) <= 1e-11 * e_star.max()
@@ -101,11 +101,11 @@ def test_multigroup_equilibrium_fixed_point(T_star):
 def test_single_cell_matches_dense_oracle():
     rng = np.random.default_rng(21)
     mesh = SpatialMesh.uniform(1, 1, 0.7, 0.4)
-    geom = ProblemGeometry.build(mesh)
+    system = MomentSystem(mesh)
     grid1 = FrequencyGrid(np.array([0.0, 1.0e7]))
     e_in = np.zeros((1, 4))
     f_in = np.zeros((1, 4))
-    solver = MultigroupLoqdSolver(geom, grid1, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, grid1, MAT, e_in, f_in)
     closure = random_closure(rng, 1, 1, 1)
     kappa = rng.uniform(0.5, 2.0, size=(1, 1, 1))
     planck = rng.uniform(0.5, 2.0, size=(1, 1, 1))
@@ -183,7 +183,7 @@ def test_single_cell_matches_dense_oracle():
     assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
 
-def dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in):
+def dense_multigroup_oracle(system, closure, kappa, planck, prev, dt, e_in, f_in):
     """Solve the full (E, F) system of every group densely, row by row.
 
     Unknowns per group are [E_cell, E_vface, E_hface, F_vface, F_hface]; the
@@ -191,10 +191,10 @@ def dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in):
     interior face) and one boundary condition per boundary face.
     """
     c = MAT.light_speed
-    nc, nv, nh = geom.n_cells, geom.n_vfaces, geom.n_hfaces
+    nc, nv, nh = system.n_cells, system.n_vfaces, system.mesh.n_hfaces
     n = nc + 2 * (nv + nh)
     col = {"ev": nc, "eh": nc + nv, "fv": nc + nv + nh, "fh": nc + 2 * nv + nh}
-    area = geom.mesh.cell_area.ravel()
+    area = system.mesh.cell_area.ravel()
     cb = closure.cb
     out = []
     for g in range(kappa.shape[0]):
@@ -207,9 +207,9 @@ def dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in):
                 + 4 * np.pi * kap[i] * planck[g].ravel()[i] * area[i]
         row = nc
         for adj, e_face, f_col, e_perp, f_face, f_cell, f_perp, fprev in (
-            (geom.vadj, "ev", "fv", "eh", closure.fxx_vface, closure.fxx_cell,
+            (system.vadj, "ev", "fv", "eh", closure.fxx_vface, closure.fxx_cell,
              closure.fxy_hface, prev.f_vface),
-            (geom.hadj, "eh", "fh", "ev", closure.fyy_hface, closure.fyy_cell,
+            (system.hadj, "eh", "fh", "ev", closure.fyy_hface, closure.fyy_cell,
              closure.fxy_vface, prev.f_hface),
         ):
             for j in range(adj.face.size):
@@ -225,11 +225,14 @@ def dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in):
                     0.5 * c * lp * f_perp[g].ravel()[adj.cross_minus[j]]
                 b[row] = af / (c * dt) * fprev[g].ravel()[f]
                 row += 1
-        bf = geom.bfaces
-        for k in range(bf.count):
-            e_col, f_col = ("ev", "fv") if bf.orient[k] == 0 else ("eh", "fh")
-            M[row, col[f_col] + bf.face[k]] = bf.outward_sign[k]
-            M[row, col[e_col] + bf.face[k]] = -c * cb[g, k]
+        for k, side in enumerate(system.boundary_side):
+            # sides left, bottom, right, top: horizontal faces on the odd
+            # sides, the outward normal along -x or -y on the first two
+            horizontal = side % 2
+            e_col, f_col = ("eh", "fh") if horizontal else ("ev", "fv")
+            face = system.boundary_face[k] - horizontal * nv
+            M[row, col[f_col] + face] = -1.0 if side < 2 else 1.0
+            M[row, col[e_col] + face] = -c * cb[g, k]
             b[row] = -c * cb[g, k] * e_in[g, k] + f_in[g, k]
             row += 1
         assert row == n
@@ -243,11 +246,11 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
     # solver must reproduce it, fluxes included
     rng = np.random.default_rng(37)
     mesh = SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx), rng.uniform(0.3, 0.8, ny))
-    geom = ProblemGeometry.build(mesh)
+    system = MomentSystem(mesh)
     grid = FrequencyGrid(np.linspace(0.0, 3.0, n_g + 1))
-    e_in = rng.uniform(0.0, 0.5, (n_g, geom.bfaces.count))
-    f_in = rng.uniform(-0.3, 0.0, (n_g, geom.bfaces.count))
-    solver = MultigroupLoqdSolver(geom, grid, MAT, e_in, f_in)
+    e_in = rng.uniform(0.0, 0.5, (n_g, system.boundary_face.size))
+    f_in = rng.uniform(-0.3, 0.0, (n_g, system.boundary_face.size))
+    solver = MultigroupLoqdSolver(system, grid, MAT, e_in, f_in)
     closure = random_closure(rng, n_g, ny, nx)
     kappa = rng.uniform(0.5, 2.0, size=(n_g, ny, nx))
     planck = rng.uniform(0.5, 2.0, size=(n_g, ny, nx))
@@ -258,7 +261,7 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
     )
     dt = 0.05
     out, _ = solver.solve(closure, kappa, planck, prev, dt)
-    x, n_e = dense_multigroup_oracle(geom, closure, kappa, planck, prev, dt, e_in, f_in)
+    x, n_e = dense_multigroup_oracle(system, closure, kappa, planck, prev, dt, e_in, f_in)
     got_e = np.concatenate([out.e_cell.reshape(n_g, -1), out.e_vface.reshape(n_g, -1),
                             out.e_hface.reshape(n_g, -1)], axis=1)
     got_f = np.concatenate([out.f_vface.reshape(n_g, -1), out.f_hface.reshape(n_g, -1)],
@@ -270,9 +273,9 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
 def test_source_linearity():
     rng = np.random.default_rng(4)
     mesh = SpatialMesh.uniform(3, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
+    system = MomentSystem(mesh)
     grid1 = FrequencyGrid(np.array([0.0, 1.0e7]))
-    solver = MultigroupLoqdSolver(geom, grid1, MAT, np.zeros((1, 10)), np.zeros((1, 10)))
+    solver = MultigroupLoqdSolver(system, grid1, MAT, np.zeros((1, 10)), np.zeros((1, 10)))
     closure = random_closure(rng, 1, 2, 3)
     kappa = rng.uniform(0.5, 2.0, size=(1, 2, 3))
     planck = rng.uniform(0.5, 2.0, size=(1, 2, 3))
@@ -294,11 +297,11 @@ def test_source_linearity():
 
 def test_negative_dt_rejected():
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
+    system = MomentSystem(mesh)
     grid1 = FrequencyGrid(np.array([0.0, 1.0e7]))
-    solver = MultigroupLoqdSolver(geom, grid1, MAT, np.zeros((1, 8)), np.zeros((1, 8)))
+    solver = MultigroupLoqdSolver(system, grid1, MAT, np.zeros((1, 8)), np.zeros((1, 8)))
     closure = isotropic_closure(1, 2, 2)
-    prev = MultigroupMoments.equilibrium(np.ones((1, 2, 2)), geom, MAT.light_speed)
+    prev = MultigroupMoments.equilibrium(np.ones((1, 2, 2)), system, MAT.light_speed)
     with pytest.raises(ValueError):
         solver.solve(closure, np.ones((1, 2, 2)), np.ones((1, 2, 2)), prev, -1.0)
 
@@ -307,7 +310,7 @@ def test_negative_dt_rejected():
 # grey coefficients
 # ---------------------------------------------------------------------------
 
-def coeff_inputs(rng, n_g, ny, nx, geom):
+def coeff_inputs(rng, n_g, ny, nx, system):
     mg = MultigroupMoments(
         rng.uniform(0.5, 2.0, (n_g, ny, nx)), rng.uniform(0.5, 2.0, (n_g, ny, nx + 1)),
         rng.uniform(0.5, 2.0, (n_g, ny + 1, nx)), rng.uniform(-0.5, 0.5, (n_g, ny, nx + 1)),
@@ -320,29 +323,29 @@ def coeff_inputs(rng, n_g, ny, nx, geom):
     kappa = rng.uniform(0.5, 3.0, (n_g, ny, nx))
     planck = rng.uniform(0.5, 3.0, (n_g, ny, nx))
     closure = random_closure(rng, n_g, ny, nx)
-    e_in = np.zeros((n_g, geom.bfaces.count))
-    f_in = np.zeros((n_g, geom.bfaces.count))
+    e_in = np.zeros((n_g, system.boundary_face.size))
+    f_in = np.zeros((n_g, system.boundary_face.size))
     return mg, prev, kappa, planck, closure, e_in, f_in
 
 
-def grey_coefficients(mg, kappa, planck, closure, prev, dt, geom, e_in, f_in):
+def grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in):
     """Grey coefficients from the per-group flux coefficients of these inputs.
 
     The opacity and emission derivatives are those of T-independent fields: 0.
     """
     group_flux = group_flux_coeffs(closure, kappa.reshape(kappa.shape[0], -1), prev, dt,
-                                   geom, MAT.light_speed)
+                                   system, MAT.light_speed)
     zero = np.zeros_like(kappa)
     return compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
-                                     geom, e_in, f_in, dt, MAT.light_speed)
+                                     system, e_in, f_in, dt, MAT.light_speed)
 
 
 def test_single_group_averages_are_identity():
     rng = np.random.default_rng(8)
     mesh = SpatialMesh.uniform(3, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
-    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 1, 2, 3, geom)
-    co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, geom, e_in, f_in)
+    system = MomentSystem(mesh)
+    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 1, 2, 3, system)
+    co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, system, e_in, f_in)
     assert co.kbar_e == pytest.approx(kappa.reshape(-1), rel=1e-14)
     assert co.kbar_b == pytest.approx(kappa.reshape(-1), rel=1e-14)
     assert co.cbar == pytest.approx(closure.cb[0], rel=1e-14)
@@ -351,10 +354,10 @@ def test_single_group_averages_are_identity():
 def test_constant_opacity_averages():
     rng = np.random.default_rng(9)
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
-    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 2, 2, geom)
+    system = MomentSystem(mesh)
+    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 2, 2, system)
     kappa[:] = 1.7
-    co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, geom, e_in, f_in)
+    co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, system, e_in, f_in)
     assert np.allclose(co.kbar_e, 1.7, rtol=1e-14)
     assert np.allclose(co.kbar_b, 1.7, rtol=1e-14)
 
@@ -362,10 +365,10 @@ def test_constant_opacity_averages():
 def test_averages_match_summation_oracle():
     rng = np.random.default_rng(10)
     mesh = SpatialMesh.uniform(3, 3, 0.4, 0.4)
-    geom = ProblemGeometry.build(mesh)
-    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 3, 3, geom)
+    system = MomentSystem(mesh)
+    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 3, 3, system)
     dt = 0.07
-    co = grey_coefficients(mg, kappa, planck, closure, prev, dt, geom, e_in, f_in)
+    co = grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in)
     # absorption average, explicit loops
     for cell in range(9):
         iy, ix = divmod(cell, 3)
@@ -374,7 +377,7 @@ def test_averages_match_summation_oracle():
         assert co.kbar_e[cell] == pytest.approx(num / den, rel=1e-13)
     # flux coefficient for one vertical adjacency
     j = 5
-    adj = geom.vadj
+    adj = system.vadj
     cell, face = adj.cell[j], adj.face[j]
     ktil = kappa.reshape(3, -1)[:, cell] + 1.0 / (MAT.light_speed * dt)
     ev = mg.e_vface.reshape(3, -1)[:, face]
@@ -391,33 +394,33 @@ def test_averages_match_summation_oracle():
 def test_zero_energy_average_raises():
     rng = np.random.default_rng(13)
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
-    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 2, 2, 2, geom)
+    system = MomentSystem(mesh)
+    mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 2, 2, 2, system)
     mg.e_cell[:, 0, 0] = 0.0
     with pytest.raises(DegenerateStateError):
-        grey_coefficients(mg, kappa, planck, closure, prev, 0.1, geom, e_in, f_in)
+        grey_coefficients(mg, kappa, planck, closure, prev, 0.1, system, e_in, f_in)
 
 
 # ---------------------------------------------------------------------------
 # grey problem
 # ---------------------------------------------------------------------------
 
-def solve_grey_step(geom, co, prev, dt):
+def solve_grey_step(system, co, prev, dt):
     """One backward-Euler grey step, linearized about the previous temperature."""
-    return GreyProblem(geom, co, MAT, dt, prev.e_cell, prev.temperature,
+    return GreyProblem(system, co, MAT, dt, prev.e_cell, prev.temperature,
                        t_star=prev.temperature).solve()
 
 
-def grey_coeffs_uniform(geom, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
+def grey_coeffs_uniform(system, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
                         e_in=0.0, f_in=0.0):
-    nbf = geom.bfaces.count
-    n_vadj = geom.vadj.face.shape[0]
-    n_hadj = geom.hadj.face.shape[0]
+    nbf = system.boundary_face.size
+    n_vadj = system.vadj.face.shape[0]
+    n_hadj = system.hadj.face.shape[0]
 
     def fc(n):
         d = np.full(n, dvals)
         return FluxCoeffs(d.copy(), d.copy(), d.copy(), d.copy(), np.full(n, p))
-    nc = geom.n_cells
+    nc = system.n_cells
     # T-independent grey opacities: no temperature derivatives
     return SpectrumAveraged(
         kbar_e=np.full(nc, kbar), kbar_b=np.full(nc, kbar), dkbar_e=np.zeros(nc),
@@ -433,55 +436,55 @@ def moment_matrix(system, vals):
     return coo_matrix((vals, (system.rows, system.cols)), shape=(n, n)).tocsr()
 
 
-def grey_radiation_system(geom, co, dt, e_prev_cell):
+def grey_radiation_system(system, co, dt, e_prev_cell):
     """Grey entry values, right-hand side and flux weights, emission aside.
 
     The cell rows of the grey problem read G x = b + grey_emission(T).
     """
     c = MAT.light_speed
-    area = geom.mesh.cell_area.ravel()
-    return geom.moment_system.fill(
+    area = system.mesh.cell_area.ravel()
+    return system.fill(
         c, area / dt + c * co.kbar_e * area, (area / dt) * e_prev_cell.ravel(),
         co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)
 
 
-def grey_emission(geom, co, T):
+def grey_emission(system, co, T):
     """Emission c kbar_B a_R area T^4 per cell."""
     return MAT.light_speed * co.kbar_b * MAT.radiation_constant \
-        * geom.mesh.cell_area.ravel() * np.ravel(T)**4
+        * system.mesh.cell_area.ravel() * np.ravel(T)**4
 
 
 def test_grey_equilibrium_fixed_point():
     mesh = SpatialMesh.uniform(3, 3, 0.5, 0.5)
-    geom = ProblemGeometry.build(mesh)
+    system = MomentSystem(mesh)
     T_star = 0.7
     e_star = MAT.radiation_constant * T_star**4
     # matching bc: half-range isotropic values keep the wall in balance
-    co = grey_coeffs_uniform(geom, kbar=2.0, cbar=0.5,
+    co = grey_coeffs_uniform(system, kbar=2.0, cbar=0.5,
                              e_in=0.5 * e_star, f_in=-0.25 * MAT.light_speed * e_star)
     prev = GreyState(
         temperature=np.full((3, 3), T_star), e_cell=np.full((3, 3), e_star),
         e_vface=np.full((3, 4), e_star), e_hface=np.full((4, 3), e_star),
         f_vface=np.zeros((3, 4)), f_hface=np.zeros((4, 3)),
     )
-    out = solve_grey_step(geom, co, prev, dt=0.02)
+    out = solve_grey_step(system, co, prev, dt=0.02)
     assert np.max(np.abs(out.temperature - T_star)) <= 1e-12 * T_star
     assert np.max(np.abs(out.e_cell - e_star)) <= 1e-12 * e_star
     assert np.max(np.abs(out.f_vface)) <= 1e-12 * MAT.light_speed * e_star
 
 
-def random_system_args(rng, geom, lead=()):
+def random_system_args(rng, system, lead=()):
     """solve()/fill() arguments with random coefficients and leading axis lead."""
     c = MAT.light_speed
-    area = geom.mesh.cell_area.ravel()
+    area = system.mesh.cell_area.ravel()
 
     def flux(adj):
         shape = lead + adj.face.shape
         return FluxCoeffs(*(rng.uniform(0.1, 0.5, shape) for _ in range(4)),
                           rng.uniform(-0.01, 0.01, shape))
-    nbf = geom.bfaces.count
+    nbf = system.boundary_face.size
     return [c, area / 0.02 + c * rng.uniform(0.5, 2.0, lead + area.shape) * area,
-            rng.uniform(0.5, 1.0, lead + area.shape), flux(geom.vadj), flux(geom.hadj),
+            rng.uniform(0.5, 1.0, lead + area.shape), flux(system.vadj), flux(system.hadj),
             -c * rng.uniform(0.4, 0.7, lead + (nbf,)), rng.uniform(-1.0, 1.0, lead + (nbf,))]
 
 
@@ -491,18 +494,17 @@ def test_banded_solve_matches_dense_oracle(nx, ny, n_g):
     # one banded LU per group through MomentSystem.solve; the dense solve of
     # the natural-order matrix is the oracle
     rng = np.random.default_rng(41 + 7 * nx + ny)
-    geom = ProblemGeometry.build(SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx),
-                                             rng.uniform(0.3, 0.8, ny)))
-    system = geom.moment_system
+    system = MomentSystem(SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx),
+                                      rng.uniform(0.3, 0.8, ny)))
     assert system.kl == system.ku == 2 * nx + 1
     lead = () if n_g is None else (n_g,)
-    args = random_system_args(rng, geom, lead)
+    args = random_system_args(rng, system, lead)
     cases = [args]
     if (nx, ny) == (3, 2):
         # hface 0 comes first in the band order; a zero diagonal there makes
         # the factorisation interchange rows
         h0 = system.n_cells + system.n_vfaces
-        k = int(np.flatnonzero(geom.boundary_face_global() == geom.n_vfaces)[0])
+        k = int(np.flatnonzero(system.boundary_face == system.n_vfaces)[0])
         pivot = list(args)
         pivot[5] = args[5].copy()
         pivot[5][..., k] = 0.0
@@ -541,25 +543,23 @@ def test_graded_system_backward_error(monkeypatch):
     nx, ny = 12, 2
     grid = FrequencyGrid(np.array(FC_GROUP_BOUNDS[:5] + (1.0e7,)))
     n_g = grid.n_groups
-    geom = ProblemGeometry.build(SpatialMesh.uniform(nx, ny, 2.5, 2.5))
-    system = geom.moment_system
+    system = MomentSystem(SpatialMesh.uniform(nx, ny, 2.5, 2.5))
     calls = recorded_solves(monkeypatch, system)
     c = MAT.light_speed
     T = np.tile(np.geomspace(1.0, 1e-3, nx), (ny, 1))
     kappa, planck, _, _ = spectral_fields(T, grid)
-    e_in, f_in = equilibrium_bc_tables(geom, np.asarray(planck_spectrum(1.0, grid)), c)
-    cold = np.ones(geom.bfaces.count, dtype=bool)
-    cold[geom.bfaces.side_slice("left")] = False
+    e_in, f_in = equilibrium_bc_tables(system, np.asarray(planck_spectrum(1.0, grid)), c)
+    cold = system.boundary_side != SIDES.index("left")
     e_in[:, cold] = 0.0
     f_in[:, cold] = 0.0
     closure = isotropic_closure(n_g, ny, nx)
-    prev = MultigroupMoments.equilibrium(planck, geom, c)
-    mg, group_flux = MultigroupLoqdSolver(geom, grid, MAT, e_in, f_in).solve(
+    prev = MultigroupMoments.equilibrium(planck, system, c)
+    mg, group_flux = MultigroupLoqdSolver(system, grid, MAT, e_in, f_in).solve(
         closure, kappa, planck, prev, 0.02)
     zero = np.zeros_like(kappa)  # no temperature response: the plain grey system
-    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, geom,
+    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, system,
                                    e_in, f_in, 0.02, c)
-    GreyProblem(geom, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
+    GreyProblem(system, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
     assert [np.ndim(args[1]) for args, _ in calls] == [2, 1]  # multigroup, then grey
     n = system.n_unknowns
     for args, out in calls:
@@ -577,9 +577,9 @@ def test_graded_system_backward_error(monkeypatch):
 def test_singular_system_raises_at_both_levels():
     # a zero boundary factor and zero Eddington factors leave the boundary
     # rows empty; the factorisation must report it, naming the group
-    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
-    co = grey_coeffs_uniform(geom, kbar=2.0, dvals=0.0, cbar=0.0)
-    problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    co = grey_coeffs_uniform(system, kbar=2.0, dvals=0.0, cbar=0.0)
+    problem = GreyProblem(system, co, MAT, 0.02, np.full((2, 3), 1e-3),
                           np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
     with pytest.raises(SolverError, match="singular"):
         problem.solve()
@@ -588,9 +588,9 @@ def test_singular_system_raises_at_both_levels():
     for f in (closure.fxx_cell, closure.fyy_cell, closure.fxx_vface, closure.fyy_hface,
               closure.cb):
         f[1] = 0.0
-    e_in = np.zeros((3, geom.bfaces.count))
-    solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, e_in)
-    prev = MultigroupMoments.equilibrium(rng.uniform(0.5, 1.0, (3, 2, 3)), geom,
+    e_in = np.zeros((3, system.boundary_face.size))
+    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, e_in)
+    prev = MultigroupMoments.equilibrium(rng.uniform(0.5, 1.0, (3, 2, 3)), system,
                                          MAT.light_speed)
     with pytest.raises(SolverError, match="singular in group 1"):
         solver.solve(closure, rng.uniform(0.5, 2.0, (3, 2, 3)),
@@ -599,8 +599,8 @@ def test_singular_system_raises_at_both_levels():
 
 def test_grey_zero_coupling_keeps_temperature():
     mesh = SpatialMesh.uniform(2, 3, 0.4, 0.6)
-    geom = ProblemGeometry.build(mesh)
-    co = grey_coeffs_uniform(geom, kbar=0.0, cbar=0.5, p=0.01)
+    system = MomentSystem(mesh)
+    co = grey_coeffs_uniform(system, kbar=0.0, cbar=0.5, p=0.01)
     rng = np.random.default_rng(17)
     t_prev = rng.uniform(0.5, 1.0, (3, 2))
     prev = GreyState(
@@ -608,20 +608,20 @@ def test_grey_zero_coupling_keeps_temperature():
         e_vface=rng.uniform(0.5, 1.0, (3, 3)), e_hface=rng.uniform(0.5, 1.0, (4, 2)),
         f_vface=np.zeros((3, 3)), f_hface=np.zeros((4, 2)),
     )
-    out = solve_grey_step(geom, co, prev, dt=0.05)
+    out = solve_grey_step(system, co, prev, dt=0.05)
     assert np.array_equal(out.temperature, t_prev)
     assert np.all(np.isfinite(out.e_cell))
 
 
-def bisection_grey_root(geom, co, e_prev, t_prev, dt):
+def bisection_grey_root(system, co, e_prev, t_prev, dt):
     """Root of the one-cell grey + MEB system, by bisection on T."""
     t_prev = t_prev[0, 0]
-    data, b, _ = grey_radiation_system(geom, co, dt, e_prev)
-    G = moment_matrix(geom.moment_system, data).toarray()
+    data, b, _ = grey_radiation_system(system, co, dt, e_prev)
+    G = moment_matrix(system, data).toarray()
 
     def e_of_T(T):
         emis = np.zeros(b.size)
-        emis[0] = grey_emission(geom, co, T)[0]
+        emis[0] = grey_emission(system, co, T)[0]
         x = np.linalg.solve(G, b + emis)
         return x[0]
 
@@ -641,28 +641,28 @@ def bisection_grey_root(geom, co, e_prev, t_prev, dt):
 
 
 def one_cell_grey_case():
-    geom = ProblemGeometry.build(SpatialMesh.uniform(1, 1, 0.5, 0.5))
-    co = grey_coeffs_uniform(geom, kbar=3.0, cbar=0.55, p=0.002)
+    system = MomentSystem(SpatialMesh.uniform(1, 1, 0.5, 0.5))
+    co = grey_coeffs_uniform(system, kbar=3.0, cbar=0.55, p=0.002)
     co.kbar_e[:] = 2.5
     e_prev, t_prev, dt = np.array([[0.003]]), np.array([[0.4]]), 0.03
-    T_oracle = bisection_grey_root(geom, co, e_prev, t_prev, dt)
-    return geom, co, e_prev, t_prev, dt, T_oracle
+    T_oracle = bisection_grey_root(system, co, e_prev, t_prev, dt)
+    return system, co, e_prev, t_prev, dt, T_oracle
 
 
 def test_grey_single_cell_matches_bisection_oracle():
     # repeating the linearized solve from its own temperature is Newton's
     # method on the grey + MEB system
-    geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
+    system, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
     T = t_prev
     for _ in range(8):
-        T = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, t_star=T).solve().temperature
+        T = GreyProblem(system, co, MAT, dt, e_prev, t_prev, t_star=T).solve().temperature
     assert T[0, 0] == pytest.approx(T_oracle, rel=1e-12)
 
 
 def test_grey_linearized_at_root_returns_root():
     # a fixed point of the linearized solve is a root of the nonlinear system
-    geom, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
-    out = GreyProblem(geom, co, MAT, dt, e_prev, t_prev, np.array([[T_oracle]])).solve()
+    system, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
+    out = GreyProblem(system, co, MAT, dt, e_prev, t_prev, np.array([[T_oracle]])).solve()
     assert out.temperature[0, 0] == pytest.approx(T_oracle, rel=1e-12)
 
 
@@ -670,14 +670,14 @@ def test_grey_response_guard_freezes_the_net_emission():
     # a response whose net-emission slope falls below -4 c kbar_b a_R t*^3
     # is clipped there: the denominator is cv/dt, and the material takes
     # up the absorption minus the emission at t_star
-    geom, co, e_prev, t_prev, dt, _ = one_cell_grey_case()
+    system, co, e_prev, t_prev, dt, _ = one_cell_grey_case()
     t_star = np.array([[0.3]])
     bound = -4.0 * co.kbar_b / t_star.ravel()
     zero = np.zeros(1)
 
     def solve(dkbar_e, dkbar_b, e_cell):
         coeffs = dataclasses.replace(co, dkbar_e=dkbar_e, dkbar_b=dkbar_b, e_cell_total=e_cell)
-        return GreyProblem(geom, coeffs, MAT, dt, e_prev, t_prev, t_star=t_star).solve()
+        return GreyProblem(system, coeffs, MAT, dt, e_prev, t_prev, t_star=t_star).solve()
 
     clipped = solve(zero, 10.0 * bound, zero)
     for dkbar_e, dkbar_b, e_cell in ((zero, 100.0 * bound, zero),
@@ -700,7 +700,7 @@ def test_temperature_response_matches_local_difference():
     # coefficients' derivatives are the T-derivatives of the two spectrum
     # averages
     rng = np.random.default_rng(53)
-    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     c, dt = MAT.light_speed, 0.02
     T = rng.uniform(0.2, 1.5, (2, 3))
     e_prev = rng.uniform(1e-3, 2e-2, (3, 2, 3))
@@ -716,13 +716,13 @@ def test_temperature_response_matches_local_difference():
 
     kappa, planck, dkappa, dplanck = spectral_fields(T, GRID3)
     e = local_energies(kappa, planck)
-    mg = MultigroupMoments.equilibrium(planck, geom, c)
+    mg = MultigroupMoments.equilibrium(planck, system, c)
     mg.e_cell = e
     closure = isotropic_closure(3, 2, 3)
-    group_flux = group_flux_coeffs(closure, kappa.reshape(3, -1), mg, dt, geom, c)
-    e_in = np.zeros((3, geom.bfaces.count))
+    group_flux = group_flux_coeffs(closure, kappa.reshape(3, -1), mg, dt, system, c)
+    e_in = np.zeros((3, system.boundary_face.size))
     co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
-                                   geom, e_in, e_in, dt, c)
+                                   system, e_in, e_in, dt, c)
     h = 1e-6 * T
     (ke_hi, kb_hi), (ke_lo, kb_lo) = averages(T + h), averages(T - h)
     step = 2.0 * h.ravel()
@@ -732,7 +732,7 @@ def test_temperature_response_matches_local_difference():
     # derivatives of T-independent fields give none
     zero = np.zeros_like(kappa)
     co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
-                                   geom, e_in, e_in, dt, c)
+                                   system, e_in, e_in, dt, c)
     assert not np.any(co.dkbar_e) and not np.any(co.dkbar_b)
 
 
@@ -740,7 +740,7 @@ def test_grey_matches_multigroup_sum():
     # the grey operator evaluated at the multigroup solution sums must vanish
     rng = np.random.default_rng(29)
     mesh = SpatialMesh.uniform(3, 3, 0.4, 0.4)
-    geom = ProblemGeometry.build(mesh)
+    system = MomentSystem(mesh)
     T_field = rng.uniform(0.3, 1.0, (3, 3))
     kappa, planck, dkappa, dplanck = spectral_fields(T_field, GRID3)
     closure = random_closure(rng, 3, 3, 3)
@@ -749,25 +749,25 @@ def test_grey_matches_multigroup_sum():
         rng.uniform(0.001, 0.005, (3, 4, 3)), rng.uniform(-0.001, 0.001, (3, 3, 4)),
         rng.uniform(-0.001, 0.001, (3, 4, 3)),
     )
-    e_in = np.zeros((3, geom.bfaces.count))
-    f_in = np.zeros((3, geom.bfaces.count))
-    solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
+    e_in = np.zeros((3, system.boundary_face.size))
+    f_in = np.zeros((3, system.boundary_face.size))
+    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
     dt = 0.02
     mg, group_flux = solver.solve(closure, kappa, planck, prev, dt)
     co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
-                                   geom, e_in, f_in, dt, MAT.light_speed)
+                                   system, e_in, f_in, dt, MAT.light_speed)
     e_c, e_v, e_h, f_v, f_h = (a.sum(axis=0) for a in (
         mg.e_cell, mg.e_vface, mg.e_hface, mg.f_vface, mg.f_hface))
-    data, b, weights = grey_radiation_system(geom, co, dt, prev.e_cell.sum(axis=0))
+    data, b, weights = grey_radiation_system(system, co, dt, prev.e_cell.sum(axis=0))
     x = np.concatenate([e_c.ravel(), e_v.ravel(), e_h.ravel()])
     emis = np.zeros(b.size)
-    emis[:geom.n_cells] = grey_emission(geom, co, T_field)
-    G = moment_matrix(geom.moment_system, data)
+    emis[:system.n_cells] = grey_emission(system, co, T_field)
+    G = moment_matrix(system, data)
     r = G @ x - b - emis
     scale = abs(G) @ np.abs(x) + np.abs(b) + np.abs(emis)
     assert float(np.max(np.abs(r) / scale)) <= 1e-10
     # the one-sided flux expressions reproduce the summed multigroup fluxes
-    fv, fh = geom.moment_system.face_fluxes(x, weights, co.vflux, co.hflux)
+    fv, fh = system.face_fluxes(x, weights, co.vflux, co.hflux)
     assert fv == pytest.approx(f_v.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_v).max())
     assert fh == pytest.approx(f_h.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_h).max())
 
@@ -778,20 +778,20 @@ def test_nonfinite_solution_raises(level, fault):
     # both levels share the solve's finiteness check; a poisoned coefficient
     # must raise, not return a NaN state
     rng = np.random.default_rng(43)
-    geom = ProblemGeometry.build(SpatialMesh.uniform(3, 2, 0.5, 0.4))
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     if level == "grey":
-        co = grey_coeffs_uniform(geom, kbar=2.0, p=0.01)
+        co = grey_coeffs_uniform(system, kbar=2.0, p=0.01)
         if fault == "nan lag term":
             co.vflux.p[4] = np.nan
         else:
             co.e_in_total[1] = np.inf
-        problem = GreyProblem(geom, co, MAT, 0.02, np.full((2, 3), 1e-3),
+        problem = GreyProblem(system, co, MAT, 0.02, np.full((2, 3), 1e-3),
                               np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
         with pytest.raises(SolverError, match="non-finite"):
             problem.solve()
         return
-    e_in = np.zeros((3, geom.bfaces.count))
-    f_in = np.zeros((3, geom.bfaces.count))
+    e_in = np.zeros((3, system.boundary_face.size))
+    f_in = np.zeros((3, system.boundary_face.size))
     prev = MultigroupMoments(
         rng.uniform(0.5, 1.0, (3, 2, 3)), rng.uniform(0.5, 1.0, (3, 2, 4)),
         rng.uniform(0.5, 1.0, (3, 3, 3)), rng.uniform(-0.2, 0.2, (3, 2, 4)),
@@ -801,7 +801,7 @@ def test_nonfinite_solution_raises(level, fault):
         prev.f_vface[1, 0, 2] = np.nan
     else:
         e_in[1, 1] = np.inf
-    solver = MultigroupLoqdSolver(geom, GRID3, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
     with pytest.raises(SolverError, match="non-finite values in group 1"):
         solver.solve(random_closure(rng, 3, 2, 3), rng.uniform(0.5, 2.0, (3, 2, 3)),
                      rng.uniform(0.5, 2.0, (3, 2, 3)), prev, 0.05)

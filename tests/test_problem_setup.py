@@ -15,7 +15,8 @@ from qdrom.materials import (
     planck_spectrum,
     planck_spectrum_slope,
 )
-from qdrom.mesh import SpatialMesh, build_adjacency, build_boundary
+from qdrom.loqd import MomentSystem
+from qdrom.mesh import SIDES, SpatialMesh, build_adjacency
 from qdrom.quadrature import QuadratureSpecError, build_quadrature
 
 FC_BOUNDS = np.array([0.0, 0.7075, 1.415, 2.123, 2.830, 3.538, 4.245, 5.129,
@@ -114,8 +115,6 @@ def test_nonfinite_temperature_rejected(T):
         planck_spectrum(np.array([0.5, T]), grid)
     with pytest.raises(TemperatureDomainError):
         material().group_opacity(np.array([[0.5, T]]), grid)
-    with pytest.raises(TemperatureDomainError):
-        material().spectral_opacity(1.0, T)
 
 
 def test_band_fraction_against_oracle():
@@ -198,17 +197,27 @@ def material(cv=1.0, **kw):
     return MaterialModel(heat_capacity=cv, **kw)
 
 
+def spectral_opacity(m, nu, T):
+    """Oracle: m's opacity law kappa_nu(T) in 1/cm, at frequency nu > 0."""
+    nu, T = np.asarray(nu, dtype=float), np.asarray(T, dtype=float)
+    kappa = m.opacity_coeff / nu**m.opacity_exponent
+    if m.stimulated_correction:
+        with np.errstate(under="ignore"):
+            kappa = kappa * (-np.expm1(-nu / T))
+    return kappa
+
+
 def test_spectral_opacity_direct_value():
     m = material()
     # nu = 3 keV, T = 1 keV: (27/27)(1 - e^-3)
-    assert m.spectral_opacity(3.0, 1.0) == pytest.approx(1.0 - np.exp(-3.0), rel=1e-12)
+    assert spectral_opacity(m, 3.0, 1.0) == pytest.approx(1.0 - np.exp(-3.0), rel=1e-12)
 
 
 def test_spectral_opacity_limits():
     m = material()
-    assert m.spectral_opacity(1e6, 1.0) < 1e-16
+    assert spectral_opacity(m, 1e6, 1.0) < 1e-16
     # T >> nu: (1 - e^{-nu/T}) ~ nu/T
-    assert m.spectral_opacity(2.0, 1e6) == pytest.approx(27.0 / 8.0 * (2.0 / 1e6), rel=1e-5)
+    assert spectral_opacity(m, 2.0, 1e6) == pytest.approx(27.0 / 8.0 * (2.0 / 1e6), rel=1e-5)
 
 
 def test_group_opacity_positive_and_decreasing_at_high_frequency():
@@ -228,14 +237,14 @@ def test_group_opacity_matches_quadrature_oracle():
     gx, gw = np.polynomial.legendre.leggauss(16)
     nu = 0.5 * 3.0 * gx + 2.5
     b = nu**3 / np.expm1(nu / T)
-    k = m.spectral_opacity(nu, T)
+    k = spectral_opacity(m, nu, T)
     rule_value = np.sum(gw * k * b) / np.sum(gw * b)
     got = m.group_opacity(T, grid)[0][1]
     assert got == pytest.approx(rule_value, rel=1e-13)
     # and stays close to the exact Planck average (rule truncation ~1e-6 here)
     nu_f = np.linspace(1.0, 4.0, 200001)[1:-1]
     b_f = nu_f**3 / np.expm1(nu_f / T)
-    exact = np.trapezoid(m.spectral_opacity(nu_f, T) * b_f, nu_f) / np.trapezoid(b_f, nu_f)
+    exact = np.trapezoid(spectral_opacity(m, nu_f, T) * b_f, nu_f) / np.trapezoid(b_f, nu_f)
     assert got == pytest.approx(exact, rel=1e-4)
 
 
@@ -249,8 +258,6 @@ def test_group_opacity_cold_limit_stays_finite():
 
 def test_opacity_rejects_nonpositive_temperature():
     m = material()
-    with pytest.raises(TemperatureDomainError):
-        m.spectral_opacity(1.0, 0.0)
     with pytest.raises(TemperatureDomainError):
         m.group_opacity(1e-12, FrequencyGrid(np.array([0.0, 1.0])))
 
@@ -278,7 +285,7 @@ def per_group_opacity(m, T, bounds):
         xmin = x.min(axis=1, keepdims=True)
         with np.errstate(under="ignore"):
             wgt = nu**3 * np.exp(-(x - xmin)) / (-np.expm1(-x))
-        kap = m.spectral_opacity(nu, Tcol)
+        kap = spectral_opacity(m, nu, Tcol)
         kbar[:, g] = (np.sum(gl_w * jac * wgt * kap, axis=1)
                       / np.sum(gl_w * jac * wgt, axis=1))
     return kbar
@@ -334,6 +341,21 @@ def test_spectral_slopes_match_central_difference(bounds, law):
 # Quadrature
 # ---------------------------------------------------------------------------
 
+def check_quadrature(q, tol):
+    """Unit directions, positive weights summing to 4 pi, and the moment
+    identities: odd moments vanish, diagonal second moments are 4 pi / 3."""
+    assert np.max(np.abs(q.mu**2 + q.eta**2 + q.xi**2 - 1.0)) <= 1e-12
+    assert np.all(q.weight > 0.0)
+    w = q.weight
+    assert abs(w.sum() - FOUR_PI) <= tol
+    for comp in (q.mu, q.eta):
+        assert abs(np.sum(w * comp)) <= tol
+        assert abs(np.sum(w * comp**2) - FOUR_PI / 3.0) <= tol
+    assert abs(np.sum(w * q.xi**2) - FOUR_PI / 3.0) <= tol
+    for a, b in ((q.mu, q.eta), (q.mu, q.xi), (q.eta, q.xi)):
+        assert abs(np.sum(w * a * b)) <= tol
+
+
 def test_four_point_set_is_the_symmetric_reference():
     q = build_quadrature(1)
     assert q.n_dirs == 4
@@ -342,14 +364,14 @@ def test_four_point_set_is_the_symmetric_reference():
     assert np.allclose(np.abs(q.eta), r, atol=1e-15)
     assert np.allclose(q.xi, r, atol=1e-15)
     assert np.allclose(q.weight, np.pi, atol=1e-14)
-    q.validate(1e-12)
+    check_quadrature(q, 1e-12)
 
 
 @pytest.mark.parametrize("per_quadrant,total", [(1, 4), (3, 12), (4, 16), (36, 144)])
 def test_quadrature_counts_and_moments(per_quadrant, total):
     q = build_quadrature(per_quadrant)
     assert q.n_dirs == total
-    q.validate(1e-10)
+    check_quadrature(q, 1e-10)
     assert np.sum(q.weight * q.mu * q.mu) == pytest.approx(FOUR_PI / 3.0, abs=1e-10)
 
 
@@ -392,21 +414,44 @@ def test_adjacency_half_areas_and_counts():
     assert np.allclose(vadj.half_area, 0.5 * area[vadj.cell])
     assert np.allclose(hadj.half_area, 0.5 * area[hadj.cell])
     # every interior face appears exactly twice, boundary faces once
-    v_counts = np.bincount(vadj.face, minlength=mesh.n_vfaces)
-    assert set(v_counts[mesh.vface_ids()[:, 1:-1].ravel()]) == {2}
-    assert set(v_counts[mesh.vface_ids()[:, [0, -1]].ravel()]) == {1}
+    v_counts = np.bincount(vadj.face, minlength=mesh.n_vfaces).reshape(2, 4)
+    assert set(v_counts[:, 1:-1].ravel()) == {2}
+    assert set(v_counts[:, [0, -1]].ravel()) == {1}
+    h_counts = np.bincount(hadj.face, minlength=mesh.n_hfaces).reshape(3, 3)
+    assert set(h_counts[1:-1].ravel()) == {2}
+    assert set(h_counts[[0, -1]].ravel()) == {1}
+
+
+def side_slice(side, name):
+    """The boundary faces of side `name`, given each face's index into SIDES."""
+    idx = SIDES.index(name)
+    return slice(int(np.searchsorted(side, idx, side="left")),
+                 int(np.searchsorted(side, idx, side="right")))
 
 
 def test_boundary_table_order_and_sizes():
-    mesh = SpatialMesh.uniform(4, 3, 1.0, 1.0)
-    b = build_boundary(mesh)
-    assert b.count == 2 * (4 + 3)
-    assert b.side_slice("left") == slice(0, 3)
-    assert b.side_slice("bottom") == slice(3, 7)
-    assert b.side_slice("right") == slice(7, 10)
-    assert b.side_slice("top") == slice(10, 14)
-    assert np.all(b.outward_sign[b.side_slice("left")] == -1)
-    assert np.all(b.outward_sign[b.side_slice("top")] == 1)
+    nx, ny = 4, 3
+    mesh = SpatialMesh.uniform(nx, ny, 1.0, 1.0)
+    system = MomentSystem(mesh)
+    side, face = system.boundary_side, system.boundary_face
+    assert side.size == face.size == 2 * (nx + ny)
+    assert np.array_equal(side, np.repeat(np.arange(4), (ny, nx, ny, nx)))
+    assert [side_slice(side, name) for name in SIDES] == \
+        [slice(0, 3), slice(3, 7), slice(7, 10), slice(10, 14)]
+    # global face ids, vfaces first: each side lists its own domain-boundary
+    # faces in increasing y or x
+    nv = mesh.n_vfaces
+    vids = np.arange(nv).reshape(ny, nx + 1)
+    hids = nv + np.arange(mesh.n_hfaces).reshape(ny + 1, nx)
+    on_side = {"left": vids[:, 0], "bottom": hids[0], "right": vids[:, -1], "top": hids[-1]}
+    for name in SIDES:
+        assert np.array_equal(face[side_slice(side, name)], on_side[name]), name
+    # the one half cell of each boundary face carries the outward normal's
+    # sign: -x and -y on the left and bottom, +x and +y on the right and top
+    for name, outward in zip(SIDES, (-1.0, -1.0, 1.0, 1.0)):
+        for f in face[side_slice(side, name)]:
+            adj, local = (system.vadj, f) if f < nv else (system.hadj, f - nv)
+            assert adj.sign[adj.face == local].tolist() == [outward], name
 
 
 def test_mesh_rejects_bad_input():

@@ -6,7 +6,8 @@ import pytest
 
 from qdrom.drivers import stack_closure, unstack_closure
 from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
-from qdrom.mesh import SpatialMesh, build_boundary
+from qdrom.loqd import MomentSystem
+from qdrom.mesh import SIDES, SpatialMesh
 from qdrom.quadrature import QuadratureSpecError, build_quadrature
 from qdrom.transport import (
     BoundarySpec,
@@ -445,11 +446,11 @@ def test_boundary_factors_in_boundary_face_order():
         "right": (0.5 * (I[:, :, :, -1, 1] + I[:, :, :, -1, 3]), "x", 1.0),
         "top": (0.5 * (I[:, :, -1, :, 2] + I[:, :, -1, :, 3]), "y", 1.0),
     }
-    bfaces = build_boundary(sol.mesh)
-    assert rec.cb.shape == (2, bfaces.count) == (2, 2 * (nx + ny))
+    face_side = MomentSystem(sol.mesh).boundary_side
+    assert rec.cb.shape == (2, face_side.size) == (2, 2 * (nx + ny))
     for side, (trace, axis, outward) in sides.items():
         expected = half_range_factor(sol.quad, trace, axis, outward)
-        np.testing.assert_allclose(rec.cb[:, bfaces.side_slice(side)], expected,
+        np.testing.assert_allclose(rec.cb[:, face_side == SIDES.index(side)], expected,
                                    rtol=1e-13, atol=0.0, err_msg=side)
     rebuilt = unstack_closure(stack_closure(rec), nx, ny, 2)
     for f in dataclasses.fields(rec):
@@ -472,7 +473,7 @@ def test_random_closure_matches_summation_oracle():
                 den = sum(w[m] * ibar[m] for m in range(sol.quad.n_dirs))
                 assert rec.fxx_cell[g, iy, ix] == pytest.approx(num / den, rel=1e-13)
     # boundary-factor oracle on the left side
-    left = rec.cb[:, build_boundary(sol.mesh).side_slice("left")]
+    left = rec.cb[:, MomentSystem(sol.mesh).boundary_side == SIDES.index("left")]
     for iy in range(2):
         for g in range(2):
             num = den = 0.0
@@ -553,13 +554,14 @@ def test_each_degenerate_check_raises(where, message):
 
 def test_boundary_inflow_is_the_quadrature_half_range_sum():
     sol = make_solver(3, 2, per_quadrant=4, bc=side_inflow_bc())
-    bfaces = build_boundary(sol.mesh)
-    e_in, f_in = sol.boundary_inflow(bfaces.side)
-    assert e_in.shape == f_in.shape == (2, bfaces.count)
+    face_side = MomentSystem(sol.mesh).boundary_side
+    e_in, f_in = sol.boundary_inflow(face_side)
+    assert e_in.shape == f_in.shape == (2, face_side.size)
     w, mu, eta, c = sol.quad.weight, sol.quad.mu, sol.quad.eta, MAT.light_speed
     for name, comp, incoming in (("left", mu, mu > 0.0), ("bottom", eta, eta > 0.0),
                                  ("right", mu, mu < 0.0), ("top", eta, eta < 0.0)):
-        e, f = e_in[:, bfaces.side_slice(name)], f_in[:, bfaces.side_slice(name)]
+        on_side = face_side == SIDES.index(name)
+        e, f = e_in[:, on_side], f_in[:, on_side]
         ivals = sol.bc.side(name)[:, None]
         # bit for bit the quadrature's half-range sums, in the same order
         assert np.all(e == ivals * np.sum(w[incoming]) / c), name
