@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import RunRecord, SNAPSHOT_NAMES
-from .lowrank import compress, select_rank, truncated_svd
+from .drivers import RunRecord, SNAPSHOT_NAMES, TIME_RTOL
+from .lowrank import METHODS, compress, select_rank, truncated_svd
 
 
 class ShapeMismatchError(ValueError):
@@ -65,7 +65,7 @@ def relative_error_series(run: RunRecord, reference: RunRecord,
     if run.temperature.shape != reference.temperature.shape:
         raise ShapeMismatchError(
             f"grids differ: {run.temperature.shape} vs {reference.temperature.shape}")
-    if not np.allclose(run.time.times, reference.time.times):
+    if not np.allclose(run.time.times, reference.time.times, rtol=TIME_RTOL, atol=0.0):
         raise ShapeMismatchError("time grids differ")
     nt = run.n_steps
     bad = [s for s in field_steps if not 1 <= s <= nt]
@@ -147,8 +147,7 @@ def singular_value_report(matrices: dict, xi_grid=XI_GRID) -> list:
     for name in SNAPSHOT_NAMES:
         snap = matrices[name]
         _, s_raw, _ = truncated_svd(snap.data)
-        spectra = {m: compress(snap, m, xi_grid[0]).singular_values
-                   for m in ("pod", "dmd", "dmd-e")}
+        spectra = {m: compress(snap, m, xi_grid[0]).singular_values for m in METHODS}
         ranks = {m: {xi: select_rank(s, xi) for xi in xi_grid} for m, s in spectra.items()}
         out.append(SingularValueReport(
             name, s_raw, int(np.sum(s_raw > 1e-14 * s_raw[0])), ranks,
@@ -189,7 +188,7 @@ def write_rank_csv(path, reports: list) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "xi_rel"] + [rep.name for rep in reports])
-        for method in ("pod", "dmd", "dmd-e"):
+        for method in METHODS:
             for xi in sorted(reports[0].ranks[method], reverse=True):
                 w.writerow([method, f"{xi:.0e}"]
                            + [rep.ranks[method][xi] for rep in reports])

@@ -14,6 +14,7 @@ from .config import PRESETS, ConfigError, RunConfig, load_config, preset
 from .drivers import (
     DriverError,
     SNAPSHOT_NAMES,
+    TIME_RTOL,
     build_problem,
     closure_unknowns,
     playback_models,
@@ -25,6 +26,7 @@ from .loqd import DegenerateStateError, SolverError
 from .lowrank import (
     DecompositionError,
     DegenerateDataError,
+    METHODS,
     OutOfWindowError,
     compress as compress_matrix,
 )
@@ -107,7 +109,7 @@ def _load_models(path: Path, cfg: RunConfig):
         if got != expected:
             raise container.FormatError(
                 f"layout mismatch for '{name}': model {got}, config {expected}")
-        if abs(model.dt - cfg.dt) > 1e-12 * cfg.dt:
+        if abs(model.dt - cfg.dt) > TIME_RTOL * cfg.dt:
             raise container.FormatError(
                 f"time step mismatch for '{name}': model dt {model.dt:g}, "
                 f"config dt {cfg.dt:g}")
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress", help="compress a snapshot set into models")
     p.add_argument("--snapshots", required=True)
-    p.add_argument("--method", choices=("pod", "dmd", "dmd-e"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--xi", type=float, required=True, help="relative truncation error")
     p.add_argument("--out", required=True, help="output directory for model containers")
     p.set_defaults(func=cmd_compress)

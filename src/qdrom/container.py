@@ -214,25 +214,15 @@ def load_model(path):
 
 
 def save_run_record(path, run) -> None:
+    from .drivers import RECORD_FIELDS
     descriptor = {
         "mode": run.mode, "config": run.config_meta,
         "t0": run.time.t0, "dt": run.time.dt, "n_steps": run.time.n_steps,
         "positivity_violations": int(run.positivity_violations),
     }
     nt = run.time.n_steps
-    arrays = {
-        "temperature": run.temperature.reshape(nt, -1),
-        "e_cell": run.e_cell.reshape(nt, -1),
-        "e_vface": run.e_vface.reshape(nt, -1),
-        "e_hface": run.e_hface.reshape(nt, -1),
-        "f_vface": run.f_vface.reshape(nt, -1),
-        "f_hface": run.f_hface.reshape(nt, -1),
-        "iterations": run.iterations.astype(float),
-        "sweeps": run.sweeps.astype(float),
-        "final_change": run.final_change,
-        "negative_corners": run.negative_corners.astype(float),
-        "closure_violations": run.closure_violations.astype(float),
-    }
+    arrays = {name: getattr(run, name).reshape(nt if isinstance(kind, str) else 1, -1)
+              for name, kind in RECORD_FIELDS.items()}
     write_container(path, "run-record", descriptor, arrays)
 
 
@@ -247,33 +237,33 @@ def _counts(path, name: str, values) -> np.ndarray:
 
 def load_run_record(path):
     from .config import RunConfig
-    from .drivers import RunRecord, TimeGrid
+    from .drivers import RECORD_FIELDS, RunRecord, TimeGrid
+    from .mesh import grid_shape
     kind, desc, arrays = read_container(path)
     if kind != "run-record":
         raise FormatError(f"{path}: expected run-record, found {kind}")
     with _typed_fields(path, kind):
         cfg = RunConfig.from_dict(desc["config"])
-        nt, ny, nx = desc["n_steps"], cfg.ny, cfg.nx
+        nt = desc["n_steps"]
+        fields = {}
+        for name, field_kind in RECORD_FIELDS.items():
+            # records written before sweeps were stored load them as 0
+            values = arrays.get(name, np.zeros((1, nt))) if name == "sweeps" else arrays[name]
+            if field_kind is int:
+                fields[name] = _counts(path, name, values[0])
+            elif not np.all(np.isfinite(values)):
+                raise FormatError(f"{path}: run-record array '{name}' has non-finite values")
+            elif field_kind is float:
+                fields[name] = values[0]
+            else:
+                fields[name] = values.reshape(nt, *grid_shape(field_kind, cfg.nx, cfg.ny))
         return RunRecord(
             time=TimeGrid(desc["t0"], desc["dt"], nt), mode=desc["mode"],
             config_meta=desc["config"],
-            temperature=arrays["temperature"].reshape(nt, ny, nx),
-            e_cell=arrays["e_cell"].reshape(nt, ny, nx),
-            e_vface=arrays["e_vface"].reshape(nt, ny, nx + 1),
-            e_hface=arrays["e_hface"].reshape(nt, ny + 1, nx),
-            f_vface=arrays["f_vface"].reshape(nt, ny, nx + 1),
-            f_hface=arrays["f_hface"].reshape(nt, ny + 1, nx),
-            iterations=_counts(path, "iterations", arrays["iterations"][0]),
-            # records written before sweeps were stored load them as 0
-            sweeps=_counts(path, "sweeps", arrays.get("sweeps", np.zeros((1, nt)))[0]),
-            final_change=arrays["final_change"][0],
-            negative_corners=_counts(path, "negative_corners", arrays["negative_corners"][0]),
-            closure_violations=_counts(path, "closure_violations",
-                                       arrays["closure_violations"][0]),
             # records written before this counter was stored load as 0
             positivity_violations=int(_counts(
                 path, "positivity_violations", desc.get("positivity_violations", 0))),
-        )
+            **fields)
 
 
 def save_error_fields(path, field_maps: dict, config_meta: dict) -> None:

@@ -28,9 +28,10 @@ are those of the unmixed grey solve.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .loqd import (
 )
 from .lowrank import ClosureModel, SnapshotMatrix
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
-from .mesh import SIDES, SpatialMesh
+from .mesh import SIDES, SpatialMesh, grid_shape
 from .quadrature import build_quadrature
 from .transport import BoundarySpec, ClosureRecord, TransportSolver
 
@@ -68,6 +69,10 @@ INTENSITY_SEED = 1e-125
 #: against 22/16 on the FOM.  0 is the plain update.
 ANDERSON_DEPTH = 10
 
+#: relative difference below which two time steps, or two time levels, are
+#: the same: closures recorded at one dt do not describe a run at another
+TIME_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -86,15 +91,23 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(1, self.n_steps + 1)
 
 
-SNAPSHOT_NAMES = ("fxx_c", "fxx_v", "fyy_c", "fyy_h", "fxy_v", "fxy_h", "cb")
+#: snapshot name -> (ClosureRecord field, grid of one group's values)
+SNAPSHOTS = {"fxx_c": ("fxx_cell", "cell"), "fxx_v": ("fxx_vface", "vface"),
+             "fyy_c": ("fyy_cell", "cell"), "fyy_h": ("fyy_hface", "hface"),
+             "fxy_v": ("fxy_vface", "vface"), "fxy_h": ("fxy_hface", "hface"),
+             "cb": ("cb", "boundary")}
+SNAPSHOT_NAMES = tuple(SNAPSHOTS)
+
+
+def _snapshot_shape(name: str, nx: int, ny: int, n_groups: int) -> tuple:
+    """One step's closure array of snapshot `name`, group first."""
+    return (n_groups, *grid_shape(SNAPSHOTS[name][1], nx, ny))
 
 
 def closure_unknowns(nx: int, ny: int, n_groups: int) -> int:
     """Closure degrees of freedom per step: 2 (D_v + D_h + D_c) N_g."""
-    d_c = nx * ny
-    d_v = (nx + 1) * ny
-    d_h = nx * (ny + 1)
-    return 2 * (d_v + d_h + d_c) * n_groups
+    return sum(math.prod(_snapshot_shape(name, nx, ny, n_groups))
+               for name, (_, grid) in SNAPSHOTS.items() if grid != "boundary")
 
 
 def stack_closure(c: ClosureRecord) -> dict:
@@ -104,37 +117,21 @@ def stack_closure(c: ClosureRecord) -> dict:
     factors keep the boundary-face order (sides left, bottom, right, top)
     within each group.
     """
-    return {
-        "fxx_c": c.fxx_cell.ravel(),
-        "fxx_v": c.fxx_vface.ravel(),
-        "fyy_c": c.fyy_cell.ravel(),
-        "fyy_h": c.fyy_hface.ravel(),
-        "fxy_v": c.fxy_vface.ravel(),
-        "fxy_h": c.fxy_hface.ravel(),
-        "cb": c.cb.ravel(),
-    }
+    return {name: getattr(c, attr).ravel() for name, (attr, _) in SNAPSHOTS.items()}
 
 
 def unstack_closure(vectors: dict, nx: int, ny: int, n_groups: int) -> ClosureRecord:
     """Inverse of stack_closure for one time step."""
-    v = {k: np.asarray(vectors[k], dtype=float) for k in SNAPSHOT_NAMES}
-    return ClosureRecord(
-        fxx_cell=v["fxx_c"].reshape(n_groups, ny, nx),
-        fyy_cell=v["fyy_c"].reshape(n_groups, ny, nx),
-        fxx_vface=v["fxx_v"].reshape(n_groups, ny, nx + 1),
-        fxy_vface=v["fxy_v"].reshape(n_groups, ny, nx + 1),
-        fyy_hface=v["fyy_h"].reshape(n_groups, ny + 1, nx),
-        fxy_hface=v["fxy_h"].reshape(n_groups, ny + 1, nx),
-        cb=v["cb"].reshape(n_groups, 2 * (nx + ny)),
-    )
+    return ClosureRecord(**{
+        attr: np.asarray(vectors[name], dtype=float).reshape(
+            _snapshot_shape(name, nx, ny, n_groups))
+        for name, (attr, _) in SNAPSHOTS.items()})
 
 
 def snapshot_layout(name: str, config: RunConfig) -> dict:
-    grids = {"fxx_c": "cell", "fyy_c": "cell", "fxx_v": "vface", "fxy_v": "vface",
-             "fyy_h": "hface", "fxy_h": "hface", "cb": "boundary"}
     return {
         "quantity": name,
-        "grid": grids[name],
+        "grid": SNAPSHOTS[name][1],
         "nx": config.nx,
         "ny": config.ny,
         "n_groups": config.n_groups,
@@ -182,9 +179,17 @@ def build_problem(config: RunConfig) -> Problem:
     return Problem(config, geom, grid, material, transport, mg_solver)
 
 
+#: per-step run-record fields in container order: each grey field (named as
+#: in GreyState) -> its grid, each count -> int, the change ratio -> float
+RECORD_FIELDS = {"temperature": "cell", "e_cell": "cell", "e_vface": "vface",
+                 "e_hface": "hface", "f_vface": "vface", "f_hface": "hface",
+                 "iterations": int, "sweeps": int, "final_change": float,
+                 "negative_corners": int, "closure_violations": int}
+
+
 @dataclass
 class RunRecord:
-    """Per-step grey state, closures and iteration diagnostics."""
+    """Per-step grey state, closure snapshots and iteration diagnostics."""
 
     time: TimeGrid
     mode: str
@@ -195,7 +200,7 @@ class RunRecord:
     e_hface: np.ndarray
     f_vface: np.ndarray
     f_hface: np.ndarray
-    closures: list = field(default_factory=list)
+    snapshots: dict = None  # name -> (rows, n_steps); None when read from a container
     iterations: np.ndarray = None      # low-order solves per step
     sweeps: np.ndarray = None          # transport sweeps per step (0 for the ROM)
     final_change: np.ndarray = None
@@ -262,15 +267,19 @@ def _change_ratio(cfg: RunConfig, grey, T: np.ndarray, E: np.ndarray, norm_ord) 
 
 @dataclass
 class _Step:
-    """Accepted state and counts of one time step."""
+    """Accepted state of one time step; its scalars carry their RECORD_FIELDS names."""
 
     grey: GreyState
     mg: MultigroupMoments
     closure: ClosureRecord
     iterations: int
-    change: float
+    final_change: float
     sweeps: int = 0
     negative_corners: int = 0
+
+    @property
+    def closure_violations(self) -> int:
+        return sum(self.closure.bound_violations().values())
 
 
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
@@ -310,7 +319,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
 
 def _initial_state(p: Problem):
     cfg = p.config
-    T0 = np.full((cfg.ny, cfg.nx), cfg.t_initial)
+    T0 = np.full(grid_shape("cell", cfg.nx, cfg.ny), cfg.t_initial)
     planck0 = _group_first(planck_spectrum(
         T0, p.grid, radiation_constant=p.material.radiation_constant,
         light_speed=p.material.light_speed))
@@ -323,33 +332,18 @@ def _empty_record(p: Problem, mode: str) -> RunRecord:
     nt, ny, nx = cfg.n_steps, cfg.ny, cfg.nx
     return RunRecord(
         time=TimeGrid(0.0, cfg.dt, nt), mode=mode, config_meta=cfg.to_dict(),
-        temperature=np.empty((nt, ny, nx)), e_cell=np.empty((nt, ny, nx)),
-        e_vface=np.empty((nt, ny, nx + 1)), e_hface=np.empty((nt, ny + 1, nx)),
-        f_vface=np.empty((nt, ny, nx + 1)), f_hface=np.empty((nt, ny + 1, nx)),
-        iterations=np.zeros(nt, dtype=int),
-        sweeps=np.zeros(nt, dtype=int),
-        final_change=np.zeros(nt),
-        negative_corners=np.zeros(nt, dtype=int),
-        closure_violations=np.zeros(nt, dtype=int),
-    )
+        snapshots={name: np.empty((math.prod(_snapshot_shape(name, nx, ny, cfg.n_groups)), nt))
+                   for name in SNAPSHOT_NAMES},
+        **{name: np.empty((nt, *grid_shape(kind, nx, ny))) if isinstance(kind, str)
+           else np.zeros(nt, dtype=kind) for name, kind in RECORD_FIELDS.items()})
 
 
 def _store_step(rec: RunRecord, n: int, step: _Step):
-    grey, closure = step.grey, step.closure
-    rec.temperature[n] = grey.temperature
-    rec.e_cell[n] = grey.e_cell
-    rec.e_vface[n] = grey.e_vface
-    rec.e_hface[n] = grey.e_hface
-    rec.f_vface[n] = grey.f_vface
-    rec.f_hface[n] = grey.f_hface
-    rec.closures.append(closure)
-    rec.iterations[n] = step.iterations
-    rec.sweeps[n] = step.sweeps
-    rec.final_change[n] = step.change
-    rec.negative_corners[n] = step.negative_corners
-    viol = closure.bound_violations()
-    rec.closure_violations[n] = viol["tensor"] + viol["boundary_factor"]
-    if np.any(grey.temperature <= 0.0) or np.any(grey.e_cell <= 0.0):
+    for name, kind in RECORD_FIELDS.items():
+        getattr(rec, name)[n] = getattr(step.grey if isinstance(kind, str) else step, name)
+    for name, column in stack_closure(step.closure).items():
+        rec.snapshots[name][:, n] = column
+    if np.any(step.grey.temperature <= 0.0) or np.any(step.grey.e_cell <= 0.0):
         rec.positivity_violations += 1
         warnings.warn(f"nonpositive temperature or energy density at step {n + 1}")
 
@@ -373,7 +367,7 @@ def _run(p: Problem, mode: str, advance, log) -> RunRecord:
         T_prev = step.grey.temperature
         _store_step(rec, n, step)
         if log is not None:
-            log(n + 1, step.iterations, step.change)
+            log(n + 1, step.iterations, step.final_change)
     return rec
 
 
@@ -431,21 +425,14 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
 
 
 def record_snapshots(run: RunRecord) -> dict:
-    """Assemble the seven snapshot matrices from a completed run."""
-    if len(run.closures) != run.time.n_steps:
+    """The seven snapshot matrices of a completed run, sharing the record's arrays."""
+    if run.snapshots is None or any(data.shape[1] != run.n_steps
+                                    for data in run.snapshots.values()):
         raise ValueError("run record does not hold one closure per step")
     cfg = RunConfig.from_dict(run.config_meta)
-    columns = {name: [] for name in SNAPSHOT_NAMES}
-    for closure in run.closures:
-        vecs = stack_closure(closure)
-        for name in SNAPSHOT_NAMES:
-            columns[name].append(vecs[name])
-    out = {}
-    for name in SNAPSHOT_NAMES:
-        data = np.stack(columns[name], axis=1)
-        out[name] = SnapshotMatrix(name, data, snapshot_layout(name, cfg),
-                                   t0=run.time.t0, dt=run.time.dt)
-    return out
+    return {name: SnapshotMatrix(name, run.snapshots[name], snapshot_layout(name, cfg),
+                                 t0=run.time.t0, dt=run.time.dt)
+            for name in SNAPSHOT_NAMES}
 
 
 def playback_models(matrices: dict) -> dict:

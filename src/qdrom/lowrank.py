@@ -186,12 +186,14 @@ def dmd_compress(snap: SnapshotMatrix, xi_rel: float,
                         dict(snap.layout), snap.t0, snap.dt, operator)
 
 
+#: compression method names: POD, plain DMD and equilibrium-subtracted DMD
+METHODS = ("pod", "dmd", "dmd-e")
+
+
 def compress(snap: SnapshotMatrix, method: str, xi_rel: float) -> ClosureModel:
-    """Dispatch by method name: pod | dmd | dmd-e."""
+    """Dispatch by method name, one of METHODS."""
+    if method not in METHODS:
+        raise ValueError(f"unknown compression method '{method}'")
     if method == "pod":
         return pod_compress(snap, xi_rel)
-    if method == "dmd":
-        return dmd_compress(snap, xi_rel, "plain")
-    if method == "dmd-e":
-        return dmd_compress(snap, xi_rel, "equilibrium_subtracted")
-    raise ValueError(f"unknown compression method '{method}'")
+    return dmd_compress(snap, xi_rel, "plain" if method == "dmd" else "equilibrium_subtracted")

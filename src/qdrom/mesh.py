@@ -111,3 +111,9 @@ def build_adjacency(mesh: SpatialMesh) -> tuple[FaceAdjacency, FaceAdjacency]:
 
 #: boundary side order used everywhere a flattened side vector appears
 SIDES = ("left", "bottom", "right", "top")
+
+
+def grid_shape(kind: str, nx: int, ny: int) -> tuple:
+    """Shape of one group's values on grid `kind` of an nx x ny mesh."""
+    return {"cell": (ny, nx), "vface": (ny, nx + 1), "hface": (ny + 1, nx),
+            "boundary": (2 * (nx + ny),)}[kind]

@@ -83,6 +83,16 @@ def test_error_series_errors():
     other = synthetic_run(np.ones((2, 3, 3)), np.ones((2, 3, 3)))
     with pytest.raises(ShapeMismatchError):
         relative_error_series(run, other)
+    # time steps 4e-6 apart are different time grids; 1e-13 apart, the same
+    kw = dict(nx=2, ny=2, dx=0.5, dy=0.5, group_bounds=(0.0, 1.0e7), quadrature=1, n_steps=2)
+    for rel, same in ((4e-6, False), (1e-13, True)):
+        shifted = synthetic_run(np.ones((2, 2, 2)), np.ones((2, 2, 2)),
+                                {**kw, "dt": 0.1 * (1.0 + rel)})
+        if same:
+            assert np.all(relative_error_series(run, shifted).err_temperature == 0.0)
+        else:
+            with pytest.raises(ShapeMismatchError, match="time grids differ"):
+                relative_error_series(run, shifted)
     zero = synthetic_run(np.zeros((2, 2, 2)), np.ones((2, 2, 2)))
     with pytest.raises(DegenerateReferenceError):
         relative_error_series(run, zero)

@@ -263,7 +263,8 @@ def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):
     assert rc == 3
 
 
-RUN_RECORD_FAULTS = ["dims", "missing array", "fractional count", "nan dt", "infinite t0"]
+RUN_RECORD_FAULTS = ["dims", "missing array", "fractional count", "nan dt", "infinite t0",
+                     "non-finite fields"]
 
 
 def corrupt_run_record(good, tmp_path, fault):
@@ -282,6 +283,9 @@ def corrupt_run_record(good, tmp_path, fault):
             arrays["iterations"][0, 0] = 2.5
         elif fault == "nan dt":
             desc["dt"] = float("nan")
+        elif fault == "non-finite fields":
+            arrays["temperature"][2, 3] = np.nan
+            arrays["e_cell"][1, 0] = np.inf
         else:
             desc["t0"] = float("inf")
         write_container(tmp_path / "src.ddet", kind, desc, arrays)

@@ -117,13 +117,16 @@ def test_dmd_model_roundtrip(tmp_path, tiny_snapshots, variant):
 
 
 def test_run_record_roundtrip(tmp_path, tiny_fom):
-    # every field but the closures, which a run record does not store
+    # every field but the closure snapshots, which a run record does not store
     run = dataclasses.replace(tiny_fom, positivity_violations=2)
     path = tmp_path / "run.ddet"
     save_run_record(path, run)
     back = load_run_record(path)
+    assert back.snapshots is None
+    with pytest.raises(ValueError, match="one closure per step"):
+        record_snapshots(back)
     for f in dataclasses.fields(run):
-        if f.name == "closures":
+        if f.name == "snapshots":
             continue
         want, got = getattr(run, f.name), getattr(back, f.name)
         if isinstance(want, np.ndarray):
@@ -192,6 +195,19 @@ def test_run_record_counter_must_be_a_count(tmp_path, tiny_fom, name, value):
         arrays[name][0, 1] = value
     write_container(path, kind, desc, arrays)
     with pytest.raises(FormatError, match=name):
+        load_run_record(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["temperature", "e_cell", "e_vface", "e_hface", "f_vface",
+                                  "f_hface", "final_change"])
+def test_run_record_values_must_be_finite(tmp_path, tiny_fom, name, value):
+    path = tmp_path / "run.ddet"
+    save_run_record(path, tiny_fom)
+    kind, desc, arrays = read_container(path)
+    arrays[name][0, 1] = value
+    write_container(path, kind, desc, arrays)
+    with pytest.raises(FormatError, match=f"'{name}' has non-finite values"):
         load_run_record(path)
 
 

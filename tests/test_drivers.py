@@ -44,7 +44,8 @@ def test_run_record_contents(tiny_config, tiny_fom):
     rec = tiny_fom
     nt = tiny_config.n_steps
     assert rec.n_steps == nt
-    assert len(rec.closures) == nt
+    assert list(rec.snapshots) == list(SNAPSHOT_NAMES)
+    assert all(data.shape[1] == nt for data in rec.snapshots.values())
     assert rec.mode == "fom"
     assert np.all(rec.temperature > 0.0)
     assert np.all(rec.e_cell > 0.0)
@@ -72,18 +73,41 @@ def test_snapshot_shapes(tiny_config, tiny_snapshots):
     assert tensor_rows == closure_unknowns(cfg.nx, cfg.ny, n_g)
 
 
+def test_snapshot_rows_on_a_non_square_mesh():
+    # nx != ny tells the vertical-face grid from the horizontal one
+    nx, ny, n_g = 3, 2, 2
+    cfg = RunConfig(nx=nx, ny=ny, dx=1.5, dy=1.5, group_bounds=(0.0, 1.0, 1.0e7),
+                    quadrature=1, dt=0.02, n_steps=1, t_initial=0.001, boundary_left=1.0)
+    rec = run_fom(cfg)
+    expected = {"fxx_c": 12, "fyy_c": 12, "fxx_v": 16, "fxy_v": 16,
+                "fyy_h": 18, "fxy_h": 18, "cb": 20}
+    for name in SNAPSHOT_NAMES:
+        assert rec.snapshots[name].shape == (expected[name], 1), name
+    assert closure_unknowns(nx, ny, n_g) == 92
+
+
 def test_full_preset_boundary_matrix_rows():
     cfg = preset("fleck-cummings-2d")
     assert 2 * cfg.n_groups * (cfg.nx + cfg.ny) == 1360
     assert cfg.n_steps == 300
 
 
-def test_snapshot_roundtrip(tiny_config, tiny_fom, tiny_snapshots):
-    cfg = tiny_config
+def test_snapshot_roundtrip(tiny_config, tiny_fom, tiny_snapshots, monkeypatch):
+    # the closures the driver accepted, seen as they are stored
+    accepted = []
+    store = drivers._store_step
+
+    def keep(rec, n, step):
+        accepted.append(step.closure)
+        store(rec, n, step)
+
+    monkeypatch.setattr(drivers, "_store_step", keep)
+    cfg = dataclasses.replace(tiny_config, n_steps=3)
+    run_fom(cfg)
     n = 3
     vectors = {name: tiny_snapshots[name].data[:, n - 1] for name in SNAPSHOT_NAMES}
     rebuilt = unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups)
-    orig = tiny_fom.closures[n - 1]
+    orig = accepted[n - 1]
     for attr in ("fxx_cell", "fyy_cell", "fxx_vface", "fxy_vface",
                  "fyy_hface", "fxy_hface", "cb"):
         assert np.array_equal(getattr(rebuilt, attr), getattr(orig, attr))
@@ -91,6 +115,12 @@ def test_snapshot_roundtrip(tiny_config, tiny_fom, tiny_snapshots):
     restacked = stack_closure(rebuilt)
     for name in SNAPSHOT_NAMES:
         assert np.array_equal(restacked[name], vectors[name])
+
+
+def test_record_snapshots_share_the_record_columns(tiny_fom, tiny_snapshots):
+    for name in SNAPSHOT_NAMES:
+        assert np.shares_memory(tiny_snapshots[name].data, tiny_fom.snapshots[name])
+        assert np.array_equal(tiny_snapshots[name].data, tiny_fom.snapshots[name])
 
 
 def test_degenerate_snapshot_sizes():
@@ -107,13 +137,15 @@ def test_determinism_bit_identical(tiny_config, tiny_fom):
     assert np.array_equal(again.temperature, tiny_fom.temperature)
     assert np.array_equal(again.e_cell, tiny_fom.e_cell)
     assert np.array_equal(again.f_vface, tiny_fom.f_vface)
-    for c1, c2 in zip(again.closures, tiny_fom.closures):
-        assert np.array_equal(c1.fxx_cell, c2.fxx_cell)
-        assert np.array_equal(c1.cb, c2.cb)
+    for name in SNAPSHOT_NAMES:
+        assert np.array_equal(again.snapshots[name], tiny_fom.snapshots[name]), name
 
 
 def test_identity_playback_matches_fom(tiny_config, tiny_fom, tiny_snapshots):
     rom = run_rom(tiny_config, playback_models(tiny_snapshots))
+    # the ROM records the closures it played back: the FOM's, bit for bit
+    for name, mat in record_snapshots(rom).items():
+        assert np.array_equal(mat.data, tiny_snapshots[name].data), name
     for n in range(tiny_config.n_steps):
         ref_t = np.linalg.norm(tiny_fom.temperature[n])
         ref_e = np.linalg.norm(tiny_fom.e_cell[n])
