@@ -19,6 +19,7 @@ from .drivers import (
     closure_unknowns,
     playback_models,
     record_snapshots,
+    rom_tolerance,
     run_fom,
     run_rom,
 )
@@ -121,6 +122,7 @@ def cmd_rom(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     models = _load_models(Path(args.models), cfg)
+    print(f"stopping tolerance {rom_tolerance(cfg, models):.3e}", file=sys.stderr)
     run = run_rom(build_problem(cfg), models, log=_progress)
     container.save_run_record(out / "rom_run.ddet", run)
     print(f"wrote {out / 'rom_run.ddet'}")

@@ -113,6 +113,20 @@ class ClosureModel:
     def n_steps(self) -> int:
         return self.coefficients.shape[1]
 
+    @property
+    def discarded_fraction(self) -> float:
+        """sqrt(sum_{i>rank} s_i^2 / sum_i s_i^2): the spectrum's energy left out.
+
+        0 when nothing is discarded, including a playback model, whose
+        spectrum is empty.  For POD it is the relative Frobenius error of the
+        centered reconstruction over the trained window (Eckart-Young).
+        """
+        energy = np.asarray(self.singular_values, dtype=float) ** 2
+        total = energy.sum()
+        if self.rank >= energy.size or total == 0.0:
+            return 0.0
+        return float(np.sqrt(energy[self.rank:].sum() / total))
+
     def reconstruct(self, step: int) -> np.ndarray:
         """Closure vector at time-step `step` (1-based)."""
         if step < 1 or (step > self.n_steps and self.operator is None):

@@ -165,6 +165,22 @@ def test_criterion_6_monotone_dmd_convergence(desk_fom, dmd_rom):
     check_monotone_convergence("DMD", dmd_rom, desk_fom)
 
 
+#: largest 50-step T errors when every ROM step ran to outer_tol (1e-14)
+FULL_STOP_T_ERRORS = {"pod": (7.51e-4, 4.01e-7, 1.77e-9),
+                      "dmd": (3.82e-3, 1.65e-5, 1.15e-7)}
+
+
+@pytest.mark.parametrize("method", sorted(FULL_STOP_T_ERRORS))
+def test_rom_stop_keeps_the_errors_of_the_full_stop(desk_fom, pod_rom, dmd_rom, method):
+    # stopping at the models' own truncation saves solves, not accuracy
+    rom = pod_rom if method == "pod" else dmd_rom
+    for xi, want in zip((1e-2, 1e-4, 1e-6), FULL_STOP_T_ERRORS[method]):
+        got = relative_error_series(rom(xi), desk_fom).err_temperature.max()
+        assert got == pytest.approx(want, rel=0.05), xi
+    if method == "pod":
+        assert rom(1e-6).iterations.sum() < 500  # 574 at the full stop
+
+
 def test_criterion_7_dmd_rank_economy(desk_snapshots):
     reports = singular_value_report(desk_snapshots, XI_GRID)
     for rep in reports:

@@ -76,6 +76,21 @@ def test_compress_and_rom_roundtrip(workdir, pod_rom):
     assert err <= 1e-9 * fom.temperature.max()
 
 
+def test_rom_states_its_stopping_tolerance(workdir, tmp_path, capsys):
+    models = tmp_path / "pod2"
+    rc = main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
+               "--method", "pod", "--xi", "1e-2", "--out", str(models)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"), "--models", str(models),
+               "--out", str(tmp_path / "rom")])
+    assert rc == 0
+    tol = load_run_record(tmp_path / "rom" / "rom_run.ddet").config_meta["outer_tol"]
+    assert tol > 1e-14  # the tiny config's outer_tol: these models discard more
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if "tolerance" in line] == [f"stopping tolerance {tol:.3e}"]
+
+
 def test_rom_identity_playback(workdir):
     cfg = workdir / "tiny.cfg"
     rc = main(["rom", "--config", str(cfg),

@@ -5,19 +5,25 @@ import numpy as np
 import pytest
 
 from qdrom import drivers
+from qdrom.analysis import relative_error_series
 from qdrom.config import RunConfig, preset
+from qdrom.container import load_model, save_model
 from qdrom.drivers import (
     DriverError,
+    RECORD_FIELDS,
+    ROM_STOP_FRACTION,
     SNAPSHOT_NAMES,
     _anderson_update,
     closure_unknowns,
     playback_models,
     record_snapshots,
+    rom_tolerance,
     run_fom,
     run_rom,
     stack_closure,
     unstack_closure,
 )
+from qdrom.lowrank import METHODS, compress
 from qdrom.materials import MaterialModel
 from qdrom.transport import intensity_unknowns
 
@@ -153,6 +159,18 @@ def test_identity_playback_matches_fom(tiny_config, tiny_fom, tiny_snapshots):
         assert np.linalg.norm(rom.e_cell[n] - tiny_fom.e_cell[n]) <= 1e-10 * ref_e
 
 
+def assert_same_record(a, b):
+    assert a.config_meta == b.config_meta
+    for name in RECORD_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in SNAPSHOT_NAMES:
+        assert np.array_equal(a.snapshots[name], b.snapshots[name]), name
+
+
+def tiny_models(snapshots, method, xi):
+    return {k: compress(snapshots[k], method, xi) for k in SNAPSHOT_NAMES}
+
+
 @pytest.mark.parametrize("method,xi,bound", [
     ("pod", 1e-10, 1e-7),
     ("dmd", 1e-10, 1e-4),
@@ -160,10 +178,7 @@ def test_identity_playback_matches_fom(tiny_config, tiny_fom, tiny_snapshots):
 ])
 def test_compressed_rom_tracks_fom(tiny_config, tiny_fom, tiny_snapshots,
                                    method, xi, bound):
-    from qdrom.lowrank import compress
-    from qdrom.analysis import relative_error_series
-    models = {k: compress(tiny_snapshots[k], method, xi) for k in SNAPSHOT_NAMES}
-    rom = run_rom(tiny_config, models)
+    rom = run_rom(tiny_config, tiny_models(tiny_snapshots, method, xi))
     series = relative_error_series(rom, tiny_fom)
     assert series.err_temperature.max() <= bound
     assert series.err_energy.max() <= bound
@@ -174,6 +189,54 @@ def test_rom_requires_all_models(tiny_config, tiny_snapshots):
     del models["cb"]
     with pytest.raises(ValueError):
         run_rom(tiny_config, models)
+
+
+@pytest.mark.parametrize("outer_tol", [1e-14, 1e-6])
+@pytest.mark.parametrize("method", METHODS)
+def test_rom_stop_lies_between_outer_tol_and_the_truncation(tiny_config, tiny_snapshots,
+                                                            method, outer_tol):
+    # never tighter than outer_tol; never looser than the stop fraction of
+    # the truncation, since no model discards more than xi_rel
+    cfg = dataclasses.replace(tiny_config, outer_tol=outer_tol)
+    for xi in (1e-1, 1e-2, 1e-4, 1e-8, 1e-300):
+        tol = rom_tolerance(cfg, tiny_models(tiny_snapshots, method, xi))
+        assert outer_tol <= tol <= max(outer_tol, ROM_STOP_FRACTION * xi)
+    models = tiny_models(tiny_snapshots, method, 1e-2)
+    rom = run_rom(cfg, models)
+    assert rom.config_meta == {**cfg.to_dict(), "outer_tol": rom_tolerance(cfg, models)}
+
+
+def test_derived_rom_stop_saves_solves_not_accuracy(tiny_config, tiny_fom, tiny_snapshots,
+                                                   monkeypatch):
+    models = tiny_models(tiny_snapshots, "pod", 1e-2)
+    derived = run_rom(tiny_config, models)
+    monkeypatch.setattr(drivers, "rom_tolerance", lambda config, models: config.outer_tol)
+    fixed = run_rom(tiny_config, models)
+    assert derived.config_meta["outer_tol"] > fixed.config_meta["outer_tol"]
+    assert derived.iterations.sum() < fixed.iterations.sum()
+    a, b = relative_error_series(derived, tiny_fom), relative_error_series(fixed, tiny_fom)
+    assert a.err_temperature.max() == pytest.approx(b.err_temperature.max(), rel=1e-2)
+    assert a.err_energy.max() == pytest.approx(b.err_energy.max(), rel=1e-2)
+
+
+def test_playback_rom_stops_at_outer_tol(tiny_config, tiny_snapshots, monkeypatch):
+    # playback models discard nothing, so the ROM keeps the stop it had
+    # before the stop was derived from the models, bit for bit
+    rom = run_rom(tiny_config, playback_models(tiny_snapshots))
+    assert rom.config_meta == tiny_config.to_dict()
+    monkeypatch.setattr(drivers, "rom_tolerance", lambda config, models: config.outer_tol)
+    assert_same_record(rom, run_rom(tiny_config, playback_models(tiny_snapshots)))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stored_models_give_the_same_rom(tiny_config, tiny_snapshots, tmp_path, method):
+    # the compress -> save -> load -> rom path of the command line and the benchmark
+    models = tiny_models(tiny_snapshots, method, 1e-2)
+    loaded = {}
+    for name, model in models.items():
+        save_model(tmp_path / f"{name}.ddet", model)
+        loaded[name] = load_model(tmp_path / f"{name}.ddet")
+    assert_same_record(run_rom(tiny_config, models), run_rom(tiny_config, loaded))
 
 
 @pytest.mark.parametrize("mode", ["fom", "rom"])

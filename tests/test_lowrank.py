@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdrom.drivers import SNAPSHOT_NAMES, playback_models
 from qdrom.lowrank import (
+    METHODS,
     DegenerateDataError,
     OutOfWindowError,
     SnapshotMatrix,
@@ -128,19 +129,60 @@ def test_pod_full_rank_reconstruction():
     assert err <= 1e-10 * np.linalg.norm(a)
 
 
+def decaying(rng, rows=30, cols=12, offset=3.0):
+    """Random matrix whose singular values fall tenfold per index."""
+    u, _ = np.linalg.qr(rng.normal(size=(rows, cols)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
+    return (u * 10.0 ** -np.arange(cols, dtype=float)) @ v.T + offset
+
+
 def test_pod_achieved_ratio_verified_post_hoc():
-    rng = np.random.default_rng(6)
     # strongly decaying spectrum so truncation actually bites
-    u, _ = np.linalg.qr(rng.normal(size=(40, 12)))
-    v, _ = np.linalg.qr(rng.normal(size=(12, 12)))
-    s = 10.0 ** (-np.arange(12, dtype=float))
-    a = (u * s) @ v.T + 3.0
+    a = decaying(np.random.default_rng(6), rows=40)
     xi = 1e-4
     model = pod_compress(snap(a), xi)
     centered = a - a.mean(axis=1)[:, None]
     recon = np.stack([model.reconstruct(n) for n in range(1, 13)], axis=1)
     ratio = np.linalg.norm(a - recon, "fro") / np.linalg.norm(centered, "fro")
     assert ratio <= xi
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("xi", [0.3, 1e-1, 1e-2, 1e-3])
+def test_pod_discarded_fraction_is_the_window_error(seed, xi):
+    # Eckart-Young: the discarded singular-value energy of the centered data
+    # is the Frobenius error of the rank-k reconstruction over the window
+    a = decaying(np.random.default_rng(seed))
+    model = pod_compress(snap(a), xi)
+    recon = np.stack([model.reconstruct(n) for n in range(1, a.shape[1] + 1)], axis=1)
+    centered = a - a.mean(axis=1)[:, None]
+    err = np.linalg.norm(a - recon, "fro") / np.linalg.norm(centered, "fro")
+    assert 0.0 < model.discarded_fraction <= xi
+    assert abs(model.discarded_fraction - err) <= 1e-10
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("xi", [0.5, 1e-1, 1e-2, 1e-4, 1e-8])
+def test_discarded_fraction_within_xi(method, xi):
+    for seed in range(3):
+        model = compress(snap(decaying(np.random.default_rng(seed))), method, xi)
+        assert 0.0 <= model.discarded_fraction <= xi
+
+
+def test_discarded_fraction_zero_when_nothing_is_discarded():
+    rng = np.random.default_rng(8)
+    # more columns than rows: every centered singular value is kept at xi 1e-300
+    wide = snap(rng.normal(size=(4, 9)))
+    for method in METHODS:
+        model = compress(wide, method, 1e-300)
+        assert model.rank == model.singular_values.size
+        assert model.discarded_fraction == 0.0
+    # constant data: the POD and DMD-E offsets carry everything, the spectrum is 0
+    constant = snap(np.tile([[2.0], [-1.0]], (1, 5)))
+    for method in ("pod", "dmd-e"):
+        assert compress(constant, method, 1e-6).discarded_fraction == 0.0
+    for model in playback_models({name: wide for name in SNAPSHOT_NAMES}).values():
+        assert model.singular_values.size == 0 and model.discarded_fraction == 0.0
 
 
 def test_pod_out_of_window():
