@@ -88,10 +88,6 @@ def cmd_compress(args) -> int:
 def _load_models(path: Path, cfg: RunConfig):
     """Model set from a directory of model containers or a snapshot-set file."""
     if path.is_file():
-        kind, _, _ = container.read_container(path)
-        if kind != "snapshot-set":
-            raise container.FormatError(
-                f"{path}: expected a snapshot-set or a model directory, found {kind}")
         models = playback_models(container.load_snapshot_set(path)[0])
     elif not path.is_dir():
         raise FileNotFoundError(f"model path not found: {path}")

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from qdrom import container
 from qdrom.cli import main
 from qdrom.container import load_run_record, read_container, write_container
 from qdrom.drivers import SNAPSHOT_NAMES
@@ -100,6 +101,30 @@ def test_rom_identity_playback(workdir):
     fom = load_run_record(workdir / "fom" / "fom_run.ddet")
     rom = load_run_record(workdir / "rom_id" / "rom_run.ddet")
     assert np.abs(rom.temperature - fom.temperature).max() <= 1e-10
+
+
+def test_run_record_as_models_is_data_error(workdir, tmp_path, capsys):
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"),
+               "--models", str(workdir / "fom" / "fom_run.ddet"),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "found run-record" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+
+
+def test_snapshot_set_models_are_read_once(workdir, tmp_path, monkeypatch):
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_container(path)
+
+    monkeypatch.setattr(container, "read_container", counted)
+    snapshots = workdir / "fom" / "snapshots.ddet"
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"), "--models", str(snapshots),
+               "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert [str(p) for p in reads] == [str(snapshots)]
 
 
 def test_compare_same_run_is_zero(workdir):

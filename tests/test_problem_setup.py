@@ -1,8 +1,10 @@
 """Mesh, quadrature, frequency grid, Planck and opacity checks."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from qdrom import materials
+from qdrom import materials, quadrature
 from qdrom.config import PRESETS, preset
 from qdrom.materials import (
     A_RAD,
@@ -17,7 +19,7 @@ from qdrom.materials import (
 )
 from qdrom.loqd import MomentSystem
 from qdrom.mesh import SIDES, SpatialMesh, build_adjacency
-from qdrom.quadrature import QuadratureSpecError, build_quadrature
+from qdrom.quadrature import QuadratureSpecError, azimuthal_counts, build_quadrature
 
 FC_BOUNDS = np.array([0.0, 0.7075, 1.415, 2.123, 2.830, 3.538, 4.245, 5.129,
                       6.014, 6.898, 7.783, 8.667, 9.551, 10.44, 11.32, 12.20,
@@ -390,6 +392,101 @@ def test_quadrature_rejects_unsupported_count():
         build_quadrature(5)
     with pytest.raises(QuadratureSpecError):
         build_quadrature(0)
+
+
+# sha256 over the bytes of mu, eta, xi and weight, in that order, for every
+# supported per-quadrant count up to 121 (numpy 2.4 on x86_64): the bisection's
+# stopping rule must not move a single bit of any direction set
+QUADRATURE_SHA256 = {
+    1: "af16eb499c082e6191a7ab6318b4b0ae79db43946df5306fad3748fa3408f686",
+    3: "656f386fd1600fe158750cc5668689e990891a7dceca31c1131e34e332e2a62d",
+    4: "e73fa0f299f30cd1d0bf409d28f4fcccfad10c932423c09c41e32c36e3d7308d",
+    6: "79be8275acc6d51213712b57b733d655fffacc819378a4819d65d02d86a68dd3",
+    9: "a485122bd8626d58d8681e4552f0ab24a56f8de2ffa70088d7a5598d33cbb023",
+    10: "945fba057a29219915fb4f5c9768727a270f81f6e6e68c38aabe19d23a38be4b",
+    15: "41d448412e0850ddf5b9ef57d09ddb31f7a9af37a2fd6ecbffcc0c9a0d9b8660",
+    16: "713432376390feef2b239c0a436e05359113ba7ef33c1ab2e848c4a91189b8cf",
+    21: "44c2e2cedbef4ba0b732aa7a6bc8ead7f5bb49336d2f30273c71746c829bd4ba",
+    25: "e0b288f3debfe0012537754b0657c7dcb29e2ef0a1d0db9d2abe2eccb9f7689c",
+    28: "e7e68a0b4700fa65df6f35a3b13e233438032ad9b5403ed99d9736c11aab3a6a",
+    36: "1dfffe491aeb80bcfccb45ad30f6dc72c340c494657dd98cfa9397dcd2fec049",
+    45: "8cfb4eb70b8961009fafba87d5e6de06ae15732a3e751a5495371ec59ad922d0",
+    49: "45e26cc63aec768e21ee9a169fdf85ca4513e7930d6b8ac04787ad09ffef56d9",
+    55: "be03ad9689e8d3ae54b366295596cd57fa7afe276fa6328e35a985f55ead3b2b",
+    64: "724334a3fd689458278879db9cb1262fba91d5250890c5aed89cce298b11f4da",
+    66: "0fee64f64273e3fc657a8f39ff069aa7de8f5ecbbac3bd5551658f13bca565f9",
+    78: "edf8477746e0f95dd491a278b323ca2276f5e87b8b93a8ab9b4481c9263dd017",
+    81: "80d01dea236eb81dbde590d9edf90e0f372a98436758fb5485eb68a574cd6a28",
+    91: "03dae4b612da89cf405cbbfd9562ec6a8efe35be665e226abfbfe0403719bdc5",
+    100: "088201d32ebb59dc32e3fb84dc9d2ed798fcc046448fd64a493a7692e4467ecb",
+    105: "615973f0e33c77f02b19562dcece110f064316ee56e26087cfeab12c3ca8e9dc",
+    120: "14f41c538174bd309ddf8f1a265835113a7643bac0fc4d2206fe0be03473da4e",
+    121: "63f449c5aa057deb8849922b7174c6a0edc573f8843f970cf1f168fcc75afe88",
+}
+
+
+def test_pinned_counts_are_every_supported_count():
+    supported = []
+    for q in range(1, 122):
+        try:
+            azimuthal_counts(q)
+        except QuadratureSpecError:
+            continue
+        supported.append(q)
+    assert supported == sorted(QUADRATURE_SHA256)
+
+
+@pytest.mark.parametrize("per_quadrant", sorted(QUADRATURE_SHA256))
+def test_quadrature_bytes_are_pinned(per_quadrant):
+    q = build_quadrature(per_quadrant)
+    digest = hashlib.sha256()
+    for values in (q.mu, q.eta, q.xi, q.weight):
+        assert values.dtype == np.float64 and values.shape == (4 * per_quadrant,)
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == QUADRATURE_SHA256[per_quadrant]
+
+
+@pytest.mark.parametrize("target", [5.0, 0.0])
+def test_level_solve_rejects_an_infeasible_target(target):
+    # three points give a cos sum between sqrt(1/2) + sqrt(2) cos(pi/4) = 1.707
+    # (beta at pi/4) and sqrt(1/2) + sqrt(2) = 2.121 (beta 0)
+    with pytest.raises(QuadratureSpecError, match="infeasible for 3 points"):
+        quadrature._solve_level_angles(3, target)
+
+
+class CosCounter:
+    """numpy stand-in that counts np.cos calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x):
+        self.calls += 1
+        return np.cos(x)
+
+
+def test_level_solve_stops_when_the_bracket_collapses(monkeypatch):
+    # [0, pi/4) shrinks to two adjacent doubles within 54 halvings, so no
+    # level needs more than the two ends plus 54 midpoint evaluations
+    counter = CosCounter()
+    solve = quadrature._solve_level_angles
+    per_level = []
+
+    def counted(a, target):
+        before = counter.calls
+        angles = solve(a, target)
+        per_level.append(counter.calls - before)
+        return angles
+
+    monkeypatch.setattr(quadrature, "np", counter)
+    monkeypatch.setattr(quadrature, "_solve_level_angles", counted)
+    for q in QUADRATURE_SHA256:
+        build_quadrature(q)
+    assert len(per_level) > 100
+    assert min(per_level) > 2 and max(per_level) <= 56
 
 
 # ---------------------------------------------------------------------------
