@@ -249,6 +249,11 @@ def load_run_record(path):
         for name, field_kind in RECORD_FIELDS.items():
             # records written before sweeps were stored load them as 0
             values = arrays.get(name, np.zeros((1, nt))) if name == "sweeps" else arrays[name]
+            rows, cols = (nt, np.prod(grid_shape(field_kind, cfg.nx, cfg.ny))) \
+                if isinstance(field_kind, str) else (1, nt)
+            if values.shape != (rows, cols):
+                raise FormatError(f"{path}: run-record array '{name}' is stored as "
+                                  f"{values.shape[0]}x{values.shape[1]}, expected {rows}x{cols}")
             if field_kind is int:
                 fields[name] = _counts(path, name, values[0])
             elif not np.all(np.isfinite(values)):

@@ -171,7 +171,6 @@ class Problem:
 
 def build_problem(config: RunConfig) -> Problem:
     mesh = SpatialMesh.uniform(config.nx, config.ny, config.dx, config.dy)
-    geom = MomentSystem(mesh)
     grid = FrequencyGrid(np.asarray(config.group_bounds, dtype=float))
     material = MaterialModel(
         heat_capacity=config.heat_capacity,
@@ -181,6 +180,7 @@ def build_problem(config: RunConfig) -> Problem:
         light_speed=config.light_speed,
         radiation_constant=config.radiation_constant,
     )
+    geom = MomentSystem(mesh, material.light_speed)
     quad = build_quadrature(config.quadrature)
     sides = []
     for name in SIDES:
@@ -311,7 +311,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     between the grey solution and its iterate (`_change_ratio` at relative
     tolerance `tol`) is at most 1; the change test sees the unmixed grey
     solution, and only the next temperature iterate is Anderson-mixed.
-    Returns the step with the closure of its last iterate.
+    Returns the step with the closure and the face fluxes of its last iterate.
     """
     cfg = p.config
     e_prev = mg_prev.e_cell.sum(axis=0)
@@ -328,6 +328,9 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
                            t_star=T_it).solve()
         change = _change_ratio(cfg, grey, T_it, E_it, norm_ord, tol)
         if change <= 1.0:
+            # only the accepted iterate's face fluxes are ever read
+            mg.f_vface, mg.f_hface = p.geom.face_fluxes(mg, *group_flux)
+            grey.f_vface, grey.f_hface = p.geom.face_fluxes(grey, coeffs.vflux, coeffs.hflux)
             return _Step(grey, mg, closure, it + 1, change)
         pairs.append((T_it, grey.temperature))
         T_it = _anderson_update(pairs, ANDERSON_DEPTH)

@@ -17,14 +17,13 @@ uses d = f / (kappa + 1/(c dt)), with f the Eddington-tensor entry, and
 p = F_prev / (1 + c dt kappa) per group; the effective grey problem uses
 their spectrum averages, together with averaged absorption and emission
 opacities and boundary factors, so that it is the exact group sum of the
-multigroup scheme.  MomentSystem is the one object per mesh: it holds the
-half-cell adjacency, the boundary-face table and the band layout, and its
-one solve serves both levels: each level passes its coefficients, and the
-solve fills, factors, checks and unpacks the energies and face fluxes.  It
-factors each group as a banded matrix (LAPACK dgbsv, partial pivoting) in a
-row-interleaved order of the unknowns: per mesh row the hfaces below it,
-then vface and cell pairs, then the last vface, and the top hfaces last.
-Every entry then lies within 2 nx + 1 of the diagonal.
+multigroup scheme.  The four d of an expression are stacked like its
+columns of x (MomentSystem.vcols/hcols), which gather them and their grey
+weights in one take.  MomentSystem, one per mesh, holds the adjacency, the
+boundary-face table, the band layout and the geometry factors; its one
+solve serves both levels and returns the energies: face fluxes are
+recovered only for the iterate the outer loop accepts.  Each group is one
+banded LU in a row-interleaved order of the unknowns (MomentSystem).
 The grey system couples to the material energy balance through the
 absorption and emission terms, linearized about the outer temperature
 iterate: the emission through T^4, and the grey opacities through their
@@ -59,44 +58,34 @@ class DegenerateStateError(ValueError):
 
 @dataclass
 class MultigroupMoments:
-    """Per-group cell/face energy densities and face fluxes."""
+    """Per-group cell/face energy densities and face fluxes (None until recovered)."""
 
     e_cell: np.ndarray   # (n_g, ny, nx)
     e_vface: np.ndarray  # (n_g, ny, nx+1)
     e_hface: np.ndarray  # (n_g, ny+1, nx)
-    f_vface: np.ndarray  # (n_g, ny, nx+1), +x component
-    f_hface: np.ndarray  # (n_g, ny+1, nx), +y component
+    f_vface: np.ndarray | None = None  # (n_g, ny, nx+1), +x component
+    f_hface: np.ndarray | None = None  # (n_g, ny+1, nx), +y component
 
     @classmethod
     def equilibrium(cls, planck: np.ndarray, system: MomentSystem,
                     light_speed: float) -> "MultigroupMoments":
-        """Isotropic moments 4*pi*B/c with zero flux, B given per (g, cell)."""
-        n_g = planck.shape[0]
-        ny, nx = system.mesh.ny, system.mesh.nx
+        """Isotropic moments 4*pi*B/c with zero flux, B given per (g, cell) of the mesh."""
+        if planck.shape[1:] != system.shape:
+            raise ValueError(f"planck grid {planck.shape[1:]} is not the mesh's {system.shape}")
         e_c = 4.0 * np.pi * planck / light_speed
-        e_v = np.empty((n_g, ny, nx + 1))
-        e_v[:, :, 1:-1] = 0.5 * (e_c[:, :, 1:] + e_c[:, :, :-1])
-        e_v[:, :, 0] = e_c[:, :, 0]
-        e_v[:, :, -1] = e_c[:, :, -1]
-        e_h = np.empty((n_g, ny + 1, nx))
-        e_h[:, 1:-1, :] = 0.5 * (e_c[:, 1:, :] + e_c[:, :-1, :])
-        e_h[:, 0, :] = e_c[:, 0, :]
-        e_h[:, -1, :] = e_c[:, -1, :]
+        # a face between two cells takes their mean, a boundary face its cell's value
+        e_v = np.concatenate([e_c[:, :, :1], 0.5 * (e_c[:, :, 1:] + e_c[:, :, :-1]),
+                              e_c[:, :, -1:]], axis=2)
+        e_h = np.concatenate([e_c[:, :1], 0.5 * (e_c[:, 1:] + e_c[:, :-1]), e_c[:, -1:]], axis=1)
         return cls(e_c, e_v, e_h, np.zeros_like(e_v), np.zeros_like(e_h))
 
 
 @dataclass
 class FluxCoeffs:
-    """Per-adjacency one-sided flux coefficients and lag term.
+    """Per-adjacency one-sided flux coefficients and lag term; leading group axis or none."""
 
-    Arrays are (n_adj,) on the grey level and (n_g, n_adj) per group.
-    """
-
-    d_face: np.ndarray   # multiplies E on the face itself
-    d_cell: np.ndarray   # multiplies E on the owning cell
-    d_plus: np.ndarray   # multiplies E on the + perpendicular face
-    d_minus: np.ndarray  # multiplies E on the - perpendicular face
-    p: np.ndarray        # lagged previous-flux contribution
+    d: np.ndarray  # (..., 4, n_adj): multiplies E at MomentSystem.vcols/hcols
+    p: np.ndarray  # (..., n_adj): lagged previous-flux contribution
 
 
 def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -116,33 +105,41 @@ class MomentSystem:
     kl = ku = 2 nx + 1 of the diagonal, so each group is one banded LU with
     partial pivoting (LAPACK dgbsv).  The half-cell adjacency, the
     boundary-face table, the entries' (row, col) in the natural order,
-    their band-storage slots and the position table depend on the mesh only
-    and are built here, once; both levels call solve() with a leading group
-    axis or none.
+    their band-storage slots, the position table and the flux expressions'
+    geometry factors depend on the mesh and c only and are built here,
+    once; both levels call solve() with a leading group axis or none.
     """
 
-    def __init__(self, mesh: SpatialMesh):
-        self.mesh = mesh
+    def __init__(self, mesh: SpatialMesh, light_speed: float):
+        self.mesh, self.light_speed = mesh, light_speed
         self.vadj, self.hadj = va, ha = build_adjacency(mesh)
         nc, nv, nh = mesh.n_cells, mesh.n_vfaces, mesh.n_hfaces
         n = nc + nv + nh
         ny, nx = self.shape = (mesh.ny, mesh.nx)
         self.n_cells, self.n_vfaces, self.n_unknowns = nc, nv, n
         # boundary faces in the side order of mesh.SIDES (left, bottom,
-        # right, top): each face's index into SIDES and its global face id,
-        # vfaces first
+        # right, top): each face's index into SIDES, its global face id
+        # (vfaces first) and its unknown, the row and column of its term
         self.boundary_side = np.repeat(np.arange(len(SIDES)), (ny, nx, ny, nx))
         left, bottom = (nx + 1) * np.arange(ny), nv + np.arange(nx)
         self.boundary_face = np.concatenate([left, bottom, left + nx, bottom + ny * nx])
+        self.boundary_cols = brow = nc + self.boundary_face
         # columns of the face, cell, + and - perpendicular-face entries of
         # each one-sided flux expression
         self.vcols = np.stack([nc + va.face, va.cell,
                                nc + nv + va.cross_plus, nc + nv + va.cross_minus])
         self.hcols = np.stack([nc + nv + ha.face, ha.cell,
                                nc + ha.cross_plus, nc + ha.cross_minus])
+        # per orientation (P, Q, s l): the expressions' weights of x[cols] are
+        # (P d) Q, P = (c/A) (-s, s, -l'/2, l'/2) and Q = (l, l, 1, 1)
+        self._geometry = []
+        for a in (va, ha):
+            k, one = light_speed / a.half_area, np.ones_like(a.face_len)
+            self._geometry.append((
+                np.stack([-k * a.sign, k * a.sign, -k * 0.5 * a.cross_len, k * 0.5 * a.cross_len]),
+                np.stack([a.face_len, a.face_len, one, one]), a.sign * a.face_len))
         cells = np.arange(nc)
         vrow, hrow = nc + va.face, nc + nv + ha.face
-        brow = nc + self.boundary_face
         # entry order of fill(): cell diagonal; per orientation the flux
         # expressions in the cell rows, then in the face rows; boundary terms
         self.rows = np.concatenate([cells, np.tile(va.cell, 4), np.tile(vrow, 4),
@@ -150,13 +147,16 @@ class MomentSystem:
         self.cols = np.concatenate([cells, self.vcols.ravel(), self.vcols.ravel(),
                                     self.hcols.ravel(), self.hcols.ravel(), brow])
         # band position of each unknown: cells, vfaces, hfaces of mesh row j
-        # at j * stride + (nx + 2i + 1, nx + 2i, i)
+        # at j * stride + (nx + 2i + 1, nx + 2i, i); a permutation, whose
+        # inverse gives the unknown at each band position
         stride = 3 * nx + 1
         jc, ic = np.divmod(cells, nx)
         jv, iv = np.divmod(np.arange(nv), nx + 1)
         jh, ih = np.divmod(np.arange(nh), nx)
         self.pos = np.concatenate([jc * stride + nx + 2 * ic + 1,
                                    jv * stride + nx + 2 * iv, jh * stride + ih])
+        self.band_order = np.empty_like(self.pos)
+        self.band_order[self.pos] = np.arange(n)
         r, c = self.pos[self.rows], self.pos[self.cols]
         self.kl, self.ku = int(np.max(r - c)), int(np.max(c - r))
         # LAPACK band storage AB(kl + ku + r - c, c), column-major, ldab rows
@@ -166,20 +166,13 @@ class MomentSystem:
         self.vcount = np.bincount(va.face, minlength=nv)
         self.hcount = np.bincount(ha.face, minlength=nh)
 
-    @staticmethod
-    def _weights(adj, fc: FluxCoeffs, light_speed: float) -> np.ndarray:
-        """(..., 4, n_adj) multipliers of x[cols] in the flux expressions."""
-        scale = light_speed / adj.half_area
-        return np.stack([
-            -scale * adj.sign * fc.d_face * adj.face_len,
-            scale * adj.sign * fc.d_cell * adj.face_len,
-            -scale * 0.5 * adj.cross_len * fc.d_plus,
-            scale * 0.5 * adj.cross_len * fc.d_minus,
-        ], axis=-2)
+    def _weights(self, vflux: FluxCoeffs, hflux: FluxCoeffs):
+        """Per orientation, the (..., 4, n_adj) multipliers of x[cols] in the expressions."""
+        return [p * fc.d * q for (p, q, _), fc in zip(self._geometry, (vflux, hflux))]
 
-    def fill(self, light_speed: float, cell_diag, cell_rhs, vflux: FluxCoeffs,
-             hflux: FluxCoeffs, boundary_diag, boundary_rhs):
-        """Entry values (..., len(rows)), right-hand side (..., n) and flux weights.
+    def fill(self, cell_diag, cell_rhs, vflux: FluxCoeffs, hflux: FluxCoeffs,
+             boundary_diag, boundary_rhs):
+        """Entry values (..., len(rows)) and right-hand side (..., n).
 
         Entry k adds its value at (rows[k], cols[k]) of the natural order.
 
@@ -188,26 +181,36 @@ class MomentSystem:
         """
         lead = np.shape(cell_diag)[:-1]
         vals, rhs = [cell_diag], [cell_rhs]
-        weights = []
-        for adj, fc in ((self.vadj, vflux), (self.hadj, hflux)):
-            w = self._weights(adj, fc, light_speed)
-            sl = adj.sign * adj.face_len
+        for adj, (_, _, sl), fc, w in zip((self.vadj, self.hadj), self._geometry,
+                                          (vflux, hflux), self._weights(vflux, hflux)):
             vals += [(sl * w).reshape(lead + (-1,)), (adj.sign * w).reshape(lead + (-1,))]
             rhs += [-sl * fc.p, -adj.sign * fc.p]
-            weights.append(w)
         vals.append(boundary_diag)
         rhs.append(boundary_rhs)
         b = _scatter(self.rhs_rows, np.concatenate(rhs, axis=-1), self.n_unknowns)
-        return np.concatenate(vals, axis=-1), b, weights
+        return np.concatenate(vals, axis=-1), b
 
-    def face_fluxes(self, x: np.ndarray, weights, vflux: FluxCoeffs, hflux: FluxCoeffs):
-        """(F_vface, F_hface) from the one-sided expressions, averaged per face."""
-        out = []
-        for adj, fc, w, cols, count in ((self.vadj, vflux, weights[0], self.vcols, self.vcount),
-                                        (self.hadj, hflux, weights[1], self.hcols, self.hcount)):
-            f = fc.p + (w * x[..., cols]).sum(axis=-2)
+    def natural(self, state) -> np.ndarray:
+        """x (..., n) of a state's e_cell/e_vface/e_hface grids: energies()' inverse."""
+        lead = state.e_cell.shape[:-2]
+        return np.concatenate([e.reshape(lead + (-1,)) for e in
+                               (state.e_cell, state.e_vface, state.e_hface)], axis=-1)
+
+    def face_fluxes(self, state, vflux: FluxCoeffs, hflux: FluxCoeffs):
+        """(F_vface, F_hface) grids of a state's energies, averaged over half cells.
+
+        Raises SolverError for a non-finite flux, naming the group.
+        """
+        x = self.natural(state)
+        lead, out = x.shape[:-1], []
+        for adj, cols, count, fc, w in zip((self.vadj, self.hadj), (self.vcols, self.hcols),
+                                           (self.vcount, self.hcount), (vflux, hflux),
+                                           self._weights(vflux, hflux)):
+            f = fc.p + (w * np.take(x, cols, axis=-1)).sum(axis=-2)
             out.append(_scatter(adj.face, f, count.size) / count)
-        return out
+        _require_finite(np.isfinite(np.concatenate(out, axis=-1)).all(-1), lead, "flux recovery")
+        ny, nx = self.shape
+        return out[0].reshape(lead + (ny, nx + 1)), out[1].reshape(lead + (ny + 1, nx))
 
     def energies(self, x: np.ndarray):
         """(E_cell, E_vface, E_hface) grids, keeping any leading axis."""
@@ -218,24 +221,22 @@ class MomentSystem:
                 x[..., nc:nv].reshape(lead + (ny, nx + 1)),
                 x[..., nv:].reshape(lead + (ny + 1, nx)))
 
-    def solve(self, light_speed: float, cell_diag, cell_rhs, vflux: FluxCoeffs,
-              hflux: FluxCoeffs, boundary_diag, boundary_rhs):
-        """(E_cell, E_vface, E_hface, F_vface, F_hface) grids of fill()'s system.
+    def solve(self, cell_diag, cell_rhs, vflux: FluxCoeffs, hflux: FluxCoeffs,
+              boundary_diag, boundary_rhs):
+        """(E_cell, E_vface, E_hface) grids of fill()'s system.
 
         Takes fill()'s arguments and keeps their leading group axis, if any;
         each group is one banded LU in the band order.  Raises SolverError
         for a singular matrix or a non-finite solution, naming the group.
         """
-        vals, b, weights = self.fill(light_speed, cell_diag, cell_rhs, vflux, hflux,
-                                     boundary_diag, boundary_rhs)
+        vals, b = self.fill(cell_diag, cell_rhs, vflux, hflux, boundary_diag, boundary_rhs)
         lead, n = b.shape[:-1], self.n_unknowns
         # unit row 1-norms: where cold, opaque cells make the row scales
         # span many decades, unscaled pivoting lost all accuracy
         scale = 1.0 / np.maximum(_scatter(self.rows, np.abs(vals), n), np.finfo(float).tiny)
-        band = _scatter(self.slot, vals * scale[..., self.rows], n * self.ldab)
+        band = _scatter(self.slot, vals * np.take(scale, self.rows, axis=-1), n * self.ldab)
         band = band.reshape(-1, n, self.ldab)
-        xb = np.empty((band.shape[0], n))
-        xb[:, self.pos] = (b * scale).reshape(-1, n)
+        xb = np.take((b * scale).reshape(-1, n), self.band_order, axis=1)
         for g, ab in enumerate(band):
             # ab.T is the Fortran-ordered band storage itself: no copy
             _, _, xb[g], info = dgbsv(self.kl, self.ku, ab.T, xb[g],
@@ -243,52 +244,53 @@ class MomentSystem:
             if info:
                 where = f" in group {g}" if lead else ""
                 raise SolverError(f"moment-system matrix is singular{where} (dgbsv info {info})")
-        x = xb[:, self.pos].reshape(b.shape)
-        f_v, f_h = self.face_fluxes(x, weights, vflux, hflux)
-        finite = np.isfinite(x).all(-1) & np.isfinite(f_v).all(-1) & np.isfinite(f_h).all(-1)
-        if not np.all(finite):
-            where = f" in group {int(np.argmin(finite))}" if lead else ""
-            raise SolverError(f"moment-system solve returned non-finite values{where}")
-        ny, nx = self.shape
-        return (*self.energies(x), f_v.reshape(lead + (ny, nx + 1)),
-                f_h.reshape(lead + (ny + 1, nx)))
+        x = np.take(xb, self.pos, axis=1).reshape(b.shape)
+        _require_finite(np.isfinite(x).all(-1), lead, "solve")
+        return self.energies(x)
+
+
+def _require_finite(finite, lead: tuple, what: str):
+    if not np.all(finite):
+        where = f" in group {int(np.argmin(finite))}" if lead else ""
+        raise SolverError(f"moment-system {what} returned non-finite values{where}")
 
 
 def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: MultigroupMoments,
-                      dt: float, system: MomentSystem, light_speed: float):
-    """Per-group (vertical, horizontal) flux coefficients, arrays (n_g, n_adj).
+                      dt: float, system: MomentSystem):
+    """Per-group (vertical, horizontal) flux coefficients; d is (n_g, 4, n_adj).
 
     d = f / kappa_tilde with kappa_tilde = kappa + 1/(c dt) of the owning
-    cell, and p = F_prev / (1 + c dt kappa); kappa2 is (n_g, n_cells).
+    cell and f the closure entry at each column of the expression, and
+    p = F_prev / (1 + c dt kappa); kappa2 is (n_g, n_cells).
     """
     n_g = kappa2.shape[0]
-    cdt = light_speed * dt
-    kappa_tilde = kappa2 + 1.0 / cdt
+    cdt = system.light_speed * dt
+    kappa_tilde, lag = kappa2 + 1.0 / cdt, 1.0 + cdt * kappa2
 
-    def coeffs(adj, f_face, f_cell, f_perp, fprev):
-        kt = kappa_tilde[:, adj.cell]
+    def coeffs(adj, cols, entries, fprev):
+        # the orientation's closure entries laid out like x: cell, vface, hface
+        f = np.concatenate([e.reshape(n_g, -1) for e in entries], axis=1)
         return FluxCoeffs(
-            f_face.reshape(n_g, -1)[:, adj.face] / kt,
-            f_cell.reshape(n_g, -1)[:, adj.cell] / kt,
-            f_perp.reshape(n_g, -1)[:, adj.cross_plus] / kt,
-            f_perp.reshape(n_g, -1)[:, adj.cross_minus] / kt,
-            fprev.reshape(n_g, -1)[:, adj.face] / (1.0 + cdt * kappa2[:, adj.cell]),
-        )
+            np.take(f, cols, axis=1) / np.take(kappa_tilde, adj.cell, axis=1)[:, None],
+            np.take(fprev.reshape(n_g, -1), adj.face, axis=1) / np.take(lag, adj.cell, axis=1))
 
-    return (coeffs(system.vadj, closure.fxx_vface, closure.fxx_cell, closure.fxy_hface,
-                   prev.f_vface),
-            coeffs(system.hadj, closure.fyy_hface, closure.fyy_cell, closure.fxy_vface,
-                   prev.f_hface))
+    return (coeffs(system.vadj, system.vcols,
+                   (closure.fxx_cell, closure.fxx_vface, closure.fxy_hface), prev.f_vface),
+            coeffs(system.hadj, system.hcols,
+                   (closure.fyy_cell, closure.fxy_vface, closure.fyy_hface), prev.f_hface))
 
 
 class MultigroupLoqdSolver:
     """Direct solver for the per-group E-only moment systems.
 
-    Face fluxes follow from the one-sided expressions after the solve.
+    Face fluxes follow from the one-sided expressions, for the accepted
+    iterate (MomentSystem.face_fluxes with the returned coefficients).
     """
 
     def __init__(self, system: MomentSystem, grid: FrequencyGrid,
                  material: MaterialModel, e_in: np.ndarray, f_in: np.ndarray):
+        if system.light_speed != material.light_speed:
+            raise ValueError("the moment system and the material use different light speeds")
         self.system = system
         self.grid = grid
         self.material = material
@@ -311,9 +313,9 @@ class MultigroupLoqdSolver:
         c = self.material.light_speed
         area = system.mesh.cell_area.ravel()
         kappa2 = kappa.reshape(n_g, -1)
-        vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, system, c)
+        vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, system)
         moments = MultigroupMoments(*system.solve(
-            c, area / dt + c * kappa2 * area,
+            area / dt + c * kappa2 * area,
             (area / dt) * prev.e_cell.reshape(n_g, -1)
             + 4.0 * np.pi * kappa2 * planck.reshape(n_g, -1) * area,
             vflux, hflux, -c * closure.cb, -c * closure.cb * self.e_in + self.f_in))
@@ -343,7 +345,7 @@ class SpectrumAveraged:
 def _weighted_mean(values, weights, what: str) -> np.ndarray:
     den = weights.sum(axis=0)
     if np.any(den == 0.0):
-        loc = int(np.argmin(np.abs(den)))
+        loc = tuple(int(i) for i in np.unravel_index(np.argmin(np.abs(den)), den.shape))
         raise DegenerateStateError(f"zero denominator averaging {what} at index {loc}")
     return (values * weights).sum(axis=0) / den
 
@@ -368,11 +370,10 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     multifrequency-grey acceleration, Morel, Larsen & Matzen, JQSRT 34, 1985).
     """
     n_g = kappa.shape[0]
-    kap2 = kappa.reshape(n_g, -1)
-    b2 = planck.reshape(n_g, -1)
-    e_c = mg.e_cell.reshape(n_g, -1)
-    e_v = mg.e_vface.reshape(n_g, -1)
-    e_h = mg.e_hface.reshape(n_g, -1)
+    kap2, b2, e_c = (a.reshape(n_g, -1) for a in (kappa, planck, mg.e_cell))
+    # the group energies in the natural order: x at a flux expression's
+    # columns weighs its d, and at boundary_cols the boundary factors
+    x_mg = system.natural(mg)
 
     kbar_e = _weighted_mean(kap2, e_c, "absorption opacity")
     kbar_b = _weighted_mean(kap2, b2, "emission opacity")
@@ -385,28 +386,16 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     dkbar_b = ((dkap * b2).sum(axis=0) + ((kap2 - kbar_b) * db).sum(axis=0)) / b2.sum(axis=0)
 
     # boundary factor average with the 0/0 guard at near-equilibrium walls
-    e_faces = np.concatenate([e_v, e_h], axis=1)
-    e_bf = e_faces[:, system.boundary_face]
+    e_bf = np.take(x_mg, system.boundary_cols, axis=1)
     cb = closure.cb
     diff = e_bf - e_in
-    den = diff.sum(axis=0)
-    num = (cb * diff).sum(axis=0)
-    scale = e_bf.sum(axis=0)
-    guarded = np.abs(den) < 1e-30 * scale
+    den, num = diff.sum(axis=0), (cb * diff).sum(axis=0)
+    guarded = np.abs(den) < 1e-30 * e_bf.sum(axis=0)
     cbar = np.where(guarded, cb.mean(axis=0), num / np.where(guarded, 1.0, den))
 
-    def average(adj, fc: FluxCoeffs, e_face, e_perp):
-        what = "flux coefficient"
-        return FluxCoeffs(
-            _weighted_mean(fc.d_face, e_face[:, adj.face], what),
-            _weighted_mean(fc.d_cell, e_c[:, adj.cell], what),
-            _weighted_mean(fc.d_plus, e_perp[:, adj.cross_plus], what),
-            _weighted_mean(fc.d_minus, e_perp[:, adj.cross_minus], what),
-            fc.p.sum(axis=0),
-        )
-
-    vflux = average(system.vadj, group_flux[0], e_v, e_h)
-    hflux = average(system.hadj, group_flux[1], e_h, e_v)
+    vflux, hflux = (FluxCoeffs(_weighted_mean(fc.d, np.take(x_mg, cols, axis=1),
+                                              "flux coefficient"), fc.p.sum(axis=0))
+                    for fc, cols in zip(group_flux, (system.vcols, system.hcols)))
     return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, cbar,
                             e_in.sum(axis=0), f_in.sum(axis=0), vflux, hflux)
 
@@ -423,8 +412,8 @@ class GreyState:
     e_cell: np.ndarray       # (ny, nx)
     e_vface: np.ndarray      # (ny, nx+1)
     e_hface: np.ndarray      # (ny+1, nx)
-    f_vface: np.ndarray      # (ny, nx+1)
-    f_hface: np.ndarray      # (ny+1, nx)
+    f_vface: np.ndarray | None = None  # (ny, nx+1), recovered once accepted
+    f_hface: np.ndarray | None = None  # (ny+1, nx)
     newton_iterations: int = 0  # linear solves that produced the state: 1
 
 
@@ -476,12 +465,11 @@ class GreyProblem:
         # the cell row adds the material energy change cv (T - T_prev)/dt,
         # which is the linearized absorption minus emission: the grey and
         # material balances exchange exactly the same energy
-        e_c, e_v, e_h, f_v, f_h = self.system.solve(
-            c, area / dt + cv_dt * area * slope,
+        e_c, e_v, e_h = self.system.solve(
+            area / dt + cv_dt * area * slope,
             (area / dt) * self.e_prev_cell.ravel() - cv_dt * area * shift,
             co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)
         return GreyState(
             temperature=(t_prev + (slope * e_c.ravel() + shift)).reshape(e_c.shape),
-            e_cell=e_c, e_vface=e_v, e_hface=e_h, f_vface=f_v, f_hface=f_h,
-            newton_iterations=1,
+            e_cell=e_c, e_vface=e_v, e_hface=e_h, newton_iterations=1,
         )

@@ -151,6 +151,11 @@ def planck_cumulative(x) -> np.ndarray:
     e^{-x} (x^3 + 3x^2 + 6x + 6), exact to rounding there.  P(0) = pi^4/15
     and P(inf) = 0 exactly; a negative or NaN argument raises ValueError.
     """
+    return _cumulative(x)[0]
+
+
+def _cumulative(x):
+    """(planck_cumulative(x), _planck_head(x) where x < _X_SERIES and 0 elsewhere)."""
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError("Planck integral argument must be >= 0 (and not NaN)")
@@ -159,7 +164,9 @@ def planck_cumulative(x) -> np.ndarray:
     mid = (x >= _X_SERIES) & (x < _X_TAIL)
     tail = (x >= _X_TAIL) & (x < np.inf)
 
-    out[small] = _PI4_15 - _planck_head(x[small])
+    head = np.zeros_like(x)
+    head[small] = h = _planck_head(x[small])
+    out[small] = _PI4_15 - h
 
     xm = x[mid]
     q = np.exp(-xm)[:, None]
@@ -171,7 +178,7 @@ def planck_cumulative(x) -> np.ndarray:
     xt = x[tail]
     with np.errstate(under="ignore"):
         out[tail] = np.exp(-xt) * (((xt + 3.0) * xt + 6.0) * xt + 6.0)
-    return out
+    return out, head
 
 
 def _group_integrals(x: np.ndarray) -> np.ndarray:
@@ -181,12 +188,9 @@ def _group_integrals(x: np.ndarray) -> np.ndarray:
     the difference of the series from 0, which does not cancel against
     pi^4/15.
     """
-    cum = planck_cumulative(x)
+    cum, head = _cumulative(x)
     band = cum[..., :-1] - cum[..., 1:]
-    small = x < _X_SERIES
-    head = np.zeros_like(x)
-    head[small] = _planck_head(x[small])
-    low = small[..., 1:]
+    low = x[..., 1:] < _X_SERIES
     band[low] = (head[..., 1:] - head[..., :-1])[low]
     return band
 

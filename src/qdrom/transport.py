@@ -211,7 +211,7 @@ class TransportSolver:
         quarter = self._quarter
 
         def lanes(field):  # (n_g, ny, nx) -> (n_g, cells, 4K)
-            return field.reshape(n_g, -1)[:, self._lane_cells]
+            return np.take(field.reshape(n_g, -1), self._lane_cells, axis=1)
 
         denom = self._wxy + lanes(kappa + 1.0 / cdt) * quarter
         # the tables are permutations: "clip" never clips, it skips the bounds check

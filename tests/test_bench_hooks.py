@@ -106,3 +106,39 @@ def test_benchmark_checks_read_the_tiny_runs(bench, tiny_config, tiny_fom, tiny_
         env = bench.environment(qdrom, bench.WORKLOADS[workload], 0, manifest)
         assert isinstance(env["have_numba"], bool)
         assert len(env["inputs_sha256"]) == 64
+
+
+@pytest.mark.parametrize("workload", ["fom-desk", "rom-desk"])
+def test_tracer_accounts_for_the_tiny_runs(bench, tiny_config, tiny_fom, tiny_snapshots,
+                                           tmp_path, workload):
+    # the --trace 1 path on the tiny problem: set-ups and one solve traced,
+    # then the per-layer metrics and their accounting check.  Work that
+    # moves off a patched name, or a grey state that stops reporting its
+    # one linear solve, fails here and not only in a benchmark run
+    api = bench.Api(qdrom)
+    wl = dataclasses.replace(bench.WORKLOADS[workload], steps=2)
+    models = {name: api.pod_compress(tiny_snapshots[name], bench.XI_REL)
+              for name in SNAPSHOT_NAMES}
+
+    def prepare(api, wl, workdir):
+        problem = api.build_problem(dataclasses.replace(tiny_config, n_steps=wl.steps))
+        return bench.Prepared(problem, bench.cut_record(tiny_fom, wl.steps),
+                              models if wl.mode == "rom" else None,
+                              bench.initial_energy(qdrom, problem), 0)
+
+    _, untraced, _ = bench.measure(api, wl, tmp_path, 0.0, rounds=1, prepare_fn=prepare)
+    tracer = bench.Tracer()
+    undo = api.install_tracing(tracer)
+    try:
+        _, traced, prep = bench.measure(api, wl, tmp_path, 0.0, rounds=1,
+                                        prepare_fn=tracer.wrap("setup", prepare))
+    finally:
+        undo()
+    assert [(r.error, r.failed_steps) for r in untraced + traced] == [(None, 0)] * 2
+    metrics, details = bench.per_layer(tracer, prep, traced, untraced)
+    assert abs(details["unaccounted_s"]) <= bench.ACCOUNTING_TOL * details["traced_wall_s"]
+    assert metrics["loqd.newton_iters_per_solve"]["value"] == 1
+    solves = sum(traced[0].iterations) / wl.steps
+    for layer in ("loqd.mg_solve_calls", "drivers.outer_iters_per_step"):
+        assert metrics[layer]["value"] == solves, layer
+    assert metrics["transport.sweep_calls"]["value"] == (solves if wl.mode == "fom" else 0)

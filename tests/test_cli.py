@@ -304,7 +304,7 @@ def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):
 
 
 RUN_RECORD_FAULTS = ["dims", "missing array", "fractional count", "nan dt", "infinite t0",
-                     "non-finite fields"]
+                     "non-finite fields", "short counter row", "transposed grid"]
 
 
 def corrupt_run_record(good, tmp_path, fault):
@@ -323,6 +323,10 @@ def corrupt_run_record(good, tmp_path, fault):
             arrays["iterations"][0, 0] = 2.5
         elif fault == "nan dt":
             desc["dt"] = float("nan")
+        elif fault == "short counter row":
+            arrays["iterations"] = arrays["iterations"][:, :-1]
+        elif fault == "transposed grid":
+            arrays["e_cell"] = np.ascontiguousarray(arrays["e_cell"].T)
         elif fault == "non-finite fields":
             arrays["temperature"][2, 3] = np.nan
             arrays["e_cell"][1, 0] = np.inf

@@ -211,6 +211,37 @@ def test_run_record_values_must_be_finite(tmp_path, tiny_fom, name, value):
         load_run_record(path)
 
 
+@pytest.mark.parametrize("name, cut", [("iterations", np.s_[:, :2]),
+                                       ("final_change", np.s_[:, 1:]),
+                                       ("temperature", np.s_[:3])])
+def test_run_record_arrays_hold_one_row_per_step(tmp_path, tiny_fom, name, cut):
+    # a counter row or a grid array cut short must not load as a full record
+    path = tmp_path / "run.ddet"
+    save_run_record(path, tiny_fom)
+    kind, desc, arrays = read_container(path)
+    stored = arrays[name].shape
+    arrays[name] = arrays[name][cut]
+    write_container(path, kind, desc, arrays)
+    cut_shape = arrays[name].shape
+    with pytest.raises(FormatError, match=rf"'{name}' is stored as {cut_shape[0]}x"
+                                          rf"{cut_shape[1]}, expected {stored[0]}x{stored[1]}"):
+        load_run_record(path)
+
+
+def test_run_record_transposed_grid_is_format_error(tmp_path, tiny_fom):
+    # the right number of values in the wrong shape is not reshaped silently
+    path = tmp_path / "run.ddet"
+    save_run_record(path, tiny_fom)
+    kind, desc, arrays = read_container(path)
+    n_steps, n_cells = arrays["e_cell"].shape
+    assert n_steps != n_cells
+    arrays["e_cell"] = np.ascontiguousarray(arrays["e_cell"].T)
+    write_container(path, kind, desc, arrays)
+    with pytest.raises(FormatError, match=f"'e_cell' is stored as {n_cells}x{n_steps}, "
+                                          f"expected {n_steps}x{n_cells}"):
+        load_run_record(path)
+
+
 def test_model_kind_mismatch(tmp_path, tiny_snapshots, tiny_config):
     path = tmp_path / "s.ddet"
     save_snapshot_set(path, tiny_snapshots, tiny_config.to_dict())

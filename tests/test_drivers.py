@@ -23,6 +23,7 @@ from qdrom.drivers import (
     stack_closure,
     unstack_closure,
 )
+from qdrom.loqd import GreyProblem, MomentSystem, SolverError
 from qdrom.lowrank import METHODS, compress
 from qdrom.materials import MaterialModel
 from qdrom.transport import intensity_unknowns
@@ -366,6 +367,57 @@ def test_fom_sweeps_once_per_low_order_solve(tiny_config, tiny_fom, tiny_snapsho
     assert np.array_equal(tiny_fom.sweeps, tiny_fom.iterations)
     rom = run_rom(tiny_config, playback_models(tiny_snapshots))
     assert np.array_equal(rom.sweeps, np.zeros(tiny_config.n_steps))
+
+
+@pytest.mark.parametrize("mode", ["fom", "rom"])
+def test_face_fluxes_recovered_once_per_level_per_step(tiny_config, tiny_fom, tiny_snapshots,
+                                                       mode, monkeypatch):
+    # only the accepted iterate's fluxes are read: each step recovers them
+    # once for the multigroup level (group axis first), then once for grey
+    recovered = []
+    recover = MomentSystem.face_fluxes
+
+    def counted(self, state, vflux, hflux):
+        recovered.append((state.e_cell.ndim, recover(self, state, vflux, hflux)))
+        return recovered[-1][1]
+
+    monkeypatch.setattr(MomentSystem, "face_fluxes", counted)
+    if mode == "fom":
+        rec = run_fom(tiny_config)
+        assert_same_record(rec, tiny_fom)
+    else:
+        rec = run_rom(tiny_config, tiny_models(tiny_snapshots, "pod", 1e-6))
+    assert np.all(rec.iterations > 1)
+    assert [ndim for ndim, _ in recovered] == [3, 2] * tiny_config.n_steps
+    grey = [fluxes for ndim, fluxes in recovered if ndim == 2]
+    assert np.array_equal(rec.f_vface, [f_v for f_v, _ in grey])
+    assert np.array_equal(rec.f_hface, [f_h for _, f_h in grey])
+
+
+@pytest.mark.parametrize("level", ["multigroup", "grey"])
+def test_nonfinite_flux_coefficient_raises_at_acceptance(tiny_config, level, monkeypatch):
+    # the fluxes are checked where they are recovered: a flux coefficient
+    # that is non-finite only after its level's solve still raises
+    if level == "multigroup":
+        averages = drivers.compute_grey_coefficients
+
+        def poisoned(*args):
+            co = averages(*args)
+            args[6][0].p[1, 3] = np.nan  # the group flux coefficients, group 1
+            return co
+        monkeypatch.setattr(drivers, "compute_grey_coefficients", poisoned)
+        match = "flux recovery returned non-finite values in group 1"
+    else:
+        solve = GreyProblem.solve
+
+        def poisoned(self):
+            state = solve(self)
+            self.coeffs.hflux.d[2, 5] = np.inf
+            return state
+        monkeypatch.setattr(GreyProblem, "solve", poisoned)
+        match = "flux recovery returned non-finite values$"
+    with pytest.raises(SolverError, match=match):
+        run_fom(dataclasses.replace(tiny_config, n_steps=1))
 
 
 def test_monotone_heating_under_constant_drive(tiny_config, tiny_fom):

@@ -177,6 +177,18 @@ def test_group_fractions_match_polylog_oracle():
                     assert abs(float((mp.mpf(got) - exact) / exact)) <= 3e-14, (t, g)
 
 
+def test_planck_spectrum_evaluates_the_series_head_once(monkeypatch):
+    # the cumulative values and the low-group differences share one
+    # evaluation of the Bernoulli series, over every edge below _X_SERIES
+    sizes = []
+    head = materials._planck_head
+    monkeypatch.setattr(materials, "_planck_head", lambda x: sizes.append(x.size) or head(x))
+    T = np.geomspace(1e-3, 10.0, 31)
+    grid = FrequencyGrid(np.array(preset("fleck-cummings-desk").group_bounds))
+    planck_spectrum(T, grid)
+    assert sizes == [np.sum(grid.edges / T[:, None] < materials._X_SERIES)]
+
+
 def test_planck_cumulative_exact_ends_and_rejects_nan():
     assert planck_cumulative(0.0) == np.pi**4 / 15.0
     assert planck_cumulative(np.inf) == 0.0
@@ -529,7 +541,7 @@ def side_slice(side, name):
 def test_boundary_table_order_and_sizes():
     nx, ny = 4, 3
     mesh = SpatialMesh.uniform(nx, ny, 1.0, 1.0)
-    system = MomentSystem(mesh)
+    system = MomentSystem(mesh, C_LIGHT)
     side, face = system.boundary_side, system.boundary_face
     assert side.size == face.size == 2 * (nx + ny)
     assert np.array_equal(side, np.repeat(np.arange(4), (ny, nx, ny, nx)))

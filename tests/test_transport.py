@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdrom.drivers import stack_closure, unstack_closure
-from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
+from qdrom.materials import C_LIGHT, FrequencyGrid, MaterialModel, planck_spectrum
 from qdrom.loqd import MomentSystem
 from qdrom.mesh import SIDES, SpatialMesh
 from qdrom.quadrature import QuadratureSpecError, build_quadrature
@@ -446,7 +446,7 @@ def test_boundary_factors_in_boundary_face_order():
         "right": (0.5 * (I[:, :, :, -1, 1] + I[:, :, :, -1, 3]), "x", 1.0),
         "top": (0.5 * (I[:, :, -1, :, 2] + I[:, :, -1, :, 3]), "y", 1.0),
     }
-    face_side = MomentSystem(sol.mesh).boundary_side
+    face_side = MomentSystem(sol.mesh, C_LIGHT).boundary_side
     assert rec.cb.shape == (2, face_side.size) == (2, 2 * (nx + ny))
     for side, (trace, axis, outward) in sides.items():
         expected = half_range_factor(sol.quad, trace, axis, outward)
@@ -473,7 +473,7 @@ def test_random_closure_matches_summation_oracle():
                 den = sum(w[m] * ibar[m] for m in range(sol.quad.n_dirs))
                 assert rec.fxx_cell[g, iy, ix] == pytest.approx(num / den, rel=1e-13)
     # boundary-factor oracle on the left side
-    left = rec.cb[:, MomentSystem(sol.mesh).boundary_side == SIDES.index("left")]
+    left = rec.cb[:, MomentSystem(sol.mesh, C_LIGHT).boundary_side == SIDES.index("left")]
     for iy in range(2):
         for g in range(2):
             num = den = 0.0
@@ -554,7 +554,7 @@ def test_each_degenerate_check_raises(where, message):
 
 def test_boundary_inflow_is_the_quadrature_half_range_sum():
     sol = make_solver(3, 2, per_quadrant=4, bc=side_inflow_bc())
-    face_side = MomentSystem(sol.mesh).boundary_side
+    face_side = MomentSystem(sol.mesh, C_LIGHT).boundary_side
     e_in, f_in = sol.boundary_inflow(face_side)
     assert e_in.shape == f_in.shape == (2, face_side.size)
     w, mu, eta, c = sol.quad.weight, sol.quad.mu, sol.quad.eta, MAT.light_speed
