@@ -231,11 +231,6 @@ class RunRecord:
         return self.temperature.shape[0]
 
 
-def _group_first(a: np.ndarray) -> np.ndarray:
-    """A (ny, nx, n_g) field as a contiguous (n_g, ny, nx) array."""
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
-
-
 def _spectral_fields(p: Problem, T: np.ndarray):
     """kappa, planck and their T-derivatives at T, each (n_g, ny, nx)."""
     consts = dict(radiation_constant=p.material.radiation_constant,
@@ -243,9 +238,8 @@ def _spectral_fields(p: Problem, T: np.ndarray):
     kappa, dkappa = p.material.group_opacity(T, p.grid)
     planck = planck_spectrum(T, p.grid, **consts)
     dplanck = planck_spectrum_slope(T, planck, p.grid, **consts)
-    # the derivatives are read once, by the grey averages: views, not copies
-    return (_group_first(kappa), _group_first(planck), np.moveaxis(dkappa, -1, 0),
-            np.moveaxis(dplanck, -1, 0))
+    # group-last views of group-major arrays: group first, they are contiguous
+    return tuple(a.transpose(2, 0, 1) for a in (kappa, planck, dkappa, dplanck))
 
 
 def _anderson_update(pairs, depth: int) -> np.ndarray:
@@ -265,9 +259,9 @@ def _anderson_update(pairs, depth: int) -> np.ndarray:
     xs = np.array([x.ravel() for x, _ in recent])
     gs = np.array([g.ravel() for _, g in recent])
     f = gs - xs
-    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
-    mixed = (gs[-1] - np.diff(gs, axis=0).T @ gamma).reshape(g_k.shape)
-    return mixed if np.all(mixed > 0.0) else g_k
+    gamma = np.linalg.lstsq((f[1:] - f[:-1]).T, f[-1], rcond=None)[0]
+    mixed = (gs[-1] - (gs[1:] - gs[:-1]).T @ gamma).reshape(g_k.shape)
+    return mixed if mixed.min() > 0.0 else g_k
 
 
 def _change_ratio(cfg: RunConfig, grey, T: np.ndarray, E: np.ndarray, norm_ord,
@@ -306,11 +300,11 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     """Iterate the low-order loop of one time step from the previous time level.
 
     Each iterate evaluates the spectral fields (kappa, planck) at its
-    temperature T_it, takes its closure from `closure_at(kappa, planck)` and
-    solves the multigroup and grey levels.  The loop stops once the change
-    between the grey solution and its iterate (`_change_ratio` at relative
-    tolerance `tol`) is at most 1; the change test sees the unmixed grey
-    solution, and only the next temperature iterate is Anderson-mixed.
+    temperature T_it, takes its gathered closure from `closure_at(kappa,
+    planck)` and solves the multigroup and grey levels.  The loop stops once
+    the change between the grey solution and its iterate (`_change_ratio` at
+    relative tolerance `tol`) is at most 1; the change test sees the unmixed
+    grey solution, and only the next temperature iterate is Anderson-mixed.
     Returns the step with the closure and the face fluxes of its last iterate.
     """
     cfg = p.config
@@ -321,9 +315,8 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         kappa, planck, dkappa, dplanck = _spectral_fields(p, T_it)
         closure = closure_at(kappa, planck)
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
-        coeffs = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure,
-                                           group_flux, p.geom, p.mg_solver.e_in,
-                                           p.mg_solver.f_in, cfg.dt, p.material.light_speed)
+        coeffs = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure.record,
+                                           group_flux, p.mg_solver, cfg.dt)
         grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev, t_prev,
                            t_star=T_it).solve()
         change = _change_ratio(cfg, grey, T_it, E_it, norm_ord, tol)
@@ -331,7 +324,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
             # only the accepted iterate's face fluxes are ever read
             mg.f_vface, mg.f_hface = p.geom.face_fluxes(mg, *group_flux)
             grey.f_vface, grey.f_hface = p.geom.face_fluxes(grey, coeffs.vflux, coeffs.hflux)
-            return _Step(grey, mg, closure, it + 1, change)
+            return _Step(grey, mg, closure.record, it + 1, change)
         pairs.append((T_it, grey.temperature))
         T_it = _anderson_update(pairs, ANDERSON_DEPTH)
         E_it = grey.e_cell
@@ -342,9 +335,8 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
 def _initial_state(p: Problem):
     cfg = p.config
     T0 = np.full(grid_shape("cell", cfg.nx, cfg.ny), cfg.t_initial)
-    planck0 = _group_first(planck_spectrum(
-        T0, p.grid, radiation_constant=p.material.radiation_constant,
-        light_speed=p.material.light_speed))
+    planck0 = planck_spectrum(T0, p.grid, radiation_constant=p.material.radiation_constant,
+                              light_speed=p.material.light_speed).transpose(2, 0, 1)
     mg0 = MultigroupMoments.equilibrium(planck0, p.geom, p.material.light_speed)
     return T0, mg0
 
@@ -365,7 +357,7 @@ def _store_step(rec: RunRecord, n: int, step: _Step):
         getattr(rec, name)[n] = getattr(step.grey if isinstance(kind, str) else step, name)
     for name, column in stack_closure(step.closure).items():
         rec.snapshots[name][:, n] = column
-    if np.any(step.grey.temperature <= 0.0) or np.any(step.grey.e_cell <= 0.0):
+    if step.grey.temperature.min() <= 0.0 or step.grey.e_cell.min() <= 0.0:
         rec.positivity_violations += 1
         warnings.warn(f"nonpositive temperature or energy density at step {n + 1}")
 
@@ -412,7 +404,7 @@ def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
         def sweep(kappa, planck):
             latest["I"] = p.transport.sweep(kappa, np.maximum(planck, INTENSITY_SEED),
                                             I_prev, cfg.dt)
-            return p.transport.compute_eddington(latest["I"])
+            return p.mg_solver.gather(p.transport.compute_eddington(latest["I"]))
 
         step = _advance_step(p, mg_prev, t_prev, sweep, np.inf, cfg.outer_tol)
         step.sweeps = step.iterations
@@ -452,10 +444,11 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
         vectors = {}
         for name in SNAPSHOT_NAMES:
             vec = models[name].reconstruct(n + 1)
-            if not np.all(np.isfinite(vec)):
+            if not np.isfinite(vec).all():
                 raise DriverError(f"model '{name}' produced non-finite values")
             vectors[name] = vec
-        closure = unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups)
+        # the step's closure is gathered once: only kappa changes between iterates
+        closure = p.mg_solver.gather(unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups))
         return _advance_step(p, mg_prev, t_prev, lambda kappa, planck: closure, 2, tol)
 
     rec = _run(p, "rom", advance, log)

@@ -8,30 +8,33 @@ locally for its face-normal flux, which gives the one-sided expression
     F_j = p_j + (c / A_j) [ -s_j l_j d_face E_f + s_j l_j d_cell E_i
                             - l'_j / 2 (d_plus E_+ - d_minus E_-) ]
 
-in the face, owning-cell and perpendicular-face energy densities.  Cell
-rows are the energy balances with these expressions substituted; face rows
-sum s_j F_j over the half cells of a face (flux continuity at interior
-faces) and, at boundary faces, close it with -c C E_f (the boundary
-condition).  The levels differ only in coefficients: the multigroup level
-uses d = f / (kappa + 1/(c dt)), with f the Eddington-tensor entry, and
+in the face, owning-cell and perpendicular-face energy densities.  Cell rows
+are the energy balances with these expressions substituted; face rows sum
+s_j F_j over the half cells of a face (flux continuity at interior faces)
+and, at boundary faces, close it with -c C E_f (the boundary condition).
+The levels differ only in coefficients: the multigroup level uses
+d = f / (kappa + 1/(c dt)), with f the Eddington-tensor entry, and
 p = F_prev / (1 + c dt kappa) per group; the effective grey problem uses
 their spectrum averages, together with averaged absorption and emission
 opacities and boundary factors, so that it is the exact group sum of the
-multigroup scheme.  The four d of an expression are stacked like its
-columns of x (MomentSystem.vcols/hcols), which gather them and their grey
-weights in one take.  MomentSystem, one per mesh, holds the adjacency, the
-boundary-face table, the band layout and the geometry factors; its one
-solve serves both levels and returns the energies: face fluxes are
-recovered only for the iterate the outer loop accepts.  Each group is one
-banded LU in a row-interleaved order of the unknowns (MomentSystem).
-The grey system couples to the material energy balance through the
-absorption and emission terms, linearized about the outer temperature
-iterate: the emission through T^4, and the grey opacities through their
-temperature derivatives (formed with the grey coefficients), which carry the
-spectral shape that a temperature change would induce in each cell's row.
-The temperature is eliminated cell-by-cell, so the coupling only adds to the
-cell diagonal and right-hand side, and the grey level is one linear solve per
-outer iteration.
+multigroup scheme.  The four d of an expression are stacked like its columns
+of x (MomentSystem.vcols/hcols): a closure's entries are gathered through
+them once per closure (MultigroupLoqdSolver.gather; once per step for the
+reduced-order model, whose iterates change only kappa), the grey weights in
+one take.  MomentSystem, one per mesh, holds the adjacency, the
+boundary-face table, the band layout and a geometry row of the constant
+factors of every matrix entry, so that filling the matrix is one
+concatenation of the d and one multiply; its one solve serves both levels
+and returns the energies: face fluxes are recovered only for the accepted
+iterate.  Each group is one banded LU in a row-interleaved order of the
+unknowns (MomentSystem).  The grey system couples to the material energy
+balance through the absorption and emission terms, linearized about the
+outer temperature iterate: the emission through T^4, and the grey opacities
+through their temperature derivatives (formed with the grey coefficients),
+which carry the spectral shape that a temperature change would induce in
+each cell's row.  The temperature is eliminated cell-by-cell, so the
+coupling only adds to the cell diagonal and right-hand side, and the grey
+level is one linear solve per outer iteration.
 
 All face fluxes use the fixed +x / +y orientation; outward signs come from
 the adjacency tables.
@@ -72,6 +75,8 @@ class MultigroupMoments:
         """Isotropic moments 4*pi*B/c with zero flux, B given per (g, cell) of the mesh."""
         if planck.shape[1:] != system.shape:
             raise ValueError(f"planck grid {planck.shape[1:]} is not the mesh's {system.shape}")
+        if light_speed != system.light_speed:
+            raise ValueError("light_speed differs from the moment system's")
         e_c = 4.0 * np.pi * planck / light_speed
         # a face between two cells takes their mean, a boundary face its cell's value
         e_v = np.concatenate([e_c[:, :, :1], 0.5 * (e_c[:, :, 1:] + e_c[:, :, :-1]),
@@ -88,12 +93,14 @@ class FluxCoeffs:
     p: np.ndarray  # (..., n_adj): lagged previous-flux contribution
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum values (..., len(index)) into (..., size) bins, in input order."""
-    lead = values.shape[:-1]
-    n = int(np.prod(lead, dtype=int))
-    bins = (index + size * np.arange(n)[:, None]).ravel()
-    return np.bincount(bins, values.ravel(), minlength=n * size).reshape(lead + (size,))
+@dataclass
+class GatheredClosure:
+    """A closure as every multigroup solve with it reads it (MultigroupLoqdSolver.gather)."""
+
+    record: ClosureRecord
+    f: tuple[np.ndarray, np.ndarray]  # (n_g, 4, n_adj) entries at MomentSystem.vcols, hcols
+    boundary_diag: np.ndarray         # (n_g, n_bfaces): -c C
+    boundary_rhs: np.ndarray          # (n_g, n_bfaces): -c C E_in + n.F_in
 
 
 class MomentSystem:
@@ -130,14 +137,20 @@ class MomentSystem:
                                nc + nv + va.cross_plus, nc + nv + va.cross_minus])
         self.hcols = np.stack([nc + nv + ha.face, ha.cell,
                                nc + ha.cross_plus, nc + ha.cross_minus])
-        # per orientation (P, Q, s l): the expressions' weights of x[cols] are
-        # (P d) Q, P = (c/A) (-s, s, -l'/2, l'/2) and Q = (l, l, 1, 1)
-        self._geometry = []
+        # per orientation the expressions' weights of x[cols] are P Q d, P =
+        # (c/A) (-s, s, -l'/2, l'/2) and Q = (l, l, 1, 1), added to cell rows
+        # times s l and to face rows times s: the geometry row holds these
+        # constant factors of fill()'s entries, rhs_factors those of its p
+        self.area = mesh.cell_area.ravel()
+        self._pq, row, rhs_factors = [], [], []
         for a in (va, ha):
-            k, one = light_speed / a.half_area, np.ones_like(a.face_len)
-            self._geometry.append((
-                np.stack([-k * a.sign, k * a.sign, -k * 0.5 * a.cross_len, k * 0.5 * a.cross_len]),
-                np.stack([a.face_len, a.face_len, one, one]), a.sign * a.face_len))
+            k, sl = light_speed / a.half_area, a.sign * a.face_len
+            self._pq.append(np.stack([-k * sl, k * sl, -k * 0.5 * a.cross_len,
+                                      k * 0.5 * a.cross_len]))
+            row += [(sl * self._pq[-1]).ravel(), (a.sign * self._pq[-1]).ravel()]
+            rhs_factors += [-sl, -a.sign]
+        self._row, self._rhs_factors = (np.concatenate([np.ones(nc), *f, np.ones(brow.size)])
+                                        for f in (row, rhs_factors))
         cells = np.arange(nc)
         vrow, hrow = nc + va.face, nc + nv + ha.face
         # entry order of fill(): cell diagonal; per orientation the flux
@@ -165,10 +178,20 @@ class MomentSystem:
         self.rhs_rows = np.concatenate([cells, va.cell, vrow, ha.cell, hrow, brow])
         self.vcount = np.bincount(va.face, minlength=nv)
         self.hcount = np.bincount(ha.face, minlength=nh)
+        # _scatter()'s index tables and bin counts; bins per leading shape on first use
+        self._tables = {"rows": (self.rows, n), "rhs_rows": (self.rhs_rows, n),
+                        "slot": (self.slot, n * self.ldab), "vface": (va.face, nv),
+                        "hface": (ha.face, nh)}
+        self._bins = {}
 
-    def _weights(self, vflux: FluxCoeffs, hflux: FluxCoeffs):
-        """Per orientation, the (..., 4, n_adj) multipliers of x[cols] in the expressions."""
-        return [p * fc.d * q for (p, q, _), fc in zip(self._geometry, (vflux, hflux))]
+    def _scatter(self, table: str, values: np.ndarray) -> np.ndarray:
+        """Sum values (..., len(index)) into (..., size) bins of an index table, in input order."""
+        lead = values.shape[:-1]
+        if (table, lead) not in self._bins:
+            (index, size), n = self._tables[table], values.size // values.shape[-1]
+            self._bins[table, lead] = ((index + size * np.arange(n)[:, None]).ravel(), n * size)
+        bins, length = self._bins[table, lead]
+        return np.bincount(bins, values.ravel(), minlength=length).reshape(lead + (-1,))
 
     def fill(self, cell_diag, cell_rhs, vflux: FluxCoeffs, hflux: FluxCoeffs,
              boundary_diag, boundary_rhs):
@@ -180,15 +203,12 @@ class MomentSystem:
         (..., n_bfaces), in the order of boundary_face.
         """
         lead = np.shape(cell_diag)[:-1]
-        vals, rhs = [cell_diag], [cell_rhs]
-        for adj, (_, _, sl), fc, w in zip((self.vadj, self.hadj), self._geometry,
-                                          (vflux, hflux), self._weights(vflux, hflux)):
-            vals += [(sl * w).reshape(lead + (-1,)), (adj.sign * w).reshape(lead + (-1,))]
-            rhs += [-sl * fc.p, -adj.sign * fc.p]
-        vals.append(boundary_diag)
-        rhs.append(boundary_rhs)
-        b = _scatter(self.rhs_rows, np.concatenate(rhs, axis=-1), self.n_unknowns)
-        return np.concatenate(vals, axis=-1), b
+        dv, dh = (fc.d.reshape(lead + (-1,)) for fc in (vflux, hflux))
+        vals = np.concatenate([cell_diag, dv, dv, dh, dh, boundary_diag], axis=-1)
+        vals *= self._row
+        rhs = np.concatenate([cell_rhs, vflux.p, vflux.p, hflux.p, hflux.p, boundary_rhs], axis=-1)
+        rhs *= self._rhs_factors
+        return vals, self._scatter("rhs_rows", rhs)
 
     def natural(self, state) -> np.ndarray:
         """x (..., n) of a state's e_cell/e_vface/e_hface grids: energies()' inverse."""
@@ -203,12 +223,12 @@ class MomentSystem:
         """
         x = self.natural(state)
         lead, out = x.shape[:-1], []
-        for adj, cols, count, fc, w in zip((self.vadj, self.hadj), (self.vcols, self.hcols),
-                                           (self.vcount, self.hcount), (vflux, hflux),
-                                           self._weights(vflux, hflux)):
-            f = fc.p + (w * np.take(x, cols, axis=-1)).sum(axis=-2)
-            out.append(_scatter(adj.face, f, count.size) / count)
-        _require_finite(np.isfinite(np.concatenate(out, axis=-1)).all(-1), lead, "flux recovery")
+        for table, cols, count, fc, pq in zip(("vface", "hface"), (self.vcols, self.hcols),
+                                              (self.vcount, self.hcount), (vflux, hflux),
+                                              self._pq):
+            f = fc.p + (pq * fc.d * x.take(cols, axis=-1)).sum(axis=-2)
+            out.append(self._scatter(table, f) / count)
+        _require_finite(np.concatenate(out, axis=-1), lead, "flux recovery")
         ny, nx = self.shape
         return out[0].reshape(lead + (ny, nx + 1)), out[1].reshape(lead + (ny + 1, nx))
 
@@ -233,10 +253,11 @@ class MomentSystem:
         lead, n = b.shape[:-1], self.n_unknowns
         # unit row 1-norms: where cold, opaque cells make the row scales
         # span many decades, unscaled pivoting lost all accuracy
-        scale = 1.0 / np.maximum(_scatter(self.rows, np.abs(vals), n), np.finfo(float).tiny)
-        band = _scatter(self.slot, vals * np.take(scale, self.rows, axis=-1), n * self.ldab)
-        band = band.reshape(-1, n, self.ldab)
-        xb = np.take((b * scale).reshape(-1, n), self.band_order, axis=1)
+        scale = 1.0 / np.maximum(self._scatter("rows", np.abs(vals)), np.finfo(float).tiny)
+        vals *= scale.take(self.rows, axis=-1)
+        band = self._scatter("slot", vals).reshape(-1, n, self.ldab)
+        b *= scale
+        xb = b.reshape(-1, n).take(self.band_order, axis=1)
         for g, ab in enumerate(band):
             # ab.T is the Fortran-ordered band storage itself: no copy
             _, _, xb[g], info = dgbsv(self.kl, self.ku, ab.T, xb[g],
@@ -244,40 +265,37 @@ class MomentSystem:
             if info:
                 where = f" in group {g}" if lead else ""
                 raise SolverError(f"moment-system matrix is singular{where} (dgbsv info {info})")
-        x = np.take(xb, self.pos, axis=1).reshape(b.shape)
-        _require_finite(np.isfinite(x).all(-1), lead, "solve")
+        x = xb.take(self.pos, axis=1).reshape(b.shape)
+        _require_finite(x, lead, "solve")
         return self.energies(x)
 
 
-def _require_finite(finite, lead: tuple, what: str):
-    if not np.all(finite):
+def _require_finite(x: np.ndarray, lead: tuple, what: str):
+    """Raise SolverError if x (..., n) holds a non-finite value, naming its group."""
+    finite = np.isfinite(x).all(-1)
+    if not finite.all():
         where = f" in group {int(np.argmin(finite))}" if lead else ""
         raise SolverError(f"moment-system {what} returned non-finite values{where}")
 
 
-def group_flux_coeffs(closure: ClosureRecord, kappa2: np.ndarray, prev: MultigroupMoments,
+def group_flux_coeffs(closure: GatheredClosure, kappa2: np.ndarray, prev: MultigroupMoments,
                       dt: float, system: MomentSystem):
     """Per-group (vertical, horizontal) flux coefficients; d is (n_g, 4, n_adj).
 
     d = f / kappa_tilde with kappa_tilde = kappa + 1/(c dt) of the owning
     cell and f the closure entry at each column of the expression, and
-    p = F_prev / (1 + c dt kappa); kappa2 is (n_g, n_cells).
+    p = F_prev / (1 + c dt kappa); kappa2 is (n_g, n_cells).  Both orientations
+    list each cell's half cells in the same order: one owning-cell gather.
     """
     n_g = kappa2.shape[0]
     cdt = system.light_speed * dt
-    kappa_tilde, lag = kappa2 + 1.0 / cdt, 1.0 + cdt * kappa2
-
-    def coeffs(adj, cols, entries, fprev):
-        # the orientation's closure entries laid out like x: cell, vface, hface
-        f = np.concatenate([e.reshape(n_g, -1) for e in entries], axis=1)
-        return FluxCoeffs(
-            np.take(f, cols, axis=1) / np.take(kappa_tilde, adj.cell, axis=1)[:, None],
-            np.take(fprev.reshape(n_g, -1), adj.face, axis=1) / np.take(lag, adj.cell, axis=1))
-
-    return (coeffs(system.vadj, system.vcols,
-                   (closure.fxx_cell, closure.fxx_vface, closure.fxy_hface), prev.f_vface),
-            coeffs(system.hadj, system.hcols,
-                   (closure.fyy_cell, closure.fxy_vface, closure.fyy_hface), prev.f_hface))
+    cells = system.vadj.cell
+    kappa_tilde = (kappa2 + 1.0 / cdt).take(cells, axis=1)[:, None]
+    lag = (1.0 + cdt * kappa2).take(cells, axis=1)
+    return tuple(FluxCoeffs(f / kappa_tilde,
+                            fprev.reshape(n_g, -1).take(adj.face, axis=1) / lag)
+                 for adj, f, fprev in zip((system.vadj, system.hadj), closure.f,
+                                          (prev.f_vface, prev.f_hface)))
 
 
 class MultigroupLoqdSolver:
@@ -296,11 +314,24 @@ class MultigroupLoqdSolver:
         self.material = material
         self.e_in = e_in  # (n_g, n_bfaces)
         self.f_in = f_in
+        self.e_in_total, self.f_in_total = e_in.sum(axis=0), f_in.sum(axis=0)
         self.n_unknowns = system.n_unknowns  # per group
 
-    def solve(self, closure: ClosureRecord, kappa: np.ndarray, planck: np.ndarray,
+    def gather(self, closure: ClosureRecord) -> GatheredClosure:
+        """The closure as it is now; only kappa changes between solves that share it."""
+        cb, c, s = closure.cb, self.material.light_speed, self.system
+
+        def at(cols, *entries):  # one orientation's entries laid out like x
+            return np.concatenate([e.reshape(cb.shape[0], -1) for e in entries],
+                                  axis=1).take(cols, axis=1)
+        return GatheredClosure(
+            closure, (at(s.vcols, closure.fxx_cell, closure.fxx_vface, closure.fxy_hface),
+                      at(s.hcols, closure.fyy_cell, closure.fxy_vface, closure.fyy_hface)),
+            -c * cb, -c * cb * self.e_in + self.f_in)
+
+    def solve(self, closure: GatheredClosure, kappa: np.ndarray, planck: np.ndarray,
               prev: MultigroupMoments, dt: float):
-        """Direct solve of every group system; kappa/planck are (n_g, ny, nx).
+        """Direct solve of every group system for a gather()ed closure; kappa/planck (n_g, ny, nx).
 
         Groups are independent; MomentSystem.solve factors each in turn.
         Returns the moments and the per-group (vertical, horizontal) flux
@@ -311,14 +342,14 @@ class MultigroupLoqdSolver:
         system = self.system
         n_g = self.grid.n_groups
         c = self.material.light_speed
-        area = system.mesh.cell_area.ravel()
+        area = system.area
         kappa2 = kappa.reshape(n_g, -1)
         vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, system)
         moments = MultigroupMoments(*system.solve(
             area / dt + c * kappa2 * area,
             (area / dt) * prev.e_cell.reshape(n_g, -1)
             + 4.0 * np.pi * kappa2 * planck.reshape(n_g, -1) * area,
-            vflux, hflux, -c * closure.cb, -c * closure.cb * self.e_in + self.f_in))
+            vflux, hflux, closure.boundary_diag, closure.boundary_rhs))
         return moments, (vflux, hflux)
 
 
@@ -342,9 +373,9 @@ class SpectrumAveraged:
     hflux: FluxCoeffs
 
 
-def _weighted_mean(values, weights, what: str) -> np.ndarray:
-    den = weights.sum(axis=0)
-    if np.any(den == 0.0):
+def _weighted_mean(values, weights, den, what: str) -> np.ndarray:
+    """sum(values * weights) / den over the leading (group) axis; den = sum(weights)."""
+    if not den.all():
         loc = tuple(int(i) for i in np.unravel_index(np.argmin(np.abs(den)), den.shape))
         raise DegenerateStateError(f"zero denominator averaging {what} at index {loc}")
     return (values * weights).sum(axis=0) / den
@@ -354,14 +385,13 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
                               dkappa: np.ndarray, dplanck: np.ndarray,
                               closure: ClosureRecord,
                               group_flux: tuple[FluxCoeffs, FluxCoeffs],
-                              system: MomentSystem, e_in: np.ndarray, f_in: np.ndarray,
-                              dt: float, light_speed: float) -> SpectrumAveraged:
+                              solver: MultigroupLoqdSolver, dt: float) -> SpectrumAveraged:
     """Spectrum averages over the multigroup solution, and their T-derivatives.
 
     kappa/planck and their T-derivatives dkappa/dplanck are (n_g, ny, nx) at
     the outer iterate; group_flux is the per-group (vertical, horizontal)
-    flux-coefficient pair of MultigroupLoqdSolver.solve; e_in/f_in are the
-    per-group boundary tables.  The boundary-factor average falls back to the
+    flux-coefficient pair of `solver`.solve, whose boundary tables e_in/f_in
+    the boundary averages read.  The boundary-factor average falls back to the
     unweighted mean where its denominator is below 1e-30 of the local energy
     density.  The group energies respond to T through their own cell rows,
     transport held fixed: dE_g/dT = [4 pi (kappa' B + kappa B') - c kappa' E_g]
@@ -369,35 +399,37 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     kbar_e) dE_g/dT] / sum E_g, and likewise d kbar_b/dT over the B_g (linear
     multifrequency-grey acceleration, Morel, Larsen & Matzen, JQSRT 34, 1985).
     """
+    system, light_speed = solver.system, solver.material.light_speed
     n_g = kappa.shape[0]
     kap2, b2, e_c = (a.reshape(n_g, -1) for a in (kappa, planck, mg.e_cell))
     # the group energies in the natural order: x at a flux expression's
     # columns weighs its d, and at boundary_cols the boundary factors
     x_mg = system.natural(mg)
+    x_sum = x_mg.sum(axis=0)
 
-    kbar_e = _weighted_mean(kap2, e_c, "absorption opacity")
-    kbar_b = _weighted_mean(kap2, b2, "emission opacity")
+    e_sum, b_sum = e_c.sum(axis=0), b2.sum(axis=0)
+    kbar_e = _weighted_mean(kap2, e_c, e_sum, "absorption opacity")
+    kbar_b = _weighted_mean(kap2, b2, b_sum, "emission opacity")
 
     dkap, db = dkappa.reshape(n_g, -1), dplanck.reshape(n_g, -1)
     de = (4.0 * np.pi * (dkap * b2 + kap2 * db) - light_speed * dkap * e_c) \
         / (1.0 / dt + light_speed * kap2)
-    e_sum = e_c.sum(axis=0)
     dkbar_e = ((dkap * e_c).sum(axis=0) + ((kap2 - kbar_e) * de).sum(axis=0)) / e_sum
-    dkbar_b = ((dkap * b2).sum(axis=0) + ((kap2 - kbar_b) * db).sum(axis=0)) / b2.sum(axis=0)
+    dkbar_b = ((dkap * b2).sum(axis=0) + ((kap2 - kbar_b) * db).sum(axis=0)) / b_sum
 
     # boundary factor average with the 0/0 guard at near-equilibrium walls
-    e_bf = np.take(x_mg, system.boundary_cols, axis=1)
+    e_bf = x_mg.take(system.boundary_cols, axis=1)
     cb = closure.cb
-    diff = e_bf - e_in
+    diff = e_bf - solver.e_in
     den, num = diff.sum(axis=0), (cb * diff).sum(axis=0)
-    guarded = np.abs(den) < 1e-30 * e_bf.sum(axis=0)
+    guarded = np.abs(den) < 1e-30 * x_sum.take(system.boundary_cols)
     cbar = np.where(guarded, cb.mean(axis=0), num / np.where(guarded, 1.0, den))
 
-    vflux, hflux = (FluxCoeffs(_weighted_mean(fc.d, np.take(x_mg, cols, axis=1),
+    vflux, hflux = (FluxCoeffs(_weighted_mean(fc.d, x_mg.take(cols, axis=1), x_sum.take(cols),
                                               "flux coefficient"), fc.p.sum(axis=0))
                     for fc, cols in zip(group_flux, (system.vcols, system.hcols)))
     return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, cbar,
-                            e_in.sum(axis=0), f_in.sum(axis=0), vflux, hflux)
+                            solver.e_in_total, solver.f_in_total, vflux, hflux)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +478,7 @@ class GreyProblem:
         """One linear solve of the grey system linearized about t_star."""
         mat, co, dt = self.material, self.coeffs, self.dt
         c, a_r = mat.light_speed, mat.radiation_constant
-        area = self.system.mesh.cell_area.ravel()
+        area = self.system.area
         t_prev, t_star = self.t_prev.ravel(), self.t_star.ravel()
         quart = c * co.kbar_b * a_r
         t3 = t_star**3

@@ -65,7 +65,7 @@ class TemperatureDomainError(ValueError):
 
 def _check_temperature(T) -> np.ndarray:
     T = np.asarray(T, dtype=float)
-    if not np.all(np.isfinite(T) & (T >= TEMPERATURE_FLOOR)):
+    if T.size and not (T.min() >= TEMPERATURE_FLOOR and T.max() < np.inf):
         raise TemperatureDomainError(
             f"temperature not finite or below floor {TEMPERATURE_FLOOR:g} keV "
             f"(min {T.min():g}, max {T.max():g})"
@@ -131,12 +131,15 @@ class FrequencyGrid:
         return self.bounds.shape[0] - 1
 
 
+def _powers(y: np.ndarray, n: int) -> np.ndarray:
+    """(y.size, n) table of y .. y^n (1-D y) by running products: pow is slow at y = 0."""
+    table = np.repeat(y[:, None], n, axis=1)
+    return np.multiply.accumulate(table, axis=1, out=table)
+
+
 def _planck_head(x: np.ndarray) -> np.ndarray:
-    """Integral of s^3 / (e^s - 1) from 0 to x, for 0 <= x < _X_SERIES."""
-    y = x * x
-    acc = _SERIES_COEFFS[-1]
-    for a in _SERIES_COEFFS[-2::-1]:
-        acc = acc * y + a
+    """Integral of s^3 / (e^s - 1) from 0 to x, for 0 <= x < _X_SERIES (1-D x)."""
+    acc = _powers(x * x, _BERNOULLI_TERMS) @ _SERIES_COEFFS[1:] + _SERIES_COEFFS[0]
     return x**3 * (acc - x / 8.0)
 
 
@@ -157,7 +160,7 @@ def planck_cumulative(x) -> np.ndarray:
 def _cumulative(x):
     """(planck_cumulative(x), _planck_head(x) where x < _X_SERIES and 0 elsewhere)."""
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0.0):
+    if x.size and not x.min() >= 0.0:
         raise ValueError("Planck integral argument must be >= 0 (and not NaN)")
     out = np.zeros_like(x)  # P(inf) = 0
     small = x < _X_SERIES
@@ -169,10 +172,7 @@ def _cumulative(x):
     out[small] = _PI4_15 - h
 
     xm = x[mid]
-    q = np.exp(-xm)[:, None]
-    li = _POLYLOG_COEFFS[-1] * q
-    for c in _POLYLOG_COEFFS[-2::-1]:
-        li = (li + c) * q
+    li = _powers(np.exp(-xm), _EXP_TERMS) @ _POLYLOG_COEFFS
     out[mid] = ((li[:, 0] * xm + 3.0 * li[:, 1]) * xm + 6.0 * li[:, 2]) * xm + 6.0 * li[:, 3]
 
     xt = x[tail]
@@ -182,16 +182,16 @@ def _cumulative(x):
 
 
 def _group_integrals(x: np.ndarray) -> np.ndarray:
-    """Integrals of s^3 / (e^s - 1) between consecutive edges x (..., n_g + 1).
+    """Integrals of s^3 / (e^s - 1) between consecutive edges x (n_g + 1, ...).
 
     P(x_lo) - P(x_hi), except where both edges lie below _X_SERIES: there
     the difference of the series from 0, which does not cancel against
     pi^4/15.
     """
     cum, head = _cumulative(x)
-    band = cum[..., :-1] - cum[..., 1:]
-    low = x[..., 1:] < _X_SERIES
-    band[low] = (head[..., 1:] - head[..., :-1])[low]
+    band = cum[:-1] - cum[1:]
+    low = x[1:] < _X_SERIES
+    band[low] = (head[1:] - head[:-1])[low]
     return band
 
 
@@ -199,13 +199,14 @@ def planck_spectrum(T, grid: FrequencyGrid, *, radiation_constant: float = A_RAD
                     light_speed: float = C_LIGHT) -> np.ndarray:
     """Group Planck emission B_g(T) per steradian, all groups at once.
 
-    T may be a scalar or an array; the group axis is appended last.
+    T may be a scalar or an array; the group axis is appended last, as a
+    view of a group-major array (np.moveaxis(B, -1, 0) is contiguous).
     """
     T = _check_temperature(T)
-    Tcol = T.reshape(-1, 1)
-    frac = _group_integrals(grid.edges / Tcol) / _PI4_15
-    scale = radiation_constant * light_speed * Tcol**4 / FOUR_PI
-    return (scale * frac).reshape(np.shape(T) + (grid.n_groups,))
+    Trow = T.reshape(1, -1)
+    frac = _group_integrals(grid.edges[:, None] / Trow) / _PI4_15
+    scale = radiation_constant * light_speed * Trow**4 / FOUR_PI
+    return (scale * frac).T.reshape(np.shape(T) + (grid.n_groups,))
 
 
 def planck_spectrum_slope(T, planck, grid: FrequencyGrid, *,
@@ -215,19 +216,20 @@ def planck_spectrum_slope(T, planck, grid: FrequencyGrid, *,
 
     With x = nu/T, d/dT of T^4 int_{x_hi}^{x_lo} s^3/(e^s - 1) ds is
     4/T of itself plus T^3 [h(x_lo) - h(x_hi)], h(x) = x^4/(e^x - 1),
-    h(0) = h(inf) = 0.
+    h(0) = h(inf) = 0.  Laid out like planck_spectrum's values.
     """
     T = _check_temperature(T)
-    Tcol = T.reshape(-1, 1)
-    x = grid.edges / Tcol
+    Trow = T.reshape(1, -1)
+    x = grid.edges[:, None] / Trow
     h = np.zeros_like(x)
     inner = (x > 0.0) & (x < np.inf)
     xi = x[inner]
     with np.errstate(under="ignore"):
         h[inner] = xi**4 * np.exp(-xi) / -np.expm1(-xi)
-    edge = radiation_constant * light_speed * Tcol**3 / (FOUR_PI * _PI4_15) \
-        * (h[:, :-1] - h[:, 1:])
-    return 4.0 * planck / T[..., None] + edge.reshape(np.shape(T) + (grid.n_groups,))
+    edge = radiation_constant * light_speed * Trow**3 / (FOUR_PI * _PI4_15) \
+        * (h[:-1] - h[1:])
+    slope = 4.0 * planck.reshape(-1, grid.n_groups).T / Trow + edge
+    return slope.T.reshape(np.shape(T) + (grid.n_groups,))
 
 
 @dataclass(frozen=True)
@@ -254,15 +256,15 @@ class MaterialModel:
     def _node_terms(self, T: np.ndarray, grid: FrequencyGrid):
         """(x, 1 - e^{-x}, Planck weights, opacities) at the grid's nodes.
 
-        Arrays are (cells, groups, 16), x = nu/T.  The weights are
+        Arrays are (groups, cells, 16), x = nu/T.  The weights are
         nu^3/(e^x - 1) times the rule's weights, with the row factor
         e^{-xmin} taken out: it cancels in every weighted average and keeps
         cold rows from underflowing.  The exponent is clipped at
         _WEIGHT_EXP_FLOOR, where e^{xmin - x} is already below 1e-307 of
         the row's largest weight.
         """
-        Tn = T.reshape(-1, 1, 1)
-        nu, wj, nu3 = grid.nodes, grid.node_weights, grid.nodes_cubed
+        Tn = T.reshape(1, -1, 1)
+        nu, wj, nu3 = grid.nodes[:, None], grid.node_weights[:, None], grid.nodes_cubed[:, None]
         if grid.scales_with_temperature:
             nu = Tn * nu
             wj = wj * Tn
@@ -270,7 +272,7 @@ class MaterialModel:
         x = nu / Tn
         # division by T > 0 is monotone, so xmin is the smallest node over T
         xmin = nu.min(axis=-1, keepdims=True) / Tn
-        # the (cells, groups, 16) passes run in place; 1 - e^{-x} serves both
+        # the (groups, cells, 16) passes run in place; 1 - e^{-x} serves both
         # the weight and the stimulated-emission factor
         stim = np.negative(x)
         np.expm1(stim, out=stim)
@@ -294,19 +296,20 @@ class MaterialModel:
         The derivative is the quotient rule on the same nodes, with T dW/dT =
         W x/(1 - e^{-x}) for the Planck weights W and T dk/dT = -k x/(e^x - 1)
         for the stimulated-emission factor of the node opacities k; on the one
-        group (0, inf), whose nodes scale with T, the average is C' T^-n.
+        group (0, inf), whose nodes scale with T, the average is C' T^-n.  Both
+        are laid out like planck_spectrum's values.
         """
         T = _check_temperature(T)
         x, stim, wgt, kap = self._node_terms(T, grid)
-        den = np.sum(wgt, axis=-1)
-        kbar = np.sum(wgt * kap, axis=-1) / den
-        Tcol = T.reshape(-1, 1)
+        den = wgt.sum(axis=-1)
+        kbar = (wgt * kap).sum(axis=-1) / den
+        Trow = T.reshape(1, -1)
         if grid.scales_with_temperature:
-            slope = -self.opacity_exponent * kbar / Tcol
+            slope = -self.opacity_exponent * kbar / Trow
         else:
-            rate = x / stim
-            dkap = -kap * rate * (1.0 - stim) if self.stimulated_correction else 0.0
-            slope = np.sum(wgt * (rate * (kap - kbar[..., None]) + dkap), axis=-1) \
-                / (den * Tcol)
+            # T dkbar/dT sums W (x/stim) (kap - kbar) + W T dkap/dT over W; the stimulated-
+            # emission factor's T dkap/dT = -(x/stim) kap (1 - stim) leaves kap stim - kbar
+            kap_stim = kap * stim if self.stimulated_correction else kap
+            slope = (wgt * (x / stim * (kap_stim - kbar[..., None]))).sum(axis=-1) / (den * Trow)
         shape = np.shape(T) + (grid.n_groups,)
-        return kbar.reshape(shape), slope.reshape(shape)
+        return kbar.T.reshape(shape), slope.T.reshape(shape)

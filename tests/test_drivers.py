@@ -23,7 +23,7 @@ from qdrom.drivers import (
     stack_closure,
     unstack_closure,
 )
-from qdrom.loqd import GreyProblem, MomentSystem, SolverError
+from qdrom.loqd import GreyProblem, MomentSystem, MultigroupLoqdSolver, SolverError
 from qdrom.lowrank import METHODS, compress
 from qdrom.materials import MaterialModel
 from qdrom.transport import intensity_unknowns
@@ -367,6 +367,48 @@ def test_fom_sweeps_once_per_low_order_solve(tiny_config, tiny_fom, tiny_snapsho
     assert np.array_equal(tiny_fom.sweeps, tiny_fom.iterations)
     rom = run_rom(tiny_config, playback_models(tiny_snapshots))
     assert np.array_equal(rom.sweeps, np.zeros(tiny_config.n_steps))
+
+
+def test_closure_gathered_once_per_step_in_the_rom(tiny_config, tiny_fom, tiny_snapshots,
+                                                   monkeypatch):
+    # a ROM step's closure is fixed, so its columns are gathered once per
+    # step; the FOM's closure comes from each iterate's sweep and is
+    # gathered once per iterate.  Each gather takes a new record
+    gathered = []
+    gather = MultigroupLoqdSolver.gather
+    monkeypatch.setattr(MultigroupLoqdSolver, "gather",
+                        lambda self, closure: gathered.append(closure) or gather(self, closure))
+    rom = run_rom(tiny_config, tiny_models(tiny_snapshots, "pod", 1e-6))
+    assert np.all(rom.iterations > 1)
+    assert len(gathered) == tiny_config.n_steps
+    assert len({id(closure) for closure in gathered}) == len(gathered)
+    gathered.clear()
+    fom = run_fom(tiny_config)
+    assert_same_record(fom, tiny_fom)
+    assert len(gathered) == fom.iterations.sum() > tiny_config.n_steps
+    assert len({id(closure) for closure in gathered}) == len(gathered)
+
+
+def test_edited_closure_is_gathered_again(tiny_config, tiny_fom):
+    # nothing is cached on the record: gathering it after an in-place edit
+    # gives the edited entries, as gathering a fresh copy does
+    solver = drivers.build_problem(tiny_config).mg_solver
+    cfg = tiny_config
+    closure = unstack_closure({name: tiny_fom.snapshots[name][:, 0].copy()
+                               for name in SNAPSHOT_NAMES}, cfg.nx, cfg.ny, cfg.n_groups)
+    before = solver.gather(closure)
+    closure.fxy_hface[:, 1, 2] += 0.01
+    closure.cb[0, 3] *= 1.1
+    after = solver.gather(closure)
+    fresh = solver.gather(dataclasses.replace(
+        closure, **{f.name: getattr(closure, f.name).copy()
+                    for f in dataclasses.fields(closure)}))
+    assert not np.array_equal(before.f[0], after.f[0])
+    assert not np.array_equal(before.boundary_diag, after.boundary_diag)
+    for field in ("boundary_diag", "boundary_rhs"):
+        assert np.array_equal(getattr(after, field), getattr(fresh, field))
+    for got, want in zip(after.f, fresh.f):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("mode", ["fom", "rom"])

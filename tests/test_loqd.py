@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
 
-from qdrom.config import FC_GROUP_BOUNDS
+from qdrom.config import FC_GROUP_BOUNDS, preset
 from qdrom.loqd import (
     DegenerateStateError,
     FluxCoeffs,
@@ -96,7 +96,8 @@ def test_multigroup_equilibrium_fixed_point(T_star):
     kappa = spectral_fields(np.full((3, 4), T_star), GRID3)[0]
     planck = np.repeat(b_g[:, None], 12, axis=1).reshape(3, 3, 4)
     prev = MultigroupMoments.equilibrium(planck, system, c)
-    out = recover_fluxes(system, *solver.solve(closure, kappa, planck, prev, dt=0.02))
+    out = recover_fluxes(system, *solver.solve(solver.gather(closure), kappa, planck, prev,
+                                               dt=0.02))
     e_star = 4.0 * np.pi * b_g / c
     assert np.max(np.abs(out.e_cell - e_star[:, None, None])) <= 1e-11 * e_star.max()
     assert np.max(np.abs(out.e_vface - e_star[:, None, None])) <= 1e-11 * e_star.max()
@@ -121,7 +122,7 @@ def test_single_cell_matches_dense_oracle():
         rng.uniform(-0.2, 0.2, (1, 2, 1)),
     )
     dt = 0.05
-    out = recover_fluxes(system, *solver.solve(closure, kappa, planck, prev, dt))
+    out = recover_fluxes(system, *solver.solve(solver.gather(closure), kappa, planck, prev, dt))
 
     # independent dense assembly: unknowns [Ec, EvL, EvR, EhB, EhT, FvL, FvR, FhB, FhT]
     c = MAT.light_speed
@@ -266,7 +267,7 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
         rng.uniform(-0.2, 0.2, (n_g, ny + 1, nx)),
     )
     dt = 0.05
-    out = recover_fluxes(system, *solver.solve(closure, kappa, planck, prev, dt))
+    out = recover_fluxes(system, *solver.solve(solver.gather(closure), kappa, planck, prev, dt))
     x, n_e = dense_multigroup_oracle(system, closure, kappa, planck, prev, dt, e_in, f_in)
     got_e = np.concatenate([out.e_cell.reshape(n_g, -1), out.e_vface.reshape(n_g, -1),
                             out.e_hface.reshape(n_g, -1)], axis=1)
@@ -292,9 +293,10 @@ def test_source_linearity():
     zero = MultigroupMoments(*(np.zeros_like(a) for a in
                                (prev.e_cell, prev.e_vface, prev.e_hface,
                                 prev.f_vface, prev.f_hface)))
-    hom, _ = solver.solve(closure, kappa, np.zeros_like(planck), prev, 0.1)
-    one, _ = solver.solve(closure, kappa, planck, prev, 0.1)
-    two, _ = solver.solve(closure, kappa, 2.0 * planck, prev, 0.1)
+    gathered = solver.gather(closure)
+    hom, _ = solver.solve(gathered, kappa, np.zeros_like(planck), prev, 0.1)
+    one, _ = solver.solve(gathered, kappa, planck, prev, 0.1)
+    two, _ = solver.solve(gathered, kappa, 2.0 * planck, prev, 0.1)
     ref = np.abs(one.e_cell).max()
     assert np.max(np.abs((two.e_cell - hom.e_cell) - 2.0 * (one.e_cell - hom.e_cell))) \
         <= 1e-12 * ref
@@ -309,7 +311,7 @@ def test_negative_dt_rejected():
     closure = isotropic_closure(1, 2, 2)
     prev = MultigroupMoments.equilibrium(np.ones((1, 2, 2)), system, MAT.light_speed)
     with pytest.raises(ValueError):
-        solver.solve(closure, np.ones((1, 2, 2)), np.ones((1, 2, 2)), prev, -1.0)
+        solver.solve(solver.gather(closure), np.ones((1, 2, 2)), np.ones((1, 2, 2)), prev, -1.0)
 
 
 def test_solver_and_equilibrium_check_the_system():
@@ -321,6 +323,10 @@ def test_solver_and_equilibrium_check_the_system():
         MultigroupLoqdSolver(system, GRID3, other, np.zeros((3, 10)), np.zeros((3, 10)))
     with pytest.raises(ValueError, match="mesh"):
         MultigroupMoments.equilibrium(np.ones((3, 3, 2)), system, MAT.light_speed)
+    with pytest.raises(ValueError, match="light_speed"):
+        MultigroupMoments.equilibrium(np.ones((3, 2, 3)), system, 2.0 * MAT.light_speed)
+    e = MultigroupMoments.equilibrium(np.ones((3, 2, 3)), system, MAT.light_speed).e_cell
+    assert np.array_equal(e, np.full((3, 2, 3), 4.0 * np.pi / MAT.light_speed))
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +351,23 @@ def coeff_inputs(rng, n_g, ny, nx, system):
     return mg, prev, kappa, planck, closure, e_in, f_in
 
 
+def coeff_solver(system, e_in, f_in):
+    """A multigroup solver for the boundary tables' groups (the grid only counts them)."""
+    grid = FrequencyGrid(np.linspace(0.0, 3.0, e_in.shape[0] + 1))
+    return MultigroupLoqdSolver(system, grid, MAT, e_in, f_in)
+
+
 def grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in):
     """Grey coefficients from the per-group flux coefficients of these inputs.
 
     The opacity and emission derivatives are those of T-independent fields: 0.
     """
-    group_flux = group_flux_coeffs(closure, kappa.reshape(kappa.shape[0], -1), prev, dt, system)
+    solver = coeff_solver(system, e_in, f_in)
+    group_flux = group_flux_coeffs(solver.gather(closure), kappa.reshape(kappa.shape[0], -1),
+                                   prev, dt, system)
     zero = np.zeros_like(kappa)
     return compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
-                                     system, e_in, f_in, dt, MAT.light_speed)
+                                     solver, dt)
 
 
 def test_single_group_averages_are_identity():
@@ -504,6 +518,50 @@ def random_system_args(rng, system, lead=()):
             -c * rng.uniform(0.4, 0.7, lead + (nbf,)), rng.uniform(-1.0, 1.0, lead + (nbf,))]
 
 
+DESK = preset("fleck-cummings-desk")
+
+
+@pytest.mark.parametrize("mesh", [SpatialMesh.uniform(DESK.nx, DESK.ny, DESK.dx, DESK.dy),
+                                  SpatialMesh(3, 2, np.array([0.3, 0.7, 0.5]),
+                                              np.array([0.45, 0.8]))], ids=["desk", "3x2"])
+def test_fill_matches_per_orientation_oracle(mesh):
+    # fill() multiplies the stacked d by one geometry row built per mesh;
+    # the oracle forms each orientation's weights (P d) Q and multiplies
+    # them by s l (cell rows) and s (face rows), in the entries' order
+    rng = np.random.default_rng(59)
+    system = MomentSystem(mesh, MAT.light_speed)
+    cell_diag, cell_rhs, vflux, hflux, b_diag, b_rhs = args = random_system_args(rng, system, (4,))
+    want = [cell_diag]
+    for adj, fc in ((system.vadj, vflux), (system.hadj, hflux)):
+        k, one = MAT.light_speed / adj.half_area, np.ones_like(adj.face_len)
+        P = np.stack([-k * adj.sign, k * adj.sign, -k * 0.5 * adj.cross_len,
+                      k * 0.5 * adj.cross_len])
+        w = P * fc.d * np.stack([adj.face_len, adj.face_len, one, one])
+        want += [(adj.sign * adj.face_len * w).reshape(4, -1), (adj.sign * w).reshape(4, -1)]
+    want = np.concatenate(want + [b_diag], axis=-1)
+    vals = system.fill(*args)[0]
+    assert vals.shape == want.shape == (4, system.rows.size)
+    assert np.all(np.abs(vals - want) <= 1e-15 * np.abs(want))
+
+
+def test_cached_scatter_bins_follow_the_leading_shape():
+    # the bins of each index table are built once per leading shape; every
+    # shape, met in any order and again, sums like a per-row bincount
+    rng = np.random.default_rng(61)
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
+    n = system.n_unknowns
+    tables = {"rows": (system.rows, n), "rhs_rows": (system.rhs_rows, n),
+              "slot": (system.slot, n * system.ldab),
+              "vface": (system.vadj.face, system.n_vfaces),
+              "hface": (system.hadj.face, system.mesh.n_hfaces)}
+    for lead in [(), (1,), (4,), (17,), (4,), ()]:
+        for name, (index, size) in tables.items():
+            values = rng.standard_normal(lead + index.shape)
+            want = np.array([np.bincount(index, v, minlength=size)
+                             for v in values.reshape(-1, index.size)]).reshape(lead + (size,))
+            assert np.array_equal(system._scatter(name, values), want), (name, lead)
+
+
 @pytest.mark.parametrize("n_g", [None, 3])
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 4), (4, 1), (3, 2), (5, 3)])
 def test_banded_solve_matches_dense_oracle(nx, ny, n_g):
@@ -570,11 +628,11 @@ def test_graded_system_backward_error(monkeypatch):
     f_in[:, cold] = 0.0
     closure = isotropic_closure(n_g, ny, nx)
     prev = MultigroupMoments.equilibrium(planck, system, c)
-    mg, group_flux = MultigroupLoqdSolver(system, grid, MAT, e_in, f_in).solve(
-        closure, kappa, planck, prev, 0.02)
+    solver = MultigroupLoqdSolver(system, grid, MAT, e_in, f_in)
+    mg, group_flux = solver.solve(solver.gather(closure), kappa, planck, prev, 0.02)
     zero = np.zeros_like(kappa)  # no temperature response: the plain grey system
-    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, system,
-                                   e_in, f_in, 0.02, c)
+    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, solver,
+                                   0.02)
     GreyProblem(system, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
     assert [np.ndim(args[0]) for args, _ in calls] == [2, 1]  # multigroup, then grey
     n = system.n_unknowns
@@ -609,7 +667,7 @@ def test_singular_system_raises_at_both_levels():
     prev = MultigroupMoments.equilibrium(rng.uniform(0.5, 1.0, (3, 2, 3)), system,
                                          MAT.light_speed)
     with pytest.raises(SolverError, match="singular in group 1"):
-        solver.solve(closure, rng.uniform(0.5, 2.0, (3, 2, 3)),
+        solver.solve(solver.gather(closure), rng.uniform(0.5, 2.0, (3, 2, 3)),
                      rng.uniform(0.5, 2.0, (3, 2, 3)), prev, 0.05)
 
 
@@ -735,10 +793,11 @@ def test_temperature_response_matches_local_difference():
     mg = MultigroupMoments.equilibrium(planck, system, c)
     mg.e_cell = e
     closure = isotropic_closure(3, 2, 3)
-    group_flux = group_flux_coeffs(closure, kappa.reshape(3, -1), mg, dt, system)
     e_in = np.zeros((3, system.boundary_face.size))
+    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, e_in)
+    group_flux = group_flux_coeffs(solver.gather(closure), kappa.reshape(3, -1), mg, dt, system)
     co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
-                                   system, e_in, e_in, dt, c)
+                                   solver, dt)
     h = 1e-6 * T
     (ke_hi, kb_hi), (ke_lo, kb_lo) = averages(T + h), averages(T - h)
     step = 2.0 * h.ravel()
@@ -748,7 +807,7 @@ def test_temperature_response_matches_local_difference():
     # derivatives of T-independent fields give none
     zero = np.zeros_like(kappa)
     co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
-                                   system, e_in, e_in, dt, c)
+                                   solver, dt)
     assert not np.any(co.dkbar_e) and not np.any(co.dkbar_b)
 
 
@@ -769,9 +828,9 @@ def test_grey_matches_multigroup_sum():
     f_in = np.zeros((3, system.boundary_face.size))
     solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
     dt = 0.02
-    mg, group_flux = solver.solve(closure, kappa, planck, prev, dt)
+    mg, group_flux = solver.solve(solver.gather(closure), kappa, planck, prev, dt)
     co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
-                                   system, e_in, f_in, dt, MAT.light_speed)
+                                   solver, dt)
     recover_fluxes(system, mg, group_flux)
     e_c, e_v, e_h, f_v, f_h = (a.sum(axis=0) for a in (
         mg.e_cell, mg.e_vface, mg.e_hface, mg.f_vface, mg.f_hface))
@@ -820,5 +879,5 @@ def test_nonfinite_solution_raises(level, fault):
         e_in[1, 1] = np.inf
     solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
     with pytest.raises(SolverError, match="non-finite values in group 1"):
-        solver.solve(random_closure(rng, 3, 2, 3), rng.uniform(0.5, 2.0, (3, 2, 3)),
+        solver.solve(solver.gather(random_closure(rng, 3, 2, 3)), rng.uniform(0.5, 2.0, (3, 2, 3)),
                      rng.uniform(0.5, 2.0, (3, 2, 3)), prev, 0.05)
