@@ -16,7 +16,6 @@ from .lowrank import (
     ClosureModel,
     SnapshotMatrix,
     compress,
-    dmd_compress,
     pod_compress,
     select_rank,
     truncated_svd,
@@ -24,15 +23,15 @@ from .lowrank import (
 from .materials import FrequencyGrid, MaterialModel
 from .mesh import SpatialMesh
 from .quadrature import AngularQuadrature, build_quadrature
-from .transport import BoundarySpec, ClosureRecord, TransportSolver
+from .transport import ClosureRecord, TransportSolver
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularQuadrature", "BoundarySpec", "ClosureModel", "ClosureRecord",
+    "AngularQuadrature", "ClosureModel", "ClosureRecord",
     "FrequencyGrid", "MaterialModel", "RunConfig", "RunRecord", "SnapshotMatrix",
     "SpatialMesh", "TimeGrid", "TransportSolver", "build_problem",
-    "build_quadrature", "closure_unknowns", "compress", "dmd_compress",
+    "build_quadrature", "closure_unknowns", "compress",
     "load_config", "playback_models", "pod_compress",
     "preset", "record_snapshots", "run_fom", "run_rom",
     "select_rank", "truncated_svd",

@@ -26,7 +26,8 @@ plain update, and a mixed iterate with a non-positive cell temperature
 falls back to the plain update.  The change test and the accepted state
 are those of the unmixed grey solve.
 
-The full-order model stops at the relative change `outer_tol`.  The
+Both models stop on the relative change of T and E in the 2-norm
+(`_change_ratio`).  The full-order model stops at `outer_tol`.  The
 reduced-order model stops at the tolerance its closure models warrant,
 derived once per run (`rom_tolerance`): `ROM_STOP_FRACTION` times the
 smallest positive singular-value energy fraction the models discard, and
@@ -51,11 +52,11 @@ from .loqd import (
     MultigroupMoments,
     compute_grey_coefficients,
 )
-from .lowrank import ClosureModel, SnapshotMatrix
+from .lowrank import ClosureModel, OutOfWindowError, SnapshotMatrix
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
 from .mesh import SIDES, SpatialMesh, grid_shape
 from .quadrature import build_quadrature
-from .transport import BoundarySpec, ClosureRecord, TransportSolver
+from .transport import ClosureRecord, TransportSolver
 
 
 class DriverError(RuntimeError):
@@ -139,7 +140,12 @@ def stack_closure(c: ClosureRecord) -> dict:
 
 
 def unstack_closure(vectors: dict, nx: int, ny: int, n_groups: int) -> ClosureRecord:
-    """Inverse of stack_closure for one time step."""
+    """Inverse of stack_closure for one time step.
+
+    The record's arrays are views of the given float vectors, not copies:
+    editing one edits the vector, and so a run record's snapshot column it
+    was unstacked from.  Copy the vectors first to edit the closure alone.
+    """
     return ClosureRecord(**{
         attr: np.asarray(vectors[name], dtype=float).reshape(
             _snapshot_shape(name, nx, ny, n_groups))
@@ -182,18 +188,16 @@ def build_problem(config: RunConfig) -> Problem:
     )
     geom = MomentSystem(mesh, material.light_speed)
     quad = build_quadrature(config.quadrature)
-    sides = []
-    for name in SIDES:
+    # isotropic inflow per group and side: a blackbody at boundary_<side>, or vacuum
+    inflow = np.zeros((grid.n_groups, len(SIDES)))
+    for k, name in enumerate(SIDES):
         T_in = getattr(config, f"boundary_{name}")
-        if T_in is None:
-            sides.append(np.zeros(grid.n_groups))
-        else:
-            sides.append(np.asarray(planck_spectrum(
-                T_in, grid, radiation_constant=material.radiation_constant,
-                light_speed=material.light_speed)))
-    transport = TransportSolver(mesh, quad, grid, material, BoundarySpec(*sides))
-    e_in, f_in = transport.boundary_inflow(geom.boundary_side)
-    mg_solver = MultigroupLoqdSolver(geom, grid, material, e_in, f_in)
+        if T_in is not None:
+            inflow[:, k] = planck_spectrum(T_in, grid,
+                                           radiation_constant=material.radiation_constant,
+                                           light_speed=material.light_speed)
+    transport = TransportSolver(mesh, quad, grid, material, inflow)
+    mg_solver = MultigroupLoqdSolver(geom, *transport.boundary_inflow(geom.boundary_side))
     return Problem(config, geom, grid, material, transport, mg_solver)
 
 
@@ -264,17 +268,15 @@ def _anderson_update(pairs, depth: int) -> np.ndarray:
     return mixed if mixed.min() > 0.0 else g_k
 
 
-def _change_ratio(cfg: RunConfig, grey, T: np.ndarray, E: np.ndarray, norm_ord,
-                  tol: float) -> float:
+def _change_ratio(cfg: RunConfig, grey, T: np.ndarray, E: np.ndarray, tol: float) -> float:
     """Change of the grey solution from (T, E), scaled by the stopping test.
 
-    Each of T and E gives |new - old| / (tol * |new| + outer_floor) in the
-    vector norm of order `norm_ord`; the larger ratio is returned, and the
-    test accepts a ratio of at most 1.
+    Each of T and E gives |new - old|_2 / (tol * |new|_2 + outer_floor); the
+    larger ratio is returned, and the test accepts a ratio of at most 1.
     """
     def ratio(new, old):
-        return np.linalg.norm((new - old).ravel(), norm_ord) \
-            / (tol * np.linalg.norm(new.ravel(), norm_ord) + cfg.outer_floor)
+        return np.linalg.norm((new - old).ravel()) \
+            / (tol * np.linalg.norm(new.ravel()) + cfg.outer_floor)
     return max(ratio(grey.temperature, T), ratio(grey.e_cell, E))
 
 
@@ -296,7 +298,7 @@ class _Step:
 
 
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
-                  closure_at, norm_ord, tol: float) -> _Step:
+                  closure_at, tol: float) -> _Step:
     """Iterate the low-order loop of one time step from the previous time level.
 
     Each iterate evaluates the spectral fields (kappa, planck) at its
@@ -319,7 +321,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
                                            group_flux, p.mg_solver, cfg.dt)
         grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev, t_prev,
                            t_star=T_it).solve()
-        change = _change_ratio(cfg, grey, T_it, E_it, norm_ord, tol)
+        change = _change_ratio(cfg, grey, T_it, E_it, tol)
         if change <= 1.0:
             # only the accepted iterate's face fluxes are ever read
             mg.f_vface, mg.f_hface = p.geom.face_fluxes(mg, *group_flux)
@@ -386,7 +388,7 @@ def _run(p: Problem, mode: str, advance, log) -> RunRecord:
 
 
 def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
-    """Full-order run: one transport sweep per low-order iterate; max-norm change test.
+    """Full-order run: one transport sweep per low-order iterate, stopping at `outer_tol`.
 
     `log(step, iterations, change)` is called after each step, where
     `iterations` counts the step's low-order solves, each with its sweep.
@@ -406,7 +408,7 @@ def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
                                             I_prev, cfg.dt)
             return p.mg_solver.gather(p.transport.compute_eddington(latest["I"]))
 
-        step = _advance_step(p, mg_prev, t_prev, sweep, np.inf, cfg.outer_tol)
+        step = _advance_step(p, mg_prev, t_prev, sweep, cfg.outer_tol)
         step.sweeps = step.iterations
         step.negative_corners = int(np.sum(latest["I"] < 0.0))
         return step
@@ -427,17 +429,23 @@ def rom_tolerance(config: RunConfig, models: dict) -> float:
 
 
 def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
-    """Reduced-order run: closures reconstructed once per step; 2-norm change test.
+    """Reduced-order run: closures reconstructed once per step.
 
     Each step stops at `rom_tolerance(config, models)`, which the record's
-    `config_meta["outer_tol"]` states.  `log(step, iterations, change)` is
-    called after each step.
+    `config_meta["outer_tol"]` states.  A model without a one-step operator
+    that covers fewer steps than the run raises OutOfWindowError before
+    step 1.  `log(step, iterations, change)` is called after each step.
     """
     p = config if isinstance(config, Problem) else build_problem(config)
     cfg = p.config
     missing = [k for k in SNAPSHOT_NAMES if k not in models]
     if missing:
         raise ValueError(f"missing closure models: {missing}")
+    for name in SNAPSHOT_NAMES:
+        m = models[name]
+        if m.operator is None and m.n_steps < cfg.n_steps:
+            raise OutOfWindowError(f"model '{name}' covers steps 1..{m.n_steps} of the "
+                                   f"run's {cfg.n_steps} and cannot extend them")
     tol = rom_tolerance(cfg, models)
 
     def advance(n, mg_prev, t_prev):
@@ -449,7 +457,7 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
             vectors[name] = vec
         # the step's closure is gathered once: only kappa changes between iterates
         closure = p.mg_solver.gather(unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups))
-        return _advance_step(p, mg_prev, t_prev, lambda kappa, planck: closure, 2, tol)
+        return _advance_step(p, mg_prev, t_prev, lambda kappa, planck: closure, tol)
 
     rec = _run(p, "rom", advance, log)
     rec.config_meta["outer_tol"] = tol

@@ -17,9 +17,13 @@ d = f / (kappa + 1/(c dt)), with f the Eddington-tensor entry, and
 p = F_prev / (1 + c dt kappa) per group; the effective grey problem uses
 their spectrum averages, together with averaged absorption and emission
 opacities and boundary factors, so that it is the exact group sum of the
-multigroup scheme.  The four d of an expression are stacked like its columns
-of x (MomentSystem.vcols/hcols): a closure's entries are gathered through
-them once per closure (MultigroupLoqdSolver.gather; once per step for the
+multigroup scheme.  Both levels take their boundary rows in one form, a
+diagonal -c C and a right-hand side -c C E_in + n.F_in: per group from the
+inflow that MultigroupLoqdSolver keeps (gather), and in total from its
+group sums (compute_grey_coefficients); c is MomentSystem's.  The four d
+of an expression are stacked like its columns of x
+(MomentSystem.vcols/hcols): a closure's entries are gathered through them
+once per closure (MultigroupLoqdSolver.gather; once per step for the
 reduced-order model, whose iterates change only kappa), the grey weights in
 one take.  MomentSystem, one per mesh, holds the adjacency, the
 boundary-face table, the band layout and a geometry row of the constant
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .materials import FrequencyGrid, MaterialModel
+from .materials import MaterialModel
 from .mesh import SIDES, SpatialMesh, build_adjacency
 from .transport import ClosureRecord
 
@@ -305,13 +309,8 @@ class MultigroupLoqdSolver:
     iterate (MomentSystem.face_fluxes with the returned coefficients).
     """
 
-    def __init__(self, system: MomentSystem, grid: FrequencyGrid,
-                 material: MaterialModel, e_in: np.ndarray, f_in: np.ndarray):
-        if system.light_speed != material.light_speed:
-            raise ValueError("the moment system and the material use different light speeds")
+    def __init__(self, system: MomentSystem, e_in: np.ndarray, f_in: np.ndarray):
         self.system = system
-        self.grid = grid
-        self.material = material
         self.e_in = e_in  # (n_g, n_bfaces)
         self.f_in = f_in
         self.e_in_total, self.f_in_total = e_in.sum(axis=0), f_in.sum(axis=0)
@@ -319,7 +318,7 @@ class MultigroupLoqdSolver:
 
     def gather(self, closure: ClosureRecord) -> GatheredClosure:
         """The closure as it is now; only kappa changes between solves that share it."""
-        cb, c, s = closure.cb, self.material.light_speed, self.system
+        cb, s, c = closure.cb, self.system, self.system.light_speed
 
         def at(cols, *entries):  # one orientation's entries laid out like x
             return np.concatenate([e.reshape(cb.shape[0], -1) for e in entries],
@@ -340,9 +339,7 @@ class MultigroupLoqdSolver:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         system = self.system
-        n_g = self.grid.n_groups
-        c = self.material.light_speed
-        area = system.area
+        n_g, c, area = kappa.shape[0], system.light_speed, system.area
         kappa2 = kappa.reshape(n_g, -1)
         vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, system)
         moments = MultigroupMoments(*system.solve(
@@ -366,9 +363,8 @@ class SpectrumAveraged:
     dkbar_e: np.ndarray       # (n_cells,) d kbar_e/dT, spectrum shape included
     dkbar_b: np.ndarray       # (n_cells,) d kbar_b/dT, likewise
     e_cell_total: np.ndarray  # (n_cells,) sum of E_g, which dkbar_e multiplies
-    cbar: np.ndarray          # (n_bfaces,)
-    e_in_total: np.ndarray    # (n_bfaces,)
-    f_in_total: np.ndarray    # (n_bfaces,)
+    boundary_diag: np.ndarray  # (n_bfaces,): -c Cbar
+    boundary_rhs: np.ndarray   # (n_bfaces,): -c Cbar E_in + n.F_in, both group sums
     vflux: FluxCoeffs
     hflux: FluxCoeffs
 
@@ -390,8 +386,9 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
 
     kappa/planck and their T-derivatives dkappa/dplanck are (n_g, ny, nx) at
     the outer iterate; group_flux is the per-group (vertical, horizontal)
-    flux-coefficient pair of `solver`.solve, whose boundary tables e_in/f_in
-    the boundary averages read.  The boundary-factor average falls back to the
+    flux-coefficient pair of `solver`.solve.  The grey boundary terms are
+    the multigroup level's with the group sums of `solver`'s inflow and the
+    boundary factor averaged over E_g - E_in,g, which falls back to the
     unweighted mean where its denominator is below 1e-30 of the local energy
     density.  The group energies respond to T through their own cell rows,
     transport held fixed: dE_g/dT = [4 pi (kappa' B + kappa B') - c kappa' E_g]
@@ -399,8 +396,8 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     kbar_e) dE_g/dT] / sum E_g, and likewise d kbar_b/dT over the B_g (linear
     multifrequency-grey acceleration, Morel, Larsen & Matzen, JQSRT 34, 1985).
     """
-    system, light_speed = solver.system, solver.material.light_speed
-    n_g = kappa.shape[0]
+    system = solver.system
+    light_speed, n_g = system.light_speed, kappa.shape[0]
     kap2, b2, e_c = (a.reshape(n_g, -1) for a in (kappa, planck, mg.e_cell))
     # the group energies in the natural order: x at a flux expression's
     # columns weighs its d, and at boundary_cols the boundary factors
@@ -428,24 +425,20 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     vflux, hflux = (FluxCoeffs(_weighted_mean(fc.d, x_mg.take(cols, axis=1), x_sum.take(cols),
                                               "flux coefficient"), fc.p.sum(axis=0))
                     for fc, cols in zip(group_flux, (system.vcols, system.hcols)))
-    return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, cbar,
-                            solver.e_in_total, solver.f_in_total, vflux, hflux)
+    diag = -light_speed * cbar
+    return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, diag,
+                            diag * solver.e_in_total + solver.f_in_total, vflux, hflux)
 
 
 # ---------------------------------------------------------------------------
 # effective grey problem
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GreyState:
-    """Converged grey unknowns for one time level."""
+@dataclass(kw_only=True)
+class GreyState(MultigroupMoments):
+    """Grey unknowns for one time level: the moments' grids, no group axis, and T."""
 
     temperature: np.ndarray  # (ny, nx)
-    e_cell: np.ndarray       # (ny, nx)
-    e_vface: np.ndarray      # (ny, nx+1)
-    e_hface: np.ndarray      # (ny+1, nx)
-    f_vface: np.ndarray | None = None  # (ny, nx+1), recovered once accepted
-    f_hface: np.ndarray | None = None  # (ny+1, nx)
     newton_iterations: int = 0  # linear solves that produced the state: 1
 
 
@@ -500,7 +493,7 @@ class GreyProblem:
         e_c, e_v, e_h = self.system.solve(
             area / dt + cv_dt * area * slope,
             (area / dt) * self.e_prev_cell.ravel() - cv_dt * area * shift,
-            co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)
+            co.vflux, co.hflux, co.boundary_diag, co.boundary_rhs)
         return GreyState(
             temperature=(t_prev + (slope * e_c.ravel() + shift)).reshape(e_c.shape),
             e_cell=e_c, e_vface=e_v, e_hface=e_h, newton_iterations=1,

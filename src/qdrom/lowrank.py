@@ -161,27 +161,24 @@ def pod_compress(snap: SnapshotMatrix, xi_rel: float) -> ClosureModel:
                         dict(snap.layout), snap.t0, snap.dt)
 
 
-def dmd_compress(snap: SnapshotMatrix, xi_rel: float,
-                 variant: str = "plain") -> ClosureModel:
-    """Projected DMD (optionally equilibrium-subtracted) of a snapshot set.
+def _dmd_compress(snap: SnapshotMatrix, xi_rel: float, subtract_final: bool) -> ClosureModel:
+    """Projected DMD of a snapshot set, less its final snapshot if `subtract_final`.
 
     The best-fit one-step operator is projected onto the leading left
     singular subspace U_k of the history matrix, A = U_k^T X' V_k S_k^-1.
     Step p is reconstructed as U_k A^(p-1) U_k^T a_1, the projected-mode
     DMD expansion with least-squares amplitudes evaluated in real
-    arithmetic (Schmid, J. Fluid Mech. 656, 2010).  The
-    "equilibrium_subtracted" variant first subtracts the final snapshot,
-    which becomes the offset, and fits every column of the difference: the
-    final one is zero, so the fit also sees the approach to the offset.
+    arithmetic (Schmid, J. Fluid Mech. 656, 2010).  DMD-E first subtracts
+    the final snapshot, which becomes the offset, and fits every column of
+    the difference: the final one is zero, so the fit also sees the
+    approach to the offset.
     """
-    if variant not in ("plain", "equilibrium_subtracted"):
-        raise ValueError(f"unknown DMD variant '{variant}'")
     a = snap.data
     if a.shape[1] < 3:
         raise ValueError("DMD needs at least 3 columns")
     _check_xi(xi_rel)  # constant data skips select_rank
     offset = np.zeros(a.shape[0])
-    if variant == "equilibrium_subtracted":
+    if subtract_final:
         offset = a[:, -1].copy()
         a = a - offset[:, None]
     x = a[:, :-1]
@@ -205,9 +202,9 @@ METHODS = ("pod", "dmd", "dmd-e")
 
 
 def compress(snap: SnapshotMatrix, method: str, xi_rel: float) -> ClosureModel:
-    """Dispatch by method name, one of METHODS."""
+    """Compress by method name, one of METHODS: the public entry for DMD and DMD-E."""
     if method not in METHODS:
         raise ValueError(f"unknown compression method '{method}'")
     if method == "pod":
         return pod_compress(snap, xi_rel)
-    return dmd_compress(snap, xi_rel, "plain" if method == "dmd" else "equilibrium_subtracted")
+    return _dmd_compress(snap, xi_rel, subtract_final=method == "dmd-e")

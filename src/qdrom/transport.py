@@ -50,19 +50,6 @@ class ShapeError(ValueError):
     """Array dimensions inconsistent with the mesh/quadrature/group layout."""
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Isotropic incoming intensity per side and group; zeros mean vacuum."""
-
-    left: np.ndarray
-    bottom: np.ndarray
-    right: np.ndarray
-    top: np.ndarray
-
-    def side(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-
 @dataclass
 class ClosureRecord:
     """Eddington tensor components and boundary factors for one time level.
@@ -105,15 +92,21 @@ _EXITS = ((0, -1, (0, 2)), (1, -1, (0, 1)), (0, 1, (1, 3)), (1, 1, (2, 3)))
 
 
 class TransportSolver:
-    """Sweeper and closure extractor bound to one mesh/quadrature/group layout."""
+    """Sweeper and closure extractor bound to one mesh/quadrature/group layout.
+
+    `inflow` (n_g, side) is the isotropic incoming intensity per group and
+    side of mesh.SIDES; zeros mean vacuum.
+    """
 
     def __init__(self, mesh: SpatialMesh, quad: AngularQuadrature,
-                 grid: FrequencyGrid, material: MaterialModel, bc: BoundarySpec):
+                 grid: FrequencyGrid, material: MaterialModel, inflow: np.ndarray):
         self.mesh = mesh
         self.quad = quad
         self.grid = grid
         self.material = material
-        self.bc = bc
+        self.inflow = inflow = np.asarray(inflow, dtype=float)
+        if inflow.shape != (grid.n_groups, len(SIDES)):
+            raise ShapeError(f"inflow shape {inflow.shape} != {(grid.n_groups, len(SIDES))}")
         if np.any((quad.mu == 0.0) | (quad.eta == 0.0)):
             raise QuadratureSpecError("a direction with mu = 0 or eta = 0 lies in no quadrant")
         dirs = [np.nonzero((np.sign(quad.mu) == sx) & (np.sign(quad.eta) == sy))[0]
@@ -168,9 +161,8 @@ class TransportSolver:
             # 1-D sums over the half range alone, the quadrature's own sums
             sums.append([np.sum(x[half]) for x in r])
         self._weights = np.concatenate(rows)                    # (16, M)
-        inflow = np.stack([bc.side(s) for s in SIDES], axis=1)  # (n_g, side)
         # moments of the inflow through each side: (n_g, side, row)
-        self._inflow = inflow[:, :, None] * np.array(sums)[self._opposite]
+        self._inflow_moments = inflow[:, :, None] * np.array(sums)[self._opposite]
         # inflow of each lane across the upwind x and y faces of the flow frame:
         # lanes of sign s on an axis enter where half range (axis, -s) leaves
         self._x_in = np.repeat(inflow[:, [exit_side[0, -s] for s in sx]], k, axis=1)
@@ -264,8 +256,9 @@ class TransportSolver:
             # downwind faces of the cells, and the inflow on the first face
             shape = list(trace.shape)
             shape[along] = 1
-            inflow = np.broadcast_to(self._inflow[:, self._opposite[h], :, None, None], shape)
-            parts = (trace, inflow) if sign < 0 else (inflow, trace)
+            entering = np.broadcast_to(
+                self._inflow_moments[:, self._opposite[h], :, None, None], shape)
+            parts = (trace, entering) if sign < 0 else (entering, trace)
             faces[axis] = faces[axis] + np.concatenate(parts, axis=along)
         fv, fh = faces
         phi_v = _positive(fv[:, 0], "nonpositive angular integral on a face")
@@ -274,13 +267,13 @@ class TransportSolver:
                              fh[:, 1] / phi_h, fh[:, 2] / phi_h, np.concatenate(cb, axis=1))
 
     def boundary_inflow(self, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """E_in and n.F_in per group and boundary face from the incoming spec.
+        """E_in and n.F_in per group and boundary face from the inflow.
 
         side holds each face's index into mesh.SIDES.  The half-range sums
         are the quadrature's own, so the moment-system boundary rows are
         exactly consistent with the transport boundary condition.
         """
-        moments = self._inflow[:, side]
+        moments = self._inflow_moments[:, side]
         # n.Omega on the incoming range is negative on every side
         return moments[..., 0] / self.material.light_speed, -moments[..., 3]
 

@@ -28,10 +28,10 @@ from qdrom.drivers import (
     _initial_state,
 )
 from qdrom.lowrank import (
-    SnapshotMatrix, compress, dmd_compress, pod_compress, select_rank, truncated_svd,
+    SnapshotMatrix, compress, pod_compress, select_rank, truncated_svd,
 )
 from qdrom.quadrature import build_quadrature
-from qdrom.transport import BoundarySpec, TransportSolver, intensity_unknowns
+from qdrom.transport import TransportSolver, intensity_unknowns
 from qdrom.materials import FrequencyGrid, MaterialModel
 from qdrom.mesh import SpatialMesh
 
@@ -94,8 +94,8 @@ def test_criterion_2_closure_identities(per_quadrant):
     grid = FrequencyGrid(np.array([0.0, 1.0e7]))
     material = MaterialModel(heat_capacity=1.0)
     mesh = SpatialMesh.uniform(3, 3, 1.0, 1.0)
-    bc = BoundarySpec(*(np.array([0.8]) for _ in range(4)))
-    solver = TransportSolver(mesh, build_quadrature(per_quadrant), grid, material, bc)
+    solver = TransportSolver(mesh, build_quadrature(per_quadrant), grid, material,
+                             np.full((1, 4), 0.8))
     iso = np.full(solver.shape, 0.8)
     rec = solver.compute_eddington(iso)
     for arr in (rec.fxx_cell, rec.fyy_cell, rec.fxx_vface, rec.fyy_hface):
@@ -191,7 +191,7 @@ def test_criterion_7_dmd_rank_economy(desk_snapshots):
     for name in ("fxx_c", "cb"):
         for xi in (1e-2, 1e-6):
             pod = pod_compress(desk_snapshots[name], xi)
-            dmd = dmd_compress(desk_snapshots[name], xi)
+            dmd = compress(desk_snapshots[name], "dmd", xi)
             assert dmd.rank <= pod.rank
     report("7 DMD rank economy (rank_dmd <= rank_pod on all 7 matrices, full xi grid)")
 
@@ -202,7 +202,7 @@ def test_criterion_8_dmd_linear_system_oracle():
     for _ in range(9):
         cols.append(b @ cols[-1])
     a = np.stack(cols, axis=1)
-    model = dmd_compress(SnapshotMatrix("oracle", a, {}), 1e-12)
+    model = compress(SnapshotMatrix("oracle", a, {}), "dmd", 1e-12)
     eigenvalues = np.linalg.eigvals(model.operator)
     assert np.allclose(np.sort(eigenvalues.real), [0.5, 0.9], atol=1e-10)
     assert np.max(np.abs(eigenvalues.imag)) <= 1e-10

@@ -21,7 +21,7 @@ from qdrom.container import (
     write_container,
 )
 from qdrom.drivers import record_snapshots
-from qdrom.lowrank import dmd_compress, pod_compress
+from qdrom.lowrank import compress, pod_compress
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -104,9 +104,9 @@ def test_pod_model_roundtrip(tmp_path, tiny_snapshots):
         assert np.array_equal(back.reconstruct(n), model.reconstruct(n))
 
 
-@pytest.mark.parametrize("variant", ["plain", "equilibrium_subtracted"])
-def test_dmd_model_roundtrip(tmp_path, tiny_snapshots, variant):
-    model = dmd_compress(tiny_snapshots["cb"], 1e-8, variant=variant)
+@pytest.mark.parametrize("method", ["dmd", "dmd-e"])
+def test_dmd_model_roundtrip(tmp_path, tiny_snapshots, method):
+    model = compress(tiny_snapshots["cb"], method, 1e-8)
     path = tmp_path / "m.ddet"
     save_model(path, model)
     back = load_model(path)
@@ -266,7 +266,7 @@ def test_retired_model_kinds_are_format_errors(tmp_path, tiny_snapshots, kind):
                                    "operator shape", "two offset rows", "layout"])
 def test_model_contents_are_checked(tmp_path, tiny_snapshots, fault):
     path = tmp_path / "m.ddet"
-    save_model(path, dmd_compress(tiny_snapshots["cb"], 1e-8))
+    save_model(path, compress(tiny_snapshots["cb"], "dmd", 1e-8))
     kind, desc, arrays = read_container(path)
     if fault == "nan":
         arrays["coefficients"][0, 2] = np.nan
@@ -309,7 +309,7 @@ def record_file(tmp_path_factory, tiny_fom):
 def fuzz_inputs(record_file, tmp_path_factory, tiny_snapshots):
     """(path, bytes, typed loader) of a run record and of a DMD model."""
     path = tmp_path_factory.mktemp("fuzz") / "model.ddet"
-    save_model(path, dmd_compress(tiny_snapshots["cb"], 1e-8))
+    save_model(path, compress(tiny_snapshots["cb"], "dmd", 1e-8))
     return [(*record_file, load_run_record), (path, path.read_bytes(), load_model)]
 
 

@@ -14,6 +14,7 @@ from qdrom.drivers import (
     ROM_STOP_FRACTION,
     SNAPSHOT_NAMES,
     _anderson_update,
+    build_problem,
     closure_unknowns,
     playback_models,
     record_snapshots,
@@ -24,8 +25,9 @@ from qdrom.drivers import (
     unstack_closure,
 )
 from qdrom.loqd import GreyProblem, MomentSystem, MultigroupLoqdSolver, SolverError
-from qdrom.lowrank import METHODS, compress
+from qdrom.lowrank import METHODS, OutOfWindowError, compress
 from qdrom.materials import MaterialModel
+from qdrom.mesh import SIDES
 from qdrom.transport import intensity_unknowns
 
 
@@ -190,6 +192,30 @@ def test_rom_requires_all_models(tiny_config, tiny_snapshots):
     del models["cb"]
     with pytest.raises(ValueError):
         run_rom(tiny_config, models)
+
+
+def test_rom_refuses_models_shorter_than_the_run_before_step_one(tiny_config, tiny_snapshots):
+    # playback models of 3 stored columns cannot extend past step 3: a
+    # 5-step run is refused before its first step, naming the first such model
+    models = playback_models({name: dataclasses.replace(m, data=m.data[:, :3])
+                              for name, m in tiny_snapshots.items()})
+    logged = []
+    with pytest.raises(OutOfWindowError, match=f"model '{SNAPSHOT_NAMES[0]}' covers steps 1..3"):
+        run_rom(tiny_config, models, log=lambda *args: logged.append(args))
+    assert logged == []
+    assert run_rom(dataclasses.replace(tiny_config, n_steps=3), models).n_steps == 3
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_boundary_key_drives_its_own_side(tiny_config, side):
+    # one driven side at a time: the inflow is nonzero exactly on its faces
+    keys = {f"boundary_{s}": 1.0 if s == side else None for s in SIDES}
+    p = build_problem(dataclasses.replace(tiny_config, **keys))
+    on_side = p.geom.boundary_side == SIDES.index(side)
+    for table in (p.mg_solver.e_in, p.mg_solver.f_in):
+        assert np.array_equal(table != 0.0, np.broadcast_to(on_side, table.shape))
+    assert np.array_equal(p.transport.inflow != 0.0,
+                          np.broadcast_to(np.array(SIDES) == side, p.transport.inflow.shape))
 
 
 @pytest.mark.parametrize("outer_tol", [1e-14, 1e-6])

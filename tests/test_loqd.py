@@ -91,7 +91,7 @@ def test_multigroup_equilibrium_fixed_point(T_star):
     b_g = np.asarray(planck_spectrum(T_star, GRID3))
     c = MAT.light_speed
     e_in, f_in = equilibrium_bc_tables(system, b_g, c)
-    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, e_in, f_in)
     closure = isotropic_closure(3, 3, 4)
     kappa = spectral_fields(np.full((3, 4), T_star), GRID3)[0]
     planck = np.repeat(b_g[:, None], 12, axis=1).reshape(3, 3, 4)
@@ -109,10 +109,9 @@ def test_single_cell_matches_dense_oracle():
     rng = np.random.default_rng(21)
     mesh = SpatialMesh.uniform(1, 1, 0.7, 0.4)
     system = MomentSystem(mesh, MAT.light_speed)
-    grid1 = FrequencyGrid(np.array([0.0, 1.0e7]))
     e_in = np.zeros((1, 4))
     f_in = np.zeros((1, 4))
-    solver = MultigroupLoqdSolver(system, grid1, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, e_in, f_in)
     closure = random_closure(rng, 1, 1, 1)
     kappa = rng.uniform(0.5, 2.0, size=(1, 1, 1))
     planck = rng.uniform(0.5, 2.0, size=(1, 1, 1))
@@ -254,10 +253,9 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
     rng = np.random.default_rng(37)
     mesh = SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx), rng.uniform(0.3, 0.8, ny))
     system = MomentSystem(mesh, MAT.light_speed)
-    grid = FrequencyGrid(np.linspace(0.0, 3.0, n_g + 1))
     e_in = rng.uniform(0.0, 0.5, (n_g, system.boundary_face.size))
     f_in = rng.uniform(-0.3, 0.0, (n_g, system.boundary_face.size))
-    solver = MultigroupLoqdSolver(system, grid, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, e_in, f_in)
     closure = random_closure(rng, n_g, ny, nx)
     kappa = rng.uniform(0.5, 2.0, size=(n_g, ny, nx))
     planck = rng.uniform(0.5, 2.0, size=(n_g, ny, nx))
@@ -281,8 +279,7 @@ def test_source_linearity():
     rng = np.random.default_rng(4)
     mesh = SpatialMesh.uniform(3, 2, 0.5, 0.5)
     system = MomentSystem(mesh, MAT.light_speed)
-    grid1 = FrequencyGrid(np.array([0.0, 1.0e7]))
-    solver = MultigroupLoqdSolver(system, grid1, MAT, np.zeros((1, 10)), np.zeros((1, 10)))
+    solver = MultigroupLoqdSolver(system, np.zeros((1, 10)), np.zeros((1, 10)))
     closure = random_closure(rng, 1, 2, 3)
     kappa = rng.uniform(0.5, 2.0, size=(1, 2, 3))
     planck = rng.uniform(0.5, 2.0, size=(1, 2, 3))
@@ -306,8 +303,7 @@ def test_source_linearity():
 def test_negative_dt_rejected():
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
     system = MomentSystem(mesh, MAT.light_speed)
-    grid1 = FrequencyGrid(np.array([0.0, 1.0e7]))
-    solver = MultigroupLoqdSolver(system, grid1, MAT, np.zeros((1, 8)), np.zeros((1, 8)))
+    solver = MultigroupLoqdSolver(system, np.zeros((1, 8)), np.zeros((1, 8)))
     closure = isotropic_closure(1, 2, 2)
     prev = MultigroupMoments.equilibrium(np.ones((1, 2, 2)), system, MAT.light_speed)
     with pytest.raises(ValueError):
@@ -315,12 +311,12 @@ def test_negative_dt_rejected():
 
 
 def test_solver_and_equilibrium_check_the_system():
-    # the moment system binds c and the mesh: a material with another c, or
-    # an emission grid of another mesh, is refused
+    # the moment system binds c and the mesh: the solver takes c from it, and
+    # an emission grid of another mesh, or another c, is refused
     system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
-    other = dataclasses.replace(MAT, light_speed=2.0 * MAT.light_speed)
-    with pytest.raises(ValueError, match="different light speeds"):
-        MultigroupLoqdSolver(system, GRID3, other, np.zeros((3, 10)), np.zeros((3, 10)))
+    closure = isotropic_closure(3, 2, 3)
+    gathered = MultigroupLoqdSolver(system, np.zeros((3, 10)), np.zeros((3, 10))).gather(closure)
+    assert np.array_equal(gathered.boundary_diag, -system.light_speed * closure.cb)
     with pytest.raises(ValueError, match="mesh"):
         MultigroupMoments.equilibrium(np.ones((3, 3, 2)), system, MAT.light_speed)
     with pytest.raises(ValueError, match="light_speed"):
@@ -351,18 +347,12 @@ def coeff_inputs(rng, n_g, ny, nx, system):
     return mg, prev, kappa, planck, closure, e_in, f_in
 
 
-def coeff_solver(system, e_in, f_in):
-    """A multigroup solver for the boundary tables' groups (the grid only counts them)."""
-    grid = FrequencyGrid(np.linspace(0.0, 3.0, e_in.shape[0] + 1))
-    return MultigroupLoqdSolver(system, grid, MAT, e_in, f_in)
-
-
 def grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in):
     """Grey coefficients from the per-group flux coefficients of these inputs.
 
     The opacity and emission derivatives are those of T-independent fields: 0.
     """
-    solver = coeff_solver(system, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, e_in, f_in)
     group_flux = group_flux_coeffs(solver.gather(closure), kappa.reshape(kappa.shape[0], -1),
                                    prev, dt, system)
     zero = np.zeros_like(kappa)
@@ -378,7 +368,7 @@ def test_single_group_averages_are_identity():
     co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, system, e_in, f_in)
     assert co.kbar_e == pytest.approx(kappa.reshape(-1), rel=1e-14)
     assert co.kbar_b == pytest.approx(kappa.reshape(-1), rel=1e-14)
-    assert co.cbar == pytest.approx(closure.cb[0], rel=1e-14)
+    assert co.boundary_diag == pytest.approx(-MAT.light_speed * closure.cb[0], rel=1e-14)
 
 
 def test_constant_opacity_averages():
@@ -449,13 +439,13 @@ def grey_coeffs_uniform(system, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
 
     def fc(n):
         return FluxCoeffs(np.full((4, n), dvals), np.full(n, p))
-    nc = system.n_cells
+    nc, c = system.n_cells, MAT.light_speed
     # T-independent grey opacities: no temperature derivatives
     return SpectrumAveraged(
         kbar_e=np.full(nc, kbar), kbar_b=np.full(nc, kbar), dkbar_e=np.zeros(nc),
         dkbar_b=np.zeros(nc), e_cell_total=np.zeros(nc),
-        cbar=np.full(nbf, cbar), e_in_total=np.full(nbf, e_in),
-        f_in_total=np.full(nbf, f_in), vflux=fc(n_vadj), hflux=fc(n_hadj),
+        boundary_diag=np.full(nbf, -c * cbar),
+        boundary_rhs=np.full(nbf, -c * cbar * e_in + f_in), vflux=fc(n_vadj), hflux=fc(n_hadj),
     )
 
 
@@ -474,7 +464,7 @@ def grey_radiation_system(system, co, dt, e_prev_cell):
     area = system.mesh.cell_area.ravel()
     return system.fill(
         area / dt + c * co.kbar_e * area, (area / dt) * e_prev_cell.ravel(),
-        co.vflux, co.hflux, -c * co.cbar, -c * co.cbar * co.e_in_total + co.f_in_total)
+        co.vflux, co.hflux, co.boundary_diag, co.boundary_rhs)
 
 
 def grey_emission(system, co, T):
@@ -628,7 +618,7 @@ def test_graded_system_backward_error(monkeypatch):
     f_in[:, cold] = 0.0
     closure = isotropic_closure(n_g, ny, nx)
     prev = MultigroupMoments.equilibrium(planck, system, c)
-    solver = MultigroupLoqdSolver(system, grid, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, e_in, f_in)
     mg, group_flux = solver.solve(solver.gather(closure), kappa, planck, prev, 0.02)
     zero = np.zeros_like(kappa)  # no temperature response: the plain grey system
     co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, solver,
@@ -663,7 +653,7 @@ def test_singular_system_raises_at_both_levels():
               closure.cb):
         f[1] = 0.0
     e_in = np.zeros((3, system.boundary_face.size))
-    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, e_in)
+    solver = MultigroupLoqdSolver(system, e_in, e_in)
     prev = MultigroupMoments.equilibrium(rng.uniform(0.5, 1.0, (3, 2, 3)), system,
                                          MAT.light_speed)
     with pytest.raises(SolverError, match="singular in group 1"):
@@ -794,7 +784,7 @@ def test_temperature_response_matches_local_difference():
     mg.e_cell = e
     closure = isotropic_closure(3, 2, 3)
     e_in = np.zeros((3, system.boundary_face.size))
-    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, e_in)
+    solver = MultigroupLoqdSolver(system, e_in, e_in)
     group_flux = group_flux_coeffs(solver.gather(closure), kappa.reshape(3, -1), mg, dt, system)
     co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
                                    solver, dt)
@@ -826,7 +816,7 @@ def test_grey_matches_multigroup_sum():
     )
     e_in = np.zeros((3, system.boundary_face.size))
     f_in = np.zeros((3, system.boundary_face.size))
-    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, e_in, f_in)
     dt = 0.02
     mg, group_flux = solver.solve(solver.gather(closure), kappa, planck, prev, dt)
     co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
@@ -860,7 +850,7 @@ def test_nonfinite_solution_raises(level, fault):
         if fault == "nan lag term":
             co.vflux.p[4] = np.nan
         else:
-            co.e_in_total[1] = np.inf
+            co.boundary_rhs[1] = np.inf
         problem = GreyProblem(system, co, MAT, 0.02, np.full((2, 3), 1e-3),
                               np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
         with pytest.raises(SolverError, match="non-finite"):
@@ -877,7 +867,7 @@ def test_nonfinite_solution_raises(level, fault):
         prev.f_vface[1, 0, 2] = np.nan
     else:
         e_in[1, 1] = np.inf
-    solver = MultigroupLoqdSolver(system, GRID3, MAT, e_in, f_in)
+    solver = MultigroupLoqdSolver(system, e_in, f_in)
     with pytest.raises(SolverError, match="non-finite values in group 1"):
         solver.solve(solver.gather(random_closure(rng, 3, 2, 3)), rng.uniform(0.5, 2.0, (3, 2, 3)),
                      rng.uniform(0.5, 2.0, (3, 2, 3)), prev, 0.05)

@@ -10,7 +10,6 @@ from qdrom.lowrank import (
     OutOfWindowError,
     SnapshotMatrix,
     compress,
-    dmd_compress,
     pod_compress,
     select_rank,
     truncated_svd,
@@ -213,7 +212,7 @@ def test_pod_optimality_against_random_projections():
 
 def test_dmd_scalar_geometric_sequence():
     a = np.array([[1.0, 2.0, 4.0, 8.0]])
-    model = dmd_compress(snap(a, dt=0.5), 1e-12)
+    model = compress(snap(a, dt=0.5), "dmd", 1e-12)
     assert model.rank == 1
     assert np.linalg.eigvals(model.operator)[0] == pytest.approx(2.0, rel=1e-12)
     for n in range(1, 5):
@@ -227,7 +226,7 @@ def test_dmd_diagonal_linear_system_oracle():
     for _ in range(7):
         cols.append(b @ cols[-1])
     a = np.stack(cols, axis=1)
-    model = dmd_compress(snap(a, dt=1.0), 1e-12)
+    model = compress(snap(a, dt=1.0), "dmd", 1e-12)
     eigenvalues = np.linalg.eigvals(model.operator)
     eigs = np.sort(eigenvalues.real)
     assert np.allclose(np.sort(np.abs(eigenvalues)), [0.5, 0.9], atol=1e-10)
@@ -247,7 +246,7 @@ def test_dmd_conjugate_pair_symmetry():
     cols = [np.array([1.0, 0.3])]
     for _ in range(9):
         cols.append(rot @ cols[-1])
-    model = dmd_compress(snap(np.stack(cols, axis=1)), 1e-12)
+    model = compress(snap(np.stack(cols, axis=1)), "dmd", 1e-12)
     eigs = np.sort_complex(np.linalg.eigvals(model.operator))
     assert np.allclose(eigs[0], np.conj(eigs[1]), atol=1e-12)
     assert np.allclose(np.abs(eigs), 0.95, atol=1e-12)
@@ -259,7 +258,7 @@ def test_dmd_amplitude_fit_is_locally_optimal():
     # basis @ z_1 is the orthogonal projection of a_1 onto the orthonormal basis
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 5)) + 5.0
-    model = dmd_compress(snap(a), 1e-1)
+    model = compress(snap(a), "dmd", 1e-1)
     z1 = model.coefficients[:, 0]
     assert np.max(np.abs(model.basis.T @ model.basis - np.eye(model.rank))) <= 1e-12
     residual = a[:, 0] - model.basis @ z1
@@ -280,7 +279,7 @@ def test_dmd_exact_for_low_order_recurrence():
     coeffs = rng.normal(size=3)
     cols = [p @ (coeffs * lams**n) for n in range(9)]
     a = np.stack(cols, axis=1)
-    model = dmd_compress(snap(a), 1e-13)
+    model = compress(snap(a), "dmd", 1e-13)
     for n in range(1, 10):
         err = np.linalg.norm(model.reconstruct(n) - a[:, n - 1])
         assert err <= 1e-9 * max(np.linalg.norm(a[:, n - 1]), 1e-12)
@@ -288,7 +287,7 @@ def test_dmd_exact_for_low_order_recurrence():
 
 def test_dmd_negative_eigenvalue_branch():
     a = np.array([[1.0, -0.5, 0.25, -0.125]])
-    model = dmd_compress(snap(a, dt=2.0), 1e-12)
+    model = compress(snap(a, dt=2.0), "dmd", 1e-12)
     assert np.linalg.eigvals(model.operator)[0] == pytest.approx(-0.5, rel=1e-12)
     for n in range(1, 5):
         assert model.reconstruct(n)[0] == pytest.approx(a[0, n - 1], rel=1e-10)
@@ -297,7 +296,7 @@ def test_dmd_negative_eigenvalue_branch():
 def test_dmde_constant_data_returns_equilibrium():
     col = np.array([4.0, -2.0])
     a = np.tile(col[:, None], (1, 6))
-    model = dmd_compress(snap(a), 1e-2, variant="equilibrium_subtracted")
+    model = compress(snap(a), "dmd-e", 1e-2)
     assert model.offset == pytest.approx(col)
     assert np.max(np.abs(model.coefficients)) == 0.0
     for n in (1, 3, 17):
@@ -314,7 +313,7 @@ def test_dmde_recovers_shifted_dynamics():
     lam = 0.3
     cols = [a_b + np.array([1.0, -1.0]) * lam**n for n in range(9)] + [a_b]
     a = np.stack(cols, axis=1)
-    model = dmd_compress(snap(a), 1e-10, variant="equilibrium_subtracted")
+    model = compress(snap(a), "dmd-e", 1e-10)
     rate = lam * (1.0 - lam**16) / (1.0 - lam**18)
     assert np.linalg.eigvals(model.operator)[0] == pytest.approx(rate, rel=1e-10)
     for n in range(1, 10):
@@ -323,11 +322,11 @@ def test_dmde_recovers_shifted_dynamics():
 
 def test_dmd_input_validation():
     with pytest.raises(ValueError):
-        dmd_compress(snap(np.ones((3, 2))), 1e-2)
+        compress(snap(np.ones((3, 2))), "dmd", 1e-2)
     with pytest.raises(ValueError):
-        dmd_compress(snap(np.ones((3, 2))), 1e-2, variant="equilibrium_subtracted")
+        compress(snap(np.ones((3, 2))), "dmd-e", 1e-2)
     with pytest.raises(ValueError):
-        dmd_compress(snap(np.ones((3, 4))), 1e-2, variant="bogus")
+        compress(snap(np.ones((3, 4))), "bogus", 1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from qdrom.loqd import MomentSystem
 from qdrom.mesh import SIDES, SpatialMesh
 from qdrom.quadrature import QuadratureSpecError, build_quadrature
 from qdrom.transport import (
-    BoundarySpec,
     ClosureRecord,
     DegenerateIntensityError,
     ShapeError,
@@ -26,16 +25,21 @@ def make_solver(nx=3, ny=3, per_quadrant=1, grid=GRID2, bc=None, dx=0.5, dy=0.5)
     mesh = SpatialMesh.uniform(nx, ny, dx, dy)
     quad = build_quadrature(per_quadrant)
     if bc is None:
-        bc = BoundarySpec(*(np.zeros(grid.n_groups) for _ in range(4)))
+        bc = np.zeros((grid.n_groups, len(SIDES)))
     return TransportSolver(mesh, quad, grid, MAT, bc)
 
 
-def blackbody_bc(T_in, grid, sides=("left", "bottom", "right", "top")):
-    """Isotropic B_g(T_in) inflow on the named sides, vacuum elsewhere."""
+def side_inflow(sol, name):
+    """The solver's inflow per group through side `name`."""
+    return sol.inflow[:, SIDES.index(name)]
+
+
+def blackbody_bc(T_in, grid, sides=SIDES):
+    """Isotropic B_g(T_in) inflow on the named sides, vacuum elsewhere: (n_g, side)."""
     b = planck_spectrum(T_in, grid, radiation_constant=MAT.radiation_constant,
                         light_speed=MAT.light_speed)
-    return BoundarySpec(*(b if side in sides else np.zeros(grid.n_groups)
-                          for side in ("left", "bottom", "right", "top")))
+    return np.stack([b if side in sides else np.zeros(grid.n_groups) for side in SIDES],
+                    axis=1)
 
 
 #: a different inflow per side (left, bottom, right, top), so that a side
@@ -45,7 +49,7 @@ SIDE_INFLOW = (0.9, 0.3, 0.6, 0.1)
 
 def side_inflow_bc():
     scale = np.array([1.0, 0.5])  # per group of GRID2
-    return BoundarySpec(*(v * scale for v in SIDE_INFLOW))
+    return np.outer(scale, SIDE_INFLOW)
 
 
 def dense_corner_oracle(mu, eta, dx, dy, ktil, q_corners, in_w, in_e, in_s, in_n):
@@ -128,7 +132,7 @@ def test_single_cell_matches_dense_oracle():
     mesh = SpatialMesh.uniform(1, 1, dx, dy)
     quad = build_quadrature(1)
     in_val = rng.uniform(0.5, 2.0, size=4)  # per-side isotropic incoming
-    bc = BoundarySpec(*(np.array([v]) for v in in_val))
+    bc = in_val[None, :]
     sol = TransportSolver(mesh, quad, grid1, MAT, bc)
     kappa = rng.uniform(0.5, 3.0, size=(1, 1, 1))
     emis = rng.uniform(0.5, 3.0, size=(1, 1, 1))
@@ -169,13 +173,13 @@ def test_multicell_subcell_balance_residual():
                 return out[g, m, iy, ix, corners[(cx, cy)]]
             if 0 <= jx < 4:
                 return out[g, m, iy, jx, corners[(1 - cx, cy)]]
-            return sol.bc.side("left" if jx < 0 else "right")[g]
+            return side_inflow(sol, "left" if jx < 0 else "right")[g]
         jy = iy + (1 if cy == 1 else -1)
         if comp > 0 and cy == 1 or comp < 0 and cy == 0:
             return out[g, m, iy, ix, corners[(cx, cy)]]
         if 0 <= jy < 3:
             return out[g, m, jy, ix, corners[(cx, 1 - cy)]]
-        return sol.bc.side("bottom" if jy < 0 else "top")[g]
+        return side_inflow(sol, "bottom" if jy < 0 else "top")[g]
 
     def subcell_side_value(g, m, iy, ix, cx, cy, axis, plus_side):
         """Upwind trace on one side of the subcell (axis 0 = x, 1 = y)."""
@@ -229,8 +233,8 @@ def per_cell_sweep(sol, kappa, emission, I_prev, dt, order):
         def corner(fx, fy):
             return 2 * (fy if sy > 0 else 1 - fy) + (fx if sx > 0 else 1 - fx)
         c00, c10, c01, c11 = corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)
-        bx = sol.bc.side("left" if sx > 0 else "right")[:, None]
-        by = sol.bc.side("bottom" if sy > 0 else "top")[:, None]
+        bx = side_inflow(sol, "left" if sx > 0 else "right")[:, None]
+        by = side_inflow(sol, "bottom" if sy > 0 else "top")[:, None]
         for iy, ix in order(sx, sy, nx, ny):
             dx, dy = mesh.dx[ix], mesh.dy[iy]
             quarter = 0.25 * dx * dy
@@ -281,7 +285,7 @@ def test_sweep_order_permutation_invariance():
                           bc=blackbody_bc(0.8, GRID2, inflow))
         if not uniform:
             mesh = SpatialMesh(nx, ny, rng.uniform(0.2, 1.0, nx), rng.uniform(0.2, 1.0, ny))
-            sol = TransportSolver(mesh, sol.quad, sol.grid, sol.material, sol.bc)
+            sol = TransportSolver(mesh, sol.quad, sol.grid, sol.material, sol.inflow)
         kappa = rng.uniform(0.2, 2.0, size=(2, ny, nx))
         emis = rng.uniform(0.2, 2.0, size=(2, ny, nx))
         I_prev = rng.uniform(0.1, 1.0, size=sol.shape)
@@ -318,13 +322,20 @@ def test_solver_rejects_directions_outside_the_quadrants():
     for bad in (dataclasses.replace(quad, mu=mu), dataclasses.replace(quad, eta=eta)):
         with pytest.raises(QuadratureSpecError, match="no quadrant"):
             TransportSolver(SpatialMesh.uniform(2, 2, 0.5, 0.5), bad, GRID2, MAT,
-                            BoundarySpec(*(np.zeros(2) for _ in range(4))))
+                            np.zeros((2, 4)))
     # one direction moved into the next quadrant leaves the lanes unequal
     mu = quad.mu.copy()
     mu[0] = -mu[0]
     with pytest.raises(QuadratureSpecError, match="unequal"):
         TransportSolver(SpatialMesh.uniform(2, 2, 0.5, 0.5), dataclasses.replace(quad, mu=mu),
-                        GRID2, MAT, BoundarySpec(*(np.zeros(2) for _ in range(4))))
+                        GRID2, MAT, np.zeros((2, 4)))
+
+
+def test_inflow_must_hold_one_column_per_side():
+    with pytest.raises(ShapeError, match="inflow shape"):
+        make_solver(bc=np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="inflow shape"):
+        make_solver(bc=np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +364,16 @@ def face_traces(sol, I):
     """Per-direction upwind traces on vertical and horizontal faces."""
     n_g, n_m, ny, nx, _ = I.shape
     mp, ep = sol.quad.mu > 0.0, sol.quad.eta > 0.0
-    bc = sol.bc
     tv = np.empty((n_g, n_m, ny, nx + 1))
     th = np.empty((n_g, n_m, ny + 1, nx))
     tv[:, mp, :, 1:] = 0.5 * (I[..., 1][:, mp] + I[..., 3][:, mp])
-    tv[:, mp, :, 0:1] = bc.left[:, None, None, None]
+    tv[:, mp, :, 0:1] = side_inflow(sol, "left")[:, None, None, None]
     tv[:, ~mp, :, :nx] = 0.5 * (I[..., 0][:, ~mp] + I[..., 2][:, ~mp])
-    tv[:, ~mp, :, nx:] = bc.right[:, None, None, None]
+    tv[:, ~mp, :, nx:] = side_inflow(sol, "right")[:, None, None, None]
     th[:, ep, 1:, :] = 0.5 * (I[..., 2][:, ep] + I[..., 3][:, ep])
-    th[:, ep, 0:1, :] = bc.bottom[:, None, None, None]
+    th[:, ep, 0:1, :] = side_inflow(sol, "bottom")[:, None, None, None]
     th[:, ~ep, :ny, :] = 0.5 * (I[..., 0][:, ~ep] + I[..., 1][:, ~ep])
-    th[:, ~ep, ny:, :] = bc.top[:, None, None, None]
+    th[:, ~ep, ny:, :] = side_inflow(sol, "top")[:, None, None, None]
     return tv, th
 
 
@@ -382,7 +392,7 @@ def eddington_oracle(sol, I):
 
 def test_isotropic_eddington_is_third():
     sol = make_solver(3, 3, per_quadrant=6,
-                      bc=BoundarySpec(*(np.full(2, 1.7) for _ in range(4))))
+                      bc=np.full((2, 4), 1.7))
     I = np.full(sol.shape, 1.7)
     rec = sol.compute_eddington(I)
     for arr in (rec.fxx_cell, rec.fyy_cell, rec.fxx_vface, rec.fyy_hface):
@@ -394,7 +404,7 @@ def test_isotropic_eddington_is_third():
 def test_isotropic_boundary_factor_is_half():
     # needs a set with exact half-range currents (>= 2 azimuthal points)
     sol = make_solver(3, 3, per_quadrant=4,
-                      bc=BoundarySpec(*(np.full(2, 0.9) for _ in range(4))))
+                      bc=np.full((2, 4), 0.9))
     I = np.full(sol.shape, 0.9)
     rec = sol.compute_eddington(I)
     assert np.max(np.abs(rec.cb - 0.5)) <= 1e-10
@@ -403,7 +413,7 @@ def test_isotropic_boundary_factor_is_half():
 def test_classic_four_point_boundary_factor():
     # the mandated 1-per-quadrant set has |mu| = 1/sqrt(3) on the half range
     sol = make_solver(2, 2, per_quadrant=1,
-                      bc=BoundarySpec(*(np.full(2, 1.0) for _ in range(4))))
+                      bc=np.full((2, 4), 1.0))
     I = np.full(sol.shape, 1.0)
     rec = sol.compute_eddington(I)
     assert np.max(np.abs(rec.cb - 1.0 / np.sqrt(3.0))) <= 1e-12
@@ -435,7 +445,7 @@ def test_boundary_factors_in_boundary_face_order():
     # side's block of cb cannot match
     nx, ny = 3, 2
     sol = make_solver(nx, ny, per_quadrant=3,
-                      bc=BoundarySpec(*(np.full(2, v) for v in SIDE_INFLOW)))
+                      bc=np.tile(SIDE_INFLOW, (2, 1)))
     I = sol.sweep(np.full((2, ny, nx), 0.8), np.full((2, ny, nx), 0.2),
                   np.full(sol.shape, 0.05), 0.1)
     rec = sol.compute_eddington(I)
@@ -460,7 +470,7 @@ def test_boundary_factors_in_boundary_face_order():
 def test_random_closure_matches_summation_oracle():
     rng = np.random.default_rng(5)
     sol = make_solver(2, 2, per_quadrant=3,
-                      bc=BoundarySpec(*(rng.uniform(0.5, 1.0, 2) for _ in range(4))))
+                      bc=rng.uniform(0.5, 1.0, (4, 2)).T)
     I = rng.uniform(0.1, 2.0, size=sol.shape)
     rec = sol.compute_eddington(I)
     w, mu, eta = sol.quad.weight, sol.quad.mu, sol.quad.eta
@@ -562,7 +572,7 @@ def test_boundary_inflow_is_the_quadrature_half_range_sum():
                                  ("right", mu, mu < 0.0), ("top", eta, eta < 0.0)):
         on_side = face_side == SIDES.index(name)
         e, f = e_in[:, on_side], f_in[:, on_side]
-        ivals = sol.bc.side(name)[:, None]
+        ivals = side_inflow(sol, name)[:, None]
         # bit for bit the quadrature's half-range sums, in the same order
         assert np.all(e == ivals * np.sum(w[incoming]) / c), name
         assert np.all(f == ivals * -np.sum(w[incoming] * np.abs(comp[incoming]))), name
@@ -646,7 +656,7 @@ def test_closure_bounds_for_positive_intensity():
     # boundary factors strictly inside (0, 1)
     rng = np.random.default_rng(19)
     sol = make_solver(3, 3, per_quadrant=6,
-                      bc=BoundarySpec(*(rng.uniform(0.2, 1.0, 2) for _ in range(4))))
+                      bc=rng.uniform(0.2, 1.0, (4, 2)).T)
     I = rng.uniform(1e-3, 5.0, size=sol.shape)
     rec = sol.compute_eddington(I)
     assert rec.bound_violations() == {"tensor": 0, "boundary_factor": 0}
