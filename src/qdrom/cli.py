@@ -13,6 +13,7 @@ from . import analysis, container
 from .config import PRESETS, ConfigError, RunConfig, load_config, preset
 from .drivers import (
     DriverError,
+    ModelNameError,
     SNAPSHOT_NAMES,
     TIME_RTOL,
     build_problem,
@@ -86,19 +87,21 @@ def cmd_compress(args) -> int:
 
 
 def _load_models(path: Path, cfg: RunConfig):
-    """Model set from a directory of model containers or a snapshot-set file."""
+    """(models, file of each) from a directory of model containers or a snapshot-set file."""
     if path.is_file():
         models = playback_models(container.load_snapshot_set(path)[0])
+        sources = dict.fromkeys(SNAPSHOT_NAMES, path)
     elif not path.is_dir():
         raise FileNotFoundError(f"model path not found: {path}")
     else:
-        models = {}
+        models, sources = {}, {}
         for name in SNAPSHOT_NAMES:
             hits = sorted(path.glob(f"{name}.*.ddet"))
             if len(hits) != 1:
                 found = ", ".join(h.name for h in hits) or "none"
                 raise container.FormatError(
                     f"need one model container for '{name}' in {path}, found {found}")
+            sources[name] = hits[0]
             models[name] = container.load_model(hits[0])
     expected = {"nx": cfg.nx, "ny": cfg.ny, "n_groups": cfg.n_groups}
     for name, model in models.items():
@@ -110,16 +113,19 @@ def _load_models(path: Path, cfg: RunConfig):
             raise container.FormatError(
                 f"time step mismatch for '{name}': model dt {model.dt:g}, "
                 f"config dt {cfg.dt:g}")
-    return models
+    return models, sources
 
 
 def cmd_rom(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    models = _load_models(Path(args.models), cfg)
+    models, sources = _load_models(Path(args.models), cfg)
     print(f"stopping tolerance {rom_tolerance(cfg, models):.3e}", file=sys.stderr)
-    run = run_rom(build_problem(cfg), models, log=_progress)
+    try:
+        run = run_rom(build_problem(cfg), models, log=_progress)
+    except ModelNameError as err:
+        raise container.FormatError(f"{sources[err.snapshot]}: {err}") from err
     container.save_run_record(out / "rom_run.ddet", run)
     print(f"wrote {out / 'rom_run.ddet'}")
     return 0

@@ -63,6 +63,14 @@ class DriverError(RuntimeError):
     """A time step that does not converge, or unusable closure data."""
 
 
+class ModelNameError(ValueError):
+    """A closure model given for one snapshot name that holds another's closures."""
+
+    def __init__(self, snapshot: str, model: str):
+        super().__init__(f"the model given for '{snapshot}' holds '{model}'")
+        self.snapshot = snapshot
+
+
 #: floor applied to the sweep emission source and initial intensity.  At
 #: cold-start temperatures the Planck emission of high-frequency groups
 #: underflows to exactly zero (its true value can be ~1e-600), which would
@@ -324,8 +332,8 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         change = _change_ratio(cfg, grey, T_it, E_it, tol)
         if change <= 1.0:
             # only the accepted iterate's face fluxes are ever read
-            mg.f_vface, mg.f_hface = p.geom.face_fluxes(mg, *group_flux)
-            grey.f_vface, grey.f_hface = p.geom.face_fluxes(grey, coeffs.vflux, coeffs.hflux)
+            mg.f_vface, mg.f_hface = p.geom.face_fluxes(mg, group_flux)
+            grey.f_vface, grey.f_hface = p.geom.face_fluxes(grey, coeffs.flux)
             return _Step(grey, mg, closure.record, it + 1, change)
         pairs.append((T_it, grey.temperature))
         T_it = _anderson_update(pairs, ANDERSON_DEPTH)
@@ -432,9 +440,11 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
     """Reduced-order run: closures reconstructed once per step.
 
     Each step stops at `rom_tolerance(config, models)`, which the record's
-    `config_meta["outer_tol"]` states.  A model without a one-step operator
-    that covers fewer steps than the run raises OutOfWindowError before
-    step 1.  `log(step, iterations, change)` is called after each step.
+    `config_meta["outer_tol"]` states.  Before step 1, a model whose own
+    name is not its key raises ModelNameError, and a model without a
+    one-step operator that covers fewer steps than the run raises
+    OutOfWindowError.  `log(step, iterations, change)` is called after each
+    step.
     """
     p = config if isinstance(config, Problem) else build_problem(config)
     cfg = p.config
@@ -443,6 +453,8 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
         raise ValueError(f"missing closure models: {missing}")
     for name in SNAPSHOT_NAMES:
         m = models[name]
+        if m.name != name:
+            raise ModelNameError(name, m.name)
         if m.operator is None and m.n_steps < cfg.n_steps:
             raise OutOfWindowError(f"model '{name}' covers steps 1..{m.n_steps} of the "
                                    f"run's {cfg.n_steps} and cannot extend them")

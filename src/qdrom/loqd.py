@@ -8,8 +8,11 @@ locally for its face-normal flux, which gives the one-sided expression
     F_j = p_j + (c / A_j) [ -s_j l_j d_face E_f + s_j l_j d_cell E_i
                             - l'_j / 2 (d_plus E_+ - d_minus E_-) ]
 
-in the face, owning-cell and perpendicular-face energy densities.  Cell rows
-are the energy balances with these expressions substituted; face rows sum
+in the face, owning-cell and perpendicular-face energy densities.  A
+vertical and a horizontal half cell differ only in which Eddington-tensor
+entries their d read, so one half-cell table (mesh.build_adjacency) serves
+both orientations.  Cell rows are the energy balances with these
+expressions substituted; face rows sum
 s_j F_j over the half cells of a face (flux continuity at interior faces)
 and, at boundary faces, close it with -c C E_f (the boundary condition).
 The levels differ only in coefficients: the multigroup level uses
@@ -22,10 +25,10 @@ diagonal -c C and a right-hand side -c C E_in + n.F_in: per group from the
 inflow that MultigroupLoqdSolver keeps (gather), and in total from its
 group sums (compute_grey_coefficients); c is MomentSystem's.  The four d
 of an expression are stacked like its columns of x
-(MomentSystem.vcols/hcols): a closure's entries are gathered through them
+(MomentSystem.flux_cols): a closure's entries are gathered through them
 once per closure (MultigroupLoqdSolver.gather; once per step for the
 reduced-order model, whose iterates change only kappa), the grey weights in
-one take.  MomentSystem, one per mesh, holds the adjacency, the
+one take.  MomentSystem, one per mesh, holds the half-cell table, the
 boundary-face table, the band layout and a geometry row of the constant
 factors of every matrix entry, so that filling the matrix is one
 concatenation of the d and one multiply; its one solve serves both levels
@@ -41,7 +44,7 @@ coupling only adds to the cell diagonal and right-hand side, and the grey
 level is one linear solve per outer iteration.
 
 All face fluxes use the fixed +x / +y orientation; outward signs come from
-the adjacency tables.
+the half-cell table.
 """
 from __future__ import annotations
 
@@ -91,10 +94,10 @@ class MultigroupMoments:
 
 @dataclass
 class FluxCoeffs:
-    """Per-adjacency one-sided flux coefficients and lag term; leading group axis or none."""
+    """Per-half-cell one-sided flux coefficients and lag term; leading group axis or none."""
 
-    d: np.ndarray  # (..., 4, n_adj): multiplies E at MomentSystem.vcols/hcols
-    p: np.ndarray  # (..., n_adj): lagged previous-flux contribution
+    d: np.ndarray  # (..., 4, n_half): multiplies E at MomentSystem.flux_cols
+    p: np.ndarray  # (..., n_half): lagged previous-flux contribution
 
 
 @dataclass
@@ -102,9 +105,9 @@ class GatheredClosure:
     """A closure as every multigroup solve with it reads it (MultigroupLoqdSolver.gather)."""
 
     record: ClosureRecord
-    f: tuple[np.ndarray, np.ndarray]  # (n_g, 4, n_adj) entries at MomentSystem.vcols, hcols
-    boundary_diag: np.ndarray         # (n_g, n_bfaces): -c C
-    boundary_rhs: np.ndarray          # (n_g, n_bfaces): -c C E_in + n.F_in
+    f: np.ndarray              # (n_g, 4, n_half) entries at MomentSystem.flux_cols
+    boundary_diag: np.ndarray  # (n_g, n_bfaces): -c C
+    boundary_rhs: np.ndarray   # (n_g, n_bfaces): -c C E_in + n.F_in
 
 
 class MomentSystem:
@@ -114,16 +117,17 @@ class MomentSystem:
     the hfaces below it, then the pairs (vface i, cell i), then the last
     vface; the top hfaces come last.  In that order every entry lies within
     kl = ku = 2 nx + 1 of the diagonal, so each group is one banded LU with
-    partial pivoting (LAPACK dgbsv).  The half-cell adjacency, the
-    boundary-face table, the entries' (row, col) in the natural order,
-    their band-storage slots, the position table and the flux expressions'
-    geometry factors depend on the mesh and c only and are built here,
-    once; both levels call solve() with a leading group axis or none.
+    partial pivoting (LAPACK dgbsv).  The half-cell table (one for both
+    face orientations), the boundary-face table, the entries' (row, col)
+    in the natural order, their band-storage slots, the position table and
+    the flux expressions' geometry factors depend on the mesh and c only
+    and are built here, once; both levels call solve() with a leading
+    group axis or none.
     """
 
     def __init__(self, mesh: SpatialMesh, light_speed: float):
         self.mesh, self.light_speed = mesh, light_speed
-        self.vadj, self.hadj = va, ha = build_adjacency(mesh)
+        self.adj = adj = build_adjacency(mesh)
         nc, nv, nh = mesh.n_cells, mesh.n_vfaces, mesh.n_hfaces
         n = nc + nv + nh
         ny, nx = self.shape = (mesh.ny, mesh.nx)
@@ -136,33 +140,26 @@ class MomentSystem:
         self.boundary_face = np.concatenate([left, bottom, left + nx, bottom + ny * nx])
         self.boundary_cols = brow = nc + self.boundary_face
         # columns of the face, cell, + and - perpendicular-face entries of
-        # each one-sided flux expression
-        self.vcols = np.stack([nc + va.face, va.cell,
-                               nc + nv + va.cross_plus, nc + nv + va.cross_minus])
-        self.hcols = np.stack([nc + nv + ha.face, ha.cell,
-                               nc + ha.cross_plus, nc + ha.cross_minus])
-        # per orientation the expressions' weights of x[cols] are P Q d, P =
-        # (c/A) (-s, s, -l'/2, l'/2) and Q = (l, l, 1, 1), added to cell rows
+        # each one-sided flux expression: x holds the faces after the cells,
+        # in the global face order
+        self.flux_cols = np.stack([nc + adj.face, adj.cell, nc + adj.cross_plus,
+                                   nc + adj.cross_minus])
+        # the expressions' weights of x[flux_cols] are P Q d, P = (c/A)
+        # (-s, s, -l'/2, l'/2) and Q = (l, l, 1, 1), added to cell rows
         # times s l and to face rows times s: the geometry row holds these
         # constant factors of fill()'s entries, rhs_factors those of its p
         self.area = mesh.cell_area.ravel()
-        self._pq, row, rhs_factors = [], [], []
-        for a in (va, ha):
-            k, sl = light_speed / a.half_area, a.sign * a.face_len
-            self._pq.append(np.stack([-k * sl, k * sl, -k * 0.5 * a.cross_len,
-                                      k * 0.5 * a.cross_len]))
-            row += [(sl * self._pq[-1]).ravel(), (a.sign * self._pq[-1]).ravel()]
-            rhs_factors += [-sl, -a.sign]
-        self._row, self._rhs_factors = (np.concatenate([np.ones(nc), *f, np.ones(brow.size)])
-                                        for f in (row, rhs_factors))
-        cells = np.arange(nc)
-        vrow, hrow = nc + va.face, nc + nv + ha.face
-        # entry order of fill(): cell diagonal; per orientation the flux
-        # expressions in the cell rows, then in the face rows; boundary terms
-        self.rows = np.concatenate([cells, np.tile(va.cell, 4), np.tile(vrow, 4),
-                                    np.tile(ha.cell, 4), np.tile(hrow, 4), brow])
-        self.cols = np.concatenate([cells, self.vcols.ravel(), self.vcols.ravel(),
-                                    self.hcols.ravel(), self.hcols.ravel(), brow])
+        k, sl = light_speed / adj.half_area, adj.sign * adj.face_len
+        self._pq = np.stack([-k * sl, k * sl, -k * 0.5 * adj.cross_len, k * 0.5 * adj.cross_len])
+        cell_ones, boundary_ones = np.ones(nc), np.ones(brow.size)
+        self._row = np.concatenate([cell_ones, (sl * self._pq).ravel(),
+                                    (adj.sign * self._pq).ravel(), boundary_ones])
+        self._rhs_factors = np.concatenate([cell_ones, -sl, -adj.sign, boundary_ones])
+        cells, face_rows = np.arange(nc), nc + adj.face
+        # entry order of fill(): cell diagonal; the flux expressions in the
+        # cell rows, then in the face rows; boundary terms
+        self.rows = np.concatenate([cells, np.tile(adj.cell, 4), np.tile(face_rows, 4), brow])
+        self.cols = np.concatenate([cells, self.flux_cols.ravel(), self.flux_cols.ravel(), brow])
         # band position of each unknown: cells, vfaces, hfaces of mesh row j
         # at j * stride + (nx + 2i + 1, nx + 2i, i); a permutation, whose
         # inverse gives the unknown at each band position
@@ -179,13 +176,11 @@ class MomentSystem:
         # LAPACK band storage AB(kl + ku + r - c, c), column-major, ldab rows
         self.ldab = 2 * self.kl + self.ku + 1
         self.slot = self.kl + self.ku + r - c + self.ldab * c
-        self.rhs_rows = np.concatenate([cells, va.cell, vrow, ha.cell, hrow, brow])
-        self.vcount = np.bincount(va.face, minlength=nv)
-        self.hcount = np.bincount(ha.face, minlength=nh)
+        self.rhs_rows = np.concatenate([cells, adj.cell, face_rows, brow])
+        self.face_count = np.bincount(adj.face, minlength=nv + nh)
         # _scatter()'s index tables and bin counts; bins per leading shape on first use
         self._tables = {"rows": (self.rows, n), "rhs_rows": (self.rhs_rows, n),
-                        "slot": (self.slot, n * self.ldab), "vface": (va.face, nv),
-                        "hface": (ha.face, nh)}
+                        "slot": (self.slot, n * self.ldab), "face": (adj.face, nv + nh)}
         self._bins = {}
 
     def _scatter(self, table: str, values: np.ndarray) -> np.ndarray:
@@ -197,8 +192,7 @@ class MomentSystem:
         bins, length = self._bins[table, lead]
         return np.bincount(bins, values.ravel(), minlength=length).reshape(lead + (-1,))
 
-    def fill(self, cell_diag, cell_rhs, vflux: FluxCoeffs, hflux: FluxCoeffs,
-             boundary_diag, boundary_rhs):
+    def fill(self, cell_diag, cell_rhs, flux: FluxCoeffs, boundary_diag, boundary_rhs):
         """Entry values (..., len(rows)) and right-hand side (..., n).
 
         Entry k adds its value at (rows[k], cols[k]) of the natural order.
@@ -206,11 +200,10 @@ class MomentSystem:
         cell_diag/cell_rhs are (..., n_cells); boundary_diag/boundary_rhs are
         (..., n_bfaces), in the order of boundary_face.
         """
-        lead = np.shape(cell_diag)[:-1]
-        dv, dh = (fc.d.reshape(lead + (-1,)) for fc in (vflux, hflux))
-        vals = np.concatenate([cell_diag, dv, dv, dh, dh, boundary_diag], axis=-1)
+        d = flux.d.reshape(np.shape(cell_diag)[:-1] + (-1,))
+        vals = np.concatenate([cell_diag, d, d, boundary_diag], axis=-1)
         vals *= self._row
-        rhs = np.concatenate([cell_rhs, vflux.p, vflux.p, hflux.p, hflux.p, boundary_rhs], axis=-1)
+        rhs = np.concatenate([cell_rhs, flux.p, flux.p, boundary_rhs], axis=-1)
         rhs *= self._rhs_factors
         return vals, self._scatter("rhs_rows", rhs)
 
@@ -220,40 +213,36 @@ class MomentSystem:
         return np.concatenate([e.reshape(lead + (-1,)) for e in
                                (state.e_cell, state.e_vface, state.e_hface)], axis=-1)
 
-    def face_fluxes(self, state, vflux: FluxCoeffs, hflux: FluxCoeffs):
+    def _face_grids(self, v: np.ndarray):
+        """(vface, hface) grids of values (..., n_vfaces + n_hfaces) in the global face order."""
+        ny, nx = self.shape
+        lead, nv = v.shape[:-1], self.n_vfaces
+        return v[..., :nv].reshape(lead + (ny, nx + 1)), v[..., nv:].reshape(lead + (ny + 1, nx))
+
+    def face_fluxes(self, state, flux: FluxCoeffs):
         """(F_vface, F_hface) grids of a state's energies, averaged over half cells.
 
         Raises SolverError for a non-finite flux, naming the group.
         """
         x = self.natural(state)
-        lead, out = x.shape[:-1], []
-        for table, cols, count, fc, pq in zip(("vface", "hface"), (self.vcols, self.hcols),
-                                              (self.vcount, self.hcount), (vflux, hflux),
-                                              self._pq):
-            f = fc.p + (pq * fc.d * x.take(cols, axis=-1)).sum(axis=-2)
-            out.append(self._scatter(table, f) / count)
-        _require_finite(np.concatenate(out, axis=-1), lead, "flux recovery")
-        ny, nx = self.shape
-        return out[0].reshape(lead + (ny, nx + 1)), out[1].reshape(lead + (ny + 1, nx))
+        f = flux.p + (self._pq * flux.d * x.take(self.flux_cols, axis=-1)).sum(axis=-2)
+        faces = self._scatter("face", f) / self.face_count
+        _require_finite(faces, x.shape[:-1], "flux recovery")
+        return self._face_grids(faces)
 
     def energies(self, x: np.ndarray):
         """(E_cell, E_vface, E_hface) grids, keeping any leading axis."""
-        ny, nx = self.shape
-        nc, nv = self.n_cells, self.n_cells + self.n_vfaces
-        lead = x.shape[:-1]
-        return (x[..., :nc].reshape(lead + (ny, nx)),
-                x[..., nc:nv].reshape(lead + (ny, nx + 1)),
-                x[..., nv:].reshape(lead + (ny + 1, nx)))
+        nc = self.n_cells
+        return (x[..., :nc].reshape(x.shape[:-1] + self.shape), *self._face_grids(x[..., nc:]))
 
-    def solve(self, cell_diag, cell_rhs, vflux: FluxCoeffs, hflux: FluxCoeffs,
-              boundary_diag, boundary_rhs):
+    def solve(self, cell_diag, cell_rhs, flux: FluxCoeffs, boundary_diag, boundary_rhs):
         """(E_cell, E_vface, E_hface) grids of fill()'s system.
 
         Takes fill()'s arguments and keeps their leading group axis, if any;
         each group is one banded LU in the band order.  Raises SolverError
         for a singular matrix or a non-finite solution, naming the group.
         """
-        vals, b = self.fill(cell_diag, cell_rhs, vflux, hflux, boundary_diag, boundary_rhs)
+        vals, b = self.fill(cell_diag, cell_rhs, flux, boundary_diag, boundary_rhs)
         lead, n = b.shape[:-1], self.n_unknowns
         # unit row 1-norms: where cold, opaque cells make the row scales
         # span many decades, unscaled pivoting lost all accuracy
@@ -283,23 +272,21 @@ def _require_finite(x: np.ndarray, lead: tuple, what: str):
 
 
 def group_flux_coeffs(closure: GatheredClosure, kappa2: np.ndarray, prev: MultigroupMoments,
-                      dt: float, system: MomentSystem):
-    """Per-group (vertical, horizontal) flux coefficients; d is (n_g, 4, n_adj).
+                      dt: float, system: MomentSystem) -> FluxCoeffs:
+    """Per-group flux coefficients of every half cell; d is (n_g, 4, n_half).
 
     d = f / kappa_tilde with kappa_tilde = kappa + 1/(c dt) of the owning
     cell and f the closure entry at each column of the expression, and
-    p = F_prev / (1 + c dt kappa); kappa2 is (n_g, n_cells).  Both orientations
-    list each cell's half cells in the same order: one owning-cell gather.
+    p = F_prev / (1 + c dt kappa); kappa2 is (n_g, n_cells).
     """
-    n_g = kappa2.shape[0]
     cdt = system.light_speed * dt
-    cells = system.vadj.cell
+    cells = system.adj.cell
     kappa_tilde = (kappa2 + 1.0 / cdt).take(cells, axis=1)[:, None]
     lag = (1.0 + cdt * kappa2).take(cells, axis=1)
-    return tuple(FluxCoeffs(f / kappa_tilde,
-                            fprev.reshape(n_g, -1).take(adj.face, axis=1) / lag)
-                 for adj, f, fprev in zip((system.vadj, system.hadj), closure.f,
-                                          (prev.f_vface, prev.f_hface)))
+    n_g = kappa2.shape[0]
+    # the previous face fluxes in the global face order, vfaces first
+    f_prev = np.concatenate([prev.f_vface.reshape(n_g, -1), prev.f_hface.reshape(n_g, -1)], axis=1)
+    return FluxCoeffs(closure.f / kappa_tilde, f_prev.take(system.adj.face, axis=1) / lag)
 
 
 class MultigroupLoqdSolver:
@@ -314,40 +301,42 @@ class MultigroupLoqdSolver:
         self.e_in = e_in  # (n_g, n_bfaces)
         self.f_in = f_in
         self.e_in_total, self.f_in_total = e_in.sum(axis=0), f_in.sum(axis=0)
-        self.n_unknowns = system.n_unknowns  # per group
+        self.n_unknowns = n = system.n_unknowns  # per group
+        # gather() lays a closure's entries out like x twice: the vertical
+        # half cells (west, east: the first half) read (fxx_cell, fxx_vface,
+        # fxy_hface), the horizontal ones (fyy_cell, fxy_vface, fyy_hface)
+        half = 2 * system.n_cells
+        self._entry_cols = system.flux_cols + n * (np.arange(2 * half) >= half)
 
     def gather(self, closure: ClosureRecord) -> GatheredClosure:
         """The closure as it is now; only kappa changes between solves that share it."""
-        cb, s, c = closure.cb, self.system, self.system.light_speed
-
-        def at(cols, *entries):  # one orientation's entries laid out like x
-            return np.concatenate([e.reshape(cb.shape[0], -1) for e in entries],
-                                  axis=1).take(cols, axis=1)
-        return GatheredClosure(
-            closure, (at(s.vcols, closure.fxx_cell, closure.fxx_vface, closure.fxy_hface),
-                      at(s.hcols, closure.fyy_cell, closure.fxy_vface, closure.fyy_hface)),
-            -c * cb, -c * cb * self.e_in + self.f_in)
+        cb, c = closure.cb, self.system.light_speed
+        entries = np.concatenate([e.reshape(cb.shape[0], -1) for e in (
+            closure.fxx_cell, closure.fxx_vface, closure.fxy_hface,
+            closure.fyy_cell, closure.fxy_vface, closure.fyy_hface)], axis=1)
+        return GatheredClosure(closure, entries.take(self._entry_cols, axis=1),
+                               -c * cb, -c * cb * self.e_in + self.f_in)
 
     def solve(self, closure: GatheredClosure, kappa: np.ndarray, planck: np.ndarray,
               prev: MultigroupMoments, dt: float):
         """Direct solve of every group system for a gather()ed closure; kappa/planck (n_g, ny, nx).
 
         Groups are independent; MomentSystem.solve factors each in turn.
-        Returns the moments and the per-group (vertical, horizontal) flux
-        coefficients, which the grey coefficients average.
+        Returns the moments and the per-group flux coefficients, which the
+        grey coefficients average.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         system = self.system
         n_g, c, area = kappa.shape[0], system.light_speed, system.area
         kappa2 = kappa.reshape(n_g, -1)
-        vflux, hflux = group_flux_coeffs(closure, kappa2, prev, dt, system)
+        flux = group_flux_coeffs(closure, kappa2, prev, dt, system)
         moments = MultigroupMoments(*system.solve(
             area / dt + c * kappa2 * area,
             (area / dt) * prev.e_cell.reshape(n_g, -1)
             + 4.0 * np.pi * kappa2 * planck.reshape(n_g, -1) * area,
-            vflux, hflux, closure.boundary_diag, closure.boundary_rhs))
-        return moments, (vflux, hflux)
+            flux, closure.boundary_diag, closure.boundary_rhs))
+        return moments, flux
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +354,7 @@ class SpectrumAveraged:
     e_cell_total: np.ndarray  # (n_cells,) sum of E_g, which dkbar_e multiplies
     boundary_diag: np.ndarray  # (n_bfaces,): -c Cbar
     boundary_rhs: np.ndarray   # (n_bfaces,): -c Cbar E_in + n.F_in, both group sums
-    vflux: FluxCoeffs
-    hflux: FluxCoeffs
+    flux: FluxCoeffs
 
 
 def _weighted_mean(values, weights, den, what: str) -> np.ndarray:
@@ -380,13 +368,13 @@ def _weighted_mean(values, weights, den, what: str) -> np.ndarray:
 def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: np.ndarray,
                               dkappa: np.ndarray, dplanck: np.ndarray,
                               closure: ClosureRecord,
-                              group_flux: tuple[FluxCoeffs, FluxCoeffs],
+                              group_flux: FluxCoeffs,
                               solver: MultigroupLoqdSolver, dt: float) -> SpectrumAveraged:
     """Spectrum averages over the multigroup solution, and their T-derivatives.
 
     kappa/planck and their T-derivatives dkappa/dplanck are (n_g, ny, nx) at
-    the outer iterate; group_flux is the per-group (vertical, horizontal)
-    flux-coefficient pair of `solver`.solve.  The grey boundary terms are
+    the outer iterate; group_flux holds the per-group flux coefficients of
+    `solver`.solve.  The grey boundary terms are
     the multigroup level's with the group sums of `solver`'s inflow and the
     boundary factor averaged over E_g - E_in,g, which falls back to the
     unweighted mean where its denominator is below 1e-30 of the local energy
@@ -422,12 +410,12 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     guarded = np.abs(den) < 1e-30 * x_sum.take(system.boundary_cols)
     cbar = np.where(guarded, cb.mean(axis=0), num / np.where(guarded, 1.0, den))
 
-    vflux, hflux = (FluxCoeffs(_weighted_mean(fc.d, x_mg.take(cols, axis=1), x_sum.take(cols),
-                                              "flux coefficient"), fc.p.sum(axis=0))
-                    for fc, cols in zip(group_flux, (system.vcols, system.hcols)))
+    cols = system.flux_cols
+    flux = FluxCoeffs(_weighted_mean(group_flux.d, x_mg.take(cols, axis=1), x_sum.take(cols),
+                                     "flux coefficient"), group_flux.p.sum(axis=0))
     diag = -light_speed * cbar
     return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, diag,
-                            diag * solver.e_in_total + solver.f_in_total, vflux, hflux)
+                            diag * solver.e_in_total + solver.f_in_total, flux)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +481,7 @@ class GreyProblem:
         e_c, e_v, e_h = self.system.solve(
             area / dt + cv_dt * area * slope,
             (area / dt) * self.e_prev_cell.ravel() - cv_dt * area * shift,
-            co.vflux, co.hflux, co.boundary_diag, co.boundary_rhs)
+            co.flux, co.boundary_diag, co.boundary_rhs)
         return GreyState(
             temperature=(t_prev + (slope * e_c.ravel() + shift)).reshape(e_c.shape),
             e_cell=e_c, e_vface=e_v, e_hface=e_h, newton_iterations=1,

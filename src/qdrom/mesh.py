@@ -59,16 +59,18 @@ class SpatialMesh:
 
 @dataclass(frozen=True)
 class FaceAdjacency:
-    """Half-cell momentum-row bookkeeping for one face orientation.
+    """Half-cell momentum-row bookkeeping.
 
     One entry per (cell, face) pairing: interior faces appear twice (once
-    per adjacent cell), boundary faces once.  `sign` is +1 when the face is
-    the downwind (+x or +y) face of the cell, -1 otherwise.  `cross_plus` /
-    `cross_minus` are the global ids of the two perpendicular faces of the
-    owning cell (top/bottom for vertical faces, right/left for horizontal).
+    per adjacent cell), boundary faces once.  Face ids are global, the
+    vertical faces first, then the horizontal ones.  `sign` is +1 when the
+    face is the downwind (+x or +y) face of the cell, -1 otherwise.
+    `cross_plus` / `cross_minus` are the ids of the two perpendicular faces
+    of the owning cell (top/bottom for a vertical face, right/left for a
+    horizontal one).
     """
 
-    face: np.ndarray        # global face id within its orientation grid
+    face: np.ndarray        # global face id, vertical faces first
     cell: np.ndarray        # flat cell id
     sign: np.ndarray        # +-1, e_alpha . n_f
     cross_plus: np.ndarray  # perpendicular-face id, + side of the cell
@@ -78,35 +80,26 @@ class FaceAdjacency:
     half_area: np.ndarray   # A_f = A_i / 2, cm^2
 
 
-def _half_cells(lo, hi, cross_plus, cross_minus, face_len, cross_len,
-                half_area) -> FaceAdjacency:
-    """One orientation's table: every cell's - face (sign -1), then its + face.
+def build_adjacency(mesh: SpatialMesh) -> FaceAdjacency:
+    """Every cell's west, east, south and north half cells, in that order.
 
-    Every argument holds one entry per cell, in flat cell order.
+    Each block lists the cells in flat order.  A west or east half cell's
+    cross faces are the cell's bottom and top, a south or north one's the
+    cell's west and east.
     """
-    def twice(a):
-        return np.concatenate([a, a])
-    return FaceAdjacency(np.concatenate([lo, hi]), twice(np.arange(lo.size)),
-                         np.repeat([-1.0, 1.0], lo.size), twice(cross_plus),
-                         twice(cross_minus), twice(face_len), twice(cross_len),
-                         twice(half_area))
-
-
-def build_adjacency(mesh: SpatialMesh) -> tuple[FaceAdjacency, FaceAdjacency]:
-    """Assemble (vertical, horizontal) half-cell adjacency tables.
-
-    Cell (iy, ix) owns its west and east vertical faces, whose cross faces
-    are the cell's bottom and top, and its south and north horizontal
-    faces, whose cross faces are the cell's west and east.
-    """
-    nx = mesh.nx
-    south = np.arange(mesh.n_cells)  # hface id: the cell's own flat id
-    iy, ix = np.divmod(south, nx)
-    west = south + iy                # vface id: each mesh row has one more
+    nx, nc = mesh.nx, mesh.n_cells
+    cells = np.arange(nc)
+    iy, ix = np.divmod(cells, nx)
+    west = cells + iy                # vface id: each mesh row has one more
+    south = mesh.n_vfaces + cells    # hface id: after the vfaces, by cell
     lx, ly = mesh.dx[ix], mesh.dy[iy]
-    half = 0.5 * mesh.cell_area.ravel()
-    return (_half_cells(west, west + 1, south + nx, south, ly, lx, half),
-            _half_cells(south, south + nx, west + 1, west, lx, ly, half))
+
+    def pair(vertical, horizontal):  # one value per orientation's two half cells
+        return np.concatenate([vertical, vertical, horizontal, horizontal])
+    return FaceAdjacency(np.concatenate([west, west + 1, south, south + nx]), np.tile(cells, 4),
+                         np.tile(np.repeat([-1.0, 1.0], nc), 2), pair(south + nx, west + 1),
+                         pair(south, west), pair(ly, lx), pair(lx, ly),
+                         np.tile(0.5 * mesh.cell_area.ravel(), 4))
 
 
 #: boundary side order used everywhere a flattened side vector appears

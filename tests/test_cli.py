@@ -405,6 +405,46 @@ def test_two_methods_in_one_model_directory_is_data_error(workdir, tmp_path, cap
     assert "fxx_c.dmd.ddet" in err and "fxx_c.pod.ddet" in err
 
 
+def test_swapped_model_files_are_data_error(workdir, tmp_path, capsys):
+    # fxx_c and fyy_c share a grid, so only each container's own name tells
+    # that the files were swapped; the run must not start on them
+    models = tmp_path / "models"
+    rc = main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
+               "--method", "pod", "--xi", "1e-6", "--out", str(models)])
+    assert rc == 0
+    fxx, fyy = models / "fxx_c.pod.ddet", models / "fyy_c.pod.ddet"
+    fxx.rename(tmp_path / "swap.ddet")
+    fyy.rename(fxx)
+    (tmp_path / "swap.ddet").rename(fyy)
+    capsys.readouterr()
+    rc = main(["rom", "--config", str(workdir / "tiny.cfg"), "--models", str(models),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "fxx_c.pod.ddet" in err and "'fxx_c'" in err and "'fyy_c'" in err
+    assert "step 1:" not in err
+    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+
+
+def test_model_shorter_than_the_run_is_data_error(workdir, tmp_path, capsys):
+    # POD models cover only their 5 trained steps: a 6-step run is refused
+    # before step 1 rather than failing part-way
+    models = tmp_path / "models"
+    rc = main(["compress", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
+               "--method", "pod", "--xi", "1e-6", "--out", str(models)])
+    assert rc == 0
+    longer = tmp_path / "longer.cfg"
+    longer.write_text(TINY_CONFIG.replace("n_steps = 5", "n_steps = 6"))
+    capsys.readouterr()
+    rc = main(["rom", "--config", str(longer), "--models", str(models),
+               "--out", str(tmp_path / "r")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "model 'fxx_c' covers steps 1..5 of the run's 6" in err
+    assert "step 1:" not in err
+    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+
+
 @pytest.mark.parametrize("key, value", [("t0", "soon"), ("dt", None), ("xi_rel", "x"),
                                         ("xi_rel", 0.0), ("xi_rel", 2.0)])
 def test_malformed_model_descriptor_is_data_error(workdir, tmp_path, capsys, key, value):

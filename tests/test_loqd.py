@@ -65,8 +65,8 @@ def random_closure(rng, n_g, ny, nx):
 
 
 def recover_fluxes(system, state, flux):
-    """The state with the face fluxes of its energies and (vertical, horizontal) flux."""
-    state.f_vface, state.f_hface = system.face_fluxes(state, *flux)
+    """The state with the face fluxes of its energies and flux coefficients."""
+    state.f_vface, state.f_hface = system.face_fluxes(state, flux)
     return state
 
 
@@ -212,23 +212,25 @@ def dense_multigroup_oracle(system, closure, kappa, planck, prev, dt, e_in, f_in
             b[i] = area[i] / dt * prev.e_cell[g].ravel()[i] \
                 + 4 * np.pi * kap[i] * planck[g].ravel()[i] * area[i]
         row = nc
-        for adj, e_face, f_col, e_perp, f_face, f_cell, f_perp, fprev in (
-            (system.vadj, "ev", "fv", "eh", closure.fxx_vface, closure.fxx_cell,
-             closure.fxy_hface, prev.f_vface),
-            (system.hadj, "eh", "fh", "ev", closure.fyy_hface, closure.fyy_cell,
-             closure.fxy_vface, prev.f_hface),
+        adj = system.adj
+        # the vertical half cells come first, then the horizontal ones; face
+        # ids are global, so each orientation's own grid starts at its offset
+        for half_cells, e_face, f_col, e_perp, f_face, f_cell, f_perp, fprev, f0, p0 in (
+            (range(2 * nc), "ev", "fv", "eh", closure.fxx_vface, closure.fxx_cell,
+             closure.fxy_hface, prev.f_vface, 0, nv),
+            (range(2 * nc, 4 * nc), "eh", "fh", "ev", closure.fyy_hface, closure.fyy_cell,
+             closure.fxy_vface, prev.f_hface, nv, 0),
         ):
-            for j in range(adj.face.size):
-                f, i, s = adj.face[j], adj.cell[j], adj.sign[j]
+            for j in half_cells:
+                f, i, s = adj.face[j] - f0, adj.cell[j], adj.sign[j]
+                cp, cm = adj.cross_plus[j] - p0, adj.cross_minus[j] - p0
                 lf, lp, af = adj.face_len[j], adj.cross_len[j], adj.half_area[j]
                 M[i, col[f_col] + f] += s * lf
                 M[row, col[f_col] + f] = af / (c * dt) + kap[i] * af
                 M[row, col[e_face] + f] = s * c * f_face[g].ravel()[f] * lf
                 M[row, i] = -s * c * f_cell[g].ravel()[i] * lf
-                M[row, col[e_perp] + adj.cross_plus[j]] += \
-                    0.5 * c * lp * f_perp[g].ravel()[adj.cross_plus[j]]
-                M[row, col[e_perp] + adj.cross_minus[j]] -= \
-                    0.5 * c * lp * f_perp[g].ravel()[adj.cross_minus[j]]
+                M[row, col[e_perp] + cp] += 0.5 * c * lp * f_perp[g].ravel()[cp]
+                M[row, col[e_perp] + cm] -= 0.5 * c * lp * f_perp[g].ravel()[cm]
                 b[row] = af / (c * dt) * fprev[g].ravel()[f]
                 row += 1
         for k, side in enumerate(system.boundary_side):
@@ -395,20 +397,20 @@ def test_averages_match_summation_oracle():
         num = sum(kappa[g, iy, ix] * mg.e_cell[g, iy, ix] for g in range(3))
         den = sum(mg.e_cell[g, iy, ix] for g in range(3))
         assert co.kbar_e[cell] == pytest.approx(num / den, rel=1e-13)
-    # flux coefficient for one vertical adjacency
+    # flux coefficient for one vertical half cell (the first 2 n_cells)
     j = 5
-    adj = system.vadj
+    adj = system.adj
     cell, face = adj.cell[j], adj.face[j]
     ktil = kappa.reshape(3, -1)[:, cell] + 1.0 / (MAT.light_speed * dt)
     ev = mg.e_vface.reshape(3, -1)[:, face]
     fxxv = closure.fxx_vface.reshape(3, -1)[:, face]
     expected = np.sum(fxxv * ev / ktil) / np.sum(ev)
-    assert co.vflux.d[0, j] == pytest.approx(expected, rel=1e-13)
+    assert co.flux.d[0, j] == pytest.approx(expected, rel=1e-13)
     # lag term
     fprev = prev.f_vface.reshape(3, -1)[:, face]
     kap_c = kappa.reshape(3, -1)[:, cell]
     expected_p = np.sum(fprev / (1.0 + MAT.light_speed * dt * kap_c))
-    assert co.vflux.p[j] == pytest.approx(expected_p, rel=1e-13)
+    assert co.flux.p[j] == pytest.approx(expected_p, rel=1e-13)
 
 
 def test_zero_energy_average_raises():
@@ -433,19 +435,15 @@ def solve_grey_step(system, co, prev, dt):
 
 def grey_coeffs_uniform(system, kbar, dvals=1.0 / 3.0, cbar=0.5, p=0.0,
                         e_in=0.0, f_in=0.0):
-    nbf = system.boundary_face.size
-    n_vadj = system.vadj.face.shape[0]
-    n_hadj = system.hadj.face.shape[0]
-
-    def fc(n):
-        return FluxCoeffs(np.full((4, n), dvals), np.full(n, p))
+    nbf, n_half = system.boundary_face.size, system.adj.face.size
     nc, c = system.n_cells, MAT.light_speed
     # T-independent grey opacities: no temperature derivatives
     return SpectrumAveraged(
         kbar_e=np.full(nc, kbar), kbar_b=np.full(nc, kbar), dkbar_e=np.zeros(nc),
         dkbar_b=np.zeros(nc), e_cell_total=np.zeros(nc),
         boundary_diag=np.full(nbf, -c * cbar),
-        boundary_rhs=np.full(nbf, -c * cbar * e_in + f_in), vflux=fc(n_vadj), hflux=fc(n_hadj),
+        boundary_rhs=np.full(nbf, -c * cbar * e_in + f_in),
+        flux=FluxCoeffs(np.full((4, n_half), dvals), np.full(n_half, p)),
     )
 
 
@@ -464,7 +462,7 @@ def grey_radiation_system(system, co, dt, e_prev_cell):
     area = system.mesh.cell_area.ravel()
     return system.fill(
         area / dt + c * co.kbar_e * area, (area / dt) * e_prev_cell.ravel(),
-        co.vflux, co.hflux, co.boundary_diag, co.boundary_rhs)
+        co.flux, co.boundary_diag, co.boundary_rhs)
 
 
 def grey_emission(system, co, T):
@@ -486,8 +484,7 @@ def test_grey_equilibrium_fixed_point():
         e_vface=np.full((3, 4), e_star), e_hface=np.full((4, 3), e_star),
         f_vface=np.zeros((3, 4)), f_hface=np.zeros((4, 3)),
     )
-    out = recover_fluxes(system, solve_grey_step(system, co, prev, dt=0.02),
-                         (co.vflux, co.hflux))
+    out = recover_fluxes(system, solve_grey_step(system, co, prev, dt=0.02), co.flux)
     assert np.max(np.abs(out.temperature - T_star)) <= 1e-12 * T_star
     assert np.max(np.abs(out.e_cell - e_star)) <= 1e-12 * e_star
     assert np.max(np.abs(out.f_vface)) <= 1e-12 * MAT.light_speed * e_star
@@ -498,13 +495,12 @@ def random_system_args(rng, system, lead=()):
     c = MAT.light_speed
     area = system.mesh.cell_area.ravel()
 
-    def flux(adj):
-        shape = lead + adj.face.shape
-        return FluxCoeffs(np.stack([rng.uniform(0.1, 0.5, shape) for _ in range(4)], axis=-2),
-                          rng.uniform(-0.01, 0.01, shape))
+    shape = lead + system.adj.face.shape
+    flux = FluxCoeffs(np.stack([rng.uniform(0.1, 0.5, shape) for _ in range(4)], axis=-2),
+                      rng.uniform(-0.01, 0.01, shape))
     nbf = system.boundary_face.size
     return [area / 0.02 + c * rng.uniform(0.5, 2.0, lead + area.shape) * area,
-            rng.uniform(0.5, 1.0, lead + area.shape), flux(system.vadj), flux(system.hadj),
+            rng.uniform(0.5, 1.0, lead + area.shape), flux,
             -c * rng.uniform(0.4, 0.7, lead + (nbf,)), rng.uniform(-1.0, 1.0, lead + (nbf,))]
 
 
@@ -517,18 +513,24 @@ DESK = preset("fleck-cummings-desk")
 def test_fill_matches_per_orientation_oracle(mesh):
     # fill() multiplies the stacked d by one geometry row built per mesh;
     # the oracle forms each orientation's weights (P d) Q and multiplies
-    # them by s l (cell rows) and s (face rows), in the entries' order
+    # them by s l (cell rows) and s (face rows), in the entries' order:
+    # cell rows, then face rows, each by column slot over every half cell
     rng = np.random.default_rng(59)
     system = MomentSystem(mesh, MAT.light_speed)
-    cell_diag, cell_rhs, vflux, hflux, b_diag, b_rhs = args = random_system_args(rng, system, (4,))
-    want = [cell_diag]
-    for adj, fc in ((system.vadj, vflux), (system.hadj, hflux)):
-        k, one = MAT.light_speed / adj.half_area, np.ones_like(adj.face_len)
-        P = np.stack([-k * adj.sign, k * adj.sign, -k * 0.5 * adj.cross_len,
-                      k * 0.5 * adj.cross_len])
-        w = P * fc.d * np.stack([adj.face_len, adj.face_len, one, one])
-        want += [(adj.sign * adj.face_len * w).reshape(4, -1), (adj.sign * w).reshape(4, -1)]
-    want = np.concatenate(want + [b_diag], axis=-1)
+    cell_diag, cell_rhs, flux, b_diag, b_rhs = args = random_system_args(rng, system, (4,))
+    half = 2 * system.n_cells  # vertical half cells, then horizontal ones
+    cell_rows, face_rows = [], []
+    for orientation in (slice(0, half), slice(half, None)):
+        sign, face_len, cross_len, half_area = (
+            getattr(system.adj, name)[orientation]
+            for name in ("sign", "face_len", "cross_len", "half_area"))
+        k, one = MAT.light_speed / half_area, np.ones_like(face_len)
+        P = np.stack([-k * sign, k * sign, -k * 0.5 * cross_len, k * 0.5 * cross_len])
+        w = P * flux.d[..., orientation] * np.stack([face_len, face_len, one, one])
+        cell_rows.append(sign * face_len * w)
+        face_rows.append(sign * w)
+    want = np.concatenate([cell_diag] + [np.concatenate(rows, axis=-1).reshape(4, -1)
+                                         for rows in (cell_rows, face_rows)] + [b_diag], axis=-1)
     vals = system.fill(*args)[0]
     assert vals.shape == want.shape == (4, system.rows.size)
     assert np.all(np.abs(vals - want) <= 1e-15 * np.abs(want))
@@ -542,8 +544,7 @@ def test_cached_scatter_bins_follow_the_leading_shape():
     n = system.n_unknowns
     tables = {"rows": (system.rows, n), "rhs_rows": (system.rhs_rows, n),
               "slot": (system.slot, n * system.ldab),
-              "vface": (system.vadj.face, system.n_vfaces),
-              "hface": (system.hadj.face, system.mesh.n_hfaces)}
+              "face": (system.adj.face, system.n_vfaces + system.mesh.n_hfaces)}
     for lead in [(), (1,), (4,), (17,), (4,), ()]:
         for name, (index, size) in tables.items():
             values = rng.standard_normal(lead + index.shape)
@@ -570,10 +571,10 @@ def test_banded_solve_matches_dense_oracle(nx, ny, n_g):
         h0 = system.n_cells + system.n_vfaces
         k = int(np.flatnonzero(system.boundary_face == system.n_vfaces)[0])
         pivot = list(args)
-        pivot[4] = args[4].copy()
-        pivot[4][..., k] = 0.0
+        pivot[3] = args[3].copy()
+        pivot[3][..., k] = 0.0
         vals = system.fill(*pivot)[0].reshape(-1, system.rows.size)
-        pivot[4][..., k] = -np.array([moment_matrix(system, v)[h0, h0] for v in vals]).reshape(lead)
+        pivot[3][..., k] = -np.array([moment_matrix(system, v)[h0, h0] for v in vals]).reshape(lead)
         for v in system.fill(*pivot)[0].reshape(-1, system.rows.size):
             assert moment_matrix(system, v)[h0, h0] == 0.0
         cases.append(pivot)
@@ -833,7 +834,7 @@ def test_grey_matches_multigroup_sum():
     scale = abs(G) @ np.abs(x) + np.abs(b) + np.abs(emis)
     assert float(np.max(np.abs(r) / scale)) <= 1e-10
     # the one-sided flux expressions reproduce the summed multigroup fluxes
-    fv, fh = system.face_fluxes(MultigroupMoments(e_c, e_v, e_h), co.vflux, co.hflux)
+    fv, fh = system.face_fluxes(MultigroupMoments(e_c, e_v, e_h), co.flux)
     assert fv.ravel() == pytest.approx(f_v.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_v).max())
     assert fh.ravel() == pytest.approx(f_h.ravel(), rel=1e-9, abs=1e-12 * np.abs(f_h).max())
 
@@ -848,7 +849,7 @@ def test_nonfinite_solution_raises(level, fault):
     if level == "grey":
         co = grey_coeffs_uniform(system, kbar=2.0, p=0.01)
         if fault == "nan lag term":
-            co.vflux.p[4] = np.nan
+            co.flux.p[4] = np.nan
         else:
             co.boundary_rhs[1] = np.inf
         problem = GreyProblem(system, co, MAT, 0.02, np.full((2, 3), 1e-3),

@@ -516,17 +516,22 @@ def test_mesh_counts_and_areas():
 
 def test_adjacency_half_areas_and_counts():
     mesh = SpatialMesh(3, 2, np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.6]))
-    vadj, hadj = build_adjacency(mesh)
-    assert vadj.face.shape[0] == 2 * mesh.n_cells
-    assert hadj.face.shape[0] == 2 * mesh.n_cells
+    adj = build_adjacency(mesh)
+    nc, nv = mesh.n_cells, mesh.n_vfaces
+    assert adj.face.shape[0] == 4 * nc
     area = mesh.cell_area.ravel()
-    assert np.allclose(vadj.half_area, 0.5 * area[vadj.cell])
-    assert np.allclose(hadj.half_area, 0.5 * area[hadj.cell])
+    assert np.allclose(adj.half_area, 0.5 * area[adj.cell])
+    # west, east, south, north half cells of every cell: the first two
+    # blocks on vertical faces, the last two on horizontal ones (ids from nv)
+    assert np.array_equal(adj.cell, np.tile(np.arange(nc), 4))
+    assert np.array_equal(adj.sign, np.repeat([-1.0, 1.0, -1.0, 1.0], nc))
+    assert adj.face[:2 * nc].max() < nv <= adj.face[2 * nc:].min()
     # every interior face appears exactly twice, boundary faces once
-    v_counts = np.bincount(vadj.face, minlength=mesh.n_vfaces).reshape(2, 4)
+    counts = np.bincount(adj.face, minlength=nv + mesh.n_hfaces)
+    v_counts = counts[:nv].reshape(2, 4)
     assert set(v_counts[:, 1:-1].ravel()) == {2}
     assert set(v_counts[:, [0, -1]].ravel()) == {1}
-    h_counts = np.bincount(hadj.face, minlength=mesh.n_hfaces).reshape(3, 3)
+    h_counts = counts[nv:].reshape(3, 3)
     assert set(h_counts[1:-1].ravel()) == {2}
     assert set(h_counts[[0, -1]].ravel()) == {1}
 
@@ -559,8 +564,7 @@ def test_boundary_table_order_and_sizes():
     # sign: -x and -y on the left and bottom, +x and +y on the right and top
     for name, outward in zip(SIDES, (-1.0, -1.0, 1.0, 1.0)):
         for f in face[side_slice(side, name)]:
-            adj, local = (system.vadj, f) if f < nv else (system.hadj, f - nv)
-            assert adj.sign[adj.face == local].tolist() == [outward], name
+            assert system.adj.sign[system.adj.face == f].tolist() == [outward], name
 
 
 def test_mesh_rejects_bad_input():
