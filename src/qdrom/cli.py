@@ -13,10 +13,10 @@ from . import analysis, container
 from .config import PRESETS, ConfigError, RunConfig, load_config, preset
 from .drivers import (
     DriverError,
-    ModelNameError,
+    ModelMismatchError,
     SNAPSHOT_NAMES,
-    TIME_RTOL,
     build_problem,
+    check_models,
     closure_unknowns,
     playback_models,
     record_snapshots,
@@ -27,17 +27,14 @@ from .drivers import (
 from .loqd import DegenerateStateError, SolverError
 from .lowrank import (
     DecompositionError,
-    DegenerateDataError,
     METHODS,
-    OutOfWindowError,
     compress as compress_matrix,
 )
 from .transport import intensity_unknowns
 
 USAGE_ERRORS = (ConfigError, FileNotFoundError, NotADirectoryError, analysis.FieldStepError)
 DATA_ERRORS = (container.FormatError, analysis.ShapeMismatchError,
-               analysis.DegenerateReferenceError, DegenerateDataError,
-               OutOfWindowError, ValueError)
+               analysis.DegenerateReferenceError, ValueError)
 SOLVER_ERRORS = (SolverError, DriverError, DecompositionError, DegenerateStateError)
 
 
@@ -86,46 +83,36 @@ def cmd_compress(args) -> int:
     return 0
 
 
-def _load_models(path: Path, cfg: RunConfig):
+def _load_models(path: Path):
     """(models, file of each) from a directory of model containers or a snapshot-set file."""
     if path.is_file():
-        models = playback_models(container.load_snapshot_set(path)[0])
-        sources = dict.fromkeys(SNAPSHOT_NAMES, path)
-    elif not path.is_dir():
+        return (playback_models(container.load_snapshot_set(path)[0]),
+                dict.fromkeys(SNAPSHOT_NAMES, path))
+    if not path.is_dir():
         raise FileNotFoundError(f"model path not found: {path}")
-    else:
-        models, sources = {}, {}
-        for name in SNAPSHOT_NAMES:
-            hits = sorted(path.glob(f"{name}.*.ddet"))
-            if len(hits) != 1:
-                found = ", ".join(h.name for h in hits) or "none"
-                raise container.FormatError(
-                    f"need one model container for '{name}' in {path}, found {found}")
-            sources[name] = hits[0]
-            models[name] = container.load_model(hits[0])
-    expected = {"nx": cfg.nx, "ny": cfg.ny, "n_groups": cfg.n_groups}
-    for name, model in models.items():
-        got = {k: model.layout.get(k) for k in expected}
-        if got != expected:
+    models, sources = {}, {}
+    for name in SNAPSHOT_NAMES:
+        hits = sorted(path.glob(f"{name}.*.ddet"))
+        if len(hits) != 1:
+            found = ", ".join(h.name for h in hits) or "none"
             raise container.FormatError(
-                f"layout mismatch for '{name}': model {got}, config {expected}")
-        if abs(model.dt - cfg.dt) > TIME_RTOL * cfg.dt:
-            raise container.FormatError(
-                f"time step mismatch for '{name}': model dt {model.dt:g}, "
-                f"config dt {cfg.dt:g}")
+                f"need one model container for '{name}' in {path}, found {found}")
+        sources[name] = hits[0]
+        models[name] = container.load_model(hits[0])
     return models, sources
 
 
 def cmd_rom(args) -> int:
     cfg = _config_from_args(args)
+    models, sources = _load_models(Path(args.models))
+    try:
+        check_models(cfg, models)
+    except ModelMismatchError as err:
+        raise container.FormatError(f"{sources[err.snapshot]}: {err}") from err
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    models, sources = _load_models(Path(args.models), cfg)
     print(f"stopping tolerance {rom_tolerance(cfg, models):.3e}", file=sys.stderr)
-    try:
-        run = run_rom(build_problem(cfg), models, log=_progress)
-    except ModelNameError as err:
-        raise container.FormatError(f"{sources[err.snapshot]}: {err}") from err
+    run = run_rom(build_problem(cfg), models, log=_progress)
     container.save_run_record(out / "rom_run.ddet", run)
     print(f"wrote {out / 'rom_run.ddet'}")
     return 0

@@ -52,7 +52,7 @@ from .loqd import (
     MultigroupMoments,
     compute_grey_coefficients,
 )
-from .lowrank import ClosureModel, OutOfWindowError, SnapshotMatrix
+from .lowrank import ClosureModel, SnapshotMatrix
 from .materials import FrequencyGrid, MaterialModel, planck_spectrum, planck_spectrum_slope
 from .mesh import SIDES, SpatialMesh, grid_shape
 from .quadrature import build_quadrature
@@ -63,11 +63,11 @@ class DriverError(RuntimeError):
     """A time step that does not converge, or unusable closure data."""
 
 
-class ModelNameError(ValueError):
-    """A closure model given for one snapshot name that holds another's closures."""
+class ModelMismatchError(ValueError):
+    """A closure model that does not fit the run; `snapshot` names its snapshot."""
 
-    def __init__(self, snapshot: str, model: str):
-        super().__init__(f"the model given for '{snapshot}' holds '{model}'")
+    def __init__(self, snapshot: str, message: str):
+        super().__init__(message)
         self.snapshot = snapshot
 
 
@@ -436,28 +436,46 @@ def rom_tolerance(config: RunConfig, models: dict) -> float:
     return max(config.outer_tol, ROM_STOP_FRACTION * smallest)
 
 
+def check_models(config: RunConfig, models: dict) -> None:
+    """Refuse closure models that do not fit a run of `config`.
+
+    Raises ModelMismatchError, naming the snapshot, unless every snapshot
+    name has a model that holds that name's closures on the run's layout
+    (nx, ny, n_groups), recorded at the run's dt (within `TIME_RTOL`), and
+    that covers the run's steps or has a one-step operator to extend them.
+    """
+    expected = {"nx": config.nx, "ny": config.ny, "n_groups": config.n_groups}
+    for name in SNAPSHOT_NAMES:
+        if name not in models:
+            raise ModelMismatchError(name, f"no closure model for '{name}'")
+        m = models[name]
+        got = {k: m.layout.get(k) for k in expected}
+        if m.name != name:
+            problem = f"the model given for '{name}' holds '{m.name}'"
+        elif got != expected:
+            problem = f"layout mismatch for '{name}': model {got}, config {expected}"
+        elif abs(m.dt - config.dt) > TIME_RTOL * config.dt:
+            problem = (f"time step mismatch for '{name}': model dt {m.dt:g}, "
+                       f"config dt {config.dt:g}")
+        elif m.operator is None and m.n_steps < config.n_steps:
+            problem = (f"model '{name}' covers steps 1..{m.n_steps} of the run's "
+                       f"{config.n_steps} and cannot extend them")
+        else:
+            continue
+        raise ModelMismatchError(name, problem)
+
+
 def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
     """Reduced-order run: closures reconstructed once per step.
 
-    Each step stops at `rom_tolerance(config, models)`, which the record's
-    `config_meta["outer_tol"]` states.  Before step 1, a model whose own
-    name is not its key raises ModelNameError, and a model without a
-    one-step operator that covers fewer steps than the run raises
-    OutOfWindowError.  `log(step, iterations, change)` is called after each
-    step.
+    Models that do not fit the run are refused before step 1
+    (`check_models`).  Each step stops at `rom_tolerance(config, models)`,
+    which the record's `config_meta["outer_tol"]` states.  `log(step,
+    iterations, change)` is called after each step.
     """
     p = config if isinstance(config, Problem) else build_problem(config)
     cfg = p.config
-    missing = [k for k in SNAPSHOT_NAMES if k not in models]
-    if missing:
-        raise ValueError(f"missing closure models: {missing}")
-    for name in SNAPSHOT_NAMES:
-        m = models[name]
-        if m.name != name:
-            raise ModelNameError(name, m.name)
-        if m.operator is None and m.n_steps < cfg.n_steps:
-            raise OutOfWindowError(f"model '{name}' covers steps 1..{m.n_steps} of the "
-                                   f"run's {cfg.n_steps} and cannot extend them")
+    check_models(cfg, models)
     tol = rom_tolerance(cfg, models)
 
     def advance(n, mg_prev, t_prev):

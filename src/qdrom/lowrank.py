@@ -2,12 +2,9 @@
 
 Snapshot matrices hold one closure quantity per matrix, group-stacked rows,
 one column per time step.  Every model reconstructs step n as
-offset + basis @ coefficients[:, n - 1] in real arithmetic.  POD centers
-the data about the column mean (the offset) and keeps the leading left
-singular vectors; DMD fits the best linear one-step operator to the
-uncentered history, projects it onto the leading left singular vectors and
-propagates the projected first snapshot with it; DMD-E first subtracts the
-final (near steady state) snapshot, whose column in the fit is then zero.
+offset + basis @ coefficients[:, n - 1] in real arithmetic.  POD, DMD and
+DMD-E differ only in the offset they subtract and the training matrix they
+decompose (`compress`).
 
 The retained rank k is the smallest one whose discarded singular-value
 energy satisfies sum_{i>k} s_i^2 <= xi_rel^2 * sum_i s_i^2.
@@ -21,10 +18,6 @@ import numpy as np
 
 class DecompositionError(RuntimeError):
     """Eigen/SVD failure inside a compression routine."""
-
-
-class DegenerateDataError(ValueError):
-    """All-zero singular values where a rank must be selected."""
 
 
 class OutOfWindowError(IndexError):
@@ -65,17 +58,16 @@ def truncated_svd(a: np.ndarray):
     return u, s, vt
 
 
-def _check_xi(xi_rel: float) -> None:
+def select_rank(singular_values: np.ndarray, xi_rel: float) -> int:
+    """Smallest k with discarded energy fraction at most xi_rel^2 (k >= 1).
+
+    All-zero singular values (constant training data) give k = 1.
+    """
+    s = np.asarray(singular_values, dtype=float)
     if not 0.0 < xi_rel <= 1.0:
         raise ValueError("xi_rel must lie in (0, 1]")
-
-
-def select_rank(singular_values: np.ndarray, xi_rel: float) -> int:
-    """Smallest k with discarded energy fraction at most xi_rel^2 (k >= 1)."""
-    s = np.asarray(singular_values, dtype=float)
-    _check_xi(xi_rel)
-    if s.size == 0 or np.all(s == 0.0):
-        raise DegenerateDataError("all singular values are zero")
+    if s.size == 0:
+        raise ValueError("no singular values to select a rank from")
     energy = s**2
     # accumulate tails from the smallest value up: subtracting a cumulative
     # sum from the total would drown tiny tails in cancellation noise
@@ -143,51 +135,48 @@ class ClosureModel:
 PodModel = ClosureModel
 
 
-def pod_compress(snap: SnapshotMatrix, xi_rel: float) -> ClosureModel:
-    """POD of the column-centered snapshot matrix at truncation xi_rel."""
-    a = snap.data
-    if a.shape[1] < 2:
-        raise ValueError("need at least two snapshot columns")
-    _check_xi(xi_rel)  # constant data skips select_rank
-    mean = a.mean(axis=1)
-    centered = a - mean[:, None]
-    u, s, vt = truncated_svd(centered)
-    if np.all(s == 0.0):
-        k = 1  # constant data: the mean carries everything
-    else:
-        k = select_rank(s, xi_rel)
-    coeffs = s[:k, None] * vt[:k, :]
-    return ClosureModel(snap.name, mean, u[:, :k], coeffs, s, xi_rel,
-                        dict(snap.layout), snap.t0, snap.dt)
+#: compression method -> the offset it subtracts from every column of a
+#: SnapshotMatrix: the column mean for POD, zero for DMD, the final snapshot
+#: for DMD-E
+OFFSETS = {
+    "pod": lambda snap: snap.data.mean(axis=1),
+    "dmd": lambda snap: np.zeros(snap.data.shape[0]),
+    "dmd-e": lambda snap: snap.data[:, -1].copy(),
+}
+#: compression method names: POD, plain DMD and equilibrium-subtracted DMD
+METHODS = tuple(OFFSETS)
 
 
-def _dmd_compress(snap: SnapshotMatrix, xi_rel: float, subtract_final: bool) -> ClosureModel:
-    """Projected DMD of a snapshot set, less its final snapshot if `subtract_final`.
+def compress(snap: SnapshotMatrix, method: str, xi_rel: float) -> ClosureModel:
+    """Compress a snapshot set by method name, one of METHODS, at truncation xi_rel.
 
-    The best-fit one-step operator is projected onto the leading left
-    singular subspace U_k of the history matrix, A = U_k^T X' V_k S_k^-1.
-    Step p is reconstructed as U_k A^(p-1) U_k^T a_1, the projected-mode
-    DMD expansion with least-squares amplitudes evaluated in real
-    arithmetic (Schmid, J. Fluid Mech. 656, 2010).  DMD-E first subtracts
-    the final snapshot, which becomes the offset, and fits every column of
-    the difference: the final one is zero, so the fit also sees the
-    approach to the offset.
+    Every method subtracts its offset (`OFFSETS`) from the data and takes
+    the truncated SVD of a training matrix: every column for POD, the
+    history (all columns but the last) for DMD and DMD-E.  POD keeps the
+    leading left singular vectors with coefficients s V^T.  DMD projects the
+    best-fit one-step operator onto the leading left singular subspace U_k,
+    A = U_k^T X' V_k S_k^-1, and propagates the projected first column with
+    it: step p is U_k A^(p-1) U_k^T a_1, the projected-mode DMD expansion
+    with least-squares amplitudes in real arithmetic (Schmid, J. Fluid
+    Mech. 656, 2010).  DMD-E's final column is zero after its offset, so its
+    fit also sees the approach to the offset.
     """
-    a = snap.data
-    if a.shape[1] < 3:
-        raise ValueError("DMD needs at least 3 columns")
-    _check_xi(xi_rel)  # constant data skips select_rank
-    offset = np.zeros(a.shape[0])
-    if subtract_final:
-        offset = a[:, -1].copy()
-        a = a - offset[:, None]
-    x = a[:, :-1]
-    u, s, vt = truncated_svd(x)
-    if np.all(s == 0.0):
-        # numerically constant training data: the offset carries everything
-        k, operator = 1, np.eye(1)
+    if method not in METHODS:
+        raise ValueError(f"unknown compression method '{method}'")
+    dmd = method != "pod"  # DMD and DMD-E train on the history
+    need = 3 if dmd else 2  # a training matrix of two columns at least
+    if snap.n_steps < need:
+        raise ValueError(f"{method} needs at least {need} snapshot columns")
+    offset = OFFSETS[method](snap)
+    a = snap.data - offset[:, None]
+    u, s, vt = truncated_svd(a[:, :-1] if dmd else a)
+    k = select_rank(s, xi_rel)
+    if not dmd:
+        return ClosureModel(snap.name, offset, u[:, :k], s[:k, None] * vt[:k, :], s,
+                            xi_rel, dict(snap.layout), snap.t0, snap.dt)
+    if s[0] == 0.0:
+        operator = np.eye(1)  # zero training data: the offset carries everything
     else:
-        k = select_rank(s, xi_rel)
         operator = (u[:, :k].T @ a[:, 1:]) @ (vt[:k, :].T / s[:k])
     coeffs = np.empty((k, snap.n_steps))
     coeffs[:, 0] = u[:, :k].T @ a[:, 0]
@@ -197,14 +186,6 @@ def _dmd_compress(snap: SnapshotMatrix, xi_rel: float, subtract_final: bool) -> 
                         dict(snap.layout), snap.t0, snap.dt, operator)
 
 
-#: compression method names: POD, plain DMD and equilibrium-subtracted DMD
-METHODS = ("pod", "dmd", "dmd-e")
-
-
-def compress(snap: SnapshotMatrix, method: str, xi_rel: float) -> ClosureModel:
-    """Compress by method name, one of METHODS: the public entry for DMD and DMD-E."""
-    if method not in METHODS:
-        raise ValueError(f"unknown compression method '{method}'")
-    if method == "pod":
-        return pod_compress(snap, xi_rel)
-    return _dmd_compress(snap, xi_rel, subtract_final=method == "dmd-e")
+def pod_compress(snap: SnapshotMatrix, xi_rel: float) -> ClosureModel:
+    """POD of the column-centered snapshot matrix at truncation xi_rel."""
+    return compress(snap, "pod", xi_rel)

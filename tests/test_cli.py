@@ -109,7 +109,7 @@ def test_run_record_as_models_is_data_error(workdir, tmp_path, capsys):
                "--out", str(tmp_path / "r")])
     assert rc == 3
     assert "found run-record" in capsys.readouterr().err
-    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+    assert not (tmp_path / "r").exists()  # not even an empty output directory
 
 
 def test_snapshot_set_models_are_read_once(workdir, tmp_path, monkeypatch):
@@ -230,6 +230,25 @@ def test_svd_report(workdir):
     assert rc == 0
     ranks = list(csv.DictReader(open(workdir / "svd_ranks.csv")))
     assert {r["method"] for r in ranks} == {"pod", "dmd", "dmd-e"}
+
+
+def test_svd_report_on_an_exactly_constant_matrix(workdir, tmp_path):
+    # a constant matrix leaves a zero spectrum (DMD-E's always, POD's when
+    # the mean is exact): its rank is 1 in every row, as `compress` gives
+    kind, desc, arrays = read_container(workdir / "fom" / "snapshots.ddet")
+    arrays["cb"] = np.tile(arrays["cb"][:, :1], (1, arrays["cb"].shape[1]))
+    snapshots = tmp_path / "snapshots.ddet"
+    write_container(snapshots, kind, desc, arrays)
+    rc = main(["svd-report", "--snapshots", str(snapshots),
+               "--out-prefix", str(tmp_path / "svd_")])
+    assert rc == 0
+    ranks = list(csv.DictReader(open(tmp_path / "svd_ranks.csv")))
+    assert {r["method"] for r in ranks} == {"pod", "dmd", "dmd-e"}
+    assert {r["cb"] for r in ranks} == {"1"}
+    rc = main(["compress", "--snapshots", str(snapshots), "--method", "dmd-e",
+               "--xi", "1e-6", "--out", str(tmp_path / "models")])
+    assert rc == 0
+    assert container.load_model(tmp_path / "models" / "cb.dmd-e.ddet").rank == 1
 
 
 def test_dmd_rank_not_above_pod_via_cli(workdir, pod_rom):
@@ -422,8 +441,8 @@ def test_swapped_model_files_are_data_error(workdir, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "fxx_c.pod.ddet" in err and "'fxx_c'" in err and "'fyy_c'" in err
-    assert "step 1:" not in err
-    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+    assert "step 1:" not in err and "tolerance" not in err
+    assert not (tmp_path / "r").exists()  # not even an empty output directory
 
 
 def test_model_shorter_than_the_run_is_data_error(workdir, tmp_path, capsys):
@@ -440,9 +459,9 @@ def test_model_shorter_than_the_run_is_data_error(workdir, tmp_path, capsys):
                "--out", str(tmp_path / "r")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "model 'fxx_c' covers steps 1..5 of the run's 6" in err
-    assert "step 1:" not in err
-    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+    assert "fxx_c.pod.ddet: model 'fxx_c' covers steps 1..5 of the run's 6" in err
+    assert "step 1:" not in err and "tolerance" not in err
+    assert not (tmp_path / "r").exists()  # not even an empty output directory
 
 
 @pytest.mark.parametrize("key, value", [("t0", "soon"), ("dt", None), ("xi_rel", "x"),
@@ -459,7 +478,7 @@ def test_malformed_model_descriptor_is_data_error(workdir, tmp_path, capsys, key
                "--out", str(tmp_path / "r")])
     assert rc == 3
     assert "cb.pod.ddet" in capsys.readouterr().err
-    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+    assert not (tmp_path / "r").exists()  # not even an empty output directory
 
 
 @pytest.mark.parametrize("source", ["models", "snapshots"])
@@ -474,19 +493,28 @@ def test_time_step_mismatch_is_data_error(workdir, tmp_path, capsys, source):
         assert rc == 0
     other_cfg = tmp_path / "other.cfg"
     other_cfg.write_text(TINY_CONFIG.replace("dt = 0.02", "dt = 0.005"))
+    capsys.readouterr()
     rc = main(["rom", "--config", str(other_cfg), "--models", str(models),
                "--out", str(tmp_path / "r")])
     assert rc == 3
-    assert "time step mismatch" in capsys.readouterr().err
-    assert not (tmp_path / "r" / "rom_run.ddet").exists()
+    err = capsys.readouterr().err
+    named = models if source == "snapshots" else models / "fxx_c.pod.ddet"
+    assert f"{named}: time step mismatch for 'fxx_c'" in err
+    assert "tolerance" not in err
+    assert not (tmp_path / "r").exists()  # not even an empty output directory
 
 
-def test_layout_mismatch_is_data_error(workdir, pod_rom, tmp_path):
+def test_layout_mismatch_is_data_error(workdir, pod_rom, tmp_path, capsys):
     other_cfg = tmp_path / "other.cfg"
     other_cfg.write_text(TINY_CONFIG.replace("nx = 4", "nx = 3"))
+    capsys.readouterr()
     rc = main(["rom", "--config", str(other_cfg), "--models", str(pod_rom[0]),
                "--out", str(tmp_path / "r")])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{pod_rom[0] / 'fxx_c.pod.ddet'}: layout mismatch for 'fxx_c'" in err
+    assert "tolerance" not in err
+    assert not (tmp_path / "r").exists()  # not even an empty output directory
 
 
 def test_cli_determinism(workdir, tmp_path):

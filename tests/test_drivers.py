@@ -10,7 +10,7 @@ from qdrom.config import RunConfig, preset
 from qdrom.container import load_model, save_model
 from qdrom.drivers import (
     DriverError,
-    ModelNameError,
+    ModelMismatchError,
     RECORD_FIELDS,
     ROM_STOP_FRACTION,
     SNAPSHOT_NAMES,
@@ -26,7 +26,7 @@ from qdrom.drivers import (
     unstack_closure,
 )
 from qdrom.loqd import GreyProblem, MomentSystem, MultigroupLoqdSolver, SolverError
-from qdrom.lowrank import METHODS, OutOfWindowError, compress
+from qdrom.lowrank import METHODS, compress
 from qdrom.materials import MaterialModel
 from qdrom.mesh import SIDES
 from qdrom.transport import intensity_unknowns
@@ -191,19 +191,26 @@ def test_compressed_rom_tracks_fom(tiny_config, tiny_fom, tiny_snapshots,
 def test_rom_requires_all_models(tiny_config, tiny_snapshots):
     models = playback_models(tiny_snapshots)
     del models["cb"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelMismatchError, match="no closure model for 'cb'"):
         run_rom(tiny_config, models)
 
 
 def test_rom_refuses_a_model_under_another_name_before_step_one(tiny_config, tiny_snapshots):
     # fxx_c and fyy_c share a grid, so swapping them passes every shape
-    # check; only each model's own name tells
+    # check; only each model's own name tells.  Models recorded at another
+    # dt or on another mesh are refused the same way, naming the first model
     models = playback_models(tiny_snapshots)
-    models["fxx_c"], models["fyy_c"] = models["fyy_c"], models["fxx_c"]
-    logged = []
-    with pytest.raises(ModelNameError, match="given for 'fxx_c' holds 'fyy_c'"):
-        run_rom(tiny_config, models, log=lambda *args: logged.append(args))
-    assert logged == []
+    swapped = dict(models, fxx_c=models["fyy_c"], fyy_c=models["fxx_c"])
+    for cfg, given, message in (
+            (tiny_config, swapped, "given for 'fxx_c' holds 'fyy_c'"),
+            (dataclasses.replace(tiny_config, dt=0.01), models,
+             "time step mismatch for 'fxx_c': model dt 0.02, config dt 0.01"),
+            (dataclasses.replace(tiny_config, nx=3), models, "layout mismatch for 'fxx_c'")):
+        logged = []
+        with pytest.raises(ModelMismatchError, match=message) as err:
+            run_rom(cfg, given, log=lambda *args: logged.append(args))
+        assert err.value.snapshot == "fxx_c"
+        assert logged == []
 
 
 def test_rom_refuses_models_shorter_than_the_run_before_step_one(tiny_config, tiny_snapshots):
@@ -212,8 +219,10 @@ def test_rom_refuses_models_shorter_than_the_run_before_step_one(tiny_config, ti
     models = playback_models({name: dataclasses.replace(m, data=m.data[:, :3])
                               for name, m in tiny_snapshots.items()})
     logged = []
-    with pytest.raises(OutOfWindowError, match=f"model '{SNAPSHOT_NAMES[0]}' covers steps 1..3"):
+    with pytest.raises(ModelMismatchError,
+                       match=f"model '{SNAPSHOT_NAMES[0]}' covers steps 1..3") as err:
         run_rom(tiny_config, models, log=lambda *args: logged.append(args))
+    assert err.value.snapshot == SNAPSHOT_NAMES[0]
     assert logged == []
     assert run_rom(dataclasses.replace(tiny_config, n_steps=3), models).n_steps == 3
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from qdrom.drivers import SNAPSHOT_NAMES, playback_models
 from qdrom.lowrank import (
     METHODS,
-    DegenerateDataError,
     OutOfWindowError,
     SnapshotMatrix,
     compress,
@@ -80,8 +79,10 @@ def test_select_rank_edges():
     s = np.array([3.0, 1.0, 0.5])
     assert select_rank(s, 1.0) == 1
     assert select_rank(s, 1e-300) == 3
-    with pytest.raises(DegenerateDataError):
-        select_rank(np.zeros(4), 1e-2)
+    # constant training data: every tail is 0, so the first rank is admissible
+    assert select_rank(np.zeros(4), 1e-2) == 1
+    with pytest.raises(ValueError):
+        select_rank(np.empty(0), 1e-2)
     with pytest.raises(ValueError):
         select_rank(s, 0.0)
 
@@ -102,15 +103,6 @@ def test_select_rank_minimality(values, xi):
 # ---------------------------------------------------------------------------
 # POD
 # ---------------------------------------------------------------------------
-
-def test_pod_constant_columns_is_exact_mean():
-    col = np.array([2.0, -1.0, 0.5])
-    model = pod_compress(snap(np.tile(col[:, None], (1, 5))), 1e-6)
-    assert np.allclose(model.offset, col)
-    for n in range(1, 6):
-        assert np.allclose(model.reconstruct(n), col)
-    assert np.max(np.abs(model.basis.T @ model.basis - np.eye(model.rank))) <= 1e-12
-
 
 def test_pod_alternating_columns_rank_one():
     a = np.array([[1.0, 3.0, 1.0, 3.0], [0.0, 2.0, 0.0, 2.0]])
@@ -293,16 +285,6 @@ def test_dmd_negative_eigenvalue_branch():
         assert model.reconstruct(n)[0] == pytest.approx(a[0, n - 1], rel=1e-10)
 
 
-def test_dmde_constant_data_returns_equilibrium():
-    col = np.array([4.0, -2.0])
-    a = np.tile(col[:, None], (1, 6))
-    model = compress(snap(a), "dmd-e", 1e-2)
-    assert model.offset == pytest.approx(col)
-    assert np.max(np.abs(model.coefficients)) == 0.0
-    for n in (1, 3, 17):
-        assert np.array_equal(model.reconstruct(n), col)
-
-
 def test_dmde_recovers_shifted_dynamics():
     # decaying mode on top of an equilibrium; the final column holds the
     # exact equilibrium, so the subtracted history is geometric, lam^n for
@@ -356,11 +338,27 @@ def test_compress_dispatch():
         compress(s, "nope", 1e-2)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_constant_data_keeps_rank_one(method):
+    # exactly constant data and a zero matrix: the offset, or DMD's single
+    # mode, carries every column; a zero spectrum selects rank 1
+    col = np.array([2.0, -1.0, 0.5])
+    for a in (np.tile(col[:, None], (1, 6)), np.zeros((3, 6))):
+        model = compress(snap(a), method, 1e-6)
+        assert model.rank == 1
+        assert np.max(np.abs(model.basis.T @ model.basis - 1.0)) <= 1e-12
+        for n in range(1, 7):
+            err = np.max(np.abs(model.reconstruct(n) - a[:, n - 1]))
+            assert err <= 16 * np.finfo(float).eps * np.max(np.abs(a)), (n, err)
+        if method != "pod":  # past the trained window too
+            assert np.allclose(model.reconstruct(17), a[:, -1], rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("xi", [0.0, 2.0])
 @pytest.mark.parametrize("method", ["pod", "dmd", "dmd-e"])
 @pytest.mark.parametrize("data", ["constant", "varying"])
 def test_compress_rejects_xi_outside_unit_interval(method, xi, data):
-    # constant data never reaches select_rank in POD and DMD-E
+    # constant data reaches select_rank with a zero spectrum in POD and DMD-E
     a = np.tile([[2.0], [-1.0], [0.5]], (1, 5))
     if data == "varying":
         a = a + np.random.default_rng(3).normal(size=a.shape)
