@@ -133,7 +133,6 @@ class SingularValueReport:
     singular_values: np.ndarray      # raw matrix spectrum
     significant: int                 # count above 1e-14 * s1
     ranks: dict                      # method -> {xi_rel: k}
-    centered_first: float            # s1 of the column-centered matrix
 
 
 def singular_value_report(matrices: dict, xi_grid=XI_GRID) -> list:
@@ -150,8 +149,7 @@ def singular_value_report(matrices: dict, xi_grid=XI_GRID) -> list:
         spectra = {m: compress(snap, m, xi_grid[0]).singular_values for m in METHODS}
         ranks = {m: {xi: select_rank(s, xi) for xi in xi_grid} for m, s in spectra.items()}
         out.append(SingularValueReport(
-            name, s_raw, int(np.sum(s_raw > 1e-14 * s_raw[0])), ranks,
-            float(spectra["pod"][0])))
+            name, s_raw, int(np.sum(s_raw > 1e-14 * s_raw[0])), ranks))
     return out
 
 

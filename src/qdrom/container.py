@@ -41,25 +41,30 @@ def write_container(path, kind: str, descriptor: dict, arrays: dict) -> None:
     path = Path(path)
     desc = json.dumps(descriptor, sort_keys=True).encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_U32.pack(VERSION))
-        fh.write(kind.encode("ascii").ljust(16, b"\0"))
-        fh.write(_U32.pack(len(desc)))
-        fh.write(desc)
-        fh.write(_U32.pack(len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            if arr.ndim == 1:
-                arr = arr[None, :]
-            if arr.ndim != 2:
-                raise ValueError(f"array '{name}' must be 1-D or 2-D")
-            encoded = name.encode("utf-8")
-            fh.write(_U32.pack(len(encoded)))
-            fh.write(encoded)
-            fh.write(_DIMS.pack(arr.shape[0], arr.shape[1]))
-            fh.write(arr.tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(_U32.pack(VERSION))
+            fh.write(kind.encode("ascii").ljust(16, b"\0"))
+            fh.write(_U32.pack(len(desc)))
+            fh.write(desc)
+            fh.write(_U32.pack(len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                if arr.ndim == 1:
+                    arr = arr[None, :]
+                if arr.ndim != 2:
+                    raise ValueError(f"array '{name}' must be 1-D or 2-D")
+                encoded = name.encode("utf-8")
+                fh.write(_U32.pack(len(encoded)))
+                fh.write(encoded)
+                fh.write(_DIMS.pack(arr.shape[0], arr.shape[1]))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        # a refused or interrupted write leaves no partial file behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -118,52 +118,27 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(1, self.n_steps + 1)
 
 
-#: snapshot name -> (ClosureRecord field, grid of one group's values)
-SNAPSHOTS = {"fxx_c": ("fxx_cell", "cell"), "fxx_v": ("fxx_vface", "vface"),
-             "fyy_c": ("fyy_cell", "cell"), "fyy_h": ("fyy_hface", "hface"),
-             "fxy_v": ("fxy_vface", "vface"), "fxy_h": ("fxy_hface", "hface"),
-             "cb": ("cb", "boundary")}
+#: snapshot name (a ClosureRecord field, in field order) -> grid of one group's values
+SNAPSHOTS = {"fxx_c": "cell", "fxx_v": "vface", "fyy_c": "cell", "fyy_h": "hface",
+             "fxy_v": "vface", "fxy_h": "hface", "cb": "boundary"}
 SNAPSHOT_NAMES = tuple(SNAPSHOTS)
 
 
-def _snapshot_shape(name: str, nx: int, ny: int, n_groups: int) -> tuple:
-    """One step's closure array of snapshot `name`, group first."""
-    return (n_groups, *grid_shape(SNAPSHOTS[name][1], nx, ny))
+def _snapshot_rows(name: str, nx: int, ny: int, n_groups: int) -> int:
+    """Rows of snapshot `name`: one step's closure values, all groups."""
+    return n_groups * math.prod(grid_shape(SNAPSHOTS[name], nx, ny))
 
 
 def closure_unknowns(nx: int, ny: int, n_groups: int) -> int:
     """Closure degrees of freedom per step: 2 (D_v + D_h + D_c) N_g."""
-    return sum(math.prod(_snapshot_shape(name, nx, ny, n_groups))
-               for name, (_, grid) in SNAPSHOTS.items() if grid != "boundary")
-
-
-def stack_closure(c: ClosureRecord) -> dict:
-    """Flatten a closure record into the seven snapshot vectors.
-
-    Rows are group-major; grids flatten row-major (y outer); boundary
-    factors keep the boundary-face order (sides left, bottom, right, top)
-    within each group.
-    """
-    return {name: getattr(c, attr).ravel() for name, (attr, _) in SNAPSHOTS.items()}
-
-
-def unstack_closure(vectors: dict, nx: int, ny: int, n_groups: int) -> ClosureRecord:
-    """Inverse of stack_closure for one time step.
-
-    The record's arrays are views of the given float vectors, not copies:
-    editing one edits the vector, and so a run record's snapshot column it
-    was unstacked from.  Copy the vectors first to edit the closure alone.
-    """
-    return ClosureRecord(**{
-        attr: np.asarray(vectors[name], dtype=float).reshape(
-            _snapshot_shape(name, nx, ny, n_groups))
-        for name, (attr, _) in SNAPSHOTS.items()})
+    return sum(_snapshot_rows(name, nx, ny, n_groups)
+               for name, grid in SNAPSHOTS.items() if grid != "boundary")
 
 
 def snapshot_layout(name: str, config: RunConfig) -> dict:
     return {
         "quantity": name,
-        "grid": SNAPSHOTS[name][1],
+        "grid": SNAPSHOTS[name],
         "nx": config.nx,
         "ny": config.ny,
         "n_groups": config.n_groups,
@@ -302,7 +277,7 @@ class _Step:
 
     @property
     def closure_violations(self) -> int:
-        return sum(self.closure.bound_violations().values())
+        return self.closure.bound_violations()
 
 
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
@@ -356,7 +331,7 @@ def _empty_record(p: Problem, mode: str) -> RunRecord:
     nt, ny, nx = cfg.n_steps, cfg.ny, cfg.nx
     return RunRecord(
         time=TimeGrid(0.0, cfg.dt, nt), mode=mode, config_meta=cfg.to_dict(),
-        snapshots={name: np.empty((math.prod(_snapshot_shape(name, nx, ny, cfg.n_groups)), nt))
+        snapshots={name: np.empty((_snapshot_rows(name, nx, ny, cfg.n_groups), nt))
                    for name in SNAPSHOT_NAMES},
         **{name: np.empty((nt, *grid_shape(kind, nx, ny))) if isinstance(kind, str)
            else np.zeros(nt, dtype=kind) for name, kind in RECORD_FIELDS.items()})
@@ -365,8 +340,8 @@ def _empty_record(p: Problem, mode: str) -> RunRecord:
 def _store_step(rec: RunRecord, n: int, step: _Step):
     for name, kind in RECORD_FIELDS.items():
         getattr(rec, name)[n] = getattr(step.grey if isinstance(kind, str) else step, name)
-    for name, column in stack_closure(step.closure).items():
-        rec.snapshots[name][:, n] = column
+    for name in SNAPSHOT_NAMES:
+        rec.snapshots[name][:, n] = getattr(step.closure, name)
     if step.grey.temperature.min() <= 0.0 or step.grey.e_cell.min() <= 0.0:
         rec.positivity_violations += 1
         warnings.warn(f"nonpositive temperature or energy density at step {n + 1}")
@@ -441,8 +416,9 @@ def check_models(config: RunConfig, models: dict) -> None:
 
     Raises ModelMismatchError, naming the snapshot, unless every snapshot
     name has a model that holds that name's closures on the run's layout
-    (nx, ny, n_groups), recorded at the run's dt (within `TIME_RTOL`), and
-    that covers the run's steps or has a one-step operator to extend them.
+    (nx, ny, n_groups, and the row count they give), recorded at the run's
+    dt (within `TIME_RTOL`), and that covers the run's steps or has a
+    one-step operator to extend them.
     """
     expected = {"nx": config.nx, "ny": config.ny, "n_groups": config.n_groups}
     for name in SNAPSHOT_NAMES:
@@ -454,6 +430,9 @@ def check_models(config: RunConfig, models: dict) -> None:
             problem = f"the model given for '{name}' holds '{m.name}'"
         elif got != expected:
             problem = f"layout mismatch for '{name}': model {got}, config {expected}"
+        elif m.offset.size != _snapshot_rows(name, **expected):
+            problem = (f"model '{name}' holds {m.offset.size} values per step, not the "
+                       f"{_snapshot_rows(name, **expected)} of its layout")
         elif abs(m.dt - config.dt) > TIME_RTOL * config.dt:
             problem = (f"time step mismatch for '{name}': model dt {m.dt:g}, "
                        f"config dt {config.dt:g}")
@@ -479,14 +458,13 @@ def run_rom(config: RunConfig | Problem, models: dict, log=None) -> RunRecord:
     tol = rom_tolerance(cfg, models)
 
     def advance(n, mg_prev, t_prev):
-        vectors = {}
+        columns = {}
         for name in SNAPSHOT_NAMES:
-            vec = models[name].reconstruct(n + 1)
-            if not np.isfinite(vec).all():
+            columns[name] = models[name].reconstruct(n + 1)
+            if not np.isfinite(columns[name]).all():
                 raise DriverError(f"model '{name}' produced non-finite values")
-            vectors[name] = vec
         # the step's closure is gathered once: only kappa changes between iterates
-        closure = p.mg_solver.gather(unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups))
+        closure = p.mg_solver.gather(ClosureRecord(**columns))
         return _advance_step(p, mg_prev, t_prev, lambda kappa, planck: closure, tol)
 
     rec = _run(p, "rom", advance, log)

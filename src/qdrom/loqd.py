@@ -303,17 +303,18 @@ class MultigroupLoqdSolver:
         self.e_in_total, self.f_in_total = e_in.sum(axis=0), f_in.sum(axis=0)
         self.n_unknowns = n = system.n_unknowns  # per group
         # gather() lays a closure's entries out like x twice: the vertical
-        # half cells (west, east: the first half) read (fxx_cell, fxx_vface,
-        # fxy_hface), the horizontal ones (fyy_cell, fxy_vface, fyy_hface)
+        # half cells (west, east: the first half) read (fxx_c, fxx_v, fxy_h),
+        # the horizontal ones (fyy_c, fxy_v, fyy_h)
         half = 2 * system.n_cells
         self._entry_cols = system.flux_cols + n * (np.arange(2 * half) >= half)
 
     def gather(self, closure: ClosureRecord) -> GatheredClosure:
         """The closure as it is now; only kappa changes between solves that share it."""
-        cb, c = closure.cb, self.system.light_speed
-        entries = np.concatenate([e.reshape(cb.shape[0], -1) for e in (
-            closure.fxx_cell, closure.fxx_vface, closure.fxy_hface,
-            closure.fyy_cell, closure.fxy_vface, closure.fyy_hface)], axis=1)
+        n_g, c = self.e_in.shape[0], self.system.light_speed
+        cb = closure.cb.reshape(n_g, -1)
+        entries = np.concatenate([e.reshape(n_g, -1) for e in (
+            closure.fxx_c, closure.fxx_v, closure.fxy_h,
+            closure.fyy_c, closure.fxy_v, closure.fyy_h)], axis=1)
         return GatheredClosure(closure, entries.take(self._entry_cols, axis=1),
                                -c * cb, -c * cb * self.e_in + self.f_in)
 
@@ -404,7 +405,7 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
 
     # boundary factor average with the 0/0 guard at near-equilibrium walls
     e_bf = x_mg.take(system.boundary_cols, axis=1)
-    cb = closure.cb
+    cb = closure.cb.reshape(n_g, -1)
     diff = e_bf - solver.e_in
     den, num = diff.sum(axis=0), (cb * diff).sum(axis=0)
     guarded = np.abs(den) < 1e-30 * x_sum.take(system.boundary_cols)

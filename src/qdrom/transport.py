@@ -52,28 +52,29 @@ class ShapeError(ValueError):
 
 @dataclass
 class ClosureRecord:
-    """Eddington tensor components and boundary factors for one time level.
+    """Eddington tensor entries and boundary factors for one time level.
 
-    Tensor entries live on cell centers and on the face grids that consume
-    them in the moment equations; boundary factors are per group and
-    boundary face, in the geometry's boundary-face order (mesh.SIDES).
+    Each field is that time level's column of the snapshot matrix of the
+    same name (drivers.SNAPSHOT_NAMES, in field order): group-major, each
+    group's grid row-major (y outer).  Tensor entries live on cell centers
+    and on the face grids that consume them in the moment equations;
+    boundary factors cb are per boundary face, in the geometry's
+    boundary-face order (mesh.SIDES).
     """
 
-    fxx_cell: np.ndarray   # (n_g, ny, nx)
-    fyy_cell: np.ndarray   # (n_g, ny, nx)
-    fxx_vface: np.ndarray  # (n_g, ny, nx+1)
-    fxy_vface: np.ndarray  # (n_g, ny, nx+1)
-    fyy_hface: np.ndarray  # (n_g, ny+1, nx)
-    fxy_hface: np.ndarray  # (n_g, ny+1, nx)
-    cb: np.ndarray         # (n_g, 2 (nx + ny))
+    fxx_c: np.ndarray  # n_g * ny * nx
+    fxx_v: np.ndarray  # n_g * ny * (nx+1)
+    fyy_c: np.ndarray  # n_g * ny * nx
+    fyy_h: np.ndarray  # n_g * (ny+1) * nx
+    fxy_v: np.ndarray  # n_g * ny * (nx+1)
+    fxy_h: np.ndarray  # n_g * (ny+1) * nx
+    cb: np.ndarray     # n_g * 2 (nx + ny)
 
-    def bound_violations(self) -> dict:
-        """Count entries outside the physical closure bounds (not clamped)."""
-        diag = 0
-        for a in (self.fxx_cell, self.fyy_cell, self.fxx_vface, self.fyy_hface):
-            diag += int(np.sum((a < 0.0) | (a > 1.0)))
-        return {"tensor": diag,
-                "boundary_factor": int(np.sum((self.cb <= 0.0) | (self.cb >= 1.0)))}
+    def bound_violations(self) -> int:
+        """Entries outside the physical bounds (not clamped): f_ii in [0, 1], cb in (0, 1)."""
+        diag = sum(int(np.sum((a < 0.0) | (a > 1.0)))
+                   for a in (self.fxx_c, self.fxx_v, self.fyy_c, self.fyy_h))
+        return diag + int(np.sum((self.cb <= 0.0) | (self.cb >= 1.0)))
 
 
 def intensity_unknowns(nx: int, ny: int, n_groups: int, n_dirs: int) -> int:
@@ -263,8 +264,9 @@ class TransportSolver:
         fv, fh = faces
         phi_v = _positive(fv[:, 0], "nonpositive angular integral on a face")
         phi_h = _positive(fh[:, 0], "nonpositive angular integral on a face")
-        return ClosureRecord(fxx_c, fyy_c, fv[:, 1] / phi_v, fv[:, 2] / phi_v,
-                             fh[:, 1] / phi_h, fh[:, 2] / phi_h, np.concatenate(cb, axis=1))
+        columns = (fxx_c, fv[:, 1] / phi_v, fyy_c, fh[:, 1] / phi_h, fv[:, 2] / phi_v,
+                   fh[:, 2] / phi_h, np.concatenate(cb, axis=1))
+        return ClosureRecord(*(a.ravel() for a in columns))
 
     def boundary_inflow(self, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """E_in and n.F_in per group and boundary face from the inflow.

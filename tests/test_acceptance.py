@@ -98,9 +98,9 @@ def test_criterion_2_closure_identities(per_quadrant):
                              np.full((1, 4), 0.8))
     iso = np.full(solver.shape, 0.8)
     rec = solver.compute_eddington(iso)
-    for arr in (rec.fxx_cell, rec.fyy_cell, rec.fxx_vface, rec.fyy_hface):
+    for arr in (rec.fxx_c, rec.fyy_c, rec.fxx_v, rec.fyy_h):
         assert np.max(np.abs(arr - 1.0 / 3.0)) <= 1e-10
-    for arr in (rec.fxy_vface, rec.fxy_hface):
+    for arr in (rec.fxy_v, rec.fxy_h):
         assert np.max(np.abs(arr)) <= 1e-10
     assert np.max(np.abs(rec.cb - 0.5)) <= 1e-10
     report(f"2 closure identities (isotropic f = 1/3, C = 1/2; {4 * per_quadrant} directions)")

@@ -133,7 +133,7 @@ def test_compare_same_run_is_zero(workdir):
                "--run-b", str(workdir / "fom" / "fom_run.ddet"),
                "--out", str(out)])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 5
     assert all(float(r["rel_err_temperature"]) == 0.0 for r in rows)
 
@@ -199,7 +199,7 @@ def test_breakout_unreachable_threshold(workdir):
     assert rc == 0
     summary = (workdir / "bk.summary.csv").read_text()
     assert "not reached" in summary
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 5
 
 
@@ -228,7 +228,7 @@ def test_svd_report(workdir):
     rc = main(["svd-report", "--snapshots", str(workdir / "fom" / "snapshots.ddet"),
                "--out-prefix", str(workdir / "svd_")])
     assert rc == 0
-    ranks = list(csv.DictReader(open(workdir / "svd_ranks.csv")))
+    ranks = list(csv.DictReader((workdir / "svd_ranks.csv").read_text().splitlines()))
     assert {r["method"] for r in ranks} == {"pod", "dmd", "dmd-e"}
 
 
@@ -242,7 +242,7 @@ def test_svd_report_on_an_exactly_constant_matrix(workdir, tmp_path):
     rc = main(["svd-report", "--snapshots", str(snapshots),
                "--out-prefix", str(tmp_path / "svd_")])
     assert rc == 0
-    ranks = list(csv.DictReader(open(tmp_path / "svd_ranks.csv")))
+    ranks = list(csv.DictReader((tmp_path / "svd_ranks.csv").read_text().splitlines()))
     assert {r["method"] for r in ranks} == {"pod", "dmd", "dmd-e"}
     assert {r["cb"] for r in ranks} == {"1"}
     rc = main(["compress", "--snapshots", str(snapshots), "--method", "dmd-e",

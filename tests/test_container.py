@@ -82,6 +82,21 @@ def test_unknown_kind_rejected(tmp_path):
         write_container(tmp_path / "x.ddet", "mystery", {}, {})
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new target", "existing target"])
+def test_refused_write_leaves_no_file_behind(tmp_path, existing):
+    # a 3-D array is refused mid-write, after the 1-D one was written
+    path = tmp_path / "r.ddet"
+    if existing:
+        write_container(path, "results", {"k": 1}, {"x": np.arange(3.0)})
+    before = path.read_bytes() if existing else None
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        write_container(path, "results", {}, {"a": np.zeros(3), "b": np.zeros((2, 2, 2))})
+    assert not path.with_name(path.name + ".tmp").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["r.ddet"] if existing else [])
+    if existing:
+        assert path.read_bytes() == before
+
+
 def test_snapshot_set_roundtrip(tmp_path, tiny_snapshots, tiny_config):
     path = tmp_path / "snaps.ddet"
     save_snapshot_set(path, tiny_snapshots, tiny_config.to_dict())

@@ -22,14 +22,12 @@ from qdrom.drivers import (
     rom_tolerance,
     run_fom,
     run_rom,
-    stack_closure,
-    unstack_closure,
 )
 from qdrom.loqd import GreyProblem, MomentSystem, MultigroupLoqdSolver, SolverError
 from qdrom.lowrank import METHODS, compress
 from qdrom.materials import MaterialModel
 from qdrom.mesh import SIDES
-from qdrom.transport import intensity_unknowns
+from qdrom.transport import ClosureRecord, intensity_unknowns
 
 
 def test_dimension_bookkeeping_full_preset():
@@ -102,8 +100,9 @@ def test_full_preset_boundary_matrix_rows():
     assert cfg.n_steps == 300
 
 
-def test_snapshot_roundtrip(tiny_config, tiny_fom, tiny_snapshots, monkeypatch):
-    # the closures the driver accepted, seen as they are stored
+def test_snapshot_roundtrip(tiny_config, tiny_snapshots, monkeypatch):
+    # a closure record is one column of each snapshot matrix, in field order
+    assert tuple(f.name for f in dataclasses.fields(ClosureRecord)) == SNAPSHOT_NAMES
     accepted = []
     store = drivers._store_step
 
@@ -112,19 +111,16 @@ def test_snapshot_roundtrip(tiny_config, tiny_fom, tiny_snapshots, monkeypatch):
         store(rec, n, step)
 
     monkeypatch.setattr(drivers, "_store_step", keep)
-    cfg = dataclasses.replace(tiny_config, n_steps=3)
-    run_fom(cfg)
-    n = 3
-    vectors = {name: tiny_snapshots[name].data[:, n - 1] for name in SNAPSHOT_NAMES}
-    rebuilt = unstack_closure(vectors, cfg.nx, cfg.ny, cfg.n_groups)
-    orig = accepted[n - 1]
-    for attr in ("fxx_cell", "fyy_cell", "fxx_vface", "fxy_vface",
-                 "fyy_hface", "fxy_hface", "cb"):
-        assert np.array_equal(getattr(rebuilt, attr), getattr(orig, attr))
-    # and stacking the rebuilt record reproduces the columns bit-exactly
-    restacked = stack_closure(rebuilt)
+    run_fom(dataclasses.replace(tiny_config, n_steps=3))
+    closure = accepted[2]
+    columns = {name: tiny_snapshots[name].data[:, 2] for name in SNAPSHOT_NAMES}
     for name in SNAPSHOT_NAMES:
-        assert np.array_equal(restacked[name], vectors[name])
+        assert getattr(closure, name).tobytes() == columns[name].tobytes(), name
+    # the stored columns, made a record, gather to what the accepted closure does
+    solver = build_problem(tiny_config).mg_solver
+    stored, fom = solver.gather(ClosureRecord(**columns)), solver.gather(closure)
+    for field in ("f", "boundary_diag", "boundary_rhs"):
+        assert np.array_equal(getattr(stored, field), getattr(fom, field)), field
 
 
 def test_record_snapshots_share_the_record_columns(tiny_fom, tiny_snapshots):
@@ -198,11 +194,17 @@ def test_rom_requires_all_models(tiny_config, tiny_snapshots):
 def test_rom_refuses_a_model_under_another_name_before_step_one(tiny_config, tiny_snapshots):
     # fxx_c and fyy_c share a grid, so swapping them passes every shape
     # check; only each model's own name tells.  Models recorded at another
-    # dt or on another mesh are refused the same way, naming the first model
+    # dt or on another mesh, or whose rows do not fill their layout, are
+    # refused the same way, naming the first model
     models = playback_models(tiny_snapshots)
     swapped = dict(models, fxx_c=models["fyy_c"], fyy_c=models["fxx_c"])
+    short = playback_models({name: dataclasses.replace(m, data=m.data[1:])
+                             for name, m in tiny_snapshots.items()})
+    rows = tiny_snapshots["fxx_c"].data.shape[0]
     for cfg, given, message in (
             (tiny_config, swapped, "given for 'fxx_c' holds 'fyy_c'"),
+            (tiny_config, short,
+             f"model 'fxx_c' holds {rows - 1} values per step, not the {rows} of its layout"),
             (dataclasses.replace(tiny_config, dt=0.01), models,
              "time step mismatch for 'fxx_c': model dt 0.02, config dt 0.01"),
             (dataclasses.replace(tiny_config, nx=3), models, "layout mismatch for 'fxx_c'")):
@@ -441,16 +443,16 @@ def test_edited_closure_is_gathered_again(tiny_config, tiny_fom):
     # gives the edited entries, as gathering a fresh copy does
     solver = drivers.build_problem(tiny_config).mg_solver
     cfg = tiny_config
-    closure = unstack_closure({name: tiny_fom.snapshots[name][:, 0].copy()
-                               for name in SNAPSHOT_NAMES}, cfg.nx, cfg.ny, cfg.n_groups)
+    closure = ClosureRecord(**{name: tiny_fom.snapshots[name][:, 0].copy()
+                               for name in SNAPSHOT_NAMES})
     before = solver.gather(closure)
-    closure.fxy_hface[:, 1, 2] += 0.01
-    closure.cb[0, 3] *= 1.1
+    closure.fxy_h.reshape(cfg.n_groups, cfg.ny + 1, cfg.nx)[:, 1, 2] += 0.01
+    closure.cb[3] *= 1.1  # group 0, boundary face 3
     after = solver.gather(closure)
     fresh = solver.gather(dataclasses.replace(
         closure, **{f.name: getattr(closure, f.name).copy()
                     for f in dataclasses.fields(closure)}))
-    vertical = slice(0, 2 * solver.system.n_cells)  # the half cells that read fxy_hface
+    vertical = slice(0, 2 * solver.system.n_cells)  # the half cells that read fxy_h
     assert not np.array_equal(before.f[..., vertical], after.f[..., vertical])
     assert not np.array_equal(before.boundary_diag, after.boundary_diag)
     for field in ("f", "boundary_diag", "boundary_rhs"):

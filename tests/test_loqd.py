@@ -37,30 +37,32 @@ def spectral_fields(T, grid):
 
 def isotropic_closure(n_g, ny, nx, cb=0.5):
     third = 1.0 / 3.0
+    cells, vfaces, hfaces = n_g * ny * nx, n_g * ny * (nx + 1), n_g * (ny + 1) * nx
     return ClosureRecord(
-        fxx_cell=np.full((n_g, ny, nx), third),
-        fyy_cell=np.full((n_g, ny, nx), third),
-        fxx_vface=np.full((n_g, ny, nx + 1), third),
-        fxy_vface=np.zeros((n_g, ny, nx + 1)),
-        fyy_hface=np.full((n_g, ny + 1, nx), third),
-        fxy_hface=np.zeros((n_g, ny + 1, nx)),
-        cb=np.full((n_g, 2 * (nx + ny)), cb),
+        fxx_c=np.full(cells, third),
+        fxx_v=np.full(vfaces, third),
+        fyy_c=np.full(cells, third),
+        fyy_h=np.full(hfaces, third),
+        fxy_v=np.zeros(vfaces),
+        fxy_h=np.zeros(hfaces),
+        cb=np.full(n_g * 2 * (nx + ny), cb),
     )
 
 
 def random_closure(rng, n_g, ny, nx):
-    def diag(shape):
-        return rng.uniform(0.25, 0.45, size=shape)
+    def diag(size):
+        return rng.uniform(0.25, 0.45, size=size)
+    cells, vfaces, hfaces = n_g * ny * nx, n_g * ny * (nx + 1), n_g * (ny + 1) * nx
     return ClosureRecord(
-        fxx_cell=diag((n_g, ny, nx)),
-        fyy_cell=diag((n_g, ny, nx)),
-        fxx_vface=diag((n_g, ny, nx + 1)),
-        fxy_vface=rng.uniform(-0.05, 0.05, size=(n_g, ny, nx + 1)),
-        fyy_hface=diag((n_g, ny + 1, nx)),
-        fxy_hface=rng.uniform(-0.05, 0.05, size=(n_g, ny + 1, nx)),
-        # one draw per side, sides in the boundary-face order
+        fxx_c=diag(cells),
+        fyy_c=diag(cells),
+        fxx_v=diag(vfaces),
+        fxy_v=rng.uniform(-0.05, 0.05, size=vfaces),
+        fyy_h=diag(hfaces),
+        fxy_h=rng.uniform(-0.05, 0.05, size=hfaces),
+        # one draw per side, sides in the boundary-face order within each group
         cb=np.concatenate([rng.uniform(0.4, 0.7, size=(n_g, n)) for n in (ny, nx, ny, nx)],
-                          axis=1),
+                          axis=1).ravel(),
     )
 
 
@@ -139,13 +141,10 @@ def test_single_cell_matches_dense_oracle():
     M[0, FHT] = dx
     M[0, FHB] = -dx
     b[0] = A / dt * prev.e_cell[0, 0, 0] + 4 * np.pi * kap * planck[0, 0, 0] * A
-    # momentum rows: west face (sign -1), east face (+1)
-    fxxv = closure.fxx_vface[0, 0]
-    fxxc = closure.fxx_cell[0, 0, 0]
-    fyyh = closure.fyy_hface[0, :, 0]
-    fyyc = closure.fyy_cell[0, 0, 0]
-    fxyv = closure.fxy_vface[0, 0]
-    fxyh = closure.fxy_hface[0, :, 0]
+    # momentum rows: west face (sign -1), east face (+1); one group and one
+    # cell, so each column lists its cell or its two faces
+    fxxv, fyyh, fxyv, fxyh = closure.fxx_v, closure.fyy_h, closure.fxy_v, closure.fxy_h
+    (fxxc,), (fyyc,) = closure.fxx_c, closure.fyy_c
     rows = [
         # (row, F col, E face col, sign, fxx_face, F_prev)
         (1, FVL, EVL, -1.0, fxxv[0], prev.f_vface[0, 0, 0]),
@@ -170,7 +169,7 @@ def test_single_cell_matches_dense_oracle():
         M[row, EVL] = -0.5 * c * dy * fxyv[0]
         b[row] = af / (c * dt) * fprev
     # boundary rows, vacuum: sign*F - c*C*E_f = 0; one face per side
-    cb_l, cb_b, cb_r, cb_t = closure.cb[0]
+    cb_l, cb_b, cb_r, cb_t = closure.cb
     bc_rows = [
         (5, FVL, EVL, -1.0, cb_l),
         (6, FHB, EHB, -1.0, cb_b),
@@ -201,7 +200,9 @@ def dense_multigroup_oracle(system, closure, kappa, planck, prev, dt, e_in, f_in
     n = nc + 2 * (nv + nh)
     col = {"ev": nc, "eh": nc + nv, "fv": nc + nv + nh, "fh": nc + 2 * nv + nh}
     area = system.mesh.cell_area.ravel()
-    cb = closure.cb
+    # each closure column as one row per group
+    per_group = {k: v.reshape(kappa.shape[0], -1) for k, v in vars(closure).items()}
+    cb = per_group["cb"]
     out = []
     for g in range(kappa.shape[0]):
         kap = kappa[g].ravel()
@@ -216,10 +217,10 @@ def dense_multigroup_oracle(system, closure, kappa, planck, prev, dt, e_in, f_in
         # the vertical half cells come first, then the horizontal ones; face
         # ids are global, so each orientation's own grid starts at its offset
         for half_cells, e_face, f_col, e_perp, f_face, f_cell, f_perp, fprev, f0, p0 in (
-            (range(2 * nc), "ev", "fv", "eh", closure.fxx_vface, closure.fxx_cell,
-             closure.fxy_hface, prev.f_vface, 0, nv),
-            (range(2 * nc, 4 * nc), "eh", "fh", "ev", closure.fyy_hface, closure.fyy_cell,
-             closure.fxy_vface, prev.f_hface, nv, 0),
+            (range(2 * nc), "ev", "fv", "eh", *(per_group[k] for k in ("fxx_v", "fxx_c", "fxy_h")),
+             prev.f_vface, 0, nv),
+            (range(2 * nc, 4 * nc), "eh", "fh", "ev",
+             *(per_group[k] for k in ("fyy_h", "fyy_c", "fxy_v")), prev.f_hface, nv, 0),
         ):
             for j in half_cells:
                 f, i, s = adj.face[j] - f0, adj.cell[j], adj.sign[j]
@@ -318,7 +319,8 @@ def test_solver_and_equilibrium_check_the_system():
     system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
     closure = isotropic_closure(3, 2, 3)
     gathered = MultigroupLoqdSolver(system, np.zeros((3, 10)), np.zeros((3, 10))).gather(closure)
-    assert np.array_equal(gathered.boundary_diag, -system.light_speed * closure.cb)
+    assert np.array_equal(gathered.boundary_diag,
+                          -system.light_speed * closure.cb.reshape(3, -1))
     with pytest.raises(ValueError, match="mesh"):
         MultigroupMoments.equilibrium(np.ones((3, 3, 2)), system, MAT.light_speed)
     with pytest.raises(ValueError, match="light_speed"):
@@ -370,7 +372,7 @@ def test_single_group_averages_are_identity():
     co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, system, e_in, f_in)
     assert co.kbar_e == pytest.approx(kappa.reshape(-1), rel=1e-14)
     assert co.kbar_b == pytest.approx(kappa.reshape(-1), rel=1e-14)
-    assert co.boundary_diag == pytest.approx(-MAT.light_speed * closure.cb[0], rel=1e-14)
+    assert co.boundary_diag == pytest.approx(-MAT.light_speed * closure.cb, rel=1e-14)
 
 
 def test_constant_opacity_averages():
@@ -403,7 +405,7 @@ def test_averages_match_summation_oracle():
     cell, face = adj.cell[j], adj.face[j]
     ktil = kappa.reshape(3, -1)[:, cell] + 1.0 / (MAT.light_speed * dt)
     ev = mg.e_vface.reshape(3, -1)[:, face]
-    fxxv = closure.fxx_vface.reshape(3, -1)[:, face]
+    fxxv = closure.fxx_v.reshape(3, -1)[:, face]
     expected = np.sum(fxxv * ev / ktil) / np.sum(ev)
     assert co.flux.d[0, j] == pytest.approx(expected, rel=1e-13)
     # lag term
@@ -650,9 +652,8 @@ def test_singular_system_raises_at_both_levels():
         problem.solve()
     rng = np.random.default_rng(47)
     closure = isotropic_closure(3, 2, 3)
-    for f in (closure.fxx_cell, closure.fyy_cell, closure.fxx_vface, closure.fyy_hface,
-              closure.cb):
-        f[1] = 0.0
+    for name in ("fxx_c", "fyy_c", "fxx_v", "fyy_h", "cb"):
+        getattr(closure, name).reshape(3, -1)[1] = 0.0
     e_in = np.zeros((3, system.boundary_face.size))
     solver = MultigroupLoqdSolver(system, e_in, e_in)
     prev = MultigroupMoments.equilibrium(rng.uniform(0.5, 1.0, (3, 2, 3)), system,

@@ -4,7 +4,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qdrom.drivers import stack_closure, unstack_closure
 from qdrom.materials import C_LIGHT, FrequencyGrid, MaterialModel, planck_spectrum
 from qdrom.loqd import MomentSystem
 from qdrom.mesh import SIDES, SpatialMesh
@@ -378,7 +377,10 @@ def face_traces(sol, I):
 
 
 def eddington_oracle(sol, I):
-    """Closures direction by direction: upwind traces, then angular sums."""
+    """Closures direction by direction: upwind traces, then angular sums.
+
+    Each field is built as (group, grid) and stored as its flat column.
+    """
     fxx_c, fyy_c, _ = eddington_ratios(sol.quad, I.mean(axis=4))
     tv, th = face_traces(sol, I)
     fxx_v, _, fxy_v = eddington_ratios(sol.quad, tv)
@@ -387,7 +389,7 @@ def eddington_oracle(sol, I):
                          half_range_factor(sol.quad, th[:, :, 0], "y", -1.0),
                          half_range_factor(sol.quad, tv[..., -1], "x", 1.0),
                          half_range_factor(sol.quad, th[:, :, -1], "y", 1.0)], axis=1)
-    return ClosureRecord(fxx_c, fyy_c, fxx_v, fxy_v, fyy_h, fxy_h, cb)
+    return ClosureRecord(*(a.ravel() for a in (fxx_c, fxx_v, fyy_c, fyy_h, fxy_v, fxy_h, cb)))
 
 
 def test_isotropic_eddington_is_third():
@@ -395,9 +397,9 @@ def test_isotropic_eddington_is_third():
                       bc=np.full((2, 4), 1.7))
     I = np.full(sol.shape, 1.7)
     rec = sol.compute_eddington(I)
-    for arr in (rec.fxx_cell, rec.fyy_cell, rec.fxx_vface, rec.fyy_hface):
+    for arr in (rec.fxx_c, rec.fyy_c, rec.fxx_v, rec.fyy_h):
         assert np.max(np.abs(arr - 1.0 / 3.0)) <= 1e-10
-    for arr in (rec.fxy_vface, rec.fxy_hface):
+    for arr in (rec.fxy_v, rec.fxy_h):
         assert np.max(np.abs(arr)) <= 1e-10
 
 
@@ -457,14 +459,12 @@ def test_boundary_factors_in_boundary_face_order():
         "top": (0.5 * (I[:, :, -1, :, 2] + I[:, :, -1, :, 3]), "y", 1.0),
     }
     face_side = MomentSystem(sol.mesh, C_LIGHT).boundary_side
-    assert rec.cb.shape == (2, face_side.size) == (2, 2 * (nx + ny))
+    assert rec.cb.shape == (2 * face_side.size,) == (2 * 2 * (nx + ny),)
+    cb = rec.cb.reshape(2, -1)  # group-major: one row of boundary faces per group
     for side, (trace, axis, outward) in sides.items():
         expected = half_range_factor(sol.quad, trace, axis, outward)
-        np.testing.assert_allclose(rec.cb[:, face_side == SIDES.index(side)], expected,
+        np.testing.assert_allclose(cb[:, face_side == SIDES.index(side)], expected,
                                    rtol=1e-13, atol=0.0, err_msg=side)
-    rebuilt = unstack_closure(stack_closure(rec), nx, ny, 2)
-    for f in dataclasses.fields(rec):
-        assert np.array_equal(getattr(rebuilt, f.name), getattr(rec, f.name)), f.name
 
 
 def test_random_closure_matches_summation_oracle():
@@ -474,16 +474,17 @@ def test_random_closure_matches_summation_oracle():
     I = rng.uniform(0.1, 2.0, size=sol.shape)
     rec = sol.compute_eddington(I)
     w, mu, eta = sol.quad.weight, sol.quad.mu, sol.quad.eta
-    # cell oracle by explicit loops
+    # cell oracle by explicit loops, on the record's (group, y, x) grids
+    fxx_c, cb = rec.fxx_c.reshape(2, 2, 2), rec.cb.reshape(2, -1)
     for iy in range(2):
         for ix in range(2):
             for g in range(2):
                 ibar = I[g, :, iy, ix, :].mean(axis=1)
                 num = sum(w[m] * mu[m] ** 2 * ibar[m] for m in range(sol.quad.n_dirs))
                 den = sum(w[m] * ibar[m] for m in range(sol.quad.n_dirs))
-                assert rec.fxx_cell[g, iy, ix] == pytest.approx(num / den, rel=1e-13)
+                assert fxx_c[g, iy, ix] == pytest.approx(num / den, rel=1e-13)
     # boundary-factor oracle on the left side
-    left = rec.cb[:, MomentSystem(sol.mesh, C_LIGHT).boundary_side == SIDES.index("left")]
+    left = cb[:, MomentSystem(sol.mesh, C_LIGHT).boundary_side == SIDES.index("left")]
     for iy in range(2):
         for g in range(2):
             num = den = 0.0
@@ -504,7 +505,7 @@ def test_eddington_trace_identity():
     phi = np.einsum("m,gmyx->gyx", w, ibar)
     fzz = np.einsum("m,gmyx->gyx", w * xi * xi, ibar) / phi
     rec = sol.compute_eddington(I)
-    assert np.max(np.abs(rec.fxx_cell + rec.fyy_cell + fzz - 1.0)) <= 1e-12
+    assert np.max(np.abs((rec.fxx_c + rec.fyy_c).reshape(fzz.shape) + fzz - 1.0)) <= 1e-12
 
 
 def test_degenerate_intensity_raises():
@@ -659,9 +660,13 @@ def test_closure_bounds_for_positive_intensity():
                       bc=rng.uniform(0.2, 1.0, (4, 2)).T)
     I = rng.uniform(1e-3, 5.0, size=sol.shape)
     rec = sol.compute_eddington(I)
-    assert rec.bound_violations() == {"tensor": 0, "boundary_factor": 0}
+    assert rec.bound_violations() == 0
     tv, _ = face_traces(sol, I)
     fxx_v, fyy_v, fxy_v = eddington_ratios(sol.quad, tv)
     assert np.all(fxy_v**2 <= fxx_v * fyy_v * (1.0 + 1e-12))
     assert np.all((rec.cb > 0.0) & (rec.cb < 1.0))
+    # one count over every field: a diagonal entry above 1, a cross entry
+    # (unbounded by the count) and a boundary factor at 0
+    rec.fyy_h[3], rec.fxy_v[0], rec.cb[-1] = 1.5, 2.0, 0.0
+    assert rec.bound_violations() == 2
 
