@@ -10,12 +10,19 @@ Without scattering the four quadrants are independent, so they share one
 wavefront pass (the simultaneous-quadrant form of KBA diagonal sweeps; Baker
 & Koch, Nucl. Sci. Eng. 128, 1998).  Each quadrant is mapped into its flow
 frame, where x is reflected when mu < 0 and y when eta < 0, so every
-direction flows from flow corner 0 (upwind) towards flow corner 3.  In the
-flow frame the cells of diagonal d = a + b depend only on diagonal d - 1.
-The sweep works in a lane layout (group, flow cell in diagonal order, flow
-corner, lane), with one lane per (quadrant, direction) pair on the
-contiguous last axis; the index tables between the two layouts are built
-once per solver.
+direction flows from flow corner 0 (upwind) towards flow corner 3.  The
+flow-frame corners form a 2nx x 2ny grid, corner (u, v) = (2a + fx,
+2b + fy) of cell (a, b), and every corner obeys one stencil,
+
+    I[u, v] = (S + ax I[u-1, v] + ay I[u, v-1]) / den,
+
+with ax, ay and den those of its cell and S its source; the cell's four
+corner equations are this stencil in their upwind order.  So the corners of
+anti-diagonal u + v depend only on the previous anti-diagonal, and the
+sweep solves 2 (nx + ny) - 1 of them in turn.  It works in a corner layout
+(group, corner by anti-diagonal, lane), with one lane per (quadrant,
+direction) pair on the contiguous last axis; the index tables between the
+physical and the corner layout are built once per solver.
 
 Closures come from one contraction of the corner field with a (16, M)
 table of half-range weights.  For each half range of directions (mu < 0,
@@ -117,36 +124,42 @@ class TransportSolver:
         dirs = np.array(dirs)                                  # (4, K)
         nx, ny = mesh.nx, mesh.ny
         sx, sy = np.array(_QUADRANTS).T                        # (4,) each
-        # flow-frame cells (a, b) in diagonal order d = a + b, then by a
+        # flow-frame cells (a, b), a-major; physical cell per quadrant:
+        # reflect x if sx < 0, y if sy < 0
         a, b = np.divmod(np.arange(nx * ny), ny)
-        order = np.lexsort((a, a + b))
-        a, b = a[order], b[order]
-        counts = np.bincount(a + b)
-        starts = np.concatenate(([0], np.cumsum(counts)))
-        # (first cell, end cell, first column) of each diagonal
-        self._diagonals = [(int(p0), int(p1), int(a[p0]))
-                           for p0, p1 in zip(starts[:-1], starts[1:])]
-        # physical cell of each flow cell per quadrant: reflect x if sx < 0, y if sy < 0
         ix = np.where(sx > 0, a[:, None], nx - 1 - a[:, None])  # (cells, 4)
         iy = np.where(sy > 0, b[:, None], ny - 1 - b[:, None])
         cells = iy * nx + ix
         k = dirs.shape[1]
         self._lane_cells = np.repeat(cells, k, axis=1)          # (cells, 4K)
+        # flow-frame corners (u, v) = (2a + fx, 2b + fy) by anti-diagonal
+        # u + v, then by u; each anti-diagonal is one stage of the sweep
+        u, v = np.divmod(np.arange(4 * nx * ny), 2 * ny)
+        order = np.lexsort((u, u + v))
+        u, v = u[order], v[order]
+        starts = np.concatenate(([0], np.cumsum(np.bincount(u + v))))
+        # (first corner, end corner, first column u) of each stage
+        self._stages = list(zip(starts[:-1].tolist(), starts[1:].tolist(),
+                                u[starts[:-1]].tolist()))
+        self._corner_cells = (u // 2) * ny + v // 2
         # physical corner 2*cy + cx of flow corner 2*fy + fx per quadrant
         fx, fy = np.array([0, 1, 0, 1])[:, None], np.array([0, 0, 1, 1])[:, None]
         corner = 2 * np.where(sy > 0, fy, 1 - fy) + np.where(sx > 0, fx, 1 - fx)  # (4, 4)
-        # per group, the lane layout (cell, flow corner, quadrant, K) and the
-        # physical layout (direction, y, x, corner) as flat indices of each other
-        to_lanes = (4 * cells[:, None, :] + corner)[..., None] + dirs * (4 * nx * ny)
-        self._to_lanes = to_lanes.ravel()
-        self._to_field = np.empty_like(self._to_lanes)
-        self._to_field[self._to_lanes] = np.arange(self._to_lanes.size)
-        # streaming weights and corner areas per flow cell and lane
+        corner = corner[2 * (v % 2) + u % 2]                    # (corners, 4)
+        # per group, the corner layout (corner, quadrant, K) and the physical
+        # layout (direction, y, x, corner) as flat indices of each other
+        field = (4 * cells[self._corner_cells] + corner)[..., None] + dirs * (4 * nx * ny)
+        self._field = field.ravel()
+        self._inverse = np.empty_like(self._field)
+        self._inverse[self._field] = np.arange(self._field.size)
+        # streaming weights and corner areas per flow cell and lane, and per corner
         dxl, dyl = mesh.dx[ix], mesh.dy[iy]
-        self._quarter = np.repeat(0.25 * dxl * dyl, k, axis=1)  # (cells, 4K)
-        self._wx = (0.5 * np.abs(quad.mu[dirs]) * dyl[:, :, None]).reshape(nx * ny, -1)
-        self._wy = (0.5 * np.abs(quad.eta[dirs]) * dxl[:, :, None]).reshape(nx * ny, -1)
-        self._wxy = self._wx + self._wy
+        self._cell_quarter = np.repeat(0.25 * dxl * dyl, k, axis=1)  # (cells, 4K)
+        wx = (0.5 * np.abs(quad.mu[dirs]) * dyl[:, :, None]).reshape(nx * ny, -1)
+        wy = (0.5 * np.abs(quad.eta[dirs]) * dxl[:, :, None]).reshape(nx * ny, -1)
+        self._wxy = wx + wy
+        self._ax, self._ay, self._quarter = (
+            t[self._corner_cells] for t in (wx, wy, self._cell_quarter))  # (corners, 4K)
         # half range h leaves through side SIDES[h]; its rows of the weight
         # table are (w, w c^2, w mu eta, w |c|), c its normal component, and
         # zero off the half range
@@ -187,9 +200,10 @@ class TransportSolver:
         """One backward-Euler SCB solve given per-cell opacity and emission.
 
         kappa, emission: (n_g, ny, nx); I_prev: corner field.  All quadrants
-        sweep in one wavefront pass over the flow-frame diagonals: the cells
-        of a diagonal depend only on the previous diagonal, and every
-        (group, quadrant, direction) lane is independent.
+        sweep in one wavefront pass over the anti-diagonals of the
+        flow-frame corner grid: the corners of one depend only on the
+        previous one, and every (group, quadrant, direction) lane is
+        independent.
         """
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -199,38 +213,39 @@ class TransportSolver:
             raise ShapeError(f"kappa shape {kappa.shape} incompatible with mesh/groups")
         if emission.shape != kappa.shape:
             raise ShapeError(f"emission shape {emission.shape} != kappa shape {kappa.shape}")
-        n_g, n_cells = kappa.shape[0], self._lane_cells.shape[0]
+        n_g = kappa.shape[0]
         cdt = self.material.light_speed * dt
-        quarter = self._quarter
 
-        def lanes(field):  # (n_g, ny, nx) -> (n_g, cells, 4K)
+        def lanes(field):  # (n_g, ny, nx) -> (n_g, flow cells, 4K)
             return np.take(field.reshape(n_g, -1), self._lane_cells, axis=1)
 
-        denom = self._wxy + lanes(kappa + 1.0 / cdt) * quarter
+        # per-cell terms are formed per flow cell, then taken to corner order once
+        denom = self._wxy + lanes(kappa + 1.0 / cdt) * self._cell_quarter
+        denom = np.take(denom, self._corner_cells, axis=1)     # (n_g, corners, 4K)
         # the tables are permutations: "clip" never clips, it skips the bounds check
-        s = np.take(I_prev.reshape(n_g, -1), self._to_lanes, axis=1, mode="clip")
-        s = s.reshape(n_g, n_cells, 4, -1)      # (n_g, cells, flow corner, 4K)
+        s = np.take(I_prev.reshape(n_g, -1), self._field, axis=1, mode="clip")
+        s = s.reshape(denom.shape)
         s /= cdt
-        s += lanes(kappa * emission)[:, :, None]
-        s *= quarter[:, None]
-        # upwind corners of the previous diagonal by flow-frame column a at
-        # slot a + 1; slot 0 and the slots not yet swept hold the inflow
-        prev = np.empty((n_g, self.mesh.nx + 1) + s.shape[2:])
-        prev[:, 0, 1::2] = self._x_in[:, None]
-        prev[:, 1:, 2:] = self._y_in[:, None, None]
-        wx, wy = self._wx, self._wy
-        for p0, p1, lo in self._diagonals:
+        s += np.take(lanes(kappa * emission), self._corner_cells, axis=1)
+        s *= self._quarter
+        # upwind values by flow-frame column u at slot u + 1: the latest
+        # solved corner of that column, or the y inflow before it has one;
+        # slot 0 holds the x inflow
+        prev = np.empty((n_g, 2 * self.mesh.nx + 1, s.shape[2]))
+        prev[:, 0] = self._x_in
+        prev[:, 1:] = self._y_in[:, None]
+        ax, ay = self._ax, self._ay
+        for p0, p1, lo in self._stages:
             hi = lo + p1 - p0
-            xin, yin = prev[:, lo:hi], prev[:, lo + 1:hi + 1]
-            sd, den, ax, ay = s[:, p0:p1], denom[:, p0:p1], wx[p0:p1], wy[p0:p1]
-            # each corner overwrites its own source once solved
-            i00, i10, i01, i11 = np.moveaxis(sd, 2, 0)
-            np.divide(i00 + ax * xin[:, :, 1] + ay * yin[:, :, 2], den, out=i00)
-            np.divide(i10 + ax * i00 + ay * yin[:, :, 3], den, out=i10)
-            np.divide(i01 + ax * xin[:, :, 3] + ay * i00, den, out=i01)
-            np.divide(i11 + ax * i01 + ay * i10, den, out=i11)
+            # I[u, v] = (S + ax I[u-1, v] + ay I[u, v-1]) / den, summed in that
+            # order as in a cell's corner equations; it overwrites S
+            sd = s[:, p0:p1]
+            acc = ax[p0:p1] * prev[:, lo:hi]
+            acc += sd
+            acc += ay[p0:p1] * prev[:, lo + 1:hi + 1]
+            np.divide(acc, denom[:, p0:p1], out=sd)
             prev[:, lo + 1:hi + 1] = sd
-        out = np.take(s.reshape(n_g, -1), self._to_field, axis=1, mode="clip")
+        out = np.take(s.reshape(n_g, -1), self._inverse, axis=1, mode="clip")
         return out.reshape(self.shape)
 
     # ------------------------------------------------------------- closures

@@ -269,17 +269,19 @@ def wavefront_order(sx, sy, nx, ny):
 
 
 def test_sweep_order_permutation_invariance():
-    # the production sweep solves all quadrants diagonal by diagonal; a
-    # per-cell sweep in any upwind-respecting order performs the same
-    # operations per unknown, so the fields agree bit for bit.  The diagonal
-    # index ranges differ from the square case only when nx != ny.
+    # the production sweep solves all quadrants by anti-diagonals of the
+    # flow-frame corner grid; a per-cell sweep in any upwind-respecting
+    # order performs the same operations per unknown, so the fields agree
+    # bit for bit.  The anti-diagonal index ranges differ from the square
+    # case only when nx != ny; the 10x10 case is the desk mesh and quadrature.
     rng = np.random.default_rng(11)
     for nx, ny, per_quadrant, inflow, uniform in (
             (4, 4, 3, (), True),
             (5, 3, 3, ("left",), True),
             (3, 6, 1, ("left", "bottom"), False),
             (1, 5, 6, ("right", "top"), False),
-            (6, 1, 3, ("bottom", "right"), False)):
+            (6, 1, 3, ("bottom", "right"), False),
+            (10, 10, 4, ("left", "top"), False)):
         sol = make_solver(nx, ny, per_quadrant=per_quadrant,
                           bc=blackbody_bc(0.8, GRID2, inflow))
         if not uniform:
