@@ -1,6 +1,8 @@
 """Command-line pipeline: fom, compress, rom, compare, breakout, svd-report.
 
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 solver error.
+A path that cannot serve as given (missing, a directory where a file is
+wanted or the reverse, or not permitted) is a usage error.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from .lowrank import (
 )
 from .transport import intensity_unknowns
 
-USAGE_ERRORS = (ConfigError, FileNotFoundError, NotADirectoryError, analysis.FieldStepError)
+USAGE_ERRORS = (ConfigError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+                FileExistsError, PermissionError, analysis.FieldStepError)
 DATA_ERRORS = (container.FormatError, analysis.ShapeMismatchError,
                analysis.DegenerateReferenceError, ValueError)
 SOLVER_ERRORS = (SolverError, DriverError, DecompositionError, DegenerateStateError)

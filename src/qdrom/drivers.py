@@ -16,8 +16,12 @@ its closure from a source evaluated at the iterate's spectral fields.  The
 reduced-order model's source is the closure it reconstructs once per step
 from compressed data, so it never touches the transport grid.  The
 full-order model's source is a transport sweep at the iterate's
-temperature, from the intensity of the previous step: one sweep per
-low-order solve, and the step's closure is that of its last sweep.
+temperature, from the intensity of the previous step.  Its first iterate
+of a step instead takes the closure the step starts from, which is
+already computed (the previous step's accepted closure, or that of the
+initial intensity); no step is accepted before its first sweep.  So a FOM
+step makes one sweep per low-order solve after the first, and its closure
+is that of its last sweep.
 
 The low-order loop is a fixed point of the map T_it -> grey temperature,
 accelerated by Anderson mixing of the temperature iterate (depth
@@ -281,16 +285,19 @@ class _Step:
 
 
 def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
-                  closure_at, tol: float) -> _Step:
+                  closure_at, tol: float, start=None) -> _Step:
     """Iterate the low-order loop of one time step from the previous time level.
 
     Each iterate evaluates the spectral fields (kappa, planck) at its
     temperature T_it, takes its gathered closure from `closure_at(kappa,
-    planck)` and solves the multigroup and grey levels.  The loop stops once
-    the change between the grey solution and its iterate (`_change_ratio` at
-    relative tolerance `tol`) is at most 1; the change test sees the unmixed
-    grey solution, and only the next temperature iterate is Anderson-mixed.
-    Returns the step with the closure and the face fluxes of its last iterate.
+    planck)` and solves the multigroup and grey levels; when the gathered
+    closure `start` is given, the first iterate takes it instead.  The loop
+    stops once the change between the grey solution and its iterate
+    (`_change_ratio` at relative tolerance `tol`) is at most 1, at an
+    iterate whose closure came from `closure_at`; the change test sees the
+    unmixed grey solution, and only the next temperature iterate is
+    Anderson-mixed.  Returns the step with the closure and the face fluxes
+    of its last iterate.
     """
     cfg = p.config
     e_prev = mg_prev.e_cell.sum(axis=0)
@@ -298,14 +305,15 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     pairs = deque(maxlen=ANDERSON_DEPTH + 1)
     for it in range(cfg.max_outer):
         kappa, planck, dkappa, dplanck = _spectral_fields(p, T_it)
-        closure = closure_at(kappa, planck)
+        own = it > 0 or start is None
+        closure = closure_at(kappa, planck) if own else start
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
         coeffs = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure.record,
                                            group_flux, p.mg_solver, cfg.dt)
         grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev, t_prev,
                            t_star=T_it).solve()
         change = _change_ratio(cfg, grey, T_it, E_it, tol)
-        if change <= 1.0:
+        if change <= 1.0 and own:
             # only the accepted iterate's face fluxes are ever read
             mg.f_vface, mg.f_hface = p.geom.face_fluxes(mg, group_flux)
             grey.f_vface, grey.f_hface = p.geom.face_fluxes(grey, coeffs.flux)
@@ -371,17 +379,20 @@ def _run(p: Problem, mode: str, advance, log) -> RunRecord:
 
 
 def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
-    """Full-order run: one transport sweep per low-order iterate, stopping at `outer_tol`.
+    """Full-order run: one transport sweep per low-order iterate after the first.
 
-    `log(step, iterations, change)` is called after each step, where
-    `iterations` counts the step's low-order solves, each with its sweep.
+    Each step's first iterate takes the step's starting closure: that of the
+    initial intensity for step 1, the previous step's accepted closure after
+    it.  Each step stops at `outer_tol`.  `log(step, iterations, change)` is
+    called after each step, where `iterations` counts the step's low-order
+    solves, all but the first with its sweep.
     """
     p = config if isinstance(config, Problem) else build_problem(config)
     cfg = p.config
-    # the intensity of the latest sweep; at the start of a step, that of the
-    # previous step's accepted sweep
-    latest = {"I": np.maximum(p.transport.equilibrium_intensity(cfg.t_initial),
-                              INTENSITY_SEED)}
+    I0 = np.maximum(p.transport.equilibrium_intensity(cfg.t_initial), INTENSITY_SEED)
+    # the intensity of the latest sweep and its gathered closure; at the
+    # start of a step, those of the previous step's accepted sweep
+    latest = {"I": I0, "closure": p.mg_solver.gather(p.transport.compute_eddington(I0))}
 
     def advance(n, mg_prev, t_prev):
         I_prev = latest["I"]
@@ -389,10 +400,11 @@ def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
         def sweep(kappa, planck):
             latest["I"] = p.transport.sweep(kappa, np.maximum(planck, INTENSITY_SEED),
                                             I_prev, cfg.dt)
-            return p.mg_solver.gather(p.transport.compute_eddington(latest["I"]))
+            latest["closure"] = p.mg_solver.gather(p.transport.compute_eddington(latest["I"]))
+            return latest["closure"]
 
-        step = _advance_step(p, mg_prev, t_prev, sweep, cfg.outer_tol)
-        step.sweeps = step.iterations
+        step = _advance_step(p, mg_prev, t_prev, sweep, cfg.outer_tol, start=latest["closure"])
+        step.sweeps = step.iterations - 1
         step.negative_corners = int(np.sum(latest["I"] < 0.0))
         return step
 

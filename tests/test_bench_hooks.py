@@ -141,4 +141,4 @@ def test_tracer_accounts_for_the_tiny_runs(bench, tiny_config, tiny_fom, tiny_sn
     solves = sum(traced[0].iterations) / wl.steps
     for layer in ("loqd.mg_solve_calls", "drivers.outer_iters_per_step"):
         assert metrics[layer]["value"] == solves, layer
-    assert metrics["transport.sweep_calls"]["value"] == (solves if wl.mode == "fom" else 0)
+    assert metrics["transport.sweep_calls"]["value"] == (solves - 1 if wl.mode == "fom" else 0)

@@ -43,7 +43,7 @@ def test_fom_outputs(workdir):
     kind, desc, arrays = read_container(workdir / "fom" / "snapshots.ddet")
     assert kind == "snapshot-set"
     assert arrays["cb"].shape == (2 * 3 * (4 + 4), 5)
-    assert np.all(run.sweeps >= 1) and np.array_equal(run.sweeps, run.iterations)
+    assert np.all(run.sweeps >= 1) and np.array_equal(run.sweeps, run.iterations - 1)
 
 
 def test_fom_progress_prints_the_step_count(tmp_path, capsys):
@@ -312,6 +312,38 @@ def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
     assert rc == 2
     assert "last edge must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # a directory given as an input file
+    ["fom", "--config", "{dir}", "--out", "{tmp}/out"],
+    ["compare", "--run-a", "{dir}", "--run-b", "{run}", "--out", "{tmp}/out.csv"],
+    ["compress", "--snapshots", "{dir}", "--method", "pod", "--xi", "1e-6", "--out", "{tmp}/out"],
+    ["svd-report", "--snapshots", "{dir}", "--out-prefix", "{tmp}/out/svd_"],
+    ["breakout", "--run", "{dir}", "--threshold", "0.5", "--out", "{tmp}/out.csv"],
+    # an existing file given as an output directory
+    ["fom", "--config", "{cfg}", "--out", "{file}"],
+    ["compress", "--snapshots", "{snap}", "--method", "pod", "--xi", "1e-6", "--out", "{file}"],
+    ["svd-report", "--snapshots", "{snap}", "--out-prefix", "{file}/svd_"],
+    # a directory given as an output file
+    ["compare", "--run-a", "{run}", "--run-b", "{run}", "--out", "{dir}"],
+    ["breakout", "--run", "{run}", "--threshold", "0.5", "--out", "{dir}"],
+], ids=["fom-config-dir", "compare-run-a-dir", "compress-snapshots-dir",
+        "svd-report-snapshots-dir", "breakout-run-dir", "fom-out-file", "compress-out-file",
+        "svd-report-out-prefix-under-file", "compare-out-dir", "breakout-out-dir"])
+def test_bad_paths_are_usage_errors(workdir, tmp_path, capsys, argv):
+    # one error line and exit 2, and nothing written next to the bad path
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept")
+    paths = {"tmp": tmp_path, "dir": tmp_path / "adir", "file": tmp_path / "afile",
+             "cfg": workdir / "tiny.cfg", "run": workdir / "fom" / "fom_run.ddet",
+             "snap": workdir / "fom" / "snapshots.ddet"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 def test_corrupt_container_is_data_error(workdir, tmp_path, capsys):

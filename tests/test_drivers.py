@@ -27,7 +27,7 @@ from qdrom.loqd import GreyProblem, MomentSystem, MultigroupLoqdSolver, SolverEr
 from qdrom.lowrank import METHODS, compress
 from qdrom.materials import MaterialModel
 from qdrom.mesh import SIDES
-from qdrom.transport import ClosureRecord, intensity_unknowns
+from qdrom.transport import ClosureRecord, TransportSolver, intensity_unknowns
 
 
 def test_dimension_bookkeeping_full_preset():
@@ -413,16 +413,49 @@ def test_one_node_term_evaluation_per_iterate(tiny_config, monkeypatch):
 
 def test_fom_sweeps_once_per_low_order_solve(tiny_config, tiny_fom, tiny_snapshots):
     assert np.all(tiny_fom.sweeps >= 1)
-    assert np.array_equal(tiny_fom.sweeps, tiny_fom.iterations)
+    assert np.array_equal(tiny_fom.sweeps, tiny_fom.iterations - 1)
     rom = run_rom(tiny_config, playback_models(tiny_snapshots))
     assert np.array_equal(rom.sweeps, np.zeros(tiny_config.n_steps))
+
+
+def test_fom_step_starts_from_the_closure_it_has():
+    # at equilibrium the starting closure already holds the fixed point, yet
+    # no step is accepted before its first sweep: two solves, one sweep
+    fom = run_fom(preset("equilibrium-2d"))
+    assert np.all(fom.sweeps >= 1)
+    assert np.array_equal(fom.iterations, np.full(fom.n_steps, 2))
+    assert np.array_equal(fom.sweeps, np.ones(fom.n_steps))
+
+
+def test_fom_extracts_a_closure_per_sweep_and_one_at_the_start(tiny_config, tiny_fom,
+                                                                monkeypatch):
+    calls = []
+    extract = TransportSolver.compute_eddington
+    monkeypatch.setattr(TransportSolver, "compute_eddington",
+                        lambda self, I: calls.append(I) or extract(self, I))
+    fom = run_fom(tiny_config)
+    assert_same_record(fom, tiny_fom)
+    assert len(calls) == fom.sweeps.sum() + 1
+
+
+def test_fom_start_closure_keeps_the_fixed_point(tiny_config, tiny_fom, monkeypatch):
+    # a run that sweeps on every iterate, the first one too, reaches the
+    # same temperatures
+    advance, sweep, sweeps = drivers._advance_step, TransportSolver.sweep, []
+    monkeypatch.setattr(drivers, "_advance_step",
+                        lambda *args, start=None: advance(*args))
+    monkeypatch.setattr(TransportSolver, "sweep",
+                        lambda self, *args: sweeps.append(1) or sweep(self, *args))
+    swept = run_fom(tiny_config)
+    assert len(sweeps) == swept.iterations.sum()
+    assert np.max(np.abs(swept.temperature - tiny_fom.temperature)) <= 1e-12
 
 
 def test_closure_gathered_once_per_step_in_the_rom(tiny_config, tiny_fom, tiny_snapshots,
                                                    monkeypatch):
     # a ROM step's closure is fixed, so its columns are gathered once per
-    # step; the FOM's closure comes from each iterate's sweep and is
-    # gathered once per iterate.  Each gather takes a new record
+    # step; the FOM's closure comes from each sweep and from the initial
+    # intensity, and is gathered once each.  Each gather takes a new record
     gathered = []
     gather = MultigroupLoqdSolver.gather
     monkeypatch.setattr(MultigroupLoqdSolver, "gather",
@@ -434,7 +467,7 @@ def test_closure_gathered_once_per_step_in_the_rom(tiny_config, tiny_fom, tiny_s
     gathered.clear()
     fom = run_fom(tiny_config)
     assert_same_record(fom, tiny_fom)
-    assert len(gathered) == fom.iterations.sum() > tiny_config.n_steps
+    assert len(gathered) == fom.iterations.sum() - tiny_config.n_steps + 1
     assert len({id(closure) for closure in gathered}) == len(gathered)
 
 
