@@ -219,15 +219,20 @@ class TransportSolver:
         def lanes(field):  # (n_g, ny, nx) -> (n_g, flow cells, 4K)
             return np.take(field.reshape(n_g, -1), self._lane_cells, axis=1)
 
-        # per-cell terms are formed per flow cell, then taken to corner order once
-        denom = self._wxy + lanes(kappa + 1.0 / cdt) * self._cell_quarter
-        denom = np.take(denom, self._corner_cells, axis=1)     # (n_g, corners, 4K)
-        # the tables are permutations: "clip" never clips, it skips the bounds check
+        # per-cell terms are formed per flow cell, then taken to corner order
+        # once, into one buffer that holds kappa B, then den, then the result
+        buf = np.take(lanes(kappa * emission), self._corner_cells, axis=1)  # (n_g, corners, 4K)
+        # every table indexes in range: "clip" never clips, it skips the bounds
+        # check and lets take() write straight into out=
         s = np.take(I_prev.reshape(n_g, -1), self._field, axis=1, mode="clip")
-        s = s.reshape(denom.shape)
+        s = s.reshape(buf.shape)
         s /= cdt
-        s += np.take(lanes(kappa * emission), self._corner_cells, axis=1)
+        s += buf
         s *= self._quarter
+        denom = lanes(kappa + 1.0 / cdt)
+        denom *= self._cell_quarter
+        denom += self._wxy
+        denom = np.take(denom, self._corner_cells, axis=1, mode="clip", out=buf)
         # upwind values by flow-frame column u at slot u + 1: the latest
         # solved corner of that column, or the y inflow before it has one;
         # slot 0 holds the x inflow
@@ -245,7 +250,8 @@ class TransportSolver:
             acc += ay[p0:p1] * prev[:, lo + 1:hi + 1]
             np.divide(acc, denom[:, p0:p1], out=sd)
             prev[:, lo + 1:hi + 1] = sd
-        out = np.take(s.reshape(n_g, -1), self._inverse, axis=1, mode="clip")
+        out = np.take(s.reshape(n_g, -1), self._inverse, axis=1, mode="clip",
+                      out=buf.reshape(n_g, -1))
         return out.reshape(self.shape)
 
     # ------------------------------------------------------------- closures
