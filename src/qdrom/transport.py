@@ -145,10 +145,11 @@ class TransportSolver:
         # physical corner 2*cy + cx of flow corner 2*fy + fx per quadrant
         fx, fy = np.array([0, 1, 0, 1])[:, None], np.array([0, 0, 1, 1])[:, None]
         corner = 2 * np.where(sy > 0, fy, 1 - fy) + np.where(sx > 0, fx, 1 - fx)  # (4, 4)
-        corner = corner[2 * (v % 2) + u % 2]                    # (corners, 4)
+        corner = np.take(corner, 2 * (v % 2) + u % 2, axis=0)    # (corners, 4)
         # per group, the corner layout (corner, quadrant, K) and the physical
         # layout (direction, y, x, corner) as flat indices of each other
-        field = (4 * cells[self._corner_cells] + corner)[..., None] + dirs * (4 * nx * ny)
+        field = (4 * np.take(cells, self._corner_cells, axis=0) + corner)[..., None] \
+            + dirs * (4 * nx * ny)
         self._field = field.ravel()
         self._inverse = np.empty_like(self._field)
         self._inverse[self._field] = np.arange(self._field.size)
@@ -159,7 +160,7 @@ class TransportSolver:
         wy = (0.5 * np.abs(quad.eta[dirs]) * dxl[:, :, None]).reshape(nx * ny, -1)
         self._wxy = wx + wy
         self._ax, self._ay, self._quarter = (
-            t[self._corner_cells] for t in (wx, wy, self._cell_quarter))  # (corners, 4K)
+            np.take(t, self._corner_cells, axis=0) for t in (wx, wy, self._cell_quarter))
         # half range h leaves through side SIDES[h]; its rows of the weight
         # table are (w, w c^2, w mu eta, w |c|), c its normal component, and
         # zero off the half range
