@@ -42,11 +42,7 @@ SOLVER_ERRORS = (SolverError, DriverError, DecompositionError, DegenerateStateEr
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.config is not None:
-        return load_config(args.config)
-    if args.preset is not None:
-        return preset(args.preset)
-    raise ConfigError("one of --config or --preset is required")
+    return load_config(args.config) if args.config is not None else preset(args.preset)
 
 
 def _progress(step: int, iterations: int, change: float) -> None:
@@ -189,8 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config(p):
-        p.add_argument("--config", help="path to a key = value configuration file")
-        p.add_argument("--preset", choices=PRESETS, help="named built-in configuration")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a key = value configuration file")
+        source.add_argument("--preset", choices=PRESETS, help="named built-in configuration")
 
     p = sub.add_parser("fom", help="run the full-order model, record snapshots")
     add_config(p)

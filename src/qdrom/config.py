@@ -6,7 +6,7 @@ word `vacuum`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +19,25 @@ FC_GROUP_BOUNDS = (0.0, 0.7075, 1.415, 2.123, 2.830, 3.538, 4.245, 5.129,
                    13.09, 1.0e7)
 DESK_GROUP_BOUNDS = (0.0, 0.7075, 2.830, 6.898, 1.0e7)
 
+#: absolute floor of the low-order stopping test (`drivers._change_ratio`)
+OUTER_FLOOR = 1e-15
+#: low-order iterates allowed per time step before a run fails
+MAX_OUTER = 500
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-#: options removed because no solver reads them; stored configs may hold them
-_RETIRED_KEYS = ("threads", "seed", "xi_rel", "method",
-                 "inner_tol_rel", "inner_tol_abs", "max_inner", "newton_tol", "max_newton")
+#: keys a stored config may hold that are no longer options.  Each maps to the
+#: constant that replaced it, the one value a stored config may give it, or to
+#: None for a retired no-op option, which may hold any value
+_FORMER_KEYS = {
+    "light_speed": C_LIGHT, "radiation_constant": A_RAD,
+    "outer_floor": OUTER_FLOOR, "max_outer": MAX_OUTER,
+    **dict.fromkeys(("threads", "seed", "xi_rel", "method", "inner_tol_rel",
+                     "inner_tol_abs", "max_inner", "newton_tol", "max_newton")),
+}
 
 
 @dataclass
@@ -48,29 +59,22 @@ class RunConfig:
     opacity_coeff: float = 27.0
     opacity_exponent: float = 3.0
     stimulated_correction: bool = True
-    light_speed: float = C_LIGHT
-    radiation_constant: float = A_RAD
     outer_tol: float = 1e-14
-    outer_floor: float = 1e-15
-    max_outer: int = 500
 
     def __post_init__(self):
-        for name in sorted(_FLOAT_KEYS):
+        for name in _FLOATS:
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        for name in ("nx", "ny", "quadrature", "n_steps", "max_outer"):
+        for name in _INTS:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         try:
             azimuthal_counts(self.quadrature)
         except QuadratureSpecError as err:
             raise ConfigError(f"quadrature: {err}") from err
-        for name in ("dx", "dy", "dt", "heat_capacity", "opacity_coeff",
-                     "light_speed", "radiation_constant", "outer_tol"):
+        for name in ("dx", "dy", "dt", "heat_capacity", "opacity_coeff", "outer_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if self.outer_floor < 0.0:
-            raise ConfigError("outer_floor must be non-negative")
         b = np.asarray(self.group_bounds, dtype=float)
         if b.ndim != 1 or b.size < 2:
             raise ConfigError("group_bounds needs at least two edges")
@@ -84,7 +88,7 @@ class RunConfig:
         if b[-1] < INFINITE_EDGE:
             raise ConfigError(f"group_bounds: the last edge must be >= {INFINITE_EDGE:g} "
                               f"(infinite), got {b[-1]:g}")
-        for name in ("t_initial", *sorted(_SIDE_KEYS)):
+        for name in ("t_initial", *_SIDES):
             val = getattr(self, name)
             if val is not None and not TEMPERATURE_FLOOR <= val < np.inf:
                 raise ConfigError(f"{name} temperature must be finite and at least "
@@ -101,52 +105,62 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """Inverse of to_dict; skips the retired keys older stored configs carry."""
-        d = {k: v for k, v in d.items() if k not in _RETIRED_KEYS}
+        """Inverse of to_dict, for stored configs that may hold former keys.
+
+        A former key loads only at its built-in value: a record made with
+        another c, a_R or stopping rule means something else.
+        """
+        for key, value in _FORMER_KEYS.items():
+            if value is not None and key in d and d[key] != value:
+                raise ConfigError(f"stored {key} = {d[key]!r} is not the built-in "
+                                  f"{value!r}, which is no longer an option")
+        d = {k: v for k, v in d.items() if k not in _FORMER_KEYS}
         d["group_bounds"] = tuple(d.get("group_bounds", DESK_GROUP_BOUNDS))
         return cls(**d)
 
 
+#: the keys RunConfig checks as counts, as reals and as side temperatures, by
+#: their declared types (annotations are strings here)
+_INTS, _FLOATS, _SIDES = (tuple(f.name for f in fields(RunConfig) if f.type == t)
+                          for t in ("int", "float", "float | None"))
+
+
+#: named configurations: the RunConfig keywords in which each differs from the defaults
+PRESETS = {
+    "fleck-cummings-2d": dict(nx=20, ny=20, dx=0.3, dy=0.3, group_bounds=FC_GROUP_BOUNDS,
+                              quadrature=36, n_steps=300),
+    "fleck-cummings-desk": {},
+    "equilibrium-2d": dict(nx=6, ny=6, dx=1.0, dy=1.0, group_bounds=(0.0, 0.7075, 2.830, 1.0e7),
+                           n_steps=10, t_initial=1.0, boundary_left=1.0, boundary_bottom=1.0,
+                           boundary_right=1.0, boundary_top=1.0),
+}
+
+
 def preset(name: str) -> RunConfig:
-    """Named configurations shipped with the package."""
-    if name == "fleck-cummings-2d":
-        return RunConfig(nx=20, ny=20, dx=0.3, dy=0.3, group_bounds=FC_GROUP_BOUNDS,
-                         quadrature=36, dt=0.02, n_steps=300)
-    if name == "fleck-cummings-desk":
-        return RunConfig()
-    if name == "equilibrium-2d":
-        return RunConfig(nx=6, ny=6, dx=1.0, dy=1.0,
-                         group_bounds=(0.0, 0.7075, 2.830, 1.0e7), quadrature=4,
-                         dt=0.02, n_steps=10, t_initial=1.0,
-                         boundary_left=1.0, boundary_bottom=1.0,
-                         boundary_right=1.0, boundary_top=1.0)
-    raise ConfigError(f"unknown preset '{name}'")
+    """The named configuration of PRESETS."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset '{name}'")
+    return RunConfig(**PRESETS[name])
 
-
-PRESETS = ("fleck-cummings-2d", "fleck-cummings-desk", "equilibrium-2d")
 
 _BOOL = {"true": True, "yes": True, "on": True, "1": True,
          "false": False, "no": False, "off": False, "0": False}
-
-_INT_KEYS = {"nx", "ny", "quadrature", "n_steps", "max_outer"}
-_FLOAT_KEYS = {"dx", "dy", "dt", "t_initial", "heat_capacity", "opacity_coeff",
-               "opacity_exponent", "light_speed", "radiation_constant",
-               "outer_tol", "outer_floor"}
-_SIDE_KEYS = {"boundary_left", "boundary_bottom", "boundary_right", "boundary_top"}
 
 
 def _side(val: str) -> float | None:
     return None if val.lower() in ("vacuum", "none") else float(val)
 
 
-#: value parser per key; a parser raises ValueError or KeyError on bad input
-_PARSERS = {
-    **dict.fromkeys(_INT_KEYS, int),
-    **dict.fromkeys(_FLOAT_KEYS, float),
-    **dict.fromkeys(_SIDE_KEYS, _side),
-    "stimulated_correction": lambda val: _BOOL[val.lower()],
-    "group_bounds": lambda val: tuple(float(v) for v in val.replace(",", " ").split()),
+#: value parser per declared field type; a parser raises ValueError or
+#: KeyError on bad input
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": _side,
+    "bool": lambda val: _BOOL[val.lower()],
+    "tuple": lambda val: tuple(float(v) for v in val.replace(",", " ").split()),
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
@@ -164,8 +178,7 @@ def load_config(path) -> RunConfig:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "preset":
-            base = preset(val)
-            values = {**base.to_dict(), **values}
+            values = {**preset(val).to_dict(), **values}
             continue
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
@@ -173,7 +186,4 @@ def load_config(path) -> RunConfig:
             values[key] = _PARSERS[key](val)
         except (ValueError, KeyError) as err:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}'") from err
-    try:
-        return RunConfig.from_dict(values)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
+    return RunConfig.from_dict(values)

@@ -23,8 +23,6 @@ import numpy as np
 MAGIC = b"DDET"
 VERSION = 1
 KINDS = ("snapshot-set", "closure-model", "run-record", "results")
-#: model kinds of earlier versions, which stored POD and DMD models apart
-RETIRED_KINDS = ("pod-model", "dmd-model")
 
 _U32 = struct.Struct("<I")
 _DIMS = struct.Struct("<QQ")
@@ -94,9 +92,6 @@ def read_container(path):
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         kind = _decode(_read_exact(fh, 16, "kind").rstrip(b"\0"), "ascii", "kind")
-        if kind in RETIRED_KINDS:
-            raise FormatError(f"{path}: retired payload kind '{kind}'; "
-                              "re-make the model with `qdrom compress`")
         if kind not in KINDS:
             raise FormatError(f"{path}: unknown payload kind '{kind}'")
         desc_len = _U32.unpack(_read_exact(fh, 4, "descriptor length"))[0]

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import MAX_OUTER, OUTER_FLOOR, RunConfig
 from .loqd import (
     GreyProblem,
     GreyState,
@@ -170,8 +170,6 @@ def build_problem(config: RunConfig) -> Problem:
         opacity_coeff=config.opacity_coeff,
         opacity_exponent=config.opacity_exponent,
         stimulated_correction=config.stimulated_correction,
-        light_speed=config.light_speed,
-        radiation_constant=config.radiation_constant,
     )
     geom = MomentSystem(mesh, material.light_speed)
     quad = build_quadrature(config.quadrature)
@@ -180,9 +178,7 @@ def build_problem(config: RunConfig) -> Problem:
     for k, name in enumerate(SIDES):
         T_in = getattr(config, f"boundary_{name}")
         if T_in is not None:
-            inflow[:, k] = planck_spectrum(T_in, grid,
-                                           radiation_constant=material.radiation_constant,
-                                           light_speed=material.light_speed)
+            inflow[:, k] = planck_spectrum(T_in, grid)
     transport = TransportSolver(mesh, quad, grid, material, inflow)
     mg_solver = MultigroupLoqdSolver(geom, *transport.boundary_inflow(geom.boundary_side))
     return Problem(config, geom, grid, material, transport, mg_solver)
@@ -224,11 +220,9 @@ class RunRecord:
 
 def _spectral_fields(p: Problem, T: np.ndarray):
     """kappa, planck and their T-derivatives at T, each (n_g, ny, nx)."""
-    consts = dict(radiation_constant=p.material.radiation_constant,
-                  light_speed=p.material.light_speed)
     kappa, dkappa = p.material.group_opacity(T, p.grid)
-    planck = planck_spectrum(T, p.grid, **consts)
-    dplanck = planck_spectrum_slope(T, planck, p.grid, **consts)
+    planck = planck_spectrum(T, p.grid)
+    dplanck = planck_spectrum_slope(T, planck, p.grid)
     # group-last views of group-major arrays: group first, they are contiguous
     return tuple(a.transpose(2, 0, 1) for a in (kappa, planck, dkappa, dplanck))
 
@@ -255,15 +249,15 @@ def _anderson_update(pairs, depth: int) -> np.ndarray:
     return mixed if mixed.min() > 0.0 else g_k
 
 
-def _change_ratio(cfg: RunConfig, grey, T: np.ndarray, E: np.ndarray, tol: float) -> float:
+def _change_ratio(grey, T: np.ndarray, E: np.ndarray, tol: float) -> float:
     """Change of the grey solution from (T, E), scaled by the stopping test.
 
-    Each of T and E gives |new - old|_2 / (tol * |new|_2 + outer_floor); the
+    Each of T and E gives |new - old|_2 / (tol * |new|_2 + OUTER_FLOOR); the
     larger ratio is returned, and the test accepts a ratio of at most 1.
     """
     def ratio(new, old):
         return np.linalg.norm((new - old).ravel()) \
-            / (tol * np.linalg.norm(new.ravel()) + cfg.outer_floor)
+            / (tol * np.linalg.norm(new.ravel()) + OUTER_FLOOR)
     return max(ratio(grey.temperature, T), ratio(grey.e_cell, E))
 
 
@@ -303,7 +297,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
     e_prev = mg_prev.e_cell.sum(axis=0)
     T_it, E_it = t_prev, e_prev
     pairs = deque(maxlen=ANDERSON_DEPTH + 1)
-    for it in range(cfg.max_outer):
+    for it in range(MAX_OUTER):
         kappa, planck, dkappa, dplanck = _spectral_fields(p, T_it)
         own = it > 0 or start is None
         closure = closure_at(kappa, planck) if own else start
@@ -312,7 +306,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
                                            group_flux, p.mg_solver, cfg.dt)
         grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev, t_prev,
                            t_star=T_it).solve()
-        change = _change_ratio(cfg, grey, T_it, E_it, tol)
+        change = _change_ratio(grey, T_it, E_it, tol)
         if change <= 1.0 and own:
             # only the accepted iterate's face fluxes are ever read
             mg.f_vface, mg.f_hface = p.geom.face_fluxes(mg, group_flux)
@@ -321,15 +315,14 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         pairs.append((T_it, grey.temperature))
         T_it = _anderson_update(pairs, ANDERSON_DEPTH)
         E_it = grey.e_cell
-    raise DriverError(f"no convergence in {cfg.max_outer} iterations (last change ratio "
+    raise DriverError(f"no convergence in {MAX_OUTER} iterations (last change ratio "
                       f"{change:.3e})")
 
 
 def _initial_state(p: Problem):
     cfg = p.config
     T0 = np.full(grid_shape("cell", cfg.nx, cfg.ny), cfg.t_initial)
-    planck0 = planck_spectrum(T0, p.grid, radiation_constant=p.material.radiation_constant,
-                              light_speed=p.material.light_speed).transpose(2, 0, 1)
+    planck0 = planck_spectrum(T0, p.grid).transpose(2, 0, 1)
     mg0 = MultigroupMoments.equilibrium(planck0, p.geom, p.material.light_speed)
     return T0, mg0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from typing import ClassVar
 
 import numpy as np
 
@@ -100,22 +101,24 @@ class FrequencyGrid:
             raise ValueError("need at least one group (two boundaries)")
         if b[0] != 0.0:
             raise ValueError("first boundary must be 0")
-        if np.any(np.diff(b) <= 0.0):
+        if not np.all(np.diff(b) > 0.0):
             raise ValueError("boundaries must be strictly increasing")
         if np.any(b[:-1] >= INFINITE_EDGE):
             raise ValueError(f"only the last boundary may be >= {INFINITE_EDGE:g} (infinite)")
-        unbounded = b[-1] >= INFINITE_EDGE
-        single = bool(unbounded and b.shape[0] == 2)
+        unbounded = bool(b[-1] >= INFINITE_EDGE)
+        single = unbounded and b.shape[0] == 2
         gl_x, gl_w = _GL16
-        lo, hi = b[:-1, None], b[1:, None]
-        nodes = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
-        jac = np.repeat(0.5 * (hi - lo), gl_x.size, axis=1)
+        n_bounded = b.shape[0] - 1 - unbounded
+        lo, hi = b[:n_bounded, None], b[1:n_bounded + 1, None]
+        nodes, jac = np.empty((2, b.shape[0] - 1, gl_x.size))
+        nodes[:n_bounded] = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
+        jac[:n_bounded] = 0.5 * (hi - lo)
         if single:
             u = 0.5 * (gl_x + 1.0) * (1.0 - 1e-8)
             nodes[-1], jac[-1] = u / (1.0 - u), 1.0 / (1.0 - u) ** 2
         elif unbounded:
             u = 0.5 * (gl_x + 1.0)
-            nodes[-1], jac[-1] = lo[-1] / u, lo[-1] / u**2
+            nodes[-1], jac[-1] = b[-2] / u, b[-2] / u**2
         edges = b.copy()
         if unbounded:
             edges[-1] = np.inf
@@ -245,13 +248,15 @@ class MaterialModel:
     opacity_coeff: float = 27.0
     opacity_exponent: float = 3.0
     stimulated_correction: bool = True
-    light_speed: float = C_LIGHT
-    radiation_constant: float = A_RAD
+    light_speed: ClassVar[float] = C_LIGHT
+    radiation_constant: ClassVar[float] = A_RAD
 
     def __post_init__(self):
-        for name in ("heat_capacity", "opacity_coeff", "light_speed", "radiation_constant"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("heat_capacity", "opacity_coeff"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not np.isfinite(self.opacity_exponent):
+            raise ValueError("opacity_exponent must be finite")
 
     def _node_terms(self, T: np.ndarray, grid: FrequencyGrid):
         """(x, 1 - e^{-x}, Planck weights, opacities) at the grid's nodes.

@@ -28,8 +28,8 @@ class SpatialMesh:
             raise ValueError("mesh must have at least one cell per axis")
         if dx.shape != (self.nx,) or dy.shape != (self.ny,):
             raise ValueError("dx/dy lengths must match nx/ny")
-        if np.any(dx <= 0.0) or np.any(dy <= 0.0):
-            raise ValueError("cell widths must be positive")
+        if not (np.all((0.0 < dx) & (dx < np.inf)) and np.all((0.0 < dy) & (dy < np.inf))):
+            raise ValueError("cell widths must be positive and finite")
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
 

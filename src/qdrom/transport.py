@@ -190,8 +190,7 @@ class TransportSolver:
 
     def equilibrium_intensity(self, T: float) -> np.ndarray:
         """Isotropic corner field at the blackbody level B_g(T)."""
-        b = planck_spectrum(T, self.grid, radiation_constant=self.material.radiation_constant,
-                            light_speed=self.material.light_speed)
+        b = planck_spectrum(T, self.grid)
         out = np.empty(self.shape)
         out[:] = np.asarray(b)[:, None, None, None, None]
         return out

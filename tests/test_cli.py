@@ -568,6 +568,19 @@ def test_equilibrium_preset_cli(tmp_path):
     assert np.ptp(run.temperature) <= 1e-11
 
 
+@pytest.mark.parametrize("source", [["--preset", "equilibrium-2d", "--config", "tiny.cfg"], []])
+def test_config_and_preset_exclude_each_other(workdir, tmp_path, source):
+    # exactly one of --config and --preset: both, or neither, is a usage error
+    source = [str(workdir / a) if a.endswith(".cfg") else a for a in source]
+    models = ["--models", str(workdir / "fom" / "snapshots.ddet")]
+    for command, extra in (("fom", []), ("rom", models)):
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, *extra, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
 def test_removed_flags_are_usage_errors(workdir, tmp_path):
     cfg = workdir / "tiny.cfg"
     models = ["--models", str(workdir / "fom" / "snapshots.ddet")]

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from qdrom.config import ConfigError, RunConfig, load_config, preset
+from qdrom.config import MAX_OUTER, OUTER_FLOOR, ConfigError, RunConfig, load_config, preset
+from qdrom.materials import A_RAD, C_LIGHT
 
 
 def test_presets_exist():
@@ -21,7 +22,7 @@ def test_presets_exist():
 
 def test_heat_capacity_default_matches_drive_cube():
     cfg = preset("fleck-cummings-2d")
-    assert cfg.heat_capacity == pytest.approx(0.5917 * cfg.radiation_constant, rel=1e-12)
+    assert cfg.heat_capacity == pytest.approx(0.5917 * A_RAD, rel=1e-12)
 
 
 def test_parse_file(tmp_path):
@@ -68,8 +69,10 @@ def test_parse_errors(tmp_path):
     bad.write_text("mystery_key = 1\n")
     with pytest.raises(ConfigError):
         load_config(bad)
-    # retired options are unknown keys now
-    for line in ("threads = 1", "xi_rel = 1e-2", "max_inner = 10", "max_newton = 10"):
+    # retired options, and the former keys that are constants now, are unknown keys
+    for line in ("threads = 1", "xi_rel = 1e-2", "max_inner = 10", "max_newton = 10",
+                 "light_speed = 29.9792458", "radiation_constant = 0.01372",
+                 "outer_floor = 1e-15", "max_outer = 500"):
         bad.write_text(line + "\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(bad)
@@ -104,11 +107,9 @@ def test_validation():
     with pytest.raises(ConfigError):
         RunConfig(boundary_left=-1.0)
     # solver controls and non-finite values
-    for kw in (dict(outer_tol=-1.0), dict(outer_tol=0.0, outer_floor=0.0),
-               dict(outer_floor=-1e-15), dict(max_outer=0), dict(quadrature=0), dict(quadrature=2),
+    for kw in (dict(outer_tol=-1.0), dict(outer_tol=0.0), dict(quadrature=0), dict(quadrature=2),
                dict(dx=np.nan), dict(dt=np.inf), dict(opacity_exponent=np.nan),
                dict(boundary_left=np.inf), dict(opacity_coeff=0.0),
-               dict(light_speed=-1.0), dict(radiation_constant=0.0),
                dict(group_bounds=(0.0, np.nan, 1.0e7)),
                # below materials.TEMPERATURE_FLOOR (1e-8 keV)
                dict(t_initial=1e-9), dict(boundary_left=1e-9)):
@@ -127,3 +128,11 @@ def test_roundtrip_dict():
     assert RunConfig.from_dict(stored) == cfg
     with pytest.raises(TypeError):
         RunConfig.from_dict({**cfg.to_dict(), "mystery_key": 1})
+    # options that are constants now load only at their built-in values: a
+    # record made with another c, a_R or stop describes another run
+    for key, value in (("light_speed", C_LIGHT), ("radiation_constant", A_RAD),
+                       ("outer_floor", OUTER_FLOOR), ("max_outer", MAX_OUTER)):
+        assert RunConfig.from_dict({**cfg.to_dict(), key: value}) == cfg
+        with pytest.raises(ConfigError, match=f"stored {key} = "):
+            RunConfig.from_dict({**cfg.to_dict(), key: 2 * value})
+

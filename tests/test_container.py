@@ -197,6 +197,21 @@ def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshot
     assert np.array_equal(back_matrices["cb"].data, tiny_snapshots["cb"].data)
 
 
+@pytest.mark.parametrize("key, value", [("light_speed", 29.9792458),
+                                        ("radiation_constant", 0.01372),
+                                        ("outer_floor", 1e-15), ("max_outer", 500)])
+def test_stored_former_key_loads_only_at_its_built_in_value(tmp_path, tiny_fom, key, value):
+    # the committed references hold these former options at their built-in values
+    path = tmp_path / "run.ddet"
+    save_run_record(path, dataclasses.replace(
+        tiny_fom, config_meta={**tiny_fom.config_meta, key: value}))
+    assert np.array_equal(load_run_record(path).temperature, tiny_fom.temperature)
+    save_run_record(path, dataclasses.replace(
+        tiny_fom, config_meta={**tiny_fom.config_meta, key: 3 * value}))
+    with pytest.raises(FormatError, match=f"stored {key} = "):
+        load_run_record(path)
+
+
 @pytest.mark.parametrize("value", [np.nan, 2.5, -3.0])
 @pytest.mark.parametrize("name", ["iterations", "sweeps", "negative_corners",
                                   "closure_violations", "positivity_violations"])
@@ -268,12 +283,12 @@ def test_model_kind_mismatch(tmp_path, tiny_snapshots, tiny_config):
 
 @pytest.mark.parametrize("kind", ["pod-model", "dmd-model"])
 def test_retired_model_kinds_are_format_errors(tmp_path, tiny_snapshots, kind):
-    # containers of the former split POD/DMD layout must be re-made
+    # containers of the former split POD/DMD layout are no kind this version reads
     path = tmp_path / "m.ddet"
     save_model(path, pod_compress(tiny_snapshots["cb"], 1e-6))
     raw = path.read_bytes()
     path.write_bytes(raw[:8] + kind.encode("ascii").ljust(16, b"\0") + raw[24:])
-    with pytest.raises(FormatError, match="qdrom compress"):
+    with pytest.raises(FormatError, match=f"unknown payload kind '{kind}'"):
         load_model(path)
 
 

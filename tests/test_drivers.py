@@ -48,6 +48,15 @@ def test_equilibrium_preset_keeps_temperature_constant():
     assert np.all(rec.iterations >= 1)
 
 
+def test_infinite_last_group_edge_runs_as_the_infinite_edge():
+    # the suite turns RuntimeWarnings into errors, so a NaN step in the set-up fails here
+    base = dataclasses.replace(preset("equilibrium-2d"), n_steps=2)
+    runs = [run_fom(dataclasses.replace(base, group_bounds=(0.0, 0.7075, 2.83, last)))
+            for last in (1e7, np.inf)]
+    for name in RECORD_FIELDS:
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+
 def test_run_record_contents(tiny_config, tiny_fom):
     rec = tiny_fom
     nt = tiny_config.n_steps
@@ -290,14 +299,14 @@ def test_stored_models_give_the_same_rom(tiny_config, tiny_snapshots, tmp_path, 
 
 
 @pytest.mark.parametrize("mode", ["fom", "rom"])
-def test_driver_error_on_iteration_cap(tiny_config, tiny_snapshots, mode):
-    # max_outer caps the outer iteration of both drivers
-    cfg = RunConfig(**{**tiny_config.to_dict(), "max_outer": 1})
+def test_driver_error_on_iteration_cap(tiny_config, tiny_snapshots, mode, monkeypatch):
+    # MAX_OUTER caps the outer iteration of both drivers
+    monkeypatch.setattr(drivers, "MAX_OUTER", 1)
     with pytest.raises(DriverError, match=f"{mode.upper()} step 1: no convergence in 1 "):
         if mode == "fom":
-            run_fom(cfg)
+            run_fom(tiny_config)
         else:
-            run_rom(cfg, playback_models(tiny_snapshots))
+            run_rom(tiny_config, playback_models(tiny_snapshots))
 
 
 def affine_contraction(n, seed=0):

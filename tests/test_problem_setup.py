@@ -203,6 +203,31 @@ def test_grid_rejects_an_interior_infinite_edge():
         FrequencyGrid(np.array([0.0, 1.0e7, 2.0e7]))
 
 
+def test_grid_rejects_nan_edges_and_maps_an_infinite_last_edge_as_unbounded():
+    for bounds in ([0.0, np.nan, 1e7], [0.0, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FrequencyGrid(np.array(bounds))
+    # an inf last edge is the same grid as INFINITE_EDGE, built without NaN steps
+    ref, grid = FrequencyGrid(np.array([0.0, 0.7075, 2.83, 1e7])), \
+        FrequencyGrid(np.array([0.0, 0.7075, 2.83, np.inf]))
+    for name in ("edges", "nodes", "node_weights", "nodes_cubed"):
+        assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("kw", [dict(heat_capacity=np.inf), dict(heat_capacity=np.nan),
+                                dict(opacity_coeff=np.inf), dict(opacity_exponent=np.nan),
+                                dict(opacity_exponent=-np.inf)])
+def test_material_rejects_nonfinite_parameters(kw):
+    with pytest.raises(ValueError, match="finite"):
+        MaterialModel(**{"heat_capacity": 1.0, **kw})
+
+
+def test_material_constants_are_not_parameters():
+    assert (MaterialModel.light_speed, MaterialModel.radiation_constant) == (C_LIGHT, A_RAD)
+    with pytest.raises(TypeError):
+        MaterialModel(heat_capacity=1.0, light_speed=1.0)
+
+
 # ---------------------------------------------------------------------------
 # Opacity
 # ---------------------------------------------------------------------------
@@ -572,3 +597,7 @@ def test_mesh_rejects_bad_input():
         SpatialMesh.uniform(0, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
         SpatialMesh(2, 2, np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+    for width in (np.nan, np.inf):
+        for dx, dy in ((width, 1.0), (1.0, width)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SpatialMesh.uniform(2, 2, dx, dy)
