@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .materials import A_RAD, C_LIGHT, INFINITE_EDGE, TEMPERATURE_FLOOR
+from .materials import (A_RAD, C_LIGHT, HEAT_CAPACITY, INFINITE_EDGE, OPACITY_COEFF,
+                        TEMPERATURE_FLOOR)
 from .quadrature import QuadratureSpecError, azimuthal_counts
 
 FC_GROUP_BOUNDS = (0.0, 0.7075, 1.415, 2.123, 2.830, 3.538, 4.245, 5.129,
@@ -35,6 +37,8 @@ class ConfigError(ValueError):
 _FORMER_KEYS = {
     "light_speed": C_LIGHT, "radiation_constant": A_RAD,
     "outer_floor": OUTER_FLOOR, "max_outer": MAX_OUTER,
+    "heat_capacity": HEAT_CAPACITY, "opacity_coeff": OPACITY_COEFF,
+    "opacity_exponent": 3.0, "stimulated_correction": True,
     **dict.fromkeys(("threads", "seed", "xi_rel", "method", "inner_tol_rel",
                      "inner_tol_abs", "max_inner", "newton_tol", "max_newton")),
 }
@@ -55,11 +59,9 @@ class RunConfig:
     boundary_bottom: float | None = None
     boundary_right: float | None = None
     boundary_top: float | None = None
-    heat_capacity: float = 0.5917 * A_RAD * 1.0**3
-    opacity_coeff: float = 27.0
-    opacity_exponent: float = 3.0
-    stimulated_correction: bool = True
     outer_tol: float = 1e-14
+    # not a field: benchmarks/run.py reads cfg.heat_capacity
+    heat_capacity: ClassVar[float] = HEAT_CAPACITY
 
     def __post_init__(self):
         for name in _FLOATS:
@@ -72,7 +74,7 @@ class RunConfig:
             azimuthal_counts(self.quadrature)
         except QuadratureSpecError as err:
             raise ConfigError(f"quadrature: {err}") from err
-        for name in ("dx", "dy", "dt", "heat_capacity", "opacity_coeff", "outer_tol"):
+        for name in ("dx", "dy", "dt", "outer_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
         b = np.asarray(self.group_bounds, dtype=float)
@@ -108,7 +110,7 @@ class RunConfig:
         """Inverse of to_dict, for stored configs that may hold former keys.
 
         A former key loads only at its built-in value: a record made with
-        another c, a_R or stopping rule means something else.
+        another c, a_R, material or stopping rule means something else.
         """
         for key, value in _FORMER_KEYS.items():
             if value is not None and key in d and d[key] != value:
@@ -143,32 +145,30 @@ def preset(name: str) -> RunConfig:
     return RunConfig(**PRESETS[name])
 
 
-_BOOL = {"true": True, "yes": True, "on": True, "1": True,
-         "false": False, "no": False, "off": False, "0": False}
-
-
 def _side(val: str) -> float | None:
     return None if val.lower() in ("vacuum", "none") else float(val)
 
 
-#: value parser per declared field type; a parser raises ValueError or
-#: KeyError on bad input
+#: value parser per declared field type; a parser raises ValueError on bad input
 _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "float | None": _side,
-    "bool": lambda val: _BOOL[val.lower()],
     "tuple": lambda val: tuple(float(v) for v in val.replace(",", " ").split()),
 }
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:
-    """Parse a key = value configuration file."""
+    """Parse a key = value configuration file.
+
+    A `preset` line, allowed once, sets the keys that no other line sets.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     values: dict = {}
+    named = False
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,12 +178,17 @@ def load_config(path) -> RunConfig:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key == "preset":
+            if named:
+                raise ConfigError(f"{path}:{lineno}: a second 'preset' line")
+            if val not in PRESETS:
+                raise ConfigError(f"{path}:{lineno}: unknown preset '{val}'")
             values = {**preset(val).to_dict(), **values}
+            named = True
             continue
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         try:
             values[key] = _PARSERS[key](val)
-        except (ValueError, KeyError) as err:
+        except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}'") from err
     return RunConfig.from_dict(values)

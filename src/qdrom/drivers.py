@@ -165,13 +165,7 @@ class Problem:
 def build_problem(config: RunConfig) -> Problem:
     mesh = SpatialMesh.uniform(config.nx, config.ny, config.dx, config.dy)
     grid = FrequencyGrid(np.asarray(config.group_bounds, dtype=float))
-    material = MaterialModel(
-        heat_capacity=config.heat_capacity,
-        opacity_coeff=config.opacity_coeff,
-        opacity_exponent=config.opacity_exponent,
-        stimulated_correction=config.stimulated_correction,
-    )
-    geom = MomentSystem(mesh, material.light_speed)
+    geom = MomentSystem(mesh)
     quad = build_quadrature(config.quadrature)
     # isotropic inflow per group and side: a blackbody at boundary_<side>, or vacuum
     inflow = np.zeros((grid.n_groups, len(SIDES)))
@@ -179,9 +173,9 @@ def build_problem(config: RunConfig) -> Problem:
         T_in = getattr(config, f"boundary_{name}")
         if T_in is not None:
             inflow[:, k] = planck_spectrum(T_in, grid)
-    transport = TransportSolver(mesh, quad, grid, material, inflow)
+    transport = TransportSolver(mesh, quad, grid, inflow)
     mg_solver = MultigroupLoqdSolver(geom, *transport.boundary_inflow(geom.boundary_side))
-    return Problem(config, geom, grid, material, transport, mg_solver)
+    return Problem(config, geom, grid, MaterialModel(), transport, mg_solver)
 
 
 #: per-step run-record fields in container order: each grey field (named as
@@ -304,8 +298,7 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
         coeffs = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure.record,
                                            group_flux, p.mg_solver, cfg.dt)
-        grey = GreyProblem(p.geom, coeffs, p.material, cfg.dt, e_prev, t_prev,
-                           t_star=T_it).solve()
+        grey = GreyProblem(p.geom, coeffs, cfg.dt, e_prev, t_prev, t_star=T_it).solve()
         change = _change_ratio(grey, T_it, E_it, tol)
         if change <= 1.0 and own:
             # only the accepted iterate's face fluxes are ever read
@@ -323,7 +316,7 @@ def _initial_state(p: Problem):
     cfg = p.config
     T0 = np.full(grid_shape("cell", cfg.nx, cfg.ny), cfg.t_initial)
     planck0 = planck_spectrum(T0, p.grid).transpose(2, 0, 1)
-    mg0 = MultigroupMoments.equilibrium(planck0, p.geom, p.material.light_speed)
+    mg0 = MultigroupMoments.equilibrium(planck0, p.geom, p.geom.light_speed)
     return T0, mg0
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbsv
 
-from .materials import MaterialModel
+from .materials import A_RAD, C_LIGHT, HEAT_CAPACITY
 from .mesh import SIDES, SpatialMesh, build_adjacency
 from .transport import ClosureRecord
 
@@ -125,8 +125,10 @@ class MomentSystem:
     group axis or none.
     """
 
-    def __init__(self, mesh: SpatialMesh, light_speed: float):
-        self.mesh, self.light_speed = mesh, light_speed
+    light_speed = C_LIGHT
+
+    def __init__(self, mesh: SpatialMesh):
+        self.mesh = mesh
         self.adj = adj = build_adjacency(mesh)
         nc, nv, nh = mesh.n_cells, mesh.n_vfaces, mesh.n_hfaces
         n = nc + nv + nh
@@ -149,7 +151,7 @@ class MomentSystem:
         # times s l and to face rows times s: the geometry row holds these
         # constant factors of fill()'s entries, rhs_factors those of its p
         self.area = mesh.cell_area.ravel()
-        k, sl = light_speed / adj.half_area, adj.sign * adj.face_len
+        k, sl = self.light_speed / adj.half_area, adj.sign * adj.face_len
         self._pq = np.stack([-k * sl, k * sl, -k * 0.5 * adj.cross_len, k * 0.5 * adj.cross_len])
         cell_ones, boundary_ones = np.ones(nc), np.ones(brow.size)
         self._row = np.concatenate([cell_ones, (sl * self._pq).ravel(),
@@ -450,7 +452,6 @@ class GreyProblem:
 
     system: MomentSystem
     coeffs: SpectrumAveraged
-    material: MaterialModel
     dt: float
     e_prev_cell: np.ndarray
     t_prev: np.ndarray
@@ -458,8 +459,8 @@ class GreyProblem:
 
     def solve(self) -> GreyState:
         """One linear solve of the grey system linearized about t_star."""
-        mat, co, dt = self.material, self.coeffs, self.dt
-        c, a_r = mat.light_speed, mat.radiation_constant
+        co, dt = self.coeffs, self.dt
+        c, a_r = C_LIGHT, A_RAD
         area = self.system.area
         t_prev, t_star = self.t_prev.ravel(), self.t_star.ravel()
         quart = c * co.kbar_b * a_r
@@ -472,7 +473,7 @@ class GreyProblem:
         # cv (T - T_prev)/dt + quart t3 (4 T - 3 t_star) + extra (T - t_star)
         # = c kbar_e E, solved for T - T_prev = slope E + shift so that no
         # coupling leaves T_prev exactly
-        cv_dt = mat.heat_capacity / dt
+        cv_dt = HEAT_CAPACITY / dt
         den = cv_dt + 4.0 * quart * t3 + extra
         slope = c * co.kbar_e / den
         shift = -(quart * t3 * (4.0 * t_prev - 3.0 * t_star) + extra * (t_prev - t_star)) / den

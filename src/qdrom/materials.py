@@ -1,8 +1,11 @@
-"""Frequency grid, material model, Planck integrals and group opacities.
+"""Frequency grid, material, Planck integrals and group opacities.
 
 Units: lengths cm, time ns, photon energy and temperature keV, energy in
 jerks.  The Planck group emission B_g is normalized so that summing
-4*pi*B_g over groups spanning (0, inf) gives a_R * c * T^4.
+4*pi*B_g over groups spanning (0, inf) gives a_R * c * T^4.  The material
+is the one of Fleck & Cummings (J. Comput. Phys. 8, 1971): opacity
+kappa_nu = OPACITY_COEFF (1 - e^{-nu/T}) / nu^3 and heat capacity
+HEAT_CAPACITY.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ import numpy as np
 C_LIGHT = 29.9792458   # speed of light, cm/ns
 A_RAD = 0.01372        # radiation constant, jerk / (cm^3 keV^4)
 FOUR_PI = 4.0 * np.pi
+HEAT_CAPACITY = 0.5917 * A_RAD * 1.0**3  # c_v, jerk / (cm^3 keV)
+OPACITY_COEFF = 27.0   # keV^3 / cm
 
 #: group boundaries at or above this value are treated as +infinity (keV)
 INFINITE_EDGE = 1.0e7
@@ -235,28 +240,15 @@ def planck_spectrum_slope(T, planck, grid: FrequencyGrid, *,
     return slope.T.reshape(np.shape(T) + (grid.n_groups,))
 
 
-@dataclass(frozen=True)
 class MaterialModel:
-    """Opacity law, heat capacity and physical constants.
+    """The Fleck-Cummings material: its group opacities and constants.
 
-    Spectral opacity is coeff / nu^exponent, optionally carrying the
-    stimulated-emission correction factor (1 - e^{-nu/T}).  Material energy
-    density is linear in temperature: eps(T) = c_v * T.
+    Material energy density is linear in temperature: eps(T) = c_v * T.
     """
 
-    heat_capacity: float                 # c_v, jerk / (cm^3 keV)
-    opacity_coeff: float = 27.0
-    opacity_exponent: float = 3.0
-    stimulated_correction: bool = True
+    heat_capacity: ClassVar[float] = HEAT_CAPACITY
     light_speed: ClassVar[float] = C_LIGHT
     radiation_constant: ClassVar[float] = A_RAD
-
-    def __post_init__(self):
-        for name in ("heat_capacity", "opacity_coeff"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not np.isfinite(self.opacity_exponent):
-            raise ValueError("opacity_exponent must be finite")
 
     def _node_terms(self, T: np.ndarray, grid: FrequencyGrid):
         """(x, 1 - e^{-x}, Planck weights, opacities) at the grid's nodes.
@@ -288,9 +280,7 @@ class MaterialModel:
         wgt *= nu3
         wgt /= stim
         wgt *= wj
-        kap = self.opacity_coeff / nu**self.opacity_exponent
-        if self.stimulated_correction:
-            kap = stim * kap
+        kap = stim * (OPACITY_COEFF / nu3)
         return x, stim, wgt, kap
 
     def group_opacity(self, T, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +291,7 @@ class MaterialModel:
         The derivative is the quotient rule on the same nodes, with T dW/dT =
         W x/(1 - e^{-x}) for the Planck weights W and T dk/dT = -k x/(e^x - 1)
         for the stimulated-emission factor of the node opacities k; on the one
-        group (0, inf), whose nodes scale with T, the average is C' T^-n.  Both
+        group (0, inf), whose nodes scale with T, the average is C' T^-3.  Both
         are laid out like planck_spectrum's values.
         """
         T = _check_temperature(T)
@@ -310,11 +300,11 @@ class MaterialModel:
         kbar = (wgt * kap).sum(axis=-1) / den
         Trow = T.reshape(1, -1)
         if grid.scales_with_temperature:
-            slope = -self.opacity_exponent * kbar / Trow
+            slope = -3.0 * kbar / Trow
         else:
             # T dkbar/dT sums W (x/stim) (kap - kbar) + W T dkap/dT over W; the stimulated-
             # emission factor's T dkap/dT = -(x/stim) kap (1 - stim) leaves kap stim - kbar
-            kap_stim = kap * stim if self.stimulated_correction else kap
-            slope = (wgt * (x / stim * (kap_stim - kbar[..., None]))).sum(axis=-1) / (den * Trow)
+            slope = (wgt * (x / stim * (kap * stim - kbar[..., None]))).sum(axis=-1) \
+                / (den * Trow)
         shape = np.shape(T) + (grid.n_groups,)
         return kbar.T.reshape(shape), slope.T.reshape(shape)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .materials import FrequencyGrid, MaterialModel, planck_spectrum
+from .materials import C_LIGHT, FrequencyGrid, planck_spectrum
 from .mesh import SIDES, SpatialMesh
 from .quadrature import AngularQuadrature, QuadratureSpecError
 
@@ -107,11 +107,10 @@ class TransportSolver:
     """
 
     def __init__(self, mesh: SpatialMesh, quad: AngularQuadrature,
-                 grid: FrequencyGrid, material: MaterialModel, inflow: np.ndarray):
+                 grid: FrequencyGrid, inflow: np.ndarray):
         self.mesh = mesh
         self.quad = quad
         self.grid = grid
-        self.material = material
         self.inflow = inflow = np.asarray(inflow, dtype=float)
         if inflow.shape != (grid.n_groups, len(SIDES)):
             raise ShapeError(f"inflow shape {inflow.shape} != {(grid.n_groups, len(SIDES))}")
@@ -214,7 +213,7 @@ class TransportSolver:
         if emission.shape != kappa.shape:
             raise ShapeError(f"emission shape {emission.shape} != kappa shape {kappa.shape}")
         n_g = kappa.shape[0]
-        cdt = self.material.light_speed * dt
+        cdt = C_LIGHT * dt
 
         def lanes(field):  # (n_g, ny, nx) -> (n_g, flow cells, 4K)
             return np.take(field.reshape(n_g, -1), self._lane_cells, axis=1)
@@ -298,7 +297,7 @@ class TransportSolver:
         """
         moments = self._inflow_moments[:, side]
         # n.Omega on the incoming range is negative on every side
-        return moments[..., 0] / self.material.light_speed, -moments[..., 3]
+        return moments[..., 0] / C_LIGHT, -moments[..., 3]
 
 
 def _positive(den: np.ndarray, what: str) -> np.ndarray:

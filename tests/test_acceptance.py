@@ -32,7 +32,7 @@ from qdrom.lowrank import (
 )
 from qdrom.quadrature import build_quadrature
 from qdrom.transport import TransportSolver, intensity_unknowns
-from qdrom.materials import FrequencyGrid, MaterialModel
+from qdrom.materials import FrequencyGrid
 from qdrom.mesh import SpatialMesh
 
 
@@ -92,10 +92,8 @@ def test_criterion_1_dimension_bookkeeping():
 @pytest.mark.parametrize("per_quadrant", [4, 36])
 def test_criterion_2_closure_identities(per_quadrant):
     grid = FrequencyGrid(np.array([0.0, 1.0e7]))
-    material = MaterialModel(heat_capacity=1.0)
     mesh = SpatialMesh.uniform(3, 3, 1.0, 1.0)
-    solver = TransportSolver(mesh, build_quadrature(per_quadrant), grid, material,
-                             np.full((1, 4), 0.8))
+    solver = TransportSolver(mesh, build_quadrature(per_quadrant), grid, np.full((1, 4), 0.8))
     iso = np.full(solver.shape, 0.8)
     rec = solver.compute_eddington(iso)
     for arr in (rec.fxx_c, rec.fyy_c, rec.fxx_v, rec.fyy_h):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qdrom.config import MAX_OUTER, OUTER_FLOOR, ConfigError, RunConfig, load_config, preset
-from qdrom.materials import A_RAD, C_LIGHT
+from qdrom.materials import A_RAD, C_LIGHT, HEAT_CAPACITY, OPACITY_COEFF
 
 
 def test_presets_exist():
@@ -40,14 +40,12 @@ def test_parse_file(tmp_path):
         "t_initial = 0.5\n"
         "boundary_left = 0.9\n"
         "boundary_top = vacuum\n"
-        "stimulated_correction = false\n"
     )
     cfg = load_config(path)
     assert (cfg.nx, cfg.ny) == (3, 2)
     assert cfg.group_bounds == (0.0, 1.0, 1e7)
     assert cfg.boundary_left == 0.9
     assert cfg.boundary_top is None
-    assert cfg.stimulated_correction is False
 
 
 def test_parse_preset_line_with_overrides(tmp_path):
@@ -72,19 +70,27 @@ def test_parse_errors(tmp_path):
     # retired options, and the former keys that are constants now, are unknown keys
     for line in ("threads = 1", "xi_rel = 1e-2", "max_inner = 10", "max_newton = 10",
                  "light_speed = 29.9792458", "radiation_constant = 0.01372",
-                 "outer_floor = 1e-15", "max_outer = 500"):
+                 "outer_floor = 1e-15", "max_outer = 500",
+                 "heat_capacity = 0.008118124", "opacity_coeff = 27",
+                 "opacity_exponent = 3", "stimulated_correction = true"):
         bad.write_text(line + "\n")
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(bad)
     # values that do not parse name their line and key
-    for key, val in (("nx", "abc"), ("group_bounds", "0 x"), ("boundary_left", "hot"),
-                     ("stimulated_correction", "maybe")):
+    for key, val in (("nx", "abc"), ("group_bounds", "0 x"), ("boundary_left", "hot")):
         bad.write_text(f"dx = 0.5\n{key} = {val}\n")
         with pytest.raises(ConfigError, match=f":2: bad value for '{key}'"):
             load_config(bad)
     bad.write_text("group_bounds = 0\n")
     with pytest.raises(ConfigError, match="two edges"):
         load_config(bad)
+    # a preset line may appear once, and names a preset; both errors name their line
+    for text, match in (("preset = equilibrium-2d\npreset = fleck-cummings-desk\nn_steps = 1\n",
+                         ":2: a second 'preset' line"),
+                        ("n_steps = 1\npreset = nosuch\n", ":2: unknown preset 'nosuch'")):
+        bad.write_text(text)
+        with pytest.raises(ConfigError, match=f"bad.cfg{match}"):
+            load_config(bad)
 
 
 def test_validation():
@@ -108,8 +114,7 @@ def test_validation():
         RunConfig(boundary_left=-1.0)
     # solver controls and non-finite values
     for kw in (dict(outer_tol=-1.0), dict(outer_tol=0.0), dict(quadrature=0), dict(quadrature=2),
-               dict(dx=np.nan), dict(dt=np.inf), dict(opacity_exponent=np.nan),
-               dict(boundary_left=np.inf), dict(opacity_coeff=0.0),
+               dict(dx=np.nan), dict(dt=np.inf), dict(boundary_left=np.inf),
                dict(group_bounds=(0.0, np.nan, 1.0e7)),
                # below materials.TEMPERATURE_FLOOR (1e-8 keV)
                dict(t_initial=1e-9), dict(boundary_left=1e-9)):
@@ -129,9 +134,11 @@ def test_roundtrip_dict():
     with pytest.raises(TypeError):
         RunConfig.from_dict({**cfg.to_dict(), "mystery_key": 1})
     # options that are constants now load only at their built-in values: a
-    # record made with another c, a_R or stop describes another run
+    # record made with another c, a_R, material or stop describes another run
     for key, value in (("light_speed", C_LIGHT), ("radiation_constant", A_RAD),
-                       ("outer_floor", OUTER_FLOOR), ("max_outer", MAX_OUTER)):
+                       ("outer_floor", OUTER_FLOOR), ("max_outer", MAX_OUTER),
+                       ("heat_capacity", HEAT_CAPACITY), ("opacity_coeff", OPACITY_COEFF),
+                       ("opacity_exponent", 3.0), ("stimulated_correction", True)):
         assert RunConfig.from_dict({**cfg.to_dict(), key: value}) == cfg
         with pytest.raises(ConfigError, match=f"stored {key} = "):
             RunConfig.from_dict({**cfg.to_dict(), key: 2 * value})

@@ -199,7 +199,10 @@ def test_stored_config_with_retired_keys_loads(tmp_path, tiny_fom, tiny_snapshot
 
 @pytest.mark.parametrize("key, value", [("light_speed", 29.9792458),
                                         ("radiation_constant", 0.01372),
-                                        ("outer_floor", 1e-15), ("max_outer", 500)])
+                                        ("outer_floor", 1e-15), ("max_outer", 500),
+                                        ("heat_capacity", 0.008118123999999999),
+                                        ("opacity_coeff", 27.0), ("opacity_exponent", 3.0),
+                                        ("stimulated_correction", True)])
 def test_stored_former_key_loads_only_at_its_built_in_value(tmp_path, tiny_fom, key, value):
     # the committed references hold these former options at their built-in values
     path = tmp_path / "run.ddet"

@@ -23,7 +23,7 @@ from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum, planc
 from qdrom.mesh import SIDES, SpatialMesh
 from qdrom.transport import ClosureRecord
 
-MAT = MaterialModel(heat_capacity=0.008118)
+MAT = MaterialModel()
 GRID3 = FrequencyGrid(np.array([0.0, 0.7075, 2.83, 1.0e7]))
 
 
@@ -89,7 +89,7 @@ def equilibrium_bc_tables(system, planck_groups, c):
 @pytest.mark.parametrize("T_star", [0.01, 1.0])
 def test_multigroup_equilibrium_fixed_point(T_star):
     mesh = SpatialMesh.uniform(4, 3, 0.5, 0.4)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     b_g = np.asarray(planck_spectrum(T_star, GRID3))
     c = MAT.light_speed
     e_in, f_in = equilibrium_bc_tables(system, b_g, c)
@@ -110,7 +110,7 @@ def test_multigroup_equilibrium_fixed_point(T_star):
 def test_single_cell_matches_dense_oracle():
     rng = np.random.default_rng(21)
     mesh = SpatialMesh.uniform(1, 1, 0.7, 0.4)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     e_in = np.zeros((1, 4))
     f_in = np.zeros((1, 4))
     solver = MultigroupLoqdSolver(system, e_in, f_in)
@@ -255,7 +255,7 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
     # solver must reproduce it, fluxes included
     rng = np.random.default_rng(37)
     mesh = SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx), rng.uniform(0.3, 0.8, ny))
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     e_in = rng.uniform(0.0, 0.5, (n_g, system.boundary_face.size))
     f_in = rng.uniform(-0.3, 0.0, (n_g, system.boundary_face.size))
     solver = MultigroupLoqdSolver(system, e_in, f_in)
@@ -281,7 +281,7 @@ def test_multicell_matches_dense_oracle(nx, ny, n_g):
 def test_source_linearity():
     rng = np.random.default_rng(4)
     mesh = SpatialMesh.uniform(3, 2, 0.5, 0.5)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     solver = MultigroupLoqdSolver(system, np.zeros((1, 10)), np.zeros((1, 10)))
     closure = random_closure(rng, 1, 2, 3)
     kappa = rng.uniform(0.5, 2.0, size=(1, 2, 3))
@@ -305,7 +305,7 @@ def test_source_linearity():
 
 def test_negative_dt_rejected():
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     solver = MultigroupLoqdSolver(system, np.zeros((1, 8)), np.zeros((1, 8)))
     closure = isotropic_closure(1, 2, 2)
     prev = MultigroupMoments.equilibrium(np.ones((1, 2, 2)), system, MAT.light_speed)
@@ -316,7 +316,7 @@ def test_negative_dt_rejected():
 def test_solver_and_equilibrium_check_the_system():
     # the moment system binds c and the mesh: the solver takes c from it, and
     # an emission grid of another mesh, or another c, is refused
-    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     closure = isotropic_closure(3, 2, 3)
     gathered = MultigroupLoqdSolver(system, np.zeros((3, 10)), np.zeros((3, 10))).gather(closure)
     assert np.array_equal(gathered.boundary_diag,
@@ -367,7 +367,7 @@ def grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in):
 def test_single_group_averages_are_identity():
     rng = np.random.default_rng(8)
     mesh = SpatialMesh.uniform(3, 2, 0.5, 0.5)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 1, 2, 3, system)
     co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, system, e_in, f_in)
     assert co.kbar_e == pytest.approx(kappa.reshape(-1), rel=1e-14)
@@ -378,7 +378,7 @@ def test_single_group_averages_are_identity():
 def test_constant_opacity_averages():
     rng = np.random.default_rng(9)
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 2, 2, system)
     kappa[:] = 1.7
     co = grey_coefficients(mg, kappa, planck, closure, prev, 0.1, system, e_in, f_in)
@@ -389,7 +389,7 @@ def test_constant_opacity_averages():
 def test_averages_match_summation_oracle():
     rng = np.random.default_rng(10)
     mesh = SpatialMesh.uniform(3, 3, 0.4, 0.4)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 3, 3, system)
     dt = 0.07
     co = grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in)
@@ -418,7 +418,7 @@ def test_averages_match_summation_oracle():
 def test_zero_energy_average_raises():
     rng = np.random.default_rng(13)
     mesh = SpatialMesh.uniform(2, 2, 0.5, 0.5)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 2, 2, 2, system)
     mg.e_cell[:, 0, 0] = 0.0
     with pytest.raises(DegenerateStateError):
@@ -431,7 +431,7 @@ def test_zero_energy_average_raises():
 
 def solve_grey_step(system, co, prev, dt):
     """One backward-Euler grey step, linearized about the previous temperature."""
-    return GreyProblem(system, co, MAT, dt, prev.e_cell, prev.temperature,
+    return GreyProblem(system, co, dt, prev.e_cell, prev.temperature,
                        t_star=prev.temperature).solve()
 
 
@@ -475,7 +475,7 @@ def grey_emission(system, co, T):
 
 def test_grey_equilibrium_fixed_point():
     mesh = SpatialMesh.uniform(3, 3, 0.5, 0.5)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     T_star = 0.7
     e_star = MAT.radiation_constant * T_star**4
     # matching bc: half-range isotropic values keep the wall in balance
@@ -518,7 +518,7 @@ def test_fill_matches_per_orientation_oracle(mesh):
     # them by s l (cell rows) and s (face rows), in the entries' order:
     # cell rows, then face rows, each by column slot over every half cell
     rng = np.random.default_rng(59)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     cell_diag, cell_rhs, flux, b_diag, b_rhs = args = random_system_args(rng, system, (4,))
     half = 2 * system.n_cells  # vertical half cells, then horizontal ones
     cell_rows, face_rows = [], []
@@ -542,7 +542,7 @@ def test_cached_scatter_bins_follow_the_leading_shape():
     # the bins of each index table are built once per leading shape; every
     # shape, met in any order and again, sums like a per-row bincount
     rng = np.random.default_rng(61)
-    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     n = system.n_unknowns
     tables = {"rows": (system.rows, n), "rhs_rows": (system.rhs_rows, n),
               "slot": (system.slot, n * system.ldab),
@@ -562,7 +562,7 @@ def test_banded_solve_matches_dense_oracle(nx, ny, n_g):
     # the natural-order matrix is the oracle
     rng = np.random.default_rng(41 + 7 * nx + ny)
     system = MomentSystem(SpatialMesh(nx, ny, rng.uniform(0.3, 0.8, nx),
-                                      rng.uniform(0.3, 0.8, ny)), MAT.light_speed)
+                                      rng.uniform(0.3, 0.8, ny)))
     assert system.kl == system.ku == 2 * nx + 1
     lead = () if n_g is None else (n_g,)
     args = random_system_args(rng, system, lead)
@@ -610,7 +610,7 @@ def test_graded_system_backward_error(monkeypatch):
     nx, ny = 12, 2
     grid = FrequencyGrid(np.array(FC_GROUP_BOUNDS[:5] + (1.0e7,)))
     n_g = grid.n_groups
-    system = MomentSystem(SpatialMesh.uniform(nx, ny, 2.5, 2.5), MAT.light_speed)
+    system = MomentSystem(SpatialMesh.uniform(nx, ny, 2.5, 2.5))
     calls = recorded_solves(monkeypatch, system)
     c = MAT.light_speed
     T = np.tile(np.geomspace(1.0, 1e-3, nx), (ny, 1))
@@ -626,7 +626,7 @@ def test_graded_system_backward_error(monkeypatch):
     zero = np.zeros_like(kappa)  # no temperature response: the plain grey system
     co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, solver,
                                    0.02)
-    GreyProblem(system, co, MAT, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
+    GreyProblem(system, co, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
     assert [np.ndim(args[0]) for args, _ in calls] == [2, 1]  # multigroup, then grey
     n = system.n_unknowns
     for args, out in calls:
@@ -644,9 +644,9 @@ def test_graded_system_backward_error(monkeypatch):
 def test_singular_system_raises_at_both_levels():
     # a zero boundary factor and zero Eddington factors leave the boundary
     # rows empty; the factorisation must report it, naming the group
-    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     co = grey_coeffs_uniform(system, kbar=2.0, dvals=0.0, cbar=0.0)
-    problem = GreyProblem(system, co, MAT, 0.02, np.full((2, 3), 1e-3),
+    problem = GreyProblem(system, co, 0.02, np.full((2, 3), 1e-3),
                           np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
     with pytest.raises(SolverError, match="singular"):
         problem.solve()
@@ -665,7 +665,7 @@ def test_singular_system_raises_at_both_levels():
 
 def test_grey_zero_coupling_keeps_temperature():
     mesh = SpatialMesh.uniform(2, 3, 0.4, 0.6)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     co = grey_coeffs_uniform(system, kbar=0.0, cbar=0.5, p=0.01)
     rng = np.random.default_rng(17)
     t_prev = rng.uniform(0.5, 1.0, (3, 2))
@@ -707,7 +707,7 @@ def bisection_grey_root(system, co, e_prev, t_prev, dt):
 
 
 def one_cell_grey_case():
-    system = MomentSystem(SpatialMesh.uniform(1, 1, 0.5, 0.5), MAT.light_speed)
+    system = MomentSystem(SpatialMesh.uniform(1, 1, 0.5, 0.5))
     co = grey_coeffs_uniform(system, kbar=3.0, cbar=0.55, p=0.002)
     co.kbar_e[:] = 2.5
     e_prev, t_prev, dt = np.array([[0.003]]), np.array([[0.4]]), 0.03
@@ -721,14 +721,14 @@ def test_grey_single_cell_matches_bisection_oracle():
     system, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
     T = t_prev
     for _ in range(8):
-        T = GreyProblem(system, co, MAT, dt, e_prev, t_prev, t_star=T).solve().temperature
+        T = GreyProblem(system, co, dt, e_prev, t_prev, t_star=T).solve().temperature
     assert T[0, 0] == pytest.approx(T_oracle, rel=1e-12)
 
 
 def test_grey_linearized_at_root_returns_root():
     # a fixed point of the linearized solve is a root of the nonlinear system
     system, co, e_prev, t_prev, dt, T_oracle = one_cell_grey_case()
-    out = GreyProblem(system, co, MAT, dt, e_prev, t_prev, np.array([[T_oracle]])).solve()
+    out = GreyProblem(system, co, dt, e_prev, t_prev, np.array([[T_oracle]])).solve()
     assert out.temperature[0, 0] == pytest.approx(T_oracle, rel=1e-12)
 
 
@@ -743,7 +743,7 @@ def test_grey_response_guard_freezes_the_net_emission():
 
     def solve(dkbar_e, dkbar_b, e_cell):
         coeffs = dataclasses.replace(co, dkbar_e=dkbar_e, dkbar_b=dkbar_b, e_cell_total=e_cell)
-        return GreyProblem(system, coeffs, MAT, dt, e_prev, t_prev, t_star=t_star).solve()
+        return GreyProblem(system, coeffs, dt, e_prev, t_prev, t_star=t_star).solve()
 
     clipped = solve(zero, 10.0 * bound, zero)
     for dkbar_e, dkbar_b, e_cell in ((zero, 100.0 * bound, zero),
@@ -766,7 +766,7 @@ def test_temperature_response_matches_local_difference():
     # coefficients' derivatives are the T-derivatives of the two spectrum
     # averages
     rng = np.random.default_rng(53)
-    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     c, dt = MAT.light_speed, 0.02
     T = rng.uniform(0.2, 1.5, (2, 3))
     e_prev = rng.uniform(1e-3, 2e-2, (3, 2, 3))
@@ -807,7 +807,7 @@ def test_grey_matches_multigroup_sum():
     # the grey operator evaluated at the multigroup solution sums must vanish
     rng = np.random.default_rng(29)
     mesh = SpatialMesh.uniform(3, 3, 0.4, 0.4)
-    system = MomentSystem(mesh, MAT.light_speed)
+    system = MomentSystem(mesh)
     T_field = rng.uniform(0.3, 1.0, (3, 3))
     kappa, planck, dkappa, dplanck = spectral_fields(T_field, GRID3)
     closure = random_closure(rng, 3, 3, 3)
@@ -846,14 +846,14 @@ def test_nonfinite_solution_raises(level, fault):
     # both levels share the solve's finiteness check; a poisoned coefficient
     # must raise, not return a NaN state
     rng = np.random.default_rng(43)
-    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4), MAT.light_speed)
+    system = MomentSystem(SpatialMesh.uniform(3, 2, 0.5, 0.4))
     if level == "grey":
         co = grey_coeffs_uniform(system, kbar=2.0, p=0.01)
         if fault == "nan lag term":
             co.flux.p[4] = np.nan
         else:
             co.boundary_rhs[1] = np.inf
-        problem = GreyProblem(system, co, MAT, 0.02, np.full((2, 3), 1e-3),
+        problem = GreyProblem(system, co, 0.02, np.full((2, 3), 1e-3),
                               np.full((2, 3), 0.5), t_star=np.full((2, 3), 0.6))
         with pytest.raises(SolverError, match="non-finite"):
             problem.solve()

@@ -116,7 +116,7 @@ def test_nonfinite_temperature_rejected(T):
     with pytest.raises(TemperatureDomainError):
         planck_spectrum(np.array([0.5, T]), grid)
     with pytest.raises(TemperatureDomainError):
-        material().group_opacity(np.array([[0.5, T]]), grid)
+        MaterialModel().group_opacity(np.array([[0.5, T]]), grid)
 
 
 def test_band_fraction_against_oracle():
@@ -214,53 +214,38 @@ def test_grid_rejects_nan_edges_and_maps_an_infinite_last_edge_as_unbounded():
         assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
 
 
-@pytest.mark.parametrize("kw", [dict(heat_capacity=np.inf), dict(heat_capacity=np.nan),
-                                dict(opacity_coeff=np.inf), dict(opacity_exponent=np.nan),
-                                dict(opacity_exponent=-np.inf)])
-def test_material_rejects_nonfinite_parameters(kw):
-    with pytest.raises(ValueError, match="finite"):
-        MaterialModel(**{"heat_capacity": 1.0, **kw})
-
-
 def test_material_constants_are_not_parameters():
-    assert (MaterialModel.light_speed, MaterialModel.radiation_constant) == (C_LIGHT, A_RAD)
-    with pytest.raises(TypeError):
-        MaterialModel(heat_capacity=1.0, light_speed=1.0)
+    assert (MaterialModel.light_speed, MaterialModel.radiation_constant,
+            MaterialModel.heat_capacity) == (C_LIGHT, A_RAD, 0.5917 * A_RAD)
+    for kw in (dict(heat_capacity=1.0), dict(light_speed=1.0)):
+        with pytest.raises(TypeError):
+            MaterialModel(**kw)
 
 
 # ---------------------------------------------------------------------------
 # Opacity
 # ---------------------------------------------------------------------------
 
-def material(cv=1.0, **kw):
-    return MaterialModel(heat_capacity=cv, **kw)
-
-
-def spectral_opacity(m, nu, T):
-    """Oracle: m's opacity law kappa_nu(T) in 1/cm, at frequency nu > 0."""
+def spectral_opacity(nu, T):
+    """Oracle: the Fleck-Cummings opacity 27 (1 - e^{-nu/T}) / nu^3 in 1/cm, at nu > 0."""
     nu, T = np.asarray(nu, dtype=float), np.asarray(T, dtype=float)
-    kappa = m.opacity_coeff / nu**m.opacity_exponent
-    if m.stimulated_correction:
-        with np.errstate(under="ignore"):
-            kappa = kappa * (-np.expm1(-nu / T))
-    return kappa
+    with np.errstate(under="ignore"):
+        return 27.0 / nu**3 * (-np.expm1(-nu / T))
 
 
 def test_spectral_opacity_direct_value():
-    m = material()
     # nu = 3 keV, T = 1 keV: (27/27)(1 - e^-3)
-    assert spectral_opacity(m, 3.0, 1.0) == pytest.approx(1.0 - np.exp(-3.0), rel=1e-12)
+    assert spectral_opacity(3.0, 1.0) == pytest.approx(1.0 - np.exp(-3.0), rel=1e-12)
 
 
 def test_spectral_opacity_limits():
-    m = material()
-    assert spectral_opacity(m, 1e6, 1.0) < 1e-16
+    assert spectral_opacity(1e6, 1.0) < 1e-16
     # T >> nu: (1 - e^{-nu/T}) ~ nu/T
-    assert spectral_opacity(m, 2.0, 1e6) == pytest.approx(27.0 / 8.0 * (2.0 / 1e6), rel=1e-5)
+    assert spectral_opacity(2.0, 1e6) == pytest.approx(27.0 / 8.0 * (2.0 / 1e6), rel=1e-5)
 
 
 def test_group_opacity_positive_and_decreasing_at_high_frequency():
-    m = material()
+    m = MaterialModel()
     grid = FrequencyGrid(FC_BOUNDS)
     kap, _ = m.group_opacity(1.0, grid)
     assert kap.shape == (grid.n_groups,)
@@ -269,26 +254,26 @@ def test_group_opacity_positive_and_decreasing_at_high_frequency():
 
 
 def test_group_opacity_matches_quadrature_oracle():
-    m = material()
+    m = MaterialModel()
     grid = FrequencyGrid(np.array([0.0, 1.0, 4.0, 1.0e7]))
     T = 0.8
     # independent 16-point Gauss-Legendre evaluation of the same collapse rule
     gx, gw = np.polynomial.legendre.leggauss(16)
     nu = 0.5 * 3.0 * gx + 2.5
     b = nu**3 / np.expm1(nu / T)
-    k = spectral_opacity(m, nu, T)
+    k = spectral_opacity(nu, T)
     rule_value = np.sum(gw * k * b) / np.sum(gw * b)
     got = m.group_opacity(T, grid)[0][1]
     assert got == pytest.approx(rule_value, rel=1e-13)
     # and stays close to the exact Planck average (rule truncation ~1e-6 here)
     nu_f = np.linspace(1.0, 4.0, 200001)[1:-1]
     b_f = nu_f**3 / np.expm1(nu_f / T)
-    exact = np.trapezoid(spectral_opacity(m, nu_f, T) * b_f, nu_f) / np.trapezoid(b_f, nu_f)
+    exact = np.trapezoid(spectral_opacity(nu_f, T) * b_f, nu_f) / np.trapezoid(b_f, nu_f)
     assert got == pytest.approx(exact, rel=1e-4)
 
 
 def test_group_opacity_cold_limit_stays_finite():
-    m = material()
+    m = MaterialModel()
     grid = FrequencyGrid(FC_BOUNDS)
     kap, dkap = m.group_opacity(0.001, grid)
     assert np.all(np.isfinite(kap)) and np.all(np.isfinite(dkap))
@@ -296,12 +281,12 @@ def test_group_opacity_cold_limit_stays_finite():
 
 
 def test_opacity_rejects_nonpositive_temperature():
-    m = material()
+    m = MaterialModel()
     with pytest.raises(TemperatureDomainError):
         m.group_opacity(1e-12, FrequencyGrid(np.array([0.0, 1.0])))
 
 
-def per_group_opacity(m, T, bounds):
+def per_group_opacity(T, bounds):
     """Oracle: the Planck-weighted 16-point Gauss-Legendre average, one group
     at a time, in the same arithmetic order as the batched evaluation."""
     Tcol = np.asarray(T, dtype=float).reshape(-1, 1)
@@ -324,7 +309,7 @@ def per_group_opacity(m, T, bounds):
         xmin = x.min(axis=1, keepdims=True)
         with np.errstate(under="ignore"):
             wgt = nu**3 * np.exp(-(x - xmin)) / (-np.expm1(-x))
-        kap = spectral_opacity(m, nu, Tcol)
+        kap = spectral_opacity(nu, Tcol)
         kbar[:, g] = (np.sum(gl_w * jac * wgt * kap, axis=1)
                       / np.sum(gl_w * jac * wgt, axis=1))
     return kbar
@@ -334,22 +319,16 @@ OPACITY_T = np.geomspace(materials.TEMPERATURE_FLOOR, 10.0, 240).reshape(12, 20)
 
 
 @pytest.mark.parametrize("name", PRESETS)
-@pytest.mark.parametrize("law", [dict(), dict(stimulated_correction=False),
-                                 dict(opacity_exponent=2.0)])
-def test_group_opacity_equals_per_group_oracle(name, law):
-    m = material(**law)
+def test_group_opacity_equals_per_group_oracle(name):
     bounds = preset(name).group_bounds
-    got, slope = m.group_opacity(OPACITY_T, FrequencyGrid(np.array(bounds)))
+    got, slope = MaterialModel().group_opacity(OPACITY_T, FrequencyGrid(np.array(bounds)))
     assert got.shape == slope.shape == OPACITY_T.shape + (len(bounds) - 1,)
-    assert np.array_equal(got.reshape(-1, len(bounds) - 1),
-                          per_group_opacity(m, OPACITY_T, bounds))
+    assert np.array_equal(got.reshape(-1, len(bounds) - 1), per_group_opacity(OPACITY_T, bounds))
 
 
-@pytest.mark.parametrize("law", [dict(), dict(stimulated_correction=False)])
-def test_single_unbounded_group_opacity_matches_oracle(law):
-    m = material(**law)
-    got, _ = m.group_opacity(OPACITY_T, FrequencyGrid(np.array([0.0, 1.0e7])))
-    want = per_group_opacity(m, OPACITY_T, (0.0, 1.0e7))
+def test_single_unbounded_group_opacity_matches_oracle():
+    got, _ = MaterialModel().group_opacity(OPACITY_T, FrequencyGrid(np.array([0.0, 1.0e7])))
+    want = per_group_opacity(OPACITY_T, (0.0, 1.0e7))
     np.testing.assert_allclose(got.reshape(-1, 1), want, rtol=1e-14, atol=0.0)
 
 
@@ -359,10 +338,8 @@ SLOPE_T = np.geomspace(1e-3, 10.0, 60)
 @pytest.mark.parametrize("bounds", [preset("fleck-cummings-desk").group_bounds,
                                     tuple(FC_BOUNDS), (0.0, 1.0e7)],
                          ids=["desk", "fc2d", "single"])
-@pytest.mark.parametrize("law", [dict(), dict(stimulated_correction=False),
-                                 dict(opacity_exponent=2.0)])
-def test_spectral_slopes_match_central_difference(bounds, law):
-    m = material(**law)
+def test_spectral_slopes_match_central_difference(bounds):
+    m = MaterialModel()
     grid = FrequencyGrid(np.array(bounds))
     T, h = SLOPE_T, 1e-6 * SLOPE_T
     hc = h[:, None]
@@ -571,7 +548,7 @@ def side_slice(side, name):
 def test_boundary_table_order_and_sizes():
     nx, ny = 4, 3
     mesh = SpatialMesh.uniform(nx, ny, 1.0, 1.0)
-    system = MomentSystem(mesh, C_LIGHT)
+    system = MomentSystem(mesh)
     side, face = system.boundary_side, system.boundary_face
     assert side.size == face.size == 2 * (nx + ny)
     assert np.array_equal(side, np.repeat(np.arange(4), (ny, nx, ny, nx)))

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qdrom.materials import C_LIGHT, FrequencyGrid, MaterialModel, planck_spectrum
+from qdrom.materials import FrequencyGrid, MaterialModel, planck_spectrum
 from qdrom.loqd import MomentSystem
 from qdrom.mesh import SIDES, SpatialMesh
 from qdrom.quadrature import QuadratureSpecError, build_quadrature
@@ -16,7 +16,7 @@ from qdrom.transport import (
     intensity_unknowns,
 )
 
-MAT = MaterialModel(heat_capacity=1.0)
+MAT = MaterialModel()
 GRID2 = FrequencyGrid(np.array([0.0, 2.0, 1.0e7]))
 
 
@@ -25,7 +25,7 @@ def make_solver(nx=3, ny=3, per_quadrant=1, grid=GRID2, bc=None, dx=0.5, dy=0.5)
     quad = build_quadrature(per_quadrant)
     if bc is None:
         bc = np.zeros((grid.n_groups, len(SIDES)))
-    return TransportSolver(mesh, quad, grid, MAT, bc)
+    return TransportSolver(mesh, quad, grid, bc)
 
 
 def side_inflow(sol, name):
@@ -132,7 +132,7 @@ def test_single_cell_matches_dense_oracle():
     quad = build_quadrature(1)
     in_val = rng.uniform(0.5, 2.0, size=4)  # per-side isotropic incoming
     bc = in_val[None, :]
-    sol = TransportSolver(mesh, quad, grid1, MAT, bc)
+    sol = TransportSolver(mesh, quad, grid1, bc)
     kappa = rng.uniform(0.5, 3.0, size=(1, 1, 1))
     emis = rng.uniform(0.5, 3.0, size=(1, 1, 1))
     I_prev = rng.uniform(0.1, 1.0, size=sol.shape)
@@ -286,7 +286,7 @@ def test_sweep_order_permutation_invariance():
                           bc=blackbody_bc(0.8, GRID2, inflow))
         if not uniform:
             mesh = SpatialMesh(nx, ny, rng.uniform(0.2, 1.0, nx), rng.uniform(0.2, 1.0, ny))
-            sol = TransportSolver(mesh, sol.quad, sol.grid, sol.material, sol.inflow)
+            sol = TransportSolver(mesh, sol.quad, sol.grid, sol.inflow)
         kappa = rng.uniform(0.2, 2.0, size=(2, ny, nx))
         emis = rng.uniform(0.2, 2.0, size=(2, ny, nx))
         I_prev = rng.uniform(0.1, 1.0, size=sol.shape)
@@ -322,14 +322,13 @@ def test_solver_rejects_directions_outside_the_quadrants():
     eta[5] = 0.0
     for bad in (dataclasses.replace(quad, mu=mu), dataclasses.replace(quad, eta=eta)):
         with pytest.raises(QuadratureSpecError, match="no quadrant"):
-            TransportSolver(SpatialMesh.uniform(2, 2, 0.5, 0.5), bad, GRID2, MAT,
-                            np.zeros((2, 4)))
+            TransportSolver(SpatialMesh.uniform(2, 2, 0.5, 0.5), bad, GRID2, np.zeros((2, 4)))
     # one direction moved into the next quadrant leaves the lanes unequal
     mu = quad.mu.copy()
     mu[0] = -mu[0]
     with pytest.raises(QuadratureSpecError, match="unequal"):
         TransportSolver(SpatialMesh.uniform(2, 2, 0.5, 0.5), dataclasses.replace(quad, mu=mu),
-                        GRID2, MAT, np.zeros((2, 4)))
+                        GRID2, np.zeros((2, 4)))
 
 
 def test_inflow_must_hold_one_column_per_side():
@@ -460,7 +459,7 @@ def test_boundary_factors_in_boundary_face_order():
         "right": (0.5 * (I[:, :, :, -1, 1] + I[:, :, :, -1, 3]), "x", 1.0),
         "top": (0.5 * (I[:, :, -1, :, 2] + I[:, :, -1, :, 3]), "y", 1.0),
     }
-    face_side = MomentSystem(sol.mesh, C_LIGHT).boundary_side
+    face_side = MomentSystem(sol.mesh).boundary_side
     assert rec.cb.shape == (2 * face_side.size,) == (2 * 2 * (nx + ny),)
     cb = rec.cb.reshape(2, -1)  # group-major: one row of boundary faces per group
     for side, (trace, axis, outward) in sides.items():
@@ -486,7 +485,7 @@ def test_random_closure_matches_summation_oracle():
                 den = sum(w[m] * ibar[m] for m in range(sol.quad.n_dirs))
                 assert fxx_c[g, iy, ix] == pytest.approx(num / den, rel=1e-13)
     # boundary-factor oracle on the left side
-    left = cb[:, MomentSystem(sol.mesh, C_LIGHT).boundary_side == SIDES.index("left")]
+    left = cb[:, MomentSystem(sol.mesh).boundary_side == SIDES.index("left")]
     for iy in range(2):
         for g in range(2):
             num = den = 0.0
@@ -524,7 +523,7 @@ def test_degenerate_intensity_raises():
 def test_closures_match_per_direction_oracle(nx, ny, dx, dy, per_quadrant):
     rng = np.random.default_rng(23)
     mesh = SpatialMesh(nx, ny, np.array(dx), np.array(dy))
-    sol = TransportSolver(mesh, build_quadrature(per_quadrant), GRID2, MAT, side_inflow_bc())
+    sol = TransportSolver(mesh, build_quadrature(per_quadrant), GRID2, side_inflow_bc())
     I = sol.sweep(rng.uniform(0.5, 3.0, (2, ny, nx)), rng.uniform(0.1, 1.0, (2, ny, nx)),
                   rng.uniform(0.05, 1.0, sol.shape), 0.1)
     rec, expected = sol.compute_eddington(I), eddington_oracle(sol, I)
@@ -567,7 +566,7 @@ def test_each_degenerate_check_raises(where, message):
 
 def test_boundary_inflow_is_the_quadrature_half_range_sum():
     sol = make_solver(3, 2, per_quadrant=4, bc=side_inflow_bc())
-    face_side = MomentSystem(sol.mesh, C_LIGHT).boundary_side
+    face_side = MomentSystem(sol.mesh).boundary_side
     e_in, f_in = sol.boundary_inflow(face_side)
     assert e_in.shape == f_in.shape == (2, face_side.size)
     w, mu, eta, c = sol.quad.weight, sol.quad.mu, sol.quad.eta, MAT.light_speed
@@ -588,7 +587,7 @@ def cell_moments(sol, I):
     """(E_g, Fx_g, Fy_g) on cells from corner-averaged intensities."""
     w, mu, eta = sol.quad.weight, sol.quad.mu, sol.quad.eta
     ibar = I.mean(axis=4)
-    e = np.einsum("m,gmyx->gyx", w, ibar) / sol.material.light_speed
+    e = np.einsum("m,gmyx->gyx", w, ibar) / MAT.light_speed
     fx = np.einsum("m,gmyx->gyx", w * mu, ibar)
     fy = np.einsum("m,gmyx->gyx", w * eta, ibar)
     return e, fx, fy
