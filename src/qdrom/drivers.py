@@ -296,8 +296,8 @@ def _advance_step(p: Problem, mg_prev: MultigroupMoments, t_prev: np.ndarray,
         own = it > 0 or start is None
         closure = closure_at(kappa, planck) if own else start
         mg, group_flux = p.mg_solver.solve(closure, kappa, planck, mg_prev, cfg.dt)
-        coeffs = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure.record,
-                                           group_flux, p.mg_solver, cfg.dt)
+        coeffs = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure,
+                                           group_flux, p.geom, cfg.dt)
         grey = GreyProblem(p.geom, coeffs, cfg.dt, e_prev, t_prev, t_star=T_it).solve()
         change = _change_ratio(grey, T_it, E_it, tol)
         if change <= 1.0 and own:

@@ -22,8 +22,9 @@ their spectrum averages, together with averaged absorption and emission
 opacities and boundary factors, so that it is the exact group sum of the
 multigroup scheme.  Both levels take their boundary rows in one form, a
 diagonal -c C and a right-hand side -c C E_in + n.F_in: per group from the
-inflow that MultigroupLoqdSolver keeps (gather), and in total from its
-group sums (compute_grey_coefficients); c is MomentSystem's.  The four d
+inflow that MultigroupLoqdSolver keeps (gather), and as their group sums,
+-c C averaged like d, at the grey level (compute_grey_coefficients); c is
+MomentSystem's.  The four d
 of an expression are stacked like its columns of x
 (MomentSystem.flux_cols): a closure's entries are gathered through them
 once per closure (MultigroupLoqdSolver.gather; once per step for the
@@ -302,7 +303,6 @@ class MultigroupLoqdSolver:
         self.system = system
         self.e_in = e_in  # (n_g, n_bfaces)
         self.f_in = f_in
-        self.e_in_total, self.f_in_total = e_in.sum(axis=0), f_in.sum(axis=0)
         self.n_unknowns = n = system.n_unknowns  # per group
         # gather() lays a closure's entries out like x twice: the vertical
         # half cells (west, east: the first half) read (fxx_c, fxx_v, fxy_h),
@@ -355,8 +355,8 @@ class SpectrumAveraged:
     dkbar_e: np.ndarray       # (n_cells,) d kbar_e/dT, spectrum shape included
     dkbar_b: np.ndarray       # (n_cells,) d kbar_b/dT, likewise
     e_cell_total: np.ndarray  # (n_cells,) sum of E_g, which dkbar_e multiplies
-    boundary_diag: np.ndarray  # (n_bfaces,): -c Cbar
-    boundary_rhs: np.ndarray   # (n_bfaces,): -c Cbar E_in + n.F_in, both group sums
+    boundary_diag: np.ndarray  # (n_bfaces,): -c C averaged over E_g
+    boundary_rhs: np.ndarray   # (n_bfaces,): group sum of -c C E_in + n.F_in
     flux: FluxCoeffs
 
 
@@ -370,24 +370,23 @@ def _weighted_mean(values, weights, den, what: str) -> np.ndarray:
 
 def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: np.ndarray,
                               dkappa: np.ndarray, dplanck: np.ndarray,
-                              closure: ClosureRecord,
+                              closure: GatheredClosure,
                               group_flux: FluxCoeffs,
-                              solver: MultigroupLoqdSolver, dt: float) -> SpectrumAveraged:
+                              system: MomentSystem, dt: float) -> SpectrumAveraged:
     """Spectrum averages over the multigroup solution, and their T-derivatives.
 
     kappa/planck and their T-derivatives dkappa/dplanck are (n_g, ny, nx) at
     the outer iterate; group_flux holds the per-group flux coefficients of
-    `solver`.solve.  The grey boundary terms are
-    the multigroup level's with the group sums of `solver`'s inflow and the
-    boundary factor averaged over E_g - E_in,g, which falls back to the
-    unweighted mean where its denominator is below 1e-30 of the local energy
-    density.  The group energies respond to T through their own cell rows,
-    transport held fixed: dE_g/dT = [4 pi (kappa' B + kappa B') - c kappa' E_g]
-    / (1/dt + c kappa); then d kbar_e/dT = [sum kappa' E_g + sum (kappa -
-    kbar_e) dE_g/dT] / sum E_g, and likewise d kbar_b/dT over the B_g (linear
-    multifrequency-grey acceleration, Morel, Larsen & Matzen, JQSRT 34, 1985).
+    the multigroup solve with `closure`.  Every grey row is the group sum of
+    the multigroup rows: the flux coefficients d and the boundary factors
+    -c C are averaged over the group energies at their columns, and the lag
+    terms and boundary right-hand sides are summed.  The group energies
+    respond to T through their own cell rows, transport held fixed: dE_g/dT
+    = [4 pi (kappa' B + kappa B') - c kappa' E_g] / (1/dt + c kappa); then
+    d kbar_e/dT = [sum kappa' E_g + sum (kappa - kbar_e) dE_g/dT] / sum E_g,
+    and likewise d kbar_b/dT over the B_g (linear multifrequency-grey
+    acceleration, Morel, Larsen & Matzen, JQSRT 34, 1985).
     """
-    system = solver.system
     light_speed, n_g = system.light_speed, kappa.shape[0]
     kap2, b2, e_c = (a.reshape(n_g, -1) for a in (kappa, planck, mg.e_cell))
     # the group energies in the natural order: x at a flux expression's
@@ -405,20 +404,13 @@ def compute_grey_coefficients(mg: MultigroupMoments, kappa: np.ndarray, planck: 
     dkbar_e = ((dkap * e_c).sum(axis=0) + ((kap2 - kbar_e) * de).sum(axis=0)) / e_sum
     dkbar_b = ((dkap * b2).sum(axis=0) + ((kap2 - kbar_b) * db).sum(axis=0)) / b_sum
 
-    # boundary factor average with the 0/0 guard at near-equilibrium walls
-    e_bf = x_mg.take(system.boundary_cols, axis=1)
-    cb = closure.cb.reshape(n_g, -1)
-    diff = e_bf - solver.e_in
-    den, num = diff.sum(axis=0), (cb * diff).sum(axis=0)
-    guarded = np.abs(den) < 1e-30 * x_sum.take(system.boundary_cols)
-    cbar = np.where(guarded, cb.mean(axis=0), num / np.where(guarded, 1.0, den))
-
-    cols = system.flux_cols
+    cols, bcols = system.flux_cols, system.boundary_cols
     flux = FluxCoeffs(_weighted_mean(group_flux.d, x_mg.take(cols, axis=1), x_sum.take(cols),
                                      "flux coefficient"), group_flux.p.sum(axis=0))
-    diag = -light_speed * cbar
+    diag = _weighted_mean(closure.boundary_diag, x_mg.take(bcols, axis=1), x_sum.take(bcols),
+                          "boundary factor")
     return SpectrumAveraged(kbar_e, kbar_b, dkbar_e, dkbar_b, e_sum, diag,
-                            diag * solver.e_in_total + solver.f_in_total, flux)
+                            closure.boundary_rhs.sum(axis=0), flux)
 
 
 # ---------------------------------------------------------------------------

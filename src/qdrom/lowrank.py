@@ -7,7 +7,8 @@ DMD-E differ only in the offset they subtract and the training matrix they
 decompose (`compress`).
 
 The retained rank k is the smallest one whose discarded singular-value
-energy satisfies sum_{i>k} s_i^2 <= xi_rel^2 * sum_i s_i^2.
+energy satisfies sum_{i>k} s_i^2 <= xi_rel^2 * sum_i s_i^2, with xi_rel
+taken as at least machine epsilon.
 """
 from __future__ import annotations
 
@@ -61,7 +62,9 @@ def truncated_svd(a: np.ndarray):
 def select_rank(singular_values: np.ndarray, xi_rel: float) -> int:
     """Smallest k with discarded energy fraction at most xi_rel^2 (k >= 1).
 
-    All-zero singular values (constant training data) give k = 1.
+    All-zero singular values (constant training data) give k = 1.  An
+    xi_rel below machine epsilon is taken as epsilon: a discarded-energy
+    target below rounding cannot be resolved.
     """
     s = np.asarray(singular_values, dtype=float)
     if not 0.0 < xi_rel <= 1.0:
@@ -73,7 +76,7 @@ def select_rank(singular_values: np.ndarray, xi_rel: float) -> int:
     # sum from the total would drown tiny tails in cancellation noise
     tails = np.concatenate([np.cumsum(energy[::-1])[::-1][1:], [0.0]])
     total = tails[0] + energy[0]
-    admissible = np.nonzero(tails <= xi_rel**2 * total)[0]
+    admissible = np.nonzero(tails <= max(xi_rel, np.finfo(float).eps) ** 2 * total)[0]
     return int(admissible[0]) + 1 if admissible.size else s.size
 
 

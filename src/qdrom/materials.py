@@ -41,9 +41,10 @@ _X_TAIL = 40.0
 _BERNOULLI_TERMS = 15
 _EXP_TERMS = 18
 
-#: lower clip of the Planck-weight exponent in group_opacity: e^-708 is still
-#: a normal double, and below it np.exp takes a slow subnormal path
-_WEIGHT_EXP_FLOOR = -708.0
+#: lower clip of the Planck-weight exponent in group_opacity: e^-700 (~1e-304)
+#: is negligible in every row's sum, and below about -707.5 numpy's vector exp
+#: leaves its fast path (slower still where its results are subnormal)
+_WEIGHT_EXP_FLOOR = -700.0
 
 
 def _series_coefficients(n_terms: int) -> np.ndarray:
@@ -257,8 +258,8 @@ class MaterialModel:
         nu^3/(e^x - 1) times the rule's weights, with the row factor
         e^{-xmin} taken out: it cancels in every weighted average and keeps
         cold rows from underflowing.  The exponent is clipped at
-        _WEIGHT_EXP_FLOOR, where e^{xmin - x} is already below 1e-307 of
-        the row's largest weight.
+        _WEIGHT_EXP_FLOOR, where e^{xmin - x} is already ~1e-304 of the
+        row's largest weight.
         """
         Tn = T.reshape(1, -1, 1)
         nu, wj, nu3 = grid.nodes[:, None], grid.node_weights[:, None], grid.nodes_cubed[:, None]

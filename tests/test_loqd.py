@@ -356,12 +356,11 @@ def grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in):
 
     The opacity and emission derivatives are those of T-independent fields: 0.
     """
-    solver = MultigroupLoqdSolver(system, e_in, f_in)
-    group_flux = group_flux_coeffs(solver.gather(closure), kappa.reshape(kappa.shape[0], -1),
-                                   prev, dt, system)
+    gathered = MultigroupLoqdSolver(system, e_in, f_in).gather(closure)
+    group_flux = group_flux_coeffs(gathered, kappa.reshape(kappa.shape[0], -1), prev, dt, system)
     zero = np.zeros_like(kappa)
-    return compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
-                                     solver, dt)
+    return compute_grey_coefficients(mg, kappa, planck, zero, zero, gathered, group_flux,
+                                     system, dt)
 
 
 def test_single_group_averages_are_identity():
@@ -392,7 +391,21 @@ def test_averages_match_summation_oracle():
     system = MomentSystem(mesh)
     mg, prev, kappa, planck, closure, e_in, f_in = coeff_inputs(rng, 3, 3, 3, system)
     dt = 0.07
+    nv, c = system.n_vfaces, MAT.light_speed
+    # each boundary face's group energies, read from the face grids by face id
+    e_bf = np.array([mg.e_vface.reshape(3, -1)[:, f] if f < nv
+                     else mg.e_hface.reshape(3, -1)[:, f - nv] for f in system.boundary_face]).T
+    e_in[:] = rng.uniform(0.5, 2.0, e_in.shape)
+    f_in[:] = rng.uniform(-0.5, 0.5, f_in.shape)
+    e_in[:, 4] = e_bf[:, 4]  # a face in equilibrium with its inflow: sum(E - E_in) = 0
     co = grey_coefficients(mg, kappa, planck, closure, prev, dt, system, e_in, f_in)
+    # boundary rows: the E_g-weighted boundary factor and the summed right-hand side
+    cb = closure.cb.reshape(3, -1)
+    for k in range(system.boundary_face.size):
+        expected = sum(-c * cb[g, k] * e_bf[g, k] for g in range(3)) / sum(e_bf[:, k])
+        assert co.boundary_diag[k] == pytest.approx(expected, rel=1e-13)
+        expected = sum(-c * cb[g, k] * e_in[g, k] + f_in[g, k] for g in range(3))
+        assert co.boundary_rhs[k] == pytest.approx(expected, rel=1e-13)
     # absorption average, explicit loops
     for cell in range(9):
         iy, ix = divmod(cell, 3)
@@ -622,9 +635,10 @@ def test_graded_system_backward_error(monkeypatch):
     closure = isotropic_closure(n_g, ny, nx)
     prev = MultigroupMoments.equilibrium(planck, system, c)
     solver = MultigroupLoqdSolver(system, e_in, f_in)
-    mg, group_flux = solver.solve(solver.gather(closure), kappa, planck, prev, 0.02)
+    gathered = solver.gather(closure)
+    mg, group_flux = solver.solve(gathered, kappa, planck, prev, 0.02)
     zero = np.zeros_like(kappa)  # no temperature response: the plain grey system
-    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux, solver,
+    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, gathered, group_flux, system,
                                    0.02)
     GreyProblem(system, co, 0.02, prev.e_cell.sum(axis=0), T, t_star=T).solve()
     assert [np.ndim(args[0]) for args, _ in calls] == [2, 1]  # multigroup, then grey
@@ -786,10 +800,10 @@ def test_temperature_response_matches_local_difference():
     mg.e_cell = e
     closure = isotropic_closure(3, 2, 3)
     e_in = np.zeros((3, system.boundary_face.size))
-    solver = MultigroupLoqdSolver(system, e_in, e_in)
-    group_flux = group_flux_coeffs(solver.gather(closure), kappa.reshape(3, -1), mg, dt, system)
-    co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
-                                   solver, dt)
+    gathered = MultigroupLoqdSolver(system, e_in, e_in).gather(closure)
+    group_flux = group_flux_coeffs(gathered, kappa.reshape(3, -1), mg, dt, system)
+    co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, gathered, group_flux,
+                                   system, dt)
     h = 1e-6 * T
     (ke_hi, kb_hi), (ke_lo, kb_lo) = averages(T + h), averages(T - h)
     step = 2.0 * h.ravel()
@@ -798,8 +812,8 @@ def test_temperature_response_matches_local_difference():
     assert np.array_equal(co.e_cell_total, e.sum(0).ravel())
     # derivatives of T-independent fields give none
     zero = np.zeros_like(kappa)
-    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, closure, group_flux,
-                                   solver, dt)
+    co = compute_grey_coefficients(mg, kappa, planck, zero, zero, gathered, group_flux,
+                                   system, dt)
     assert not np.any(co.dkbar_e) and not np.any(co.dkbar_b)
 
 
@@ -820,9 +834,10 @@ def test_grey_matches_multigroup_sum():
     f_in = np.zeros((3, system.boundary_face.size))
     solver = MultigroupLoqdSolver(system, e_in, f_in)
     dt = 0.02
-    mg, group_flux = solver.solve(solver.gather(closure), kappa, planck, prev, dt)
-    co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, closure, group_flux,
-                                   solver, dt)
+    gathered = solver.gather(closure)
+    mg, group_flux = solver.solve(gathered, kappa, planck, prev, dt)
+    co = compute_grey_coefficients(mg, kappa, planck, dkappa, dplanck, gathered, group_flux,
+                                   system, dt)
     recover_fluxes(system, mg, group_flux)
     e_c, e_v, e_h, f_v, f_h = (a.sum(axis=0) for a in (
         mg.e_cell, mg.e_vface, mg.e_hface, mg.f_vface, mg.f_hface))
