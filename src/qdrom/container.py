@@ -8,7 +8,10 @@ Layout (all integers little-endian):
     | per array: name length u32, name utf-8, rows u64, cols u64,
       rows*cols float64 payload (C order, little-endian)
 
-Writers go through a temporary file and an atomic rename.
+Writers go through a temporary file and an atomic rename.  Readers take the
+file's size once and count down the bytes left: a length or payload size
+past the end is refused before anything is read or allocated, and each
+payload is read straight into its own new array.
 """
 from __future__ import annotations
 
@@ -65,16 +68,6 @@ def write_container(path, kind: str, descriptor: dict, arrays: dict) -> None:
         raise
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """Read n bytes, refusing sizes beyond the end of the file before reading."""
-    if n > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise FormatError(f"truncated container while reading {what}")
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated container while reading {what}")
-    return buf
-
-
 def _decode(raw: bytes, encoding: str, what: str) -> str:
     try:
         return raw.decode(encoding)
@@ -86,31 +79,51 @@ def read_container(path):
     """Read (kind, descriptor, arrays) back; validates sizes exactly."""
     path = Path(path)
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
+        left = os.fstat(fh.fileno()).st_size
+
+        def claim(n: int, what: str) -> int:
+            """Count n more bytes as read, refusing sizes beyond the end of the file."""
+            nonlocal left
+            if n > left:
+                raise FormatError(f"truncated container while reading {what}")
+            left -= n
+            return n
+
+        def take(n: int, what: str) -> bytes:
+            buf = fh.read(claim(n, what))
+            if len(buf) != n:
+                raise FormatError(f"truncated container while reading {what}")
+            return buf
+
+        if take(4, "magic") != MAGIC:
             raise FormatError(f"{path}: bad magic bytes")
-        version = _U32.unpack(_read_exact(fh, 4, "version"))[0]
+        version = _U32.unpack(take(4, "version"))[0]
         if version != VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        kind = _decode(_read_exact(fh, 16, "kind").rstrip(b"\0"), "ascii", "kind")
+        kind = _decode(take(16, "kind").rstrip(b"\0"), "ascii", "kind")
         if kind not in KINDS:
             raise FormatError(f"{path}: unknown payload kind '{kind}'")
-        desc_len = _U32.unpack(_read_exact(fh, 4, "descriptor length"))[0]
+        desc_len = _U32.unpack(take(4, "descriptor length"))[0]
         try:
-            descriptor = json.loads(_read_exact(fh, desc_len, "descriptor"))
+            descriptor = json.loads(take(desc_len, "descriptor"))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise FormatError(f"{path}: bad descriptor JSON: {err}") from err
-        count = _U32.unpack(_read_exact(fh, 4, "array count"))[0]
+        count = _U32.unpack(take(4, "array count"))[0]
         arrays = {}
         for _ in range(count):
-            nlen = _U32.unpack(_read_exact(fh, 4, "name length"))[0]
-            name = _decode(_read_exact(fh, nlen, "name"), "utf-8", "array name")
-            rows, cols = _DIMS.unpack(_read_exact(fh, 16, "dims"))
-            payload = _read_exact(fh, rows * cols * 8, f"payload of '{name}'")
+            nlen = _U32.unpack(take(4, "name length"))[0]
+            name = _decode(take(nlen, "name"), "utf-8", "array name")
+            rows, cols = _DIMS.unpack(take(16, "dims"))
+            what = f"payload of '{name}'"
+            nbytes = claim(rows * cols * 8, what)
             try:
-                arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+                arr = np.empty((rows, cols), dtype="<f8")
             except ValueError as err:  # a zero-size array with a dimension past the limit
                 raise FormatError(f"{path}: bad dims {rows}x{cols} of '{name}'") from err
-        if fh.read(1):
+            if fh.readinto(arr) != nbytes:
+                raise FormatError(f"truncated container while reading {what}")
+            arrays[name] = arr
+        if left:
             raise FormatError(f"{path}: trailing bytes after declared payload")
     return kind, descriptor, arrays
 
@@ -148,7 +161,7 @@ def _finite_number(value) -> bool:
 
 
 def load_snapshot_set(path):
-    from .drivers import SNAPSHOT_NAMES
+    from .drivers import SNAPSHOT_NAMES, _snapshot_rows
     from .lowrank import SnapshotMatrix
     kind, desc, arrays = read_container(path)
     if kind != "snapshot-set":
@@ -161,10 +174,17 @@ def load_snapshot_set(path):
         for name in SNAPSHOT_NAMES:
             if name not in arrays:
                 raise FormatError(f"{path}: snapshot matrix '{name}' missing")
-            if not isinstance(desc["layouts"][name], dict):
+            layout = desc["layouts"][name]
+            if not isinstance(layout, dict):
                 raise FormatError(f"{path}: layout of '{name}' is not an object")
-            out[name] = SnapshotMatrix(name, arrays[name], desc["layouts"][name],
-                                       t0=desc["t0"], dt=desc["dt"])
+            # one row per closure value of a step, one column per step
+            shape = (_snapshot_rows(name, layout["nx"], layout["ny"], layout["n_groups"]),
+                     desc["n_steps"])
+            if arrays[name].shape != shape:
+                raise FormatError(f"{path}: snapshot matrix '{name}' is stored as "
+                                  f"{arrays[name].shape[0]}x{arrays[name].shape[1]}, "
+                                  f"expected {shape[0]}x{shape[1]}")
+            out[name] = SnapshotMatrix(name, arrays[name], layout, t0=desc["t0"], dt=desc["dt"])
         return out, desc.get("config", {})
 
 

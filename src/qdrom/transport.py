@@ -166,17 +166,19 @@ class TransportSolver:
         exit_side = {(axis, sign): h for h, (axis, sign, _) in enumerate(_EXITS)}
         # the opposite side, through which half range h enters
         self._opposite = [exit_side[axis, -sign] for axis, sign, _ in _EXITS]
-        w, rows, sums = quad.weight, [], []
-        for axis, sign, _ in _EXITS:
-            c = (quad.mu, quad.eta)[axis]
-            half = sign * c > 0.0
-            r = np.stack([w, w * c * c, w * quad.mu * quad.eta, w * np.abs(c)])
-            rows.append(np.where(half, r, 0.0))
-            # 1-D sums over the half range alone, the quadrature's own sums
-            sums.append([np.sum(x[half]) for x in r])
-        self._weights = np.concatenate(rows)                    # (16, M)
+        axis, sign, _ = zip(*_EXITS)
+        c = np.stack([quad.mu, quad.eta])[list(axis)]           # (half range, M)
+        half = np.array(sign)[:, None] * c > 0.0
+        w = quad.weight
+        r = np.stack(np.broadcast_arrays(w, w * c * c, w * quad.mu * quad.eta,
+                                         w * np.abs(c)), axis=1)  # (half range, row, M)
+        self._weights = np.where(half[:, None], r, 0.0).reshape(16, -1)
+        # sums over the half range alone, the quadrature's own sums: each
+        # half range holds half the directions
+        members = np.nonzero(half)[1].reshape(4, 1, -1)
+        sums = np.take_along_axis(r, members, axis=2).sum(axis=2)
         # moments of the inflow through each side: (n_g, side, row)
-        self._inflow_moments = inflow[:, :, None] * np.array(sums)[self._opposite]
+        self._inflow_moments = inflow[:, :, None] * sums[self._opposite]
         # inflow of each lane across the upwind x and y faces of the flow frame:
         # lanes of sign s on an axis enter where half range (axis, -s) leaves
         self._x_in = np.repeat(inflow[:, [exit_side[0, -s] for s in sx]], k, axis=1)

@@ -443,6 +443,29 @@ def test_compress_malformed_snapshot_descriptor_is_data_error(workdir, tmp_path,
     assert not list(models.glob("*.ddet"))
 
 
+@pytest.mark.parametrize("name, cut", [("fxx_v", (slice(0, 7), slice(None))),
+                                       ("cb", (slice(None), slice(0, -1)))],
+                         ids=["rows", "columns"])
+@pytest.mark.parametrize("command", ["compress", "svd-report"])
+def test_snapshot_matrix_of_the_wrong_shape_is_data_error(workdir, tmp_path, capsys,
+                                                         command, name, cut):
+    # rows must match the matrix's layout and columns the set's n_steps
+    kind, desc, arrays = read_container(workdir / "fom" / "snapshots.ddet")
+    want = arrays[name].shape
+    arrays[name] = arrays[name][cut]
+    bad = tmp_path / "snapshots.ddet"
+    write_container(bad, kind, desc, arrays)
+    out = tmp_path / "out"
+    args = (["compress", "--method", "pod", "--xi", "1e-6", "--out", str(out)]
+            if command == "compress" else ["svd-report", "--out-prefix", str(out / "svd_")])
+    rc = main(args + ["--snapshots", str(bad)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    got = arrays[name].shape
+    assert f"'{name}' is stored as {got[0]}x{got[1]}, expected {want[0]}x{want[1]}" in err
+    assert not out.exists()
+
+
 def test_two_methods_in_one_model_directory_is_data_error(workdir, tmp_path, capsys):
     snapshots = str(workdir / "fom" / "snapshots.ddet")
     for method in ("pod", "dmd"):

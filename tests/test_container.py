@@ -39,6 +39,44 @@ def test_roundtrip_bit_exact(tmp_path):
     assert back["b"].tobytes() == arrays["b"][None, :].tobytes()
 
 
+def decode_arrays(raw: bytes) -> dict:
+    """Oracle: the arrays of a container decoded from its bytes with struct and
+    np.frombuffer (read-only views of `raw`)."""
+    (desc_len,) = struct.unpack_from("<I", raw, 24)
+    (count,) = struct.unpack_from("<I", raw, 28 + desc_len)
+    at, out = 32 + desc_len, {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, at)
+        name = raw[at + 4:at + 4 + name_len].decode("utf-8")
+        rows, cols = struct.unpack_from("<QQ", raw, at + 4 + name_len)
+        at += 20 + name_len
+        out[name] = np.frombuffer(raw, "<f8", rows * cols, at).reshape(rows, cols)
+        at += 8 * rows * cols
+    assert at == len(raw)
+    return out
+
+
+@pytest.mark.parametrize("source", ["desk_fom.ddet", "desk_snapshots.ddet", "fc2d_fom.ddet",
+                                    "dmd model"])
+def test_read_arrays_are_bit_exact_and_own_their_memory(tmp_path, tiny_snapshots, source):
+    if source == "dmd model":
+        path = tmp_path / "m.ddet"
+        save_model(path, compress(tiny_snapshots["cb"], "dmd", 1e-8))
+    else:
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / source
+    _, _, arrays = read_container(path)
+    want = decode_arrays(path.read_bytes())
+    assert list(arrays) == list(want)
+    for name, arr in arrays.items():
+        assert arr.dtype == np.dtype("<f8") and arr.tobytes() == want[name].tobytes(), name
+        assert arr.shape == want[name].shape, name
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous, name
+    names = list(arrays)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+
+
 def test_write_is_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     arrays = {"x": rng.normal(size=(4, 4))}

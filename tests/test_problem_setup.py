@@ -482,9 +482,11 @@ class CosCounter:
         return np.cos(x)
 
 
-def test_level_solve_stops_when_the_bracket_collapses(monkeypatch):
-    # [0, pi/4) shrinks to two adjacent doubles within 54 halvings, so no
-    # level needs more than the two ends plus 54 midpoint evaluations
+def test_level_solve_takes_at_most_ten_evaluations(monkeypatch):
+    # bisection of [0, pi/4) down to two adjacent doubles needs the two ends
+    # plus at most 54 midpoints on every pinned set; from the Newton guess the
+    # bracket closes in at most 10 evaluations, the ends included (measured
+    # over the 164 levels of the pinned sets: 4 to 10)
     counter = CosCounter()
     solve = quadrature._solve_level_angles
     per_level = []
@@ -501,6 +503,56 @@ def test_level_solve_stops_when_the_bracket_collapses(monkeypatch):
         build_quadrature(q)
     assert len(per_level) > 100
     assert min(per_level) > 2 and max(per_level) <= 56
+    assert max(per_level) <= 10
+
+
+def level_cos_sum(a, beta):
+    """sum_k cos(phi_k) over the a angles of a level at delta scale beta,
+    summed as the level solve sums it."""
+    p, odd = divmod(a, 2)
+    steps = 2.0 * np.arange(1, p + 1) - (0 if odd else 1)
+    total = np.sqrt(2.0) * np.cos(beta * steps / max(2 * p + odd - 1, 1)).sum()
+    if odd:
+        total += np.sqrt(0.5)
+    return float(total)
+
+
+def bisection_level_angles(a, cos_target):
+    """Reference: the level solve by plain bisection of [0, pi/4) until the
+    bracket is two adjacent doubles."""
+    lo, hi = 0.0, 0.25 * np.pi * (1.0 - 1e-12)
+    if level_cos_sum(a, lo) < cos_target or level_cos_sum(a, hi) > cos_target:
+        raise QuadratureSpecError("infeasible")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if level_cos_sum(a, mid) >= cos_target:
+            lo = mid
+        else:
+            hi = mid
+    p, odd = divmod(a, 2)
+    deltas = 0.5 * (lo + hi) * (2.0 * np.arange(1, p + 1) - (0 if odd else 1)) \
+        / max(2 * p + odd - 1, 1)
+    return np.array([0.25 * np.pi - d for d in deltas[::-1]]
+                    + ([0.25 * np.pi] if odd else []) + [0.25 * np.pi + d for d in deltas])
+
+
+@pytest.mark.parametrize("a", range(2, 22))
+def test_level_solve_gives_the_bisections_doubles(a):
+    # feasible targets span the cos sum from beta = pi/4 to beta = 0; the ends
+    # are drawn too, and on whichever side of feasible an end rounds, the two
+    # solves must agree
+    ends = [level_cos_sum(a, beta) for beta in (0.25 * np.pi * (1.0 - 1e-12), 0.0)]
+    frac = np.concatenate(([0.0, 1.0], np.random.default_rng(a).random(150)))
+    for target in ends[0] + frac * (ends[1] - ends[0]):
+        try:
+            want = bisection_level_angles(a, target)
+        except QuadratureSpecError:
+            with pytest.raises(QuadratureSpecError):
+                quadrature._solve_level_angles(a, target)
+            continue
+        assert quadrature._solve_level_angles(a, target).tobytes() == want.tobytes(), target
 
 
 # ---------------------------------------------------------------------------
