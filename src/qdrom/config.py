@@ -162,12 +162,14 @@ _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 def load_config(path) -> RunConfig:
     """Parse a key = value configuration file.
 
-    A `preset` line, allowed once, sets the keys that no other line sets.
+    A `preset` line, allowed once, sets the keys that no other line sets;
+    any other key may also be given once.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     values: dict = {}
+    given: dict = {}  # key -> the line that set it
     named = False
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -187,6 +189,10 @@ def load_config(path) -> RunConfig:
             continue
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in given:
+            raise ConfigError(f"{path}:{lineno}: '{key}' given twice (lines {given[key]} "
+                              f"and {lineno})")
+        given[key] = lineno
         try:
             values[key] = _PARSERS[key](val)
         except ValueError as err:

@@ -113,6 +113,8 @@ def read_container(path):
         for _ in range(count):
             nlen = _U32.unpack(take(4, "name length"))[0]
             name = _decode(take(nlen, "name"), "utf-8", "array name")
+            if name in arrays:
+                raise FormatError(f"{path}: array '{name}' stored twice")
             rows, cols = _DIMS.unpack(take(16, "dims"))
             what = f"payload of '{name}'"
             nbytes = claim(rows * cols * 8, what)

@@ -21,7 +21,9 @@ of a step instead takes the closure the step starts from, which is
 already computed (the previous step's accepted closure, or that of the
 initial intensity); no step is accepted before its first sweep.  So a FOM
 step makes one sweep per low-order solve after the first, and its closure
-is that of its last sweep.
+is that of its last sweep.  A problem's first sweep builds the sweep's
+tables, which later runs on it reuse; a reduced-order run reads only the
+boundary inflow of its problem's `TransportSolver` and never builds them.
 
 The low-order loop is a fixed point of the map T_it -> grey temperature,
 accelerated by Anderson mixing of the temperature iterate (depth

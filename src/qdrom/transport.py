@@ -21,8 +21,10 @@ corner equations are this stencil in their upwind order.  So the corners of
 anti-diagonal u + v depend only on the previous anti-diagonal, and the
 sweep solves 2 (nx + ny) - 1 of them in turn.  It works in a corner layout
 (group, corner by anti-diagonal, lane), with one lane per (quadrant,
-direction) pair on the contiguous last axis; the index tables between the
-physical and the corner layout are built once per solver.
+direction) pair on the contiguous last axis.  The index tables between the
+physical and the corner layout are built by a solver's first sweep and
+kept; a solver that never sweeps (the reduced-order model's) never builds
+them.
 
 Closures come from one contraction of the corner field with a (16, M)
 table of half-range weights.  For each half range of directions (mu < 0,
@@ -38,6 +40,7 @@ range's w |c| moment over its w moment on the boundary cells' outer corners.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,30 +100,19 @@ _QUADRANTS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 #: cell through those corners, and it enters the domain through the side
 #: that the opposite half range leaves by.
 _EXITS = ((0, -1, (0, 2)), (1, -1, (0, 1)), (0, 1, (1, 3)), (1, 1, (2, 3)))
+#: the side of mesh.SIDES by which half range (axis, sign) leaves
+_EXIT_SIDE = {(axis, sign): h for h, (axis, sign, _) in enumerate(_EXITS)}
 
 
-class TransportSolver:
-    """Sweeper and closure extractor bound to one mesh/quadrature/group layout.
+class _SweepTables:
+    """What only the sweep reads: the maps between the physical and the corner
+    layout, the anti-diagonal stages, the streaming weights and the lane inflows.
 
-    `inflow` (n_g, side) is the isotropic incoming intensity per group and
-    side of mesh.SIDES; zeros mean vacuum.
+    `dirs` (4, K) holds each quadrant's directions in _QUADRANTS order.
     """
 
-    def __init__(self, mesh: SpatialMesh, quad: AngularQuadrature,
-                 grid: FrequencyGrid, inflow: np.ndarray):
-        self.mesh = mesh
-        self.quad = quad
-        self.grid = grid
-        self.inflow = inflow = np.asarray(inflow, dtype=float)
-        if inflow.shape != (grid.n_groups, len(SIDES)):
-            raise ShapeError(f"inflow shape {inflow.shape} != {(grid.n_groups, len(SIDES))}")
-        if np.any((quad.mu == 0.0) | (quad.eta == 0.0)):
-            raise QuadratureSpecError("a direction with mu = 0 or eta = 0 lies in no quadrant")
-        dirs = [np.nonzero((np.sign(quad.mu) == sx) & (np.sign(quad.eta) == sy))[0]
-                for sx, sy in _QUADRANTS]
-        if len({len(ms) for ms in dirs}) != 1:
-            raise QuadratureSpecError("the quadrants hold unequal direction counts")
-        dirs = np.array(dirs)                                  # (4, K)
+    def __init__(self, mesh: SpatialMesh, quad: AngularQuadrature, dirs: np.ndarray,
+                 inflow: np.ndarray):
         nx, ny = mesh.nx, mesh.ny
         sx, sy = np.array(_QUADRANTS).T                        # (4,) each
         # flow-frame cells (a, b), a-major; physical cell per quadrant:
@@ -130,7 +122,7 @@ class TransportSolver:
         iy = np.where(sy > 0, b[:, None], ny - 1 - b[:, None])
         cells = iy * nx + ix
         k = dirs.shape[1]
-        self._lane_cells = np.repeat(cells, k, axis=1)          # (cells, 4K)
+        self.lane_cells = np.repeat(cells, k, axis=1)           # (cells, 4K)
         # flow-frame corners (u, v) = (2a + fx, 2b + fy) by anti-diagonal
         # u + v, then by u; each anti-diagonal is one stage of the sweep
         u, v = np.divmod(np.arange(4 * nx * ny), 2 * ny)
@@ -138,34 +130,66 @@ class TransportSolver:
         u, v = u[order], v[order]
         starts = np.concatenate(([0], np.cumsum(np.bincount(u + v))))
         # (first corner, end corner, first column u) of each stage
-        self._stages = list(zip(starts[:-1].tolist(), starts[1:].tolist(),
-                                u[starts[:-1]].tolist()))
-        self._corner_cells = (u // 2) * ny + v // 2
+        self.stages = list(zip(starts[:-1].tolist(), starts[1:].tolist(),
+                               u[starts[:-1]].tolist()))
+        self.corner_cells = (u // 2) * ny + v // 2
         # physical corner 2*cy + cx of flow corner 2*fy + fx per quadrant
         fx, fy = np.array([0, 1, 0, 1])[:, None], np.array([0, 0, 1, 1])[:, None]
         corner = 2 * np.where(sy > 0, fy, 1 - fy) + np.where(sx > 0, fx, 1 - fx)  # (4, 4)
         corner = np.take(corner, 2 * (v % 2) + u % 2, axis=0)    # (corners, 4)
         # per group, the corner layout (corner, quadrant, K) and the physical
         # layout (direction, y, x, corner) as flat indices of each other
-        field = (4 * np.take(cells, self._corner_cells, axis=0) + corner)[..., None] \
+        field = (4 * np.take(cells, self.corner_cells, axis=0) + corner)[..., None] \
             + dirs * (4 * nx * ny)
-        self._field = field.ravel()
-        self._inverse = np.empty_like(self._field)
-        self._inverse[self._field] = np.arange(self._field.size)
+        self.field = field.ravel()
+        self.inverse = np.empty_like(self.field)
+        self.inverse[self.field] = np.arange(self.field.size)
         # streaming weights and corner areas per flow cell and lane, and per corner
         dxl, dyl = mesh.dx[ix], mesh.dy[iy]
-        self._cell_quarter = np.repeat(0.25 * dxl * dyl, k, axis=1)  # (cells, 4K)
+        self.cell_quarter = np.repeat(0.25 * dxl * dyl, k, axis=1)  # (cells, 4K)
         wx = (0.5 * np.abs(quad.mu[dirs]) * dyl[:, :, None]).reshape(nx * ny, -1)
         wy = (0.5 * np.abs(quad.eta[dirs]) * dxl[:, :, None]).reshape(nx * ny, -1)
-        self._wxy = wx + wy
-        self._ax, self._ay, self._quarter = (
-            np.take(t, self._corner_cells, axis=0) for t in (wx, wy, self._cell_quarter))
+        self.wxy = wx + wy
+        self.ax, self.ay, self.quarter = (
+            np.take(t, self.corner_cells, axis=0) for t in (wx, wy, self.cell_quarter))
+        # inflow of each lane across the upwind x and y faces of the flow frame:
+        # lanes of sign s on an axis enter where half range (axis, -s) leaves
+        self.x_in = np.repeat(inflow[:, [_EXIT_SIDE[0, -s] for s in sx]], k, axis=1)
+        self.y_in = np.repeat(inflow[:, [_EXIT_SIDE[1, -s] for s in sy]], k, axis=1)
+
+
+class TransportSolver:
+    """Sweeper and closure extractor bound to one mesh/quadrature/group layout.
+
+    `inflow` (n_g, side) is the isotropic incoming intensity per group and
+    side of mesh.SIDES; zeros mean vacuum.  The sweep's tables are built by
+    the first `sweep` and kept, so a solver that only extracts closures or
+    gives the boundary inflow (the reduced-order model's) never builds them.
+    """
+
+    def __init__(self, mesh: SpatialMesh, quad: AngularQuadrature,
+                 grid: FrequencyGrid, inflow: np.ndarray):
+        self.mesh = mesh
+        self.quad = quad
+        self.grid = grid
+        # a read-only copy: the closure's inflow moments, taken here, and the
+        # sweep's lane inflows, taken at the first sweep, see the same values
+        self.inflow = inflow = np.array(inflow, dtype=float)
+        inflow.setflags(write=False)
+        if inflow.shape != (grid.n_groups, len(SIDES)):
+            raise ShapeError(f"inflow shape {inflow.shape} != {(grid.n_groups, len(SIDES))}")
+        if np.any((quad.mu == 0.0) | (quad.eta == 0.0)):
+            raise QuadratureSpecError("a direction with mu = 0 or eta = 0 lies in no quadrant")
+        dirs = [np.nonzero((np.sign(quad.mu) == sx) & (np.sign(quad.eta) == sy))[0]
+                for sx, sy in _QUADRANTS]
+        if len({len(ms) for ms in dirs}) != 1:
+            raise QuadratureSpecError("the quadrants hold unequal direction counts")
+        self._dirs = np.array(dirs)                            # (4, K)
+        # the opposite side, through which half range h enters
+        self._opposite = [_EXIT_SIDE[axis, -sign] for axis, sign, _ in _EXITS]
         # half range h leaves through side SIDES[h]; its rows of the weight
         # table are (w, w c^2, w mu eta, w |c|), c its normal component, and
         # zero off the half range
-        exit_side = {(axis, sign): h for h, (axis, sign, _) in enumerate(_EXITS)}
-        # the opposite side, through which half range h enters
-        self._opposite = [exit_side[axis, -sign] for axis, sign, _ in _EXITS]
         axis, sign, _ = zip(*_EXITS)
         c = np.stack([quad.mu, quad.eta])[list(axis)]           # (half range, M)
         half = np.array(sign)[:, None] * c > 0.0
@@ -179,10 +203,11 @@ class TransportSolver:
         sums = np.take_along_axis(r, members, axis=2).sum(axis=2)
         # moments of the inflow through each side: (n_g, side, row)
         self._inflow_moments = inflow[:, :, None] * sums[self._opposite]
-        # inflow of each lane across the upwind x and y faces of the flow frame:
-        # lanes of sign s on an axis enter where half range (axis, -s) leaves
-        self._x_in = np.repeat(inflow[:, [exit_side[0, -s] for s in sx]], k, axis=1)
-        self._y_in = np.repeat(inflow[:, [exit_side[1, -s] for s in sy]], k, axis=1)
+
+    @cached_property
+    def _tables(self) -> _SweepTables:
+        """The sweep's tables, built on first use."""
+        return _SweepTables(self.mesh, self.quad, self._dirs, self.inflow)
 
     # ------------------------------------------------------------------ API
     @property
@@ -215,33 +240,34 @@ class TransportSolver:
         if emission.shape != kappa.shape:
             raise ShapeError(f"emission shape {emission.shape} != kappa shape {kappa.shape}")
         n_g = kappa.shape[0]
+        t = self._tables
         cdt = C_LIGHT * dt
 
         def lanes(field):  # (n_g, ny, nx) -> (n_g, flow cells, 4K)
-            return np.take(field.reshape(n_g, -1), self._lane_cells, axis=1)
+            return np.take(field.reshape(n_g, -1), t.lane_cells, axis=1)
 
         # per-cell terms are formed per flow cell, then taken to corner order
         # once, into one buffer that holds kappa B, then den, then the result
-        buf = np.take(lanes(kappa * emission), self._corner_cells, axis=1)  # (n_g, corners, 4K)
+        buf = np.take(lanes(kappa * emission), t.corner_cells, axis=1)  # (n_g, corners, 4K)
         # every table indexes in range: "clip" never clips, it skips the bounds
         # check and lets take() write straight into out=
-        s = np.take(I_prev.reshape(n_g, -1), self._field, axis=1, mode="clip")
+        s = np.take(I_prev.reshape(n_g, -1), t.field, axis=1, mode="clip")
         s = s.reshape(buf.shape)
         s /= cdt
         s += buf
-        s *= self._quarter
+        s *= t.quarter
         denom = lanes(kappa + 1.0 / cdt)
-        denom *= self._cell_quarter
-        denom += self._wxy
-        denom = np.take(denom, self._corner_cells, axis=1, mode="clip", out=buf)
+        denom *= t.cell_quarter
+        denom += t.wxy
+        denom = np.take(denom, t.corner_cells, axis=1, mode="clip", out=buf)
         # upwind values by flow-frame column u at slot u + 1: the latest
         # solved corner of that column, or the y inflow before it has one;
         # slot 0 holds the x inflow
         prev = np.empty((n_g, 2 * self.mesh.nx + 1, s.shape[2]))
-        prev[:, 0] = self._x_in
-        prev[:, 1:] = self._y_in[:, None]
-        ax, ay = self._ax, self._ay
-        for p0, p1, lo in self._stages:
+        prev[:, 0] = t.x_in
+        prev[:, 1:] = t.y_in[:, None]
+        ax, ay = t.ax, t.ay
+        for p0, p1, lo in t.stages:
             hi = lo + p1 - p0
             # I[u, v] = (S + ax I[u-1, v] + ay I[u, v-1]) / den, summed in that
             # order as in a cell's corner equations; it overwrites S
@@ -251,7 +277,7 @@ class TransportSolver:
             acc += ay[p0:p1] * prev[:, lo + 1:hi + 1]
             np.divide(acc, denom[:, p0:p1], out=sd)
             prev[:, lo + 1:hi + 1] = sd
-        out = np.take(s.reshape(n_g, -1), self._inverse, axis=1, mode="clip",
+        out = np.take(s.reshape(n_g, -1), t.inverse, axis=1, mode="clip",
                       out=buf.reshape(n_g, -1))
         return out.reshape(self.shape)
 

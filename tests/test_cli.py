@@ -297,14 +297,22 @@ def test_missing_config_is_usage_error(workdir, tmp_path, capsys):
     assert "unsupported per-quadrant count 2" in capsys.readouterr().err
     # temperatures below the 1e-8 keV floor are usage errors, caught before
     # the output directory is made
-    for key, line in (("t_initial", "t_initial = 1e-9\n"),
-                      ("boundary_left", "boundary_left = 1e-9\n")):
-        bad.write_text(TINY_CONFIG + line)
+    for key, line in (("t_initial", "t_initial = 0.001"),
+                      ("boundary_left", "boundary_left = 1.0")):
+        bad.write_text(TINY_CONFIG.replace(line, f"{key} = 1e-9"))
         out = tmp_path / f"floor_{key}"
         rc = main(["fom", "--config", str(bad), "--out", str(out)])
         assert rc == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err and "temperature must be finite and at least" in err
         assert not out.exists()
+    # so is a key given twice
+    bad.write_text(TINY_CONFIG + "n_steps = 2\n")
+    out = tmp_path / "twice"
+    rc = main(["fom", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert "'n_steps' given twice" in capsys.readouterr().err
+    assert not out.exists()
     # a finite last group edge is a usage error too
     bad.write_text(TINY_CONFIG.replace("2.83, 1e7", "2.83, 6.0"))
     out = tmp_path / "finite_edge"

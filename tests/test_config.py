@@ -84,10 +84,14 @@ def test_parse_errors(tmp_path):
     bad.write_text("group_bounds = 0\n")
     with pytest.raises(ConfigError, match="two edges"):
         load_config(bad)
-    # a preset line may appear once, and names a preset; both errors name their line
+    # a preset line may appear once and names a preset, and any other key may
+    # appear once; each error names its line
     for text, match in (("preset = equilibrium-2d\npreset = fleck-cummings-desk\nn_steps = 1\n",
                          ":2: a second 'preset' line"),
-                        ("n_steps = 1\npreset = nosuch\n", ":2: unknown preset 'nosuch'")):
+                        ("n_steps = 1\npreset = nosuch\n", ":2: unknown preset 'nosuch'"),
+                        # a repeated key is refused, not overridden, naming both lines
+                        ("preset = equilibrium-2d\nn_steps = 3\nn_steps = 5\n",
+                         ":3: 'n_steps' given twice \\(lines 2 and 3\\)")):
         bad.write_text(text)
         with pytest.raises(ConfigError, match=f"bad.cfg{match}"):
             load_config(bad)

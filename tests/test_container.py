@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdrom.cli import main
 from qdrom.config import RunConfig
 from qdrom.container import (
     FormatError,
@@ -113,6 +114,27 @@ def test_truncation_and_trailing(tmp_path):
     path.write_bytes(raw + b"extra")
     with pytest.raises(FormatError):
         read_container(path)
+
+
+def test_array_stored_twice_is_refused(tmp_path, tiny_snapshots, tiny_config, capsys):
+    # a second payload under one name is refused, not kept
+    path = tmp_path / "t.ddet"
+    write_container(path, "results", {}, {"a": np.zeros(2), "b": np.ones(2)})
+    path.write_bytes(path.read_bytes().replace(struct.pack("<I", 1) + b"b",
+                                               struct.pack("<I", 1) + b"a"))
+    with pytest.raises(FormatError, match="array 'a' stored twice"):
+        read_container(path)
+    # every reader refuses it, and the command line exits 3
+    save_snapshot_set(path, tiny_snapshots, tiny_config.to_dict())
+    raw = path.read_bytes()
+    name = struct.pack("<I", 5) + b"fxx_v"
+    assert raw.count(name) == 1
+    path.write_bytes(raw.replace(name, struct.pack("<I", 5) + b"fxx_c"))
+    with pytest.raises(FormatError, match="array 'fxx_c' stored twice"):
+        load_snapshot_set(path)
+    assert main(["svd-report", "--snapshots", str(path),
+                 "--out-prefix", str(tmp_path / "svd_")]) == 3
+    assert "stored twice" in capsys.readouterr().err
 
 
 def test_unknown_kind_rejected(tmp_path):

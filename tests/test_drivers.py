@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qdrom import drivers
+from qdrom import drivers, transport
 from qdrom.analysis import relative_error_series
 from qdrom.config import RunConfig, preset
 from qdrom.container import load_model, save_model
@@ -425,6 +425,24 @@ def test_fom_sweeps_once_per_low_order_solve(tiny_config, tiny_fom, tiny_snapsho
     assert np.array_equal(tiny_fom.sweeps, tiny_fom.iterations - 1)
     rom = run_rom(tiny_config, playback_models(tiny_snapshots))
     assert np.array_equal(rom.sweeps, np.zeros(tiny_config.n_steps))
+
+
+def test_rom_builds_no_sweeper_tables(tiny_config, tiny_snapshots):
+    p = build_problem(tiny_config)
+    run_rom(p, playback_models(tiny_snapshots))
+    assert "_tables" not in vars(p.transport)
+
+
+def test_fom_builds_the_sweeper_tables_once_per_problem(tiny_config, tiny_fom, monkeypatch):
+    built = []
+    tables = transport._SweepTables
+    monkeypatch.setattr(transport, "_SweepTables",
+                        lambda *args: built.append(args) or tables(*args))
+    p = build_problem(tiny_config)
+    assert not built
+    for _ in range(2):
+        assert_same_record(run_fom(p), tiny_fom)
+    assert len(built) == 1
 
 
 def test_fom_step_starts_from_the_closure_it_has():

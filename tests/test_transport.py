@@ -338,6 +338,18 @@ def test_inflow_must_hold_one_column_per_side():
         make_solver(bc=np.zeros((1, 4)))
 
 
+def test_inflow_is_a_read_only_copy():
+    # the closure takes its inflow moments at construction and the sweep its
+    # lane inflows at the first sweep: a later edit of either array is refused
+    # or unseen, so both see the inflow the solver was built with
+    bc = side_inflow_bc()
+    sol = make_solver(bc=bc)
+    bc[:] = 0.0
+    assert np.array_equal(sol.inflow, side_inflow_bc())
+    with pytest.raises(ValueError, match="read-only"):
+        sol.inflow[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # closures
 # ---------------------------------------------------------------------------
