@@ -374,18 +374,29 @@ def run_fom(config: RunConfig | Problem, log=None) -> RunRecord:
     it.  Each step stops at `outer_tol`.  `log(step, iterations, change)` is
     called after each step, where `iterations` counts the step's low-order
     solves, all but the first with its sweep.
+
+    Every sweep of a step starts from the step's starting intensity (the
+    initial intensity, floored in place, for step 1).  Only the gathered
+    closure of an iterate's sweep is read again, so its intensity is
+    dropped before the next sweep: a sweep holds the starting intensity
+    and its own two corner buffers, one of which becomes its result.
     """
     p = config if isinstance(config, Problem) else build_problem(config)
     cfg = p.config
-    I0 = np.maximum(p.transport.equilibrium_intensity(cfg.t_initial), INTENSITY_SEED)
     # the intensity of the latest sweep and its gathered closure; at the
-    # start of a step, those of the previous step's accepted sweep
-    latest = {"I": I0, "closure": p.mg_solver.gather(p.transport.compute_eddington(I0))}
+    # start of a step, those of the previous step's accepted sweep; no other
+    # name holds the initial intensity, so it is freed after step 1
+    latest = {"I": p.transport.equilibrium_intensity(cfg.t_initial)}
+    np.maximum(latest["I"], INTENSITY_SEED, out=latest["I"])
+    latest["closure"] = p.mg_solver.gather(p.transport.compute_eddington(latest["I"]))
 
     def advance(n, mg_prev, t_prev):
         I_prev = latest["I"]
 
         def sweep(kappa, planck):
+            # only the previous iterate's gathered closure is read again: its
+            # intensity is dropped before the sweep allocates the next one
+            latest["I"] = None
             latest["I"] = p.transport.sweep(kappa, np.maximum(planck, INTENSITY_SEED),
                                             I_prev, cfg.dt)
             latest["closure"] = p.mg_solver.gather(p.transport.compute_eddington(latest["I"]))

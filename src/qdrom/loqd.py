@@ -35,7 +35,10 @@ factors of every matrix entry, so that filling the matrix is one
 concatenation of the d and one multiply; its one solve serves both levels
 and returns the energies: face fluxes are recovered only for the accepted
 iterate.  Each group is one banded LU in a row-interleaved order of the
-unknowns (MomentSystem).  The grey system couples to the material energy
+unknowns (MomentSystem); a solve scales the rows of all groups at once but
+fills each group's band just before its factorisation and frees it after,
+so it holds one group's band (164 KB at desk, 1.2 MB at fc2d), not all
+of them.  The grey system couples to the material energy
 balance through the absorption and emission terms, linearized about the
 outer temperature iterate: the emission through T^4, and the grey opacities
 through their temperature derivatives (formed with the grey coefficients),
@@ -242,8 +245,12 @@ class MomentSystem:
         """(E_cell, E_vface, E_hface) grids of fill()'s system.
 
         Takes fill()'s arguments and keeps their leading group axis, if any;
-        each group is one banded LU in the band order.  Raises SolverError
-        for a singular matrix or a non-finite solution, naming the group.
+        each group is one banded LU in the band order.  The rows of every
+        group are scaled at once; each group's (n, ldab) band is then
+        filled from its scaled entries just before its dgbsv and freed
+        after it, so the solve holds the entries of all groups but the band
+        of one.  Raises SolverError for a singular matrix or a non-finite
+        solution, naming the group.
         """
         vals, b = self.fill(cell_diag, cell_rhs, flux, boundary_diag, boundary_rhs)
         lead, n = b.shape[:-1], self.n_unknowns
@@ -251,13 +258,15 @@ class MomentSystem:
         # span many decades, unscaled pivoting lost all accuracy
         scale = 1.0 / np.maximum(self._scatter("rows", np.abs(vals)), np.finfo(float).tiny)
         vals *= scale.take(self.rows, axis=-1)
-        band = self._scatter("slot", vals).reshape(-1, n, self.ldab)
         b *= scale
         xb = b.reshape(-1, n).take(self.band_order, axis=1)
-        for g, ab in enumerate(band):
-            # ab.T is the Fortran-ordered band storage itself: no copy
-            _, _, xb[g], info = dgbsv(self.kl, self.ku, ab.T, xb[g],
+        for g, v in enumerate(vals.reshape(-1, vals.shape[-1])):
+            # one group's band at a time, freed after its factorisation; its
+            # transpose is the Fortran-ordered band storage itself: no copy
+            ab = self._scatter("slot", v).reshape(n, self.ldab).T
+            _, _, xb[g], info = dgbsv(self.kl, self.ku, ab, xb[g],
                                       overwrite_ab=1, overwrite_b=1)
+            del ab
             if info:
                 where = f" in group {g}" if lead else ""
                 raise SolverError(f"moment-system matrix is singular{where} (dgbsv info {info})")

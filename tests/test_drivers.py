@@ -1,5 +1,6 @@
 """Driver-level checks: dimensions, determinism, playback, snapshots."""
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -443,6 +444,31 @@ def test_fom_builds_the_sweeper_tables_once_per_problem(tiny_config, tiny_fom, m
     for _ in range(2):
         assert_same_record(run_fom(p), tiny_fom)
     assert len(built) == 1
+
+
+def test_fom_sweep_holds_no_dead_intensity(tiny_config, tiny_fom, monkeypatch):
+    # only the gathered closure of a step's earlier sweeps is read again: when
+    # sweep k >= 2 of a step starts, sweep k-1's intensity is gone, while the
+    # step's starting intensity, which every sweep of the step reads, is alive
+    results, starts, first = [], [], [0]  # weakrefs; the sweep each step starts at
+    sweep = TransportSolver.sweep
+
+    def spy(self, kappa, emission, I_prev, dt):
+        if len(results) == first[-1]:
+            # a step's first sweep starts from the previous step's last one
+            assert len(results) == 0 or results[-1]() is I_prev
+            starts.append(weakref.ref(I_prev))
+        else:
+            assert results[-1]() is None
+            assert starts[-1]() is I_prev
+        out = sweep(self, kappa, emission, I_prev, dt)
+        results.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(TransportSolver, "sweep", spy)
+    fom = run_fom(tiny_config, log=lambda step, iterations, change: first.append(len(results)))
+    assert_same_record(fom, tiny_fom)
+    assert len(results) == fom.sweeps.sum() and fom.sweeps.max() >= 2
 
 
 def test_fom_step_starts_from_the_closure_it_has():

@@ -1,5 +1,6 @@
 """Multigroup and grey moment-solver checks against dense oracles."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -600,6 +601,24 @@ def test_banded_solve_matches_dense_oracle(nx, ny, n_g):
                              got.reshape(-1, got.shape[-1])):
             x = np.linalg.solve(moment_matrix(system, v).toarray(), bg)
             assert np.max(np.abs(xg - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_solve_holds_one_group_band_at_a_time():
+    # every group's scaled entries are kept, but each group's band is filled
+    # just before its factorisation and freed after it: a desk multigroup
+    # solve allocates less than one band of all groups at its peak
+    system = MomentSystem(SpatialMesh.uniform(DESK.nx, DESK.ny, DESK.dx, DESK.dy))
+    args = random_system_args(np.random.default_rng(43), system, (DESK.n_groups,))
+    first = system.solve(*args)  # builds the kept index tables
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        again = system.solve(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert peak < DESK.n_groups * system.n_unknowns * system.ldab * 8
 
 
 def recorded_solves(monkeypatch, system):
